@@ -26,7 +26,7 @@ from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     validate_coefficients)
 from .objective import (GradientField, ObjectiveEvaluation,
                         apply_io_operators, compute_gradient,
-                        duality_residual, evaluate_objective)
+                        evaluate_objective)
 from .verify import (duality_checks, gradient_fd_checks,
                      verify_inequality_suite)
 
@@ -37,9 +37,9 @@ __all__ = [
     "LoadField", "MeasurementSeries", "ModalLoad", "MovingGaussian",
     "NoiseSpec", "ObjectiveEvaluation", "ParametricResult", "SpaceTimeGrid",
     "ValidationError", "add_noise", "apply_io_operators", "compute_constants",
-    "compute_gradient", "duality_checks", "duality_residual",
-    "energy_residual", "evaluate_objective", "generate_scenario",
-    "gradient_fd_checks", "l2_norm_spacetime", "manufactured_case",
+    "compute_gradient", "duality_checks", "energy_residual",
+    "evaluate_objective", "generate_scenario", "gradient_fd_checks",
+    "l2_norm_spacetime", "manufactured_case",
     "newmark_integrate", "project_admissible", "reconstruct_parametric",
     "run_inversion", "series_l2_norm", "smooth_to_h1", "solve_adjoint",
     "solve_forward", "transfer_constant", "validate_coefficients",

@@ -12,8 +12,8 @@ import numpy as np
 
 from .assembly import assemble, natural_bc_load
 from .errors import DimensionError
-from .forward import EstimateCheck, newmark_integrate
-from .model import CoefficientSet, trapezoid_weights
+from .forward import estimate_rows, newmark_integrate
+from .model import DEFAULT_SLACK, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,26 @@ def transfer_constant(T, variant="literal"):
     raise ValueError(f"unknown C_T variant: {variant}")
 
 
-def check_adjoint_estimates(field, coeffs, slack=0.05, ct_variant="literal"):
+def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
+                            scenario="", ct_variant="literal"):
     """Discrete check of the six adjoint-solution bounds.
 
     Needs the derivative series of the moment inputs; raises if they were
     not supplied.  Bounds use C_0^2 = 20 l C_T / (3 r0^2) and the combined
-    input-derivative norm ||p'||^2 + ||q'||^2.
+    input-derivative norm ||p'||^2 + ||q'||^2.  `unit` is the (M, K_r)
+    pair of `unit_norm_matrices`.
     """
     if field.dp is None or field.dq is None:
         raise DimensionError("adjoint estimate check needs p', q' series")
     g = field.grid
     b = coeffs.bounds
-    unit = assemble(g, CoefficientSet.constant(g, rho_A=1.0, mu=1.0,
-                                               T_r=1.0, r=1.0, kappa=1.0))
+    M1, K1 = unit
     wt = trapezoid_weights(g.n_times, g.dt)
 
     phi, phi_t = field.phi, field.phi_t
-    pxx_sq = np.einsum("ik,ij,jk->k", phi, unit.K_r, phi)
-    pt_sq = np.einsum("ik,ij,jk->k", phi_t, unit.M, phi_t)
-    pxxt_sq = np.einsum("ik,ij,jk->k", phi_t, unit.K_r, phi_t)
+    pxx_sq = np.einsum("ik,ij,jk->k", phi, K1, phi)
+    pt_sq = np.einsum("ik,ij,jk->k", phi_t, M1, phi_t)
+    pxxt_sq = np.einsum("ik,ij,jk->k", phi_t, K1, phi_t)
 
     T = g.final_time
     C_T = transfer_constant(T, ct_variant)
@@ -103,18 +104,16 @@ def check_adjoint_estimates(field, coeffs, slack=0.05, ct_variant="literal"):
                   + wt @ np.asarray(field.dq) ** 2)
     eT = np.exp(T)
 
-    checks = [
-        EstimateCheck("phixx_LinfL2", float(np.max(pxx_sq)),
-                      eT * C0_sq * Qp_sq),
-        EstimateCheck("phixx_L2L2", float(wt @ pxx_sq),
-                      (eT - 1.0) * C0_sq * Qp_sq),
-        EstimateCheck("phit_LinfL2", float(np.max(pt_sq)),
-                      eT * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
-        EstimateCheck("phit_L2L2", float(wt @ pt_sq),
-                      (eT - 1.0) * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
-        EstimateCheck("phixxt_LinfL2", float(np.max(pxxt_sq)),
-                      eT * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
-        EstimateCheck("phixxt_L2L2", float(wt @ pxxt_sq),
-                      (eT - 1.0) * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
+    bounds = [
+        ("phixx_LinfL2", float(np.max(pxx_sq)), eT * C0_sq * Qp_sq),
+        ("phixx_L2L2", float(wt @ pxx_sq), (eT - 1.0) * C0_sq * Qp_sq),
+        ("phit_LinfL2", float(np.max(pt_sq)),
+         eT * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
+        ("phit_L2L2", float(wt @ pt_sq),
+         (eT - 1.0) * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
+        ("phixxt_LinfL2", float(np.max(pxxt_sq)),
+         eT * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
+        ("phixxt_L2L2", float(wt @ pxxt_sq),
+         (eT - 1.0) * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
     ]
-    return checks
+    return estimate_rows("adjoint_", scenario, bounds, slack)

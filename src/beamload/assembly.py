@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import validate_coefficients
+from .model import CoefficientSet, validate_coefficients
 
 # 3-point Gauss rule on [0, 1]
 _GPTS = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -115,6 +115,11 @@ def assemble_unconstrained(grid, coeffs):
     return mats, load_map
 
 
+def _free_dofs(n_nodes):
+    fixed = (0, 2 * n_nodes - 2)           # end deflections
+    return np.array([d for d in range(2 * n_nodes) if d not in fixed])
+
+
 def assemble(grid, coeffs):
     """Assemble the constrained system matrices.
 
@@ -125,9 +130,7 @@ def assemble(grid, coeffs):
         raise ValidationError(str(report))
     mats, load_map = assemble_unconstrained(grid, coeffs)
     n_nodes = grid.n_nodes
-    ndof = 2 * n_nodes
-    fixed = (0, 2 * n_nodes - 2)           # end deflections
-    free = np.array([d for d in range(ndof) if d not in fixed])
+    free = _free_dofs(n_nodes)
     red = {d: i for i, d in enumerate(free)}
     interior_nodes = np.arange(1, n_nodes - 1)
     return SystemMatrices(
@@ -143,6 +146,14 @@ def assemble(grid, coeffs):
         interior_nodes=interior_nodes,
         load_map=load_map[free, :],
     )
+
+
+def unit_norm_matrices(grid):
+    """Constrained M and K_r with unit coefficients: v' M v and u' K_r u
+    are the ||u_t||^2 and ||u_xx||^2 that the estimate checks bound."""
+    mats, _ = assemble_unconstrained(grid, CoefficientSet.constant(grid))
+    free = _free_dofs(grid.n_nodes)
+    return mats["M"][np.ix_(free, free)], mats["K_r"][np.ix_(free, free)]
 
 
 def natural_bc_load(p, q, grid):
@@ -161,13 +172,3 @@ def natural_bc_load(p, q, grid):
     out[:, 0] = p                 # rotation DOF at node 0
     out[:, n_red - 1] = q         # rotation DOF at node n
     return out
-
-
-def save_matrix_coordinate(path, matrix):
-    """Debug dump in `row,col,value` coordinate text format, row-major."""
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                if matrix[i, j] != 0.0:
-                    fh.write(f"{i},{j},{matrix[i, j]:.17g}\n")

@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DivergenceError
+from .errors import (ConfigError, DimensionError, DivergenceError,
+                     ValidationError)
 from .forward import energy_residual, solve_forward
 from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
@@ -20,7 +21,7 @@ from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  save_iteration_log, save_load, save_measurements,
                  save_sidecar)
 from .measurements import (ModalLoad, MovingGaussian, NoiseSpec, add_noise,
-                           generate_scenario, manufactured_case, smooth_to_h1)
+                           manufactured_case, scenario_load, smooth_to_h1)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
                     validate_coefficients)
@@ -133,10 +134,12 @@ def build_truth_load(cfg, grid, coeffs):
         params = {"amplitude": _get(cfg, "scenario.amplitude", 1.0, float),
                   "speed": _get(cfg, "scenario.speed", 1.0, float),
                   "sigma": _get(cfg, "scenario.sigma", 0.1, float)}
-    elif kind == "modal":
+        return scenario_load(kind, params, grid), None, None
+    if kind == "modal":
         raw = _get(cfg, "scenario.coefficients", "1.0")
         params = {"coefficients": [float(c) for c in raw.split(",")]}
-    elif kind == "mode_pulse":
+        return scenario_load(kind, params, grid), None, None
+    if kind == "mode_pulse":
         # separable single space-time mode, the twin-data default
         x = grid.nodes[:, None]
         t = grid.times[None, :]
@@ -144,30 +147,37 @@ def build_truth_load(cfg, grid, coeffs):
         values = (amp * np.sin(np.pi * x / grid.length)
                   * np.sin(np.pi * t / grid.final_time))
         return LoadField(values, grid), None, None
-    else:
-        raise ConfigError(f"unknown scenario kind: {kind}")
-    load, _ = generate_scenario(kind, params, grid, coeffs)
-    return load, None, None
+    raise ConfigError(f"unknown scenario kind: {kind}")
+
+
+def _twin_data(cfg, grid, coeffs, seed, missing):
+    """(truth load, clean slopes, noisy slopes, H1-smoothed slopes) of
+    the configured scenario; the last two are None without noise.  Raises
+    ConfigError(missing) when no scenario is configured."""
+    truth, _, _ = build_truth_load(cfg, grid, coeffs)
+    if truth is None:
+        raise ConfigError(missing)
+    clean = solve_forward(coeffs, truth, grid).outputs
+    delta_rel = _get(cfg, "noise.delta_rel", 0.0, float)
+    if delta_rel <= 0:
+        return truth, clean, None, None
+    spec = NoiseSpec(delta_rel=delta_rel,
+                     seed=_get(cfg, "noise.seed", seed, int))
+    noisy = add_noise(clean, spec, grid.dt)
+    return truth, clean, noisy, smooth_to_h1(noisy, grid.times)
 
 
 def _obtain_measurements(cfg, grid, coeffs, seed):
-    """Measurement series from a CSV or synthesized twin data."""
+    """Measurement series from a CSV, else the twin data (smoothed when
+    noisy), with the truth load or None."""
     path = cfg.get("measurements.path")
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"measurement file not found: {path}")
         return load_measurements(path, grid), None
-    truth, _, _ = build_truth_load(cfg, grid, coeffs)
-    if truth is None:
-        raise ConfigError("need measurements.path or a scenario")
-    series = solve_forward(coeffs, truth, grid).outputs
-    delta_rel = _get(cfg, "noise.delta_rel", 0.0, float)
-    if delta_rel > 0:
-        spec = NoiseSpec(delta_rel=delta_rel,
-                         seed=_get(cfg, "noise.seed", seed, int))
-        series = add_noise(series, spec, grid.dt)
-        series = smooth_to_h1(series, grid.times)
-    return series, truth
+    truth, clean, _, smooth = _twin_data(
+        cfg, grid, coeffs, seed, "need measurements.path or a scenario")
+    return (clean if smooth is None else smooth), truth
 
 
 def _write_manifest(out, cfg_path, seed, args, extra=None):
@@ -318,23 +328,16 @@ def cmd_invert(cfg, args, out):
 def cmd_scenario(cfg, args, out):
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid)
-    truth, _, _ = build_truth_load(cfg, grid, coeffs)
-    if truth is None:
-        raise ConfigError("scenario needs a scenario.kind")
-    series = solve_forward(coeffs, truth, grid).outputs
+    truth, clean, noisy, smooth = _twin_data(cfg, grid, coeffs, args.seed,
+                                             "scenario needs a scenario.kind")
     save_load(os.path.join(out, "true_load.csv"), truth)
     save_measurements(os.path.join(out, "measurements_clean.csv"),
-                      grid.times, series)
-    delta_rel = _get(cfg, "noise.delta_rel", 0.0, float)
+                      grid.times, clean)
     summary = {"load_norm": l2_norm_spacetime(truth),
-               "delta_rel": delta_rel}
-    if delta_rel > 0:
-        spec = NoiseSpec(delta_rel=delta_rel,
-                         seed=_get(cfg, "noise.seed", args.seed, int))
-        noisy = add_noise(series, spec, grid.dt)
+               "delta_rel": _get(cfg, "noise.delta_rel", 0.0, float)}
+    if noisy is not None:
         save_measurements(os.path.join(out, "measurements_noisy.csv"),
                           grid.times, noisy)
-        smooth = smooth_to_h1(noisy, grid.times)
         save_measurements(os.path.join(out, "measurements_smoothed.csv"),
                           grid.times, smooth)
         summary["noise_delta"] = noisy.noise_delta
@@ -367,8 +370,9 @@ def main(argv=None):
         code = _COMMANDS[args.command](cfg, args, args.out)
         _write_manifest(args.out, args.config, args.seed, args)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, DimensionError, ValidationError) as exc:
+        message = str(exc).replace("\n", "; ")
+        print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

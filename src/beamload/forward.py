@@ -12,27 +12,27 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .assembly import assemble
 from .errors import DivergenceError
-from .model import (CoefficientSet, MeasurementSeries, l2_norm_spacetime,
-                    trapezoid_weights)
+from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
+                    l2_norm_spacetime, trapezoid_weights)
 
 EPS_FLOOR = 1e-14
 
 _GAMMA = 0.5
 _BETA = 0.25
+_BANDWIDTH = 3
 
 
 def _to_upper_banded(A):
-    """Upper banded storage of a symmetric matrix for LAPACK pb-routines."""
-    n = A.shape[0]
-    bw = 0
-    for i in range(n):
-        nz = np.flatnonzero(A[i])
-        if nz.size:
-            bw = max(bw, int(nz[-1]) - i)
-    ab = np.zeros((bw + 1, n))
-    for j in range(n):
-        i0 = max(0, j - bw)
-        ab[bw - (j - np.arange(i0, j + 1)), j] = A[i0:j + 1, j]
+    """Upper banded storage of a symmetric matrix for LAPACK pb-routines.
+
+    Cubic Hermite DOFs couple only within an element, so every assembled
+    matrix has bandwidth 3; a wider band raises ValueError.
+    """
+    if np.triu(A, _BANDWIDTH + 1).any():
+        raise ValueError(f"matrix bandwidth exceeds {_BANDWIDTH}")
+    ab = np.zeros((_BANDWIDTH + 1, A.shape[0]))
+    for k in range(_BANDWIDTH + 1):
+        ab[_BANDWIDTH - k, k:] = np.diagonal(A, k)
     return ab
 
 
@@ -41,8 +41,9 @@ def newmark_integrate(M, C, K, forces, dt):
 
     `forces` has shape (n_times, n_dofs) sampled at the time instants.
     Returns displacement, velocity and acceleration histories with shape
-    (n_dofs, n_times).  The effective matrix is factored once with a
-    banded symmetric Cholesky factorization.
+    (n_dofs, n_times).  M, C and K must be symmetric with bandwidth at
+    most 3, as cubic Hermite elements give; the effective matrix is
+    factored once with a banded symmetric Cholesky factorization.
     """
     n_times, n = forces.shape
     if not np.all(np.isfinite(forces)):
@@ -150,34 +151,25 @@ def _cumtrapz(y, dt):
     return out
 
 
-@dataclass(frozen=True)
-class EstimateCheck:
-    name: str
-    lhs: float
-    rhs: float
-
-    def passes(self, slack=0.05):
-        return self.lhs <= self.rhs * (1.0 + slack) + EPS_FLOOR
-
-
-def check_apriori_estimates(traj, coeffs, load, slack=0.05):
+def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
+                            scenario=""):
     """Discrete check of the solution and trace a-priori estimates.
 
     Evaluates the six volume-norm bounds and the four boundary-trace
     bounds with constants C_e^2 = exp(T / rho0) and
     C_1^2 = (5 l rho0 / 3)(C_e^2 - 1) from the declared bounds.
-    Returns a list of EstimateCheck records.
+    `unit` is the (M, K_r) pair of `unit_norm_matrices`.  Returns a list
+    of CheckRow records.
     """
     g = traj.grid
     b = coeffs.bounds
-    unit = assemble(g, CoefficientSet.constant(g, rho_A=1.0, mu=1.0,
-                                               T_r=1.0, r=1.0, kappa=1.0))
+    M1, K1 = unit
     u, v = traj.u, traj.v
     wt = trapezoid_weights(g.n_times, g.dt)
 
-    ut_sq = np.einsum("ik,ij,jk->k", v, unit.M, v)          # int u_t^2 dx
-    uxx_sq = np.einsum("ik,ij,jk->k", u, unit.K_r, u)       # int u_xx^2 dx
-    uxxt_sq = np.einsum("ik,ij,jk->k", v, unit.K_r, v)      # int u_xxt^2 dx
+    ut_sq = np.einsum("ik,ij,jk->k", v, M1, v)          # int u_t^2 dx
+    uxx_sq = np.einsum("ik,ij,jk->k", u, K1, u)         # int u_xx^2 dx
+    uxxt_sq = np.einsum("ik,ij,jk->k", v, K1, v)        # int u_xxt^2 dx
 
     F_sq = l2_norm_spacetime(load) ** 2
     Ce2 = np.exp(g.final_time / b.rho0)
@@ -188,21 +180,24 @@ def check_apriori_estimates(traj, coeffs, load, slack=0.05):
     th0_t = v[traj.system.theta0_dof]
     thL_t = v[traj.system.thetaL_dof]
 
-    checks = [
-        EstimateCheck("ut_LinfL2", float(np.max(ut_sq)), Ce2 / b.rho0 * F_sq),
-        EstimateCheck("ut_L2L2", float(wt @ ut_sq), (Ce2 - 1.0) * F_sq),
-        EstimateCheck("uxx_LinfL2", float(np.max(uxx_sq)), Ce2 / b.r0 * F_sq),
-        EstimateCheck("uxx_L2L2", float(wt @ uxx_sq),
-                      b.rho0 / b.r0 * (Ce2 - 1.0) * F_sq),
-        EstimateCheck("uxxt_LinfL2", float(np.max(uxxt_sq)),
-                      Ce2 / b.kappa0 * F_sq),
-        EstimateCheck("uxxt_L2L2", float(wt @ uxxt_sq),
-                      b.rho0 / b.kappa0 * (Ce2 - 1.0) * F_sq),
-        EstimateCheck("trace_ux0", float(wt @ th0 ** 2), C1_sq / b.r0 * F_sq),
-        EstimateCheck("trace_uxt0", float(wt @ th0_t ** 2),
-                      C1_sq / b.kappa0 * F_sq),
-        EstimateCheck("trace_uxL", float(wt @ thL ** 2), C1_sq / b.r0 * F_sq),
-        EstimateCheck("trace_uxtL", float(wt @ thL_t ** 2),
-                      C1_sq / b.kappa0 * F_sq),
+    bounds = [
+        ("ut_LinfL2", float(np.max(ut_sq)), Ce2 / b.rho0 * F_sq),
+        ("ut_L2L2", float(wt @ ut_sq), (Ce2 - 1.0) * F_sq),
+        ("uxx_LinfL2", float(np.max(uxx_sq)), Ce2 / b.r0 * F_sq),
+        ("uxx_L2L2", float(wt @ uxx_sq), b.rho0 / b.r0 * (Ce2 - 1.0) * F_sq),
+        ("uxxt_LinfL2", float(np.max(uxxt_sq)), Ce2 / b.kappa0 * F_sq),
+        ("uxxt_L2L2", float(wt @ uxxt_sq),
+         b.rho0 / b.kappa0 * (Ce2 - 1.0) * F_sq),
+        ("trace_ux0", float(wt @ th0 ** 2), C1_sq / b.r0 * F_sq),
+        ("trace_uxt0", float(wt @ th0_t ** 2), C1_sq / b.kappa0 * F_sq),
+        ("trace_uxL", float(wt @ thL ** 2), C1_sq / b.r0 * F_sq),
+        ("trace_uxtL", float(wt @ thL_t ** 2), C1_sq / b.kappa0 * F_sq),
     ]
-    return checks
+    return estimate_rows("apriori_", scenario, bounds, slack)
+
+
+def estimate_rows(prefix, scenario, bounds, slack):
+    """CheckRows of (name, lhs, rhs) estimates, floored at EPS_FLOOR."""
+    return [CheckRow.bound(prefix + name, scenario, lhs, rhs, slack,
+                           EPS_FLOOR)
+            for name, lhs, rhs in bounds]

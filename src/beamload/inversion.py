@@ -14,6 +14,8 @@ from .model import (LoadField, l2_norm_spacetime, project_admissible,
 from .objective import compute_gradient, evaluate_objective, spacetime_inner
 
 GRAD_TOL = 1e-12
+BACKTRACK_START = 2.0 ** 10     # first trial step, in multiples of omega
+BACKTRACK_HALVINGS = 40
 STAGNATION_RTOL = 1e-10
 STAGNATION_WINDOW = 10
 
@@ -121,8 +123,8 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
                 increases = 0
             load = _step(load, grad, step, C_F)
         else:
-            load, J_new = _backtrack(load, grad, J, omega, C_F,
-                                     measurements, coeffs, grid, system)
+            load, _ = _backtrack(load, grad, J, omega, C_F, measurements,
+                                 coeffs, grid, system)
     return state
 
 
@@ -134,14 +136,15 @@ def _step(load, grad, step, C_F):
 
 
 def _backtrack(load, grad, J, omega, C_F, measurements, coeffs, grid,
-               system, grow=2.0, max_halvings=40):
+               system):
     """Halve the trial step until the misfit decreases.
 
-    Starts from a step that is allowed to grow between iterations, so a
-    loose initial omega does not throttle progress.
+    Every call starts afresh at BACKTRACK_START * omega, far above the
+    loose theoretical step, and gives up after BACKTRACK_HALVINGS trials,
+    returning the unchanged load and misfit.
     """
-    step = omega * grow ** 10   # optimistic start, shrunk as needed
-    for _ in range(max_halvings):
+    step = omega * BACKTRACK_START
+    for _ in range(BACKTRACK_HALVINGS):
         trial = _step(load, grad, step, C_F)
         J_new = evaluate_objective(trial, measurements, coeffs, grid,
                                    system=system).J

@@ -8,7 +8,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, DivergenceError
 from .model import LoadField, MeasurementSeries
 
 _FMT = "%.17g"
@@ -28,9 +28,7 @@ def save_coefficient(path, nodes, values):
 
 def load_coefficient(path, nodes):
     """Read a coefficient CSV and check it matches the grid nodes."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     if data.shape[0] != len(nodes):
         raise DimensionError(
             f"{path}: {data.shape[0]} samples, grid has {len(nodes)} nodes")
@@ -39,18 +37,22 @@ def load_coefficient(path, nodes):
     return data[:, 1].copy()
 
 
+def _save_rows(path, nodes, times, values, name):
+    """Nodal field as `x,t,<name>` rows, x-major."""
+    with open(path, "w") as fh:
+        fh.write(f"x,t,{name}\n")
+        for i, x in enumerate(nodes):
+            for j, t in enumerate(times):
+                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(values[i, j])}\n")
+
+
 def save_load(path, load):
     """Load field as `x,t,value` rows, x-major."""
-    g = load.grid
-    with open(path, "w") as fh:
-        fh.write("x,t,value\n")
-        for i, x in enumerate(g.nodes):
-            for j, t in enumerate(g.times):
-                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(load.values[i, j])}\n")
+    _save_rows(path, load.grid.nodes, load.grid.times, load.values, "value")
 
 
 def load_load(path, grid):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     expected = grid.n_nodes * grid.n_times
     if data.shape[0] != expected:
         raise DimensionError(f"{path}: {data.shape[0]} rows, "
@@ -61,11 +63,7 @@ def load_load(path, grid):
 
 def save_field(path, nodes, times, values, name="u"):
     """Generic full-field dump as `x,t,<name>` rows."""
-    with open(path, "w") as fh:
-        fh.write(f"x,t,{name}\n")
-        for i, x in enumerate(nodes):
-            for j, t in enumerate(times):
-                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(values[i, j])}\n")
+    _save_rows(path, nodes, times, values, name)
 
 
 def save_measurements(path, times, series):
@@ -76,10 +74,14 @@ def save_measurements(path, times, series):
 
 
 def load_measurements(path, grid):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    """Read a `t,theta0,thetaL` CSV; non-finite slopes are a numeric
+    failure (DivergenceError), a wrong row count a DimensionError."""
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     if data.shape[0] != grid.n_times:
         raise DimensionError(f"{path}: {data.shape[0]} rows, "
                              f"grid expects {grid.n_times}")
+    if not np.all(np.isfinite(data[:, 1:3])):
+        raise DivergenceError(f"{path}: non-finite measurements")
     return MeasurementSeries(theta0=data[:, 1].copy(),
                              thetaL=data[:, 2].copy())
 

@@ -209,13 +209,13 @@ def manufactured_case(grid, coeffs):
     return load, exact_u, exact
 
 
-def generate_scenario(kind, params, grid, coeffs):
-    """Build a truth load of the given family and its clean measurements.
+def scenario_load(kind, params, grid):
+    """Truth load of the given family on the grid.
 
     kind is "moving_gaussian" (params: amplitude, speed, sigma) or
-    "modal" (params: mode coefficients).  Returns (F_true, measurements).
-    A moving Gaussian whose centre exits the domain is simply truncated
-    at the boundary (the profile decays there anyway).
+    "modal" (params: mode coefficients).  A moving Gaussian whose centre
+    exits the domain is simply truncated at the boundary (the profile
+    decays there anyway).
     """
     if kind == "moving_gaussian":
         family = MovingGaussian(params["amplitude"], params["speed"],
@@ -224,6 +224,14 @@ def generate_scenario(kind, params, grid, coeffs):
         family = ModalLoad(tuple(params["coefficients"]))
     else:
         raise ConfigError(f"unknown scenario kind: {kind}")
-    load = family.field(grid)
+    return family.field(grid)
+
+
+def generate_scenario(kind, params, grid, coeffs):
+    """Truth load of `scenario_load` and its clean measurements.
+
+    Returns (F_true, measurements).
+    """
+    load = scenario_load(kind, params, grid)
     traj = solve_forward(coeffs, load, grid)
     return load, traj.outputs

@@ -5,7 +5,7 @@ inside elements.  All space-time integrals use trapezoidal quadrature on
 the grid.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,6 +159,30 @@ def validate_coefficients(coeffs):
     return ValidationReport(tuple(violations))
 
 
+# relative slack granted to a discretely evaluated bound (quadrature error)
+DEFAULT_SLACK = 0.05
+
+
+@dataclass(frozen=True)
+class CheckRow:
+    """One numerically checked inequality lhs <= rhs of a scenario."""
+
+    check: str
+    scenario: str
+    lhs: float
+    rhs: float
+    ok: bool
+
+    @staticmethod
+    def bound(check, scenario, lhs, rhs, slack=0.0, floor=0.0):
+        """Row that passes when lhs <= rhs * (1 + slack) + floor."""
+        return CheckRow(check, scenario, lhs, rhs,
+                        lhs <= rhs * (1.0 + slack) + floor)
+
+    def as_tuple(self):
+        return (self.check, self.scenario, self.lhs, self.rhs, self.ok)
+
+
 @dataclass(frozen=True)
 class LoadField:
     """F(x, t) sampled on the (node, time-instant) grid, in N/m."""
@@ -175,9 +199,6 @@ class LoadField:
     @staticmethod
     def zero(grid):
         return LoadField(np.zeros((grid.n_nodes, grid.n_times)), grid)
-
-    def is_admissible(self, C_F):
-        return l2_norm_spacetime(self) ** 2 <= C_F
 
     def __add__(self, other):
         return LoadField(self.values + other.values, self.grid)

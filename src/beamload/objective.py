@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .forward import EPS_FLOOR, solve_forward
+from .forward import solve_forward
 from .model import trapezoid_weights
 
 
@@ -80,17 +80,3 @@ def compute_gradient(load, measurements, coeffs, grid, system=None,
                         system=system)
     return GradientField(values=adj.full_values(), grid=grid), evaluation
 
-
-def duality_residual(delta_load, coeffs, grid, p, q, system=None):
-    """Relative mismatch of the forward/backward duality identity.
-
-    Compares <p, du_x(0,.)> + <q, du_x(l,.)> against <dF, phi> where du
-    solves the forward problem with load dF and phi the backward problem
-    with moment data (p, q).
-    """
-    traj = solve_forward(coeffs, delta_load, grid, system=system)
-    adj = solve_adjoint(coeffs, p, q, grid, system=traj.system)
-    lhs = (time_inner(p, traj.outputs.theta0, grid)
-           + time_inner(q, traj.outputs.thetaL, grid))
-    rhs = spacetime_inner(delta_load.values, adj.full_values(), grid)
-    return abs(lhs - rhs) / (abs(rhs) + EPS_FLOOR)

@@ -11,26 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import check_adjoint_estimates, solve_adjoint
-from .assembly import assemble
+from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import check_apriori_estimates, solve_forward
-from .model import LoadField, l2_norm_spacetime, series_l2_norm
+from .forward import EPS_FLOOR, check_apriori_estimates, solve_forward
+from .model import (DEFAULT_SLACK, CheckRow, LoadField, l2_norm_spacetime,
+                    series_l2_norm)
 from .objective import (compute_gradient, evaluate_objective,
                         spacetime_inner, time_inner)
-
-DEFAULT_SLACK = 0.05
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    check: str
-    scenario: str
-    lhs: float
-    rhs: float
-    ok: bool
-
-    def as_tuple(self):
-        return (self.check, self.scenario, self.lhs, self.rhs, self.ok)
 
 
 @dataclass(frozen=True)
@@ -87,6 +74,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     """
     rng = np.random.default_rng(seed)
     system = assemble(grid, coeffs)
+    unit = unit_norm_matrices(grid)
     rows = []
     for s in range(n_scenarios):
         tag = f"s{s:02d}"
@@ -96,9 +84,8 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
         traj = solve_forward(coeffs, load, grid, system=system)
 
         # a-priori bounds: six volume norms and four boundary traces
-        for chk in check_apriori_estimates(traj, coeffs, load, slack=slack):
-            rows.append(CheckRow("apriori_" + chk.name, tag, chk.lhs,
-                                 chk.rhs, chk.passes(slack)))
+        rows += check_apriori_estimates(traj, coeffs, load, unit=unit,
+                                        slack=slack, scenario=tag)
 
         # Rolle-type inequality, closed forms on a random sine sum
         amps = rng.normal(size=3)
@@ -107,8 +94,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                     for k, a in enumerate(amps, start=1))
         rhs_p = (l ** 2 / 2) * sum(a ** 2 * (k * np.pi / l) ** 4 * l / 2
                                    for k, a in enumerate(amps, start=1))
-        rows.append(CheckRow("poincare", tag, lhs_p, rhs_p,
-                             lhs_p <= rhs_p * (1 + slack)))
+        rows.append(CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack))
 
         # Lipschitz continuity of the input-output maps
         consts = compute_constants(grid.length, grid.final_time,
@@ -122,8 +108,8 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                              ("io_lipschitz_thetaL", traj.outputs.thetaL,
                               traj2.outputs.thetaL)):
             lhs = series_l2_norm(o1 - o2, grid.dt)
-            rows.append(CheckRow(name, tag, lhs, consts.C_L * dF,
-                                 lhs <= consts.C_L * dF * (1 + slack)))
+            rows.append(CheckRow.bound(name, tag, lhs, consts.C_L * dF,
+                                       slack))
 
         # Lipschitz continuity of the misfit functional
         truth = random_load(grid, rng)
@@ -136,27 +122,23 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                                      ct_variant=ct_variant)
         J1 = evaluate_objective(load, meas, coeffs, grid, system=system).J
         J2 = evaluate_objective(load2, meas, coeffs, grid, system=system).J
-        rows.append(CheckRow("misfit_lipschitz", tag, abs(J1 - J2),
-                             consts_J.C_J * dF,
-                             abs(J1 - J2) <= consts_J.C_J * dF * (1 + slack)))
+        rows.append(CheckRow.bound("misfit_lipschitz", tag, abs(J1 - J2),
+                                   consts_J.C_J * dF, slack))
 
         # adjoint solution estimates
         p, dp = random_smooth_series(grid, rng)
         q, dq = random_smooth_series(grid, rng)
         adj = solve_adjoint(coeffs, p, q, grid, system=system, dp=dp, dq=dq)
-        for chk in check_adjoint_estimates(adj, coeffs, slack=slack,
-                                           ct_variant=ct_variant):
-            rows.append(CheckRow("adjoint_" + chk.name, tag, chk.lhs,
-                                 chk.rhs, chk.passes(slack)))
+        rows += check_adjoint_estimates(adj, coeffs, unit=unit, slack=slack,
+                                        scenario=tag, ct_variant=ct_variant)
 
         # Lipschitz continuity of the gradient
         g1, _ = compute_gradient(load, meas, coeffs, grid, system=system)
         g2, _ = compute_gradient(load2, meas, coeffs, grid, system=system)
         diff = g1.values - g2.values
         lhs_g = np.sqrt(spacetime_inner(diff, diff, grid))
-        rows.append(CheckRow("gradient_lipschitz", tag, lhs_g,
-                             consts.L_G * dF,
-                             lhs_g <= consts.L_G * dF * (1 + slack)))
+        rows.append(CheckRow.bound("gradient_lipschitz", tag, lhs_g,
+                                   consts.L_G * dF, slack))
     return SuiteReport(tuple(rows))
 
 
@@ -179,10 +161,8 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3,
         lhs = (time_inner(p, traj.outputs.theta0, grid)
                + time_inner(q, traj.outputs.thetaL, grid))
         rhs = spacetime_inner(dF.values, adj.full_values(), grid)
-        denom = abs(rhs) + 1e-14
-        residual = abs(lhs - rhs) / denom
-        rows.append(CheckRow("duality", f"s{s:02d}", residual, tol,
-                             residual <= tol))
+        residual = abs(lhs - rhs) / (abs(rhs) + EPS_FLOOR)
+        rows.append(CheckRow.bound("duality", f"s{s:02d}", residual, tol))
     return SuiteReport(tuple(rows))
 
 
@@ -206,7 +186,6 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3):
                                 meas, coeffs, grid, system=system).J
         fd = (Jp - Jm) / (2 * eps)
         an = spacetime_inner(grad.values, D.values, grid)
-        rel = abs(fd - an) / max(abs(fd), 1e-14)
-        rows.append(CheckRow("gradient_fd", f"s{s:02d}", rel, tol,
-                             rel <= tol))
+        rel = abs(fd - an) / max(abs(fd), EPS_FLOOR)
+        rows.append(CheckRow.bound("gradient_fd", f"s{s:02d}", rel, tol))
     return SuiteReport(tuple(rows))

@@ -164,3 +164,44 @@ def test_manifest_contents(tmp_path):
     assert manifest["ct_variant"] == "corrected"
     assert manifest["command"] == "forward"
     assert len(manifest["config_sha256"]) == 64
+
+
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_wrong_length_measurements_is_config_error(tmp_path, capsys, n_rows):
+    meas = tmp_path / "meas.csv"
+    rows = "".join(f"{i / 96},0,0\n" for i in range(n_rows))
+    meas.write_text("t,theta0,thetaL\n" + rows)
+    cfg = write_cfg(tmp_path, BASE + f"measurements.path = {meas}\n")
+    assert run("invert", cfg, tmp_path / "out") == 2
+    err = assert_one_line_config_error(capsys)
+    assert f"{n_rows} rows, grid expects 97" in err
+
+
+def test_non_finite_measurements_is_numeric_failure(tmp_path, capsys):
+    meas = tmp_path / "meas.csv"
+    rows = "".join(f"{i / 96},{'nan' if i == 40 else 0},0\n"
+                   for i in range(97))
+    meas.write_text("t,theta0,thetaL\n" + rows)
+    cfg = write_cfg(tmp_path, BASE + f"measurements.path = {meas}\n")
+    assert run("invert", cfg, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
+def test_mismatched_coefficient_nodes_is_config_error(tmp_path, capsys):
+    coeff = tmp_path / "r.csv"
+    # 17 samples as on the 16-element grid, but spread over twice its length
+    rows = "".join(f"{2.0 * i / 16},0.8\n" for i in range(17))
+    coeff.write_text("x,value\n" + rows)
+    cfg = write_cfg(tmp_path, BASE + f"coeff.r = {coeff}\n"
+                    + "scenario.kind = zero\n")
+    assert run("forward", cfg, tmp_path / "out") == 2
+    assert_one_line_config_error(capsys)

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 
+from beamload import assembly
 from beamload.model import l2_norm_spacetime
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
@@ -64,3 +67,31 @@ def test_random_inputs_are_reasonable(small_grid):
     interior = slice(2, -2)
     assert np.allclose(fd[interior], dy[interior], atol=5e-2 * np.max(
         np.abs(dy)))
+
+
+def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
+                                                     small_coeffs,
+                                                     monkeypatch):
+    """The system and the unit-norm matrices are built once per call."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patch every module that imported the builders by name
+    builders = (assembly.assemble, assembly.unit_norm_matrices)
+    for name, module in list(sys.modules.items()):
+        if name == "beamload" or name.startswith("beamload."):
+            for attr, value in list(vars(module).items()):
+                if any(value is b for b in builders):
+                    monkeypatch.setattr(module, attr, counted(value))
+
+    counts = []
+    for n in (1, 3):
+        calls.clear()
+        verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
