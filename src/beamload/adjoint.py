@@ -12,7 +12,7 @@ import numpy as np
 
 from .assembly import assemble, natural_bc_load
 from .errors import DimensionError
-from .forward import estimate_rows, newmark_integrate
+from .forward import estimate_rows, newmark_integrate, quadratic_forms
 from .model import DEFAULT_SLACK, trapezoid_weights
 
 
@@ -93,9 +93,9 @@ def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
     wt = trapezoid_weights(g.n_times, g.dt)
 
     phi, phi_t = field.phi, field.phi_t
-    pxx_sq = np.einsum("ik,ij,jk->k", phi, K1, phi)
-    pt_sq = np.einsum("ik,ij,jk->k", phi_t, M1, phi_t)
-    pxxt_sq = np.einsum("ik,ij,jk->k", phi_t, K1, phi_t)
+    pxx_sq = quadratic_forms(K1, phi)
+    pt_sq = quadratic_forms(M1, phi_t)
+    pxxt_sq = quadratic_forms(K1, phi_t)
 
     T = g.final_time
     C_T = transfer_constant(T, ct_variant)

@@ -7,7 +7,7 @@ u_x(0, t) and u_x(l, t).  Zero-moment conditions at the ends are natural
 and hold weakly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class SystemMatrices:
     K_kappa: Kelvin-Voigt damping.  `free_dofs` indexes into the full
     (2 * n_nodes) numbering (deflection, rotation per node); `load_map`
     takes nodal load samples to the consistent constrained load vector.
+    `kernels` holds the impulse-response kernels built from the system,
+    one per time grid (see `forward.impulse_kernel`).
     """
 
     M: np.ndarray
@@ -89,6 +91,7 @@ class SystemMatrices:
     deflection_dofs: np.ndarray   # reduced indices of interior deflections
     interior_nodes: np.ndarray    # node indices matching deflection_dofs
     load_map: np.ndarray
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_dofs(self):

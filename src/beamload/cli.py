@@ -48,6 +48,13 @@ def _get(cfg, key, default=None, cast=str):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
 
 
+def _get_positive(cfg, key, default):
+    value = _get(cfg, key, default, float)
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    return value
+
+
 def _get_bool(cfg, key, default=False):
     raw = cfg.get(key)
     if raw is None:
@@ -133,7 +140,7 @@ def build_truth_load(cfg, grid, coeffs):
     if kind == "moving_gaussian":
         params = {"amplitude": _get(cfg, "scenario.amplitude", 1.0, float),
                   "speed": _get(cfg, "scenario.speed", 1.0, float),
-                  "sigma": _get(cfg, "scenario.sigma", 0.1, float)}
+                  "sigma": _get_positive(cfg, "scenario.sigma", 0.1)}
         return scenario_load(kind, params, grid), None, None
     if kind == "modal":
         raw = _get(cfg, "scenario.coefficients", "1.0")
@@ -270,7 +277,7 @@ def _parametric_family(cfg):
         return MovingGaussian(
             amplitude=_get(cfg, "inversion.init_amplitude", 1.0, float),
             speed=_get(cfg, "inversion.init_speed", 1.0, float),
-            sigma=_get(cfg, "inversion.init_sigma", 0.1, float))
+            sigma=_get_positive(cfg, "inversion.init_sigma", 0.1))
     if family == "modal":
         raw = _get(cfg, "inversion.init_coefficients", "0.0")
         return ModalLoad(tuple(float(c) for c in raw.split(",")))

@@ -8,10 +8,12 @@ so the discrete energy balance reflects only the physical damping terms.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .assembly import assemble
-from .errors import DivergenceError
+from .errors import DimensionError, DivergenceError
 from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
                     l2_norm_spacetime, trapezoid_weights)
 
@@ -34,6 +36,14 @@ def _to_upper_banded(A):
     for k in range(_BANDWIDTH + 1):
         ab[_BANDWIDTH - k, k:] = np.diagonal(A, k)
     return ab
+
+
+def _banded_solve(cb, b):
+    """Solve with an upper banded Cholesky factor (LAPACK dpbtrs)."""
+    x, info = dpbtrs(cb, b)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} to dpbtrs")
+    return x
 
 
 def newmark_integrate(M, C, K, forces, dt):
@@ -64,19 +74,24 @@ def newmark_integrate(M, C, K, forces, dt):
     u = np.zeros((n, n_times))
     v = np.zeros((n, n_times))
     a = np.zeros((n, n_times))
-    a[:, 0] = cho_solve_banded((cb_M, False), forces[0])
+    a[:, 0] = _banded_solve(cb_M, forces[0])
 
-    for k in range(n_times - 1):
-        uk, vk, ak = u[:, k], v[:, k], a[:, k]
-        rhs = (forces[k + 1]
-               + M @ (a0 * uk + a2 * vk + a3 * ak)
-               + C @ (a1 * uk + a4 * vk + a5 * ak))
-        un = cho_solve_banded((cb_eff, False), rhs)
-        an = a0 * (un - uk) - a2 * vk - a3 * ak
-        vn = vk + a6 * ak + a7 * an
-        if not np.all(np.isfinite(un)):
-            raise DivergenceError(f"non-finite state at step {k + 1}")
-        u[:, k + 1], v[:, k + 1], a[:, k + 1] = un, vn, an
+    # the LAPACK triangular solves are called directly and the state is
+    # checked for finiteness once per pass, not once per step; a pass that
+    # diverges runs on to the end without floating-point warnings
+    with np.errstate(all="ignore"):
+        for k in range(n_times - 1):
+            uk, vk, ak = u[:, k], v[:, k], a[:, k]
+            rhs = (forces[k + 1]
+                   + M @ (a0 * uk + a2 * vk + a3 * ak)
+                   + C @ (a1 * uk + a4 * vk + a5 * ak))
+            un = _banded_solve(cb_eff, rhs)
+            an = a0 * (un - uk) - a2 * vk - a3 * ak
+            vn = vk + a6 * ak + a7 * an
+            u[:, k + 1], v[:, k + 1], a[:, k + 1] = un, vn, an
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
+    if bad.size:
+        raise DivergenceError(f"non-finite state at step {bad[0]}")
     return u, v, a
 
 
@@ -101,6 +116,103 @@ class BeamTrajectory:
 def consistent_forces(system, load):
     """Consistent load vectors (n_times, n_dofs) of a nodal load field."""
     return (system.load_map @ load.values).T
+
+
+@dataclass(frozen=True)
+class ImpulseKernel:
+    """Discrete impulse responses of one assembled system on one time grid.
+
+    Newmark is linear and shift-invariant, so the end-slope outputs and
+    the adjoint deflection are causal convolutions of their inputs with
+    the responses to a unit impulse at an end-rotation DOF.  A force at
+    t_1..t_N acts through the response to an impulse at t_1, kept as an
+    `n_fft`-point spectrum; the force at t_0 acts through its own
+    response, because the scheme starts from a_0 = M^-1 f_0.  Arrays are
+    (n_out, n_in, time or frequency):
+
+    - `outputs_*`: out = (theta_0, theta_l), in = nodes.  The responses to
+      an impulse at each end rotation, folded through `load_map`, give the
+      outputs of a nodal load because the Newmark pencil is symmetric
+      (reciprocity).
+    - `adjoint_*`: out = `deflection_dofs`, in = (theta_0, theta_l).
+    """
+
+    n_fft: int
+    outputs_t0: np.ndarray
+    outputs_t1: np.ndarray
+    adjoint_t0: np.ndarray
+    adjoint_t1: np.ndarray
+
+    def _convolve(self, t0, t1, series):
+        """Responses applied to input series (n_in, n_times), summed over
+        the inputs."""
+        n_times = series.shape[1]
+        spectrum = rfft(series[:, 1:], self.n_fft)
+        out = np.zeros((t0.shape[0], n_times))
+        out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
+                           self.n_fft)[:, :n_times - 1]
+        return out + np.einsum("oik,i->ok", t0, series[:, 0])
+
+    def outputs(self, values):
+        """End slopes (theta_0, theta_l) of nodal load values
+        (n_nodes, n_times), as `solve_forward` gives them."""
+        if not np.all(np.isfinite(values)):
+            raise DivergenceError("non-finite force input")
+        theta = self._convolve(self.outputs_t0, self.outputs_t1, values)
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError("non-finite output")
+        return theta[0], theta[1]
+
+    def adjoint_deflection(self, p, q):
+        """Adjoint field at `deflection_dofs` (n_deflections, n_times) of
+        moment data p, q, as `solve_adjoint` gives it."""
+        pq = np.array([p, q], dtype=float)
+        if not np.all(np.isfinite(pq)):
+            raise DimensionError("adjoint inputs must be finite")
+        phi_tau = self._convolve(self.adjoint_t0, self.adjoint_t1,
+                                 pq[:, ::-1])
+        return phi_tau[:, ::-1]
+
+
+def impulse_kernel(system, grid):
+    """The ImpulseKernel of `system` on the time grid of `grid`: built by
+    four Newmark passes on first use, then kept on the system."""
+    key = (grid.n_steps, grid.final_time)
+    kernel = system.kernels.get(key)
+    if kernel is None:
+        kernel = system.kernels[key] = _build_kernel(system, grid)
+    return kernel
+
+
+def _build_kernel(system, grid):
+    n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
+    n_freq = n_fft // 2 + 1
+    n_nodes, n_defl = system.load_map.shape[1], len(system.deflection_dofs)
+    C = system.C_ext + system.K_kappa
+    K = system.K_T + system.K_r
+    # filled in place as each response is computed, so that no more than
+    # one raw response is alive at a time
+    kernel = ImpulseKernel(
+        n_fft=n_fft,
+        outputs_t0=np.empty((2, n_nodes, grid.n_times)),
+        outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
+        adjoint_t0=np.empty((n_defl, 2, grid.n_times)),
+        adjoint_t1=np.empty((n_defl, 2, n_freq), dtype=complex))
+    for i, dof in enumerate((system.theta0_dof, system.thetaL_dof)):
+        for step in (0, 1):
+            impulse = np.zeros((grid.n_times, system.n_dofs))
+            impulse[step, dof] = 1.0
+            u = newmark_integrate(system.M, C, K, impulse, grid.dt)[0]
+            outputs = system.load_map.T @ u
+            adjoint = u[system.deflection_dofs]
+            if step == 0:
+                kernel.outputs_t0[i] = outputs
+                kernel.adjoint_t0[:, i] = adjoint
+            else:
+                # the response to the impulse at t_1 starts one step late
+                kernel.outputs_t1[i] = rfft(outputs[:, 1:], n_fft)
+                kernel.adjoint_t1[:, i] = rfft(adjoint[:, 1:], n_fft)
+    return kernel
 
 
 def solve_forward(coeffs, load, grid, system=None):
@@ -130,12 +242,12 @@ def energy_residual(traj, coeffs, load):
     sys_ = traj.system
     g = traj.grid
     u, v = traj.u, traj.v
-    stored = (np.einsum("ik,ij,jk->k", v, sys_.M, v)
-              + np.einsum("ik,ij,jk->k", u, sys_.K_r, u)
-              + np.einsum("ik,ij,jk->k", u, sys_.K_T, u))
+    stored = (quadratic_forms(sys_.M, v)
+              + quadratic_forms(sys_.K_r, u)
+              + quadratic_forms(sys_.K_T, u))
     # viscous and Kelvin-Voigt terms both dissipate cumulatively
-    damp_rate = (np.einsum("ik,ij,jk->k", v, sys_.C_ext, v)
-                 + np.einsum("ik,ij,jk->k", v, sys_.K_kappa, v))
+    damp_rate = (quadratic_forms(sys_.C_ext, v)
+                 + quadratic_forms(sys_.K_kappa, v))
     forces = consistent_forces(sys_, load)
     work_rate = np.einsum("ki,ik->k", forces, v)
     dissipated = 2.0 * _cumtrapz(damp_rate, g.dt)
@@ -143,6 +255,11 @@ def energy_residual(traj, coeffs, load):
     lhs = stored + dissipated
     scale = max(np.max(np.abs(work)), EPS_FLOOR)
     return np.abs(lhs - work) / scale
+
+
+def quadratic_forms(A, X):
+    """x' A x for every column x of X."""
+    return np.sum((A @ X) * X, axis=0)
 
 
 def _cumtrapz(y, dt):
@@ -167,9 +284,9 @@ def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
     u, v = traj.u, traj.v
     wt = trapezoid_weights(g.n_times, g.dt)
 
-    ut_sq = np.einsum("ik,ij,jk->k", v, M1, v)          # int u_t^2 dx
-    uxx_sq = np.einsum("ik,ij,jk->k", u, K1, u)         # int u_xx^2 dx
-    uxxt_sq = np.einsum("ik,ij,jk->k", v, K1, v)        # int u_xxt^2 dx
+    ut_sq = quadratic_forms(M1, v)          # int u_t^2 dx
+    uxx_sq = quadratic_forms(K1, u)         # int u_xx^2 dx
+    uxxt_sq = quadratic_forms(K1, v)        # int u_xxt^2 dx
 
     F_sq = l2_norm_spacetime(load) ** 2
     Ce2 = np.exp(g.final_time / b.rho0)

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
+from .forward import impulse_kernel
 from .model import (LoadField, l2_norm_spacetime, project_admissible,
                     series_l2_norm)
 from .objective import compute_gradient, evaluate_objective, spacetime_inner
@@ -171,9 +172,9 @@ class ParametricResult:
     n_evaluations: int
 
 
-def reconstruct_parametric(measurements, coeffs, grid, family,
-                           bounds=None, config=None):
-    """Minimize the misfit over the parameters of a load family.
+def reconstruct_parametric(measurements, coeffs, grid, family):
+    """Minimize the misfit over the parameters of a load family, within
+    the family's `bounds`.
 
     The gradient is the adjoint gradient chained through the family's
     parameter Jacobian.  The returned result carries an identifiability
@@ -183,6 +184,7 @@ def reconstruct_parametric(measurements, coeffs, grid, family,
     system = assemble(grid, coeffs)
     kind = type(family)
     evals = [0]
+    scale = []
 
     def objective(params):
         fam = kind.from_parameters(params)
@@ -193,30 +195,28 @@ def reconstruct_parametric(measurements, coeffs, grid, family,
         jac = fam.jacobian(grid)
         g = np.array([spacetime_inner(grad.values, d.values, grid)
                       for d in jac])
-        return evaluation.J, g
+        if not scale:
+            # L-BFGS-B weighs each decrease against max(|J|, 1): scaled to
+            # 1 at the start, a small misfit no longer ends the fit early
+            scale.append(evaluation.J if evaluation.J > 0 else 1.0)
+        return evaluation.J / scale[0], g / scale[0]
 
     result = minimize(objective, family.parameters, jac=True,
-                      method="L-BFGS-B", bounds=bounds)
+                      method="L-BFGS-B", bounds=family.bounds(grid))
     best = kind.from_parameters(result.x)
-    identifiable = _identifiable(best, measurements, coeffs, grid, system)
-    return ParametricResult(family=best, J=float(result.fun),
+    identifiable = _identifiable(best, grid, system)
+    return ParametricResult(family=best, J=float(result.fun) * scale[0],
                             converged=bool(result.success),
                             identifiable=identifiable,
                             n_evaluations=evals[0])
 
 
-def _identifiable(family, measurements, coeffs, grid, system,
-                  cond_limit=1e10):
-    """Rank check of the parameter-to-output Jacobian (one linear forward
-    solve per parameter, by linearity of the PDE)."""
-    from .forward import solve_forward
-
-    cols = []
-    for d in family.jacobian(grid):
-        traj = solve_forward(coeffs, d, grid, system=system)
-        cols.append(np.concatenate([traj.outputs.theta0,
-                                    traj.outputs.thetaL]))
-    S = np.column_stack(cols)
+def _identifiable(family, grid, system, cond_limit=1e10):
+    """Rank check of the parameter-to-output Jacobian (the outputs of each
+    parameter derivative, by linearity of the PDE)."""
+    kernel = impulse_kernel(system, grid)
+    S = np.column_stack([np.concatenate(kernel.outputs(d.values))
+                         for d in family.jacobian(grid)])
     sv = np.linalg.svd(S, compute_uv=False)
     if sv[0] == 0.0:
         return False

@@ -13,6 +13,8 @@ from .errors import ConfigError
 from .forward import solve_forward
 from .model import LoadField, MeasurementSeries, series_l2_norm
 
+SIGMA_MIN_ELEMENTS = 0.01
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -121,6 +123,16 @@ class MovingGaussian:
     speed: float
     sigma: float
 
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+
+    def bounds(self, grid):
+        """L-BFGS-B box of (A, v, sigma): sigma stays above a hundredth of
+        an element, so the field and its Jacobian stay finite."""
+        return [(None, None), (None, None), (SIGMA_MIN_ELEMENTS * grid.h,
+                                             None)]
+
     def field(self, grid):
         x = grid.nodes[:, None]
         t = grid.times[None, :]
@@ -154,6 +166,10 @@ class ModalLoad:
     g_k(t) = sin(k pi t / T)."""
 
     coefficients: tuple
+
+    def bounds(self, grid):
+        """No box: every coefficient vector is admissible."""
+        return None
 
     def field(self, grid):
         values = np.zeros((grid.n_nodes, grid.n_times))

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import solve_adjoint
-from .forward import solve_forward
+from .assembly import assemble
+from .forward import impulse_kernel, solve_forward
 from .model import trapezoid_weights
 
 
@@ -30,7 +30,7 @@ class ObjectiveEvaluation:
     q: np.ndarray          # u_x(l,.;F) - theta_l
     misfit0: float
     misfitL: float
-    trajectory: object
+    system: object
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,28 @@ def apply_io_operators(load, coeffs, grid, system=None):
 
 
 def evaluate_objective(load, measurements, coeffs, grid, system=None):
-    """Tikhonov misfit J(F) with trapezoidal time quadrature."""
+    """Tikhonov misfit J(F) with trapezoidal time quadrature.
+
+    The outputs come from the impulse kernel of the system, which equals
+    `apply_io_operators` to Newmark round-off.
+    """
     if measurements.n_times != grid.n_times:
         raise ValueError("measurements do not match the time grid")
-    traj = solve_forward(coeffs, load, grid, system=system)
-    p = traj.outputs.theta0 - measurements.theta0
-    q = traj.outputs.thetaL - measurements.thetaL
+    if system is None:
+        system = assemble(grid, coeffs)
+    theta0, thetaL = impulse_kernel(system, grid).outputs(load.values)
+    p = theta0 - measurements.theta0
+    q = thetaL - measurements.thetaL
     m0 = 0.5 * time_inner(p, p, grid)
     mL = 0.5 * time_inner(q, q, grid)
     return ObjectiveEvaluation(J=m0 + mL, p=p, q=q, misfit0=m0, misfitL=mL,
-                               trajectory=traj)
+                               system=system)
 
 
 def compute_gradient(load, measurements, coeffs, grid, system=None,
                      evaluation=None):
-    """Adjoint gradient of the misfit: one forward and one backward solve.
+    """Adjoint gradient of the misfit: the adjoint field of `solve_adjoint`
+    driven by the output residuals, convolved from the impulse kernel.
 
     Raw (unsmoothed) noisy measurements are accepted but the gradient may
     be polluted; smooth them to H1 first.
@@ -74,9 +81,8 @@ def compute_gradient(load, measurements, coeffs, grid, system=None,
     if evaluation is None:
         evaluation = evaluate_objective(load, measurements, coeffs, grid,
                                         system=system)
-    if system is None:
-        system = evaluation.trajectory.system
-    adj = solve_adjoint(coeffs, evaluation.p, evaluation.q, grid,
-                        system=system)
-    return GradientField(values=adj.full_values(), grid=grid), evaluation
-
+    system = evaluation.system
+    values = np.zeros((grid.n_nodes, grid.n_times))
+    values[system.interior_nodes] = impulse_kernel(
+        system, grid).adjoint_deflection(evaluation.p, evaluation.q)
+    return GradientField(values=values, grid=grid), evaluation

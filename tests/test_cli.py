@@ -205,3 +205,15 @@ def test_mismatched_coefficient_nodes_is_config_error(tmp_path, capsys):
                     + "scenario.kind = zero\n")
     assert run("forward", cfg, tmp_path / "out") == 2
     assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("key,extra", [
+    ("scenario.sigma", "scenario.sigma = 0\n"),
+    ("inversion.init_sigma", "scenario.sigma = 0.15\n"
+     "inversion.mode = parametric\ninversion.init_sigma = -0.1\n"),
+])
+def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
+                    + extra)
+    assert run("invert", cfg, tmp_path / "out") == 2
+    assert key in assert_one_line_config_error(capsys)

@@ -31,6 +31,15 @@ def test_newmark_rejects_non_finite_input():
                           forces, 0.1)
 
 
+def test_newmark_names_first_non_finite_step():
+    # finite forces whose response overflows at step 5
+    forces = np.zeros((10, 1))
+    forces[5, 0] = 1e308
+    with pytest.raises(DivergenceError, match="at step 5$"):
+        newmark_integrate(1e-300 * np.eye(1), np.zeros((1, 1)),
+                          1e-300 * np.eye(1), forces, 1.0)
+
+
 def mfd_setup(n_el, n_st):
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=n_el,
                       n_steps=n_st)

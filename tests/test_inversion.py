@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamload import forward
 from beamload.errors import DivergenceError
 from beamload.forward import solve_forward
 from beamload.inversion import (InversionConfig, default_step,
@@ -116,3 +117,25 @@ def test_parametric_noiseless_twin_recovers_parameters():
     rel = np.abs(result.family.parameters - truth.parameters) \
         / np.abs(truth.parameters)
     assert np.max(rel) < 0.01
+
+
+def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
+    """Only the four passes that build the impulse kernel integrate in
+    time; every iteration and line-search trial convolves."""
+    grid, coeffs, _, series = twin
+    calls = []
+    integrate = forward.newmark_integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "newmark_integrate", counted)
+    counts = []
+    for n in (5, 20):
+        calls.clear()
+        state = run_inversion(series, coeffs, grid, config=InversionConfig(
+            step_rule="backtracking", max_iterations=n))
+        assert state.iterations == n
+        counts.append(len(calls))
+    assert counts == [4, 4]

@@ -1,0 +1,133 @@
+"""The impulse-response kernel against the Newmark solvers it stands in for,
+and the discrete identities it rests on: time-shift invariance and
+reciprocity of the Newmark map."""
+
+import numpy as np
+import pytest
+
+from beamload.adjoint import solve_adjoint
+from beamload.assembly import assemble
+from beamload.forward import impulse_kernel, newmark_integrate, solve_forward
+from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
+                            SpaceTimeGrid)
+
+# Newmark's own round-off (solve(3F)/3 against solve(F)) reaches 4.5e-10
+# at 64x512 and 5e-9 at 128x1024, so finer grids are not gated at 1e-9
+TOL = 1e-9
+
+
+def variable_coefficients(grid, rng):
+    """Smooth random coefficient fields with bounds at their extrema."""
+    x = grid.nodes / grid.length
+    fields = {}
+    for name, base in (("rho_A", 1.0), ("mu", 0.05), ("T_r", 0.1),
+                       ("r", 0.8), ("kappa", 0.02)):
+        a, b = rng.uniform(-0.4, 0.4, size=2)
+        fields[name] = base * (1.0 + a * np.sin(np.pi * x) + b * x)
+    bounds = CoefficientBounds(
+        *(f(fields[name]) for name in ("rho_A", "mu", "T_r", "r", "kappa")
+          for f in (np.min, np.max)))
+    return CoefficientSet(bounds=bounds, **fields)
+
+
+def coefficients(grid, kind, rng):
+    if kind == "constant":
+        return CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                       r=0.8, kappa=0.02)
+    return variable_coefficients(grid, rng)
+
+
+def rel_l2(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["constant", "variable"])
+@pytest.mark.parametrize("n_elements,n_steps", [(16, 96), (64, 512)])
+def test_kernel_matches_newmark(n_elements, n_steps, kind):
+    grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=n_elements,
+                         n_steps=n_steps)
+    rng = np.random.default_rng(n_elements)
+    coeffs = coefficients(grid, kind, rng)
+    system = assemble(grid, coeffs)
+    kernel = impulse_kernel(system, grid)
+
+    # white-noise data: nonzero load at t_0 and nonzero p(T), q(T)
+    load = LoadField(rng.normal(size=(grid.n_nodes, grid.n_times)), grid)
+    assert np.all(load.values[:, 0] != 0.0)
+    traj = solve_forward(coeffs, load, grid, system=system)
+    theta0, thetaL = kernel.outputs(load.values)
+    assert rel_l2(theta0, traj.outputs.theta0) < TOL
+    assert rel_l2(thetaL, traj.outputs.thetaL) < TOL
+
+    p, q = rng.normal(size=(2, grid.n_times))
+    adj = solve_adjoint(coeffs, p, q, grid, system=system)
+    phi = kernel.adjoint_deflection(p, q)
+    assert rel_l2(phi, adj.phi[system.deflection_dofs]) < TOL
+
+
+def test_kernel_is_built_once_per_system_and_time_grid(small_grid,
+                                                       small_coeffs):
+    system = assemble(small_grid, small_coeffs)
+    kernel = impulse_kernel(system, small_grid)
+    assert impulse_kernel(system, small_grid) is kernel
+    finer = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=16,
+                          n_steps=2 * small_grid.n_steps)
+    assert impulse_kernel(system, finer) is not kernel
+    assert len(system.kernels) == 2
+
+
+def random_case(seed):
+    """A random small grid with random variable coefficients."""
+    rng = np.random.default_rng(seed)
+    grid = SpaceTimeGrid(length=rng.uniform(0.5, 2.0),
+                         final_time=rng.uniform(0.5, 2.0),
+                         n_elements=int(rng.integers(4, 24)),
+                         n_steps=int(rng.integers(16, 128)))
+    coeffs = variable_coefficients(grid, rng)
+    return grid, coeffs, assemble(grid, coeffs), rng
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_time_shift_invariance(seed):
+    """A load that starts s steps later gives outputs s steps later."""
+    grid, coeffs, system, rng = random_case(seed)
+    shift = int(rng.integers(1, grid.n_steps // 2))
+    values = rng.normal(size=(grid.n_nodes, grid.n_times))
+    values[:, 0] = 0.0
+    shifted = np.zeros_like(values)
+    shifted[:, shift:] = values[:, :grid.n_times - shift]
+
+    def newmark_outputs(v):
+        out = solve_forward(coeffs, LoadField(v, grid), grid,
+                            system=system).outputs
+        return out.theta0, out.thetaL
+
+    for solve in (impulse_kernel(system, grid).outputs, newmark_outputs):
+        base = np.array(solve(values))
+        late = np.array(solve(shifted))
+        scale = np.max(np.abs(base))
+        assert np.max(np.abs(late[:, :shift])) <= 1e-12 * scale
+        assert np.max(np.abs(late[:, shift:] - base[:, :grid.n_times
+                                                   - shift])) < TOL * scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("step", [0, 1])
+def test_reciprocity(seed, step):
+    """The response at DOF j to an impulse at theta_0 equals the theta_0
+    response to an impulse at j, for impulses at t_0 and at t_1; j is the
+    other end rotation or a random DOF."""
+    grid, _, system, rng = random_case(seed)
+    i = system.theta0_dof
+    for j in (system.thetaL_dof, int(rng.integers(1, system.n_dofs))):
+        responses = []
+        for src, dst in ((i, j), (j, i)):
+            forces = np.zeros((grid.n_times, system.n_dofs))
+            forces[step, src] = 1.0
+            u, _, _ = newmark_integrate(
+                system.M, system.C_ext + system.K_kappa,
+                system.K_T + system.K_r, forces, grid.dt)
+            responses.append(u[dst])
+        scale = np.max(np.abs(responses[0]))
+        assert scale > 0
+        assert np.max(np.abs(responses[0] - responses[1])) < TOL * scale

@@ -103,6 +103,14 @@ def test_moving_gaussian_jacobian_matches_finite_differences(small_grid):
         assert np.allclose(jac[i].values, fd, atol=1e-6)
 
 
+def test_moving_gaussian_keeps_sigma_positive(small_grid):
+    for sigma in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            MovingGaussian(amplitude=1.0, speed=1.0, sigma=sigma)
+    fam = MovingGaussian(amplitude=1.0, speed=1.0, sigma=0.2)
+    assert fam.bounds(small_grid)[2][0] > 0
+
+
 def test_modal_load_round_trip(small_grid):
     fam = ModalLoad((1.0, -0.5, 0.25))
     again = ModalLoad.from_parameters(fam.parameters)

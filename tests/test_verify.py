@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 
-from beamload import assembly
+from beamload import assembly, forward
 from beamload.model import l2_norm_spacetime
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
@@ -72,7 +72,8 @@ def test_random_inputs_are_reasonable(small_grid):
 def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                                                      small_coeffs,
                                                      monkeypatch):
-    """The system and the unit-norm matrices are built once per call."""
+    """The system, the unit-norm matrices and the impulse kernel are built
+    once per call."""
     calls = []
 
     def counted(fn):
@@ -82,7 +83,8 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
         return wrapper
 
     # patch every module that imported the builders by name
-    builders = (assembly.assemble, assembly.unit_norm_matrices)
+    builders = (assembly.assemble, assembly.unit_norm_matrices,
+                forward._build_kernel)
     for name, module in list(sys.modules.items()):
         if name == "beamload" or name.startswith("beamload."):
             for attr, value in list(vars(module).items()):
@@ -93,5 +95,6 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
     for n in (1, 3):
         calls.clear()
         verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0].count("_build_kernel") == 1
