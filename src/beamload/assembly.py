@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import CoefficientSet, validate_coefficients
+from .model import validate_coefficients
 
 # 3-point Gauss rule on [0, 1]
 _GPTS = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -47,25 +47,30 @@ def hermite_shapes(xi, h):
     return N, dN, ddN
 
 
-def _element_matrix(h, c_left, c_right, order):
-    """4x4 element matrix of int c(x) D^order(N_i) D^order(N_j) dx.
+def _element_dofs(n_nodes):
+    """(n_elements, 4) reduced DOFs of each element's (w1, th1, w2, th2):
+    the (deflection, rotation) per node numbering without the two end
+    deflections, which map to -1."""
+    reduced = np.arange(2 * n_nodes) - 1
+    reduced[0] = reduced[-2] = -1
+    reduced[-1] = 2 * n_nodes - 3
+    return reduced[2 * np.arange(n_nodes - 1)[:, None] + np.arange(4)]
 
-    The coefficient is linearly interpolated between its nodal samples.
-    """
-    N, dN, ddN = hermite_shapes(_GPTS, h)
-    B = (N, dN, ddN)[order]
-    c = c_left * (1 - _GPTS) + c_right * _GPTS
-    return h * np.einsum("g,ig,jg->ij", _GWTS * c, B, B)
 
-
-def _element_load_map(h):
-    """4x2 map from the two nodal load samples to the element load vector.
-
-    The load is linearly interpolated inside the element.
-    """
-    N, _, _ = hermite_shapes(_GPTS, h)
-    L = np.stack([1 - _GPTS, _GPTS])
-    return h * np.einsum("g,ig,jg->ij", _GWTS, N, L)
+def _banded(grid, c, order):
+    """Upper band ab[3 + i - j, j] = A[i, j] of the constrained matrix of
+    int c D^order(N_i) D^order(N_j) dx, with c linearly interpolated
+    between its nodal samples."""
+    B = hermite_shapes(_GPTS, grid.h)[order]
+    c_gauss = np.outer(c[:-1], 1 - _GPTS) + np.outer(c[1:], _GPTS)
+    element = grid.h * np.einsum("eg,ig,jg->eij", _GWTS * c_gauss, B, B)
+    a, b = np.triu_indices(4)
+    dofs = _element_dofs(grid.n_nodes)
+    i, j = dofs[:, a], dofs[:, b]
+    keep = (i >= 0) & (j >= 0)
+    ab = np.zeros((4, 2 * grid.n_nodes - 2))
+    np.add.at(ab, ((3 + i - j)[keep], j[keep]), element[:, a, b][keep])
+    return ab
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,12 @@ class SystemMatrices:
     """Galerkin matrices on the constrained DOF set.
 
     M: mass, C_ext: external damping, K_T: tension, K_r: bending,
-    K_kappa: Kelvin-Voigt damping.  `free_dofs` indexes into the full
-    (2 * n_nodes) numbering (deflection, rotation per node); `load_map`
-    takes nodal load samples to the consistent constrained load vector.
+    K_kappa: Kelvin-Voigt damping.  Each is symmetric with bandwidth 3
+    and is stored as its upper band in LAPACK layout, shape
+    (4, n_dofs) with ab[3 + i - j, j] = A[i, j]; no dense matrix is
+    formed.  The reduced DOFs are the full (deflection, rotation) per
+    node numbering without the two end deflections.  `load_map` takes
+    nodal load samples to the consistent constrained load vector.
     `kernels` holds the impulse-response kernels built from the system,
     one per time grid (see `forward.impulse_kernel`).
     """
@@ -85,7 +93,6 @@ class SystemMatrices:
     K_T: np.ndarray
     K_r: np.ndarray
     K_kappa: np.ndarray
-    free_dofs: np.ndarray
     theta0_dof: int
     thetaL_dof: int
     deflection_dofs: np.ndarray   # reduced indices of interior deflections
@@ -95,68 +102,52 @@ class SystemMatrices:
 
     @property
     def n_dofs(self):
-        return self.M.shape[0]
-
-
-def assemble_unconstrained(grid, coeffs):
-    """Full (unconstrained) matrices and load map, keyed by name."""
-    n_nodes = grid.n_nodes
-    ndof = 2 * n_nodes
-    h = grid.h
-    mats = {name: np.zeros((ndof, ndof))
-            for name in ("M", "C_ext", "K_T", "K_r", "K_kappa")}
-    load_map = np.zeros((ndof, n_nodes))
-    spec = (("M", coeffs.rho_A, 0), ("C_ext", coeffs.mu, 0),
-            ("K_T", coeffs.T_r, 1), ("K_r", coeffs.r, 2),
-            ("K_kappa", coeffs.kappa, 2))
-    for e in range(grid.n_elements):
-        dofs = np.arange(2 * e, 2 * e + 4)
-        for name, c, order in spec:
-            mats[name][np.ix_(dofs, dofs)] += _element_matrix(
-                h, c[e], c[e + 1], order)
-        load_map[np.ix_(dofs, [e, e + 1])] += _element_load_map(h)
-    return mats, load_map
-
-
-def _free_dofs(n_nodes):
-    fixed = (0, 2 * n_nodes - 2)           # end deflections
-    return np.array([d for d in range(2 * n_nodes) if d not in fixed])
+        return self.M.shape[1]
 
 
 def assemble(grid, coeffs):
-    """Assemble the constrained system matrices.
+    """Assemble the constrained system matrices in upper band storage.
 
     Raises ValidationError when the coefficients violate their bounds.
     """
     report = validate_coefficients(coeffs)
     if not report.ok:
         raise ValidationError(str(report))
-    mats, load_map = assemble_unconstrained(grid, coeffs)
     n_nodes = grid.n_nodes
-    free = _free_dofs(n_nodes)
-    red = {d: i for i, d in enumerate(free)}
+    # element map from the two nodal load samples, linearly interpolated,
+    # to the element load vector; the assembled map stays dense, because
+    # one GEMM per solve reads it
+    element = grid.h * np.einsum("g,ig,jg->ij", _GWTS,
+                                 hermite_shapes(_GPTS, grid.h)[0],
+                                 np.stack([1 - _GPTS, _GPTS]))
+    rows, cols = np.broadcast_arrays(
+        _element_dofs(n_nodes)[:, :, None],
+        np.arange(n_nodes - 1)[:, None, None] + np.arange(2))
+    keep = rows >= 0
+    load_map = np.zeros((2 * n_nodes - 2, n_nodes))
+    np.add.at(load_map, (rows[keep], cols[keep]),
+              np.broadcast_to(element, rows.shape)[keep])
     interior_nodes = np.arange(1, n_nodes - 1)
     return SystemMatrices(
-        M=mats["M"][np.ix_(free, free)],
-        C_ext=mats["C_ext"][np.ix_(free, free)],
-        K_T=mats["K_T"][np.ix_(free, free)],
-        K_r=mats["K_r"][np.ix_(free, free)],
-        K_kappa=mats["K_kappa"][np.ix_(free, free)],
-        free_dofs=free,
-        theta0_dof=red[1],
-        thetaL_dof=red[2 * n_nodes - 1],
-        deflection_dofs=np.array([red[2 * i] for i in interior_nodes]),
+        M=_banded(grid, coeffs.rho_A, 0),
+        C_ext=_banded(grid, coeffs.mu, 0),
+        K_T=_banded(grid, coeffs.T_r, 1),
+        K_r=_banded(grid, coeffs.r, 2),
+        K_kappa=_banded(grid, coeffs.kappa, 2),
+        theta0_dof=0,
+        thetaL_dof=2 * n_nodes - 3,
+        deflection_dofs=2 * interior_nodes - 1,
         interior_nodes=interior_nodes,
-        load_map=load_map[free, :],
+        load_map=load_map,
     )
 
 
 def unit_norm_matrices(grid):
-    """Constrained M and K_r with unit coefficients: v' M v and u' K_r u
-    are the ||u_t||^2 and ||u_xx||^2 that the estimate checks bound."""
-    mats, _ = assemble_unconstrained(grid, CoefficientSet.constant(grid))
-    free = _free_dofs(grid.n_nodes)
-    return mats["M"][np.ix_(free, free)], mats["K_r"][np.ix_(free, free)]
+    """Constrained M and K_r bands with unit coefficients: v' M v and
+    u' K_r u are the ||u_t||^2 and ||u_xx||^2 that the estimate checks
+    bound."""
+    ones = np.ones(grid.n_nodes)
+    return _banded(grid, ones, 0), _banded(grid, ones, 2)
 
 
 def natural_bc_load(p, q, grid):

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cholesky_banded
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
+from scipy.sparse import dia_array
 
 from .assembly import assemble
 from .errors import DimensionError, DivergenceError
@@ -21,21 +23,6 @@ EPS_FLOOR = 1e-14
 
 _GAMMA = 0.5
 _BETA = 0.25
-_BANDWIDTH = 3
-
-
-def _to_upper_banded(A):
-    """Upper banded storage of a symmetric matrix for LAPACK pb-routines.
-
-    Cubic Hermite DOFs couple only within an element, so every assembled
-    matrix has bandwidth 3; a wider band raises ValueError.
-    """
-    if np.triu(A, _BANDWIDTH + 1).any():
-        raise ValueError(f"matrix bandwidth exceeds {_BANDWIDTH}")
-    ab = np.zeros((_BANDWIDTH + 1, A.shape[0]))
-    for k in range(_BANDWIDTH + 1):
-        ab[_BANDWIDTH - k, k:] = np.diagonal(A, k)
-    return ab
 
 
 def _banded_solve(cb, b):
@@ -49,11 +36,15 @@ def _banded_solve(cb, b):
 def newmark_integrate(M, C, K, forces, dt):
     """Integrate M a + C v + K u = f(t) from rest.
 
-    `forces` has shape (n_times, n_dofs) sampled at the time instants.
-    Returns displacement, velocity and acceleration histories with shape
-    (n_dofs, n_times).  M, C and K must be symmetric with bandwidth at
-    most 3, as cubic Hermite elements give; the effective matrix is
-    factored once with a banded symmetric Cholesky factorization.
+    M, C and K are symmetric matrices in LAPACK upper band storage, shape
+    (k + 1, n_dofs) with ab[k + i - j, j] = A[i, j], as `assembly`
+    stores them; the bandwidth k is read from the storage.  `forces` has
+    shape (n_times, n_dofs) sampled at the time instants.  Returns
+    displacement, velocity and acceleration histories with shape
+    (n_dofs, n_times).  The effective matrix K + a0 M + a1 C is summed
+    band by band and factored once with a banded symmetric Cholesky
+    factorization; each step makes two banded matvecs and one banded
+    solve.
     """
     n_times, n = forces.shape
     if not np.all(np.isfinite(forces)):
@@ -67,24 +58,25 @@ def newmark_integrate(M, C, K, forces, dt):
     a6 = dt * (1.0 - _GAMMA)
     a7 = _GAMMA * dt
 
-    K_eff = K + a0 * M + a1 * C
-    cb_eff = cholesky_banded(_to_upper_banded(K_eff))
-    cb_M = cholesky_banded(_to_upper_banded(M))
+    cb_eff = cholesky_banded(K + a0 * M + a1 * C)
+    cb_M = cholesky_banded(M)
+    kd = M.shape[0] - 1
 
     u = np.zeros((n, n_times))
     v = np.zeros((n, n_times))
     a = np.zeros((n, n_times))
     a[:, 0] = _banded_solve(cb_M, forces[0])
 
-    # the LAPACK triangular solves are called directly and the state is
-    # checked for finiteness once per pass, not once per step; a pass that
-    # diverges runs on to the end without floating-point warnings
+    # the BLAS matvecs and LAPACK triangular solves are called directly on
+    # the bands and the state is checked for finiteness once per pass, not
+    # once per step; a pass that diverges runs on to the end without
+    # floating-point warnings
     with np.errstate(all="ignore"):
         for k in range(n_times - 1):
             uk, vk, ak = u[:, k], v[:, k], a[:, k]
             rhs = (forces[k + 1]
-                   + M @ (a0 * uk + a2 * vk + a3 * ak)
-                   + C @ (a1 * uk + a4 * vk + a5 * ak))
+                   + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + a3 * ak)
+                   + dsbmv(kd, 1.0, C, a1 * uk + a4 * vk + a5 * ak))
             un = _banded_solve(cb_eff, rhs)
             an = a0 * (un - uk) - a2 * vk - a3 * ak
             vn = vk + a6 * ak + a7 * an
@@ -124,41 +116,41 @@ class ImpulseKernel:
 
     Newmark is linear and shift-invariant, so the end-slope outputs and
     the adjoint deflection are causal convolutions of their inputs with
-    the responses to a unit impulse at an end-rotation DOF.  A force at
-    t_1..t_N acts through the response to an impulse at t_1, kept as an
-    `n_fft`-point spectrum; the force at t_0 acts through its own
-    response, because the scheme starts from a_0 = M^-1 f_0.  Arrays are
-    (n_out, n_in, time or frequency):
+    the responses to a unit impulse at an end-rotation DOF at t_1, kept
+    as `n_fft`-point spectra.  A force f_0 at t_0 needs no response of
+    its own: the scheme starts from a_0 = M^-1 f_0, which acts exactly
+    like the force train f_0, -f_0, f_0, ... from t_1 on.  Arrays are
+    (n_out, n_in, frequency):
 
-    - `outputs_*`: out = (theta_0, theta_l), in = nodes.  The responses to
-      an impulse at each end rotation, folded through `load_map`, give the
-      outputs of a nodal load because the Newmark pencil is symmetric
+    - `outputs_t1`: out = (theta_0, theta_l), in = nodes.  The responses
+      to an impulse at each end rotation, folded through `load_map`, give
+      the outputs of a nodal load because the Newmark pencil is symmetric
       (reciprocity).
-    - `adjoint_*`: out = `deflection_dofs`, in = (theta_0, theta_l).
+    - `adjoint_t1`: out = `deflection_dofs`, in = (theta_0, theta_l).
     """
 
     n_fft: int
-    outputs_t0: np.ndarray
     outputs_t1: np.ndarray
-    adjoint_t0: np.ndarray
     adjoint_t1: np.ndarray
 
-    def _convolve(self, t0, t1, series):
+    def _convolve(self, t1, series):
         """Responses applied to input series (n_in, n_times), summed over
-        the inputs."""
+        the inputs; the responses vanish at t_0."""
         n_times = series.shape[1]
-        spectrum = rfft(series[:, 1:], self.n_fft)
-        out = np.zeros((t0.shape[0], n_times))
+        train = (-1.0) ** np.arange(n_times - 1)
+        spectrum = rfft(series[:, 1:] + np.outer(series[:, 0], train),
+                        self.n_fft)
+        out = np.zeros((t1.shape[0], n_times))
         out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
                            self.n_fft)[:, :n_times - 1]
-        return out + np.einsum("oik,i->ok", t0, series[:, 0])
+        return out
 
     def outputs(self, values):
         """End slopes (theta_0, theta_l) of nodal load values
         (n_nodes, n_times), as `solve_forward` gives them."""
         if not np.all(np.isfinite(values)):
             raise DivergenceError("non-finite force input")
-        theta = self._convolve(self.outputs_t0, self.outputs_t1, values)
+        theta = self._convolve(self.outputs_t1, values)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError("non-finite output")
         return theta[0], theta[1]
@@ -169,14 +161,13 @@ class ImpulseKernel:
         pq = np.array([p, q], dtype=float)
         if not np.all(np.isfinite(pq)):
             raise DimensionError("adjoint inputs must be finite")
-        phi_tau = self._convolve(self.adjoint_t0, self.adjoint_t1,
-                                 pq[:, ::-1])
+        phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
         return phi_tau[:, ::-1]
 
 
 def impulse_kernel(system, grid):
     """The ImpulseKernel of `system` on the time grid of `grid`: built by
-    four Newmark passes on first use, then kept on the system."""
+    two Newmark passes on first use, then kept on the system."""
     key = (grid.n_steps, grid.final_time)
     kernel = system.kernels.get(key)
     if kernel is None:
@@ -194,24 +185,15 @@ def _build_kernel(system, grid):
     # one raw response is alive at a time
     kernel = ImpulseKernel(
         n_fft=n_fft,
-        outputs_t0=np.empty((2, n_nodes, grid.n_times)),
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
-        adjoint_t0=np.empty((n_defl, 2, grid.n_times)),
         adjoint_t1=np.empty((n_defl, 2, n_freq), dtype=complex))
     for i, dof in enumerate((system.theta0_dof, system.thetaL_dof)):
-        for step in (0, 1):
-            impulse = np.zeros((grid.n_times, system.n_dofs))
-            impulse[step, dof] = 1.0
-            u = newmark_integrate(system.M, C, K, impulse, grid.dt)[0]
-            outputs = system.load_map.T @ u
-            adjoint = u[system.deflection_dofs]
-            if step == 0:
-                kernel.outputs_t0[i] = outputs
-                kernel.adjoint_t0[:, i] = adjoint
-            else:
-                # the response to the impulse at t_1 starts one step late
-                kernel.outputs_t1[i] = rfft(outputs[:, 1:], n_fft)
-                kernel.adjoint_t1[:, i] = rfft(adjoint[:, 1:], n_fft)
+        impulse = np.zeros((grid.n_times, system.n_dofs))
+        impulse[1, dof] = 1.0
+        u = newmark_integrate(system.M, C, K, impulse, grid.dt)[0]
+        # the response to the impulse at t_1 starts one step late
+        kernel.outputs_t1[i] = rfft(system.load_map.T @ u[:, 1:], n_fft)
+        kernel.adjoint_t1[:, i] = rfft(u[system.deflection_dofs, 1:], n_fft)
     return kernel
 
 
@@ -257,9 +239,20 @@ def energy_residual(traj, coeffs, load):
     return np.abs(lhs - work) / scale
 
 
-def quadratic_forms(A, X):
-    """x' A x for every column x of X."""
-    return np.sum((A @ X) * X, axis=0)
+def quadratic_forms(ab, X):
+    """x' A x for every column x of X, with the symmetric A in upper band
+    storage ab[k + i - j, j] = A[i, j].
+
+    A X is formed first, so that the large stiffness entries cancel
+    within each row before the column sums; summing the band's terms
+    over all rows at once loses up to 150 times more to round-off.
+    """
+    k, n = ab.shape[0] - 1, ab.shape[1]
+    # the band rows are the upper diagonals, offsets k..0, of a DIA
+    # array; each lower diagonal is its mirror moved left
+    data = np.vstack([ab] + [np.roll(ab[k - d], -d) for d in range(1, k + 1)])
+    A = dia_array((data, np.arange(k, -k - 1, -1)), shape=(n, n))
+    return np.einsum("ij,ij->j", A @ X, X)
 
 
 def _cumtrapz(y, dt):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from beamload.model import CoefficientSet, SpaceTimeGrid
@@ -26,3 +27,16 @@ def mfd_coeffs(baseline_grid):
 def small_coeffs(small_grid):
     return CoefficientSet.constant(small_grid, rho_A=1.0, mu=0.05,
                                    T_r=0.1, r=0.8, kappa=0.02)
+
+
+def _dense(ab):
+    """The symmetric matrix held in upper band storage ab[k + i - j, j]."""
+    k = ab.shape[0] - 1
+    upper = sum(np.diag(ab[k - d, d:], d) for d in range(k + 1))
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """Band storage to dense, for tests that check matrix invariants."""
+    return _dense

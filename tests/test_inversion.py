@@ -120,7 +120,7 @@ def test_parametric_noiseless_twin_recovers_parameters():
 
 
 def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
-    """Only the four passes that build the impulse kernel integrate in
+    """Only the two passes that build the impulse kernel integrate in
     time; every iteration and line-search trial convolves."""
     grid, coeffs, _, series = twin
     calls = []
@@ -138,4 +138,4 @@ def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
             step_rule="backtracking", max_iterations=n))
         assert state.iterations == n
         counts.append(len(calls))
-    assert counts == [4, 4]
+    assert counts == [2, 2]

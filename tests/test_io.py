@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamload.cli import main
 from beamload.errors import ConfigError, DimensionError
 from beamload.io import (config_hash, load_coefficient, load_load,
                          load_measurements, parse_config, save_coefficient,
@@ -67,6 +68,54 @@ def test_parse_config_comments_and_errors(tmp_path):
         parse_config(bad)
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.cfg")
+
+
+def random_config(rng):
+    """A seeded mix of blank lines, comments and `key = value` pairs with
+    repeated keys, and in half the cases one line without `=`.  Returns
+    the text and the entries it should parse to, or None when a line
+    lacks `=`."""
+    keys = ("grid.n_elements", "coeff.r", "scenario.kind", "x")
+    words = ("8", "1.5", "zero", "a = b", "", "moving_gaussian")
+    lines, entries = [], {}
+    for _ in range(int(rng.integers(1, 12))):
+        kind = int(rng.integers(3))
+        pad = " \t"[int(rng.integers(2))] * int(rng.integers(3))
+        key, value = rng.choice(keys), rng.choice(words)
+        if kind == 0:
+            lines.append(pad)
+        elif kind == 1:
+            lines.append(f"{pad}# {key} = {value}")
+        else:
+            comment = " # note = 1" if rng.integers(2) else ""
+            lines.append(f"{pad}{key}{pad}={pad}{value}{comment}")
+            entries[key] = value
+    if rng.integers(2):
+        bad = (f"{rng.choice(keys)} {rng.choice(words[:3])}",
+               f" {rng.choice(keys)} # = 1")[int(rng.integers(2))]
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+        entries = None
+    return "\n".join(lines) + "\n", entries
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_parse_config_fuzz(tmp_path, capsys, seed):
+    """Every input parses (the last of repeated keys wins) or raises
+    ConfigError; through the CLI a malformed config exits 2 with one
+    stderr line."""
+    text, entries = random_config(np.random.default_rng(seed))
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    if entries is not None:
+        assert parse_config(path) == entries
+        return
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["forward", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_config_hash_tracks_content(tmp_path):

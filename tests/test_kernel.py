@@ -87,6 +87,15 @@ def random_case(seed):
     return grid, coeffs, assemble(grid, coeffs), rng
 
 
+def newmark_outputs(coeffs, grid, system):
+    """The end-slope map of `solve_forward`, on nodal load values."""
+    def solve(values):
+        out = solve_forward(coeffs, LoadField(values, grid), grid,
+                            system=system).outputs
+        return out.theta0, out.thetaL
+    return solve
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_time_shift_invariance(seed):
     """A load that starts s steps later gives outputs s steps later."""
@@ -97,18 +106,31 @@ def test_time_shift_invariance(seed):
     shifted = np.zeros_like(values)
     shifted[:, shift:] = values[:, :grid.n_times - shift]
 
-    def newmark_outputs(v):
-        out = solve_forward(coeffs, LoadField(v, grid), grid,
-                            system=system).outputs
-        return out.theta0, out.thetaL
-
-    for solve in (impulse_kernel(system, grid).outputs, newmark_outputs):
+    for solve in (impulse_kernel(system, grid).outputs,
+                  newmark_outputs(coeffs, grid, system)):
         base = np.array(solve(values))
         late = np.array(solve(shifted))
         scale = np.max(np.abs(base))
         assert np.max(np.abs(late[:, :shift])) <= 1e-12 * scale
         assert np.max(np.abs(late[:, shift:] - base[:, :grid.n_times
                                                    - shift])) < TOL * scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linearity(seed):
+    """The outputs of a F1 + b F2 are a times those of F1 plus b times
+    those of F2, with nonzero loads at t_0."""
+    grid, coeffs, system, rng = random_case(seed)
+    F1, F2 = rng.normal(size=(2, grid.n_nodes, grid.n_times))
+    a, b = rng.uniform(-3.0, 3.0, size=2)
+
+    for solve in (impulse_kernel(system, grid).outputs,
+                  newmark_outputs(coeffs, grid, system)):
+        combined = np.array(solve(a * F1 + b * F2))
+        parts = a * np.array(solve(F1)) + b * np.array(solve(F2))
+        scale = np.max(np.abs(combined))
+        assert scale > 0
+        assert np.max(np.abs(combined - parts)) < TOL * scale
 
 
 @pytest.mark.parametrize("seed", range(4))
