@@ -43,15 +43,25 @@ def _get(cfg, key, default=None, cast=str):
             raise ConfigError(f"missing config key: {key}")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _get_positive(cfg, key, default):
     value = _get(cfg, key, default, float)
     if not value > 0:
         raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    return value
+
+
+def _get_nonnegative(cfg, key, default, cast=float):
+    value = _get(cfg, key, default, cast)
+    if value < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {cfg[key]!r}")
     return value
 
 
@@ -165,11 +175,11 @@ def _twin_data(cfg, grid, coeffs, seed, missing):
     if truth is None:
         raise ConfigError(missing)
     clean = solve_forward(coeffs, truth, grid).outputs
-    delta_rel = _get(cfg, "noise.delta_rel", 0.0, float)
-    if delta_rel <= 0:
+    delta_rel = _get_nonnegative(cfg, "noise.delta_rel", 0.0)
+    if delta_rel == 0:
         return truth, clean, None, None
     spec = NoiseSpec(delta_rel=delta_rel,
-                     seed=_get(cfg, "noise.seed", seed, int))
+                     seed=_get_nonnegative(cfg, "noise.seed", seed, int))
     noisy = add_noise(clean, spec, grid.dt)
     return truth, clean, noisy, smooth_to_h1(noisy, grid.times)
 
@@ -235,7 +245,7 @@ def cmd_verify(cfg, args, out):
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid)
     seed = args.seed
-    n_scenarios = _get(cfg, "verify.n_scenarios", 20, int)
+    n_scenarios = _get_nonnegative(cfg, "verify.n_scenarios", 20, int)
     flip = _get_bool(cfg, "debug.flip_adjoint_sign")
 
     rows = []
@@ -245,15 +255,16 @@ def cmd_verify(cfg, args, out):
                                         ct_variant=args.ct_variant)
         rows.extend(suite.rows)
         dual = duality_checks(grid, coeffs,
-                              n_triples=_get(cfg, "verify.n_triples", 5, int),
+                              n_triples=_get_nonnegative(
+                                  cfg, "verify.n_triples", 5, int),
                               seed=seed,
                               tol=_get(cfg, "verify.duality_tol", 1e-3,
                                        float),
                               adjoint_sign=-1.0 if flip else 1.0)
         rows.extend(dual.rows)
         fd = gradient_fd_checks(grid, coeffs,
-                                n_directions=_get(cfg, "verify.n_directions",
-                                                  5, int),
+                                n_directions=_get_nonnegative(
+                                    cfg, "verify.n_directions", 5, int),
                                 seed=seed,
                                 tol=_get(cfg, "verify.fd_tol", 5e-3, float))
         rows.extend(fd.rows)
@@ -285,10 +296,12 @@ def _parametric_family(cfg):
 
 
 def cmd_invert(cfg, args, out):
+    mode = _get(cfg, "inversion.mode", "full_field")
+    if mode not in ("full_field", "parametric"):
+        raise ConfigError(f"unknown inversion mode: {mode}")
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid)
     series, truth = _obtain_measurements(cfg, grid, coeffs, args.seed)
-    mode = _get(cfg, "inversion.mode", "full_field")
     summary = {}
 
     if mode == "parametric":
@@ -305,15 +318,19 @@ def cmd_invert(cfg, args, out):
         recon = result.family.field(grid)
     else:
         noise_delta = series.noise_delta or 0.0
-        config = InversionConfig(
-            step_rule=_get(cfg, "inversion.step_rule", "backtracking"),
-            omega=(float(cfg["inversion.omega"])
-                   if "inversion.omega" in cfg else None),
-            max_iterations=_get(cfg, "inversion.max_iterations", 200, int),
-            noise_delta=_get(cfg, "inversion.noise_delta", noise_delta,
-                             float),
-            tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
-            ct_variant=args.ct_variant)
+        try:
+            config = InversionConfig(
+                step_rule=_get(cfg, "inversion.step_rule", "backtracking"),
+                omega=(_get(cfg, "inversion.omega", cast=float)
+                       if "inversion.omega" in cfg else None),
+                max_iterations=_get(cfg, "inversion.max_iterations", 200,
+                                    int),
+                noise_delta=_get(cfg, "inversion.noise_delta", noise_delta,
+                                 float),
+                tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
+                ct_variant=args.ct_variant)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         state = run_inversion(series, coeffs, grid, config=config)
         save_iteration_log(os.path.join(out, "iterations.csv"), state)
         summary.update({"iterations": state.iterations,
@@ -372,6 +389,8 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args, args.out)

@@ -1,8 +1,7 @@
 """Closed-form theoretical constants used by the verification harness.
 
 Every constant is computed from the declared coefficient bounds, not from
-sampled field minima; a diagnostic comparison against the sampled extrema
-is available to catch grossly slack declarations.
+sampled field minima.
 """
 
 from dataclasses import dataclass
@@ -68,17 +67,3 @@ def compute_constants(length, final_time, bounds, C_F=1.0,
     return ConstantSet(Ce_sq=Ce_sq, C1_sq=C1_sq, C_L=float(C_L),
                        C_J=float(C_J), C_T=float(C_T), C0_sq=float(C0_sq),
                        L_G=float(L_G), ct_variant=ct_variant)
-
-
-def bound_slack_diagnostic(coeffs, threshold=10.0):
-    """Warn (by listing) fields whose declared lower bound is slack by
-    more than `threshold` against the sampled minimum."""
-    b = coeffs.bounds
-    slack = []
-    for name, values, lo in (("rho_A", coeffs.rho_A, b.rho0),
-                             ("r", coeffs.r, b.r0),
-                             ("kappa", coeffs.kappa, b.kappa0)):
-        sampled = float(np.min(values))
-        if lo > 0 and sampled / lo > threshold:
-            slack.append((name, lo, sampled))
-    return slack

@@ -39,10 +39,12 @@ class InversionConfig:
     ct_variant: str = "literal"
 
     def __post_init__(self):
-        if self.omega is not None and self.omega <= 0:
+        if self.omega is not None and not self.omega > 0:
             raise ValueError("omega must be positive")
-        if self.tau_d <= 1.0:
+        if not self.tau_d > 1.0:
             raise ValueError("tau_d must exceed 1")
+        if not self.max_iterations >= 0:
+            raise ValueError("max_iterations must be nonnegative")
         if self.step_rule not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step rule: {self.step_rule}")
 

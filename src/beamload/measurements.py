@@ -4,10 +4,12 @@ The adjoint problem needs differentiable moment data, so raw (noisy)
 series are fitted with a cubic smoothing spline before inversion.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
+from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .forward import solve_forward
@@ -53,63 +55,48 @@ def add_noise(series, spec, dt):
                              noise_delta=realized)
 
 
-def _fit_channel(times, values, lam):
-    spline = make_smoothing_spline(times, values, lam=float(lam))
-    return spline(times), spline.derivative()(times)
-
-
-def smooth_to_h1(series, times, lam=None):
+def smooth_to_h1(series, times):
     """Cubic smoothing-spline fit per channel, tagged H1-smoothed.
 
-    `lam` is the curvature penalty weight; None picks it per channel by a
-    discrepancy criterion when a recorded noise level is available, and
-    falls back to near-interpolation otherwise.  The spline's analytic
-    first derivative is sampled alongside.
+    Each channel's curvature penalty weight is picked by `_pick_lambda`
+    from the recorded noise level; without one the spline interpolates.
+    Values and the analytic first derivative come from the one fit.
     """
-    if lam is not None and lam < 0:
-        raise ValueError("smoothing parameter must be nonnegative")
-    dt = times[1] - times[0]
+    target = None
+    if series.noise_delta is not None:
+        # per-channel share of the recorded absolute noise
+        target = series.noise_delta / np.sqrt(2.0)
     smoothed, derivs = [], []
-    for i, values in enumerate((series.theta0, series.thetaL)):
-        if lam is None:
-            target = None
-            if series.noise_delta is not None:
-                # per-channel share of the recorded absolute noise
-                target = series.noise_delta / np.sqrt(2.0)
-            lam_i = _pick_lambda(times, values, target)
-        else:
-            lam_i = lam
-        y, dy = _fit_channel(times, values, lam_i)
-        smoothed.append(y)
-        derivs.append(dy)
+    for values in (series.theta0, series.thetaL):
+        lam = _pick_lambda(times, values, target)
+        spline = make_smoothing_spline(times, values, lam=lam)
+        smoothed.append(spline(times))
+        derivs.append(spline.derivative()(times))
     return MeasurementSeries(theta0=smoothed[0], thetaL=smoothed[1],
                              tag="h1", dtheta0=derivs[0], dthetaL=derivs[1],
                              noise_delta=series.noise_delta)
 
 
 def _pick_lambda(times, values, target):
-    """Bisect log-lambda until the smoothing residual matches the noise
-    level (Morozov on the smoothing misfit)."""
+    """Weight whose smoothing residual equals the noise level (Morozov on
+    the smoothing misfit): one Brent root-find on log-lambda inside
+    [1e-14, 1e6], clamped to whichever end the residual cannot reach."""
     if target is None or target == 0.0:
         return 0.0
     dt = times[1] - times[0]
-
-    def residual(lam):
-        y, _ = _fit_channel(times, values, lam)
-        return series_l2_norm(y - values, dt)
-
     lo, hi = 1e-14, 1e6
-    if residual(lo) > target:
+
+    # cached, so that Brent's first two calls reuse the end checks' fits
+    @functools.cache
+    def excess(log_lam):
+        spline = make_smoothing_spline(times, values, lam=np.exp(log_lam))
+        return series_l2_norm(spline(times) - values, dt) - target
+
+    if excess(np.log(lo)) > 0:
         return lo
-    if residual(hi) < target:
+    if excess(np.log(hi)) < 0:
         return hi
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        if residual(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return np.sqrt(lo * hi)
+    return float(np.exp(brentq(excess, np.log(lo), np.log(hi))))
 
 
 @dataclass(frozen=True)

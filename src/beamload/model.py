@@ -29,9 +29,9 @@ class SpaceTimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.length <= 0 or self.final_time <= 0:
+        if not (self.length > 0 and self.final_time > 0):
             raise ValueError("length and final_time must be positive")
-        if self.n_elements < 4 or self.n_steps < 4:
+        if not (self.n_elements >= 4 and self.n_steps >= 4):
             raise ValueError("need at least 4 elements and 4 time steps")
 
     @property
@@ -200,16 +200,8 @@ class LoadField:
     def zero(grid):
         return LoadField(np.zeros((grid.n_nodes, grid.n_times)), grid)
 
-    def __add__(self, other):
-        return LoadField(self.values + other.values, self.grid)
-
     def __sub__(self, other):
         return LoadField(self.values - other.values, self.grid)
-
-    def __mul__(self, scalar):
-        return LoadField(self.values * scalar, self.grid)
-
-    __rmul__ = __mul__
 
 
 def l2_norm_spacetime(load):

@@ -217,3 +217,25 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
                     + extra)
     assert run("invert", cfg, tmp_path / "out") == 2
     assert key in assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("cmd,extra,argv", [
+    ("invert", "inversion.tau_d = 0.5\n", ()),
+    ("invert", "inversion.step_rule = bogus\n", ()),
+    ("invert", "inversion.omega = -1\n", ()),
+    ("invert", "inversion.max_iterations = -2\n", ()),
+    ("invert", "inversion.tau_d = nan\n", ()),
+    ("invert", "inversion.mode = bogus\n", ()),
+    ("invert", "noise.delta_rel = -0.1\n", ()),
+    ("invert", "noise.delta_rel = 0.05\nnoise.seed = -1\n", ()),
+    ("verify", "", ("--seed", "-1")),
+    ("invert", "grid.length = nan\n", ()),
+    ("invert", "grid.final_time = inf\n", ()),
+    ("invert", "scenario.speed = inf\n", ()),
+    ("verify", "verify.n_scenarios = -1\n", ()),
+])
+def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
+                    + extra)
+    assert run(cmd, cfg, tmp_path / "out", argv) == 2
+    assert_one_line_config_error(capsys)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from beamload.constants import (bound_slack_diagnostic, compute_constants)
-from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
+from beamload.constants import compute_constants
+from beamload.model import CoefficientBounds
 
 
 def tight_bounds(rho0=1.0, r0=1.0, kappa0=0.01):
@@ -65,15 +65,3 @@ def test_input_validation():
         compute_constants(-1.0, 1.0, tight_bounds())
     with pytest.raises(ValueError):
         compute_constants(1.0, 1.0, tight_bounds(kappa0=0.0))
-
-
-def test_bound_slack_diagnostic_flags_loose_declarations():
-    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
-    loose = CoefficientBounds(0.01, 10.0, 0.0, 10.0, 0.0, 10.0,
-                              0.01, 10.0, 0.001, 10.0)
-    coeffs = CoefficientSet.constant(g, rho_A=1.0, r=1.0, kappa=0.05,
-                                     bounds=loose)
-    flagged = {name for name, _, _ in bound_slack_diagnostic(coeffs)}
-    assert flagged == {"rho_A", "r", "kappa"}
-    tight = CoefficientSet.constant(g)
-    assert bound_slack_diagnostic(tight) == []

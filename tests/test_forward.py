@@ -86,7 +86,8 @@ def test_forward_solver_is_linear(small_grid, small_coeffs):
     F2 = LoadField(rng.normal(size=shape), small_grid)
     u1 = solve_forward(small_coeffs, F1, small_grid).u
     u2 = solve_forward(small_coeffs, F2, small_grid).u
-    u12 = solve_forward(small_coeffs, F1 + F2, small_grid).u
+    F12 = LoadField(F1.values + F2.values, small_grid)
+    u12 = solve_forward(small_coeffs, F12, small_grid).u
     scale = np.max(np.abs(u12))
     assert np.max(np.abs(u1 + u2 - u12)) / scale < 1e-10
 

@@ -33,6 +33,10 @@ def test_config_validation():
         InversionConfig(tau_d=1.0)
     with pytest.raises(ValueError):
         InversionConfig(step_rule="steepest")
+    for bad in (dict(omega=float("nan")), dict(tau_d=float("nan")),
+                dict(max_iterations=-1)):
+        with pytest.raises(ValueError):
+            InversionConfig(**bad)
 
 
 def test_default_step_is_inverse_gradient_lipschitz(twin):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from beamload import measurements
 from beamload.errors import ConfigError
 from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
-                                   add_noise, generate_scenario,
+                                   _pick_lambda, add_noise, generate_scenario,
                                    manufactured_case, smooth_to_h1)
 from beamload.model import (CoefficientSet, MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm)
@@ -42,7 +43,8 @@ def test_zero_noise_is_identity(small_grid):
 
 def test_smoothing_interpolates_clean_data(small_grid):
     series = clean_series(small_grid)
-    smooth = smooth_to_h1(series, small_grid.times, lam=0.0)
+    # no recorded noise level: the spline interpolates
+    smooth = smooth_to_h1(series, small_grid.times)
     assert smooth.tag == "h1"
     assert np.allclose(smooth.theta0, series.theta0, atol=1e-10)
 
@@ -69,9 +71,46 @@ def test_smoothing_preserves_symmetry():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=4, n_steps=128)
     t = g.times
     series = MeasurementSeries(theta0=np.sin(np.pi * t),
-                               thetaL=-np.sin(np.pi * t))
-    smooth = smooth_to_h1(series, t, lam=1e-6)
+                               thetaL=-np.sin(np.pi * t), noise_delta=0.01)
+    smooth = smooth_to_h1(series, t)
     assert np.allclose(smooth.theta0, -smooth.thetaL, atol=1e-12)
+
+
+def noisy_parabola(delta_rel, seed, n_steps=512):
+    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=4,
+                      n_steps=n_steps)
+    return g, add_noise(clean_series(g), NoiseSpec(delta_rel, seed), g.dt)
+
+
+@pytest.mark.parametrize("delta_rel", [0.01, 0.05, 0.30])
+def test_picked_lambda_meets_morozov(monkeypatch, delta_rel):
+    # each channel's smoothing residual equals its noise share, within a
+    # budget of spline fits per call
+    fits = []
+    spline = measurements.make_smoothing_spline
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return spline(*args, **kwargs)
+
+    monkeypatch.setattr(measurements, "make_smoothing_spline", counted)
+    for seed in range(3):
+        g, noisy = noisy_parabola(delta_rel, seed)
+        fits.clear()
+        smooth = smooth_to_h1(noisy, g.times)
+        assert len(fits) <= 64
+        target = noisy.noise_delta / np.sqrt(2.0)
+        for fit, raw in ((smooth.theta0, noisy.theta0),
+                         (smooth.thetaL, noisy.thetaL)):
+            res = series_l2_norm(fit - raw, g.dt)
+            assert abs(res - target) <= 2e-9 * target
+
+
+def test_picked_lambda_clamps_to_bracket_ends():
+    g, noisy = noisy_parabola(0.05, 0, n_steps=128)
+    # no weight fits the data that closely, none smooths that much
+    assert _pick_lambda(g.times, noisy.theta0, 1e-30) == 1e-14
+    assert _pick_lambda(g.times, noisy.theta0, 1e30) == 1e6
 
 
 def test_manufactured_case_closed_form(small_grid, small_coeffs):
