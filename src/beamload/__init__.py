@@ -9,8 +9,8 @@ theoretical estimates behind the method.
 
 __version__ = "0.1.0"
 
-from .adjoint import AdjointField, solve_adjoint, transfer_constant
-from .constants import ConstantSet, compute_constants
+from .adjoint import AdjointField, solve_adjoint
+from .constants import ConstantSet, compute_constants, transfer_constant
 from .errors import (BeamloadError, ConfigError, DimensionError,
                      DivergenceError, ValidationError)
 from .forward import (BeamTrajectory, energy_residual, newmark_integrate,

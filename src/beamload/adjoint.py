@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble, natural_bc_load
+from .constants import compute_constants
 from .errors import DimensionError
 from .forward import estimate_rows, newmark_integrate, quadratic_forms
 from .model import DEFAULT_SLACK, trapezoid_weights
@@ -62,28 +63,14 @@ def solve_adjoint(coeffs, p, q, grid, system=None, dp=None, dq=None):
                         p=p, q=q, dp=dp, dq=dq)
 
 
-def transfer_constant(T, variant="literal"):
-    """The time constant entering the adjoint bound C_0.
-
-    "literal" follows the stated formula max(2/T, 1+T); "corrected"
-    uses max(2/T, 1 + 2T/3), matching the coefficients appearing in the
-    derivation.
-    """
-    if variant == "literal":
-        return max(2.0 / T, 1.0 + T)
-    if variant == "corrected":
-        return max(2.0 / T, 1.0 + 2.0 * T / 3.0)
-    raise ValueError(f"unknown C_T variant: {variant}")
-
-
 def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
                             scenario="", ct_variant="literal"):
     """Discrete check of the six adjoint-solution bounds.
 
     Needs the derivative series of the moment inputs; raises if they were
-    not supplied.  Bounds use C_0^2 = 20 l C_T / (3 r0^2) and the combined
-    input-derivative norm ||p'||^2 + ||q'||^2.  `unit` is the (M, K_r)
-    pair of `unit_norm_matrices`.
+    not supplied.  Bounds use C_0^2 of `compute_constants` and the
+    combined input-derivative norm ||p'||^2 + ||q'||^2.  `unit` is the
+    (M, K_r) pair of `unit_norm_matrices`.
     """
     if field.dp is None or field.dq is None:
         raise DimensionError("adjoint estimate check needs p', q' series")
@@ -98,8 +85,7 @@ def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
     pxxt_sq = quadratic_forms(K1, phi_t)
 
     T = g.final_time
-    C_T = transfer_constant(T, ct_variant)
-    C0_sq = 20.0 * g.length * C_T / (3.0 * b.r0 ** 2)
+    C0_sq = compute_constants(g.length, T, b, ct_variant=ct_variant).C0_sq
     Qp_sq = float(wt @ np.asarray(field.dp) ** 2
                   + wt @ np.asarray(field.dq) ** 2)
     eT = np.exp(T)

@@ -51,6 +51,15 @@ def _get(cfg, key, default=None, cast=str):
     return value
 
 
+def _get_floats(cfg, key, default):
+    """A comma-separated list of finite numbers, as a tuple."""
+    values = _get(cfg, key, default,
+                  lambda raw: tuple(float(c) for c in raw.split(",")))
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+    return values
+
+
 def _get_positive(cfg, key, default):
     value = _get(cfg, key, default, float)
     if not value > 0:
@@ -153,8 +162,8 @@ def build_truth_load(cfg, grid, coeffs):
                   "sigma": _get_positive(cfg, "scenario.sigma", 0.1)}
         return scenario_load(kind, params, grid), None, None
     if kind == "modal":
-        raw = _get(cfg, "scenario.coefficients", "1.0")
-        params = {"coefficients": [float(c) for c in raw.split(",")]}
+        params = {"coefficients": _get_floats(cfg, "scenario.coefficients",
+                                              (1.0,))}
         return scenario_load(kind, params, grid), None, None
     if kind == "mode_pulse":
         # separable single space-time mode, the twin-data default
@@ -290,8 +299,8 @@ def _parametric_family(cfg):
             speed=_get(cfg, "inversion.init_speed", 1.0, float),
             sigma=_get_positive(cfg, "inversion.init_sigma", 0.1))
     if family == "modal":
-        raw = _get(cfg, "inversion.init_coefficients", "0.0")
-        return ModalLoad(tuple(float(c) for c in raw.split(",")))
+        return ModalLoad(_get_floats(cfg, "inversion.init_coefficients",
+                                     (0.0,)))
     raise ConfigError(f"unknown parametric family: {family}")
 
 

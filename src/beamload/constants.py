@@ -1,4 +1,4 @@
-"""Closed-form theoretical constants used by the verification harness.
+"""The one home of every closed-form constant of the estimate chain.
 
 Every constant is computed from the declared coefficient bounds, not from
 sampled field minima.
@@ -8,7 +8,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import transfer_constant
+
+def transfer_constant(T, variant="literal"):
+    """The time constant entering the adjoint bound C_0.
+
+    "literal" follows the stated formula max(2/T, 1+T); "corrected"
+    uses max(2/T, 1 + 2T/3), matching the coefficients appearing in the
+    derivation.
+    """
+    if variant == "literal":
+        return max(2.0 / T, 1.0 + T)
+    if variant == "corrected":
+        return max(2.0 / T, 1.0 + 2.0 * T / 3.0)
+    raise ValueError(f"unknown C_T variant: {variant}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +48,6 @@ class ConstantSet:
     @property
     def C1(self):
         return np.sqrt(self.C1_sq)
-
-    @property
-    def C0(self):
-        return np.sqrt(self.C0_sq)
 
 
 def compute_constants(length, final_time, bounds, C_F=1.0,

@@ -15,6 +15,7 @@ from scipy.linalg.lapack import dpbtrs
 from scipy.sparse import dia_array
 
 from .assembly import assemble
+from .constants import compute_constants
 from .errors import DimensionError, DivergenceError
 from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
                     l2_norm_spacetime, trapezoid_weights)
@@ -266,8 +267,7 @@ def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
     """Discrete check of the solution and trace a-priori estimates.
 
     Evaluates the six volume-norm bounds and the four boundary-trace
-    bounds with constants C_e^2 = exp(T / rho0) and
-    C_1^2 = (5 l rho0 / 3)(C_e^2 - 1) from the declared bounds.
+    bounds with the constants C_e^2 and C_1^2 of `compute_constants`.
     `unit` is the (M, K_r) pair of `unit_norm_matrices`.  Returns a list
     of CheckRow records.
     """
@@ -282,8 +282,8 @@ def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
     uxxt_sq = quadratic_forms(K1, v)        # int u_xxt^2 dx
 
     F_sq = l2_norm_spacetime(load) ** 2
-    Ce2 = np.exp(g.final_time / b.rho0)
-    C1_sq = (5.0 * g.length * b.rho0 / 3.0) * (Ce2 - 1.0)
+    consts = compute_constants(g.length, g.final_time, b)
+    Ce2, C1_sq = consts.Ce_sq, consts.C1_sq
 
     th0 = traj.outputs.theta0
     thL = traj.outputs.thetaL

@@ -10,8 +10,7 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import impulse_kernel
-from .model import (LoadField, l2_norm_spacetime, project_admissible,
-                    series_l2_norm)
+from .model import LoadField, project_admissible
 from .objective import compute_gradient, evaluate_objective, spacetime_inner
 
 GRAD_TOL = 1e-12
@@ -19,6 +18,7 @@ BACKTRACK_START = 2.0 ** 10     # first trial step, in multiples of omega
 BACKTRACK_HALVINGS = 40
 STAGNATION_RTOL = 1e-10
 STAGNATION_WINDOW = 10
+COND_LIMIT = 1e10               # identifiable below this condition number
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,11 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
 
     state = InversionState(load=load, omega=omega)
     increases = 0
+    evaluation = None      # misfit at `load`, once a line search made it
     for n in range(config.max_iterations + 1):
         grad, evaluation = compute_gradient(load, measurements, coeffs,
-                                            grid, system=system)
+                                            grid, system=system,
+                                            evaluation=evaluation)
         J = evaluation.J
         gnorm = grad.norm
         state.J_history.append(J)
@@ -125,9 +127,11 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
             else:
                 increases = 0
             load = _step(load, grad, step, C_F)
+            evaluation = None
         else:
-            load, _ = _backtrack(load, grad, J, omega, C_F, measurements,
-                                 coeffs, grid, system)
+            load, _, evaluation = _backtrack(load, grad, J, omega, C_F,
+                                             measurements, coeffs, grid,
+                                             system)
     return state
 
 
@@ -143,18 +147,18 @@ def _backtrack(load, grad, J, omega, C_F, measurements, coeffs, grid,
     """Halve the trial step until the misfit decreases.
 
     Every call starts afresh at BACKTRACK_START * omega, far above the
-    loose theoretical step, and gives up after BACKTRACK_HALVINGS trials,
-    returning the unchanged load and misfit.
+    loose theoretical step.  Returns the accepted trial with its misfit
+    and evaluation, or after BACKTRACK_HALVINGS trials (load, J, None).
     """
     step = omega * BACKTRACK_START
     for _ in range(BACKTRACK_HALVINGS):
         trial = _step(load, grad, step, C_F)
-        J_new = evaluate_objective(trial, measurements, coeffs, grid,
-                                   system=system).J
-        if J_new < J:
-            return trial, J_new
+        evaluation = evaluate_objective(trial, measurements, coeffs, grid,
+                                        system=system)
+        if evaluation.J < J:
+            return trial, evaluation.J, evaluation
         step *= 0.5
-    return load, J
+    return load, J, None
 
 
 def _stagnated(J_history):
@@ -213,7 +217,7 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
                             n_evaluations=evals[0])
 
 
-def _identifiable(family, grid, system, cond_limit=1e10):
+def _identifiable(family, grid, system):
     """Rank check of the parameter-to-output Jacobian (the outputs of each
     parameter derivative, by linearity of the PDE)."""
     kernel = impulse_kernel(system, grid)
@@ -222,4 +226,4 @@ def _identifiable(family, grid, system, cond_limit=1e10):
     sv = np.linalg.svd(S, compute_uv=False)
     if sv[0] == 0.0:
         return False
-    return bool(sv[-1] / sv[0] > 1.0 / cond_limit)
+    return bool(sv[-1] / sv[0] > 1.0 / COND_LIMIT)

@@ -108,9 +108,6 @@ class CoefficientSet:
             np.full(n, float(T_r)), np.full(n, float(r)),
             np.full(n, float(kappa)), bounds)
 
-    def field_names(self):
-        return ("rho_A", "mu", "T_r", "r", "kappa")
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -133,8 +130,9 @@ def validate_coefficients(coeffs):
     """Check the admissibility conditions node-wise.
 
     Returns a ValidationReport listing every violated bound with the node
-    index.  Requires strictly positive lower bounds for rho_A, r, kappa;
-    mu and T_r may vanish.
+    index, every non-finite sample and every non-finite bound (node -1).
+    Requires strictly positive lower bounds for rho_A, r, kappa; mu and
+    T_r may vanish.
     """
     b = coeffs.bounds
     fields = {
@@ -149,9 +147,15 @@ def validate_coefficients(coeffs):
     for name, (values, lo, hi, strict) in fields.items():
         if len(values) != n:
             raise DimensionError(f"{name} has {len(values)} samples, expected {n}")
+        for side, bound in (("lower", lo), ("upper", hi)):
+            if not np.isfinite(bound):
+                violations.append((name, -1, bound,
+                                   f"{side} bound must be finite"))
         if strict and lo <= 0:
             violations.append((name, -1, lo, "lower bound must be positive"))
             continue
+        for i in np.flatnonzero(~np.isfinite(values)):
+            violations.append((name, int(i), values[i], "finiteness"))
         for i in np.flatnonzero(values < lo):
             violations.append((name, int(i), values[i], f"lower bound {lo:g}"))
         for i in np.flatnonzero(values > hi):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from beamload.adjoint import (check_adjoint_estimates, solve_adjoint,
-                              transfer_constant)
+from beamload.adjoint import check_adjoint_estimates, solve_adjoint
 from beamload.assembly import unit_norm_matrices
+from beamload.constants import compute_constants, transfer_constant
 from beamload.errors import DimensionError
+from beamload.model import CoefficientSet, SpaceTimeGrid, trapezoid_weights
 
 
 def smooth_series(grid, seed=0, n_modes=3):
@@ -83,3 +84,33 @@ def test_adjoint_estimates_hold(small_grid, small_coeffs):
     bare = solve_adjoint(small_coeffs, p, q, small_grid)
     with pytest.raises(DimensionError):
         check_adjoint_estimates(bare, small_coeffs, unit)
+
+
+@pytest.mark.parametrize("ct_variant", ["literal", "corrected"])
+def test_adjoint_bounds_read_compute_constants(ct_variant):
+    """Every bound is C_0^2 ||(p', q')||^2 times a closed form, with C_0^2
+    of `compute_constants`; at T = 2 the two C_T variants differ."""
+    grid = SpaceTimeGrid(length=1.0, final_time=2.0, n_elements=16,
+                         n_steps=96)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                     r=0.8, kappa=0.02)
+    p, dp = smooth_series(grid, seed=5)
+    q, dq = smooth_series(grid, seed=6)
+    adj = solve_adjoint(coeffs, p, q, grid, dp=dp, dq=dq)
+    checks = check_adjoint_estimates(adj, coeffs, unit_norm_matrices(grid),
+                                     ct_variant=ct_variant)
+    assert [c.check for c in checks if not c.ok] == []
+
+    b = coeffs.bounds
+    C0_sq = compute_constants(grid.length, grid.final_time, b,
+                              ct_variant=ct_variant).C0_sq
+    wt = trapezoid_weights(grid.n_times, grid.dt)
+    scale = C0_sq * (wt @ dp ** 2 + wt @ dq ** 2)
+    eT = np.exp(grid.final_time)
+    expected = {}
+    for name, f in (("phixx", 1.0), ("phit", b.r0 / (2.0 * b.rho0)),
+                    ("phixxt", b.r0 / (2.0 * b.kappa0))):
+        expected[f"adjoint_{name}_LinfL2"] = eT * f * scale
+        expected[f"adjoint_{name}_L2L2"] = (eT - 1.0) * f * scale
+    assert {c.check: c.rhs for c in checks} == pytest.approx(expected,
+                                                             rel=1e-14)

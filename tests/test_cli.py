@@ -207,6 +207,17 @@ def test_mismatched_coefficient_nodes_is_config_error(tmp_path, capsys):
     assert_one_line_config_error(capsys)
 
 
+def test_non_finite_coefficient_sample_is_config_error(tmp_path, capsys):
+    coeff = tmp_path / "r.csv"
+    rows = "".join(f"{i / 16},{'nan' if i == 5 else 0.8}\n"
+                   for i in range(17))
+    coeff.write_text("x,value\n" + rows)
+    cfg = write_cfg(tmp_path, BASE + f"coeff.r = {coeff}\n"
+                    + "scenario.kind = zero\n")
+    assert run("forward", cfg, tmp_path / "out") == 2
+    assert "r[5] = nan" in assert_one_line_config_error(capsys)
+
+
 @pytest.mark.parametrize("key,extra", [
     ("scenario.sigma", "scenario.sigma = 0\n"),
     ("inversion.init_sigma", "scenario.sigma = 0.15\n"
@@ -233,6 +244,13 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
     ("invert", "grid.final_time = inf\n", ()),
     ("invert", "scenario.speed = inf\n", ()),
     ("verify", "verify.n_scenarios = -1\n", ()),
+    ("invert", "coeff.r = nan\n", ()),
+    ("invert", "coeff.rho_A = inf\n", ()),
+    ("invert", "scenario.kind = modal\nscenario.coefficients = 1,abc\n", ()),
+    ("invert", "scenario.kind = modal\nscenario.coefficients = 1.0,nan\n",
+     ()),
+    ("invert", "inversion.mode = parametric\ninversion.family = modal\n"
+     "inversion.init_coefficients = nan\n", ()),
 ])
 def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"

@@ -3,11 +3,13 @@ import pytest
 from scipy.linalg import cholesky_banded
 
 from beamload.assembly import assemble, unit_norm_matrices
+from beamload.constants import compute_constants
 from beamload.errors import DivergenceError
 from beamload.forward import (check_apriori_estimates, energy_residual,
                               newmark_integrate, solve_forward)
 from beamload.measurements import manufactured_case
-from beamload.model import CoefficientSet, LoadField, SpaceTimeGrid
+from beamload.model import (CoefficientSet, LoadField, SpaceTimeGrid,
+                            l2_norm_spacetime)
 
 
 def test_newmark_scalar_oscillator_oracle():
@@ -114,6 +116,25 @@ def test_apriori_estimates_hold(small_grid, small_coeffs):
     assert len(checks) == 10
     failed = [c.check for c in checks if not c.ok]
     assert failed == []
+
+    # every bound is F^2 times a closed form of `compute_constants`
+    b = small_coeffs.bounds
+    c = compute_constants(small_grid.length, small_grid.final_time, b)
+    expected = {
+        "ut_LinfL2": c.Ce_sq / b.rho0,
+        "ut_L2L2": c.Ce_sq - 1.0,
+        "uxx_LinfL2": c.Ce_sq / b.r0,
+        "uxx_L2L2": b.rho0 / b.r0 * (c.Ce_sq - 1.0),
+        "uxxt_LinfL2": c.Ce_sq / b.kappa0,
+        "uxxt_L2L2": b.rho0 / b.kappa0 * (c.Ce_sq - 1.0),
+        "trace_ux0": c.C1_sq / b.r0,
+        "trace_uxt0": c.C1_sq / b.kappa0,
+        "trace_uxL": c.C1_sq / b.r0,
+        "trace_uxtL": c.C1_sq / b.kappa0,
+    }
+    F_sq = l2_norm_spacetime(load) ** 2
+    assert {r.check: r.rhs for r in checks} == pytest.approx(
+        {"apriori_" + k: v * F_sq for k, v in expected.items()}, rel=1e-14)
 
 
 def test_free_vibration_dissipates_energy(dense):

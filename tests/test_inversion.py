@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamload import forward
+from beamload import forward, inversion, objective
 from beamload.errors import DivergenceError
 from beamload.forward import solve_forward
 from beamload.inversion import (InversionConfig, default_step,
@@ -143,3 +143,50 @@ def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
         assert state.iterations == n
         counts.append(len(calls))
     assert counts == [2, 2]
+
+
+# omega = 1 makes every line search reject several trials first
+@pytest.mark.parametrize("rule,omega", [("fixed", None),
+                                        ("backtracking", 1.0)])
+def test_reused_evaluation_matches_a_fresh_one(twin, monkeypatch, rule,
+                                               omega):
+    """Passing the known misfit on to the gradient changes no bit of the
+    run."""
+    grid, coeffs, _, series = twin
+    cfg = InversionConfig(step_rule=rule, omega=omega, max_iterations=15)
+    reused = run_inversion(series, coeffs, grid, config=cfg)
+    gradient = inversion.compute_gradient
+
+    def fresh(*args, evaluation=None, **kwargs):
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "compute_gradient", fresh)
+    plain = run_inversion(series, coeffs, grid, config=cfg)
+    assert np.array_equal(reused.load.values, plain.load.values)
+    assert np.array_equal(reused.J_history, plain.J_history)
+    assert np.array_equal(reused.grad_history, plain.grad_history)
+
+
+def test_backtracking_evaluates_each_trial_once(twin, monkeypatch):
+    """One misfit evaluation for the start point, then one per trial: the
+    gradient at an accepted trial reuses the trial's evaluation."""
+    grid, coeffs, _, series = twin
+    calls = {"inversion": 0, "objective": 0}
+    evaluate = objective.evaluate_objective
+
+    def counted(module):
+        def wrapper(*args, **kwargs):
+            calls[module] += 1
+            return evaluate(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inversion, "evaluate_objective",
+                        counted("inversion"))
+    monkeypatch.setattr(objective, "evaluate_objective",
+                        counted("objective"))
+    state = run_inversion(series, coeffs, grid, config=InversionConfig(
+        step_rule="backtracking", omega=1.0, max_iterations=10))
+    assert state.iterations == 10
+    # the trials, all made by the line search
+    assert calls["inversion"] > state.iterations
+    assert calls["objective"] == 1

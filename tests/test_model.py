@@ -113,6 +113,22 @@ def test_validate_coefficients_requires_positive_lower_bounds():
     assert not report.ok
 
 
+def test_validate_coefficients_flags_non_finite_values():
+    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
+    coeffs = CoefficientSet.constant(g)
+    coeffs.kappa[2] = np.nan
+    coeffs.rho_A[4] = np.inf
+    report = validate_coefficients(coeffs)
+    flagged = {(v[0], v[1]) for v in report.violations}
+    assert {("kappa", 2), ("rho_A", 4)} <= flagged
+    # non-finite bounds
+    bounds = CoefficientBounds(1, 1, 0, 0, 0, 0, float("nan"), 1,
+                               0.01, float("inf"))
+    report = validate_coefficients(CoefficientSet.constant(g, bounds=bounds))
+    assert {(v[0], v[1]) for v in report.violations} == {("r", -1),
+                                                         ("kappa", -1)}
+
+
 def test_measurement_series_h1_state_needs_derivatives():
     y = np.zeros(5)
     with pytest.raises(DimensionError):

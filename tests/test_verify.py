@@ -1,9 +1,11 @@
 import sys
 
 import numpy as np
+import pytest
 
-from beamload import assembly, forward
-from beamload.model import l2_norm_spacetime
+from beamload import assembly, forward, objective, verify
+from beamload.constants import compute_constants
+from beamload.model import l2_norm_spacetime, series_l2_norm
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
 
@@ -98,3 +100,49 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert counts[0].count("_build_kernel") == 1
+
+
+def test_suite_evaluates_two_misfits_per_scenario(small_grid, small_coeffs,
+                                                  monkeypatch):
+    """The gradient Lipschitz row reuses the two misfit evaluations of the
+    misfit Lipschitz row."""
+    calls = []
+    evaluate = objective.evaluate_objective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    for module in (objective, verify):
+        monkeypatch.setattr(module, "evaluate_objective", counted)
+    verify_inequality_suite(small_grid, small_coeffs, n_scenarios=3)
+    assert len(calls) == 2 * 3
+
+
+def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
+                                                     small_coeffs):
+    """Replays the draws of scenario 0: C_L, C_J with the data norms and
+    L_G of `compute_constants`, times ||F1 - F2||."""
+    report = verify_inequality_suite(small_grid, small_coeffs,
+                                     n_scenarios=1, seed=3)
+    rng = np.random.default_rng(3)
+    load = random_load(small_grid, rng)
+    rng.normal(size=3)
+    load2 = random_load(small_grid, rng)
+    truth = random_load(small_grid, rng)
+    system = assembly.assemble(small_grid, small_coeffs)
+    theta0, thetaL = forward.impulse_kernel(system, small_grid).outputs(
+        truth.values)
+    c = compute_constants(
+        small_grid.length, small_grid.final_time, small_coeffs.bounds,
+        C_F=max(1.0, 10.0 * l2_norm_spacetime(load) ** 2),
+        theta0_norm=series_l2_norm(theta0, small_grid.dt),
+        thetaL_norm=series_l2_norm(thetaL, small_grid.dt))
+    dF = l2_norm_spacetime(load - load2)
+    rhs = {r.check: r.rhs for r in report.rows}
+    assert rhs["io_lipschitz_theta0"] == rhs["io_lipschitz_thetaL"]
+    assert rhs["io_lipschitz_theta0"] == pytest.approx(c.C_L * dF,
+                                                       rel=1e-14)
+    assert rhs["misfit_lipschitz"] == pytest.approx(c.C_J * dF, rel=1e-14)
+    assert rhs["gradient_lipschitz"] == pytest.approx(c.L_G * dF,
+                                                      rel=1e-14)
