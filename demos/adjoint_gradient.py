@@ -33,8 +33,9 @@ def main():
     for row in rep.rows:
         print(f"  direction {row.scenario}: rel mismatch = {row.lhs:.2e}")
     print("\nboth residuals sit at the discretization level and shrink "
-          "under refinement, so the adjoint is the exact transpose of "
-          "the discrete forward map up to quadrature.")
+          "under refinement: the gradient is the discretised continuous "
+          "adjoint, which converges to the transpose of the forward map, "
+          "not its exact discrete transpose.")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble, natural_bc_load
+from .assembly import assemble
 from .constants import compute_constants
 from .errors import DimensionError
 from .forward import estimate_rows, newmark_integrate, quadratic_forms
@@ -19,26 +19,16 @@ from .model import DEFAULT_SLACK, trapezoid_weights
 
 @dataclass(frozen=True)
 class AdjointField:
-    """Adjoint solution phi in original time, with its moment inputs."""
+    """Adjoint solution phi in original time, on the reduced DOFs of
+    `system` (`system.nodal` gives its nodal field)."""
 
     phi: np.ndarray
     phi_t: np.ndarray
     grid: object
     system: object
-    p: np.ndarray
-    q: np.ndarray
-    dp: np.ndarray = None
-    dq: np.ndarray = None
-
-    def full_values(self):
-        """phi sampled at all nodes (end nodes are zero)."""
-        g = self.grid
-        w = np.zeros((g.n_nodes, g.n_times))
-        w[self.system.interior_nodes, :] = self.phi[self.system.deflection_dofs, :]
-        return w
 
 
-def solve_adjoint(coeffs, p, q, grid, system=None, dp=None, dq=None):
+def solve_adjoint(coeffs, p, q, grid, system=None):
     """Solve the backward problem with moment data (p, q).
 
     p and q are time series on the grid (typically output residuals).
@@ -50,30 +40,32 @@ def solve_adjoint(coeffs, p, q, grid, system=None, dp=None, dq=None):
     q = np.asarray(q, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise DimensionError("adjoint inputs must be finite")
+    if len(p) != grid.n_times or len(q) != grid.n_times:
+        raise ValueError("boundary series must match the time grid")
     if system is None:
         system = assemble(grid, coeffs)
-    forces = natural_bc_load(p[::-1], q[::-1], grid)
-    phi_tau, dphi_tau, _ = newmark_integrate(
-        system.M, system.C_ext + system.K_kappa,
-        system.K_T + system.K_r, forces, grid.dt)
+    # the moment data force the end rotations, in reversed time; this
+    # sign is the one that makes the discrete duality identity hold
+    forces = np.zeros((grid.n_times, system.n_dofs))
+    forces[:, system.theta0_dof] = p[::-1]
+    forces[:, system.thetaL_dof] = q[::-1]
+    phi_tau, dphi_tau, _ = newmark_integrate(system.M, system.C, system.K,
+                                             forces, grid.dt)
     # map tau back to t; phi_t = -dphi/dtau reversed in time
     phi = phi_tau[:, ::-1].copy()
     phi_t = -dphi_tau[:, ::-1]
-    return AdjointField(phi=phi, phi_t=phi_t, grid=grid, system=system,
-                        p=p, q=q, dp=dp, dq=dq)
+    return AdjointField(phi=phi, phi_t=phi_t, grid=grid, system=system)
 
 
-def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
+def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,
                             scenario="", ct_variant="literal"):
     """Discrete check of the six adjoint-solution bounds.
 
-    Needs the derivative series of the moment inputs; raises if they were
-    not supplied.  Bounds use C_0^2 of `compute_constants` and the
-    combined input-derivative norm ||p'||^2 + ||q'||^2.  `unit` is the
-    (M, K_r) pair of `unit_norm_matrices`.
+    dp and dq are the derivative series of the moment inputs.  Bounds
+    use C_0^2 of `compute_constants` and the combined input-derivative
+    norm ||p'||^2 + ||q'||^2.  `unit` is the (M, K_r) pair of
+    `unit_norm_matrices`.
     """
-    if field.dp is None or field.dq is None:
-        raise DimensionError("adjoint estimate check needs p', q' series")
     g = field.grid
     b = coeffs.bounds
     M1, K1 = unit
@@ -86,8 +78,7 @@ def check_adjoint_estimates(field, coeffs, unit, slack=DEFAULT_SLACK,
 
     T = g.final_time
     C0_sq = compute_constants(g.length, T, b, ct_variant=ct_variant).C0_sq
-    Qp_sq = float(wt @ np.asarray(field.dp) ** 2
-                  + wt @ np.asarray(field.dq) ** 2)
+    Qp_sq = float(wt @ np.asarray(dp) ** 2 + wt @ np.asarray(dq) ** 2)
     eT = np.exp(T)
 
     bounds = [

@@ -82,10 +82,11 @@ class SystemMatrices:
     and is stored as its upper band in LAPACK layout, shape
     (4, n_dofs) with ab[3 + i - j, j] = A[i, j]; no dense matrix is
     formed.  The reduced DOFs are the full (deflection, rotation) per
-    node numbering without the two end deflections.  `load_map` takes
-    nodal load samples to the consistent constrained load vector.
-    `kernels` holds the impulse-response kernels built from the system,
-    one per time grid (see `forward.impulse_kernel`).
+    node numbering without the two end deflections; the end rotations
+    sit at `theta0_dof` and `thetaL_dof`.  `load_map` takes nodal load
+    samples to the consistent constrained load vector.  `kernels` holds
+    the impulse-response kernels built from the system, one per time
+    grid (see `forward.impulse_kernel`).
     """
 
     M: np.ndarray
@@ -96,13 +97,30 @@ class SystemMatrices:
     theta0_dof: int
     thetaL_dof: int
     deflection_dofs: np.ndarray   # reduced indices of interior deflections
-    interior_nodes: np.ndarray    # node indices matching deflection_dofs
     load_map: np.ndarray
     kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_dofs(self):
         return self.M.shape[1]
+
+    @property
+    def C(self):
+        """Damping band of the pencil M a + C v + K u: viscous plus
+        Kelvin-Voigt."""
+        return self.C_ext + self.K_kappa
+
+    @property
+    def K(self):
+        """Stiffness band of the pencil: tension plus bending."""
+        return self.K_T + self.K_r
+
+    def nodal(self, deflections):
+        """Nodal field (n_nodes, n_times) of the rows at `deflection_dofs`;
+        the simply supported end rows are zero."""
+        w = np.zeros((len(deflections) + 2, deflections.shape[1]))
+        w[1:-1] = deflections
+        return w
 
 
 def assemble(grid, coeffs):
@@ -127,7 +145,6 @@ def assemble(grid, coeffs):
     load_map = np.zeros((2 * n_nodes - 2, n_nodes))
     np.add.at(load_map, (rows[keep], cols[keep]),
               np.broadcast_to(element, rows.shape)[keep])
-    interior_nodes = np.arange(1, n_nodes - 1)
     return SystemMatrices(
         M=_banded(grid, coeffs.rho_A, 0),
         C_ext=_banded(grid, coeffs.mu, 0),
@@ -136,8 +153,7 @@ def assemble(grid, coeffs):
         K_kappa=_banded(grid, coeffs.kappa, 2),
         theta0_dof=0,
         thetaL_dof=2 * n_nodes - 3,
-        deflection_dofs=2 * interior_nodes - 1,
-        interior_nodes=interior_nodes,
+        deflection_dofs=2 * np.arange(1, n_nodes - 1) - 1,
         load_map=load_map,
     )
 
@@ -149,20 +165,3 @@ def unit_norm_matrices(grid):
     ones = np.ones(grid.n_nodes)
     return _banded(grid, ones, 0), _banded(grid, ones, 2)
 
-
-def natural_bc_load(p, q, grid):
-    """Boundary forcing vectors carrying moment data at the end rotations.
-
-    Returns an array (n_times, n_reduced_dofs) that is zero except at the
-    two end-rotation DOFs: p(t) at x=0 and q(t) at x=l.  The sign
-    convention is the one that makes the discrete duality test pass.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if len(p) != grid.n_times or len(q) != grid.n_times:
-        raise ValueError("boundary series must match the time grid")
-    n_red = 2 * grid.n_nodes - 2
-    out = np.zeros((grid.n_times, n_red))
-    out[:, 0] = p                 # rotation DOF at node 0
-    out[:, n_red - 1] = q         # rotation DOF at node n
-    return out

@@ -206,16 +206,14 @@ def _obtain_measurements(cfg, grid, coeffs, seed):
     return (clean if smooth is None else smooth), truth
 
 
-def _write_manifest(out, cfg_path, seed, args, extra=None):
-    entries = {"version": __version__,
-               "command": args.command,
-               "config": cfg_path,
-               "config_sha256": config_hash(cfg_path),
-               "seed": seed,
-               "ct_variant": args.ct_variant}
-    if extra:
-        entries.update(extra)
-    save_sidecar(os.path.join(out, "manifest.txt"), entries)
+def _write_manifest(out, cfg_path, seed, args):
+    save_sidecar(os.path.join(out, "manifest.txt"),
+                 {"version": __version__,
+                  "command": args.command,
+                  "config": cfg_path,
+                  "config_sha256": config_hash(cfg_path),
+                  "seed": seed,
+                  "ct_variant": args.ct_variant})
 
 
 def cmd_forward(cfg, args, out):
@@ -255,28 +253,22 @@ def cmd_verify(cfg, args, out):
     coeffs = build_coefficients(cfg, grid)
     seed = args.seed
     n_scenarios = _get_nonnegative(cfg, "verify.n_scenarios", 20, int)
+    n_triples = _get_nonnegative(cfg, "verify.n_triples", 5, int)
+    n_directions = _get_nonnegative(cfg, "verify.n_directions", 5, int)
+    duality_tol = _get_positive(cfg, "verify.duality_tol", 1e-3)
+    fd_tol = _get_positive(cfg, "verify.fd_tol", 5e-3)
     flip = _get_bool(cfg, "debug.flip_adjoint_sign")
 
     rows = []
     if n_scenarios > 0:
-        suite = verify_inequality_suite(grid, coeffs,
+        rows += verify_inequality_suite(grid, coeffs,
                                         n_scenarios=n_scenarios, seed=seed,
-                                        ct_variant=args.ct_variant)
-        rows.extend(suite.rows)
-        dual = duality_checks(grid, coeffs,
-                              n_triples=_get_nonnegative(
-                                  cfg, "verify.n_triples", 5, int),
-                              seed=seed,
-                              tol=_get(cfg, "verify.duality_tol", 1e-3,
-                                       float),
-                              adjoint_sign=-1.0 if flip else 1.0)
-        rows.extend(dual.rows)
-        fd = gradient_fd_checks(grid, coeffs,
-                                n_directions=_get_nonnegative(
-                                    cfg, "verify.n_directions", 5, int),
-                                seed=seed,
-                                tol=_get(cfg, "verify.fd_tol", 5e-3, float))
-        rows.extend(fd.rows)
+                                        ct_variant=args.ct_variant).rows
+        rows += duality_checks(grid, coeffs, n_triples=n_triples, seed=seed,
+                               tol=duality_tol,
+                               adjoint_sign=-1.0 if flip else 1.0).rows
+        rows += gradient_fd_checks(grid, coeffs, n_directions=n_directions,
+                                   seed=seed, tol=fd_tol).rows
 
     save_check_report(os.path.join(out, "report.csv"),
                       [r.as_tuple() for r in rows])
@@ -334,8 +326,8 @@ def cmd_invert(cfg, args, out):
                        if "inversion.omega" in cfg else None),
                 max_iterations=_get(cfg, "inversion.max_iterations", 200,
                                     int),
-                noise_delta=_get(cfg, "inversion.noise_delta", noise_delta,
-                                 float),
+                noise_delta=_get_nonnegative(cfg, "inversion.noise_delta",
+                                             noise_delta),
                 tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
                 ct_variant=args.ct_variant)
         except ValueError as exc:

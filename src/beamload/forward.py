@@ -100,10 +100,7 @@ class BeamTrajectory:
 
     def full_deflection(self):
         """Deflection sampled at all nodes (end nodes are zero)."""
-        g = self.grid
-        w = np.zeros((g.n_nodes, g.n_times))
-        w[self.system.interior_nodes, :] = self.u[self.system.deflection_dofs, :]
-        return w
+        return self.system.nodal(self.u[self.system.deflection_dofs])
 
 
 def consistent_forces(system, load):
@@ -180,8 +177,7 @@ def _build_kernel(system, grid):
     n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
     n_freq = n_fft // 2 + 1
     n_nodes, n_defl = system.load_map.shape[1], len(system.deflection_dofs)
-    C = system.C_ext + system.K_kappa
-    K = system.K_T + system.K_r
+    C, K = system.C, system.K
     # filled in place as each response is computed, so that no more than
     # one raw response is alive at a time
     kernel = ImpulseKernel(
@@ -208,8 +204,8 @@ def solve_forward(coeffs, load, grid, system=None):
     if system is None:
         system = assemble(grid, coeffs)
     forces = consistent_forces(system, load)
-    u, v, _ = newmark_integrate(system.M, system.C_ext + system.K_kappa,
-                                system.K_T + system.K_r, forces, grid.dt)
+    u, v, _ = newmark_integrate(system.M, system.C, system.K, forces,
+                                grid.dt)
     outputs = MeasurementSeries(theta0=u[system.theta0_dof].copy(),
                                 thetaL=u[system.thetaL_dof].copy())
     return BeamTrajectory(u=u, v=v, outputs=outputs, grid=grid, system=system)

@@ -10,8 +10,8 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import impulse_kernel
-from .model import LoadField, project_admissible
-from .objective import compute_gradient, evaluate_objective, spacetime_inner
+from .model import LoadField, project_admissible, spacetime_inner
+from .objective import compute_gradient, evaluate_objective
 
 GRAD_TOL = 1e-12
 BACKTRACK_START = 2.0 ** 10     # first trial step, in multiples of omega
@@ -45,6 +45,8 @@ class InversionConfig:
             raise ValueError("tau_d must exceed 1")
         if not self.max_iterations >= 0:
             raise ValueError("max_iterations must be nonnegative")
+        if not self.noise_delta >= 0:
+            raise ValueError("noise_delta must be nonnegative")
         if self.step_rule not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step rule: {self.step_rule}")
 

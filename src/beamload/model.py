@@ -19,6 +19,19 @@ def trapezoid_weights(n_points, spacing):
     return w
 
 
+def spacetime_inner(a, b, grid):
+    """Trapezoidal L2(Omega_T) inner product of nodal (node, time) arrays."""
+    wx = trapezoid_weights(grid.n_nodes, grid.h)
+    wt = trapezoid_weights(grid.n_times, grid.dt)
+    return float(wx @ (a * b) @ wt)
+
+
+def time_inner(a, b, dt):
+    """Trapezoidal L2(0, T) inner product of two time series."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(trapezoid_weights(len(a), dt) @ (a * b))
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform grid on (0, length) x (0, final_time)."""
@@ -111,7 +124,11 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Result of an admissibility check; empty violations means valid."""
+    """Result of an admissibility check; empty violations means valid.
+
+    Each violation is (field, first node, its value, condition, number
+    of nodes that violate the condition); node -1 marks a bound.
+    """
 
     violations: tuple
 
@@ -122,17 +139,20 @@ class ValidationReport:
     def __str__(self):
         if self.ok:
             return "all coefficient bounds satisfied"
-        return "\n".join("{}[{}] = {:g} violates {}".format(*v)
-                         for v in self.violations)
+        return "\n".join(
+            f"{name}[{node}] = {value:g} violates {condition}"
+            + (f" ({count} nodes)" if count > 1 else "")
+            for name, node, value, condition, count in self.violations)
 
 
 def validate_coefficients(coeffs):
     """Check the admissibility conditions node-wise.
 
-    Returns a ValidationReport listing every violated bound with the node
-    index, every non-finite sample and every non-finite bound (node -1).
-    Requires strictly positive lower bounds for rho_A, r, kappa; mu and
-    T_r may vanish.
+    Returns a ValidationReport with one entry per field and violated
+    condition (non-finite samples, samples outside a bound, each
+    non-finite bound), naming the first offending node.  Requires
+    strictly positive lower bounds for rho_A, r, kappa; mu and T_r may
+    vanish.
     """
     b = coeffs.bounds
     fields = {
@@ -150,16 +170,18 @@ def validate_coefficients(coeffs):
         for side, bound in (("lower", lo), ("upper", hi)):
             if not np.isfinite(bound):
                 violations.append((name, -1, bound,
-                                   f"{side} bound must be finite"))
+                                   f"{side} bound must be finite", 1))
         if strict and lo <= 0:
-            violations.append((name, -1, lo, "lower bound must be positive"))
+            violations.append((name, -1, lo, "lower bound must be positive",
+                               1))
             continue
-        for i in np.flatnonzero(~np.isfinite(values)):
-            violations.append((name, int(i), values[i], "finiteness"))
-        for i in np.flatnonzero(values < lo):
-            violations.append((name, int(i), values[i], f"lower bound {lo:g}"))
-        for i in np.flatnonzero(values > hi):
-            violations.append((name, int(i), values[i], f"upper bound {hi:g}"))
+        for condition, bad in (("finiteness", ~np.isfinite(values)),
+                               (f"lower bound {lo:g}", values < lo),
+                               (f"upper bound {hi:g}", values > hi)):
+            nodes = np.flatnonzero(bad)
+            if nodes.size:
+                violations.append((name, int(nodes[0]), values[nodes[0]],
+                                   condition, nodes.size))
     return ValidationReport(tuple(violations))
 
 
@@ -210,11 +232,8 @@ class LoadField:
 
 def l2_norm_spacetime(load):
     """Trapezoidal approximation of the L2(Omega_T) norm of a load."""
-    g = load.grid
-    wx = trapezoid_weights(g.n_nodes, g.h)
-    wt = trapezoid_weights(g.n_times, g.dt)
-    sq = wx @ (load.values ** 2) @ wt
-    return float(np.sqrt(sq))
+    return float(np.sqrt(spacetime_inner(load.values, load.values,
+                                         load.grid)))
 
 
 def project_admissible(load, C_F):
@@ -260,5 +279,4 @@ class MeasurementSeries:
 
 def series_l2_norm(values, dt):
     """Trapezoidal L2(0, T) norm of a time series."""
-    w = trapezoid_weights(len(values), dt)
-    return float(np.sqrt(w @ (np.asarray(values) ** 2)))
+    return float(np.sqrt(time_inner(values, values, dt)))

@@ -6,19 +6,7 @@ import numpy as np
 
 from .assembly import assemble
 from .forward import impulse_kernel, solve_forward
-from .model import trapezoid_weights
-
-
-def spacetime_inner(a, b, grid):
-    """Trapezoidal L2(Omega_T) inner product of nodal (node, time) arrays."""
-    wx = trapezoid_weights(grid.n_nodes, grid.h)
-    wt = trapezoid_weights(grid.n_times, grid.dt)
-    return float(wx @ (a * b) @ wt)
-
-
-def time_inner(a, b, grid):
-    wt = trapezoid_weights(grid.n_times, grid.dt)
-    return float(wt @ (np.asarray(a) * np.asarray(b)))
+from .model import spacetime_inner, time_inner
 
 
 @dataclass(frozen=True)
@@ -64,8 +52,8 @@ def evaluate_objective(load, measurements, coeffs, grid, system=None):
     theta0, thetaL = impulse_kernel(system, grid).outputs(load.values)
     p = theta0 - measurements.theta0
     q = thetaL - measurements.thetaL
-    m0 = 0.5 * time_inner(p, p, grid)
-    mL = 0.5 * time_inner(q, q, grid)
+    m0 = 0.5 * time_inner(p, p, grid.dt)
+    mL = 0.5 * time_inner(q, q, grid.dt)
     return ObjectiveEvaluation(J=m0 + mL, p=p, q=q, misfit0=m0, misfitL=mL,
                                system=system)
 
@@ -82,7 +70,6 @@ def compute_gradient(load, measurements, coeffs, grid, system=None,
         evaluation = evaluate_objective(load, measurements, coeffs, grid,
                                         system=system)
     system = evaluation.system
-    values = np.zeros((grid.n_nodes, grid.n_times))
-    values[system.interior_nodes] = impulse_kernel(
-        system, grid).adjoint_deflection(evaluation.p, evaluation.q)
+    values = system.nodal(impulse_kernel(system, grid).adjoint_deflection(
+        evaluation.p, evaluation.q))
     return GradientField(values=values, grid=grid), evaluation

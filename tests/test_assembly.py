@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from beamload.assembly import (_GPTS, _GWTS, assemble, hermite_shapes,
-                               natural_bc_load)
+from beamload.assembly import _GPTS, _GWTS, assemble, hermite_shapes
 from beamload.errors import ValidationError
 from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
@@ -209,14 +208,14 @@ def test_output_dof_indexing():
     assert len(sys_.deflection_dofs) == g.n_nodes - 2
 
 
-def test_natural_bc_load_placement():
+def test_nodal_field_and_pencil_layout():
     g = grid_of(8)
-    p = np.linspace(0, 1, g.n_times)
-    q = np.linspace(0, -2, g.n_times)
-    out = natural_bc_load(p, q, g)
-    assert out.shape == (g.n_times, 2 * g.n_nodes - 2)
-    assert np.array_equal(out[:, 0], p)
-    assert np.array_equal(out[:, -1], q)
-    assert np.all(out[:, 1:-1] == 0.0)
-    with pytest.raises(ValueError):
-        natural_bc_load(p[:-1], q, g)
+    sys_ = assemble(g, CoefficientSet.constant(g, mu=0.05, T_r=0.1))
+    # deflection DOFs are those of the interior nodes, in node order
+    u = np.random.default_rng(0).normal(size=(sys_.n_dofs, 3))
+    w = sys_.nodal(u[sys_.deflection_dofs])
+    assert w.shape == (g.n_nodes, 3)
+    assert np.all(w[[0, -1]] == 0.0)
+    assert np.array_equal(w[1:-1], u[1:-1:2])
+    assert np.array_equal(sys_.C, sys_.C_ext + sys_.K_kappa)
+    assert np.array_equal(sys_.K, sys_.K_T + sys_.K_r)

@@ -1,6 +1,8 @@
 import hashlib
 import os
+import zlib
 
+import numpy as np
 import pytest
 
 from beamload.cli import main
@@ -251,9 +253,95 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
      ()),
     ("invert", "inversion.mode = parametric\ninversion.family = modal\n"
      "inversion.init_coefficients = nan\n", ()),
+    ("invert", "inversion.noise_delta = -0.1\n", ()),
+    ("verify", "verify.duality_tol = -1\n", ()),
+    ("verify", "verify.fd_tol = 0\n", ()),
+    ("verify", "verify.n_scenarios = 0\nverify.duality_tol = nan\n", ()),
 ])
 def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
                     + extra)
     assert run(cmd, cfg, tmp_path / "out", argv) == 2
     assert_one_line_config_error(capsys)
+
+
+def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE + "grid.n_elements = 64\n"
+                    + "coeff.r = nan\nscenario.kind = zero\n")
+    assert run("forward", cfg, tmp_path / "out") == 2
+    err = assert_one_line_config_error(capsys)
+    # both bounds default to the non-finite extrema, and all 65 samples
+    # are reported by their first node
+    assert err.count("violates") == 3
+    assert "r[0] = nan violates finiteness (65 nodes)" in err
+
+
+MALFORMED = ("abc", "nan", "inf", "-inf", "-1", "0", "")
+COEFF_KEYS = tuple(f"coeff.{n}" for n in ("rho_A", "mu", "T_r", "r", "kappa"))
+BOUND_KEYS = tuple(f"bounds.{n}" for n in ("rho0", "rho1", "mu0", "mu1",
+                                           "Tr0", "Tr1", "r0", "r1",
+                                           "kappa0", "kappa1"))
+FULL_FIELD = BASE + """
+scenario.kind = mode_pulse
+noise.delta_rel = 0.05
+inversion.mode = full_field
+inversion.max_iterations = 3
+"""
+GAUSSIAN = BASE + """
+scenario.kind = moving_gaussian
+scenario.sigma = 0.15
+inversion.mode = parametric
+inversion.init_amplitude = 1.0
+inversion.init_speed = 0.8
+inversion.init_sigma = 0.2
+"""
+MODAL = BASE + """
+scenario.kind = modal
+scenario.coefficients = 1.0,0.5
+inversion.mode = parametric
+inversion.family = modal
+inversion.init_coefficients = 0.5,0.1
+"""
+VERIFY = BASE + """
+verify.n_scenarios = 1
+verify.n_triples = 1
+verify.n_directions = 1
+"""
+# every key `cli` reads, with a command and config under which it is read
+FUZZ_CASES = (
+    [("invert", FULL_FIELD, key) for key in (
+        "grid.length", "grid.final_time", "grid.n_elements", "grid.n_steps",
+        *COEFF_KEYS, *BOUND_KEYS, "scenario.kind", "scenario.amplitude",
+        "noise.delta_rel", "noise.seed", "measurements.path",
+        "inversion.mode", "inversion.step_rule", "inversion.omega",
+        "inversion.max_iterations", "inversion.noise_delta",
+        "inversion.tau_d")]
+    + [("invert", GAUSSIAN, key) for key in (
+        "scenario.speed", "scenario.sigma", "inversion.family",
+        "inversion.init_amplitude", "inversion.init_speed",
+        "inversion.init_sigma")]
+    + [("invert", MODAL, key) for key in (
+        "scenario.coefficients", "inversion.init_coefficients")]
+    + [("scenario", BASE + "scenario.kind = load_csv\n", "scenario.path")]
+    + [("verify", VERIFY, key) for key in (
+        "verify.n_scenarios", "verify.n_triples", "verify.n_directions",
+        "verify.duality_tol", "verify.fd_tol", "debug.flip_adjoint_sign")])
+
+
+@pytest.mark.parametrize("cmd,base,key", FUZZ_CASES,
+                         ids=[key for _, _, key in FUZZ_CASES])
+def test_malformed_value_keeps_exit_code_contract(tmp_path, monkeypatch,
+                                                  capsys, cmd, base, key):
+    """Seeded malformed values per key: `main` returns a documented exit
+    code, and a config or numeric error is one stderr line."""
+    # relative paths such as "0" or "abc" resolve in an empty directory
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(zlib.crc32(key.encode()))
+    for value in rng.choice(MALFORMED, size=3, replace=False):
+        cfg = write_cfg(tmp_path, base + f"{key} = {value}\n")
+        code = run(cmd, cfg, tmp_path / "out")
+        assert code in (0, 1, 2, 3), (value, code)
+        err = capsys.readouterr().err
+        if code in (2, 3):
+            assert len(err.splitlines()) == 1, (value, err)
+            assert "Traceback" not in err, (value, err)

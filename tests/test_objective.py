@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from beamload.forward import solve_forward
-from beamload.model import LoadField, series_l2_norm
+from beamload.model import (LoadField, series_l2_norm, spacetime_inner,
+                            time_inner)
 from beamload.objective import (apply_io_operators, compute_gradient,
-                                evaluate_objective, spacetime_inner,
-                                time_inner)
+                                evaluate_objective)
 from beamload.verify import duality_checks, gradient_fd_checks, random_load
 
 
@@ -15,7 +15,7 @@ def test_inner_products_against_closed_forms(small_grid):
     assert spacetime_inner(a, a, g) == pytest.approx(g.length
                                                      * g.final_time)
     t = g.times
-    assert time_inner(np.sin(np.pi * t), np.sin(np.pi * t), g) == (
+    assert time_inner(np.sin(np.pi * t), np.sin(np.pi * t), g.dt) == (
         pytest.approx(g.final_time / 2, rel=1e-3))
 
 
