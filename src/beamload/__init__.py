@@ -24,16 +24,15 @@ from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     MeasurementSeries, SpaceTimeGrid, l2_norm_spacetime,
                     project_admissible, series_l2_norm,
                     validate_coefficients)
-from .objective import (GradientField, ObjectiveEvaluation,
-                        apply_io_operators, compute_gradient,
-                        evaluate_objective)
+from .objective import (ObjectiveEvaluation, apply_io_operators,
+                        compute_gradient, evaluate_objective)
 from .verify import (duality_checks, gradient_fd_checks,
                      verify_inequality_suite)
 
 __all__ = [
     "AdjointField", "BeamTrajectory", "BeamloadError", "CoefficientBounds",
     "CoefficientSet", "ConfigError", "ConstantSet", "DimensionError",
-    "DivergenceError", "GradientField", "InversionConfig", "InversionState",
+    "DivergenceError", "InversionConfig", "InversionState",
     "LoadField", "MeasurementSeries", "ModalLoad", "MovingGaussian",
     "NoiseSpec", "ObjectiveEvaluation", "ParametricResult", "SpaceTimeGrid",
     "ValidationError", "add_noise", "apply_io_operators", "compute_constants",

@@ -19,13 +19,12 @@ from .model import DEFAULT_SLACK, trapezoid_weights
 
 @dataclass(frozen=True)
 class AdjointField:
-    """Adjoint solution phi in original time, on the reduced DOFs of
-    `system` (`system.nodal` gives its nodal field)."""
+    """Adjoint solution phi in original time, on the reduced DOFs of the
+    assembled system (its `nodal` gives the nodal field)."""
 
     phi: np.ndarray
     phi_t: np.ndarray
     grid: object
-    system: object
 
 
 def solve_adjoint(coeffs, p, q, grid, system=None):
@@ -49,12 +48,12 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     forces = np.zeros((grid.n_times, system.n_dofs))
     forces[:, system.theta0_dof] = p[::-1]
     forces[:, system.thetaL_dof] = q[::-1]
-    phi_tau, dphi_tau, _ = newmark_integrate(system.M, system.C, system.K,
-                                             forces, grid.dt)
+    phi_tau, dphi_tau = newmark_integrate(system.M, system.C, system.K,
+                                          forces, grid.dt)
     # map tau back to t; phi_t = -dphi/dtau reversed in time
     phi = phi_tau[:, ::-1].copy()
     phi_t = -dphi_tau[:, ::-1]
-    return AdjointField(phi=phi, phi_t=phi_t, grid=grid, system=system)
+    return AdjointField(phi=phi, phi_t=phi_t, grid=grid)
 
 
 def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,

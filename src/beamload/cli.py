@@ -6,6 +6,7 @@ error, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -183,12 +184,14 @@ def _twin_data(cfg, grid, coeffs, seed, missing):
     truth, _, _ = build_truth_load(cfg, grid, coeffs)
     if truth is None:
         raise ConfigError(missing)
-    clean = solve_forward(coeffs, truth, grid).outputs
     delta_rel = _get_nonnegative(cfg, "noise.delta_rel", 0.0)
-    if delta_rel == 0:
+    spec = None
+    if delta_rel > 0:
+        spec = NoiseSpec(delta_rel=delta_rel,
+                         seed=_get_nonnegative(cfg, "noise.seed", seed, int))
+    clean = solve_forward(coeffs, truth, grid).outputs
+    if spec is None:
         return truth, clean, None, None
-    spec = NoiseSpec(delta_rel=delta_rel,
-                     seed=_get_nonnegative(cfg, "noise.seed", seed, int))
     noisy = add_noise(clean, spec, grid.dt)
     return truth, clean, noisy, smooth_to_h1(noisy, grid.times)
 
@@ -296,17 +299,37 @@ def _parametric_family(cfg):
     raise ConfigError(f"unknown parametric family: {family}")
 
 
+def _landweber_config(cfg, ct_variant):
+    """The full-field InversionConfig; without an `inversion.noise_delta`
+    key its noise level is 0 until the measurements fill it in."""
+    try:
+        return InversionConfig(
+            step_rule=_get(cfg, "inversion.step_rule", "backtracking"),
+            omega=(_get(cfg, "inversion.omega", cast=float)
+                   if "inversion.omega" in cfg else None),
+            max_iterations=_get(cfg, "inversion.max_iterations", 200, int),
+            noise_delta=_get_nonnegative(cfg, "inversion.noise_delta", 0.0),
+            tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
+            ct_variant=ct_variant)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_invert(cfg, args, out):
     mode = _get(cfg, "inversion.mode", "full_field")
     if mode not in ("full_field", "parametric"):
         raise ConfigError(f"unknown inversion mode: {mode}")
+    # every inversion key is checked before the twin data is solved
+    if mode == "parametric":
+        family = _parametric_family(cfg)
+    else:
+        config = _landweber_config(cfg, args.ct_variant)
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid)
     series, truth = _obtain_measurements(cfg, grid, coeffs, args.seed)
     summary = {}
 
     if mode == "parametric":
-        family = _parametric_family(cfg)
         result = reconstruct_parametric(series, coeffs, grid, family)
         params = result.family.parameters
         with open(os.path.join(out, "parameters.csv"), "w") as fh:
@@ -318,20 +341,9 @@ def cmd_invert(cfg, args, out):
                         "n_evaluations": result.n_evaluations})
         recon = result.family.field(grid)
     else:
-        noise_delta = series.noise_delta or 0.0
-        try:
-            config = InversionConfig(
-                step_rule=_get(cfg, "inversion.step_rule", "backtracking"),
-                omega=(_get(cfg, "inversion.omega", cast=float)
-                       if "inversion.omega" in cfg else None),
-                max_iterations=_get(cfg, "inversion.max_iterations", 200,
-                                    int),
-                noise_delta=_get_nonnegative(cfg, "inversion.noise_delta",
-                                             noise_delta),
-                tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
-                ct_variant=args.ct_variant)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if "inversion.noise_delta" not in cfg:
+            config = dataclasses.replace(
+                config, noise_delta=series.noise_delta or 0.0)
         state = run_inversion(series, coeffs, grid, config=config)
         save_iteration_log(os.path.join(out, "iterations.csv"), state)
         summary.update({"iterations": state.iterations,

@@ -45,10 +45,6 @@ class ConstantSet:
     L_G: float
     ct_variant: str
 
-    @property
-    def C1(self):
-        return np.sqrt(self.C1_sq)
-
 
 def compute_constants(length, final_time, bounds, C_F=1.0,
                       theta0_norm=0.0, thetaL_norm=0.0,

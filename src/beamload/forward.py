@@ -40,12 +40,12 @@ def newmark_integrate(M, C, K, forces, dt):
     M, C and K are symmetric matrices in LAPACK upper band storage, shape
     (k + 1, n_dofs) with ab[k + i - j, j] = A[i, j], as `assembly`
     stores them; the bandwidth k is read from the storage.  `forces` has
-    shape (n_times, n_dofs) sampled at the time instants.  Returns
-    displacement, velocity and acceleration histories with shape
-    (n_dofs, n_times).  The effective matrix K + a0 M + a1 C is summed
-    band by band and factored once with a banded symmetric Cholesky
-    factorization; each step makes two banded matvecs and one banded
-    solve.
+    shape (n_times, n_dofs) sampled at the time instants.  Returns the
+    displacement and velocity histories (u, v), each (n_dofs, n_times);
+    only the current acceleration is kept.  The effective matrix
+    K + a0 M + a1 C is summed band by band and factored once with a
+    banded symmetric Cholesky factorization; each step makes two banded
+    matvecs and one banded solve.
     """
     n_times, n = forces.shape
     if not np.all(np.isfinite(forces)):
@@ -65,8 +65,7 @@ def newmark_integrate(M, C, K, forces, dt):
 
     u = np.zeros((n, n_times))
     v = np.zeros((n, n_times))
-    a = np.zeros((n, n_times))
-    a[:, 0] = _banded_solve(cb_M, forces[0])
+    ak = _banded_solve(cb_M, forces[0])
 
     # the BLAS matvecs and LAPACK triangular solves are called directly on
     # the bands and the state is checked for finiteness once per pass, not
@@ -74,18 +73,18 @@ def newmark_integrate(M, C, K, forces, dt):
     # floating-point warnings
     with np.errstate(all="ignore"):
         for k in range(n_times - 1):
-            uk, vk, ak = u[:, k], v[:, k], a[:, k]
+            uk, vk = u[:, k], v[:, k]
             rhs = (forces[k + 1]
                    + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + a3 * ak)
                    + dsbmv(kd, 1.0, C, a1 * uk + a4 * vk + a5 * ak))
             un = _banded_solve(cb_eff, rhs)
             an = a0 * (un - uk) - a2 * vk - a3 * ak
-            vn = vk + a6 * ak + a7 * an
-            u[:, k + 1], v[:, k + 1], a[:, k + 1] = un, vn, an
+            u[:, k + 1], v[:, k + 1] = un, vk + a6 * ak + a7 * an
+            ak = an
     bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
     if bad.size:
         raise DivergenceError(f"non-finite state at step {bad[0]}")
-    return u, v, a
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,7 @@ def solve_forward(coeffs, load, grid, system=None):
     if system is None:
         system = assemble(grid, coeffs)
     forces = consistent_forces(system, load)
-    u, v, _ = newmark_integrate(system.M, system.C, system.K, forces,
-                                grid.dt)
+    u, v = newmark_integrate(system.M, system.C, system.K, forces, grid.dt)
     outputs = MeasurementSeries(theta0=u[system.theta0_dof].copy(),
                                 thetaL=u[system.thetaL_dof].copy())
     return BeamTrajectory(u=u, v=v, outputs=outputs, grid=grid, system=system)

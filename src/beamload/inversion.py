@@ -58,13 +58,17 @@ class InversionState:
     load: LoadField
     J_history: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
-    discrepancy_history: list = field(default_factory=list)
     stop_reason: str = ""
     omega: float = 0.0
 
     @property
     def iterations(self):
         return len(self.J_history) - 1
+
+    @property
+    def discrepancy_history(self):
+        """Output residual norms sqrt(2 J), one per iterate."""
+        return [np.sqrt(2.0 * J) for J in self.J_history]
 
 
 def default_step(grid, coeffs, config):
@@ -98,10 +102,9 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
                                             grid, system=system,
                                             evaluation=evaluation)
         J = evaluation.J
-        gnorm = grad.norm
+        gnorm = np.sqrt(spacetime_inner(grad, grad, grid))
         state.J_history.append(J)
         state.grad_history.append(gnorm)
-        state.discrepancy_history.append(np.sqrt(2.0 * J))
         state.load = load
 
         if 2.0 * J <= morozov_sq:
@@ -138,7 +141,7 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
 
 
 def _step(load, grad, step, C_F):
-    new = LoadField(load.values - step * grad.values, load.grid)
+    new = LoadField(load.values - step * grad, load.grid)
     if C_F is not None:
         new = project_admissible(new, C_F)
     return new
@@ -191,7 +194,6 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     """
     system = assemble(grid, coeffs)
     kind = type(family)
-    evals = [0]
     scale = []
 
     def objective(params):
@@ -199,10 +201,8 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
         load = fam.field(grid)
         grad, evaluation = compute_gradient(load, measurements, coeffs,
                                             grid, system=system)
-        evals[0] += 1
         jac = fam.jacobian(grid)
-        g = np.array([spacetime_inner(grad.values, d.values, grid)
-                      for d in jac])
+        g = np.array([spacetime_inner(grad, d.values, grid) for d in jac])
         if not scale:
             # L-BFGS-B weighs each decrease against max(|J|, 1): scaled to
             # 1 at the start, a small misfit no longer ends the fit early
@@ -216,7 +216,7 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     return ParametricResult(family=best, J=float(result.fun) * scale[0],
                             converged=bool(result.success),
                             identifiable=identifiable,
-                            n_evaluations=evals[0])
+                            n_evaluations=int(result.nfev))
 
 
 def _identifiable(family, grid, system):

@@ -26,14 +26,19 @@ def save_coefficient(path, nodes, values):
             fh.write(f"{_fmt(x)},{_fmt(v)}\n")
 
 
+def _check_coordinates(path, found, expected, name):
+    """A CSV's coordinate column must match the grid's to 1e-12."""
+    if not np.allclose(found, expected, rtol=1e-12, atol=1e-12):
+        raise DimensionError(f"{path}: {name} coordinates do not match grid")
+
+
 def load_coefficient(path, nodes):
     """Read a coefficient CSV and check it matches the grid nodes."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     if data.shape[0] != len(nodes):
         raise DimensionError(
             f"{path}: {data.shape[0]} samples, grid has {len(nodes)} nodes")
-    if not np.allclose(data[:, 0], nodes, rtol=1e-12, atol=1e-12):
-        raise DimensionError(f"{path}: node coordinates do not match grid")
+    _check_coordinates(path, data[:, 0], nodes, "node")
     return data[:, 1].copy()
 
 
@@ -52,11 +57,16 @@ def save_load(path, load):
 
 
 def load_load(path, grid):
+    """Read an x-major `x,t,value` CSV and check it matches the grid."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     expected = grid.n_nodes * grid.n_times
     if data.shape[0] != expected:
         raise DimensionError(f"{path}: {data.shape[0]} rows, "
                              f"grid expects {expected}")
+    _check_coordinates(path, data[:, 0], np.repeat(grid.nodes, grid.n_times),
+                       "node")
+    _check_coordinates(path, data[:, 1], np.tile(grid.times, grid.n_nodes),
+                       "time")
     values = data[:, 2].reshape(grid.n_nodes, grid.n_times)
     return LoadField(values, grid)
 
@@ -75,11 +85,13 @@ def save_measurements(path, times, series):
 
 def load_measurements(path, grid):
     """Read a `t,theta0,thetaL` CSV; non-finite slopes are a numeric
-    failure (DivergenceError), a wrong row count a DimensionError."""
+    failure (DivergenceError), a wrong row count or time column a
+    DimensionError."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     if data.shape[0] != grid.n_times:
         raise DimensionError(f"{path}: {data.shape[0]} rows, "
                              f"grid expects {grid.n_times}")
+    _check_coordinates(path, data[:, 0], grid.times, "time")
     if not np.all(np.isfinite(data[:, 1:3])):
         raise DivergenceError(f"{path}: non-finite measurements")
     return MeasurementSeries(theta0=data[:, 1].copy(),

@@ -51,29 +51,25 @@ def add_noise(series, spec, dt):
         deltas.append(target)
         noisy.append(clean + e)
     realized = float(np.hypot(*deltas))
-    return MeasurementSeries(theta0=noisy[0], thetaL=noisy[1], tag="raw",
+    return MeasurementSeries(theta0=noisy[0], thetaL=noisy[1],
                              noise_delta=realized)
 
 
 def smooth_to_h1(series, times):
-    """Cubic smoothing-spline fit per channel, tagged H1-smoothed.
+    """Cubic smoothing-spline fit per channel.
 
     Each channel's curvature penalty weight is picked by `_pick_lambda`
     from the recorded noise level; without one the spline interpolates.
-    Values and the analytic first derivative come from the one fit.
     """
     target = None
     if series.noise_delta is not None:
         # per-channel share of the recorded absolute noise
         target = series.noise_delta / np.sqrt(2.0)
-    smoothed, derivs = [], []
+    smoothed = []
     for values in (series.theta0, series.thetaL):
         lam = _pick_lambda(times, values, target)
-        spline = make_smoothing_spline(times, values, lam=lam)
-        smoothed.append(spline(times))
-        derivs.append(spline.derivative()(times))
+        smoothed.append(make_smoothing_spline(times, values, lam=lam)(times))
     return MeasurementSeries(theta0=smoothed[0], thetaL=smoothed[1],
-                             tag="h1", dtheta0=derivs[0], dthetaL=derivs[1],
                              noise_delta=series.noise_delta)
 
 

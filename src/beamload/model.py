@@ -151,8 +151,8 @@ def validate_coefficients(coeffs):
     Returns a ValidationReport with one entry per field and violated
     condition (non-finite samples, samples outside a bound, each
     non-finite bound), naming the first offending node.  Requires
-    strictly positive lower bounds for rho_A, r, kappa; mu and T_r may
-    vanish.
+    strictly positive lower bounds for rho_A, r, kappa and nonnegative
+    ones for mu and T_r, so every sample inside its bounds is admissible.
     """
     b = coeffs.bounds
     fields = {
@@ -171,8 +171,9 @@ def validate_coefficients(coeffs):
             if not np.isfinite(bound):
                 violations.append((name, -1, bound,
                                    f"{side} bound must be finite", 1))
-        if strict and lo <= 0:
-            violations.append((name, -1, lo, "lower bound must be positive",
+        if lo < 0 or (strict and lo == 0):
+            sign = "positive" if strict else "nonnegative"
+            violations.append((name, -1, lo, f"lower bound must be {sign}",
                                1))
             continue
         for condition, bad in (("finiteness", ~np.isfinite(values)),
@@ -250,27 +251,17 @@ def project_admissible(load, C_F):
 class MeasurementSeries:
     """End-slope series theta_0(t), theta_l(t) in rad.
 
-    `tag` is "raw" or "h1"; in the smoothed state the first-derivative
-    series are available.  `noise_delta` records the realized absolute
-    perturbation norm when noise was injected (for Morozov stopping).
+    `noise_delta` records the realized absolute perturbation norm when
+    noise was injected (for Morozov stopping).
     """
 
     theta0: np.ndarray
     thetaL: np.ndarray
-    tag: str = "raw"
-    dtheta0: np.ndarray = None
-    dthetaL: np.ndarray = None
     noise_delta: float = None
 
     def __post_init__(self):
         if len(self.theta0) != len(self.thetaL):
             raise DimensionError("theta series lengths differ")
-        if self.tag == "h1":
-            if self.dtheta0 is None or self.dthetaL is None:
-                raise DimensionError("h1-smoothed series need derivatives")
-            if not (np.all(np.isfinite(self.dtheta0))
-                    and np.all(np.isfinite(self.dthetaL))):
-                raise DimensionError("derivative series must be finite")
 
     @property
     def n_times(self):

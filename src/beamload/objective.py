@@ -6,7 +6,7 @@ import numpy as np
 
 from .assembly import assemble
 from .forward import impulse_kernel, solve_forward
-from .model import spacetime_inner, time_inner
+from .model import time_inner
 
 
 @dataclass(frozen=True)
@@ -16,21 +16,7 @@ class ObjectiveEvaluation:
     J: float
     p: np.ndarray          # u_x(0,.;F) - theta_0
     q: np.ndarray          # u_x(l,.;F) - theta_l
-    misfit0: float
-    misfitL: float
     system: object
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """J'(F) = phi(x, t; F) sampled on the load grid."""
-
-    values: np.ndarray
-    grid: object
-
-    @property
-    def norm(self):
-        return np.sqrt(spacetime_inner(self.values, self.values, self.grid))
 
 
 def apply_io_operators(load, coeffs, grid, system=None):
@@ -52,16 +38,15 @@ def evaluate_objective(load, measurements, coeffs, grid, system=None):
     theta0, thetaL = impulse_kernel(system, grid).outputs(load.values)
     p = theta0 - measurements.theta0
     q = thetaL - measurements.thetaL
-    m0 = 0.5 * time_inner(p, p, grid.dt)
-    mL = 0.5 * time_inner(q, q, grid.dt)
-    return ObjectiveEvaluation(J=m0 + mL, p=p, q=q, misfit0=m0, misfitL=mL,
-                               system=system)
+    J = 0.5 * time_inner(p, p, grid.dt) + 0.5 * time_inner(q, q, grid.dt)
+    return ObjectiveEvaluation(J=J, p=p, q=q, system=system)
 
 
 def compute_gradient(load, measurements, coeffs, grid, system=None,
                      evaluation=None):
-    """Adjoint gradient of the misfit: the adjoint field of `solve_adjoint`
-    driven by the output residuals, convolved from the impulse kernel.
+    """Adjoint gradient of the misfit, J'(F) = phi: the nodal (node, time)
+    adjoint field of `solve_adjoint` driven by the output residuals,
+    convolved from the impulse kernel.  Returns (phi, evaluation).
 
     Raw (unsmoothed) noisy measurements are accepted but the gradient may
     be polluted; smooth them to H1 first.
@@ -70,6 +55,6 @@ def compute_gradient(load, measurements, coeffs, grid, system=None,
         evaluation = evaluate_objective(load, measurements, coeffs, grid,
                                         system=system)
     system = evaluation.system
-    values = system.nodal(impulse_kernel(system, grid).adjoint_deflection(
+    phi = system.nodal(impulse_kernel(system, grid).adjoint_deflection(
         evaluation.p, evaluation.q))
-    return GradientField(values=values, grid=grid), evaluation
+    return phi, evaluation

@@ -135,7 +135,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
         # Lipschitz continuity of the gradient, from the misfits above
         g1, _ = compute_gradient(load, meas, coeffs, grid, evaluation=e1)
         g2, _ = compute_gradient(load2, meas, coeffs, grid, evaluation=e2)
-        diff = g1.values - g2.values
+        diff = g1 - g2
         lhs_g = np.sqrt(spacetime_inner(diff, diff, grid))
         rows.append(CheckRow.bound("gradient_lipschitz", tag, lhs_g,
                                    consts.L_G * dF, slack))
@@ -187,7 +187,7 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3):
         Jm = evaluate_objective(LoadField(F.values - eps * D.values, grid),
                                 meas, coeffs, grid, system=system).J
         fd = (Jp - Jm) / (2 * eps)
-        an = spacetime_inner(grad.values, D.values, grid)
+        an = spacetime_inner(grad, D.values, grid)
         rel = abs(fd - an) / max(abs(fd), EPS_FLOOR)
         rows.append(CheckRow.bound("gradient_fd", f"s{s:02d}", rel, tol))
     return SuiteReport(tuple(rows))

@@ -5,7 +5,9 @@ import zlib
 import numpy as np
 import pytest
 
+from beamload import cli
 from beamload.cli import main
+from beamload.forward import solve_forward
 
 BASE = """
 grid.length = 1.0
@@ -186,6 +188,17 @@ def test_wrong_length_measurements_is_config_error(tmp_path, capsys, n_rows):
     assert f"{n_rows} rows, grid expects 97" in err
 
 
+def test_measurements_from_another_time_grid_is_config_error(tmp_path,
+                                                            capsys):
+    meas = tmp_path / "meas.csv"
+    # 97 rows as on the 96-step grid, but over twice its final time
+    rows = "".join(f"{2.0 * i / 96},0,0\n" for i in range(97))
+    meas.write_text("t,theta0,thetaL\n" + rows)
+    cfg = write_cfg(tmp_path, BASE + f"measurements.path = {meas}\n")
+    assert run("invert", cfg, tmp_path / "out") == 2
+    assert "time coordinates" in assert_one_line_config_error(capsys)
+
+
 def test_non_finite_measurements_is_numeric_failure(tmp_path, capsys):
     meas = tmp_path / "meas.csv"
     rows = "".join(f"{i / 96},{'nan' if i == 40 else 0},0\n"
@@ -257,12 +270,42 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
     ("verify", "verify.duality_tol = -1\n", ()),
     ("verify", "verify.fd_tol = 0\n", ()),
     ("verify", "verify.n_scenarios = 0\nverify.duality_tol = nan\n", ()),
+    ("invert", "coeff.mu = -1\n", ()),
+    ("invert", "coeff.T_r = -1\n", ()),
+    ("invert", "bounds.mu0 = -1\n", ()),
+    ("invert", "bounds.Tr0 = -1\n", ()),
 ])
 def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
                     + extra)
     assert run(cmd, cfg, tmp_path / "out", argv) == 2
     assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("extra", [
+    "inversion.tau_d = abc\n",
+    "inversion.omega = 0\n",
+    "inversion.max_iterations = 1.5\n",
+    "inversion.noise_delta = -1\n",
+    "inversion.step_rule = bogus\n",
+    "inversion.mode = parametric\ninversion.init_sigma = nan\n",
+    "inversion.mode = parametric\ninversion.family = bogus\n",
+    "noise.seed = -1\n",
+])
+def test_invert_keys_are_read_before_the_twin_solve(tmp_path, capsys,
+                                                       monkeypatch, extra):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_forward", spy)
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
+                    + "noise.delta_rel = 0.05\n" + extra)
+    assert run("invert", cfg, tmp_path / "out") == 2
+    assert_one_line_config_error(capsys)
+    assert calls == []
 
 
 def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):

@@ -19,7 +19,7 @@ def test_reference_values_at_unit_parameters():
     assert c.C_L == pytest.approx(np.sqrt(c.C1_sq), rel=1e-15)
     assert c.C_T == pytest.approx(2.0)
     assert c.C0_sq == pytest.approx(40.0 / 3.0, rel=1e-15)
-    L_G = np.sqrt((e - 1.0) / 0.02) * np.sqrt(40.0 / 3.0) * c.C1
+    L_G = np.sqrt((e - 1.0) / 0.02) * np.sqrt(40.0 / 3.0) * np.sqrt(c.C1_sq)
     assert c.L_G == pytest.approx(L_G, rel=1e-13)
 
 

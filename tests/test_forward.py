@@ -17,8 +17,12 @@ def test_newmark_scalar_oscillator_oracle():
     T, n = 2 * np.pi, 2000
     dt = T / n
     forces = np.ones((n + 1, 1))
-    u, v, a = newmark_integrate(np.eye(1), np.zeros((1, 1)), np.eye(1),
-                                forces, dt)
+    result = newmark_integrate(np.eye(1), np.zeros((1, 1)), np.eye(1),
+                               forces, dt)
+    # displacement and velocity only: no acceleration history is kept
+    assert isinstance(result, tuple) and len(result) == 2
+    u, v = result
+    assert u.shape == v.shape == (1, n + 1)
     t = np.linspace(0, T, n + 1)
     assert np.max(np.abs(u[0] - (1 - np.cos(t)))) < 1e-4
     assert np.max(np.abs(v[0] - np.sin(t))) < 1e-4

@@ -7,8 +7,8 @@ from beamload.forward import solve_forward
 from beamload.inversion import (InversionConfig, default_step,
                                 reconstruct_parametric, run_inversion)
 from beamload.constants import compute_constants
-from beamload.measurements import (MovingGaussian, NoiseSpec, add_noise,
-                                   smooth_to_h1)
+from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
+                                   add_noise, smooth_to_h1)
 from beamload.model import (CoefficientSet, LoadField, MeasurementSeries,
                             SpaceTimeGrid, l2_norm_spacetime)
 
@@ -121,6 +121,38 @@ def test_parametric_noiseless_twin_recovers_parameters():
     rel = np.abs(result.family.parameters - truth.parameters) \
         / np.abs(truth.parameters)
     assert np.max(rel) < 0.01
+
+
+@pytest.mark.parametrize("truth,start", [
+    (MovingGaussian(amplitude=2.0, speed=1.0, sigma=0.15),
+     MovingGaussian(amplitude=1.0, speed=0.8, sigma=0.2)),
+    (ModalLoad((1.0, 0.5)), ModalLoad((0.2, 0.1))),
+])
+def test_parametric_evaluations_are_gradient_calls(twin, monkeypatch, truth,
+                                                   start):
+    """`n_evaluations` is the optimizer's count, and each evaluation is
+    one adjoint gradient."""
+    grid, coeffs, _, _ = twin
+    series = solve_forward(coeffs, truth.field(grid), grid).outputs
+    calls = []
+    gradient = inversion.compute_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "compute_gradient", counted)
+    result = reconstruct_parametric(series, coeffs, grid, start)
+    assert result.n_evaluations == len(calls) > 1
+
+
+def test_discrepancy_is_derived_from_the_misfit(twin):
+    grid, coeffs, _, series = twin
+    state = run_inversion(series, coeffs, grid, config=InversionConfig(
+        step_rule="backtracking", max_iterations=5))
+    assert state.discrepancy_history == [np.sqrt(2.0 * J)
+                                         for J in state.J_history]
+    assert len(state.discrepancy_history) == state.iterations + 1
 
 
 def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):

@@ -33,6 +33,13 @@ def test_load_round_trip(tmp_path, grid):
     save_load(path, load)
     again = load_load(path, grid)
     assert np.array_equal(again.values, load.values)
+    # same row count, but another final time or length
+    for other in (SpaceTimeGrid(length=1.0, final_time=2.0, n_elements=4,
+                                n_steps=4),
+                  SpaceTimeGrid(length=3.0, final_time=1.0, n_elements=4,
+                                n_steps=4)):
+        with pytest.raises(DimensionError, match="coordinates"):
+            load_load(path, other)
 
 
 def test_measurements_round_trip(tmp_path, grid):
@@ -47,6 +54,11 @@ def test_measurements_round_trip(tmp_path, grid):
                              n_steps=8)
     with pytest.raises(DimensionError):
         load_measurements(path, bad_grid)
+    # same row count, but another final time
+    longer = SpaceTimeGrid(length=1.0, final_time=2.0, n_elements=4,
+                           n_steps=4)
+    with pytest.raises(DimensionError, match="time coordinates"):
+        load_measurements(path, longer)
 
 
 def test_sidecar_round_trip(tmp_path):

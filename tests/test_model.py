@@ -113,6 +113,27 @@ def test_validate_coefficients_requires_positive_lower_bounds():
     assert not report.ok
 
 
+@pytest.mark.parametrize("field,bounds", [
+    ("mu", CoefficientBounds(1, 1, -1, 0, 0, 0, 1, 1, 0.01, 0.01)),
+    ("T_r", CoefficientBounds(1, 1, 0, 0, -1, 0, 1, 1, 0.01, 0.01)),
+])
+def test_validate_coefficients_requires_nonnegative_damping_and_tension(
+        field, bounds):
+    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
+    # vanishing damping and tension stay admissible
+    assert validate_coefficients(CoefficientSet.constant(g)).ok
+    # a negative lower bound is flagged even when every sample is zero
+    report = validate_coefficients(CoefficientSet.constant(g,
+                                                           bounds=bounds))
+    assert [v[:2] for v in report.violations] == [(field, -1)]
+    assert "must be nonnegative" in str(report)
+    # a negative sample falls below the zero lower bound
+    coeffs = CoefficientSet.constant(g)
+    getattr(coeffs, field)[3] = -1.0
+    report = validate_coefficients(coeffs)
+    assert [v[:2] for v in report.violations] == [(field, 3)]
+
+
 def test_validate_coefficients_flags_non_finite_values():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
     coeffs = CoefficientSet.constant(g)
@@ -129,9 +150,6 @@ def test_validate_coefficients_flags_non_finite_values():
                                                          ("kappa", -1)}
 
 
-def test_measurement_series_h1_state_needs_derivatives():
-    y = np.zeros(5)
+def test_measurement_series_rejects_unequal_lengths():
     with pytest.raises(DimensionError):
-        MeasurementSeries(theta0=y, thetaL=y, tag="h1")
-    with pytest.raises(DimensionError):
-        MeasurementSeries(theta0=y, thetaL=np.zeros(4))
+        MeasurementSeries(theta0=np.zeros(5), thetaL=np.zeros(4))

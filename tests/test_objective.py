@@ -39,7 +39,6 @@ def test_objective_at_truth_and_at_zero(small_grid, small_coeffs):
     expected = 0.5 * (series_l2_norm(meas.theta0, small_grid.dt) ** 2
                       + series_l2_norm(meas.thetaL, small_grid.dt) ** 2)
     assert at_zero.J == pytest.approx(expected, rel=1e-12)
-    assert at_zero.J == pytest.approx(at_zero.misfit0 + at_zero.misfitL)
 
 
 def test_duality_identity(small_grid, small_coeffs):
@@ -69,7 +68,7 @@ def test_gradient_vanishes_at_consistent_data(small_grid, small_coeffs):
     grad, evaluation = compute_gradient(truth, meas, small_coeffs,
                                         small_grid)
     assert evaluation.J <= 1e-20
-    assert grad.norm <= 1e-10
+    assert np.sqrt(spacetime_inner(grad, grad, small_grid)) <= 1e-10
 
 
 def test_ill_posedness_high_mode_output_collapse(small_grid, small_coeffs):
