@@ -1,14 +1,14 @@
 """Synthetic measurement generation, noise injection and H1 smoothing.
 
 The adjoint problem needs differentiable moment data, so raw (noisy)
-series are fitted with a cubic smoothing spline before inversion.
+series are fitted with a natural cubic smoothing spline before inversion.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
+from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
 from .errors import ConfigError
@@ -56,7 +56,7 @@ def add_noise(series, spec, dt):
 
 
 def smooth_to_h1(series, times):
-    """Cubic smoothing-spline fit per channel.
+    """Natural cubic smoothing-spline fit per channel.
 
     Each channel's curvature penalty weight is picked by `_pick_lambda`
     from the recorded noise level; without one the spline interpolates.
@@ -68,7 +68,7 @@ def smooth_to_h1(series, times):
     smoothed = []
     for values in (series.theta0, series.thetaL):
         lam = _pick_lambda(times, values, target)
-        smoothed.append(make_smoothing_spline(times, values, lam=lam)(times))
+        smoothed.append(make_smoothing_spline(times, values, lam))
     return MeasurementSeries(theta0=smoothed[0], thetaL=smoothed[1],
                              noise_delta=series.noise_delta)
 
@@ -85,14 +85,43 @@ def _pick_lambda(times, values, target):
     # cached, so that Brent's first two calls reuse the end checks' fits
     @functools.cache
     def excess(log_lam):
-        spline = make_smoothing_spline(times, values, lam=np.exp(log_lam))
-        return series_l2_norm(spline(times) - values, dt) - target
+        fit = make_smoothing_spline(times, values, np.exp(log_lam))
+        return series_l2_norm(fit - values, dt) - target
 
     if excess(np.log(lo)) > 0:
         return lo
     if excess(np.log(hi)) < 0:
         return hi
     return float(np.exp(brentq(excess, np.log(lo), np.log(hi))))
+
+
+def make_smoothing_spline(times, values, lam):
+    """Knot values f of the natural cubic spline minimising
+    sum (y_i - f_i)^2 + lam * int f''^2, for any knot spacing.
+
+    Reinsch form (Green & Silverman 1994, ch. 2): Q is the n x (n-2)
+    second-difference matrix (1/h_i, -1/h_i - 1/h_{i+1}, 1/h_{i+1}) and R
+    the tridiagonal ((h_i + h_{i+1})/3, h_{i+1}/6); one pentadiagonal SPD
+    solve (R + lam Q^T Q) gamma = Q^T y gives f = y - lam Q gamma.  At
+    lam = 0 the spline interpolates.
+    """
+    y = np.asarray(values, dtype=float)
+    if lam == 0.0:
+        return y.copy()
+    h = np.diff(times)
+    # row k of Q^T holds (a, b, c) in columns k, k+1, k+2
+    a, c = 1.0 / h[:-1], 1.0 / h[1:]
+    b = -a - c
+    band = np.zeros((3, len(b)))   # LAPACK upper band, diagonal last
+    band[2] = (h[:-1] + h[1:]) / 3.0 + lam * (a * a + b * b + c * c)
+    band[1, 1:] = h[1:-1] / 6.0 + lam * (b[:-1] * a[1:] + c[:-1] * b[1:])
+    band[0, 2:] = lam * c[:-2] * a[2:]
+    gamma = solveh_banded(band, a * y[:-2] + b * y[1:-1] + c * y[2:])
+    q_gamma = np.zeros_like(y)
+    q_gamma[:-2] += a * gamma
+    q_gamma[1:-1] += b * gamma
+    q_gamma[2:] += c * gamma
+    return y - lam * q_gamma
 
 
 @dataclass(frozen=True)

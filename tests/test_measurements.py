@@ -5,7 +5,8 @@ from beamload import measurements
 from beamload.errors import ConfigError
 from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
                                    _pick_lambda, add_noise, generate_scenario,
-                                   manufactured_case, smooth_to_h1)
+                                   make_smoothing_spline, manufactured_case,
+                                   smooth_to_h1)
 from beamload.model import (CoefficientSet, MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm)
 
@@ -111,6 +112,43 @@ def test_picked_lambda_clamps_to_bracket_ends():
     # no weight fits the data that closely, none smooths that much
     assert _pick_lambda(g.times, noisy.theta0, 1e-30) == 1e-14
     assert _pick_lambda(g.times, noisy.theta0, 1e30) == 1e6
+
+
+def noisy_knots(spacing, n=513, seed=7):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n)
+    if spacing == "non_uniform":
+        # each interior knot jittered by up to 40 % of a uniform gap
+        t[1:-1] += 0.4 * t[1] * rng.uniform(-1.0, 1.0, n - 2)
+    return t, np.pi * t ** 2 + 0.05 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "non_uniform"])
+@pytest.mark.parametrize("lam", [1e-14, 1e-10, 1e-6, 1e-3, 1e-2])
+def test_reinsch_fit_matches_scipy_smoothing_spline(spacing, lam):
+    # scipy's own error grows above lam = 1e-2, so the gate stops there
+    from scipy.interpolate import make_smoothing_spline as scipy_spline
+    t, y = noisy_knots(spacing)
+    reference = scipy_spline(t, y, lam=lam)(t)
+    fit = make_smoothing_spline(t, y, lam)
+    assert (np.linalg.norm(fit - reference)
+            <= 1e-9 * np.linalg.norm(reference))
+
+
+def test_reinsch_fit_interpolates_at_zero_weight():
+    t, y = noisy_knots("non_uniform")
+    fit = make_smoothing_spline(t, y, 0.0)
+    assert np.array_equal(fit, y) and fit is not y
+
+
+@pytest.mark.parametrize("lam, tol", [(1e6, 1e-6), (1e8, 1e-8)])
+def test_reinsch_fit_tends_to_least_squares_line(lam, tol):
+    # infinite curvature weight leaves only the null space of int f''^2:
+    # the straight line fitted to the data by least squares
+    t, y = noisy_knots("uniform")
+    line = np.polyval(np.polyfit(t, y, 1), t)
+    fit = make_smoothing_spline(t, y, lam)
+    assert np.linalg.norm(fit - line) <= tol * np.linalg.norm(line)
 
 
 def test_manufactured_case_closed_form(small_grid, small_coeffs):

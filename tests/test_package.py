@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,16 @@ DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 @pytest.mark.parametrize("name", beamload.__all__)
 def test_every_exported_name_resolves(name):
     assert hasattr(beamload, name)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the smoothing spline is solved in-house; importing scipy.interpolate
+    # would cost startup time and memory for nothing
+    code = "import sys, beamload; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         cwd=pathlib.Path(beamload.__file__).parent.parent)
+    assert out.stdout.strip() == "False"
 
 
 def test_demos_are_found():
