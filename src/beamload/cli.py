@@ -34,65 +34,102 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_COEFF_DEFAULTS = {"rho_A": 1.0, "mu": 0.0, "T_r": 0.0, "r": 1.0,
-                   "kappa": 0.01}
+
+def _checked(parse, ok, reason):
+    """A parser: `parse`, then a ValueError(reason) unless `ok(value)`."""
+    def parser(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return parser
 
 
-def _get(cfg, key, default=None, cast=str):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key: {key}")
-        return default
-    try:
-        value = cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    return value
+_finite = _checked(float, np.isfinite, "not finite")
+_positive = _checked(_finite, lambda v: v > 0, "not positive")
+_nonnegative = _checked(_finite, lambda v: v >= 0, "negative")
+_count = _checked(int, lambda v: v >= 0, "negative")
 
 
-def _get_floats(cfg, key, default):
+def _floats(raw):
     """A comma-separated list of finite numbers, as a tuple."""
-    values = _get(cfg, key, default,
-                  lambda raw: tuple(float(c) for c in raw.split(",")))
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    return values
+    return tuple(_finite(c) for c in raw.split(","))
 
 
-def _get_positive(cfg, key, default):
-    value = _get(cfg, key, default, float)
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-    return value
-
-
-def _get_nonnegative(cfg, key, default, cast=float):
-    value = _get(cfg, key, default, cast)
-    if value < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {cfg[key]!r}")
-    return value
-
-
-def _get_bool(cfg, key, default=False):
-    raw = cfg.get(key)
-    if raw is None:
-        return default
+def _bool(raw):
     if raw.lower() in ("true", "1", "yes"):
         return True
     if raw.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"bad boolean for {key}: {raw!r}")
+    raise ValueError("not a boolean")
+
+
+# Every config key any command reads: (parser, default).  A default of
+# None is filled in by the run: each bound by its field's sampled
+# extremum, `noise.seed` by --seed, `inversion.omega` by 1/L_G and
+# `inversion.noise_delta` by the measured noise level; the scenario and
+# measurement keys have no default.  A `coeff.*` value is a number or
+# the path of an x,value CSV.
+_KEYS = {
+    "grid.length": (_finite, 1.0), "grid.final_time": (_finite, 1.0),
+    "grid.n_elements": (int, 64), "grid.n_steps": (int, 512),
+    **{f"coeff.{name}": (str, value) for name, value in (
+        ("rho_A", 1.0), ("mu", 0.0), ("T_r", 0.0), ("r", 1.0),
+        ("kappa", 0.01))},
+    **{f"bounds.{name}{end}": (_finite, None)
+       for name in ("rho", "mu", "Tr", "r", "kappa") for end in "01"},
+    "scenario.kind": (str, None), "scenario.path": (str, None),
+    "scenario.amplitude": (_finite, 1.0), "scenario.speed": (_finite, 1.0),
+    "scenario.sigma": (_positive, 0.1),
+    "scenario.coefficients": (_floats, (1.0,)),
+    "noise.delta_rel": (_nonnegative, 0.0), "noise.seed": (_count, None),
+    "measurements.path": (str, None), "inversion.mode": (str, "full_field"),
+    "inversion.step_rule": (str, "backtracking"),
+    "inversion.omega": (_finite, None), "inversion.max_iterations": (int, 200),
+    "inversion.noise_delta": (_nonnegative, None),
+    "inversion.tau_d": (_finite, 1.1),
+    "inversion.family": (str, "moving_gaussian"),
+    "inversion.init_amplitude": (_finite, 1.0),
+    "inversion.init_speed": (_finite, 1.0),
+    "inversion.init_sigma": (_positive, 0.1),
+    "inversion.init_coefficients": (_floats, (0.0,)),
+    "verify.n_scenarios": (_count, 20), "verify.n_triples": (_count, 5),
+    "verify.n_directions": (_count, 5), "verify.fd_tol": (_positive, 5e-3),
+    "verify.duality_tol": (_positive, 1e-3),
+    "debug.flip_adjoint_sign": (_bool, False),
+}
+
+
+def read_config(path):
+    """The config at `path` as {key: value} over every declared key, each
+    parsed, or at its default where absent.  An undeclared key or a value
+    its parser rejects is a ConfigError that names the key."""
+    raw = parse_config(path)
+    unknown = [key for key in raw if key not in _KEYS]
+    if unknown:
+        raise ConfigError(f"undeclared config key: {', '.join(unknown)}")
+    cfg = {}
+    for key, (parse, default) in _KEYS.items():
+        try:
+            cfg[key] = parse(raw[key]) if key in raw else default
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for {key}: {raw[key]!r} ({exc})") from None
+    return cfg
+
+
+def _family(cfg, prefix):
+    """{name: value} of the keys `prefix + name`, in table order."""
+    return {key[len(prefix):]: cfg[key] for key in _KEYS
+            if key.startswith(prefix)}
 
 
 def build_grid(cfg):
     try:
-        return SpaceTimeGrid(length=_get(cfg, "grid.length", 1.0, float),
-                             final_time=_get(cfg, "grid.final_time", 1.0,
-                                             float),
-                             n_elements=_get(cfg, "grid.n_elements", 64, int),
-                             n_steps=_get(cfg, "grid.n_steps", 512, int))
+        return SpaceTimeGrid(length=cfg["grid.length"],
+                             final_time=cfg["grid.final_time"],
+                             n_elements=cfg["grid.n_elements"],
+                             n_steps=cfg["grid.n_steps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -103,36 +140,20 @@ def build_coefficients(cfg, grid):
     Declared bounds default to the sampled extrema of each field.
     """
     fields = {}
-    for name in _COEFF_DEFAULTS:
-        raw = cfg.get(f"coeff.{name}")
-        if raw is None:
-            fields[name] = np.full(grid.n_nodes, _COEFF_DEFAULTS[name])
-        else:
-            try:
-                fields[name] = np.full(grid.n_nodes, float(raw))
-            except ValueError:
-                if not os.path.exists(raw):
-                    raise ConfigError(
-                        f"coefficient file not found: {raw}") from None
-                fields[name] = load_coefficient(raw, grid.nodes)
-
-    def bound(key, fallback):
-        return _get(cfg, f"bounds.{key}", float(fallback), float)
-
-    bounds = CoefficientBounds(
-        rho0=bound("rho0", fields["rho_A"].min()),
-        rho1=bound("rho1", fields["rho_A"].max()),
-        mu0=bound("mu0", fields["mu"].min()),
-        mu1=bound("mu1", fields["mu"].max()),
-        Tr0=bound("Tr0", fields["T_r"].min()),
-        Tr1=bound("Tr1", fields["T_r"].max()),
-        r0=bound("r0", fields["r"].min()),
-        r1=bound("r1", fields["r"].max()),
-        kappa0=bound("kappa0", fields["kappa"].min()),
-        kappa1=bound("kappa1", fields["kappa"].max()))
-    coeffs = CoefficientSet(rho_A=fields["rho_A"], mu=fields["mu"],
-                            T_r=fields["T_r"], r=fields["r"],
-                            kappa=fields["kappa"], bounds=bounds)
+    for name, raw in _family(cfg, "coeff.").items():
+        try:
+            fields[name] = np.full(grid.n_nodes, float(raw))
+        except ValueError:
+            if not os.path.exists(raw):
+                raise ConfigError(
+                    f"coefficient file not found: {raw}") from None
+            fields[name] = load_coefficient(raw, grid.nodes)
+    extrema = [float(f(v)) for v in fields.values() for f in (np.min, np.max)]
+    bounds = CoefficientBounds(**{
+        name: extreme if value is None else value
+        for (name, value), extreme in zip(_family(cfg, "bounds.").items(),
+                                          extrema)})
+    coeffs = CoefficientSet(**fields, bounds=bounds)
     report = validate_coefficients(coeffs)
     if not report.ok:
         raise ConfigError(f"inadmissible coefficients:\n{report}")
@@ -144,34 +165,33 @@ def build_truth_load(cfg, grid, coeffs):
 
     Returns (load, exact_deflection_or_None, exact_outputs_or_None).
     """
-    kind = cfg.get("scenario.kind")
+    kind = cfg["scenario.kind"]
     if kind is None:
         return None, None, None
     if kind == "zero":
         return LoadField.zero(grid), None, None
     if kind == "manufactured":
-        load, exact_u, exact = manufactured_case(grid, coeffs)
-        return load, exact_u, exact
+        return manufactured_case(grid, coeffs)
     if kind == "load_csv":
-        path = _get(cfg, "scenario.path")
+        path = cfg["scenario.path"]
+        if path is None:
+            raise ConfigError("missing config key: scenario.path")
         if not os.path.exists(path):
             raise ConfigError(f"load file not found: {path}")
         return load_load(path, grid), None, None
     if kind == "moving_gaussian":
-        params = {"amplitude": _get(cfg, "scenario.amplitude", 1.0, float),
-                  "speed": _get(cfg, "scenario.speed", 1.0, float),
-                  "sigma": _get_positive(cfg, "scenario.sigma", 0.1)}
+        params = {"amplitude": cfg["scenario.amplitude"],
+                  "speed": cfg["scenario.speed"],
+                  "sigma": cfg["scenario.sigma"]}
         return scenario_load(kind, params, grid), None, None
     if kind == "modal":
-        params = {"coefficients": _get_floats(cfg, "scenario.coefficients",
-                                              (1.0,))}
+        params = {"coefficients": cfg["scenario.coefficients"]}
         return scenario_load(kind, params, grid), None, None
     if kind == "mode_pulse":
         # separable single space-time mode, the twin-data default
         x = grid.nodes[:, None]
         t = grid.times[None, :]
-        amp = _get(cfg, "scenario.amplitude", 1.0, float)
-        values = (amp * np.sin(np.pi * x / grid.length)
+        values = (cfg["scenario.amplitude"] * np.sin(np.pi * x / grid.length)
                   * np.sin(np.pi * t / grid.final_time))
         return LoadField(values, grid), None, None
     raise ConfigError(f"unknown scenario kind: {kind}")
@@ -184,22 +204,21 @@ def _twin_data(cfg, grid, coeffs, seed, missing):
     truth, _, _ = build_truth_load(cfg, grid, coeffs)
     if truth is None:
         raise ConfigError(missing)
-    delta_rel = _get_nonnegative(cfg, "noise.delta_rel", 0.0)
-    spec = None
-    if delta_rel > 0:
-        spec = NoiseSpec(delta_rel=delta_rel,
-                         seed=_get_nonnegative(cfg, "noise.seed", seed, int))
     clean = solve_forward(coeffs, truth, grid).outputs
-    if spec is None:
+    delta_rel = cfg["noise.delta_rel"]
+    if delta_rel == 0:
         return truth, clean, None, None
-    noisy = add_noise(clean, spec, grid.dt)
+    if cfg["noise.seed"] is not None:
+        seed = cfg["noise.seed"]
+    noisy = add_noise(clean, NoiseSpec(delta_rel=delta_rel, seed=seed),
+                      grid.dt)
     return truth, clean, noisy, smooth_to_h1(noisy, grid.times)
 
 
 def _obtain_measurements(cfg, grid, coeffs, seed):
     """Measurement series from a CSV, else the twin data (smoothed when
     noisy), with the truth load or None."""
-    path = cfg.get("measurements.path")
+    path = cfg["measurements.path"]
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"measurement file not found: {path}")
@@ -255,23 +274,18 @@ def cmd_verify(cfg, args, out):
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid)
     seed = args.seed
-    n_scenarios = _get_nonnegative(cfg, "verify.n_scenarios", 20, int)
-    n_triples = _get_nonnegative(cfg, "verify.n_triples", 5, int)
-    n_directions = _get_nonnegative(cfg, "verify.n_directions", 5, int)
-    duality_tol = _get_positive(cfg, "verify.duality_tol", 1e-3)
-    fd_tol = _get_positive(cfg, "verify.fd_tol", 5e-3)
-    flip = _get_bool(cfg, "debug.flip_adjoint_sign")
-
     rows = []
-    if n_scenarios > 0:
-        rows += verify_inequality_suite(grid, coeffs,
-                                        n_scenarios=n_scenarios, seed=seed,
-                                        ct_variant=args.ct_variant).rows
-        rows += duality_checks(grid, coeffs, n_triples=n_triples, seed=seed,
-                               tol=duality_tol,
-                               adjoint_sign=-1.0 if flip else 1.0).rows
-        rows += gradient_fd_checks(grid, coeffs, n_directions=n_directions,
-                                   seed=seed, tol=fd_tol).rows
+    if cfg["verify.n_scenarios"] > 0:
+        rows += verify_inequality_suite(
+            grid, coeffs, n_scenarios=cfg["verify.n_scenarios"], seed=seed,
+            ct_variant=args.ct_variant).rows
+        rows += duality_checks(
+            grid, coeffs, n_triples=cfg["verify.n_triples"], seed=seed,
+            tol=cfg["verify.duality_tol"],
+            adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0).rows
+        rows += gradient_fd_checks(
+            grid, coeffs, n_directions=cfg["verify.n_directions"], seed=seed,
+            tol=cfg["verify.fd_tol"]).rows
 
     save_check_report(os.path.join(out, "report.csv"),
                       [r.as_tuple() for r in rows])
@@ -287,39 +301,35 @@ def cmd_verify(cfg, args, out):
 
 
 def _parametric_family(cfg):
-    family = _get(cfg, "inversion.family", "moving_gaussian")
+    family = cfg["inversion.family"]
     if family == "moving_gaussian":
-        return MovingGaussian(
-            amplitude=_get(cfg, "inversion.init_amplitude", 1.0, float),
-            speed=_get(cfg, "inversion.init_speed", 1.0, float),
-            sigma=_get_positive(cfg, "inversion.init_sigma", 0.1))
+        return MovingGaussian(amplitude=cfg["inversion.init_amplitude"],
+                              speed=cfg["inversion.init_speed"],
+                              sigma=cfg["inversion.init_sigma"])
     if family == "modal":
-        return ModalLoad(_get_floats(cfg, "inversion.init_coefficients",
-                                     (0.0,)))
+        return ModalLoad(cfg["inversion.init_coefficients"])
     raise ConfigError(f"unknown parametric family: {family}")
 
 
 def _landweber_config(cfg, ct_variant):
     """The full-field InversionConfig; without an `inversion.noise_delta`
-    key its noise level is 0 until the measurements fill it in."""
+    its noise level is 0 until the measurements fill it in."""
     try:
         return InversionConfig(
-            step_rule=_get(cfg, "inversion.step_rule", "backtracking"),
-            omega=(_get(cfg, "inversion.omega", cast=float)
-                   if "inversion.omega" in cfg else None),
-            max_iterations=_get(cfg, "inversion.max_iterations", 200, int),
-            noise_delta=_get_nonnegative(cfg, "inversion.noise_delta", 0.0),
-            tau_d=_get(cfg, "inversion.tau_d", 1.1, float),
-            ct_variant=ct_variant)
+            step_rule=cfg["inversion.step_rule"],
+            omega=cfg["inversion.omega"],
+            max_iterations=cfg["inversion.max_iterations"],
+            noise_delta=cfg["inversion.noise_delta"] or 0.0,
+            tau_d=cfg["inversion.tau_d"], ct_variant=ct_variant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_invert(cfg, args, out):
-    mode = _get(cfg, "inversion.mode", "full_field")
+    mode = cfg["inversion.mode"]
     if mode not in ("full_field", "parametric"):
         raise ConfigError(f"unknown inversion mode: {mode}")
-    # every inversion key is checked before the twin data is solved
+    # the inversion settings are checked before the twin data is solved
     if mode == "parametric":
         family = _parametric_family(cfg)
     else:
@@ -341,7 +351,7 @@ def cmd_invert(cfg, args, out):
                         "n_evaluations": result.n_evaluations})
         recon = result.family.field(grid)
     else:
-        if "inversion.noise_delta" not in cfg:
+        if cfg["inversion.noise_delta"] is None:
             config = dataclasses.replace(
                 config, noise_delta=series.noise_delta or 0.0)
         state = run_inversion(series, coeffs, grid, config=config)
@@ -371,7 +381,7 @@ def cmd_scenario(cfg, args, out):
     save_measurements(os.path.join(out, "measurements_clean.csv"),
                       grid.times, clean)
     summary = {"load_norm": l2_norm_spacetime(truth),
-               "delta_rel": _get(cfg, "noise.delta_rel", 0.0, float)}
+               "delta_rel": cfg["noise.delta_rel"]}
     if noisy is not None:
         save_measurements(os.path.join(out, "measurements_noisy.csv"),
                           grid.times, noisy)
@@ -404,7 +414,7 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        cfg = parse_config(args.config)
+        cfg = read_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args, args.out)
         _write_manifest(args.out, args.config, args.seed, args)

@@ -1,5 +1,6 @@
 import hashlib
-import os
+import pathlib
+import re
 import zlib
 
 import numpy as np
@@ -282,6 +283,19 @@ def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     assert_one_line_config_error(capsys)
 
 
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """The argument tuples of every `solve_forward` call `cli` makes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_forward", spy)
+    return calls
+
+
 @pytest.mark.parametrize("extra", [
     "inversion.tau_d = abc\n",
     "inversion.omega = 0\n",
@@ -293,19 +307,33 @@ def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     "noise.seed = -1\n",
 ])
 def test_invert_keys_are_read_before_the_twin_solve(tmp_path, capsys,
-                                                       monkeypatch, extra):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solve_forward(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "solve_forward", spy)
+                                                       forward_calls, extra):
     cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"
                     + "noise.delta_rel = 0.05\n" + extra)
     assert run("invert", cfg, tmp_path / "out") == 2
     assert_one_line_config_error(capsys)
-    assert calls == []
+    assert forward_calls == []
+
+
+@pytest.mark.parametrize("cmd", ["forward", "verify", "invert", "scenario"])
+def test_undeclared_key_is_config_error(tmp_path, capsys, forward_calls, cmd):
+    # a misspelt key is refused, not ignored, under every command
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = mode_pulse\n"
+                    + "inversion.max_iteratons = 3\n")
+    assert run(cmd, cfg, tmp_path / "out") == 2
+    assert "inversion.max_iteratons" in assert_one_line_config_error(capsys)
+    assert forward_calls == []
+
+
+@pytest.mark.parametrize("key,kind", [("scenario.sigma", "modal"),
+                                      ("verify.fd_tol", "mode_pulse")])
+def test_bad_value_of_an_unread_key_is_config_error(tmp_path, capsys,
+                                                    forward_calls, key, kind):
+    # every present key is parsed, whether or not the command reads it
+    cfg = write_cfg(tmp_path, BASE + f"scenario.kind = {kind}\n{key} = 0\n")
+    assert run("invert", cfg, tmp_path / "out") == 2
+    assert key in assert_one_line_config_error(capsys)
+    assert forward_calls == []
 
 
 def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):
@@ -320,10 +348,6 @@ def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):
 
 
 MALFORMED = ("abc", "nan", "inf", "-inf", "-1", "0", "")
-COEFF_KEYS = tuple(f"coeff.{n}" for n in ("rho_A", "mu", "T_r", "r", "kappa"))
-BOUND_KEYS = tuple(f"bounds.{n}" for n in ("rho0", "rho1", "mu0", "mu1",
-                                           "Tr0", "Tr1", "r0", "r1",
-                                           "kappa0", "kappa1"))
 FULL_FIELD = BASE + """
 scenario.kind = mode_pulse
 noise.delta_rel = 0.05
@@ -350,25 +374,25 @@ verify.n_scenarios = 1
 verify.n_triples = 1
 verify.n_directions = 1
 """
-# every key `cli` reads, with a command and config under which it is read
-FUZZ_CASES = (
-    [("invert", FULL_FIELD, key) for key in (
-        "grid.length", "grid.final_time", "grid.n_elements", "grid.n_steps",
-        *COEFF_KEYS, *BOUND_KEYS, "scenario.kind", "scenario.amplitude",
-        "noise.delta_rel", "noise.seed", "measurements.path",
-        "inversion.mode", "inversion.step_rule", "inversion.omega",
-        "inversion.max_iterations", "inversion.noise_delta",
-        "inversion.tau_d")]
-    + [("invert", GAUSSIAN, key) for key in (
-        "scenario.speed", "scenario.sigma", "inversion.family",
-        "inversion.init_amplitude", "inversion.init_speed",
-        "inversion.init_sigma")]
-    + [("invert", MODAL, key) for key in (
-        "scenario.coefficients", "inversion.init_coefficients")]
-    + [("scenario", BASE + "scenario.kind = load_csv\n", "scenario.path")]
-    + [("verify", VERIFY, key) for key in (
-        "verify.n_scenarios", "verify.n_triples", "verify.n_directions",
-        "verify.duality_tol", "verify.fd_tol", "debug.flip_adjoint_sign")])
+# the command and config under which a key's value is used, where
+# `invert` on FULL_FIELD does not use it
+FUZZ_OVERRIDES = {
+    **dict.fromkeys(("scenario.speed", "scenario.sigma", "inversion.family",
+                     "inversion.init_amplitude", "inversion.init_speed",
+                     "inversion.init_sigma"), ("invert", GAUSSIAN)),
+    **dict.fromkeys(("scenario.coefficients", "inversion.init_coefficients"),
+                    ("invert", MODAL)),
+    "scenario.path": ("scenario", BASE + "scenario.kind = load_csv\n"),
+    **{key: ("verify", VERIFY) for key in cli._KEYS
+       if key.startswith(("verify.", "debug."))},
+}
+FUZZ_CASES = [(*FUZZ_OVERRIDES.get(key, ("invert", FULL_FIELD)), key)
+              for key in cli._KEYS]
+
+
+def test_fuzz_cases_cover_the_declared_keys():
+    assert {key for _, _, key in FUZZ_CASES} == set(cli._KEYS)
+    assert set(FUZZ_OVERRIDES) <= set(cli._KEYS)
 
 
 @pytest.mark.parametrize("cmd,base,key", FUZZ_CASES,
@@ -388,3 +412,15 @@ def test_malformed_value_keeps_exit_code_contract(tmp_path, monkeypatch,
         if code in (2, 3):
             assert len(err.splitlines()) == 1, (value, err)
             assert "Traceback" not in err, (value, err)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_documents_the_declared_keys(tmp_path):
+    text = README.read_text()
+    listed = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    assert set(re.findall(r"`([a-z]+\.\w+)`", listed)) == set(cli._KEYS)
+    example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    cfg = cli.read_config(write_cfg(tmp_path, example))
+    assert cfg["inversion.mode"] == "parametric"
