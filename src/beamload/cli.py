@@ -6,7 +6,6 @@ error, 3 numeric failure.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -21,8 +20,8 @@ from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
                  save_iteration_log, save_load, save_measurements,
                  save_sidecar)
-from .measurements import (ModalLoad, MovingGaussian, NoiseSpec, add_noise,
-                           manufactured_case, scenario_load, smooth_to_h1)
+from .measurements import (NoiseSpec, add_noise, load_family,
+                           manufactured_case, smooth_to_h1)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
                     validate_coefficients)
@@ -49,6 +48,13 @@ _finite = _checked(float, np.isfinite, "not finite")
 _positive = _checked(_finite, lambda v: v > 0, "not positive")
 _nonnegative = _checked(_finite, lambda v: v >= 0, "negative")
 _count = _checked(int, lambda v: v >= 0, "negative")
+_mesh_count = _checked(int, lambda v: v >= 4, "below 4")
+
+
+def _one_of(*names):
+    """A parser that accepts only one of `names`."""
+    return _checked(str, lambda v: v in names,
+                    f"not one of {', '.join(names)}")
 
 
 def _floats(raw):
@@ -64,31 +70,38 @@ def _bool(raw):
     raise ValueError("not a boolean")
 
 
-# Every config key any command reads: (parser, default).  A default of
-# None is filled in by the run: each bound by its field's sampled
+# Every config key any command reads: (parser, default).  The parser
+# accepts only the key's allowed names or range, so a command checks no
+# config value itself.  A default of None is filled in by the run: each bound by its field's sampled
 # extremum, `noise.seed` by --seed, `inversion.omega` by 1/L_G and
 # `inversion.noise_delta` by the measured noise level; the scenario and
 # measurement keys have no default.  A `coeff.*` value is a number or
 # the path of an x,value CSV.
 _KEYS = {
-    "grid.length": (_finite, 1.0), "grid.final_time": (_finite, 1.0),
-    "grid.n_elements": (int, 64), "grid.n_steps": (int, 512),
+    "grid.length": (_positive, 1.0), "grid.final_time": (_positive, 1.0),
+    "grid.n_elements": (_mesh_count, 64), "grid.n_steps": (_mesh_count, 512),
     **{f"coeff.{name}": (str, value) for name, value in (
         ("rho_A", 1.0), ("mu", 0.0), ("T_r", 0.0), ("r", 1.0),
         ("kappa", 0.01))},
     **{f"bounds.{name}{end}": (_finite, None)
        for name in ("rho", "mu", "Tr", "r", "kappa") for end in "01"},
-    "scenario.kind": (str, None), "scenario.path": (str, None),
+    "scenario.kind": (_one_of("zero", "manufactured", "load_csv",
+                              "moving_gaussian", "modal", "mode_pulse"), None),
+    "scenario.path": (str, None),
     "scenario.amplitude": (_finite, 1.0), "scenario.speed": (_finite, 1.0),
     "scenario.sigma": (_positive, 0.1),
     "scenario.coefficients": (_floats, (1.0,)),
     "noise.delta_rel": (_nonnegative, 0.0), "noise.seed": (_count, None),
-    "measurements.path": (str, None), "inversion.mode": (str, "full_field"),
-    "inversion.step_rule": (str, "backtracking"),
-    "inversion.omega": (_finite, None), "inversion.max_iterations": (int, 200),
+    "measurements.path": (str, None),
+    "inversion.mode": (_one_of("full_field", "parametric"), "full_field"),
+    "inversion.step_rule": (_one_of("fixed", "backtracking"), "backtracking"),
+    "inversion.omega": (_positive, None),
+    "inversion.max_iterations": (_count, 200),
     "inversion.noise_delta": (_nonnegative, None),
-    "inversion.tau_d": (_finite, 1.1),
-    "inversion.family": (str, "moving_gaussian"),
+    "inversion.tau_d": (_checked(_finite, lambda v: v > 1, "not above 1"),
+                        1.1),
+    "inversion.family": (_one_of("moving_gaussian", "modal"),
+                         "moving_gaussian"),
     "inversion.init_amplitude": (_finite, 1.0),
     "inversion.init_speed": (_finite, 1.0),
     "inversion.init_sigma": (_positive, 0.1),
@@ -122,16 +135,6 @@ def _family(cfg, prefix):
     """{name: value} of the keys `prefix + name`, in table order."""
     return {key[len(prefix):]: cfg[key] for key in _KEYS
             if key.startswith(prefix)}
-
-
-def build_grid(cfg):
-    try:
-        return SpaceTimeGrid(length=cfg["grid.length"],
-                             final_time=cfg["grid.final_time"],
-                             n_elements=cfg["grid.n_elements"],
-                             n_steps=cfg["grid.n_steps"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_coefficients(cfg, grid):
@@ -179,14 +182,6 @@ def build_truth_load(cfg, grid, coeffs):
         if not os.path.exists(path):
             raise ConfigError(f"load file not found: {path}")
         return load_load(path, grid), None, None
-    if kind == "moving_gaussian":
-        params = {"amplitude": cfg["scenario.amplitude"],
-                  "speed": cfg["scenario.speed"],
-                  "sigma": cfg["scenario.sigma"]}
-        return scenario_load(kind, params, grid), None, None
-    if kind == "modal":
-        params = {"coefficients": cfg["scenario.coefficients"]}
-        return scenario_load(kind, params, grid), None, None
     if kind == "mode_pulse":
         # separable single space-time mode, the twin-data default
         x = grid.nodes[:, None]
@@ -194,7 +189,8 @@ def build_truth_load(cfg, grid, coeffs):
         values = (cfg["scenario.amplitude"] * np.sin(np.pi * x / grid.length)
                   * np.sin(np.pi * t / grid.final_time))
         return LoadField(values, grid), None, None
-    raise ConfigError(f"unknown scenario kind: {kind}")
+    family = load_family(kind, _family(cfg, "scenario."))
+    return family.field(grid), None, None
 
 
 def _twin_data(cfg, grid, coeffs, seed, missing):
@@ -238,9 +234,7 @@ def _write_manifest(out, cfg_path, seed, args):
                   "ct_variant": args.ct_variant})
 
 
-def cmd_forward(cfg, args, out):
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid)
+def cmd_forward(cfg, grid, coeffs, args, out):
     load, exact_u, exact = build_truth_load(cfg, grid, coeffs)
     if load is None:
         raise ConfigError("forward needs a scenario")
@@ -270,9 +264,7 @@ def cmd_forward(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_verify(cfg, args, out):
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid)
+def cmd_verify(cfg, grid, coeffs, args, out):
     seed = args.seed
     rows = []
     if cfg["verify.n_scenarios"] > 0:
@@ -300,46 +292,13 @@ def cmd_verify(cfg, args, out):
     return EXIT_OK
 
 
-def _parametric_family(cfg):
-    family = cfg["inversion.family"]
-    if family == "moving_gaussian":
-        return MovingGaussian(amplitude=cfg["inversion.init_amplitude"],
-                              speed=cfg["inversion.init_speed"],
-                              sigma=cfg["inversion.init_sigma"])
-    if family == "modal":
-        return ModalLoad(cfg["inversion.init_coefficients"])
-    raise ConfigError(f"unknown parametric family: {family}")
-
-
-def _landweber_config(cfg, ct_variant):
-    """The full-field InversionConfig; without an `inversion.noise_delta`
-    its noise level is 0 until the measurements fill it in."""
-    try:
-        return InversionConfig(
-            step_rule=cfg["inversion.step_rule"],
-            omega=cfg["inversion.omega"],
-            max_iterations=cfg["inversion.max_iterations"],
-            noise_delta=cfg["inversion.noise_delta"] or 0.0,
-            tau_d=cfg["inversion.tau_d"], ct_variant=ct_variant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def cmd_invert(cfg, args, out):
-    mode = cfg["inversion.mode"]
-    if mode not in ("full_field", "parametric"):
-        raise ConfigError(f"unknown inversion mode: {mode}")
-    # the inversion settings are checked before the twin data is solved
-    if mode == "parametric":
-        family = _parametric_family(cfg)
-    else:
-        config = _landweber_config(cfg, args.ct_variant)
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid)
+def cmd_invert(cfg, grid, coeffs, args, out):
     series, truth = _obtain_measurements(cfg, grid, coeffs, args.seed)
     summary = {}
 
-    if mode == "parametric":
+    if cfg["inversion.mode"] == "parametric":
+        family = load_family(cfg["inversion.family"],
+                             _family(cfg, "inversion.init_"))
         result = reconstruct_parametric(series, coeffs, grid, family)
         params = result.family.parameters
         with open(os.path.join(out, "parameters.csv"), "w") as fh:
@@ -351,9 +310,15 @@ def cmd_invert(cfg, args, out):
                         "n_evaluations": result.n_evaluations})
         recon = result.family.field(grid)
     else:
-        if cfg["inversion.noise_delta"] is None:
-            config = dataclasses.replace(
-                config, noise_delta=series.noise_delta or 0.0)
+        noise_delta = cfg["inversion.noise_delta"]
+        if noise_delta is None:
+            noise_delta = series.noise_delta or 0.0
+        config = InversionConfig(
+            step_rule=cfg["inversion.step_rule"],
+            omega=cfg["inversion.omega"],
+            max_iterations=cfg["inversion.max_iterations"],
+            noise_delta=noise_delta, tau_d=cfg["inversion.tau_d"],
+            ct_variant=args.ct_variant)
         state = run_inversion(series, coeffs, grid, config=config)
         save_iteration_log(os.path.join(out, "iterations.csv"), state)
         summary.update({"iterations": state.iterations,
@@ -372,9 +337,7 @@ def cmd_invert(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_scenario(cfg, args, out):
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid)
+def cmd_scenario(cfg, grid, coeffs, args, out):
     truth, clean, noisy, smooth = _twin_data(cfg, grid, coeffs, args.seed,
                                              "scenario needs a scenario.kind")
     save_load(os.path.join(out, "true_load.csv"), truth)
@@ -415,8 +378,10 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = read_config(args.config)
+        grid = SpaceTimeGrid(**_family(cfg, "grid."))
+        coeffs = build_coefficients(cfg, grid)
         os.makedirs(args.out, exist_ok=True)
-        code = _COMMANDS[args.command](cfg, args, args.out)
+        code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
         _write_manifest(args.out, args.config, args.seed, args)
         return code
     except (ConfigError, DimensionError, ValidationError) as exc:

@@ -71,9 +71,9 @@ def load_load(path, grid):
     return LoadField(values, grid)
 
 
-def save_field(path, nodes, times, values, name="u"):
-    """Generic full-field dump as `x,t,<name>` rows."""
-    _save_rows(path, nodes, times, values, name)
+def save_field(path, nodes, times, values):
+    """Generic full-field dump as `x,t,u` rows."""
+    _save_rows(path, nodes, times, values, "u")
 
 
 def save_measurements(path, times, series):

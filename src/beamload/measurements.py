@@ -237,8 +237,8 @@ def manufactured_case(grid, coeffs):
     return load, exact_u, exact
 
 
-def scenario_load(kind, params, grid):
-    """Truth load of the given family on the grid.
+def load_family(kind, params):
+    """The load family `kind` with its parameters taken from `params`.
 
     kind is "moving_gaussian" (params: amplitude, speed, sigma) or
     "modal" (params: mode coefficients).  A moving Gaussian whose centre
@@ -246,20 +246,18 @@ def scenario_load(kind, params, grid):
     decays there anyway).
     """
     if kind == "moving_gaussian":
-        family = MovingGaussian(params["amplitude"], params["speed"],
-                                params["sigma"])
-    elif kind == "modal":
-        family = ModalLoad(tuple(params["coefficients"]))
-    else:
-        raise ConfigError(f"unknown scenario kind: {kind}")
-    return family.field(grid)
+        return MovingGaussian(params["amplitude"], params["speed"],
+                              params["sigma"])
+    if kind == "modal":
+        return ModalLoad(tuple(params["coefficients"]))
+    raise ConfigError(f"unknown load family: {kind}")
 
 
 def generate_scenario(kind, params, grid, coeffs):
-    """Truth load of `scenario_load` and its clean measurements.
+    """Field of `load_family(kind, params)` and its clean measurements.
 
     Returns (F_true, measurements).
     """
-    load = scenario_load(kind, params, grid)
+    load = load_family(kind, params).field(grid)
     traj = solve_forward(coeffs, load, grid)
     return load, traj.outputs

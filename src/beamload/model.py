@@ -71,10 +71,10 @@ class SpaceTimeGrid:
     def times(self):
         return np.linspace(0.0, self.final_time, self.n_times)
 
-    def refined(self, factor=2):
-        """Grid with both mesh and time step refined by `factor`."""
+    def refined(self):
+        """Grid with both mesh and time step halved."""
         return SpaceTimeGrid(self.length, self.final_time,
-                             self.n_elements * factor, self.n_steps * factor)
+                             self.n_elements * 2, self.n_steps * 2)
 
 
 @dataclass(frozen=True)

@@ -38,27 +38,27 @@ class SuiteReport:
                 f"{len(self.violations)} violations")
 
 
-def random_load(grid, rng, n_modes=4, scale=1.0):
-    """Smooth random admissible load built from low space-time modes."""
+def random_load(grid, rng):
+    """Smooth random admissible load from the four lowest space-time modes."""
     x = grid.nodes[:, None]
     t = grid.times[None, :]
     values = np.zeros((grid.n_nodes, grid.n_times))
-    for k in range(1, n_modes + 1):
+    for k in range(1, 5):
         a, b = rng.normal(size=2)
         values += (np.sin(k * np.pi * x / grid.length)
                    * (a * np.sin(k * np.pi * t / grid.final_time)
                       + b * np.cos((k - 1) * np.pi * t / grid.final_time)))
-    return LoadField(scale * values, grid)
+    return LoadField(values, grid)
 
 
-def random_smooth_series(grid, rng, n_modes=3):
-    """Random smooth time series with its analytic derivative, vanishing
-    at t=0 as the adjoint trace argument requires."""
+def random_smooth_series(grid, rng):
+    """Random smooth time series of three sine modes with its analytic
+    derivative, vanishing at t=0 as the adjoint trace argument requires."""
     t = grid.times
     T = grid.final_time
     y = np.zeros_like(t)
     dy = np.zeros_like(t)
-    for j in range(1, n_modes + 1):
+    for j in range(1, 4):
         a = rng.normal()
         w = j * np.pi / T
         y += a * np.sin(w * t)

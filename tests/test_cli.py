@@ -9,6 +9,8 @@ import pytest
 from beamload import cli
 from beamload.cli import main
 from beamload.forward import solve_forward
+from beamload.io import save_load
+from beamload.model import LoadField, SpaceTimeGrid
 
 BASE = """
 grid.length = 1.0
@@ -325,15 +327,74 @@ def test_undeclared_key_is_config_error(tmp_path, capsys, forward_calls, cmd):
     assert forward_calls == []
 
 
-@pytest.mark.parametrize("key,kind", [("scenario.sigma", "modal"),
-                                      ("verify.fd_tol", "mode_pulse")])
+PARAMETRIC = "scenario.kind = moving_gaussian\ninversion.mode = parametric\n"
+EMPTY_VERIFY = "verify.n_scenarios = 0\n"
+
+
+@pytest.mark.parametrize("cmd,lines", [
+    pytest.param("invert", "scenario.kind = modal\nscenario.sigma = 0\n",
+                 id="scenario.sigma-modal"),
+    pytest.param("invert", "scenario.kind = mode_pulse\nverify.fd_tol = 0\n",
+                 id="verify.fd_tol-mode_pulse"),
+    pytest.param("verify", EMPTY_VERIFY + "scenario.kind = bogus\n",
+                 id="scenario.kind-verify"),
+    pytest.param("forward", "scenario.kind = manufactured\n"
+                 "inversion.mode = bogus\n", id="inversion.mode-forward"),
+    pytest.param("invert", PARAMETRIC + "inversion.step_rule = bogus\n",
+                 id="inversion.step_rule-parametric"),
+    pytest.param("invert", PARAMETRIC + "inversion.tau_d = 0.5\n",
+                 id="inversion.tau_d-parametric"),
+    pytest.param("invert", PARAMETRIC + "inversion.max_iterations = -1\n",
+                 id="inversion.max_iterations-parametric"),
+    pytest.param("invert", "scenario.kind = mode_pulse\n"
+                 "inversion.family = bogus\n",
+                 id="inversion.family-full_field"),
+    pytest.param("verify", EMPTY_VERIFY + "inversion.omega = -1\n",
+                 id="inversion.omega-verify"),
+])
 def test_bad_value_of_an_unread_key_is_config_error(tmp_path, capsys,
-                                                    forward_calls, key, kind):
-    # every present key is parsed, whether or not the command reads it
-    cfg = write_cfg(tmp_path, BASE + f"scenario.kind = {kind}\n{key} = 0\n")
-    assert run("invert", cfg, tmp_path / "out") == 2
+                                                    forward_calls, cmd, lines):
+    # every present key is checked against the values it may take, whether
+    # or not the command reads it; the last line holds the bad value
+    key = lines.splitlines()[-1].split(" = ")[0]
+    cfg = write_cfg(tmp_path, BASE + lines)
+    assert run(cmd, cfg, tmp_path / "out") == 2
     assert key in assert_one_line_config_error(capsys)
     assert forward_calls == []
+
+
+def choices(key):
+    """The names the table allows for `key`, read from its parser's
+    reason for refusing any other."""
+    try:
+        cli._KEYS[key][0]("?")
+    except ValueError as exc:
+        return str(exc).removeprefix("not one of ").split(", ")
+    raise AssertionError(f"{key} accepts any name")
+
+
+TWIN = "scenario.kind = mode_pulse\n"
+CHOICE_CASES = [
+    *(pytest.param("scenario", f"scenario.kind = {kind}\n", id=kind)
+      for kind in choices("scenario.kind")),
+    *(pytest.param("invert", TWIN + f"inversion.mode = {mode}\n"
+                   f"inversion.family = {family}\n", id=f"{mode}-{family}")
+      for mode in choices("inversion.mode")
+      for family in choices("inversion.family")),
+    *(pytest.param("invert", TWIN + f"inversion.step_rule = {rule}\n", id=rule)
+      for rule in choices("inversion.step_rule")),
+]
+
+
+@pytest.mark.parametrize("cmd,lines", CHOICE_CASES)
+def test_every_allowed_choice_runs(tmp_path, cmd, lines):
+    """Each name the table allows has a branch in the command that reads
+    it."""
+    load = tmp_path / "load.csv"
+    save_load(str(load), LoadField.zero(SpaceTimeGrid(1.0, 1.0, 16, 96)))
+    cfg = write_cfg(tmp_path, BASE + f"scenario.path = {load}\n"
+                    + "inversion.max_iterations = 3\n" + lines)
+    assert run(cmd, cfg, tmp_path / "out") == 0
 
 
 def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):
