@@ -7,7 +7,7 @@ u_x(0, t) and u_x(l, t).  Zero-moment conditions at the ends are natural
 and hold weakly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,7 @@ class SystemMatrices:
     formed.  The reduced DOFs are the full (deflection, rotation) per
     node numbering without the two end deflections; the end rotations
     sit at `theta0_dof` and `thetaL_dof`.  `load_map` takes nodal load
-    samples to the consistent constrained load vector.  `kernels` holds
-    the impulse-response kernels built from the system, one per time
-    grid (see `forward.impulse_kernel`).
+    samples to the consistent constrained load vector.
     """
 
     M: np.ndarray
@@ -98,7 +96,6 @@ class SystemMatrices:
     thetaL_dof: int
     deflection_dofs: np.ndarray   # reduced indices of interior deflections
     load_map: np.ndarray
-    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_dofs(self):

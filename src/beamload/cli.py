@@ -224,13 +224,13 @@ def _obtain_measurements(cfg, grid, coeffs, seed):
     return (clean if smooth is None else smooth), truth
 
 
-def _write_manifest(out, cfg_path, seed, args):
-    save_sidecar(os.path.join(out, "manifest.txt"),
+def _write_manifest(args):
+    save_sidecar(os.path.join(args.out, "manifest.txt"),
                  {"version": __version__,
                   "command": args.command,
-                  "config": cfg_path,
-                  "config_sha256": config_hash(cfg_path),
-                  "seed": seed,
+                  "config": args.config,
+                  "config_sha256": config_hash(args.config),
+                  "seed": args.seed,
                   "ct_variant": args.ct_variant})
 
 
@@ -382,7 +382,7 @@ def main(argv=None):
         coeffs = build_coefficients(cfg, grid)
         os.makedirs(args.out, exist_ok=True)
         code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
-        _write_manifest(args.out, args.config, args.seed, args)
+        _write_manifest(args)
         return code
     except (ConfigError, DimensionError, ValidationError) as exc:
         message = str(exc).replace("\n", "; ")

@@ -109,24 +109,27 @@ def consistent_forces(system, load):
 
 @dataclass(frozen=True)
 class ImpulseKernel:
-    """Discrete impulse responses of one assembled system on one time grid.
+    """Discrete impulse responses of one assembled system on one time grid
+    of `n_times` instants.
 
     Newmark is linear and shift-invariant, so the end-slope outputs and
-    the adjoint deflection are causal convolutions of their inputs with
-    the responses to a unit impulse at an end-rotation DOF at t_1, kept
-    as `n_fft`-point spectra.  A force f_0 at t_0 needs no response of
-    its own: the scheme starts from a_0 = M^-1 f_0, which acts exactly
-    like the force train f_0, -f_0, f_0, ... from t_1 on.  Arrays are
+    the adjoint field are causal convolutions of their inputs with the
+    responses to a unit impulse at an end-rotation DOF at t_1, kept as
+    `n_fft`-point spectra.  A force f_0 at t_0 needs no response of its
+    own: the scheme starts from a_0 = M^-1 f_0, which acts exactly like
+    the force train f_0, -f_0, f_0, ... from t_1 on.  Arrays are
     (n_out, n_in, frequency):
 
     - `outputs_t1`: out = (theta_0, theta_l), in = nodes.  The responses
       to an impulse at each end rotation, folded through `load_map`, give
       the outputs of a nodal load because the Newmark pencil is symmetric
       (reciprocity).
-    - `adjoint_t1`: out = `deflection_dofs`, in = (theta_0, theta_l).
+    - `adjoint_t1`: out = nodes, in = (theta_0, theta_l); the rows of the
+      simply supported end nodes are zero.
     """
 
     n_fft: int
+    n_times: int
     outputs_t1: np.ndarray
     adjoint_t1: np.ndarray
 
@@ -134,6 +137,9 @@ class ImpulseKernel:
         """Responses applied to input series (n_in, n_times), summed over
         the inputs; the responses vanish at t_0."""
         n_times = series.shape[1]
+        if n_times != self.n_times:
+            raise DimensionError(f"series of {n_times} instants given to a "
+                                 f"kernel of {self.n_times}")
         train = (-1.0) ** np.arange(n_times - 1)
         spectrum = rfft(series[:, 1:] + np.outer(series[:, 0], train),
                         self.n_fft)
@@ -152,44 +158,37 @@ class ImpulseKernel:
             raise DivergenceError("non-finite output")
         return theta[0], theta[1]
 
-    def adjoint_deflection(self, p, q):
-        """Adjoint field at `deflection_dofs` (n_deflections, n_times) of
-        moment data p, q, as `solve_adjoint` gives it."""
+    def adjoint(self, p, q):
+        """Nodal adjoint field (n_nodes, n_times) of moment data p, q: the
+        deflection rows of `solve_adjoint`, zero at the end nodes."""
         pq = np.array([p, q], dtype=float)
         if not np.all(np.isfinite(pq)):
             raise DimensionError("adjoint inputs must be finite")
         phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
-        return phi_tau[:, ::-1]
+        return phi_tau[:, ::-1].copy()
 
 
 def impulse_kernel(system, grid):
-    """The ImpulseKernel of `system` on the time grid of `grid`: built by
-    two Newmark passes on first use, then kept on the system."""
-    key = (grid.n_steps, grid.final_time)
-    kernel = system.kernels.get(key)
-    if kernel is None:
-        kernel = system.kernels[key] = _build_kernel(system, grid)
-    return kernel
-
-
-def _build_kernel(system, grid):
+    """The ImpulseKernel of `system` on the time grid of `grid`, built by
+    two Newmark passes."""
     n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
     n_freq = n_fft // 2 + 1
-    n_nodes, n_defl = system.load_map.shape[1], len(system.deflection_dofs)
+    n_nodes = system.load_map.shape[1]
     C, K = system.C, system.K
     # filled in place as each response is computed, so that no more than
     # one raw response is alive at a time
     kernel = ImpulseKernel(
-        n_fft=n_fft,
+        n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
-        adjoint_t1=np.empty((n_defl, 2, n_freq), dtype=complex))
+        adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex))
     for i, dof in enumerate((system.theta0_dof, system.thetaL_dof)):
         impulse = np.zeros((grid.n_times, system.n_dofs))
         impulse[1, dof] = 1.0
         u = newmark_integrate(system.M, C, K, impulse, grid.dt)[0]
         # the response to the impulse at t_1 starts one step late
         kernel.outputs_t1[i] = rfft(system.load_map.T @ u[:, 1:], n_fft)
-        kernel.adjoint_t1[:, i] = rfft(u[system.deflection_dofs, 1:], n_fft)
+        kernel.adjoint_t1[1:-1, i] = rfft(u[system.deflection_dofs, 1:],
+                                          n_fft)
     return kernel
 
 

@@ -86,7 +86,7 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
     theory guarantees monotone decrease for omega <= 1 / L_G.
     """
     config = config or InversionConfig()
-    system = assemble(grid, coeffs)
+    kernel = impulse_kernel(assemble(grid, coeffs), grid)
     load = initial if initial is not None else LoadField.zero(grid)
     C_F = config.C_F
     if C_F is not None:
@@ -96,11 +96,9 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
 
     state = InversionState(load=load, omega=omega)
     increases = 0
-    evaluation = None      # misfit at `load`, once a line search made it
+    evaluation = evaluate_objective(load, measurements, kernel)
     for n in range(config.max_iterations + 1):
-        grad, evaluation = compute_gradient(load, measurements, coeffs,
-                                            grid, system=system,
-                                            evaluation=evaluation)
+        grad = compute_gradient(evaluation)
         J = evaluation.J
         gnorm = np.sqrt(spacetime_inner(grad, grad, grid))
         state.J_history.append(J)
@@ -132,11 +130,10 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
             else:
                 increases = 0
             load = _step(load, grad, step, C_F)
-            evaluation = None
+            evaluation = evaluate_objective(load, measurements, kernel)
         else:
             load, _, evaluation = _backtrack(load, grad, J, omega, C_F,
-                                             measurements, coeffs, grid,
-                                             system)
+                                             measurements, evaluation)
     return state
 
 
@@ -147,23 +144,22 @@ def _step(load, grad, step, C_F):
     return new
 
 
-def _backtrack(load, grad, J, omega, C_F, measurements, coeffs, grid,
-               system):
+def _backtrack(load, grad, J, omega, C_F, measurements, current):
     """Halve the trial step until the misfit decreases.
 
     Every call starts afresh at BACKTRACK_START * omega, far above the
-    loose theoretical step.  Returns the accepted trial with its misfit
-    and evaluation, or after BACKTRACK_HALVINGS trials (load, J, None).
+    loose theoretical step.  `current` is the evaluation at `load`.
+    Returns the accepted trial with its misfit and evaluation, or after
+    BACKTRACK_HALVINGS trials (load, J, current).
     """
     step = omega * BACKTRACK_START
     for _ in range(BACKTRACK_HALVINGS):
         trial = _step(load, grad, step, C_F)
-        evaluation = evaluate_objective(trial, measurements, coeffs, grid,
-                                        system=system)
+        evaluation = evaluate_objective(trial, measurements, current.kernel)
         if evaluation.J < J:
             return trial, evaluation.J, evaluation
         step *= 0.5
-    return load, J, None
+    return load, J, current
 
 
 def _stagnated(J_history):
@@ -192,15 +188,15 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     flag based on the rank of the output-sensitivity Gram matrix at the
     optimum.
     """
-    system = assemble(grid, coeffs)
+    kernel = impulse_kernel(assemble(grid, coeffs), grid)
     kind = type(family)
     scale = []
 
     def objective(params):
         fam = kind.from_parameters(params)
-        load = fam.field(grid)
-        grad, evaluation = compute_gradient(load, measurements, coeffs,
-                                            grid, system=system)
+        evaluation = evaluate_objective(fam.field(grid), measurements,
+                                        kernel)
+        grad = compute_gradient(evaluation)
         jac = fam.jacobian(grid)
         g = np.array([spacetime_inner(grad, d.values, grid) for d in jac])
         if not scale:
@@ -212,17 +208,16 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     result = minimize(objective, family.parameters, jac=True,
                       method="L-BFGS-B", bounds=family.bounds(grid))
     best = kind.from_parameters(result.x)
-    identifiable = _identifiable(best, grid, system)
+    identifiable = _identifiable(best, grid, kernel)
     return ParametricResult(family=best, J=float(result.fun) * scale[0],
                             converged=bool(result.success),
                             identifiable=identifiable,
                             n_evaluations=int(result.nfev))
 
 
-def _identifiable(family, grid, system):
+def _identifiable(family, grid, kernel):
     """Rank check of the parameter-to-output Jacobian (the outputs of each
     parameter derivative, by linearity of the PDE)."""
-    kernel = impulse_kernel(system, grid)
     S = np.column_stack([np.concatenate(kernel.outputs(d.values))
                          for d in family.jacobian(grid)])
     sv = np.linalg.svd(S, compute_uv=False)

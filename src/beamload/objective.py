@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble
-from .forward import impulse_kernel, solve_forward
+from .forward import solve_forward
 from .model import time_inner
 
 
@@ -16,7 +15,7 @@ class ObjectiveEvaluation:
     J: float
     p: np.ndarray          # u_x(0,.;F) - theta_0
     q: np.ndarray          # u_x(l,.;F) - theta_l
-    system: object
+    kernel: object
 
 
 def apply_io_operators(load, coeffs, grid, system=None):
@@ -25,36 +24,29 @@ def apply_io_operators(load, coeffs, grid, system=None):
     return traj.outputs.theta0, traj.outputs.thetaL
 
 
-def evaluate_objective(load, measurements, coeffs, grid, system=None):
-    """Tikhonov misfit J(F) with trapezoidal time quadrature.
+def evaluate_objective(load, measurements, kernel):
+    """Tikhonov misfit J(F) with trapezoidal time quadrature on the grid
+    of `load`.
 
-    The outputs come from the impulse kernel of the system, which equals
+    The outputs come from the impulse kernel, which equals
     `apply_io_operators` to Newmark round-off.
     """
+    grid = load.grid
     if measurements.n_times != grid.n_times:
         raise ValueError("measurements do not match the time grid")
-    if system is None:
-        system = assemble(grid, coeffs)
-    theta0, thetaL = impulse_kernel(system, grid).outputs(load.values)
+    theta0, thetaL = kernel.outputs(load.values)
     p = theta0 - measurements.theta0
     q = thetaL - measurements.thetaL
     J = 0.5 * time_inner(p, p, grid.dt) + 0.5 * time_inner(q, q, grid.dt)
-    return ObjectiveEvaluation(J=J, p=p, q=q, system=system)
+    return ObjectiveEvaluation(J=J, p=p, q=q, kernel=kernel)
 
 
-def compute_gradient(load, measurements, coeffs, grid, system=None,
-                     evaluation=None):
-    """Adjoint gradient of the misfit, J'(F) = phi: the nodal (node, time)
-    adjoint field of `solve_adjoint` driven by the output residuals,
-    convolved from the impulse kernel.  Returns (phi, evaluation).
+def compute_gradient(evaluation):
+    """Adjoint gradient of the misfit at an evaluated load, J'(F) = phi:
+    the nodal (node, time) adjoint field of `solve_adjoint` driven by the
+    output residuals, convolved from the impulse kernel.
 
     Raw (unsmoothed) noisy measurements are accepted but the gradient may
     be polluted; smooth them to H1 first.
     """
-    if evaluation is None:
-        evaluation = evaluate_objective(load, measurements, coeffs, grid,
-                                        system=system)
-    system = evaluation.system
-    phi = system.nodal(impulse_kernel(system, grid).adjoint_deflection(
-        evaluation.p, evaluation.q))
-    return phi, evaluation
+    return evaluation.kernel.adjoint(evaluation.p, evaluation.q)

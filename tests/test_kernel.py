@@ -5,11 +5,14 @@ reciprocity of the Newmark map."""
 import numpy as np
 import pytest
 
+from beamload import inversion, verify
 from beamload.adjoint import solve_adjoint
 from beamload.assembly import assemble
+from beamload.errors import DimensionError
 from beamload.forward import impulse_kernel, newmark_integrate, solve_forward
+from beamload.measurements import ModalLoad
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
-                            SpaceTimeGrid)
+                            MeasurementSeries, SpaceTimeGrid)
 
 # Newmark's own round-off (solve(3F)/3 against solve(F)) reaches 4.5e-10
 # at 64x512 and 5e-9 at 128x1024, so finer grids are not gated at 1e-9
@@ -61,19 +64,54 @@ def test_kernel_matches_newmark(n_elements, n_steps, kind):
 
     p, q = rng.normal(size=(2, grid.n_times))
     adj = solve_adjoint(coeffs, p, q, grid, system=system)
-    phi = kernel.adjoint_deflection(p, q)
-    assert rel_l2(phi, adj.phi[system.deflection_dofs]) < TOL
+    phi = kernel.adjoint(p, q)
+    assert phi.shape == (grid.n_nodes, grid.n_times)
+    assert np.all(phi[[0, -1]] == 0.0)
+    assert rel_l2(phi[1:-1], adj.phi[system.deflection_dofs]) < TOL
 
 
-def test_kernel_is_built_once_per_system_and_time_grid(small_grid,
-                                                       small_coeffs):
-    system = assemble(small_grid, small_coeffs)
-    kernel = impulse_kernel(system, small_grid)
-    assert impulse_kernel(system, small_grid) is kernel
+def test_kernel_rejects_series_of_another_time_grid(small_grid,
+                                                    small_coeffs):
+    """A longer series would be cut to `n_fft` points and wrap around."""
+    kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
     finer = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=16,
                           n_steps=2 * small_grid.n_steps)
-    assert impulse_kernel(system, finer) is not kernel
-    assert len(system.kernels) == 2
+    with pytest.raises(DimensionError):
+        kernel.outputs(np.ones((finer.n_nodes, finer.n_times)))
+    with pytest.raises(DimensionError):
+        kernel.adjoint(*np.ones((2, finer.n_times)))
+
+
+def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
+                                         monkeypatch):
+    """The inversion loops and the verification checks build the kernel
+    once per call, however many iterations or scenarios they run."""
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return impulse_kernel(*args)
+
+    for module in (inversion, verify):
+        monkeypatch.setattr(module, "impulse_kernel", counted)
+    series = MeasurementSeries(*np.ones((2, small_grid.n_times)))
+
+    def builds(run, *args, **kwargs):
+        built.clear()
+        run(*args, **kwargs)
+        return len(built)
+
+    for n in (5, 20):
+        config = inversion.InversionConfig(step_rule="backtracking",
+                                           max_iterations=n)
+        assert builds(inversion.run_inversion, series, small_coeffs,
+                      small_grid, config=config) == 1
+    assert builds(inversion.reconstruct_parametric, series, small_coeffs,
+                  small_grid, ModalLoad((1.0, 0.5))) == 1
+    for n in (1, 3):
+        assert builds(verify.verify_inequality_suite, small_grid,
+                      small_coeffs, n_scenarios=n) == 1
+    assert builds(verify.gradient_fd_checks, small_grid, small_coeffs) == 1
 
 
 def random_case(seed):
