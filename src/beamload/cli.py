@@ -72,11 +72,11 @@ def _bool(raw):
 
 # Every config key any command reads: (parser, default).  The parser
 # accepts only the key's allowed names or range, so a command checks no
-# config value itself.  A default of None is filled in by the run: each bound by its field's sampled
-# extremum, `noise.seed` by --seed, `inversion.omega` by 1/L_G and
-# `inversion.noise_delta` by the measured noise level; the scenario and
-# measurement keys have no default.  A `coeff.*` value is a number or
-# the path of an x,value CSV.
+# config value itself.  A default of None is filled in by the run: each
+# bound by its field's sampled extremum, `noise.seed` by --seed,
+# `inversion.omega` by 1/L_G and `inversion.noise_delta` by the measured
+# noise level; the scenario and measurement keys have no default.  A
+# `coeff.*` value is a number or the path of an x,value CSV.
 _KEYS = {
     "grid.length": (_positive, 1.0), "grid.final_time": (_positive, 1.0),
     "grid.n_elements": (_mesh_count, 64), "grid.n_steps": (_mesh_count, 512),
@@ -183,13 +183,11 @@ def build_truth_load(cfg, grid, coeffs):
             raise ConfigError(f"load file not found: {path}")
         return load_load(path, grid), None, None
     if kind == "mode_pulse":
-        # separable single space-time mode, the twin-data default
-        x = grid.nodes[:, None]
-        t = grid.times[None, :]
-        values = (cfg["scenario.amplitude"] * np.sin(np.pi * x / grid.length)
-                  * np.sin(np.pi * t / grid.final_time))
-        return LoadField(values, grid), None, None
-    family = load_family(kind, _family(cfg, "scenario."))
+        # the first space-time mode alone, the twin-data default
+        family = load_family("modal",
+                             {"coefficients": (cfg["scenario.amplitude"],)})
+    else:
+        family = load_family(kind, _family(cfg, "scenario."))
     return family.field(grid), None, None
 
 

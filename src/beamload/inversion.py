@@ -77,8 +77,9 @@ def default_step(grid, coeffs, config):
     return 1.0 / constants.L_G
 
 
-def run_inversion(measurements, coeffs, grid, config=None, initial=None):
-    """Iterate F <- project(F - omega * J'(F)) until a stop rule fires.
+def run_inversion(measurements, coeffs, grid, config=None):
+    """Iterate F <- project(F - omega * J'(F)) from F = 0 until a stop rule
+    fires.
 
     Stop rules: Morozov discrepancy 2J <= (tau_d * delta)^2, vanishing
     gradient, stagnation of J, or the iteration cap.  With the fixed rule
@@ -87,7 +88,7 @@ def run_inversion(measurements, coeffs, grid, config=None, initial=None):
     """
     config = config or InversionConfig()
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
-    load = initial if initial is not None else LoadField.zero(grid)
+    load = LoadField.zero(grid)
     C_F = config.C_F
     if C_F is not None:
         load = project_admissible(load, C_F)

@@ -166,7 +166,8 @@ def validate_coefficients(coeffs):
     violations = []
     for name, (values, lo, hi, strict) in fields.items():
         if len(values) != n:
-            raise DimensionError(f"{name} has {len(values)} samples, expected {n}")
+            raise DimensionError(
+                f"{name} has {len(values)} samples, expected {n}")
         for side, bound in (("lower", lo), ("upper", hi)):
             if not np.isfinite(bound):
                 violations.append((name, -1, bound,

@@ -5,7 +5,7 @@ reciprocity of the Newmark map."""
 import numpy as np
 import pytest
 
-from beamload import inversion, verify
+from beamload import adjoint, forward, inversion, verify
 from beamload.adjoint import solve_adjoint
 from beamload.assembly import assemble
 from beamload.errors import DimensionError
@@ -85,15 +85,23 @@ def test_kernel_rejects_series_of_another_time_grid(small_grid,
 def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
                                          monkeypatch):
     """The inversion loops and the verification checks build the kernel
-    once per call, however many iterations or scenarios they run."""
+    once per call, however many iterations, scenarios or triples they
+    run; the duality checks make no Newmark pass beyond the kernel's two."""
     built = []
+    passes = []
 
     def counted(*args):
         built.append(1)
         return impulse_kernel(*args)
 
+    def counted_pass(*args):
+        passes.append(1)
+        return newmark_integrate(*args)
+
     for module in (inversion, verify):
         monkeypatch.setattr(module, "impulse_kernel", counted)
+    for module in (forward, adjoint):
+        monkeypatch.setattr(module, "newmark_integrate", counted_pass)
     series = MeasurementSeries(*np.ones((2, small_grid.n_times)))
 
     def builds(run, *args, **kwargs):
@@ -112,6 +120,11 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
         assert builds(verify.verify_inequality_suite, small_grid,
                       small_coeffs, n_scenarios=n) == 1
     assert builds(verify.gradient_fd_checks, small_grid, small_coeffs) == 1
+    for n in (1, 3):
+        passes.clear()
+        assert builds(verify.duality_checks, small_grid, small_coeffs,
+                      n_triples=n) == 1
+        assert len(passes) == 2
 
 
 def random_case(seed):

@@ -1,4 +1,5 @@
-"""Guards for deletions: the public names and the demos stay importable."""
+"""Guards for deletions and style: the public names and the demos stay
+importable, and the source keeps to 79 columns."""
 
 import importlib.util
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 import beamload
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+SOURCES = sorted(pathlib.Path(beamload.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", beamload.__all__)
@@ -25,6 +27,15 @@ def test_import_leaves_scipy_interpolate_unloaded():
                          text=True, check=True, timeout=60,
                          cwd=pathlib.Path(beamload.__file__).parent.parent)
     assert out.stdout.strip() == "False"
+
+
+def test_source_lines_fit_79_columns():
+    # no linter is installed, so this is the line-length guard
+    assert len(SOURCES) >= 10
+    long = [f"{path.name}:{n}" for path in SOURCES
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []
 
 
 def test_demos_are_found():
