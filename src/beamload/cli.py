@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from . import __version__
+from .assembly import assemble
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      ValidationError)
-from .forward import energy_residual, solve_forward
+from .forward import energy_residual, impulse_kernel, solve_forward
 from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
@@ -266,16 +267,19 @@ def cmd_verify(cfg, grid, coeffs, args, out):
     seed = args.seed
     rows = []
     if cfg["verify.n_scenarios"] > 0:
+        # one kernel for every check of the grid and coefficients
+        kernel = impulse_kernel(assemble(grid, coeffs), grid)
         rows += verify_inequality_suite(
             grid, coeffs, n_scenarios=cfg["verify.n_scenarios"], seed=seed,
-            ct_variant=args.ct_variant).rows
+            ct_variant=args.ct_variant, kernel=kernel).rows
         rows += duality_checks(
             grid, coeffs, n_triples=cfg["verify.n_triples"], seed=seed,
             tol=cfg["verify.duality_tol"],
-            adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0).rows
+            adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0,
+            kernel=kernel).rows
         rows += gradient_fd_checks(
             grid, coeffs, n_directions=cfg["verify.n_directions"], seed=seed,
-            tol=cfg["verify.fd_tol"]).rows
+            tol=cfg["verify.fd_tol"], kernel=kernel).rows
 
     save_check_report(os.path.join(out, "report.csv"),
                       [r.as_tuple() for r in rows])

@@ -34,6 +34,21 @@ def _banded_solve(cb, b):
     return x
 
 
+def _block_diagonal(ab, n_cases):
+    """Upper band storage of `n_cases` uncoupled copies of the banded
+    matrix ab along the diagonal.
+
+    The unused upper-left corner entries ab[k - d, :d] are zeroed before
+    tiling: LAPACK never reads them for one case, but once tiled they
+    would couple each case to the one before it.
+    """
+    ab = np.array(ab, dtype=float)
+    kd = ab.shape[0] - 1
+    for d in range(1, kd + 1):
+        ab[kd - d, :d] = 0.0
+    return np.tile(ab, n_cases)
+
+
 def newmark_integrate(M, C, K, forces, dt):
     """Integrate M a + C v + K u = f(t) from rest.
 
@@ -46,10 +61,20 @@ def newmark_integrate(M, C, K, forces, dt):
     K + a0 M + a1 C is summed band by band and factored once with a
     banded symmetric Cholesky factorization; each step makes two banded
     matvecs and one banded solve.
+
+    `forces` of shape (n_times, B, n_dofs) integrates B load cases at
+    once, and u and v are then (B, n_dofs, n_times).  The cases form one
+    block-diagonal band system, so each step still makes the same three
+    calls, on vectors B times longer, and every case's history equals
+    its single pass bit for bit.
     """
-    n_times, n = forces.shape
+    n_times, n = forces.shape[0], forces.shape[-1]
+    cases = forces.shape[1:-1]
+    n_cases = int(np.prod(cases))
     if not np.all(np.isfinite(forces)):
         raise DivergenceError("non-finite force input")
+    forces = forces.reshape(n_times, n_cases * n)
+    M, C, K = (_block_diagonal(ab, n_cases) for ab in (M, C, K))
     a0 = 1.0 / (_BETA * dt ** 2)
     a1 = _GAMMA / (_BETA * dt)
     a2 = 1.0 / (_BETA * dt)
@@ -63,8 +88,8 @@ def newmark_integrate(M, C, K, forces, dt):
     cb_M = cholesky_banded(M)
     kd = M.shape[0] - 1
 
-    u = np.zeros((n, n_times))
-    v = np.zeros((n, n_times))
+    u = np.zeros((n_cases * n, n_times))
+    v = np.zeros((n_cases * n, n_times))
     ak = _banded_solve(cb_M, forces[0])
 
     # the BLAS matvecs and LAPACK triangular solves are called directly on
@@ -84,7 +109,7 @@ def newmark_integrate(M, C, K, forces, dt):
     bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
     if bad.size:
         raise DivergenceError(f"non-finite state at step {bad[0]}")
-    return u, v
+    return u.reshape(cases + (n, n_times)), v.reshape(cases + (n, n_times))
 
 
 @dataclass(frozen=True)
@@ -170,24 +195,25 @@ class ImpulseKernel:
 
 def impulse_kernel(system, grid):
     """The ImpulseKernel of `system` on the time grid of `grid`, built by
-    two Newmark passes."""
+    one Newmark pass of its two end-rotation impulses."""
     n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
     n_freq = n_fft // 2 + 1
     n_nodes = system.load_map.shape[1]
-    C, K = system.C, system.K
-    # filled in place as each response is computed, so that no more than
-    # one raw response is alive at a time
+    impulses = np.zeros((grid.n_times, 2, system.n_dofs))
+    impulses[1, [0, 1], [system.theta0_dof, system.thetaL_dof]] = 1.0
+    u = newmark_integrate(system.M, system.C, system.K, impulses,
+                          grid.dt)[0]
+    del impulses
+    # filled in place, one response at a time, so that few transforms are
+    # alive at once
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
         adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex))
-    for i, dof in enumerate((system.theta0_dof, system.thetaL_dof)):
-        impulse = np.zeros((grid.n_times, system.n_dofs))
-        impulse[1, dof] = 1.0
-        u = newmark_integrate(system.M, C, K, impulse, grid.dt)[0]
-        # the response to the impulse at t_1 starts one step late
-        kernel.outputs_t1[i] = rfft(system.load_map.T @ u[:, 1:], n_fft)
-        kernel.adjoint_t1[1:-1, i] = rfft(u[system.deflection_dofs, 1:],
+    # the response to the impulse at t_1 starts one step late
+    for i, response in enumerate(u[:, :, 1:]):
+        kernel.outputs_t1[i] = rfft(system.load_map.T @ response, n_fft)
+        kernel.adjoint_t1[1:-1, i] = rfft(response[system.deflection_dofs],
                                           n_fft)
     return kernel
 
@@ -197,15 +223,23 @@ def solve_forward(coeffs, load, grid, system=None):
 
     Returns a BeamTrajectory whose outputs are the end-rotation DOF
     histories theta_0(t) = u_x(0, t) and theta_l(t) = u_x(l, t).
-    A pre-assembled SystemMatrices may be passed to skip assembly.
+    A list of loads is solved in one batched Newmark pass and gives the
+    list of their trajectories.  A pre-assembled SystemMatrices may be
+    passed to skip assembly.
     """
     if system is None:
         system = assemble(grid, coeffs)
-    forces = consistent_forces(system, load)
+    loads = load if isinstance(load, list) else [load]
+    forces = np.empty((grid.n_times, len(loads), system.n_dofs))
+    for b, f in enumerate(loads):
+        forces[:, b] = consistent_forces(system, f)
     u, v = newmark_integrate(system.M, system.C, system.K, forces, grid.dt)
-    outputs = MeasurementSeries(theta0=u[system.theta0_dof].copy(),
-                                thetaL=u[system.thetaL_dof].copy())
-    return BeamTrajectory(u=u, v=v, outputs=outputs, grid=grid, system=system)
+    trajs = [BeamTrajectory(
+        u=ub, v=vb, grid=grid, system=system,
+        outputs=MeasurementSeries(theta0=ub[system.theta0_dof].copy(),
+                                  thetaL=ub[system.thetaL_dof].copy()))
+        for ub, vb in zip(u, v)]
+    return trajs if isinstance(load, list) else trajs[0]
 
 
 def energy_residual(traj, coeffs, load):

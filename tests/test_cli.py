@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from beamload import cli
+from beamload import adjoint, cli, forward, verify
 from beamload.cli import main
 from beamload.forward import solve_forward
 from beamload.io import save_load
@@ -91,6 +91,33 @@ def test_verify_passes_and_negative_control_fails(tmp_path):
                if line.endswith("false")]
     assert flagged and all(line.startswith("duality")
                            for line in flagged)
+
+
+def test_verify_builds_one_kernel_and_batches_its_passes(tmp_path,
+                                                        monkeypatch):
+    """The suite, the duality checks and the FD checks share the kernel
+    `verify` builds, and the suite's three scenarios share one forward and
+    one adjoint Newmark pass."""
+    built, passes = [], []
+    build, integrate = forward.impulse_kernel, forward.newmark_integrate
+
+    def counted_build(*args):
+        built.append(1)
+        return build(*args)
+
+    def counted_pass(*args):
+        passes.append(1)
+        return integrate(*args)
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "impulse_kernel", counted_build)
+    for module in (forward, adjoint):
+        monkeypatch.setattr(module, "newmark_integrate", counted_pass)
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 3\n"
+                    + "verify.duality_tol = 2e-2\n")
+    assert run("verify", cfg, tmp_path / "out") == 0
+    assert len(built) == 1
+    assert len(passes) == 3
 
 
 def test_verify_empty_suite(tmp_path):

@@ -156,7 +156,7 @@ def test_discrepancy_is_derived_from_the_misfit(twin):
 
 
 def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
-    """Only the two passes that build the impulse kernel integrate in
+    """Only the one pass that builds the impulse kernel integrates in
     time; every iteration and line-search trial convolves."""
     grid, coeffs, _, series = twin
     calls = []
@@ -174,7 +174,7 @@ def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
             step_rule="backtracking", max_iterations=n))
         assert state.iterations == n
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 # omega = 1 makes every line search reject several trials first

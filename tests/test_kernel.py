@@ -1,6 +1,7 @@
 """The impulse-response kernel against the Newmark solvers it stands in for,
 and the discrete identities it rests on: time-shift invariance and
-reciprocity of the Newmark map."""
+reciprocity of the Newmark map, and batched passes that equal single
+ones."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from beamload import adjoint, forward, inversion, verify
 from beamload.adjoint import solve_adjoint
 from beamload.assembly import assemble
-from beamload.errors import DimensionError
+from beamload.errors import DimensionError, DivergenceError
 from beamload.forward import impulse_kernel, newmark_integrate, solve_forward
 from beamload.measurements import ModalLoad
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
@@ -86,7 +87,8 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
                                          monkeypatch):
     """The inversion loops and the verification checks build the kernel
     once per call, however many iterations, scenarios or triples they
-    run; the duality checks make no Newmark pass beyond the kernel's two."""
+    run; the duality checks make no Newmark pass beyond the kernel's
+    one."""
     built = []
     passes = []
 
@@ -124,7 +126,7 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
         passes.clear()
         assert builds(verify.duality_checks, small_grid, small_coeffs,
                       n_triples=n) == 1
-        assert len(passes) == 2
+        assert len(passes) == 1
 
 
 def random_case(seed):
@@ -203,3 +205,53 @@ def test_reciprocity(seed, step):
         scale = np.max(np.abs(responses[0]))
         assert scale > 0
         assert np.max(np.abs(responses[0] - responses[1])) < TOL * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_cases", [1, 2, 3])
+def test_batched_newmark_equals_single_passes(seed, n_cases):
+    """A batch of load cases integrates each case bit for bit as its own
+    pass does, even when the bands hold junk in the unused upper-left
+    corner entries, which must not couple neighbouring cases."""
+    grid, _, system, rng = random_case(seed)
+    bands = [ab.copy() for ab in (system.M, system.C, system.K)]
+    kd = bands[0].shape[0] - 1
+    for ab in bands:
+        for d in range(1, kd + 1):
+            ab[kd - d, :d] = rng.normal(size=d)
+    forces = rng.normal(size=(grid.n_times, n_cases, system.n_dofs))
+    u, v = newmark_integrate(*bands, forces, grid.dt)
+    assert u.shape == v.shape == (n_cases, system.n_dofs, grid.n_times)
+    for b in range(n_cases):
+        u1, v1 = newmark_integrate(*bands, forces[:, b], grid.dt)
+        assert np.array_equal(u[b], u1) and np.array_equal(v[b], v1)
+
+    forces[-1, n_cases - 1, 0] = np.inf
+    with pytest.raises(DivergenceError):
+        newmark_integrate(*bands, forces, grid.dt)
+
+
+def test_batched_solvers_equal_single_solves(small_grid, small_coeffs):
+    """`solve_forward` of a list of loads and `solve_adjoint` of (B,
+    n_times) series give the single solves' trajectories and fields."""
+    rng = np.random.default_rng(5)
+    system = assemble(small_grid, small_coeffs)
+    loads = [LoadField(rng.normal(size=(small_grid.n_nodes,
+                                        small_grid.n_times)), small_grid)
+             for _ in range(3)]
+    trajs = solve_forward(small_coeffs, loads, small_grid, system=system)
+    assert len(trajs) == 3
+    for traj, load in zip(trajs, loads):
+        one = solve_forward(small_coeffs, load, small_grid, system=system)
+        for a, b in ((traj.u, one.u), (traj.v, one.v),
+                     (traj.outputs.theta0, one.outputs.theta0),
+                     (traj.outputs.thetaL, one.outputs.thetaL)):
+            assert np.array_equal(a, b)
+
+    p, q = rng.normal(size=(2, 3, small_grid.n_times))
+    fields = solve_adjoint(small_coeffs, p, q, small_grid, system=system)
+    assert len(fields) == 3
+    for field, pb, qb in zip(fields, p, q):
+        one = solve_adjoint(small_coeffs, pb, qb, small_grid, system=system)
+        assert np.array_equal(field.phi, one.phi)
+        assert np.array_equal(field.phi_t, one.phi_t)
