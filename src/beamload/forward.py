@@ -160,18 +160,12 @@ class ImpulseKernel:
 
     def _convolve(self, t1, series):
         """Responses applied to input series (n_in, n_times), summed over
-        the inputs; the responses vanish at t_0."""
+        the inputs."""
         n_times = series.shape[1]
         if n_times != self.n_times:
             raise DimensionError(f"series of {n_times} instants given to a "
                                  f"kernel of {self.n_times}")
-        train = (-1.0) ** np.arange(n_times - 1)
-        spectrum = rfft(series[:, 1:] + np.outer(series[:, 0], train),
-                        self.n_fft)
-        out = np.zeros((t1.shape[0], n_times))
-        out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
-                           self.n_fft)[:, :n_times - 1]
-        return out
+        return convolve_t1(t1, series, self.n_fft)
 
     def outputs(self, values):
         """End slopes (theta_0, theta_l) of nodal load values
@@ -191,6 +185,21 @@ class ImpulseKernel:
             raise DimensionError("adjoint inputs must be finite")
         phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
         return phi_tau[:, ::-1].copy()
+
+
+def convolve_t1(t1, series, n_fft):
+    """Causal convolution of input series (n_in, n_times) with the
+    responses to unit impulses at t_1, given as `n_fft`-point spectra
+    (n_out, n_in, frequency), summed over the inputs.  The sample at t_0
+    acts as the force train f_0, -f_0, f_0, ... from t_1 on; the result
+    (n_out, n_times) vanishes at t_0."""
+    n_times = series.shape[1]
+    train = (-1.0) ** np.arange(n_times - 1)
+    spectrum = rfft(series[:, 1:] + np.outer(series[:, 0], train), n_fft)
+    out = np.zeros((t1.shape[0], n_times))
+    out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
+                       n_fft)[:, :n_times - 1]
+    return out
 
 
 def impulse_kernel(system, grid):
@@ -260,8 +269,8 @@ def energy_residual(traj, coeffs, load):
                  + quadratic_forms(sys_.K_kappa, v))
     forces = consistent_forces(sys_, load)
     work_rate = np.einsum("ki,ik->k", forces, v)
-    dissipated = 2.0 * _cumtrapz(damp_rate, g.dt)
-    work = 2.0 * _cumtrapz(work_rate, g.dt)
+    dissipated = 2.0 * cumtrapz(damp_rate, g.dt)
+    work = 2.0 * cumtrapz(work_rate, g.dt)
     lhs = stored + dissipated
     scale = max(np.max(np.abs(work)), EPS_FLOOR)
     return np.abs(lhs - work) / scale
@@ -283,9 +292,15 @@ def quadratic_forms(ab, X):
     return np.einsum("ij,ij->j", A @ X, X)
 
 
-def _cumtrapz(y, dt):
+def cumtrapz(y, dt):
+    """Cumulative trapezoid integral from 0 along the last (time) axis.
+
+    Average-acceleration Newmark updates u_{k+1} = u_k + dt/2 (v_k +
+    v_{k+1}), so a displacement history from rest is the cumulative
+    trapezoid of its velocity history.
+    """
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
+    out[..., 1:] = np.cumsum(0.5 * dt * (y[..., 1:] + y[..., :-1]), axis=-1)
     return out
 
 

@@ -12,23 +12,18 @@ tolerance with nothing wrong.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import check_adjoint_estimates, solve_adjoint
+from .adjoint import AdjointField, check_adjoint_estimates, solve_adjoint
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, check_apriori_estimates, impulse_kernel,
-                      solve_forward)
+from .forward import (EPS_FLOOR, BeamTrajectory, check_apriori_estimates,
+                      convolve_t1, cumtrapz, impulse_kernel, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner)
 from .objective import compute_gradient, evaluate_objective
-
-# memory for the displacement, velocity and force histories of one batch
-# of suite scenarios
-BATCH_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -48,17 +43,30 @@ class SuiteReport:
                 f"{len(self.violations)} violations")
 
 
+def _mode_shapes(grid):
+    """The space modes sin(k pi x / l), k = 1..4, (4, n_nodes)."""
+    k = np.arange(1, 5)[:, None]
+    return np.sin(k * np.pi * grid.nodes / grid.length)
+
+
+def _random_modal_load(grid, rng):
+    """Random histories h (4, n_times) of the four space modes and their
+    load sum_k sin(k pi x / l) h_k(t)."""
+    t = grid.times
+    T = grid.final_time
+    h = np.empty((4, grid.n_times))
+    values = np.zeros((grid.n_nodes, grid.n_times))
+    for k, shape in enumerate(_mode_shapes(grid), start=1):
+        a, b = rng.normal(size=2)
+        h[k - 1] = (a * np.sin(k * np.pi * t / T)
+                    + b * np.cos((k - 1) * np.pi * t / T))
+        values += shape[:, None] * h[k - 1]
+    return h, LoadField(values, grid)
+
+
 def random_load(grid, rng):
     """Smooth random admissible load from the four lowest space-time modes."""
-    x = grid.nodes[:, None]
-    t = grid.times[None, :]
-    values = np.zeros((grid.n_nodes, grid.n_times))
-    for k in range(1, 5):
-        a, b = rng.normal(size=2)
-        values += (np.sin(k * np.pi * x / grid.length)
-                   * (a * np.sin(k * np.pi * t / grid.final_time)
-                      + b * np.cos((k - 1) * np.pi * t / grid.final_time)))
-    return LoadField(values, grid)
+    return _random_modal_load(grid, rng)[1]
 
 
 def random_smooth_series(grid, rng):
@@ -76,25 +84,81 @@ def random_smooth_series(grid, rng):
     return y, dy
 
 
-class _Scenario(NamedTuple):
-    """One suite scenario: the inputs of its Newmark passes and the rows
-    that read only the kernel, split around the adjoint rows."""
-
-    tag: str
-    load: LoadField
-    p: np.ndarray
-    dp: np.ndarray
-    q: np.ndarray
-    dq: np.ndarray
-    kernel_rows: list
-    gradient_row: CheckRow
+def _spectra(responses, n_fft):
+    """`n_fft`-point spectra (n_dofs, n_in, frequency) of responses
+    (n_dofs, n_times) to unit impulses at t_1, each transformed in place,
+    so that no transform is alive beside the spectra."""
+    out = np.empty((len(responses), responses[0].shape[0], n_fft // 2 + 1),
+                   dtype=complex)
+    for response, spectrum in zip(responses, out):
+        # the response to the impulse at t_1 starts one step late
+        np.fft.rfft(response[:, 1:], n_fft, out=spectrum)
+    return out.transpose(1, 0, 2)
 
 
-def _scenario(grid, coeffs, kernel, rng, tag, slack, ct_variant):
+def _forward_states(coeffs, grid, system, n_fft):
+    """The forward state of the load sum_k sin(k pi x / l) h_k(t) as a
+    function of the histories h (4, n_times).
+
+    Its velocity is the convolution of h with the modes' velocity
+    responses, from one batched `solve_forward` pass; its displacement is
+    the cumulative trapezoid of the velocity from rest.
+    """
+    pulses = np.zeros((4, grid.n_nodes, grid.n_times))
+    pulses[:, :, 1] = _mode_shapes(grid)
+    trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
+                          system=system)
+    velocities = [traj.v for traj in trajs]
+    del pulses, trajs
+    load_t1 = _spectra(velocities, n_fft)
+
+    def state(h):
+        v = convolve_t1(load_t1, h, n_fft)
+        u = cumtrapz(v, grid.dt)
+        return BeamTrajectory(
+            u=u, v=v, grid=grid, system=system,
+            outputs=MeasurementSeries(theta0=u[system.theta0_dof],
+                                      thetaL=u[system.thetaL_dof]))
+    return state
+
+
+def _adjoint_states(coeffs, grid, system, n_fft):
+    """The adjoint field of moment data (p, q) as a function of p and q.
+
+    `solve_adjoint` integrates the reversed data in tau = T - t.  The
+    rate phi_t = -d phi / d tau is the convolution of the reversed data
+    with the responses to unit end moments at tau_1, from one batched
+    `solve_adjoint` pass, and -phi is its cumulative trapezoid from rest
+    at tau = 0.
+    """
+    # p of case 0 and q of case 1 are units at t_{n-2}, which is tau_1
+    pq = np.zeros((2, 2, grid.n_times))
+    pq[[0, 1], [0, 1], -2] = 1.0
+    rates = [field.phi_t[:, ::-1]
+             for field in solve_adjoint(coeffs, *pq, grid, system=system)]
+    moment_t1 = _spectra(rates, n_fft)
+
+    def state(p, q):
+        rate = convolve_t1(moment_t1, np.array([p[::-1], q[::-1]]), n_fft)
+        return AdjointField(phi=-cumtrapz(rate, grid.dt)[:, ::-1],
+                            phi_t=rate[:, ::-1], grid=grid)
+    return state
+
+
+def _scenario(grid, coeffs, kernel, forward_state, unit, rng, tag, slack,
+              ct_variant):
     """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
-    truth, p, q) and evaluate its rows that read only the kernel."""
-    load = random_load(grid, rng)
+    truth, p, q) and evaluate all its rows but the adjoint ones.
+
+    Returns the rows and the moment data (p, dp, q, dq) of the adjoint
+    rows, which go before the last row.
+    """
+    h, load = _random_modal_load(grid, rng)
     F_norm_sq = l2_norm_spacetime(load) ** 2
+
+    # a-priori bounds: six volume norms and four boundary traces
+    rows = check_apriori_estimates(forward_state(h), coeffs, load, unit=unit,
+                                   slack=slack, scenario=tag)
 
     # Rolle-type inequality, closed forms on a random sine sum
     amps = rng.normal(size=3)
@@ -103,7 +167,7 @@ def _scenario(grid, coeffs, kernel, rng, tag, slack, ct_variant):
                 for k, a in enumerate(amps, start=1))
     rhs_p = (l ** 2 / 2) * sum(a ** 2 * (k * np.pi / l) ** 4 * l / 2
                                for k, a in enumerate(amps, start=1))
-    rows = [CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack)]
+    rows.append(CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack))
 
     # a second load, and twin data from a third for C_J
     load2 = random_load(grid, rng)
@@ -137,9 +201,9 @@ def _scenario(grid, coeffs, kernel, rng, tag, slack, ct_variant):
     # Lipschitz continuity of the gradient, from the misfits above
     diff = compute_gradient(e1) - compute_gradient(e2)
     lhs_g = np.sqrt(spacetime_inner(diff, diff, grid))
-    gradient_row = CheckRow.bound("gradient_lipschitz", tag, lhs_g,
-                                  consts.L_G * dF, slack)
-    return _Scenario(tag, load, p, dp, q, dq, rows, gradient_row)
+    rows.append(CheckRow.bound("gradient_lipschitz", tag, lhs_g,
+                               consts.L_G * dF, slack))
+    return rows, (p, dp, q, dq)
 
 
 def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
@@ -147,11 +211,14 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                             kernel=None):
     """Run every inequality check over randomized admissible inputs.
 
-    Scenarios run in batches that share one forward and one adjoint
-    Newmark pass; a batch holds as many as keep its displacement,
-    velocity and force histories within `BATCH_BYTES`.  `kernel` is the
-    ImpulseKernel of the grid and coefficients, built when not given.
-    Returns a SuiteReport; an empty scenario set yields an empty report.
+    Newmark is linear and shift-invariant, so the state histories that
+    the a-priori and adjoint estimates audit are FFT convolutions of each
+    scenario's inputs with impulse responses: those of the four space
+    modes of `random_load`, from one forward pass, and those of the two
+    end moments, from one adjoint pass.  The adjoint phase starts once
+    the forward phase's spectra are freed.  `kernel` is the ImpulseKernel
+    of the grid and coefficients, built when not given.  Returns a
+    SuiteReport; an empty scenario set yields an empty report.
     """
     rng = np.random.default_rng(seed)
     system = assemble(grid, coeffs)
@@ -159,36 +226,20 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     if kernel is None:
         kernel = impulse_kernel(system, grid)
     unit = unit_norm_matrices(grid)
-    batch = max(1, BATCH_BYTES // (3 * 8 * system.n_dofs * grid.n_times))
+    tags = [f"s{s:02d}" for s in range(n_scenarios)]
+
+    forward_state = _forward_states(coeffs, grid, system, kernel.n_fft)
+    scenarios = [_scenario(grid, coeffs, kernel, forward_state, unit, rng,
+                           tag, slack, ct_variant) for tag in tags]
+    del forward_state
+
+    adjoint_state = _adjoint_states(coeffs, grid, system, kernel.n_fft)
     rows = []
-    for first in range(0, n_scenarios, batch):
-        scenarios = [_scenario(grid, coeffs, kernel, rng, f"s{s:02d}", slack,
-                               ct_variant)
-                     for s in range(first, min(first + batch, n_scenarios))]
-
-        # a-priori bounds: six volume norms and four boundary traces;
-        # each pass's states are freed once their rows are taken
-        trajs = solve_forward(coeffs, [sc.load for sc in scenarios], grid,
-                              system=system)
-        apriori = [check_apriori_estimates(traj, coeffs, sc.load, unit=unit,
-                                           slack=slack, scenario=sc.tag)
-                   for traj, sc in zip(trajs, scenarios)]
-        del trajs
-        # adjoint solution estimates
-        fields = solve_adjoint(coeffs, [sc.p for sc in scenarios],
-                               [sc.q for sc in scenarios], grid,
-                               system=system)
-        adjoint = [check_adjoint_estimates(field, coeffs, sc.dp, sc.dq,
-                                           unit=unit, slack=slack,
-                                           scenario=sc.tag,
-                                           ct_variant=ct_variant)
-                   for field, sc in zip(fields, scenarios)]
-        del fields
-
-        for sc, apriori_rows, adjoint_rows in zip(scenarios, apriori,
-                                                  adjoint):
-            rows += (apriori_rows + sc.kernel_rows + adjoint_rows
-                     + [sc.gradient_row])
+    for tag, (scenario_rows, (p, dp, q, dq)) in zip(tags, scenarios):
+        adjoint_rows = check_adjoint_estimates(
+            adjoint_state(p, q), coeffs, dp, dq, unit=unit, slack=slack,
+            scenario=tag, ct_variant=ct_variant)
+        rows += scenario_rows[:-1] + adjoint_rows + scenario_rows[-1:]
     return SuiteReport(tuple(rows))
 
 

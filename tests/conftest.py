@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from beamload.model import CoefficientSet, SpaceTimeGrid
+from beamload.assembly import assemble
+from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +41,41 @@ def _dense(ab):
 def dense():
     """Band storage to dense, for tests that check matrix invariants."""
     return _dense
+
+
+def _variable_coefficients(grid, rng):
+    """Smooth random coefficient fields with bounds at their extrema."""
+    x = grid.nodes / grid.length
+    fields = {}
+    for name, base in (("rho_A", 1.0), ("mu", 0.05), ("T_r", 0.1),
+                       ("r", 0.8), ("kappa", 0.02)):
+        a, b = rng.uniform(-0.4, 0.4, size=2)
+        fields[name] = base * (1.0 + a * np.sin(np.pi * x) + b * x)
+    bounds = CoefficientBounds(
+        *(f(fields[name]) for name in ("rho_A", "mu", "T_r", "r", "kappa")
+          for f in (np.min, np.max)))
+    return CoefficientSet(bounds=bounds, **fields)
+
+
+def _random_case(seed):
+    """A random small grid with random variable coefficients, its system
+    and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    grid = SpaceTimeGrid(length=rng.uniform(0.5, 2.0),
+                         final_time=rng.uniform(0.5, 2.0),
+                         n_elements=int(rng.integers(4, 24)),
+                         n_steps=int(rng.integers(16, 128)))
+    coeffs = _variable_coefficients(grid, rng)
+    return grid, coeffs, assemble(grid, coeffs), rng
+
+
+@pytest.fixture(scope="session")
+def variable_coefficients():
+    """Random variable coefficients of a grid, drawn from a generator."""
+    return _variable_coefficients
+
+
+@pytest.fixture(scope="session")
+def random_case():
+    """(grid, coeffs, system, rng) of a random case, from its seed."""
+    return _random_case

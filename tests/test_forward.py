@@ -5,8 +5,9 @@ from scipy.linalg import cholesky_banded
 from beamload.assembly import assemble, unit_norm_matrices
 from beamload.constants import compute_constants
 from beamload.errors import DivergenceError
-from beamload.forward import (check_apriori_estimates, energy_residual,
-                              newmark_integrate, solve_forward)
+from beamload.forward import (check_apriori_estimates, cumtrapz,
+                              energy_residual, newmark_integrate,
+                              solve_forward)
 from beamload.measurements import manufactured_case
 from beamload.model import (CoefficientSet, LoadField, SpaceTimeGrid,
                             l2_norm_spacetime)
@@ -44,6 +45,18 @@ def test_newmark_names_first_non_finite_step():
     with pytest.raises(DivergenceError, match="at step 5$"):
         newmark_integrate(1e-300 * np.eye(1), np.zeros((1, 1)),
                           1e-300 * np.eye(1), forces, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newmark_displacement_is_trapezoid_of_velocity(seed, random_case):
+    """Average acceleration makes u_{k+1} = u_k + dt/2 (v_k + v_{k+1}), so
+    a pass from rest gives u as the cumulative trapezoid of v to round-off,
+    for white-noise forces that are nonzero at t_0."""
+    grid, _, system, rng = random_case(seed)
+    forces = rng.normal(size=(grid.n_times, system.n_dofs))
+    u, v = newmark_integrate(system.M, system.C, system.K, forces, grid.dt)
+    assert np.max(np.abs(cumtrapz(v, grid.dt) - u)) <= 1e-10 * np.max(
+        np.abs(u))
 
 
 def mfd_setup(n_el, n_st):

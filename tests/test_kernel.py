@@ -12,33 +12,12 @@ from beamload.assembly import assemble
 from beamload.errors import DimensionError, DivergenceError
 from beamload.forward import impulse_kernel, newmark_integrate, solve_forward
 from beamload.measurements import ModalLoad
-from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
-                            MeasurementSeries, SpaceTimeGrid)
+from beamload.model import (CoefficientSet, LoadField, MeasurementSeries,
+                            SpaceTimeGrid)
 
 # Newmark's own round-off (solve(3F)/3 against solve(F)) reaches 4.5e-10
 # at 64x512 and 5e-9 at 128x1024, so finer grids are not gated at 1e-9
 TOL = 1e-9
-
-
-def variable_coefficients(grid, rng):
-    """Smooth random coefficient fields with bounds at their extrema."""
-    x = grid.nodes / grid.length
-    fields = {}
-    for name, base in (("rho_A", 1.0), ("mu", 0.05), ("T_r", 0.1),
-                       ("r", 0.8), ("kappa", 0.02)):
-        a, b = rng.uniform(-0.4, 0.4, size=2)
-        fields[name] = base * (1.0 + a * np.sin(np.pi * x) + b * x)
-    bounds = CoefficientBounds(
-        *(f(fields[name]) for name in ("rho_A", "mu", "T_r", "r", "kappa")
-          for f in (np.min, np.max)))
-    return CoefficientSet(bounds=bounds, **fields)
-
-
-def coefficients(grid, kind, rng):
-    if kind == "constant":
-        return CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
-                                       r=0.8, kappa=0.02)
-    return variable_coefficients(grid, rng)
 
 
 def rel_l2(a, b):
@@ -47,11 +26,16 @@ def rel_l2(a, b):
 
 @pytest.mark.parametrize("kind", ["constant", "variable"])
 @pytest.mark.parametrize("n_elements,n_steps", [(16, 96), (64, 512)])
-def test_kernel_matches_newmark(n_elements, n_steps, kind):
+def test_kernel_matches_newmark(n_elements, n_steps, kind,
+                                variable_coefficients):
     grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=n_elements,
                          n_steps=n_steps)
     rng = np.random.default_rng(n_elements)
-    coeffs = coefficients(grid, kind, rng)
+    if kind == "constant":
+        coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                         r=0.8, kappa=0.02)
+    else:
+        coeffs = variable_coefficients(grid, rng)
     system = assemble(grid, coeffs)
     kernel = impulse_kernel(system, grid)
 
@@ -129,17 +113,6 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
         assert len(passes) == 1
 
 
-def random_case(seed):
-    """A random small grid with random variable coefficients."""
-    rng = np.random.default_rng(seed)
-    grid = SpaceTimeGrid(length=rng.uniform(0.5, 2.0),
-                         final_time=rng.uniform(0.5, 2.0),
-                         n_elements=int(rng.integers(4, 24)),
-                         n_steps=int(rng.integers(16, 128)))
-    coeffs = variable_coefficients(grid, rng)
-    return grid, coeffs, assemble(grid, coeffs), rng
-
-
 def newmark_outputs(coeffs, grid, system):
     """The end-slope map of `solve_forward`, on nodal load values."""
     def solve(values):
@@ -150,7 +123,7 @@ def newmark_outputs(coeffs, grid, system):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_time_shift_invariance(seed):
+def test_time_shift_invariance(seed, random_case):
     """A load that starts s steps later gives outputs s steps later."""
     grid, coeffs, system, rng = random_case(seed)
     shift = int(rng.integers(1, grid.n_steps // 2))
@@ -170,7 +143,7 @@ def test_time_shift_invariance(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_linearity(seed):
+def test_linearity(seed, random_case):
     """The outputs of a F1 + b F2 are a times those of F1 plus b times
     those of F2, with nonzero loads at t_0."""
     grid, coeffs, system, rng = random_case(seed)
@@ -188,7 +161,7 @@ def test_linearity(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("step", [0, 1])
-def test_reciprocity(seed, step):
+def test_reciprocity(seed, step, random_case):
     """The response at DOF j to an impulse at theta_0 equals the theta_0
     response to an impulse at j, for impulses at t_0 and at t_1; j is the
     other end rotation or a random DOF."""
@@ -209,7 +182,7 @@ def test_reciprocity(seed, step):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n_cases", [1, 2, 3])
-def test_batched_newmark_equals_single_passes(seed, n_cases):
+def test_batched_newmark_equals_single_passes(seed, n_cases, random_case):
     """A batch of load cases integrates each case bit for bit as its own
     pass does, even when the bands hold junk in the unused upper-left
     corner entries, which must not couple neighbouring cases."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from beamload import assembly, forward, objective, verify
+from beamload.adjoint import solve_adjoint
 from beamload.constants import compute_constants
+from beamload.forward import solve_forward
 from beamload.model import l2_norm_spacetime, series_l2_norm
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
@@ -75,7 +77,8 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                                                      small_coeffs,
                                                      monkeypatch):
     """The system, the unit-norm matrices and the impulse kernel are built
-    once per call."""
+    once per call, and the Newmark passes do not grow with the scenarios:
+    the kernel's, the space modes' and the end moments'."""
     calls = []
 
     def counted(fn):
@@ -86,7 +89,7 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
 
     # patch every module that imported the builders by name
     builders = (assembly.assemble, assembly.unit_norm_matrices,
-                forward.impulse_kernel)
+                forward.impulse_kernel, forward.newmark_integrate)
     for name, module in list(sys.modules.items()):
         if name == "beamload" or name.startswith("beamload."):
             for attr, value in list(vars(module).items()):
@@ -100,6 +103,51 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert counts[0].count("impulse_kernel") == 1
+    assert counts[0].count("newmark_integrate") <= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_suite_states_match_the_newmark_path(seed, random_case, monkeypatch):
+    """Against the Newmark solvers run on the suite's replayed draws
+    (load, Poincare amplitudes, load2, truth, p, q per scenario): every
+    a-priori and adjoint row's lhs agrees to 1e-9 relative, and every
+    other row is bit-identical."""
+    grid, coeffs, _, _ = random_case(seed)
+    n = 3
+    report = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
+
+    rng = np.random.default_rng(seed)
+    loads, moments = [], []
+    for _ in range(n):
+        loads.append(random_load(grid, rng))
+        rng.normal(size=3)
+        random_load(grid, rng)
+        random_load(grid, rng)
+        moments.append((random_smooth_series(grid, rng)[0],
+                        random_smooth_series(grid, rng)[0]))
+    loads, moments = iter(loads), iter(moments)
+
+    def newmark_forward(coeffs, grid, system, n_fft):
+        return lambda h: solve_forward(coeffs, next(loads), grid,
+                                       system=system)
+
+    def newmark_adjoint(coeffs, grid, system, n_fft):
+        return lambda p, q: solve_adjoint(coeffs, *next(moments), grid,
+                                          system=system)
+
+    monkeypatch.setattr(verify, "_forward_states", newmark_forward)
+    monkeypatch.setattr(verify, "_adjoint_states", newmark_adjoint)
+    oracle = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
+
+    assert len(report.rows) == len(oracle.rows) == n * EXPECTED_PER_SCENARIO
+    for row, ref in zip(report.rows, oracle.rows):
+        if row.check.startswith(("apriori_", "adjoint_")):
+            assert (row.check, row.scenario, row.rhs) == (ref.check,
+                                                          ref.scenario,
+                                                          ref.rhs)
+            assert abs(row.lhs - ref.lhs) <= 1e-9 * abs(ref.lhs), row
+        else:
+            assert row.as_tuple() == ref.as_tuple()
 
 
 def test_suite_evaluates_two_misfits_per_scenario(small_grid, small_coeffs,
