@@ -26,6 +26,12 @@ class AdjointField:
     phi_t: np.ndarray
     grid: object
 
+    @classmethod
+    def from_tau(cls, phi, rate, grid):
+        """The field of a state (phi, d phi / d tau) integrated in
+        tau = T - t, mapped back to t: phi_t = -d phi / d tau."""
+        return cls(phi=phi[:, ::-1], phi_t=(-rate)[:, ::-1], grid=grid)
+
 
 def solve_adjoint(coeffs, p, q, grid, system=None):
     """Solve the backward problem with moment data (p, q).
@@ -33,35 +39,24 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     p and q are time series on the grid (typically output residuals).
     The problem is integrated forward in tau = T - t with the same
     Newmark scheme as the forward solver and mapped back to t, so
-    phi(., T) = phi_t(., T) = 0 exactly.  p and q of shape
-    (B, n_times) are solved in one batched Newmark pass and give the
-    list of the B adjoint fields.
+    phi(., T) = phi_t(., T) = 0 exactly.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise DimensionError("adjoint inputs must be finite")
-    if (p.ndim not in (1, 2) or p.shape != q.shape
-            or p.shape[-1] != grid.n_times):
+    if p.shape != (grid.n_times,) or q.shape != (grid.n_times,):
         raise ValueError("boundary series must match the time grid")
     if system is None:
         system = assemble(grid, coeffs)
-    ps, qs = p.reshape(-1, grid.n_times), q.reshape(-1, grid.n_times)
     # the moment data force the end rotations, in reversed time; this
     # sign is the one that makes the discrete duality identity hold
-    forces = np.zeros((grid.n_times, len(ps), system.n_dofs))
-    forces[:, :, system.theta0_dof] = ps[:, ::-1].T
-    forces[:, :, system.thetaL_dof] = qs[:, ::-1].T
-    phi, phi_t = newmark_integrate(system.M, system.C, system.K, forces,
-                                   grid.dt)
-    del forces
-    # map tau back to t in place, one case at a time; phi_t = -dphi/dtau
-    for a, b in zip(phi, phi_t):
-        a[:] = a[:, ::-1]
-        np.negative(b[:, ::-1], out=b)
-    fields = [AdjointField(phi=a, phi_t=b, grid=grid)
-              for a, b in zip(phi, phi_t)]
-    return fields if p.ndim == 2 else fields[0]
+    forces = np.zeros((grid.n_times, system.n_dofs))
+    forces[:, system.theta0_dof] = p[::-1]
+    forces[:, system.thetaL_dof] = q[::-1]
+    phi, rate = newmark_integrate(system.M, system.C, system.K, forces,
+                                  grid.dt)
+    return AdjointField.from_tau(phi, rate, grid)
 
 
 def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,

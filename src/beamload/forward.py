@@ -202,25 +202,31 @@ def convolve_t1(t1, series, n_fft):
     return out
 
 
+def end_rotation_responses(system, grid):
+    """Histories (u, v) from t_1 on, each (2, n_dofs, n_times - 1), of
+    unit impulses at t_1 on theta_0 and theta_l, from one Newmark pass;
+    in tau = T - t, the adjoint problem's responses to unit end moments."""
+    impulses = np.zeros((grid.n_times, 2, system.n_dofs))
+    impulses[1, [0, 1], [system.theta0_dof, system.thetaL_dof]] = 1.0
+    u, v = newmark_integrate(system.M, system.C, system.K, impulses,
+                             grid.dt)
+    return u[:, :, 1:], v[:, :, 1:]
+
+
 def impulse_kernel(system, grid):
-    """The ImpulseKernel of `system` on the time grid of `grid`, built by
-    one Newmark pass of its two end-rotation impulses."""
+    """The ImpulseKernel of `system` on the time grid of `grid`, built
+    from the displacement responses of `end_rotation_responses`."""
     n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
     n_freq = n_fft // 2 + 1
     n_nodes = system.load_map.shape[1]
-    impulses = np.zeros((grid.n_times, 2, system.n_dofs))
-    impulses[1, [0, 1], [system.theta0_dof, system.thetaL_dof]] = 1.0
-    u = newmark_integrate(system.M, system.C, system.K, impulses,
-                          grid.dt)[0]
-    del impulses
+    u = end_rotation_responses(system, grid)[0]
     # filled in place, one response at a time, so that few transforms are
     # alive at once
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
         adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex))
-    # the response to the impulse at t_1 starts one step late
-    for i, response in enumerate(u[:, :, 1:]):
+    for i, response in enumerate(u):
         kernel.outputs_t1[i] = rfft(system.load_map.T @ response, n_fft)
         kernel.adjoint_t1[1:-1, i] = rfft(response[system.deflection_dofs],
                                           n_fft)

@@ -47,6 +47,8 @@ class InversionConfig:
             raise ValueError("max_iterations must be nonnegative")
         if not self.noise_delta >= 0:
             raise ValueError("noise_delta must be nonnegative")
+        if self.C_F is not None and not self.C_F > 0:
+            raise ValueError("C_F must be positive")
         if self.step_rule not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step rule: {self.step_rule}")
 

@@ -26,7 +26,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_rel < 0:
+        if not self.delta_rel >= 0:
             raise ValueError("delta_rel must be nonnegative")
 
 

@@ -240,7 +240,7 @@ def l2_norm_spacetime(load):
 
 def project_admissible(load, C_F):
     """Radial projection onto the ball ||F||^2 <= C_F."""
-    if C_F <= 0:
+    if not C_F > 0:
         raise ValueError("C_F must be positive")
     norm = l2_norm_spacetime(load)
     if norm ** 2 <= C_F or norm == 0.0:

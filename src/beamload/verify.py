@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointField, check_adjoint_estimates, solve_adjoint
+from .adjoint import AdjointField, check_adjoint_estimates
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
 from .forward import (EPS_FLOOR, BeamTrajectory, check_apriori_estimates,
-                      convolve_t1, cumtrapz, impulse_kernel, solve_forward)
+                      convolve_t1, cumtrapz, end_rotation_responses,
+                      impulse_kernel, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner)
@@ -84,37 +85,38 @@ def random_smooth_series(grid, rng):
     return y, dy
 
 
-def _spectra(responses, n_fft):
-    """`n_fft`-point spectra (n_dofs, n_in, frequency) of responses
-    (n_dofs, n_times) to unit impulses at t_1, each transformed in place,
-    so that no transform is alive beside the spectra."""
-    out = np.empty((len(responses), responses[0].shape[0], n_fft // 2 + 1),
-                   dtype=complex)
-    for response, spectrum in zip(responses, out):
-        # the response to the impulse at t_1 starts one step late
-        np.fft.rfft(response[:, 1:], n_fft, out=spectrum)
-    return out.transpose(1, 0, 2)
+def _convolution_states(velocities, grid, n_fft):
+    """The state (u, v) of inputs x (n_in, n_times) as a function of x:
+    v convolves x with the n_in velocity responses to impulses at t_1,
+    given from t_1 on, and u is its cumulative trapezoid from rest.  The
+    spectra are filled in place, so no transform is alive beside them."""
+    spectra = np.empty((len(velocities), velocities[0].shape[0],
+                        n_fft // 2 + 1), dtype=complex)
+    for response, spectrum in zip(velocities, spectra):
+        np.fft.rfft(response, n_fft, out=spectrum)
+    spectra = spectra.transpose(1, 0, 2)
+
+    def state(x):
+        v = convolve_t1(spectra, x, n_fft)
+        return cumtrapz(v, grid.dt), v
+    return state
 
 
 def _forward_states(coeffs, grid, system, n_fft):
     """The forward state of the load sum_k sin(k pi x / l) h_k(t) as a
-    function of the histories h (4, n_times).
-
-    Its velocity is the convolution of h with the modes' velocity
-    responses, from one batched `solve_forward` pass; its displacement is
-    the cumulative trapezoid of the velocity from rest.
-    """
+    function of the histories h (4, n_times), from the modes' velocity
+    responses of one batched `solve_forward` pass."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = _mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
                           system=system)
-    velocities = [traj.v for traj in trajs]
+    velocities = [traj.v[:, 1:] for traj in trajs]
+    # the u histories and the loads go before the spectra are allocated
     del pulses, trajs
-    load_t1 = _spectra(velocities, n_fft)
+    convolved = _convolution_states(velocities, grid, n_fft)
 
     def state(h):
-        v = convolve_t1(load_t1, h, n_fft)
-        u = cumtrapz(v, grid.dt)
+        u, v = convolved(h)
         return BeamTrajectory(
             u=u, v=v, grid=grid, system=system,
             outputs=MeasurementSeries(theta0=u[system.theta0_dof],
@@ -122,26 +124,15 @@ def _forward_states(coeffs, grid, system, n_fft):
     return state
 
 
-def _adjoint_states(coeffs, grid, system, n_fft):
-    """The adjoint field of moment data (p, q) as a function of p and q.
-
-    `solve_adjoint` integrates the reversed data in tau = T - t.  The
-    rate phi_t = -d phi / d tau is the convolution of the reversed data
-    with the responses to unit end moments at tau_1, from one batched
-    `solve_adjoint` pass, and -phi is its cumulative trapezoid from rest
-    at tau = 0.
-    """
-    # p of case 0 and q of case 1 are units at t_{n-2}, which is tau_1
-    pq = np.zeros((2, 2, grid.n_times))
-    pq[[0, 1], [0, 1], -2] = 1.0
-    rates = [field.phi_t[:, ::-1]
-             for field in solve_adjoint(coeffs, *pq, grid, system=system)]
-    moment_t1 = _spectra(rates, n_fft)
+def _adjoint_states(grid, system, n_fft):
+    """The adjoint field of moment data (p, q) as a function of p and q:
+    the state of the reversed (p, q) at the end rotations, in tau."""
+    convolved = _convolution_states(
+        end_rotation_responses(system, grid)[1], grid, n_fft)
 
     def state(p, q):
-        rate = convolve_t1(moment_t1, np.array([p[::-1], q[::-1]]), n_fft)
-        return AdjointField(phi=-cumtrapz(rate, grid.dt)[:, ::-1],
-                            phi_t=rate[:, ::-1], grid=grid)
+        return AdjointField.from_tau(
+            *convolved(np.array([p[::-1], q[::-1]])), grid)
     return state
 
 
@@ -214,8 +205,8 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     Newmark is linear and shift-invariant, so the state histories that
     the a-priori and adjoint estimates audit are FFT convolutions of each
     scenario's inputs with impulse responses: those of the four space
-    modes of `random_load`, from one forward pass, and those of the two
-    end moments, from one adjoint pass.  The adjoint phase starts once
+    modes of `random_load` and of the two end rotations, from a pass
+    each.  The adjoint phase starts once
     the forward phase's spectra are freed.  `kernel` is the ImpulseKernel
     of the grid and coefficients, built when not given.  Returns a
     SuiteReport; an empty scenario set yields an empty report.
@@ -233,7 +224,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                            tag, slack, ct_variant) for tag in tags]
     del forward_state
 
-    adjoint_state = _adjoint_states(coeffs, grid, system, kernel.n_fft)
+    adjoint_state = _adjoint_states(grid, system, kernel.n_fft)
     rows = []
     for tag, (scenario_rows, (p, dp, q, dq)) in zip(tags, scenarios):
         adjoint_rows = check_adjoint_estimates(

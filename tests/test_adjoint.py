@@ -56,6 +56,10 @@ def test_adjoint_rejects_wrong_length_data(small_grid, small_coeffs):
     with pytest.raises(ValueError):
         solve_adjoint(small_coeffs, p, np.zeros(small_grid.n_times + 1),
                       small_grid)
+    # one (p, q) pair per call: a batch of series is not a pair
+    pq = np.zeros((2, small_grid.n_times))
+    with pytest.raises(ValueError):
+        solve_adjoint(small_coeffs, pq, pq, small_grid)
 
 
 def test_adjoint_is_linear_in_data(small_grid, small_coeffs):

@@ -34,7 +34,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InversionConfig(step_rule="steepest")
     for bad in (dict(omega=float("nan")), dict(tau_d=float("nan")),
-                dict(max_iterations=-1)):
+                dict(max_iterations=-1), dict(C_F=-1.0), dict(C_F=0.0),
+                dict(C_F=float("nan"))):
         with pytest.raises(ValueError):
             InversionConfig(**bad)
 

@@ -205,8 +205,8 @@ def test_batched_newmark_equals_single_passes(seed, n_cases, random_case):
 
 
 def test_batched_solvers_equal_single_solves(small_grid, small_coeffs):
-    """`solve_forward` of a list of loads and `solve_adjoint` of (B,
-    n_times) series give the single solves' trajectories and fields."""
+    """`solve_forward` of a list of loads gives the single solves'
+    trajectories."""
     rng = np.random.default_rng(5)
     system = assemble(small_grid, small_coeffs)
     loads = [LoadField(rng.normal(size=(small_grid.n_nodes,
@@ -220,11 +220,3 @@ def test_batched_solvers_equal_single_solves(small_grid, small_coeffs):
                      (traj.outputs.theta0, one.outputs.theta0),
                      (traj.outputs.thetaL, one.outputs.thetaL)):
             assert np.array_equal(a, b)
-
-    p, q = rng.normal(size=(2, 3, small_grid.n_times))
-    fields = solve_adjoint(small_coeffs, p, q, small_grid, system=system)
-    assert len(fields) == 3
-    for field, pb, qb in zip(fields, p, q):
-        one = solve_adjoint(small_coeffs, pb, qb, small_grid, system=system)
-        assert np.array_equal(field.phi, one.phi)
-        assert np.array_equal(field.phi_t, one.phi_t)

@@ -42,6 +42,12 @@ def test_zero_noise_is_identity(small_grid):
     assert add_noise(series, NoiseSpec(delta_rel=0.0), small_grid.dt) is series
 
 
+@pytest.mark.parametrize("bad", [-0.01, float("nan")])
+def test_noise_level_must_be_nonnegative(bad):
+    with pytest.raises(ValueError):
+        NoiseSpec(delta_rel=bad)
+
+
 def test_smoothing_interpolates_clean_data(small_grid):
     series = clean_series(small_grid)
     # no recorded noise level: the spline interpolates

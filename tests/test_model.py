@@ -77,8 +77,9 @@ def test_projection_onto_admissible_ball():
     assert l2_norm_spacetime(proj) ** 2 == pytest.approx(C_F)
     small = LoadField(np.full((g.n_nodes, g.n_times), 0.1), g)
     assert project_admissible(small, C_F) is small
-    with pytest.raises(ValueError):
-        project_admissible(small, 0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            project_admissible(small, bad)
 
 
 def test_validate_coefficients_accepts_valid_fields():

@@ -1,5 +1,5 @@
 """Guards for deletions and style: the public names and the demos stay
-importable, and the source keeps to 79 columns."""
+importable, and the source, the tests and the demos keep to 79 columns."""
 
 import importlib.util
 import pathlib
@@ -10,6 +10,7 @@ import pytest
 
 import beamload
 
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 SOURCES = sorted(pathlib.Path(beamload.__file__).parent.glob("*.py"))
 
@@ -31,8 +32,9 @@ def test_import_leaves_scipy_interpolate_unloaded():
 
 def test_source_lines_fit_79_columns():
     # no linter is installed, so this is the line-length guard
-    assert len(SOURCES) >= 10
-    long = [f"{path.name}:{n}" for path in SOURCES
+    assert len(SOURCES) >= 10 and len(TESTS) >= 10
+    long = [f"{path.parent.name}/{path.name}:{n}"
+            for path in SOURCES + TESTS + DEMOS
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if len(line) > 79]
     assert long == []
