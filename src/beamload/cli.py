@@ -12,10 +12,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembly import assemble
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      ValidationError)
-from .forward import energy_residual, impulse_kernel, solve_forward
+from .forward import energy_residual, solve_forward
 from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
@@ -26,7 +25,7 @@ from .measurements import (NoiseSpec, add_noise, load_family,
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
                     validate_coefficients)
-from .verify import (duality_checks, gradient_fd_checks,
+from .verify import (audit_operators, duality_checks, gradient_fd_checks,
                      verify_inequality_suite)
 
 EXIT_OK = 0
@@ -267,11 +266,13 @@ def cmd_verify(cfg, grid, coeffs, args, out):
     seed = args.seed
     rows = []
     if cfg["verify.n_scenarios"] > 0:
-        # one kernel for every check of the grid and coefficients
-        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+        # one kernel for every check of the grid and coefficients, from
+        # the end-rotation pass that the adjoint audit also reads
+        operators = audit_operators(grid, coeffs)
+        kernel = operators[0]
         rows += verify_inequality_suite(
             grid, coeffs, n_scenarios=cfg["verify.n_scenarios"], seed=seed,
-            ct_variant=args.ct_variant, kernel=kernel).rows
+            ct_variant=args.ct_variant, operators=operators).rows
         rows += duality_checks(
             grid, coeffs, n_triples=cfg["verify.n_triples"], seed=seed,
             tol=cfg["verify.duality_tol"],

@@ -8,7 +8,7 @@ so the discrete energy balance reflects only the physical damping terms.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
@@ -151,12 +151,15 @@ class ImpulseKernel:
       (reciprocity).
     - `adjoint_t1`: out = nodes, in = (theta_0, theta_l); the rows of the
       simply supported end nodes are zero.
+
+    `system` is the assembled system the responses belong to.
     """
 
     n_fft: int
     n_times: int
     outputs_t1: np.ndarray
     adjoint_t1: np.ndarray
+    system: object
 
     def _convolve(self, t1, series):
         """Responses applied to input series (n_in, n_times), summed over
@@ -202,6 +205,22 @@ def convolve_t1(t1, series, n_fft):
     return out
 
 
+def next_fast_len(n):
+    """The smallest 5-smooth integer 2^a 3^b 5^c not below n >= 1: the
+    length `scipy.fft.next_fast_len(n, real=True)` gives, without
+    importing scipy.fft."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def end_rotation_responses(system, grid):
     """Histories (u, v) from t_1 on, each (2, n_dofs, n_times - 1), of
     unit impulses at t_1 on theta_0 and theta_l, from one Newmark pass;
@@ -213,19 +232,22 @@ def end_rotation_responses(system, grid):
     return u[:, :, 1:], v[:, :, 1:]
 
 
-def impulse_kernel(system, grid):
+def impulse_kernel(system, grid, u=None):
     """The ImpulseKernel of `system` on the time grid of `grid`, built
-    from the displacement responses of `end_rotation_responses`."""
-    n_fft = next_fast_len(2 * grid.n_steps - 1, real=True)
+    from the displacement responses u of `end_rotation_responses`; the
+    pass is made when the caller does not hand its u in."""
+    n_fft = next_fast_len(2 * grid.n_steps - 1)
     n_freq = n_fft // 2 + 1
     n_nodes = system.load_map.shape[1]
-    u = end_rotation_responses(system, grid)[0]
+    if u is None:
+        u = end_rotation_responses(system, grid)[0]
     # filled in place, one response at a time, so that few transforms are
     # alive at once
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
-        adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex))
+        adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex),
+        system=system)
     for i, response in enumerate(u):
         kernel.outputs_t1[i] = rfft(system.load_map.T @ response, n_fft)
         kernel.adjoint_t1[1:-1, i] = rfft(response[system.deflection_dofs],

@@ -4,7 +4,6 @@ reconstruction mode for identifiable load families."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .assembly import assemble
 from .constants import compute_constants
@@ -171,6 +170,13 @@ def _stagnated(J_history):
     recent = J_history[-(STAGNATION_WINDOW + 1):]
     ref = abs(recent[0]) + 1e-300
     return abs(recent[0] - recent[-1]) / ref < STAGNATION_RTOL
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first parametric fit
+    so that no other run pays for loading scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .forward import solve_forward
@@ -92,6 +91,8 @@ def _pick_lambda(times, values, target):
         return lo
     if excess(np.log(hi)) < 0:
         return hi
+    # imported here, so that a clamped weight never loads scipy.optimize
+    from scipy.optimize import brentq
     return float(np.exp(brentq(excess, np.log(lo), np.log(hi))))
 
 

@@ -124,11 +124,21 @@ def _forward_states(coeffs, grid, system, n_fft):
     return state
 
 
-def _adjoint_states(grid, system, n_fft):
+def audit_operators(grid, coeffs):
+    """The ImpulseKernel of the grid and coefficients and the velocity
+    responses to unit end-rotation impulses that the adjoint audit
+    convolves with, from one assemble and one `end_rotation_responses`
+    pass."""
+    system = assemble(grid, coeffs)
+    u, velocities = end_rotation_responses(system, grid)
+    return impulse_kernel(system, grid, u), velocities
+
+
+def _adjoint_states(grid, velocities, n_fft):
     """The adjoint field of moment data (p, q) as a function of p and q:
-    the state of the reversed (p, q) at the end rotations, in tau."""
-    convolved = _convolution_states(
-        end_rotation_responses(system, grid)[1], grid, n_fft)
+    the state of the reversed (p, q) at the end rotations, in tau, from
+    the end rotations' velocity responses."""
+    convolved = _convolution_states(velocities, grid, n_fft)
 
     def state(p, q):
         return AdjointField.from_tau(
@@ -199,23 +209,25 @@ def _scenario(grid, coeffs, kernel, forward_state, unit, rng, tag, slack,
 
 def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                             slack=DEFAULT_SLACK, ct_variant="literal",
-                            kernel=None):
+                            operators=None):
     """Run every inequality check over randomized admissible inputs.
 
     Newmark is linear and shift-invariant, so the state histories that
     the a-priori and adjoint estimates audit are FFT convolutions of each
     scenario's inputs with impulse responses: those of the four space
     modes of `random_load` and of the two end rotations, from a pass
-    each.  The adjoint phase starts once
-    the forward phase's spectra are freed.  `kernel` is the ImpulseKernel
-    of the grid and coefficients, built when not given.  Returns a
-    SuiteReport; an empty scenario set yields an empty report.
+    each.  The end rotations' pass also builds the kernel.  The adjoint
+    phase starts once the forward phase's spectra are freed.
+    `operators` is the (kernel, velocities) pair of `audit_operators`,
+    built when not given.  Returns a SuiteReport; an empty scenario set
+    yields an empty report.
     """
     rng = np.random.default_rng(seed)
-    system = assemble(grid, coeffs)
+    if operators is None:
+        operators = audit_operators(grid, coeffs)
     # the twin data, misfits and gradients convolve with the kernel
-    if kernel is None:
-        kernel = impulse_kernel(system, grid)
+    kernel, rotation_velocities = operators
+    system = kernel.system
     unit = unit_norm_matrices(grid)
     tags = [f"s{s:02d}" for s in range(n_scenarios)]
 
@@ -224,7 +236,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                            tag, slack, ct_variant) for tag in tags]
     del forward_state
 
-    adjoint_state = _adjoint_states(grid, system, kernel.n_fft)
+    adjoint_state = _adjoint_states(grid, rotation_velocities, kernel.n_fft)
     rows = []
     for tag, (scenario_rows, (p, dp, q, dq)) in zip(tags, scenarios):
         adjoint_rows = check_adjoint_estimates(

@@ -220,3 +220,38 @@ def test_batched_solvers_equal_single_solves(small_grid, small_coeffs):
                      (traj.outputs.theta0, one.outputs.theta0),
                      (traj.outputs.thetaL, one.outputs.thetaL)):
             assert np.array_equal(a, b)
+
+
+def test_next_fast_len_is_scipys_real_length():
+    from scipy.fft import next_fast_len
+    wrong = [n for n in range(1, 20000)
+             if forward.next_fast_len(n) != next_fast_len(n, real=True)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_transforms_equal_scipy_fft_bit_for_bit(seed, random_case,
+                                                       monkeypatch):
+    """The kernel's spectra and its convolutions from numpy.fft equal
+    those of the same code run on scipy.fft, bit for bit."""
+    import scipy.fft
+    grid, _, system, rng = random_case(seed)
+    loads = rng.normal(size=(grid.n_nodes, grid.n_times))
+    moments = rng.normal(size=(2, grid.n_times))
+
+    def transforms():
+        kernel = impulse_kernel(system, grid)
+        return (kernel.n_fft, kernel.outputs_t1, kernel.adjoint_t1,
+                forward.convolve_t1(kernel.outputs_t1, loads, kernel.n_fft),
+                forward.convolve_t1(kernel.adjoint_t1, moments,
+                                    kernel.n_fft))
+
+    ours = transforms()
+    monkeypatch.setattr(forward, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(forward, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(forward, "next_fast_len",
+                        lambda n: scipy.fft.next_fast_len(n, real=True))
+    reference = transforms()
+    assert ours[0] == reference[0]
+    for a, b in zip(ours[1:], reference[1:]):
+        assert np.array_equal(a, b)

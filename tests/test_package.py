@@ -20,14 +20,68 @@ def test_every_exported_name_resolves(name):
     assert hasattr(beamload, name)
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # the smoothing spline is solved in-house; importing scipy.interpolate
-    # would cost startup time and memory for nothing
-    code = "import sys, beamload; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         cwd=pathlib.Path(beamload.__file__).parent.parent)
-    assert out.stdout.strip() == "False"
+def fresh_process(code):
+    """Standard output of `code` run by a new interpreter that imports
+    this checkout's beamload."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          cwd=pathlib.Path(beamload.__file__).parent.parent
+                          ).stdout.split()
+
+
+UNUSED_AT_IMPORT = ("scipy.fft", "scipy.interpolate", "scipy.optimize")
+
+
+@pytest.mark.parametrize("module", ["beamload", "beamload.cli"])
+def test_import_leaves_unused_scipy_modules_unloaded(module):
+    # the kernel's transforms come from numpy.fft and the smoothing spline
+    # is solved in-house; scipy.optimize loads when a fit first needs it.
+    # Importing any of them would cost every process startup time and
+    # memory for nothing
+    code = (f"import sys, {module}; "
+            f"print(*[m in sys.modules for m in {UNUSED_AT_IMPORT}])")
+    assert fresh_process(code) == ["False"] * len(UNUSED_AT_IMPORT)
+
+
+SMOOTH_LAZILY = """
+import sys
+import numpy as np
+from beamload.measurements import NoiseSpec, add_noise, smooth_to_h1
+from beamload.model import MeasurementSeries, series_l2_norm
+t = np.linspace(0.0, 1.0, 129)
+noisy = add_noise(MeasurementSeries(theta0=t ** 2, thetaL=t - t ** 3),
+                  NoiseSpec(0.05, seed=0), t[1] - t[0])
+# no weight fits closer than this noise level: lambda clamps, no root-find
+smooth_to_h1(MeasurementSeries(noisy.theta0, noisy.thetaL, 1e-30), t)
+print("scipy.optimize" in sys.modules)
+smooth = smooth_to_h1(noisy, t)
+target = noisy.noise_delta / np.sqrt(2.0)
+res = series_l2_norm(smooth.theta0 - noisy.theta0, t[1] - t[0])
+print("scipy.optimize" in sys.modules, abs(res - target) <= 1e-6 * target)
+"""
+
+FIT_LAZILY = """
+import sys
+from beamload.forward import solve_forward
+from beamload.inversion import reconstruct_parametric
+from beamload.measurements import ModalLoad
+from beamload.model import CoefficientSet, SpaceTimeGrid
+grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
+coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8,
+                                 kappa=0.02)
+data = solve_forward(coeffs, ModalLoad((1.0, 0.5)).field(grid), grid).outputs
+print("scipy.optimize" in sys.modules)
+result = reconstruct_parametric(data, coeffs, grid, ModalLoad((0.5, 0.0)))
+print("scipy.optimize" in sys.modules, result.n_evaluations > 1)
+"""
+
+
+@pytest.mark.parametrize("code", [SMOOTH_LAZILY, FIT_LAZILY],
+                         ids=["smooth_to_h1", "reconstruct_parametric"])
+def test_scipy_optimize_loads_on_first_use(code):
+    # Brent's root-find and L-BFGS-B still run in a fresh process, and
+    # scipy.optimize loads only when one of them is called
+    assert fresh_process(code) == ["False", "True", "True"]
 
 
 def test_source_lines_fit_79_columns():

@@ -112,7 +112,7 @@ def test_suite_states_match_the_newmark_path(seed, random_case, monkeypatch):
     (load, Poincare amplitudes, load2, truth, p, q per scenario): every
     a-priori and adjoint row's lhs agrees to 1e-9 relative, and every
     other row is bit-identical."""
-    grid, coeffs, _, _ = random_case(seed)
+    grid, coeffs, system, _ = random_case(seed)
     n = 3
     report = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
 
@@ -131,7 +131,7 @@ def test_suite_states_match_the_newmark_path(seed, random_case, monkeypatch):
         return lambda h: solve_forward(coeffs, next(loads), grid,
                                        system=system)
 
-    def newmark_adjoint(grid, system, n_fft):
+    def newmark_adjoint(grid, velocities, n_fft):
         return lambda p, q: solve_adjoint(coeffs, *next(moments), grid,
                                           system=system)
 
@@ -163,7 +163,8 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
     q, _ = random_smooth_series(grid, rng)
 
     traj = verify._forward_states(coeffs, grid, system, n_fft)(h)
-    field = verify._adjoint_states(grid, system, n_fft)(p, q)
+    velocities = forward.end_rotation_responses(system, grid)[1]
+    field = verify._adjoint_states(grid, velocities, n_fft)(p, q)
     ref = solve_forward(coeffs, load, grid, system=system)
     adj = solve_adjoint(coeffs, p, q, grid, system=system)
     for a, b in ((traj.u, ref.u), (traj.v, ref.v),
