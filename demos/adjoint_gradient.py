@@ -6,8 +6,6 @@ pairing <p, B dF> = <B* (p, q), dF>, and agreement of the adjoint
 gradient with central finite differences of the misfit.
 """
 
-import numpy as np
-
 from beamload import CoefficientSet, SpaceTimeGrid
 from beamload.verify import duality_checks, gradient_fd_checks
 

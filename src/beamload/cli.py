@@ -264,22 +264,28 @@ def cmd_forward(cfg, grid, coeffs, args, out):
 
 def cmd_verify(cfg, grid, coeffs, args, out):
     seed = args.seed
+    n_scenarios, n_triples, n_directions = (
+        cfg[f"verify.{name}"]
+        for name in ("n_scenarios", "n_triples", "n_directions"))
     rows = []
-    if cfg["verify.n_scenarios"] > 0:
+    if n_scenarios or n_triples or n_directions:
         # one kernel for every check of the grid and coefficients, from
         # the end-rotation pass that the adjoint audit also reads
         operators = audit_operators(grid, coeffs)
         kernel = operators[0]
+    if n_scenarios:
         rows += verify_inequality_suite(
-            grid, coeffs, n_scenarios=cfg["verify.n_scenarios"], seed=seed,
+            grid, coeffs, n_scenarios=n_scenarios, seed=seed,
             ct_variant=args.ct_variant, operators=operators).rows
+    if n_triples:
         rows += duality_checks(
-            grid, coeffs, n_triples=cfg["verify.n_triples"], seed=seed,
+            grid, coeffs, n_triples=n_triples, seed=seed,
             tol=cfg["verify.duality_tol"],
             adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0,
             kernel=kernel).rows
+    if n_directions:
         rows += gradient_fd_checks(
-            grid, coeffs, n_directions=cfg["verify.n_directions"], seed=seed,
+            grid, coeffs, n_directions=n_directions, seed=seed,
             tol=cfg["verify.fd_tol"], kernel=kernel).rows
 
     save_check_report(os.path.join(out, "report.csv"),

@@ -22,9 +22,6 @@ from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
 
 EPS_FLOOR = 1e-14
 
-_GAMMA = 0.5
-_BETA = 0.25
-
 
 def _banded_solve(cb, b):
     """Solve with an upper banded Cholesky factor (LAPACK dpbtrs)."""
@@ -75,14 +72,9 @@ def newmark_integrate(M, C, K, forces, dt):
         raise DivergenceError("non-finite force input")
     forces = forces.reshape(n_times, n_cases * n)
     M, C, K = (_block_diagonal(ab, n_cases) for ab in (M, C, K))
-    a0 = 1.0 / (_BETA * dt ** 2)
-    a1 = _GAMMA / (_BETA * dt)
-    a2 = 1.0 / (_BETA * dt)
-    a3 = 1.0 / (2.0 * _BETA) - 1.0
-    a4 = _GAMMA / _BETA - 1.0
-    a5 = dt / 2.0 * (_GAMMA / _BETA - 2.0)
-    a6 = dt * (1.0 - _GAMMA)
-    a7 = _GAMMA * dt
+    # Newmark-beta at gamma = 1/2, beta = 1/4: of the textbook step's
+    # constants, a3 = a4 = 1, a5 = 0 and a6 = a7 = h
+    a0, a1, a2, h = 4.0 / dt ** 2, 2.0 / dt, 4.0 / dt, dt / 2.0
 
     cb_eff = cholesky_banded(K + a0 * M + a1 * C)
     cb_M = cholesky_banded(M)
@@ -100,11 +92,11 @@ def newmark_integrate(M, C, K, forces, dt):
         for k in range(n_times - 1):
             uk, vk = u[:, k], v[:, k]
             rhs = (forces[k + 1]
-                   + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + a3 * ak)
-                   + dsbmv(kd, 1.0, C, a1 * uk + a4 * vk + a5 * ak))
+                   + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + ak)
+                   + dsbmv(kd, 1.0, C, a1 * uk + vk))
             un = _banded_solve(cb_eff, rhs)
-            an = a0 * (un - uk) - a2 * vk - a3 * ak
-            u[:, k + 1], v[:, k + 1] = un, vk + a6 * ak + a7 * an
+            an = a0 * (un - uk) - a2 * vk - ak
+            u[:, k + 1], v[:, k + 1] = un, vk + h * ak + h * an
             ak = an
     bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
     if bad.size:
@@ -149,8 +141,8 @@ class ImpulseKernel:
       to an impulse at each end rotation, folded through `load_map`, give
       the outputs of a nodal load because the Newmark pencil is symmetric
       (reciprocity).
-    - `adjoint_t1`: out = nodes, in = (theta_0, theta_l); the rows of the
-      simply supported end nodes are zero.
+    - `adjoint_t1`: out = interior nodes, in = (theta_0, theta_l); the
+      simply supported end nodes' rows are zero and are not stored.
 
     `system` is the assembled system the responses belong to.
     """
@@ -187,7 +179,7 @@ class ImpulseKernel:
         if not np.all(np.isfinite(pq)):
             raise DimensionError("adjoint inputs must be finite")
         phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
-        return phi_tau[:, ::-1].copy()
+        return self.system.nodal(phi_tau[:, ::-1])
 
 
 def convolve_t1(t1, series, n_fft):
@@ -246,12 +238,12 @@ def impulse_kernel(system, grid, u=None):
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
-        adjoint_t1=np.zeros((n_nodes, 2, n_freq), dtype=complex),
+        adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
         system=system)
     for i, response in enumerate(u):
         kernel.outputs_t1[i] = rfft(system.load_map.T @ response, n_fft)
-        kernel.adjoint_t1[1:-1, i] = rfft(response[system.deflection_dofs],
-                                          n_fft)
+        kernel.adjoint_t1[:, i] = rfft(response[system.deflection_dofs],
+                                       n_fft)
     return kernel
 
 

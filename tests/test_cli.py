@@ -120,8 +120,23 @@ def test_verify_builds_one_kernel_and_batches_its_passes(tmp_path,
 
 
 def test_verify_empty_suite(tmp_path):
-    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 0\n")
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 0\n"
+                    + "verify.n_triples = 0\nverify.n_directions = 0\n")
     assert run("verify", cfg, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "summary.txt").read_text().split()[0] == (
+        "checks=0")
+
+
+def test_verify_counts_are_independent(tmp_path):
+    # no suite scenarios still runs the duality and FD checks
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 0\n"
+                    + "verify.n_triples = 2\nverify.n_directions = 2\n"
+                    + "verify.duality_tol = 2e-2\n")
+    out = tmp_path / "out"
+    assert run("verify", cfg, out) == 0
+    report = (out / "report.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in report] == (
+        ["duality"] * 2 + ["gradient_fd"] * 2)
 
 
 def test_invert_parametric_twin(tmp_path):
@@ -204,6 +219,33 @@ def assert_one_line_config_error(capsys):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("config error:") and "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("cmd,lines,message", [
+    ("forward", "", "forward needs a scenario"),
+    ("scenario", "scenario.kind = load_csv\n",
+     "missing config key: scenario.path"),
+    ("scenario", "", "scenario needs a scenario.kind"),
+    ("invert", "", "need measurements.path or a scenario"),
+])
+def test_missing_input_is_config_error(tmp_path, capsys, cmd, lines,
+                                       message):
+    cfg = write_cfg(tmp_path, BASE + lines)
+    assert run(cmd, cfg, tmp_path / "out") == 2
+    assert message in assert_one_line_config_error(capsys)
+
+
+def test_noise_seed_overrides_the_seed_flag(tmp_path):
+    twin = BASE + "scenario.kind = mode_pulse\nnoise.delta_rel = 0.05\n"
+    cfg = write_cfg(tmp_path, twin + "noise.seed = 3\n")
+    for out, seed in (("a", "0"), ("b", "5")):
+        assert run("scenario", cfg, tmp_path / out, ("--seed", seed)) == 0
+    plain = write_cfg(tmp_path, twin, name="plain.cfg")
+    assert run("scenario", plain, tmp_path / "c", ("--seed", "3")) == 0
+    assert run("scenario", plain, tmp_path / "d", ("--seed", "5")) == 0
+    noisy = [digest(tmp_path / out / "measurements_noisy.csv")
+             for out in "abcd"]
+    assert noisy[0] == noisy[1] == noisy[2] != noisy[3]
 
 
 @pytest.mark.parametrize("n_rows", [1, 2])
@@ -354,7 +396,8 @@ def test_undeclared_key_is_config_error(tmp_path, capsys, forward_calls, cmd):
 
 
 PARAMETRIC = "scenario.kind = moving_gaussian\ninversion.mode = parametric\n"
-EMPTY_VERIFY = "verify.n_scenarios = 0\n"
+EMPTY_VERIFY = ("verify.n_scenarios = 0\nverify.n_triples = 0\n"
+                "verify.n_directions = 0\n")
 
 
 @pytest.mark.parametrize("cmd,lines", [

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrs
 
 from beamload.assembly import assemble, unit_norm_matrices
 from beamload.constants import compute_constants
@@ -28,6 +30,54 @@ def test_newmark_scalar_oscillator_oracle():
     assert np.max(np.abs(u[0] - (1 - np.cos(t)))) < 1e-4
     assert np.max(np.abs(v[0] - np.sin(t))) < 1e-4
     assert u[0, 0] == 0.0 and v[0, 0] == 0.0
+
+
+def textbook_newmark(M, C, K, forces, dt, gamma=0.5, beta=0.25):
+    """One load case (n_times, n_dofs) of the Newmark-beta family
+    (Newmark, J. Eng. Mech. Div. ASCE 85, 1959) in its textbook
+    effective-stiffness form, with all eight step constants, on the band
+    calls of `newmark_integrate`.  The reference of its step."""
+    a0 = 1.0 / (beta * dt ** 2)
+    a1 = gamma / (beta * dt)
+    a2 = 1.0 / (beta * dt)
+    a3 = 1.0 / (2.0 * beta) - 1.0
+    a4 = gamma / beta - 1.0
+    a5 = dt / 2.0 * (gamma / beta - 2.0)
+    a6 = dt * (1.0 - gamma)
+    a7 = gamma * dt
+    kd = M.shape[0] - 1
+    cb_eff = cholesky_banded(K + a0 * M + a1 * C)
+    u = np.zeros(forces.shape[::-1])
+    v = np.zeros(forces.shape[::-1])
+    ak = dpbtrs(cholesky_banded(M), forces[0])[0]
+    for k in range(forces.shape[0] - 1):
+        uk, vk = u[:, k], v[:, k]
+        rhs = (forces[k + 1]
+               + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + a3 * ak)
+               + dsbmv(kd, 1.0, C, a1 * uk + a4 * vk + a5 * ak))
+        un = dpbtrs(cb_eff, rhs)[0]
+        an = a0 * (un - uk) - a2 * vk - a3 * ak
+        u[:, k + 1], v[:, k + 1] = un, vk + a6 * ak + a7 * an
+        ak = an
+    return u, v
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_cases", [1, 2, 3])
+def test_newmark_step_is_textbook_average_acceleration(seed, n_cases,
+                                                       random_case):
+    """The step written for gamma = 1/2, beta = 1/4 gives the textbook
+    step's u and v bit for bit, sign bits included, for every case of a
+    batch on a random variable-coefficient grid."""
+    grid, _, system, rng = random_case(seed)
+    forces = rng.normal(size=(grid.n_times, n_cases, system.n_dofs))
+    u, v = newmark_integrate(system.M, system.C, system.K, forces, grid.dt)
+    for b in range(n_cases):
+        ref_u, ref_v = textbook_newmark(system.M, system.C, system.K,
+                                        forces[:, b], grid.dt)
+        for ours, ref in ((u[b], ref_u), (v[b], ref_v)):
+            assert np.array_equal(ours, ref)
+            assert np.array_equal(np.signbit(ours), np.signbit(ref))
 
 
 def test_newmark_rejects_non_finite_input():

@@ -99,6 +99,24 @@ def test_morozov_stopping_level(twin):
     assert final > target / 2.0
 
 
+def test_vanishing_gradient_stops(twin):
+    grid, coeffs, _, series = twin
+    tiny = MeasurementSeries(theta0=1e-20 * series.theta0,
+                             thetaL=1e-20 * series.thetaL)
+    state = run_inversion(tiny, coeffs, grid)
+    assert state.stop_reason == "gradient"
+    assert state.iterations == 0
+    assert 0.0 < state.grad_history[0] < inversion.GRAD_TOL
+
+
+def test_stagnating_misfit_stops(twin):
+    grid, coeffs, _, series = twin
+    cfg = InversionConfig(step_rule="fixed", omega=1e-30, max_iterations=50)
+    state = run_inversion(series, coeffs, grid, config=cfg)
+    assert state.stop_reason == "stagnation"
+    assert state.iterations == inversion.STAGNATION_WINDOW
+
+
 def test_admissible_projection_is_enforced(twin):
     grid, coeffs, _, series = twin
     C_F = 1e-4

@@ -50,6 +50,7 @@ def test_kernel_matches_newmark(n_elements, n_steps, kind,
     p, q = rng.normal(size=(2, grid.n_times))
     adj = solve_adjoint(coeffs, p, q, grid, system=system)
     phi = kernel.adjoint(p, q)
+    assert kernel.adjoint_t1.shape[:2] == (grid.n_nodes - 2, 2)
     assert phi.shape == (grid.n_nodes, grid.n_times)
     assert np.all(phi[[0, -1]] == 0.0)
     assert rel_l2(phi[1:-1], adj.phi[system.deflection_dofs]) < TOL
@@ -65,6 +66,14 @@ def test_kernel_rejects_series_of_another_time_grid(small_grid,
         kernel.outputs(np.ones((finer.n_nodes, finer.n_times)))
     with pytest.raises(DimensionError):
         kernel.adjoint(*np.ones((2, finer.n_times)))
+
+
+def test_kernel_rejects_non_finite_load(small_grid, small_coeffs):
+    kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
+    values = np.zeros((small_grid.n_nodes, small_grid.n_times))
+    values[3, 7] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite force input"):
+        kernel.outputs(values)
 
 
 def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,

@@ -7,7 +7,7 @@ from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
                                    _pick_lambda, add_noise, generate_scenario,
                                    make_smoothing_spline, manufactured_case,
                                    smooth_to_h1)
-from beamload.model import (CoefficientSet, MeasurementSeries, SpaceTimeGrid,
+from beamload.model import (MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm)
 
 

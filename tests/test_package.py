@@ -1,6 +1,8 @@
 """Guards for deletions and style: the public names and the demos stay
-importable, and the source, the tests and the demos keep to 79 columns."""
+importable, and the source, the tests and the demos keep to 79 columns
+and import no name they do not use."""
 
+import ast
 import importlib.util
 import pathlib
 import subprocess
@@ -92,6 +94,35 @@ def test_source_lines_fit_79_columns():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if len(line) > 79]
     assert long == []
+
+
+def unused_imports(path):
+    """Names the module at `path` imports but neither reads nor lists in
+    its `__all__`."""
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and ast.unparse(node.targets[0]) == "__all__"):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+# the acceptance tests stay as they were written
+UNSCANNED = ("test_acceptance.py",)
+
+
+def test_every_import_is_used():
+    # no linter is installed, so this is the unused-import guard
+    unused = [f"{path.parent.name}/{path.name}: {name}"
+              for path in SOURCES + TESTS + DEMOS
+              if path.name not in UNSCANNED
+              for name in sorted(unused_imports(path))]
+    assert unused == []
 
 
 def test_demos_are_found():
