@@ -19,7 +19,7 @@ from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
                  save_iteration_log, save_load, save_measurements,
-                 save_sidecar)
+                 save_sidecar, save_table)
 from .measurements import (NoiseSpec, add_noise, load_family,
                            manufactured_case, smooth_to_h1)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
@@ -147,9 +147,6 @@ def build_coefficients(cfg, grid):
         try:
             fields[name] = np.full(grid.n_nodes, float(raw))
         except ValueError:
-            if not os.path.exists(raw):
-                raise ConfigError(
-                    f"coefficient file not found: {raw}") from None
             fields[name] = load_coefficient(raw, grid.nodes)
     extrema = [float(f(v)) for v in fields.values() for f in (np.min, np.max)]
     bounds = CoefficientBounds(**{
@@ -179,8 +176,6 @@ def build_truth_load(cfg, grid, coeffs):
         path = cfg["scenario.path"]
         if path is None:
             raise ConfigError("missing config key: scenario.path")
-        if not os.path.exists(path):
-            raise ConfigError(f"load file not found: {path}")
         return load_load(path, grid), None, None
     if kind == "mode_pulse":
         # the first space-time mode alone, the twin-data default
@@ -214,8 +209,6 @@ def _obtain_measurements(cfg, grid, coeffs, seed):
     noisy), with the truth load or None."""
     path = cfg["measurements.path"]
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"measurement file not found: {path}")
         return load_measurements(path, grid), None
     truth, clean, _, smooth = _twin_data(
         cfg, grid, coeffs, seed, "need measurements.path or a scenario")
@@ -243,10 +236,8 @@ def cmd_forward(cfg, grid, coeffs, args, out):
     save_measurements(os.path.join(out, "outputs.csv"), grid.times,
                       traj.outputs)
     save_field(os.path.join(out, "deflection.csv"), grid.nodes, grid.times, w)
-    with open(os.path.join(out, "energy_residual.csv"), "w") as fh:
-        fh.write("t,residual\n")
-        for t, r in zip(grid.times, res):
-            fh.write(f"{t:.17g},{r:.17g}\n")
+    save_table(os.path.join(out, "energy_residual.csv"), "t,residual",
+               (grid.times, res))
 
     summary = {"max_energy_residual": float(np.max(res)),
                "theta0_norm": series_l2_norm(traj.outputs.theta0, grid.dt),
@@ -263,29 +254,24 @@ def cmd_forward(cfg, grid, coeffs, args, out):
 
 
 def cmd_verify(cfg, grid, coeffs, args, out):
-    seed = args.seed
-    n_scenarios, n_triples, n_directions = (
-        cfg[f"verify.{name}"]
-        for name in ("n_scenarios", "n_triples", "n_directions"))
+    n = _family(cfg, "verify.n_")
     rows = []
-    if n_scenarios or n_triples or n_directions:
+    if any(n.values()):
         # one kernel for every check of the grid and coefficients, from
-        # the end-rotation pass that the adjoint audit also reads
+        # the end-rotation pass that the adjoint audit also reads; a
+        # family with a count of 0 returns no rows and builds nothing
         operators = audit_operators(grid, coeffs)
         kernel = operators[0]
-    if n_scenarios:
         rows += verify_inequality_suite(
-            grid, coeffs, n_scenarios=n_scenarios, seed=seed,
+            grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
             ct_variant=args.ct_variant, operators=operators).rows
-    if n_triples:
         rows += duality_checks(
-            grid, coeffs, n_triples=n_triples, seed=seed,
+            grid, coeffs, n_triples=n["triples"], seed=args.seed,
             tol=cfg["verify.duality_tol"],
             adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0,
             kernel=kernel).rows
-    if n_directions:
         rows += gradient_fd_checks(
-            grid, coeffs, n_directions=n_directions, seed=seed,
+            grid, coeffs, n_directions=n["directions"], seed=args.seed,
             tol=cfg["verify.fd_tol"], kernel=kernel).rows
 
     save_check_report(os.path.join(out, "report.csv"),
@@ -310,10 +296,8 @@ def cmd_invert(cfg, grid, coeffs, args, out):
                              _family(cfg, "inversion.init_"))
         result = reconstruct_parametric(series, coeffs, grid, family)
         params = result.family.parameters
-        with open(os.path.join(out, "parameters.csv"), "w") as fh:
-            fh.write("index,value\n")
-            for i, p in enumerate(params):
-                fh.write(f"{i},{p:.17g}\n")
+        save_table(os.path.join(out, "parameters.csv"), "index,value",
+                   (np.arange(len(params)), params))
         summary.update({"J": result.J, "converged": result.converged,
                         "identifiable": result.identifiable,
                         "n_evaluations": result.n_evaluations})
@@ -389,7 +373,10 @@ def main(argv=None):
         cfg = read_config(args.config)
         grid = SpaceTimeGrid(**_family(cfg, "grid."))
         coeffs = build_coefficients(cfg, grid)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out: {exc}") from None
         code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
         _write_manifest(args)
         return code

@@ -1,54 +1,80 @@
 """CSV serialization of fields, measurements and reports.
 
-All floating-point output uses 17 significant digits so round trips are
-bit-exact.
+Every CSV is a table: a header line, then comma-separated rows.
+`save_table` writes one and `_read_table` reads one.  All floating-point
+output uses 17 significant digits so round trips are bit-exact.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError
 from .model import LoadField, MeasurementSeries
 
-_FMT = "%.17g"
+_BLOCK = 4096
 
 
-def _fmt(value):
-    return _FMT % value
+def _write_rows(path, header, line, rows):
+    """`header`, then `line % tuple(row)` for each row."""
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def save_table(path, header, columns):
+    """Equal-length numeric columns as rows of `%.17g` values.  Rows are
+    stacked `_BLOCK` at a time, so a large table is never held whole."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = (row for i in range(0, len(columns[0]), _BLOCK)
+            for row in np.column_stack([c[i:i + _BLOCK]
+                                        for c in columns]).tolist())
+    _write_rows(path, header, line, rows)
+
+
+def _read_table(path, n_cols, **coordinates):
+    """The body of the table at `path`: `n_cols` wide, its leading columns
+    the grid's `coordinates` ({name: values}) to 1e-12.  A refusal names
+    the file: a ConfigError if unreadable, else a DimensionError."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body is an empty array, refused by its row count
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        raise DimensionError(f"{path}: {exc}") from None
+    n_rows = len(next(iter(coordinates.values())))
+    if data.shape[0] != n_rows:
+        raise DimensionError(f"{path}: {data.shape[0]} rows, "
+                             f"grid expects {n_rows}")
+    if data.shape[1] != n_cols:
+        raise DimensionError(f"{path}: {data.shape[1]} columns, "
+                             f"expected {n_cols}")
+    for found, (name, expected) in zip(data.T, coordinates.items()):
+        if not np.allclose(found, expected, rtol=1e-12, atol=1e-12):
+            raise DimensionError(
+                f"{path}: {name} coordinates do not match grid")
+    return data
 
 
 def save_coefficient(path, nodes, values):
     """Coefficient field as `x,value` rows."""
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(nodes, values):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
-
-
-def _check_coordinates(path, found, expected, name):
-    """A CSV's coordinate column must match the grid's to 1e-12."""
-    if not np.allclose(found, expected, rtol=1e-12, atol=1e-12):
-        raise DimensionError(f"{path}: {name} coordinates do not match grid")
+    save_table(path, "x,value", (nodes, values))
 
 
 def load_coefficient(path, nodes):
     """Read a coefficient CSV and check it matches the grid nodes."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    if data.shape[0] != len(nodes):
-        raise DimensionError(
-            f"{path}: {data.shape[0]} samples, grid has {len(nodes)} nodes")
-    _check_coordinates(path, data[:, 0], nodes, "node")
-    return data[:, 1].copy()
+    return _read_table(path, 2, node=nodes)[:, 1].copy()
 
 
 def _save_rows(path, nodes, times, values, name):
     """Nodal field as `x,t,<name>` rows, x-major."""
-    with open(path, "w") as fh:
-        fh.write(f"x,t,{name}\n")
-        for i, x in enumerate(nodes):
-            for j, t in enumerate(times):
-                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(values[i, j])}\n")
+    save_table(path, f"x,t,{name}", (np.repeat(nodes, len(times)),
+                                     np.tile(times, len(nodes)),
+                                     np.ravel(values)))
 
 
 def save_load(path, load):
@@ -58,17 +84,9 @@ def save_load(path, load):
 
 def load_load(path, grid):
     """Read an x-major `x,t,value` CSV and check it matches the grid."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    expected = grid.n_nodes * grid.n_times
-    if data.shape[0] != expected:
-        raise DimensionError(f"{path}: {data.shape[0]} rows, "
-                             f"grid expects {expected}")
-    _check_coordinates(path, data[:, 0], np.repeat(grid.nodes, grid.n_times),
-                       "node")
-    _check_coordinates(path, data[:, 1], np.tile(grid.times, grid.n_nodes),
-                       "time")
-    values = data[:, 2].reshape(grid.n_nodes, grid.n_times)
-    return LoadField(values, grid)
+    data = _read_table(path, 3, node=np.repeat(grid.nodes, grid.n_times),
+                       time=np.tile(grid.times, grid.n_nodes))
+    return LoadField(data[:, 2].reshape(grid.n_nodes, grid.n_times), grid)
 
 
 def save_field(path, nodes, times, values):
@@ -77,21 +95,14 @@ def save_field(path, nodes, times, values):
 
 
 def save_measurements(path, times, series):
-    with open(path, "w") as fh:
-        fh.write("t,theta0,thetaL\n")
-        for t, a, b in zip(times, series.theta0, series.thetaL):
-            fh.write(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}\n")
+    save_table(path, "t,theta0,thetaL", (times, series.theta0, series.thetaL))
 
 
 def load_measurements(path, grid):
     """Read a `t,theta0,thetaL` CSV; non-finite slopes are a numeric
     failure (DivergenceError), a wrong row count or time column a
     DimensionError."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    if data.shape[0] != grid.n_times:
-        raise DimensionError(f"{path}: {data.shape[0]} rows, "
-                             f"grid expects {grid.n_times}")
-    _check_coordinates(path, data[:, 0], grid.times, "time")
+    data = _read_table(path, 3, time=grid.times)
     if not np.all(np.isfinite(data[:, 1:3])):
         raise DivergenceError(f"{path}: non-finite measurements")
     return MeasurementSeries(theta0=data[:, 1].copy(),
@@ -117,21 +128,16 @@ def load_sidecar(path):
 
 
 def save_iteration_log(path, state):
-    with open(path, "w") as fh:
-        fh.write("iter,J,grad_norm,discrepancy\n")
-        for i, (J, gn, d) in enumerate(zip(state.J_history,
-                                           state.grad_history,
-                                           state.discrepancy_history)):
-            fh.write(f"{i},{_fmt(J)},{_fmt(gn)},{_fmt(d)}\n")
+    save_table(path, "iter,J,grad_norm,discrepancy",
+               (np.arange(len(state.J_history)), state.J_history,
+                state.grad_history, state.discrepancy_history))
 
 
 def save_check_report(path, rows):
     """Inequality report rows as `check,scenario,lhs,rhs,pass`."""
-    with open(path, "w") as fh:
-        fh.write("check,scenario,lhs,rhs,pass\n")
-        for name, scenario, lhs, rhs, ok in rows:
-            fh.write(f"{name},{scenario},{_fmt(lhs)},{_fmt(rhs)},"
-                     f"{'true' if ok else 'false'}\n")
+    _write_rows(path, "check,scenario,lhs,rhs,pass", "%s,%s,%.17g,%.17g,%s\n",
+                ((name, scenario, lhs, rhs, "true" if ok else "false")
+                 for name, scenario, lhs, rhs, ok in rows))
 
 
 def parse_config(path):

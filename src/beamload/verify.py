@@ -220,8 +220,10 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     phase starts once the forward phase's spectra are freed.
     `operators` is the (kernel, velocities) pair of `audit_operators`,
     built when not given.  Returns a SuiteReport; an empty scenario set
-    yields an empty report.
+    yields an empty report, and builds nothing.
     """
+    if not n_scenarios:
+        return SuiteReport(())
     rng = np.random.default_rng(seed)
     if operators is None:
         operators = audit_operators(grid, coeffs)
@@ -253,8 +255,10 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3,
 
     `adjoint_sign` = -1 corrupts the adjoint data sign (negative control).
     `kernel` is the ImpulseKernel of the grid and coefficients, built when
-    not given.
+    not given.  No triples build nothing.
     """
+    if not n_triples:
+        return SuiteReport(())
     rng = np.random.default_rng(seed)
     if kernel is None:
         kernel = impulse_kernel(assemble(grid, coeffs), grid)
@@ -276,7 +280,9 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3,
                        kernel=None):
     """Adjoint gradient against central finite differences of the misfit,
     on `kernel`, the ImpulseKernel of the grid and coefficients, built
-    when not given."""
+    when not given.  No directions build nothing."""
+    if not n_directions:
+        return SuiteReport(())
     rng = np.random.default_rng(seed)
     if kernel is None:
         kernel = impulse_kernel(assemble(grid, coeffs), grid)

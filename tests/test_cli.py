@@ -9,8 +9,8 @@ import pytest
 from beamload import adjoint, cli, forward, verify
 from beamload.cli import main
 from beamload.forward import solve_forward
-from beamload.io import save_load
-from beamload.model import LoadField, SpaceTimeGrid
+from beamload.io import save_coefficient, save_load, save_measurements
+from beamload.model import LoadField, MeasurementSeries, SpaceTimeGrid
 
 BASE = """
 grid.length = 1.0
@@ -302,6 +302,91 @@ def test_non_finite_coefficient_sample_is_config_error(tmp_path, capsys):
                     + "scenario.kind = zero\n")
     assert run("forward", cfg, tmp_path / "out") == 2
     assert "r[5] = nan" in assert_one_line_config_error(capsys)
+
+
+GRID = SpaceTimeGrid(1.0, 1.0, 16, 96)   # the grid of BASE
+ZERO = np.zeros(GRID.n_times)
+# per CSV reader: a writer of a table that fits GRID, and the command and
+# config lines that read the table at {path}
+CSV_READERS = {
+    "coefficient": (
+        lambda path: save_coefficient(path, GRID.nodes,
+                                      np.full(GRID.n_nodes, 0.8)),
+        "forward", "coeff.r = {path}\nscenario.kind = zero\n"),
+    "load_csv": (
+        lambda path: save_load(path, LoadField.zero(GRID)),
+        "forward", "scenario.kind = load_csv\nscenario.path = {path}\n"),
+    "measurements": (
+        lambda path: save_measurements(path, GRID.times,
+                                       MeasurementSeries(ZERO, ZERO)),
+        "invert", "measurements.path = {path}\n"),
+}
+
+
+def _replace_row(lines, text):
+    """The table's lines with its third data row replaced by `text(row)`."""
+    return lines[:3] + [text(lines[3])] + lines[4:]
+
+
+# each turns the lines of a fitting table into those of a malformed one
+CSV_DEFECTS = {
+    "empty": lambda lines: [],
+    "header_only": lambda lines: lines[:1],
+    "too_few_rows": lambda lines: lines[:-1],
+    "ragged_row": lambda lines: _replace_row(
+        lines, lambda row: row.rsplit(",", 1)[0]),
+    "column_short": lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+    "non_numeric": lambda lines: _replace_row(
+        lines, lambda row: row.rsplit(",", 1)[0] + ",abc"),
+    "empty_field": lambda lines: _replace_row(
+        lines, lambda row: row.rsplit(",", 1)[0] + ","),
+}
+
+
+def _csv_run(tmp_path, reader, path, out):
+    _, cmd, lines = CSV_READERS[reader]
+    cfg = write_cfg(tmp_path, BASE + lines.format(path=path))
+    return run(cmd, cfg, out)
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_fitting_csv_is_read(tmp_path, reader):
+    path = tmp_path / "table.csv"
+    CSV_READERS[reader][0](str(path))
+    assert _csv_run(tmp_path, reader, path, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("defect", [*CSV_DEFECTS, "directory", "missing",
+                                    "out_is_a_file"])
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_malformed_csv_is_one_line_config_error(tmp_path, capsys, reader,
+                                                defect):
+    """A table that cannot be read, a path that is no file and an --out
+    that is a file each exit 2 with one stderr line."""
+    path, out = tmp_path / "table.csv", tmp_path / "out"
+    CSV_READERS[reader][0](str(path))
+    if defect == "directory":
+        path = tmp_path
+    elif defect == "missing":
+        path = tmp_path / "absent.csv"
+    elif defect == "out_is_a_file":
+        out = path
+    else:
+        lines = CSV_DEFECTS[defect](path.read_text().splitlines())
+        path.write_text("".join(f"{line}\n" for line in lines))
+    assert _csv_run(tmp_path, reader, path, out) == 2
+    assert "Warning" not in assert_one_line_config_error(capsys)
+
+
+def test_failed_output_write_is_not_a_config_error(tmp_path, monkeypatch):
+    """Exit 2 covers unreadable inputs and an --out that cannot be made,
+    not an I/O failure while a command writes its outputs."""
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "save_sidecar", full_disk)
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = zero\n")
+    with pytest.raises(OSError, match="No space left"):
+        run("forward", cfg, tmp_path / "out")
 
 
 @pytest.mark.parametrize("key,extra", [

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from beamload import cli, io
 from beamload.cli import main
 from beamload.errors import ConfigError, DimensionError
 from beamload.io import (config_hash, load_coefficient, load_load,
-                         load_measurements, parse_config, save_coefficient,
+                         load_measurements, parse_config, save_check_report,
+                         save_coefficient, save_field, save_iteration_log,
                          save_load, save_measurements, save_sidecar,
                          load_sidecar)
 from beamload.model import LoadField, MeasurementSeries, SpaceTimeGrid
@@ -138,3 +142,169 @@ def test_config_hash_tracks_content(tmp_path):
     assert config_hash(a) == config_hash(b)
     b.write_text("x = 2\n")
     assert config_hash(a) != config_hash(b)
+
+
+# The row loops that wrote every CSV before `save_table`, kept as the
+# reference of its bytes.
+def _fmt(value):
+    return "%.17g" % value
+
+
+def reference_save_coefficient(path, nodes, values):
+    with open(path, "w") as fh:
+        fh.write("x,value\n")
+        for x, v in zip(nodes, values):
+            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+
+
+def reference_save_rows(path, nodes, times, values, name):
+    with open(path, "w") as fh:
+        fh.write(f"x,t,{name}\n")
+        for i, x in enumerate(nodes):
+            for j, t in enumerate(times):
+                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(values[i, j])}\n")
+
+
+def reference_save_measurements(path, times, series):
+    with open(path, "w") as fh:
+        fh.write("t,theta0,thetaL\n")
+        for t, a, b in zip(times, series.theta0, series.thetaL):
+            fh.write(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}\n")
+
+
+def reference_save_iteration_log(path, state):
+    with open(path, "w") as fh:
+        fh.write("iter,J,grad_norm,discrepancy\n")
+        for i, (J, gn, d) in enumerate(zip(state.J_history,
+                                           state.grad_history,
+                                           state.discrepancy_history)):
+            fh.write(f"{i},{_fmt(J)},{_fmt(gn)},{_fmt(d)}\n")
+
+
+def reference_save_check_report(path, rows):
+    with open(path, "w") as fh:
+        fh.write("check,scenario,lhs,rhs,pass\n")
+        for name, scenario, lhs, rhs, ok in rows:
+            fh.write(f"{name},{scenario},{_fmt(lhs)},{_fmt(rhs)},"
+                     f"{'true' if ok else 'false'}\n")
+
+
+def reference_energy_residual(path, times, res):
+    with open(path, "w") as fh:
+        fh.write("t,residual\n")
+        for t, r in zip(times, res):
+            fh.write(f"{t:.17g},{r:.17g}\n")
+
+
+def reference_parameters(path, params):
+    with open(path, "w") as fh:
+        fh.write("index,value\n")
+        for i, p in enumerate(params):
+            fh.write(f"{i},{p:.17g}\n")
+
+
+SPECIAL = (-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+           1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def special_values(rng, *shape):
+    """Normals across 600 decades with every SPECIAL value at random
+    places."""
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, len(SPECIAL), replace=False)] = SPECIAL
+    return values
+
+
+def same_bytes(a, b):
+    return a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_writers_match_the_row_loops(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n_nodes, n_times = 9, 13
+    nodes, times = special_values(rng, n_nodes), special_values(rng, n_times)
+    values = special_values(rng, n_nodes, n_times)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+
+    save_coefficient(new, nodes, values[:, 0])
+    reference_save_coefficient(ref, nodes, values[:, 0])
+    assert same_bytes(new, ref)
+
+    grid = SimpleNamespace(nodes=nodes, times=times)
+    save_load(new, SimpleNamespace(grid=grid, values=values))
+    reference_save_rows(ref, nodes, times, values, "value")
+    assert same_bytes(new, ref)
+    save_field(new, nodes, times, values)
+    reference_save_rows(ref, nodes, times, values, "u")
+    assert same_bytes(new, ref)
+
+    series = SimpleNamespace(theta0=values[0], thetaL=values[1])
+    save_measurements(new, times, series)
+    reference_save_measurements(ref, times, series)
+    assert same_bytes(new, ref)
+
+    state = SimpleNamespace(J_history=list(values[2]),
+                            grad_history=list(values[3]),
+                            discrepancy_history=list(values[4]))
+    save_iteration_log(new, state)
+    reference_save_iteration_log(ref, state)
+    assert same_bytes(new, ref)
+
+    rows = [(f"check_{i}", f"s{i:02d}", lhs, rhs, rng.integers(2) == 1)
+            for i, (lhs, rhs) in enumerate(zip(values[5], values[6]))]
+    save_check_report(new, rows)
+    reference_save_check_report(ref, rows)
+    assert same_bytes(new, ref)
+
+
+@pytest.mark.parametrize("n_rows", (0, 1, 4, 5, 117))
+def test_table_blocks_join_into_one_table(tmp_path, monkeypatch, n_rows):
+    """Rows stacked 4 at a time, across full, partial and no blocks, write
+    the row loop's bytes."""
+    monkeypatch.setattr(io, "_BLOCK", 4)
+    rng = np.random.default_rng(n_rows)
+    times = special_values(rng, n_rows + 8)[:n_rows]
+    series = SimpleNamespace(theta0=rng.normal(size=n_rows),
+                             thetaL=rng.normal(size=n_rows))
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_measurements(new, times, series)
+    reference_save_measurements(ref, times, series)
+    assert same_bytes(new, ref)
+
+
+BASE = """
+grid.n_elements = 4
+grid.n_steps = 8
+scenario.kind = zero
+"""
+
+
+def test_cli_tables_match_the_row_loops(tmp_path, monkeypatch):
+    """`energy_residual.csv` and `parameters.csv`, with special values
+    put in the rows the commands write."""
+    rng = np.random.default_rng(7)
+    grid = SpaceTimeGrid(1.0, 1.0, 4, 8)
+    res = special_values(rng, grid.n_times)
+    params = special_values(rng, 11)
+    monkeypatch.setattr(cli, "energy_residual", lambda *args: res)
+    monkeypatch.setattr(cli, "reconstruct_parametric", lambda *args: (
+        SimpleNamespace(family=SimpleNamespace(parameters=params,
+                                               field=LoadField.zero),
+                        J=0.0, converged=True, identifiable=True,
+                        n_evaluations=0)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE)
+    assert main(["forward", "--config", str(cfg),
+                 "--out", str(tmp_path / "fwd")]) == 0
+    reference_energy_residual(tmp_path / "ref.csv", grid.times, res)
+    assert same_bytes(tmp_path / "fwd" / "energy_residual.csv",
+                      tmp_path / "ref.csv")
+
+    cfg.write_text(BASE + "inversion.mode = parametric\n")
+    assert main(["invert", "--config", str(cfg),
+                 "--out", str(tmp_path / "inv")]) == 0
+    reference_parameters(tmp_path / "ref.csv", params)
+    assert same_bytes(tmp_path / "inv" / "parameters.csv",
+                      tmp_path / "ref.csv")

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from beamload import assembly, forward, objective, verify
+from beamload import adjoint, assembly, forward, objective, verify
 from beamload.adjoint import solve_adjoint
 from beamload.constants import compute_constants
 from beamload.forward import solve_forward
@@ -43,6 +43,31 @@ def test_empty_suite(small_grid, small_coeffs):
     report = verify_inequality_suite(small_grid, small_coeffs,
                                      n_scenarios=0)
     assert report.ok and report.rows == ()
+
+
+@pytest.mark.parametrize("check,count", [
+    (verify_inequality_suite, "n_scenarios"),
+    (duality_checks, "n_triples"),
+    (verify.gradient_fd_checks, "n_directions"),
+])
+def test_empty_check_family_is_free(small_grid, small_coeffs, monkeypatch,
+                                    check, count):
+    """A count of 0 returns an empty report before any assembly, Newmark
+    pass or gradient."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((forward, "newmark_integrate"),
+                         (adjoint, "newmark_integrate"),
+                         (verify, "assemble"), (verify, "compute_gradient")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert check(small_grid, small_coeffs, **{count: 0}).rows == ()
+    assert calls == []
 
 
 def test_corrected_variant_also_passes(small_grid, small_coeffs):
