@@ -59,27 +59,30 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     return AdjointField.from_tau(phi, rate, grid)
 
 
-def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,
-                            scenario="", ct_variant="literal"):
-    """Discrete check of the six adjoint-solution bounds.
+def adjoint_series(field, unit):
+    """The norm series that the adjoint estimates bound, at every
+    instant: int phi_xx^2, int phi_t^2 and int phi_xxt^2 dx.  `unit` is
+    the (M, K_r) pair of `unit_norm_matrices`."""
+    M1, K1 = unit
+    return (quadratic_forms(K1, field.phi), quadratic_forms(M1, field.phi_t),
+            quadratic_forms(K1, field.phi_t))
+
+
+def adjoint_rows(series, grid, coeffs, dp, dq, slack=DEFAULT_SLACK,
+                 scenario="", ct_variant="literal"):
+    """CheckRows of the six adjoint-solution bounds on the norm series of
+    `adjoint_series`.
 
     dp and dq are the derivative series of the moment inputs.  Bounds
     use C_0^2 of `compute_constants` and the combined input-derivative
-    norm ||p'||^2 + ||q'||^2.  `unit` is the (M, K_r) pair of
-    `unit_norm_matrices`.
+    norm ||p'||^2 + ||q'||^2.
     """
-    g = field.grid
     b = coeffs.bounds
-    M1, K1 = unit
-    wt = trapezoid_weights(g.n_times, g.dt)
+    pxx_sq, pt_sq, pxxt_sq = series
+    wt = trapezoid_weights(grid.n_times, grid.dt)
 
-    phi, phi_t = field.phi, field.phi_t
-    pxx_sq = quadratic_forms(K1, phi)
-    pt_sq = quadratic_forms(M1, phi_t)
-    pxxt_sq = quadratic_forms(K1, phi_t)
-
-    T = g.final_time
-    C0_sq = compute_constants(g.length, T, b, ct_variant=ct_variant).C0_sq
+    T = grid.final_time
+    C0_sq = compute_constants(grid.length, T, b, ct_variant=ct_variant).C0_sq
     Qp_sq = float(wt @ np.asarray(dp) ** 2 + wt @ np.asarray(dq) ** 2)
     eT = np.exp(T)
 
@@ -96,3 +99,13 @@ def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,
          (eT - 1.0) * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
     ]
     return estimate_rows("adjoint_", scenario, bounds, slack)
+
+
+def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,
+                            scenario="", ct_variant="literal"):
+    """Discrete check of the six adjoint-solution bounds of a field:
+    `adjoint_rows` of its `adjoint_series`.  `unit` is the (M, K_r) pair
+    of `unit_norm_matrices`.
+    """
+    return adjoint_rows(adjoint_series(field, unit), field.grid, coeffs, dp,
+                        dq, slack, scenario, ct_variant)

@@ -296,6 +296,16 @@ def energy_residual(traj, coeffs, load):
     return np.abs(lhs - work) / scale
 
 
+def banded_matrix(ab):
+    """The symmetric matrix held in upper band storage ab[k + i - j, j] =
+    A[i, j], as a sparse DIA array."""
+    k, n = ab.shape[0] - 1, ab.shape[1]
+    # the band rows are the upper diagonals, offsets k..0, of a DIA
+    # array; each lower diagonal is its mirror moved left
+    data = np.vstack([ab] + [np.roll(ab[k - d], -d) for d in range(1, k + 1)])
+    return dia_array((data, np.arange(k, -k - 1, -1)), shape=(n, n))
+
+
 def quadratic_forms(ab, X):
     """x' A x for every column x of X, with the symmetric A in upper band
     storage ab[k + i - j, j] = A[i, j].
@@ -304,12 +314,7 @@ def quadratic_forms(ab, X):
     within each row before the column sums; summing the band's terms
     over all rows at once loses up to 150 times more to round-off.
     """
-    k, n = ab.shape[0] - 1, ab.shape[1]
-    # the band rows are the upper diagonals, offsets k..0, of a DIA
-    # array; each lower diagonal is its mirror moved left
-    data = np.vstack([ab] + [np.roll(ab[k - d], -d) for d in range(1, k + 1)])
-    A = dia_array((data, np.arange(k, -k - 1, -1)), shape=(n, n))
-    return np.einsum("ij,ij->j", A @ X, X)
+    return np.einsum("ij,ij->j", banded_matrix(ab) @ X, X)
 
 
 def cumtrapz(y, dt):
@@ -324,33 +329,29 @@ def cumtrapz(y, dt):
     return out
 
 
-def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
-                            scenario=""):
-    """Discrete check of the solution and trace a-priori estimates.
-
-    Evaluates the six volume-norm bounds and the four boundary-trace
-    bounds with the constants C_e^2 and C_1^2 of `compute_constants`.
-    `unit` is the (M, K_r) pair of `unit_norm_matrices`.  Returns a list
-    of CheckRow records.
-    """
-    g = traj.grid
-    b = coeffs.bounds
+def apriori_series(traj, unit):
+    """The norm series that the a-priori estimates bound, at every
+    instant: int u_t^2, int u_xx^2 and int u_xxt^2 dx, then the end
+    rotations theta_0, theta_0', theta_l and theta_l'.  `unit` is the
+    (M, K_r) pair of `unit_norm_matrices`."""
     M1, K1 = unit
-    u, v = traj.u, traj.v
-    wt = trapezoid_weights(g.n_times, g.dt)
+    u, v, s = traj.u, traj.v, traj.system
+    return (quadratic_forms(M1, v), quadratic_forms(K1, u),
+            quadratic_forms(K1, v), u[s.theta0_dof], v[s.theta0_dof],
+            u[s.thetaL_dof], v[s.thetaL_dof])
 
-    ut_sq = quadratic_forms(M1, v)          # int u_t^2 dx
-    uxx_sq = quadratic_forms(K1, u)         # int u_xx^2 dx
-    uxxt_sq = quadratic_forms(K1, v)        # int u_xxt^2 dx
 
-    F_sq = l2_norm_spacetime(load) ** 2
-    consts = compute_constants(g.length, g.final_time, b)
+def apriori_rows(series, grid, coeffs, F_sq, slack=DEFAULT_SLACK,
+                 scenario=""):
+    """CheckRows of the six volume-norm and four boundary-trace a-priori
+    bounds on the norm series of `apriori_series`, for a load of squared
+    norm F_sq, with the constants C_e^2 and C_1^2 of
+    `compute_constants`."""
+    b = coeffs.bounds
+    ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series
+    wt = trapezoid_weights(grid.n_times, grid.dt)
+    consts = compute_constants(grid.length, grid.final_time, b)
     Ce2, C1_sq = consts.Ce_sq, consts.C1_sq
-
-    th0 = traj.outputs.theta0
-    thL = traj.outputs.thetaL
-    th0_t = v[traj.system.theta0_dof]
-    thL_t = v[traj.system.thetaL_dof]
 
     bounds = [
         ("ut_LinfL2", float(np.max(ut_sq)), Ce2 / b.rho0 * F_sq),
@@ -366,6 +367,17 @@ def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
         ("trace_uxtL", float(wt @ thL_t ** 2), C1_sq / b.kappa0 * F_sq),
     ]
     return estimate_rows("apriori_", scenario, bounds, slack)
+
+
+def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
+                            scenario=""):
+    """Discrete check of the solution and trace a-priori estimates of a
+    trajectory and its load: `apriori_rows` of its `apriori_series`.
+    `unit` is the (M, K_r) pair of `unit_norm_matrices`.  Returns a list
+    of CheckRow records.
+    """
+    return apriori_rows(apriori_series(traj, unit), traj.grid, coeffs,
+                        l2_norm_spacetime(load) ** 2, slack, scenario)
 
 
 def estimate_rows(prefix, scenario, bounds, slack):

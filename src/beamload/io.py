@@ -44,8 +44,10 @@ def _read_table(path, n_cols, **coordinates):
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(str(exc)) from None
-    except ValueError as exc:
+    except UnicodeDecodeError as exc:
         raise DimensionError(f"{path}: {exc}") from None
+    except ValueError:
+        raise DimensionError(_bad_line(path, n_cols)) from None
     n_rows = len(next(iter(coordinates.values())))
     if data.shape[0] != n_rows:
         raise DimensionError(f"{path}: {data.shape[0]} rows, "
@@ -58,6 +60,30 @@ def _read_table(path, n_cols, **coordinates):
             raise DimensionError(
                 f"{path}: {name} coordinates do not match grid")
     return data
+
+
+def _bad_line(path, n_cols):
+    """The refusal of a table at `path` that is not rows of `n_cols`
+    numbers: its first bad line, by the file's own 1-based number, and
+    what is wrong with it.  Blank lines and `#` comments are skipped, as
+    `np.loadtxt` skips them."""
+    with open(path, errors="replace") as fh:
+        next(fh, None)
+        for lineno, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0]
+            if not text.strip():
+                continue
+            fields = text.split(",")
+            if len(fields) != n_cols:
+                return (f"{path}:{lineno}: {len(fields)} values, "
+                        f"expected {n_cols}")
+            for field in fields:
+                try:
+                    float(field)
+                except ValueError:
+                    return (f"{path}:{lineno}: {field.strip()!r} is not "
+                            "a number")
+    return f"{path}: not a table of {n_cols} numbers per line"
 
 
 def save_coefficient(path, nodes, values):

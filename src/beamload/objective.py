@@ -24,6 +24,12 @@ def apply_io_operators(load, coeffs, grid, system=None):
     return traj.outputs.theta0, traj.outputs.thetaL
 
 
+def misfit(p, q, dt):
+    """The misfit 0.5 (||p||^2 + ||q||^2) of output residual series p and
+    q, with trapezoidal time quadrature."""
+    return 0.5 * time_inner(p, p, dt) + 0.5 * time_inner(q, q, dt)
+
+
 def evaluate_objective(load, measurements, kernel):
     """Tikhonov misfit J(F) with trapezoidal time quadrature on the grid
     of `load`.
@@ -37,8 +43,8 @@ def evaluate_objective(load, measurements, kernel):
     theta0, thetaL = kernel.outputs(load.values)
     p = theta0 - measurements.theta0
     q = thetaL - measurements.thetaL
-    J = 0.5 * time_inner(p, p, grid.dt) + 0.5 * time_inner(q, q, grid.dt)
-    return ObjectiveEvaluation(J=J, p=p, q=q, kernel=kernel)
+    return ObjectiveEvaluation(J=misfit(p, q, grid.dt), p=p, q=q,
+                               kernel=kernel)
 
 
 def compute_gradient(evaluation):

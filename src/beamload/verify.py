@@ -9,22 +9,30 @@ continuous adjoint with the discrete operators it stands in for, and
 measure its O(h^2) gap, which acceptance criterion 3 shows shrinking by
 4 per refinement.  On a coarse grid that gap may exceed the default
 tolerance with nothing wrong.
+
+The suite's random inputs span fixed bases: every load is a combination
+of 8 space-time modes and every moment series of 3 sine modes.  The
+discrete solvers are linear, so each audited norm series of a scenario
+is a quadratic form c' G(t) c in the coefficients c it draws, and each
+output a linear one.  The suite builds the Gram series G of the bases
+once per call and evaluates every scenario from them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
 
-from .adjoint import AdjointField, check_adjoint_estimates
+from .adjoint import adjoint_rows
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, BeamTrajectory, check_apriori_estimates,
-                      convolve_t1, cumtrapz, end_rotation_responses,
-                      impulse_kernel, solve_forward)
+from .forward import (EPS_FLOOR, apriori_rows, banded_matrix, convolve_t1,
+                      cumtrapz, end_rotation_responses, impulse_kernel,
+                      solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner)
-from .objective import compute_gradient, evaluate_objective
+from .objective import compute_gradient, evaluate_objective, misfit
 
 
 @dataclass(frozen=True)
@@ -50,78 +58,167 @@ def _mode_shapes(grid):
     return np.sin(k * np.pi * grid.nodes / grid.length)
 
 
-def _random_modal_load(grid, rng):
-    """Random histories h (4, n_times) of the four space modes and their
-    load sum_k sin(k pi x / l) h_k(t)."""
-    t = grid.times
-    T = grid.final_time
-    h = np.empty((4, grid.n_times))
+def _load_histories(grid):
+    """The time factors of the load basis, (4, 2, n_times): sin(k pi t / T)
+    and cos((k - 1) pi t / T) of space mode k = 1..4."""
+    k = np.arange(1, 5)[:, None]
+    t, T = grid.times, grid.final_time
+    return np.stack([np.sin(k * np.pi * t / T),
+                     np.cos((k - 1) * np.pi * t / T)], axis=1)
+
+
+def _modal_load(grid, c, factors=None):
+    """The load sum_k sin(k pi x / l) (a_k sin(k pi t / T)
+    + b_k cos((k - 1) pi t / T)) of coefficients c = (a_1, b_1, ..., a_4,
+    b_4).  `factors` is the pair of `_mode_shapes` and `_load_histories`
+    of the grid, made when not given."""
+    shapes, histories = factors or (_mode_shapes(grid),
+                                    _load_histories(grid))
     values = np.zeros((grid.n_nodes, grid.n_times))
-    for k, shape in enumerate(_mode_shapes(grid), start=1):
-        a, b = rng.normal(size=2)
-        h[k - 1] = (a * np.sin(k * np.pi * t / T)
-                    + b * np.cos((k - 1) * np.pi * t / T))
-        values += shape[:, None] * h[k - 1]
-    return h, LoadField(values, grid)
+    for shape, (a, b), (sin, cos) in zip(shapes, np.reshape(c, (4, 2)),
+                                         histories):
+        values += shape[:, None] * (a * sin + b * cos)
+    return LoadField(values, grid)
 
 
 def random_load(grid, rng):
     """Smooth random admissible load from the four lowest space-time modes."""
-    return _random_modal_load(grid, rng)[1]
+    return _modal_load(grid, rng.normal(size=8))
+
+
+def _moment_modes(grid):
+    """The moment basis sin(j pi t / T), j = 1..3, (3, n_times)."""
+    w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
+    return np.sin(w * grid.times)
+
+
+def _moment(grid, a):
+    """The series sum_j a_j sin(j pi t / T) and its analytic derivative."""
+    t = grid.times
+    y = np.zeros_like(t)
+    dy = np.zeros_like(t)
+    for j, (aj, mode) in enumerate(zip(a, _moment_modes(grid)), start=1):
+        w = j * np.pi / grid.final_time
+        y += aj * mode
+        dy += aj * w * np.cos(w * t)
+    return y, dy
 
 
 def random_smooth_series(grid, rng):
     """Random smooth time series of three sine modes with its analytic
     derivative, vanishing at t=0 as the adjoint trace argument requires."""
-    t = grid.times
-    T = grid.final_time
-    y = np.zeros_like(t)
-    dy = np.zeros_like(t)
-    for j in range(1, 4):
-        a = rng.normal()
-        w = j * np.pi / T
-        y += a * np.sin(w * t)
-        dy += a * w * np.cos(w * t)
-    return y, dy
+    return _moment(grid, rng.normal(size=3))
 
 
-def _convolution_states(velocities, grid, n_fft):
-    """The state (u, v) of inputs x (n_in, n_times) as a function of x:
-    v convolves x with the n_in velocity responses to impulses at t_1,
-    given from t_1 on, and u is its cumulative trapezoid from rest.  The
-    spectra are filled in place, so no transform is alive beside them."""
-    spectra = np.empty((len(velocities), velocities[0].shape[0],
-                        n_fft // 2 + 1), dtype=complex)
-    for response, spectrum in zip(velocities, spectra):
-        np.fft.rfft(response, n_fft, out=spectrum)
-    spectra = spectra.transpose(1, 0, 2)
-
-    def state(x):
-        v = convolve_t1(spectra, x, n_fft)
-        return cumtrapz(v, grid.dt), v
-    return state
+def _gram_series(ab, X):
+    """G(t)[i, j] = x_i(t)' A x_j(t), (n_times, n_basis, n_basis), of
+    states X (n_basis, n_dofs, n_times), with the symmetric A in upper
+    band storage.  Each A x_i is formed first, as `quadratic_forms` does,
+    and one at a time."""
+    A = banded_matrix(ab)
+    gram = np.empty((X.shape[2], len(X), len(X)))
+    for i, x in enumerate(X):
+        gram[:, i] = np.einsum("dt,jdt->tj", A @ x, X)
+    return gram
 
 
-def _forward_states(coeffs, grid, system, n_fft):
-    """The forward state of the load sum_k sin(k pi x / l) h_k(t) as a
-    function of the histories h (4, n_times), from the modes' velocity
-    responses of one batched `solve_forward` pass."""
+# DOF rows of the basis states convolved at a time
+_ROWS = 32
+
+
+def _rate_states(velocities, series, n_fft):
+    """Velocity states (n_in * n_per, n_dofs, n_times) of input series
+    (n_in, n_per, n_times): series[i] convolves with velocities[i], the
+    velocity response (n_dofs, n_times - 1) to a unit impulse at t_1,
+    given from t_1 on.  The states are filled `_ROWS` DOFs at a time, so
+    that the transforms alive beside them stay small."""
+    n_in, n_per, n_times = series.shape
+    n_dofs = velocities[0].shape[0]
+    states = np.empty((n_in, n_per, n_dofs, n_times))
+    for response, inputs, out in zip(velocities, series, states):
+        for rows in range(0, n_dofs, _ROWS):
+            block = slice(rows, rows + _ROWS)
+            spectrum = rfft(response[block], n_fft)[:, None]
+            for x, state in zip(inputs, out):
+                state[block] = convolve_t1(spectrum, x[None], n_fft)
+    return states.reshape(n_in * n_per, n_dofs, n_times)
+
+
+def _norm_bases(X, unit, dt, traces=()):
+    """The Gram series of int w^2, int w_xx^2 and int w_xxt^2 dx over the
+    velocity states w of X (n_basis, n_dofs, n_times), and the bases
+    (n_basis, n_times) of the displacement and velocity at each of the
+    `traces` DOFs.  The displacement is the velocity's cumulative
+    trapezoid from rest, which average-acceleration Newmark satisfies
+    exactly; it overwrites X state by state once the velocity Grams are
+    formed."""
+    M1, K1 = unit
+    rates = [X[:, dof].copy() for dof in traces]
+    wt_sq, wxxt_sq = _gram_series(M1, X), _gram_series(K1, X)
+    for x in X:
+        x[:] = cumtrapz(x, dt)
+    lines = []
+    for dof, rate in zip(traces, rates):
+        lines += [X[:, dof].copy(), rate]
+    return (wt_sq, _gram_series(K1, X), wxxt_sq), lines
+
+
+def _series(basis, c):
+    """The norm series of the input with basis coefficients c, from the
+    (Gram series, line bases) pair of its basis."""
+    grams, lines = basis
+    return [gram @ c @ c for gram in grams] + [c @ line for line in lines]
+
+
+def _load_basis_rates(coeffs, grid, system, n_fft):
+    """Velocity states (8, n_dofs, n_times) of the basis loads, in the
+    order of `_modal_load`'s coefficients, from the velocity responses
+    to the four space modes as impulses at t_1, of one batched
+    `solve_forward` pass."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = _mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
                           system=system)
     velocities = [traj.v[:, 1:] for traj in trajs]
-    # the u histories and the loads go before the spectra are allocated
+    # the u histories and the loads go before the states are allocated
     del pulses, trajs
-    convolved = _convolution_states(velocities, grid, n_fft)
+    return _rate_states(velocities, _load_histories(grid), n_fft)
 
-    def state(h):
-        u, v = convolved(h)
-        return BeamTrajectory(
-            u=u, v=v, grid=grid, system=system,
-            outputs=MeasurementSeries(theta0=u[system.theta0_dof],
-                                      thetaL=u[system.thetaL_dof]))
-    return state
+
+def _moment_basis_rates(grid, velocities, n_fft):
+    """Rate states d phi / d tau (6, n_dofs, n_times), in tau = T - t, of
+    the basis moments, p then q: the adjoint problem is the forward
+    pencil driven at the end rotations by the reversed data, so these
+    convolve the reversed basis series with `velocities`, the end
+    rotations' velocity responses."""
+    reversed_modes = _moment_modes(grid)[:, ::-1]
+    return _rate_states(velocities, np.stack([reversed_modes] * 2), n_fft)
+
+
+def _forward_bases(coeffs, grid, system, n_fft, unit):
+    """The bases of `apriori_series` over the 8 basis loads."""
+    return _norm_bases(_load_basis_rates(coeffs, grid, system, n_fft), unit,
+                       grid.dt, traces=(system.theta0_dof, system.thetaL_dof))
+
+
+def _adjoint_bases(grid, velocities, n_fft, unit):
+    """The bases of `adjoint_series` over the 6 basis moments, p then q.
+    The field is the tau state read backwards in time, and phi_t is minus
+    its rate, so its Gram series are the tau states' read backwards."""
+    (pt_sq, pxx_sq, pxxt_sq), _ = _norm_bases(
+        _moment_basis_rates(grid, velocities, n_fft), unit, grid.dt)
+    return [gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)], []
+
+
+def _output_bases(grid, kernel):
+    """The outputs (theta_0, theta_l) of the 8 basis loads, (8, 2,
+    n_times), and the space-time Gram of their gradients, the kernel's
+    adjoint fields of those outputs, (8, 8)."""
+    outputs = np.array([kernel.outputs(_modal_load(grid, c).values)
+                        for c in np.eye(8)])
+    fields = [kernel.adjoint(*theta) for theta in outputs]
+    return outputs, np.array([[spacetime_inner(a, b, grid) for b in fields]
+                              for a in fields])
 
 
 def audit_operators(grid, coeffs):
@@ -134,32 +231,17 @@ def audit_operators(grid, coeffs):
     return impulse_kernel(system, grid, u), velocities
 
 
-def _adjoint_states(grid, velocities, n_fft):
-    """The adjoint field of moment data (p, q) as a function of p and q:
-    the state of the reversed (p, q) at the end rotations, in tau, from
-    the end rotations' velocity responses."""
-    convolved = _convolution_states(velocities, grid, n_fft)
-
-    def state(p, q):
-        return AdjointField.from_tau(
-            *convolved(np.array([p[::-1], q[::-1]])), grid)
-    return state
-
-
-def _scenario(grid, coeffs, kernel, forward_state, unit, rng, tag, slack,
-              ct_variant):
+def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
     """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
-    truth, p, q) and evaluate all its rows but the adjoint ones.
-
-    Returns the rows and the moment data (p, dp, q, dq) of the adjoint
-    rows, which go before the last row.
-    """
-    h, load = _random_modal_load(grid, rng)
+    truth, p, q) and evaluate its rows from the bases."""
+    factors, forward, adjoint, (outputs, gradient_gram) = bases
+    c1 = rng.normal(size=8)
+    load = _modal_load(grid, c1, factors)
     F_norm_sq = l2_norm_spacetime(load) ** 2
 
     # a-priori bounds: six volume norms and four boundary traces
-    rows = check_apriori_estimates(forward_state(h), coeffs, load, unit=unit,
-                                   slack=slack, scenario=tag)
+    rows = apriori_rows(_series(forward, c1), grid, coeffs,
+                        F_norm_sq, slack, tag)
 
     # Rolle-type inequality, closed forms on a random sine sum
     amps = rng.normal(size=3)
@@ -171,40 +253,45 @@ def _scenario(grid, coeffs, kernel, forward_state, unit, rng, tag, slack,
     rows.append(CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack))
 
     # a second load, and twin data from a third for C_J
-    load2 = random_load(grid, rng)
-    truth = random_load(grid, rng)
-    meas = MeasurementSeries(*kernel.outputs(truth.values))
+    c2 = rng.normal(size=8)
+    load2 = _modal_load(grid, c2, factors)
+    meas = np.tensordot(rng.normal(size=8), outputs, 1)
     consts = compute_constants(
         grid.length, grid.final_time, coeffs.bounds,
         C_F=max(1.0, 10.0 * F_norm_sq),
-        theta0_norm=series_l2_norm(meas.theta0, grid.dt),
-        thetaL_norm=series_l2_norm(meas.thetaL, grid.dt),
+        theta0_norm=series_l2_norm(meas[0], grid.dt),
+        thetaL_norm=series_l2_norm(meas[1], grid.dt),
         ct_variant=ct_variant)
     dF = l2_norm_spacetime(load - load2)
-    e1 = evaluate_objective(load, meas, kernel)
-    e2 = evaluate_objective(load2, meas, kernel)
+    r1 = np.tensordot(c1, outputs, 1) - meas
+    r2 = np.tensordot(c2, outputs, 1) - meas
 
     # Lipschitz continuity of the input-output maps: the data cancel
     # in the difference of the residuals
-    for name, r1, r2 in (("io_lipschitz_theta0", e1.p, e2.p),
-                         ("io_lipschitz_thetaL", e1.q, e2.q)):
-        lhs = series_l2_norm(r1 - r2, grid.dt)
+    for name, channel in (("io_lipschitz_theta0", 0),
+                          ("io_lipschitz_thetaL", 1)):
+        lhs = series_l2_norm(r1[channel] - r2[channel], grid.dt)
         rows.append(CheckRow.bound(name, tag, lhs, consts.C_L * dF, slack))
 
     # Lipschitz continuity of the misfit functional
-    rows.append(CheckRow.bound("misfit_lipschitz", tag, abs(e1.J - e2.J),
-                               consts.C_J * dF, slack))
+    rows.append(CheckRow.bound(
+        "misfit_lipschitz", tag,
+        abs(misfit(*r1, grid.dt) - misfit(*r2, grid.dt)), consts.C_J * dF,
+        slack))
 
-    # the adjoint estimates' moment data
-    p, dp = random_smooth_series(grid, rng)
-    q, dq = random_smooth_series(grid, rng)
+    # the adjoint estimates of random moment data
+    a_p, a_q = rng.normal(size=3), rng.normal(size=3)
+    (_, dp), (_, dq) = _moment(grid, a_p), _moment(grid, a_q)
+    rows += adjoint_rows(_series(adjoint, np.concatenate([a_p, a_q])), grid,
+                         coeffs, dp, dq, slack, tag, ct_variant)
 
-    # Lipschitz continuity of the gradient, from the misfits above
-    diff = compute_gradient(e1) - compute_gradient(e2)
-    lhs_g = np.sqrt(spacetime_inner(diff, diff, grid))
-    rows.append(CheckRow.bound("gradient_lipschitz", tag, lhs_g,
+    # Lipschitz continuity of the gradient: the gradient difference is
+    # the adjoint field of the output difference
+    d = c1 - c2
+    rows.append(CheckRow.bound("gradient_lipschitz", tag,
+                               np.sqrt(d @ gradient_gram @ d),
                                consts.L_G * dF, slack))
-    return rows, (p, dp, q, dq)
+    return rows
 
 
 def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
@@ -212,39 +299,34 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
                             operators=None):
     """Run every inequality check over randomized admissible inputs.
 
-    Newmark is linear and shift-invariant, so the state histories that
-    the a-priori and adjoint estimates audit are FFT convolutions of each
-    scenario's inputs with impulse responses: those of the four space
-    modes of `random_load` and of the two end rotations, from a pass
-    each.  The end rotations' pass also builds the kernel.  The adjoint
-    phase starts once the forward phase's spectra are freed.
-    `operators` is the (kernel, velocities) pair of `audit_operators`,
-    built when not given.  Returns a SuiteReport; an empty scenario set
-    yields an empty report, and builds nothing.
+    The loads span 8 basis loads and the moment data 6 basis series, so
+    the suite first builds, once per call, the Gram series of the
+    audited norms over each basis, the basis loads' outputs and the Gram
+    of their gradients; each scenario then draws its coefficients and
+    evaluates quadratic and linear forms in them.  The forward states are
+    FFT convolutions with the velocity responses to the four space modes
+    of `random_load`, from one pass, and the adjoint states with those
+    to the two end rotations.  Each phase frees its states before the
+    next starts.  `operators` is the (kernel, velocities) pair of
+    `audit_operators`, built when not given.  Returns a SuiteReport; an
+    empty scenario set yields an empty report, and builds nothing.
     """
     if not n_scenarios:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
     if operators is None:
         operators = audit_operators(grid, coeffs)
-    # the twin data, misfits and gradients convolve with the kernel
     kernel, rotation_velocities = operators
-    system = kernel.system
     unit = unit_norm_matrices(grid)
-    tags = [f"s{s:02d}" for s in range(n_scenarios)]
-
-    forward_state = _forward_states(coeffs, grid, system, kernel.n_fft)
-    scenarios = [_scenario(grid, coeffs, kernel, forward_state, unit, rng,
-                           tag, slack, ct_variant) for tag in tags]
-    del forward_state
-
-    adjoint_state = _adjoint_states(grid, rotation_velocities, kernel.n_fft)
+    bases = (
+        (_mode_shapes(grid), _load_histories(grid)),
+        _forward_bases(coeffs, grid, kernel.system, kernel.n_fft, unit),
+        _adjoint_bases(grid, rotation_velocities, kernel.n_fft, unit),
+        _output_bases(grid, kernel))
     rows = []
-    for tag, (scenario_rows, (p, dp, q, dq)) in zip(tags, scenarios):
-        adjoint_rows = check_adjoint_estimates(
-            adjoint_state(p, q), coeffs, dp, dq, unit=unit, slack=slack,
-            scenario=tag, ct_variant=ct_variant)
-        rows += scenario_rows[:-1] + adjoint_rows + scenario_rows[-1:]
+    for s in range(n_scenarios):
+        rows += _scenario(grid, coeffs, bases, rng, f"s{s:02d}", slack,
+                          ct_variant)
     return SuiteReport(tuple(rows))
 
 

@@ -378,6 +378,38 @@ def test_malformed_csv_is_one_line_config_error(tmp_path, capsys, reader,
     assert "Warning" not in assert_one_line_config_error(capsys)
 
 
+@pytest.mark.parametrize("lineno,defect,message", [
+    (2, lambda line: line.rsplit(",", 1)[0] + ",abc", ":2: 'abc' is not a "
+     "number"),
+    (4, lambda line: line.rsplit(",", 1)[0], ":4: 2 values, expected 3"),
+])
+def test_malformed_csv_names_its_line(tmp_path, capsys, lineno, defect,
+                                      message):
+    """The one-line refusal of a malformed table names the file's own
+    1-based line number, and not numpy's row count or its arguments."""
+    path = tmp_path / "table.csv"
+    CSV_READERS["measurements"][0](str(path))
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = defect(lines[lineno - 1])
+    path.write_text("".join(f"{line}\n" for line in lines))
+    assert _csv_run(tmp_path, "measurements", path, tmp_path / "out") == 2
+    err = assert_one_line_config_error(capsys)
+    assert f"{path}{message}" in err
+    assert " row " not in err and "usecols" not in err
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_undecodable_csv_is_one_line_config_error(tmp_path, capsys,
+                                                  reader):
+    path = tmp_path / "table.csv"
+    CSV_READERS[reader][0](str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    assert _csv_run(tmp_path, reader, path, tmp_path / "out") == 2
+    assert "codec can't decode" in assert_one_line_config_error(capsys)
+
+
 def test_failed_output_write_is_not_a_config_error(tmp_path, monkeypatch):
     """Exit 2 covers unreadable inputs and an --out that cannot be made,
     not an I/O failure while a command writes its outputs."""

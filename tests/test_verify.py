@@ -1,13 +1,19 @@
+import collections
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from beamload import adjoint, assembly, forward, objective, verify
-from beamload.adjoint import solve_adjoint
+from beamload import adjoint, assembly, forward, verify
+from beamload.adjoint import check_adjoint_estimates, solve_adjoint
 from beamload.constants import compute_constants
-from beamload.forward import solve_forward
-from beamload.model import l2_norm_spacetime, series_l2_norm
+from beamload.forward import check_apriori_estimates, cumtrapz, solve_forward
+from beamload.model import (DEFAULT_SLACK, CheckRow, CoefficientSet,
+                            MeasurementSeries, SpaceTimeGrid,
+                            l2_norm_spacetime, series_l2_norm,
+                            spacetime_inner)
+from beamload.objective import compute_gradient, evaluate_objective
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
 
@@ -131,88 +137,194 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
     assert counts[0].count("newmark_integrate") <= 3
 
 
+def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
+    """The suite's rows from its replayed draws (load, Poincare amplitudes,
+    load2, truth, p, q per scenario): the estimates on `solve_forward` and
+    `solve_adjoint` states, the Lipschitz rows on `evaluate_objective` and
+    `compute_gradient` of the impulse kernel."""
+    rng = np.random.default_rng(seed)
+    kernel = forward.impulse_kernel(system, grid)
+    unit = assembly.unit_norm_matrices(grid)
+    l, dt = grid.length, grid.dt
+    rows = []
+    for s in range(n_scenarios):
+        tag = f"s{s:02d}"
+        load = random_load(grid, rng)
+        rows += check_apriori_estimates(
+            solve_forward(coeffs, load, grid, system=system), coeffs, load,
+            unit, scenario=tag)
+        amps = rng.normal(size=3)
+        rows.append(CheckRow.bound(
+            "poincare", tag,
+            sum(a ** 2 * (k * np.pi / l) ** 2 * l / 2
+                for k, a in enumerate(amps, start=1)),
+            (l ** 2 / 2) * sum(a ** 2 * (k * np.pi / l) ** 4 * l / 2
+                               for k, a in enumerate(amps, start=1)),
+            DEFAULT_SLACK))
+        load2 = random_load(grid, rng)
+        meas = MeasurementSeries(*kernel.outputs(
+            random_load(grid, rng).values))
+        c = compute_constants(
+            l, grid.final_time, coeffs.bounds,
+            C_F=max(1.0, 10.0 * l2_norm_spacetime(load) ** 2),
+            theta0_norm=series_l2_norm(meas.theta0, dt),
+            thetaL_norm=series_l2_norm(meas.thetaL, dt))
+        dF = l2_norm_spacetime(load - load2)
+        e1 = evaluate_objective(load, meas, kernel)
+        e2 = evaluate_objective(load2, meas, kernel)
+        for name, lhs, rhs in (
+                ("io_lipschitz_theta0", series_l2_norm(e1.p - e2.p, dt),
+                 c.C_L * dF),
+                ("io_lipschitz_thetaL", series_l2_norm(e1.q - e2.q, dt),
+                 c.C_L * dF),
+                ("misfit_lipschitz", abs(e1.J - e2.J), c.C_J * dF)):
+            rows.append(CheckRow.bound(name, tag, lhs, rhs, DEFAULT_SLACK))
+        p, dp = random_smooth_series(grid, rng)
+        q, dq = random_smooth_series(grid, rng)
+        rows += check_adjoint_estimates(
+            solve_adjoint(coeffs, p, q, grid, system=system), coeffs, dp, dq,
+            unit, scenario=tag)
+        diff = compute_gradient(e1) - compute_gradient(e2)
+        rows.append(CheckRow.bound(
+            "gradient_lipschitz", tag,
+            np.sqrt(spacetime_inner(diff, diff, grid)), c.L_G * dF,
+            DEFAULT_SLACK))
+    return rows
+
+
+def _replay_mismatches(report, oracle):
+    """The suite rows that differ from the replay's: in check, scenario,
+    rhs or pass flag at all, in lhs by more than 1e-9 relative on the
+    estimate rows and 1e-12 on the Lipschitz rows, and in any way on the
+    Poincare rows."""
+    assert len(report.rows) == len(oracle)
+    bad = []
+    for row, ref in zip(report.rows, oracle):
+        if row.check.startswith(("apriori_", "adjoint_")):
+            rtol = 1e-9
+        elif row.check == "poincare":
+            rtol = 0.0
+        else:
+            rtol = 1e-12
+        if ((row.check, row.scenario, row.rhs, row.ok)
+                != (ref.check, ref.scenario, ref.rhs, ref.ok)
+                or abs(row.lhs - ref.lhs) > rtol * abs(ref.lhs)):
+            bad.append((row.as_tuple(), ref.as_tuple()))
+    return bad
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_suite_states_match_the_newmark_path(seed, random_case, monkeypatch):
-    """Against the Newmark solvers run on the suite's replayed draws
-    (load, Poincare amplitudes, load2, truth, p, q per scenario): every
-    a-priori and adjoint row's lhs agrees to 1e-9 relative, and every
-    other row is bit-identical."""
+def test_suite_states_match_the_newmark_path(seed, random_case):
+    """Every row of the Gram-series suite agrees with the replay of its
+    draws through the Newmark solvers and the kernel's misfit and
+    gradient, on a random grid with variable coefficients."""
     grid, coeffs, system, _ = random_case(seed)
     n = 3
     report = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
+    oracle = _newmark_replay(grid, coeffs, system, n, seed)
+    assert len(oracle) == n * EXPECTED_PER_SCENARIO
+    assert _replay_mismatches(report, oracle) == []
 
-    rng = np.random.default_rng(seed)
-    loads, moments = [], []
-    for _ in range(n):
-        loads.append(random_load(grid, rng))
-        rng.normal(size=3)
-        random_load(grid, rng)
-        random_load(grid, rng)
-        moments.append((random_smooth_series(grid, rng)[0],
-                        random_smooth_series(grid, rng)[0]))
-    loads, moments = iter(loads), iter(moments)
 
-    def newmark_forward(coeffs, grid, system, n_fft):
-        return lambda h: solve_forward(coeffs, next(loads), grid,
-                                       system=system)
-
-    def newmark_adjoint(grid, velocities, n_fft):
-        return lambda p, q: solve_adjoint(coeffs, *next(moments), grid,
-                                          system=system)
-
-    monkeypatch.setattr(verify, "_forward_states", newmark_forward)
-    monkeypatch.setattr(verify, "_adjoint_states", newmark_adjoint)
-    oracle = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
-
-    assert len(report.rows) == len(oracle.rows) == n * EXPECTED_PER_SCENARIO
-    for row, ref in zip(report.rows, oracle.rows):
-        if row.check.startswith(("apriori_", "adjoint_")):
-            assert (row.check, row.scenario, row.rhs) == (ref.check,
-                                                          ref.scenario,
-                                                          ref.rhs)
-            assert abs(row.lhs - ref.lhs) <= 1e-9 * abs(ref.lhs), row
-        else:
-            assert row.as_tuple() == ref.as_tuple()
+def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
+                                                   monkeypatch):
+    """Negative control: a suite whose load basis has cos(k pi t / T) in
+    place of cos((k - 1) pi t / T) fails the replay, in lhs as well."""
+    grid, coeffs, system, _ = random_case(0)
+    oracle = _newmark_replay(grid, coeffs, system, 2, 0)
+    k = np.arange(1, 5)[:, None]
+    t, T = grid.times, grid.final_time
+    monkeypatch.setattr(verify, "_load_histories", lambda grid: np.stack(
+        [np.sin(k * np.pi * t / T), np.cos(k * np.pi * t / T)], axis=1))
+    report = verify_inequality_suite(grid, coeffs, n_scenarios=2, seed=0)
+    bad = _replay_mismatches(report, oracle)
+    assert bad
+    assert any(abs(row[2] - ref[2]) > 1e-9 * abs(ref[2])
+               for row, ref in bad if row[0].startswith("apriori_"))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
-    """The convolution states agree with `solve_forward` and
-    `solve_adjoint` to 1e-9 relative on every reduced DOF and instant,
-    for a random modal load and random smooth (p, q), on variable
+    """The basis states the suite's Gram series are formed from agree with
+    `solve_forward` of each basis load and `solve_adjoint` of each basis
+    moment to 1e-9 relative on every reduced DOF and instant, on variable
     coefficients."""
-    grid, coeffs, system, rng = random_case(seed)
+    grid, coeffs, system, _ = random_case(seed)
     n_fft = forward.impulse_kernel(system, grid).n_fft
-    h, load = verify._random_modal_load(grid, rng)
-    p, _ = random_smooth_series(grid, rng)
-    q, _ = random_smooth_series(grid, rng)
+    rates = verify._load_basis_rates(coeffs, grid, system, n_fft)
+    pairs = []
+    for rate, c in zip(rates, np.eye(8)):
+        ref = solve_forward(coeffs, verify._modal_load(grid, c), grid,
+                            system=system)
+        pairs += [(rate, ref.v), (cumtrapz(rate, grid.dt), ref.u)]
 
-    traj = verify._forward_states(coeffs, grid, system, n_fft)(h)
     velocities = forward.end_rotation_responses(system, grid)[1]
-    field = verify._adjoint_states(grid, velocities, n_fft)(p, q)
-    ref = solve_forward(coeffs, load, grid, system=system)
-    adj = solve_adjoint(coeffs, p, q, grid, system=system)
-    for a, b in ((traj.u, ref.u), (traj.v, ref.v),
-                 (field.phi, adj.phi), (field.phi_t, adj.phi_t)):
+    rates = verify._moment_basis_rates(grid, velocities, n_fft)
+    modes = verify._moment_modes(grid)
+    zero = np.zeros(grid.n_times)
+    for rate, (p, q) in zip(rates, [(m, zero) for m in modes]
+                            + [(zero, m) for m in modes]):
+        ref = solve_adjoint(coeffs, p, q, grid, system=system)
+        pairs += [(-rate[:, ::-1], ref.phi_t),
+                  (cumtrapz(rate, grid.dt)[:, ::-1], ref.phi)]
+    assert len(pairs) == 2 * (8 + 6)
+    for a, b in pairs:
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
-def test_suite_evaluates_two_misfits_per_scenario(small_grid, small_coeffs,
-                                                  monkeypatch):
-    """The gradient Lipschitz row reuses the two misfit evaluations of the
-    misfit Lipschitz row."""
+def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
+                                                 monkeypatch):
+    """The suite builds its bases once: one kernel, at most 2 Newmark
+    passes, and the same kernel outputs, kernel adjoints, convolutions
+    and quadratic forms for 1 scenario as for 20."""
     calls = []
-    evaluate = objective.evaluate_objective
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    for module in (objective, verify):
-        monkeypatch.setattr(module, "evaluate_objective", counted)
-    verify_inequality_suite(small_grid, small_coeffs, n_scenarios=3)
-    assert len(calls) == 2 * 3
+    for module, name in ((verify, "impulse_kernel"),
+                         (forward, "newmark_integrate"),
+                         (forward, "convolve_t1"), (verify, "convolve_t1"),
+                         (forward, "quadratic_forms"),
+                         (adjoint, "quadratic_forms"),
+                         (forward.ImpulseKernel, "outputs"),
+                         (forward.ImpulseKernel, "adjoint")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    counts = []
+    for n in (1, 20):
+        calls.clear()
+        verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
+        counts.append(collections.Counter(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["impulse_kernel"] == 1
+    assert counts[0]["newmark_integrate"] <= 2
+
+
+def test_suite_memory_is_one_pass_and_the_velocity_basis():
+    """At 32x256 the suite's traced peak stays within the arrays it must
+    hold: the four-mode pulse pass (the pulse loads, their forces and the
+    u and v of four cases) plus the velocity states of the 8 basis
+    loads."""
+    grid = SpaceTimeGrid(1.0, 1.0, 32, 256)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                     r=0.8, kappa=0.02)
+    operators = verify.audit_operators(grid, coeffs)
+    n_dofs, n_times = operators[0].system.n_dofs, grid.n_times
+    pulse_pass = 8 * 4 * n_times * (grid.n_nodes + n_dofs + 2 * n_dofs)
+    velocity_basis = 8 * 8 * n_dofs * n_times
+    tracemalloc.start()
+    try:
+        verify_inequality_suite(grid, coeffs, n_scenarios=2,
+                                operators=operators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pulse_pass + velocity_basis
 
 
 def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
