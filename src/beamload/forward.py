@@ -12,7 +12,6 @@ from numpy.fft import irfft, rfft
 from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
-from scipy.sparse import dia_array
 
 from .assembly import assemble
 from .constants import compute_constants
@@ -33,7 +32,8 @@ def _banded_solve(cb, b):
 
 def _block_diagonal(ab, n_cases):
     """Upper band storage of `n_cases` uncoupled copies of the banded
-    matrix ab along the diagonal.
+    matrix ab along the diagonal, in Fortran order, so that BLAS and
+    LAPACK take it without a copy.
 
     The unused upper-left corner entries ab[k - d, :d] are zeroed before
     tiling: LAPACK never reads them for one case, but once tiled they
@@ -43,7 +43,7 @@ def _block_diagonal(ab, n_cases):
     kd = ab.shape[0] - 1
     for d in range(1, kd + 1):
         ab[kd - d, :d] = 0.0
-    return np.tile(ab, n_cases)
+    return np.asfortranarray(np.tile(ab, n_cases))
 
 
 def newmark_integrate(M, C, K, forces, dt):
@@ -299,6 +299,9 @@ def energy_residual(traj, coeffs, load):
 def banded_matrix(ab):
     """The symmetric matrix held in upper band storage ab[k + i - j, j] =
     A[i, j], as a sparse DIA array."""
+    # imported here, so that a run that forms no quadratic form never
+    # loads scipy.sparse
+    from scipy.sparse import dia_array
     k, n = ab.shape[0] - 1, ab.shape[1]
     # the band rows are the upper diagonals, offsets k..0, of a DIA
     # array; each lower diagonal is its mirror moved left

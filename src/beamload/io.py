@@ -167,10 +167,11 @@ def save_check_report(path, rows):
 
 
 def parse_config(path):
-    """Parse a line-oriented `key = value` config with `#` comments."""
+    """Parse a line-oriented `key = value` config with `#` comments, in
+    UTF-8."""
     entries = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -181,6 +182,8 @@ def parse_config(path):
                 entries[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config {path}: {exc}") from exc
     return entries
 
 

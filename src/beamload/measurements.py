@@ -5,6 +5,7 @@ series are fitted with a natural cubic smoothing spline before inversion.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,79 @@ def _pick_lambda(times, values, target):
         return lo
     if excess(np.log(hi)) < 0:
         return hi
-    # imported here, so that a clamped weight never loads scipy.optimize
-    from scipy.optimize import brentq
-    return float(np.exp(brentq(excess, np.log(lo), np.log(hi))))
+    return float(np.exp(_brent(excess, np.log(lo), np.log(hi))))
+
+
+# the defaults of scipy.optimize.brentq
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4 * np.finfo(float).eps
+BRENT_MAXITER = 100
+
+
+def _brent(f, a, b):
+    """A root of f in [a, b], whose end values differ in sign, by Brent's
+    method (Brent 1973, ch. 4) taken step for step as
+    `scipy.optimize.brentq` takes it at its default tolerances: the same
+    bracket, steps, acceptance and stop, so the same float and the same
+    number of calls of f.  Raises ValueError on ends of one sign or a
+    NaN value, RuntimeError after BRENT_MAXITER steps."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # signs compared, not a product that can underflow to zero
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        # (xblk, fblk) is the end of the bracket opposite xcur
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf     # refused below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate: the secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate: inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # brentq's C division gives an infinite or NaN step here,
+                # which the acceptance test refuses, as it refuses inf
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 def make_smoothing_spline(times, values, lam):

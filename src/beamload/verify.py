@@ -92,15 +92,23 @@ def _moment_modes(grid):
     return np.sin(w * grid.times)
 
 
-def _moment(grid, a):
-    """The series sum_j a_j sin(j pi t / T) and its analytic derivative."""
-    t = grid.times
-    y = np.zeros_like(t)
-    dy = np.zeros_like(t)
-    for j, (aj, mode) in enumerate(zip(a, _moment_modes(grid)), start=1):
-        w = j * np.pi / grid.final_time
+def _moment_factors(grid):
+    """The pair of `_moment_modes` and the cosines cos(j pi t / T) of
+    their derivatives, each (3, n_times)."""
+    w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
+    return _moment_modes(grid), np.cos(w * grid.times)
+
+
+def _moment(grid, a, factors=None):
+    """The series sum_j a_j sin(j pi t / T) and its analytic derivative.
+    `factors` is the `_moment_factors` pair of the grid, made when not
+    given."""
+    modes, cosines = factors or _moment_factors(grid)
+    y = np.zeros_like(grid.times)
+    dy = np.zeros_like(grid.times)
+    for j, (aj, mode, cos) in enumerate(zip(a, modes, cosines), start=1):
         y += aj * mode
-        dy += aj * w * np.cos(w * t)
+        dy += aj * (j * np.pi / grid.final_time) * cos
     return y, dy
 
 
@@ -234,7 +242,8 @@ def audit_operators(grid, coeffs):
 def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
     """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
     truth, p, q) and evaluate its rows from the bases."""
-    factors, forward, adjoint, (outputs, gradient_gram) = bases
+    factors, moment_factors, forward, adjoint, output_bases = bases
+    outputs, gradient_gram = output_bases
     c1 = rng.normal(size=8)
     load = _modal_load(grid, c1, factors)
     F_norm_sq = l2_norm_spacetime(load) ** 2
@@ -281,7 +290,8 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
 
     # the adjoint estimates of random moment data
     a_p, a_q = rng.normal(size=3), rng.normal(size=3)
-    (_, dp), (_, dq) = _moment(grid, a_p), _moment(grid, a_q)
+    (_, dp), (_, dq) = (_moment(grid, a_p, moment_factors),
+                        _moment(grid, a_q, moment_factors))
     rows += adjoint_rows(_series(adjoint, np.concatenate([a_p, a_q])), grid,
                          coeffs, dp, dq, slack, tag, ct_variant)
 
@@ -320,6 +330,7 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     unit = unit_norm_matrices(grid)
     bases = (
         (_mode_shapes(grid), _load_histories(grid)),
+        _moment_factors(grid),
         _forward_bases(coeffs, grid, kernel.system, kernel.n_fft, unit),
         _adjoint_bases(grid, rotation_velocities, kernel.n_fft, unit),
         _output_bases(grid, kernel))

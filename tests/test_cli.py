@@ -410,6 +410,16 @@ def test_undecodable_csv_is_one_line_config_error(tmp_path, capsys,
     assert "codec can't decode" in assert_one_line_config_error(capsys)
 
 
+def test_undecodable_config_is_one_line_config_error(tmp_path, capsys):
+    lines = (BASE.lstrip() + "scenario.kind = zero\n").encode().split(b"\n")
+    lines.insert(1, b"\xff")
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\n".join(lines))
+    assert run("forward", str(path), tmp_path / "out") == 2
+    err = assert_one_line_config_error(capsys)
+    assert str(path) in err and "codec can't decode" in err
+
+
 def test_failed_output_write_is_not_a_config_error(tmp_path, monkeypatch):
     """Exit 2 covers unreadable inputs and an --out that cannot be made,
     not an I/O failure while a command writes its outputs."""

@@ -31,13 +31,15 @@ def fresh_process(code):
                           ).stdout.split()
 
 
-UNUSED_AT_IMPORT = ("scipy.fft", "scipy.interpolate", "scipy.optimize")
+UNUSED_AT_IMPORT = ("scipy.fft", "scipy.interpolate", "scipy.optimize",
+                    "scipy.sparse")
 
 
 @pytest.mark.parametrize("module", ["beamload", "beamload.cli"])
 def test_import_leaves_unused_scipy_modules_unloaded(module):
-    # the kernel's transforms come from numpy.fft and the smoothing spline
-    # is solved in-house; scipy.optimize loads when a fit first needs it.
+    # the kernel's transforms come from numpy.fft, and the smoothing spline
+    # and its Brent root-find are in-house; scipy.optimize loads when a fit
+    # first needs it and scipy.sparse when a quadratic form does.
     # Importing any of them would cost every process startup time and
     # memory for nothing
     code = (f"import sys, {module}; "
@@ -62,6 +64,25 @@ res = series_l2_norm(smooth.theta0 - noisy.theta0, t[1] - t[0])
 print("scipy.optimize" in sys.modules, abs(res - target) <= 1e-6 * target)
 """
 
+FULL_FIELD = """
+import sys
+from beamload.forward import solve_forward
+from beamload.inversion import InversionConfig, run_inversion
+from beamload.measurements import (ModalLoad, NoiseSpec, add_noise,
+                                   smooth_to_h1)
+from beamload.model import CoefficientSet, SpaceTimeGrid
+grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
+coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8,
+                                 kappa=0.02)
+clean = solve_forward(coeffs, ModalLoad((1.0, 0.5)).field(grid), grid)
+noisy = add_noise(clean.outputs, NoiseSpec(0.05, seed=0), grid.dt)
+state = run_inversion(smooth_to_h1(noisy, grid.times), coeffs, grid,
+                      InversionConfig(step_rule="backtracking",
+                                      noise_delta=noisy.noise_delta))
+print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules,
+      state.stop_reason)
+"""
+
 FIT_LAZILY = """
 import sys
 from beamload.forward import solve_forward
@@ -77,12 +98,39 @@ result = reconstruct_parametric(data, coeffs, grid, ModalLoad((0.5, 0.0)))
 print("scipy.optimize" in sys.modules, result.n_evaluations > 1)
 """
 
+QUADRATIC_LAZILY = """
+import sys
+import numpy as np
+from beamload.assembly import assemble
+from beamload.forward import quadratic_forms
+from beamload.model import CoefficientSet, SpaceTimeGrid
+grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
+system = assemble(grid, CoefficientSet.constant(
+    grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8, kappa=0.02))
+print("scipy.sparse" in sys.modules)
+energy = quadratic_forms(system.M, np.ones((system.n_dofs, 1)))
+print("scipy.sparse" in sys.modules, energy[0] > 0)
+"""
 
-@pytest.mark.parametrize("code", [SMOOTH_LAZILY, FIT_LAZILY],
-                         ids=["smooth_to_h1", "reconstruct_parametric"])
-def test_scipy_optimize_loads_on_first_use(code):
-    # Brent's root-find and L-BFGS-B still run in a fresh process, and
-    # scipy.optimize loads only when one of them is called
+
+def test_smoothing_never_loads_scipy_optimize():
+    # the smoothing weight's Brent root-find is in-house, so neither a
+    # clamped weight nor a root-find loads scipy.optimize
+    assert fresh_process(SMOOTH_LAZILY) == ["False", "False", "True"]
+
+
+def test_full_field_inversion_leaves_optimize_and_sparse_unloaded():
+    # a noisy twin smoothed into H1 and inverted by the adjoint Landweber
+    # loop needs neither a fit nor a quadratic form
+    assert fresh_process(FULL_FIELD) == ["False", "False", "discrepancy"]
+
+
+@pytest.mark.parametrize("code", [FIT_LAZILY, QUADRATIC_LAZILY],
+                         ids=["reconstruct_parametric", "quadratic_forms"])
+def test_scipy_module_loads_on_first_use(code):
+    # L-BFGS-B and the sparse banded product still run in a fresh
+    # process, and scipy.optimize or scipy.sparse loads only when one of
+    # them is called
     assert fresh_process(code) == ["False", "True", "True"]
 
 
