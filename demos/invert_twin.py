@@ -9,9 +9,9 @@ Three experiments on synthetic (twin) measurements:
 import numpy as np
 
 from beamload import (CoefficientSet, InversionConfig, LoadField,
-                      MovingGaussian, NoiseSpec, SpaceTimeGrid, add_noise,
-                      reconstruct_parametric, run_inversion, smooth_to_h1,
-                      solve_forward)
+                      MovingGaussian, NoiseSpec, SpaceTimeGrid,
+                      generate_scenario, reconstruct_parametric,
+                      run_inversion)
 
 
 def main():
@@ -22,7 +22,8 @@ def main():
     x = grid.nodes[:, None]
     t = grid.times[None, :]
     truth = LoadField(np.sin(np.pi * x) * np.sin(np.pi * t), grid)
-    clean = solve_forward(coeffs, truth, grid).outputs
+    clean, noisy, smooth = generate_scenario(
+        truth, coeffs, grid, NoiseSpec(delta_rel=0.02, seed=0))
 
     print("1. noiseless descent, 100 iterations")
     for rule in ("fixed", "backtracking"):
@@ -35,8 +36,6 @@ def main():
           "but is very conservative; backtracking makes the progress.")
 
     print("\n2. 2% noise, Morozov-stopped descent")
-    noisy = add_noise(clean, NoiseSpec(delta_rel=0.02, seed=0), grid.dt)
-    smooth = smooth_to_h1(noisy, grid.times)
     cfg = InversionConfig(step_rule="backtracking", max_iterations=500,
                           noise_delta=noisy.noise_delta, tau_d=1.1)
     state = run_inversion(smooth, coeffs, grid, config=cfg)
@@ -50,9 +49,8 @@ def main():
 
     print("\n3. parametric moving-Gaussian recovery at 1% noise")
     gauss = MovingGaussian(amplitude=2.0, speed=1.0, sigma=0.15)
-    data = solve_forward(coeffs, gauss.field(grid), grid).outputs
-    noisy = add_noise(data, NoiseSpec(delta_rel=0.01, seed=1), grid.dt)
-    smooth = smooth_to_h1(noisy, grid.times)
+    _, _, smooth = generate_scenario(gauss.field(grid), coeffs, grid,
+                                     NoiseSpec(delta_rel=0.01, seed=1))
     start = MovingGaussian(amplitude=1.0, speed=0.8, sigma=0.2)
     result = reconstruct_parametric(smooth, coeffs, grid, start)
     rel = np.abs(result.family.parameters - gauss.parameters) \

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .model import validate_coefficients
 
 # 3-point Gauss rule on [0, 1]
@@ -24,8 +24,11 @@ def hermite_shapes(xi, h):
 
     Returns (N, dN, ddN) for local DOFs (w1, th1, w2, th2); derivatives
     are with respect to the physical coordinate on an element of size h.
+    An h out of floating range gives infinite or NaN entries, not an
+    OverflowError.
     """
     xi = np.asarray(xi, dtype=float)
+    h = np.float64(h)
     N = np.stack([
         1 - 3 * xi ** 2 + 2 * xi ** 3,
         h * (xi - 2 * xi ** 2 + xi ** 3),
@@ -60,16 +63,20 @@ def _element_dofs(n_nodes):
 def _banded(grid, c, order):
     """Upper band ab[3 + i - j, j] = A[i, j] of the constrained matrix of
     int c D^order(N_i) D^order(N_j) dx, with c linearly interpolated
-    between its nodal samples."""
-    B = hermite_shapes(_GPTS, grid.h)[order]
-    c_gauss = np.outer(c[:-1], 1 - _GPTS) + np.outer(c[1:], _GPTS)
-    element = grid.h * np.einsum("eg,ig,jg->eij", _GWTS * c_gauss, B, B)
+    between its nodal samples.  Raises DivergenceError when an element
+    size out of floating range makes an entry non-finite."""
     a, b = np.triu_indices(4)
     dofs = _element_dofs(grid.n_nodes)
     i, j = dofs[:, a], dofs[:, b]
     keep = (i >= 0) & (j >= 0)
     ab = np.zeros((4, 2 * grid.n_nodes - 2))
-    np.add.at(ab, ((3 + i - j)[keep], j[keep]), element[:, a, b][keep])
+    with np.errstate(all="ignore"):
+        B = hermite_shapes(_GPTS, grid.h)[order]
+        c_gauss = np.outer(c[:-1], 1 - _GPTS) + np.outer(c[1:], _GPTS)
+        element = grid.h * np.einsum("eg,ig,jg->eij", _GWTS * c_gauss, B, B)
+        np.add.at(ab, ((3 + i - j)[keep], j[keep]), element[:, a, b][keep])
+    if not np.isfinite(ab).all():
+        raise DivergenceError(f"non-finite band at element size {grid.h:g}")
     return ab
 
 
@@ -132,16 +139,19 @@ def assemble(grid, coeffs):
     # element map from the two nodal load samples, linearly interpolated,
     # to the element load vector; the assembled map stays dense, because
     # one GEMM per solve reads it
-    element = grid.h * np.einsum("g,ig,jg->ij", _GWTS,
-                                 hermite_shapes(_GPTS, grid.h)[0],
-                                 np.stack([1 - _GPTS, _GPTS]))
     rows, cols = np.broadcast_arrays(
         _element_dofs(n_nodes)[:, :, None],
         np.arange(n_nodes - 1)[:, None, None] + np.arange(2))
     keep = rows >= 0
     load_map = np.zeros((2 * n_nodes - 2, n_nodes))
-    np.add.at(load_map, (rows[keep], cols[keep]),
-              np.broadcast_to(element, rows.shape)[keep])
+    # an element size out of floating range is refused by the bands'
+    # check, or as non-finite forces, not by a warning here
+    with np.errstate(all="ignore"):
+        element = grid.h * np.einsum("g,ig,jg->ij", _GWTS,
+                                     hermite_shapes(_GPTS, grid.h)[0],
+                                     np.stack([1 - _GPTS, _GPTS]))
+        np.add.at(load_map, (rows[keep], cols[keep]),
+                  np.broadcast_to(element, rows.shape)[keep])
     return SystemMatrices(
         M=_banded(grid, coeffs.rho_A, 0),
         C_ext=_banded(grid, coeffs.mu, 0),

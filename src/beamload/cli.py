@@ -20,8 +20,8 @@ from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
                  save_iteration_log, save_load, save_measurements,
                  save_sidecar, save_table)
-from .measurements import (NoiseSpec, add_noise, load_family,
-                           manufactured_case, smooth_to_h1)
+from .measurements import (NoiseSpec, generate_scenario, load_family,
+                           manufactured_case)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
                     validate_coefficients)
@@ -188,20 +188,16 @@ def build_truth_load(cfg, grid, coeffs):
 
 def _twin_data(cfg, grid, coeffs, seed, missing):
     """(truth load, clean slopes, noisy slopes, H1-smoothed slopes) of
-    the configured scenario; the last two are None without noise.  Raises
-    ConfigError(missing) when no scenario is configured."""
+    the configured scenario, from `generate_scenario`; the last two are
+    None without noise.  Raises ConfigError(missing) when no scenario is
+    configured."""
     truth, _, _ = build_truth_load(cfg, grid, coeffs)
     if truth is None:
         raise ConfigError(missing)
-    clean = solve_forward(coeffs, truth, grid).outputs
-    delta_rel = cfg["noise.delta_rel"]
-    if delta_rel == 0:
-        return truth, clean, None, None
     if cfg["noise.seed"] is not None:
         seed = cfg["noise.seed"]
-    noisy = add_noise(clean, NoiseSpec(delta_rel=delta_rel, seed=seed),
-                      grid.dt)
-    return truth, clean, noisy, smooth_to_h1(noisy, grid.times)
+    noise = NoiseSpec(delta_rel=cfg["noise.delta_rel"], seed=seed)
+    return (truth,) + generate_scenario(truth, coeffs, grid, noise)
 
 
 def _obtain_measurements(cfg, grid, coeffs, seed):

@@ -14,7 +14,8 @@ class ValidationError(BeamloadError):
 
 
 class DivergenceError(BeamloadError):
-    """A time-stepping run produced non-finite values."""
+    """A numeric failure: an inversion diverged, or a solve, an assembled
+    band or a closed-form constant left floating range."""
 
 
 class ConfigError(BeamloadError):

@@ -73,10 +73,16 @@ def newmark_integrate(M, C, K, forces, dt):
     forces = forces.reshape(n_times, n_cases * n)
     M, C, K = (_block_diagonal(ab, n_cases) for ab in (M, C, K))
     # Newmark-beta at gamma = 1/2, beta = 1/4: of the textbook step's
-    # constants, a3 = a4 = 1, a5 = 0 and a6 = a7 = h
-    a0, a1, a2, h = 4.0 / dt ** 2, 2.0 / dt, 4.0 / dt, dt / 2.0
+    # constants, a3 = a4 = 1, a5 = 0 and a6 = a7 = h; in numpy floats, so
+    # a step out of floating range gives an a0 of inf or 0, not an error
+    dt = np.float64(dt)
+    with np.errstate(all="ignore"):
+        a0, a1, a2, h = 4.0 / dt ** 2, 2.0 / dt, 4.0 / dt, dt / 2.0
+        eff = K + a0 * M + a1 * C
+    if not (a0 > 0 and np.isfinite(eff).all()):
+        raise DivergenceError(f"time step {dt:g} out of floating range")
 
-    cb_eff = cholesky_banded(K + a0 * M + a1 * C)
+    cb_eff = cholesky_banded(eff)
     cb_M = cholesky_banded(M)
     kd = M.shape[0] - 1
 

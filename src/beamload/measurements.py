@@ -12,8 +12,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigError
-from .forward import solve_forward
 from .model import LoadField, MeasurementSeries, series_l2_norm
+from .objective import apply_io_operators
 
 SIGMA_MIN_ELEMENTS = 0.01
 
@@ -325,11 +325,15 @@ def load_family(kind, params):
     raise ConfigError(f"unknown load family: {kind}")
 
 
-def generate_scenario(kind, params, grid, coeffs):
-    """Field of `load_family(kind, params)` and its clean measurements.
+def generate_scenario(truth, coeffs, grid, noise=None):
+    """Twin data of the load field `truth`: (clean, noisy, smoothed).
 
-    Returns (F_true, measurements).
+    The clean end slopes come from `apply_io_operators`; with a nonzero
+    `noise` level they are perturbed by `add_noise` and then smoothed by
+    `smooth_to_h1`, otherwise noisy and smoothed are None.
     """
-    load = load_family(kind, params).field(grid)
-    traj = solve_forward(coeffs, load, grid)
-    return load, traj.outputs
+    clean = MeasurementSeries(*apply_io_operators(truth, coeffs, grid))
+    if noise is None or noise.delta_rel == 0:
+        return clean, None, None
+    noisy = add_noise(clean, noise, grid.dt)
+    return clean, noisy, smooth_to_h1(noisy, grid.times)

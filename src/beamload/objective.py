@@ -18,9 +18,9 @@ class ObjectiveEvaluation:
     kernel: object
 
 
-def apply_io_operators(load, coeffs, grid, system=None):
+def apply_io_operators(load, coeffs, grid):
     """Evaluate the maps F -> u_x(0, .; F) and F -> u_x(l, .; F)."""
-    traj = solve_forward(coeffs, load, grid, system=system)
+    traj = solve_forward(coeffs, load, grid)
     return traj.outputs.theta0, traj.outputs.thetaL
 
 

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from beamload import adjoint, cli, forward, verify
+from beamload import adjoint, cli, forward, objective, verify
 from beamload.cli import main
 from beamload.forward import solve_forward
 from beamload.io import save_coefficient, save_load, save_measurements
@@ -282,6 +282,50 @@ def test_non_finite_measurements_is_numeric_failure(tmp_path, capsys):
     assert err.startswith("numeric failure:") and "Traceback" not in err
 
 
+def assert_one_line_numeric_failure(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+    return err
+
+
+COARSE = BASE + """
+grid.n_elements = 8
+grid.n_steps = 32
+scenario.kind = mode_pulse
+inversion.max_iterations = 3
+verify.n_scenarios = 1
+verify.n_triples = 1
+verify.n_directions = 1
+"""
+
+
+@pytest.mark.parametrize("line,culprit", [
+    ("grid.final_time = 1e-200", "time step"),
+    ("grid.final_time = 1e200", "time step"),
+    ("grid.length = 1e-120", "element size"),
+], ids=["final_time_1e-200", "final_time_1e200", "length_1e-120"])
+@pytest.mark.parametrize("cmd", ["forward", "invert"])
+def test_grid_out_of_floating_range_is_numeric_failure(tmp_path, capsys, cmd,
+                                                       line, culprit):
+    # finite, positive values whose step constants or element bands
+    # overflow or underflow
+    cfg = write_cfg(tmp_path, COARSE + line + "\n")
+    assert run(cmd, cfg, tmp_path / "out") == 3
+    assert culprit in assert_one_line_numeric_failure(capsys)
+
+
+@pytest.mark.parametrize("line,constant", [("coeff.r = 1e300", "C0_sq"),
+                                           ("coeff.rho_A = 1e-300", "Ce_sq")],
+                         ids=["r_1e300", "rho_A_1e-300"])
+@pytest.mark.parametrize("cmd", ["verify", "invert"])
+def test_constants_out_of_floating_range_is_numeric_failure(
+        tmp_path, capsys, cmd, line, constant):
+    cfg = write_cfg(tmp_path, COARSE + line + "\n")
+    assert run(cmd, cfg, tmp_path / "out") == 3
+    assert constant in assert_one_line_numeric_failure(capsys)
+
+
 def test_mismatched_coefficient_nodes_is_config_error(tmp_path, capsys):
     coeff = tmp_path / "r.csv"
     # 17 samples as on the 16-element grid, but spread over twice its length
@@ -482,14 +526,16 @@ def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """The argument tuples of every `solve_forward` call `cli` makes."""
+    """The argument tuples of every `solve_forward` call a command makes:
+    `forward`'s own in `cli`, and the twin data's in `objective`."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return solve_forward(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_forward", spy)
+    for module in (cli, objective):
+        monkeypatch.setattr(module, "solve_forward", spy)
     return calls
 
 
@@ -681,3 +727,14 @@ def test_readme_documents_the_declared_keys(tmp_path):
     example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
     cfg = cli.read_config(write_cfg(tmp_path, example))
     assert cfg["inversion.mode"] == "parametric"
+
+
+def test_a_later_config_line_overrides_an_earlier_one(tmp_path):
+    """README's key section says so, and the tests' configs rely on it:
+    they append their own values to a shared base."""
+    section = README.read_text().split("### Config keys", 1)[1]
+    section = " ".join(section.split("\n#", 1)[0].split())
+    assert "a later line overrides an earlier one" in section
+    cfg = cli.read_config(write_cfg(
+        tmp_path, BASE + "grid.n_steps = 32\ngrid.n_steps = 48\n"))
+    assert cfg["grid.n_steps"] == 48 and cfg["grid.n_elements"] == 16

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from beamload.constants import compute_constants
+from beamload.errors import DivergenceError
 from beamload.model import CoefficientBounds
 
 
@@ -65,3 +68,15 @@ def test_input_validation():
         compute_constants(-1.0, 1.0, tight_bounds())
     with pytest.raises(ValueError):
         compute_constants(1.0, 1.0, tight_bounds(kappa0=0.0))
+
+
+@pytest.mark.parametrize("bounds,name", [
+    (tight_bounds(r0=1e300), "C0_sq"),       # r0 ** 2 overflows
+    (tight_bounds(rho0=1e-300), "Ce_sq"),    # exp(T / rho0) overflows
+    (tight_bounds(rho0=1e20), "C1_sq"),      # exp(T / rho0) - 1 is 0
+], ids=["r0_huge", "rho0_tiny", "rho0_huge"])
+def test_constant_out_of_floating_range_is_divergence(bounds, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=f"constant {name} "):
+            compute_constants(1.0, 1.0, bounds)

@@ -3,10 +3,11 @@ import pytest
 
 from beamload import measurements
 from beamload.errors import ConfigError
+from beamload.forward import solve_forward
 from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
                                    _pick_lambda, add_noise, generate_scenario,
-                                   make_smoothing_spline, manufactured_case,
-                                   smooth_to_h1)
+                                   load_family, make_smoothing_spline,
+                                   manufactured_case, smooth_to_h1)
 from beamload.model import (MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm)
 
@@ -276,13 +277,45 @@ def test_modal_load_round_trip(small_grid):
 
 
 def test_generate_scenario_kinds(small_grid, small_coeffs):
-    load, outputs = generate_scenario(
-        "moving_gaussian", {"amplitude": 1.0, "speed": 1.0, "sigma": 0.15},
-        small_grid, small_coeffs)
-    assert l2_norm_spacetime(load) > 0
-    assert outputs.n_times == small_grid.n_times
-    load2, _ = generate_scenario("modal", {"coefficients": [1.0, 0.3]},
-                                 small_grid, small_coeffs)
-    assert l2_norm_spacetime(load2) > 0
-    with pytest.raises(ConfigError):
-        generate_scenario("unknown", {}, small_grid, small_coeffs)
+    for kind, params in [
+            ("moving_gaussian", {"amplitude": 1.0, "speed": 1.0,
+                                 "sigma": 0.15}),
+            ("modal", {"coefficients": [1.0, 0.3]})]:
+        load = load_family(kind, params).field(small_grid)
+        assert l2_norm_spacetime(load) > 0
+        clean, _, _ = generate_scenario(load, small_coeffs, small_grid)
+        assert clean.n_times == small_grid.n_times
+    with pytest.raises(ConfigError, match="unknown load family"):
+        load_family("unknown", {})
+
+
+def test_generate_scenario_is_the_twin_pipeline(small_grid, small_coeffs):
+    """Clean slopes are the forward solve's, bit for bit; the noisy and
+    smoothed ones are `add_noise` then `smooth_to_h1` of them."""
+    g = small_grid
+    truth = MovingGaussian(2.0, 1.0, 0.15).field(g)
+    spec = NoiseSpec(delta_rel=0.03, seed=7)
+    clean, noisy, smooth = generate_scenario(truth, small_coeffs, g, spec)
+    outputs = solve_forward(small_coeffs, truth, g).outputs
+    expected_noisy = add_noise(outputs, spec, g.dt)
+    expected_smooth = smooth_to_h1(expected_noisy, g.times)
+    for got, want in [(clean, outputs), (noisy, expected_noisy),
+                      (smooth, expected_smooth)]:
+        assert got.theta0.tobytes() == want.theta0.tobytes()
+        assert got.thetaL.tobytes() == want.thetaL.tobytes()
+        assert got.noise_delta == want.noise_delta
+    assert noisy.noise_delta > 0
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(delta_rel=0.0, seed=3)],
+                         ids=["none", "zero_level"])
+def test_generate_scenario_without_noise_is_clean_only(small_grid,
+                                                       small_coeffs, noise):
+    truth = ModalLoad((1.0,)).field(small_grid)
+    clean, noisy, smooth = generate_scenario(truth, small_coeffs, small_grid,
+                                             noise)
+    outputs = solve_forward(small_coeffs, truth, small_grid).outputs
+    assert clean.theta0.tobytes() == outputs.theta0.tobytes()
+    assert clean.thetaL.tobytes() == outputs.thetaL.tobytes()
+    assert clean.noise_delta is None
+    assert noisy is None and smooth is None
