@@ -25,8 +25,8 @@ from .measurements import (NoiseSpec, generate_scenario, load_family,
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
                     validate_coefficients)
-from .verify import (audit_operators, duality_checks, gradient_fd_checks,
-                     verify_inequality_suite)
+from .verify import (SuiteReport, audit_operators, duality_checks,
+                     gradient_fd_checks, verify_inequality_suite)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -60,14 +60,6 @@ def _one_of(*names):
 def _floats(raw):
     """A comma-separated list of finite numbers, as a tuple."""
     return tuple(_finite(c) for c in raw.split(","))
-
-
-def _bool(raw):
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError("not a boolean")
 
 
 # Every config key any command reads: (parser, default).  The parser
@@ -109,7 +101,6 @@ _KEYS = {
     "verify.n_scenarios": (_count, 20), "verify.n_triples": (_count, 5),
     "verify.n_directions": (_count, 5), "verify.fd_tol": (_positive, 5e-3),
     "verify.duality_tol": (_positive, 1e-3),
-    "debug.flip_adjoint_sign": (_bool, False),
 }
 
 
@@ -251,36 +242,31 @@ def cmd_forward(cfg, grid, coeffs, args, out):
 
 def cmd_verify(cfg, grid, coeffs, args, out):
     n = _family(cfg, "verify.n_")
-    rows = []
+    report = SuiteReport(())
     if any(n.values()):
         # one kernel for every check of the grid and coefficients, from
         # the end-rotation pass that the adjoint audit also reads; a
         # family with a count of 0 returns no rows and builds nothing
         operators = audit_operators(grid, coeffs)
         kernel = operators[0]
-        rows += verify_inequality_suite(
+        report += verify_inequality_suite(
             grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
-            ct_variant=args.ct_variant, operators=operators).rows
-        rows += duality_checks(
+            ct_variant=args.ct_variant, operators=operators)
+        report += duality_checks(
             grid, coeffs, n_triples=n["triples"], seed=args.seed,
-            tol=cfg["verify.duality_tol"],
-            adjoint_sign=-1.0 if cfg["debug.flip_adjoint_sign"] else 1.0,
-            kernel=kernel).rows
-        rows += gradient_fd_checks(
+            tol=cfg["verify.duality_tol"], kernel=kernel)
+        report += gradient_fd_checks(
             grid, coeffs, n_directions=n["directions"], seed=args.seed,
-            tol=cfg["verify.fd_tol"], kernel=kernel).rows
+            tol=cfg["verify.fd_tol"], kernel=kernel)
 
-    save_check_report(os.path.join(out, "report.csv"),
-                      [r.as_tuple() for r in rows])
-    violations = [r for r in rows if not r.ok]
+    save_check_report(os.path.join(out, "report.csv"), report.rows)
+    violations = report.violations
     save_sidecar(os.path.join(out, "summary.txt"),
-                 {"checks": len(rows), "violations": len(violations)})
-    if violations:
-        for r in violations:
-            print(f"VIOLATION {r.check} {r.scenario}: "
-                  f"lhs={r.lhs:.6g} rhs={r.rhs:.6g}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+                 {"checks": len(report.rows), "violations": len(violations)})
+    for r in violations:
+        print(f"VIOLATION {r.check} {r.scenario}: "
+              f"lhs={r.lhs:.6g} rhs={r.rhs:.6g}", file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def cmd_invert(cfg, grid, coeffs, args, out):
@@ -373,14 +359,17 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create --out: {exc}") from None
-        code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
+        # a float that leaves range is an error wherever it happens;
+        # underflow to 0 stays allowed
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
         _write_manifest(args)
         return code
     except (ConfigError, DimensionError, ValidationError) as exc:
         message = str(exc).replace("\n", "; ")
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
+    except (DivergenceError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

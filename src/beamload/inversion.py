@@ -91,10 +91,11 @@ def run_inversion(measurements, coeffs, grid, config=None):
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
     load = LoadField.zero(grid)
     C_F = config.C_F
-    if C_F is not None:
-        load = project_admissible(load, C_F)
     omega = config.omega or default_step(grid, coeffs, config)
-    morozov_sq = (config.tau_d * config.noise_delta) ** 2
+    # a product, not a power: out of range it is inf, which the zero
+    # start meets at once, where ** 2 would raise OverflowError
+    morozov = config.tau_d * config.noise_delta
+    morozov_sq = morozov * morozov
 
     state = InversionState(load=load, omega=omega)
     increases = 0

@@ -160,10 +160,10 @@ def save_iteration_log(path, state):
 
 
 def save_check_report(path, rows):
-    """Inequality report rows as `check,scenario,lhs,rhs,pass`."""
+    """CheckRows as `check,scenario,lhs,rhs,pass` lines."""
     _write_rows(path, "check,scenario,lhs,rhs,pass", "%s,%s,%.17g,%.17g,%s\n",
-                ((name, scenario, lhs, rhs, "true" if ok else "false")
-                 for name, scenario, lhs, rhs, ok in rows))
+                ((r.check, r.scenario, r.lhs, r.rhs,
+                  "true" if r.ok else "false") for r in rows))
 
 
 def parse_config(path):

@@ -207,9 +207,6 @@ class CheckRow:
         return CheckRow(check, scenario, lhs, rhs,
                         lhs <= rhs * (1.0 + slack) + floor)
 
-    def as_tuple(self):
-        return (self.check, self.scenario, self.lhs, self.rhs, self.ok)
-
 
 @dataclass(frozen=True)
 class LoadField:

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from beamload.assembly import assemble
+from beamload.forward import impulse_kernel
 from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
 
@@ -28,6 +31,16 @@ def mfd_coeffs(baseline_grid):
 def small_coeffs(small_grid):
     return CoefficientSet.constant(small_grid, rho_A=1.0, mu=0.05,
                                    T_r=0.1, r=0.8, kappa=0.02)
+
+
+@pytest.fixture(scope="session")
+def flipped_kernel(small_grid, small_coeffs):
+    """The impulse kernel of the small case with its adjoint negated, the
+    duality checks' negative control.  Negation is exact in floating
+    point, so its phi is the kernel's of the negated moment data."""
+    kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
+    return SimpleNamespace(outputs=kernel.outputs,
+                           adjoint=lambda p, q: -kernel.adjoint(p, q))
 
 
 def _dense(ab):

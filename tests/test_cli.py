@@ -1,6 +1,7 @@
 import hashlib
 import pathlib
 import re
+import warnings
 import zlib
 
 import numpy as np
@@ -82,15 +83,14 @@ def test_verify_passes_and_negative_control_fails(tmp_path):
     cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 2\n"
                     + "verify.duality_tol = 2e-2\n")
     assert run("verify", cfg, tmp_path / "ok") == 0
+    # no residual meets a tolerance of 1e-12, so every duality row fails
     bad = write_cfg(tmp_path, BASE + "verify.n_scenarios = 1\n"
-                    + "verify.duality_tol = 2e-2\n"
-                    + "debug.flip_adjoint_sign = true\n", name="bad.cfg")
+                    + "verify.duality_tol = 1e-12\n", name="bad.cfg")
     assert run("verify", bad, tmp_path / "bad") == 1
-    report = (tmp_path / "bad" / "report.csv").read_text()
-    flagged = [line for line in report.splitlines()
-               if line.endswith("false")]
-    assert flagged and all(line.startswith("duality")
-                           for line in flagged)
+    report = (tmp_path / "bad" / "report.csv").read_text().splitlines()
+    flagged = [line for line in report if line.endswith("false")]
+    duality = [line for line in report if line.startswith("duality")]
+    assert flagged and flagged == duality
 
 
 def test_verify_builds_one_kernel_and_batches_its_passes(tmp_path,
@@ -313,6 +313,30 @@ def test_grid_out_of_floating_range_is_numeric_failure(tmp_path, capsys, cmd,
     cfg = write_cfg(tmp_path, COARSE + line + "\n")
     assert run(cmd, cfg, tmp_path / "out") == 3
     assert culprit in assert_one_line_numeric_failure(capsys)
+
+
+def test_long_beam_verifies(tmp_path, capsys):
+    """The Poincare row's closed forms divide by l once: no power of 1/l
+    underflows to a zero rhs on a long beam."""
+    cfg = write_cfg(tmp_path, COARSE + "grid.length = 1e100\n"
+                    + "verify.n_triples = 0\nverify.n_directions = 0\n")
+    assert run("verify", cfg, tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("line", ["inversion.tau_d = 1e300",
+                                  "inversion.noise_delta = 1e300"])
+def test_absurd_noise_level_stops_at_the_start(tmp_path, line):
+    """A discrepancy target out of floating range is met by the zero
+    start: the run stops at once instead of raising."""
+    cfg = write_cfg(tmp_path, COARSE + "noise.delta_rel = 0.05\n"
+                    + line + "\n")
+    out = tmp_path / "out"
+    assert run("invert", cfg, out) == 0
+    summary = dict(line.split("=", 1)
+                   for line in (out / "summary.txt").read_text().split())
+    assert summary["stop_reason"] == "discrepancy"
+    assert summary["iterations"] == "0"
 
 
 @pytest.mark.parametrize("line,constant", [("coeff.r = 1e300", "C0_sq"),
@@ -687,7 +711,7 @@ FUZZ_OVERRIDES = {
                     ("invert", MODAL)),
     "scenario.path": ("scenario", BASE + "scenario.kind = load_csv\n"),
     **{key: ("verify", VERIFY) for key in cli._KEYS
-       if key.startswith(("verify.", "debug."))},
+       if key.startswith("verify.")},
 }
 FUZZ_CASES = [(*FUZZ_OVERRIDES.get(key, ("invert", FULL_FIELD)), key)
               for key in cli._KEYS]
@@ -715,6 +739,77 @@ def test_malformed_value_keeps_exit_code_contract(tmp_path, monkeypatch,
         if code in (2, 3):
             assert len(err.splitlines()) == 1, (value, err)
             assert "Traceback" not in err, (value, err)
+
+
+def takes_a_number(key):
+    """Whether `key` is set by a number: its parser makes one of "5", or
+    it is a coefficient, a number or the path of a CSV."""
+    try:
+        value = cli._KEYS[key][0]("5")
+    except ValueError:
+        return False
+    return key.startswith("coeff.") or not isinstance(value, str)
+
+
+EXTREMES = ("1e-300", "1e300", "-1e300")
+# a duality tolerance of 1, so that the coarse grid's duality gap, which
+# is no exit-code fault, flags nothing
+SWEEP_BASE = BASE + """
+grid.n_elements = 8
+grid.n_steps = 32
+scenario.kind = manufactured
+noise.delta_rel = 0.05
+inversion.max_iterations = 3
+verify.n_scenarios = 1
+verify.n_triples = 1
+verify.n_directions = 1
+verify.duality_tol = 1
+"""
+# the commands that read each family of keys, and the lines besides
+# SWEEP_BASE under which they read a key
+SWEEP_COMMANDS = {
+    **dict.fromkeys(("grid", "coeff", "bounds"),
+                    ("forward", "verify", "invert", "scenario")),
+    "scenario": ("forward",), "noise": ("invert",),
+    "inversion": ("invert",), "verify": ("verify",),
+}
+SWEEP_READERS = {
+    **dict.fromkeys(("scenario.amplitude", "scenario.speed",
+                     "scenario.sigma"), "scenario.kind = moving_gaussian\n"),
+    "scenario.coefficients": "scenario.kind = modal\n",
+    "inversion.omega": "inversion.step_rule = fixed\n",
+    **dict.fromkeys(("inversion.init_amplitude", "inversion.init_speed",
+                     "inversion.init_sigma"), "inversion.mode = parametric\n"),
+    "inversion.init_coefficients": ("inversion.mode = parametric\n"
+                                    "inversion.family = modal\n"),
+}
+
+
+def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
+    """Every numeric key at 1e-300, 1e300 and -1e300, under each command
+    that reads it: `main` returns a documented exit code, raises and
+    warns nothing, and writes at most one stderr line besides VIOLATION
+    lines."""
+    assert set(SWEEP_READERS) <= set(cli._KEYS)
+    broken = []
+    for key in filter(takes_a_number, cli._KEYS):
+        for cmd in SWEEP_COMMANDS[key.split(".")[0]]:
+            for value in EXTREMES:
+                cfg = write_cfg(tmp_path, SWEEP_BASE
+                                + SWEEP_READERS.get(key, "")
+                                + f"{key} = {value}\n")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = run(cmd, cfg, tmp_path / "out")
+                    except Exception as exc:
+                        code = type(exc).__name__
+                lines = [line for line in capsys.readouterr().err.splitlines()
+                         if not line.startswith("VIOLATION ")]
+                if code not in (0, 1, 2, 3) or caught or len(lines) > 1:
+                    broken.append((cmd, key, value, code, len(caught),
+                                   lines[:1]))
+    assert broken == []
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

@@ -11,7 +11,8 @@ from beamload.io import (config_hash, load_coefficient, load_load,
                          save_coefficient, save_field, save_iteration_log,
                          save_load, save_measurements, save_sidecar,
                          load_sidecar)
-from beamload.model import LoadField, MeasurementSeries, SpaceTimeGrid
+from beamload.model import (CheckRow, LoadField, MeasurementSeries,
+                            SpaceTimeGrid)
 
 
 @pytest.fixture
@@ -184,9 +185,9 @@ def reference_save_iteration_log(path, state):
 def reference_save_check_report(path, rows):
     with open(path, "w") as fh:
         fh.write("check,scenario,lhs,rhs,pass\n")
-        for name, scenario, lhs, rhs, ok in rows:
-            fh.write(f"{name},{scenario},{_fmt(lhs)},{_fmt(rhs)},"
-                     f"{'true' if ok else 'false'}\n")
+        for r in rows:
+            fh.write(f"{r.check},{r.scenario},{_fmt(r.lhs)},{_fmt(r.rhs)},"
+                     f"{'true' if r.ok else 'false'}\n")
 
 
 def reference_energy_residual(path, times, res):
@@ -252,7 +253,8 @@ def test_writers_match_the_row_loops(tmp_path, seed):
     reference_save_iteration_log(ref, state)
     assert same_bytes(new, ref)
 
-    rows = [(f"check_{i}", f"s{i:02d}", lhs, rhs, rng.integers(2) == 1)
+    rows = [CheckRow(f"check_{i}", f"s{i:02d}", lhs, rhs,
+                     rng.integers(2) == 1)
             for i, (lhs, rhs) in enumerate(zip(values[5], values[6]))]
     save_check_report(new, rows)
     reference_save_check_report(ref, rows)

@@ -49,9 +49,10 @@ def test_duality_identity(small_grid, small_coeffs):
     assert report.ok, report.rows
 
 
-def test_duality_negative_control(small_grid, small_coeffs):
+def test_duality_negative_control(small_grid, small_coeffs,
+                                  flipped_kernel):
     report = duality_checks(small_grid, small_coeffs, n_triples=2,
-                            tol=2e-2, adjoint_sign=-1.0)
+                            tol=2e-2, kernel=flipped_kernel)
     assert not report.ok
     assert all(not r.ok for r in report.rows)
 

@@ -23,7 +23,7 @@ EXPECTED_PER_SCENARIO = 10 + 1 + 2 + 1 + 6 + 1   # all inequality families
 def test_suite_passes_with_zero_violations(small_grid, small_coeffs):
     report = verify_inequality_suite(small_grid, small_coeffs,
                                      n_scenarios=3, seed=0)
-    assert report.ok, [r.as_tuple() for r in report.violations]
+    assert report.ok, report.violations
     assert len(report.rows) == 3 * EXPECTED_PER_SCENARIO
     assert "0 violations" in report.summary()
 
@@ -42,7 +42,7 @@ def test_suite_covers_every_check_family(small_grid, small_coeffs):
 def test_suite_is_deterministic(small_grid, small_coeffs):
     r1 = verify_inequality_suite(small_grid, small_coeffs, n_scenarios=2)
     r2 = verify_inequality_suite(small_grid, small_coeffs, n_scenarios=2)
-    assert [a.as_tuple() for a in r1.rows] == [b.as_tuple() for b in r2.rows]
+    assert r1.rows == r2.rows
 
 
 def test_empty_suite(small_grid, small_coeffs):
@@ -79,15 +79,16 @@ def test_empty_check_family_is_free(small_grid, small_coeffs, monkeypatch,
 def test_corrected_variant_also_passes(small_grid, small_coeffs):
     report = verify_inequality_suite(small_grid, small_coeffs,
                                      n_scenarios=2, ct_variant="corrected")
-    assert report.ok, [r.as_tuple() for r in report.violations]
+    assert report.ok, report.violations
 
 
 def test_duality_negative_control_flags_all_triples(small_grid,
-                                                    small_coeffs):
+                                                    small_coeffs,
+                                                    flipped_kernel):
     good = duality_checks(small_grid, small_coeffs, n_triples=3, tol=2e-2)
     assert good.ok
     bad = duality_checks(small_grid, small_coeffs, n_triples=3, tol=2e-2,
-                         adjoint_sign=-1.0)
+                         kernel=flipped_kernel)
     assert len(bad.violations) == 3
 
 
@@ -156,10 +157,10 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
         amps = rng.normal(size=3)
         rows.append(CheckRow.bound(
             "poincare", tag,
-            sum(a ** 2 * (k * np.pi / l) ** 2 * l / 2
+            sum(a ** 2 * (k * np.pi) ** 2 / (2 * l)
                 for k, a in enumerate(amps, start=1)),
-            (l ** 2 / 2) * sum(a ** 2 * (k * np.pi / l) ** 4 * l / 2
-                               for k, a in enumerate(amps, start=1)),
+            sum(a ** 2 * (k * np.pi) ** 4 / (4 * l)
+                for k, a in enumerate(amps, start=1)),
             DEFAULT_SLACK))
         load2 = random_load(grid, rng)
         meas = MeasurementSeries(*kernel.outputs(
@@ -209,7 +210,7 @@ def _replay_mismatches(report, oracle):
         if ((row.check, row.scenario, row.rhs, row.ok)
                 != (ref.check, ref.scenario, ref.rhs, ref.ok)
                 or abs(row.lhs - ref.lhs) > rtol * abs(ref.lhs)):
-            bad.append((row.as_tuple(), ref.as_tuple()))
+            bad.append((row, ref))
     return bad
 
 
@@ -239,8 +240,8 @@ def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
     report = verify_inequality_suite(grid, coeffs, n_scenarios=2, seed=0)
     bad = _replay_mismatches(report, oracle)
     assert bad
-    assert any(abs(row[2] - ref[2]) > 1e-9 * abs(ref[2])
-               for row, ref in bad if row[0].startswith("apriori_"))
+    assert any(abs(row.lhs - ref.lhs) > 1e-9 * abs(ref.lhs)
+               for row, ref in bad if row.check.startswith("apriori_"))
 
 
 @pytest.mark.parametrize("seed", range(4))
