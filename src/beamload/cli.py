@@ -369,8 +369,11 @@ def main(argv=None):
         message = str(exc).replace("\n", "; ")
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, FloatingPointError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (DivergenceError, FloatingPointError, OverflowError,
+            MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"numeric failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_NUMERIC
 
 

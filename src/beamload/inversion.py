@@ -9,7 +9,8 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import impulse_kernel
-from .model import LoadField, project_admissible, spacetime_inner
+from .model import (LoadField, project_admissible, spacetime_inner,
+                    trapezoid_weights)
 from .objective import compute_gradient, evaluate_objective
 
 GRAD_TOL = 1e-12
@@ -174,10 +175,10 @@ def _stagnated(J_history):
 
 
 def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first parametric fit
-    so that no other run pays for loading scipy.optimize."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+    """`scipy.optimize.least_squares`, imported on the first parametric
+    fit so that no other run pays for loading scipy.optimize."""
+    from scipy.optimize import least_squares
+    return least_squares(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -190,47 +191,38 @@ class ParametricResult:
 
 
 def reconstruct_parametric(measurements, coeffs, grid, family):
-    """Minimize the misfit over the parameters of a load family, within
-    the family's `bounds`.
+    """Fit the parameters of a load family by bounded least squares,
+    from the family's start clipped into its `bounds` box.
 
-    The gradient is the adjoint gradient chained through the family's
-    parameter Jacobian.  The returned result carries an identifiability
-    flag based on the rank of the output-sensitivity Gram matrix at the
-    optimum.
+    The residual is w (outputs(F(p)) - theta) over both channels, with w
+    the square roots of the trapezoid time weights, so its cost
+    0.5 ||r||^2 is the misfit J.  The outputs are linear in the load, so
+    the Jacobian S holds the weighted outputs of each parameter
+    derivative; the fit is identifiable when S at the optimum has a
+    condition number below COND_LIMIT.
     """
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
     kind = type(family)
-    scale = []
+    w = np.sqrt(np.tile(trapezoid_weights(grid.n_times, grid.dt), 2))
+    theta = w * np.concatenate([measurements.theta0, measurements.thetaL])
 
-    def objective(params):
-        fam = kind.from_parameters(params)
-        evaluation = evaluate_objective(fam.field(grid), measurements,
-                                        kernel)
-        grad = compute_gradient(evaluation)
-        jac = fam.jacobian(grid)
-        g = np.array([spacetime_inner(grad, d.values, grid) for d in jac])
-        if not scale:
-            # L-BFGS-B weighs each decrease against max(|J|, 1): scaled to
-            # 1 at the start, a small misfit no longer ends the fit early
-            scale.append(evaluation.J if evaluation.J > 0 else 1.0)
-        return evaluation.J / scale[0], g / scale[0]
+    def outputs(values):
+        return w * np.concatenate(kernel.outputs(values))
 
-    result = minimize(objective, family.parameters, jac=True,
-                      method="L-BFGS-B", bounds=family.bounds(grid))
-    best = kind.from_parameters(result.x)
-    identifiable = _identifiable(best, grid, kernel)
-    return ParametricResult(family=best, J=float(result.fun) * scale[0],
+    def residual(params):
+        return outputs(kind.from_parameters(params).field(grid).values) \
+            - theta
+
+    def jacobian(params):
+        return np.column_stack([outputs(d.values) for d in
+                                kind.from_parameters(params).jacobian(grid)])
+
+    box = family.bounds(grid)
+    result = minimize(residual, np.clip(family.parameters, *box),
+                      jac=jacobian, bounds=box)
+    sv = np.linalg.svd(result.jac, compute_uv=False)
+    return ParametricResult(family=kind.from_parameters(result.x),
+                            J=float(result.cost),
                             converged=bool(result.success),
-                            identifiable=identifiable,
+                            identifiable=bool(sv[-1] > sv[0] / COND_LIMIT),
                             n_evaluations=int(result.nfev))
-
-
-def _identifiable(family, grid, kernel):
-    """Rank check of the parameter-to-output Jacobian (the outputs of each
-    parameter derivative, by linearity of the PDE)."""
-    S = np.column_stack([np.concatenate(kernel.outputs(d.values))
-                         for d in family.jacobian(grid)])
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[0] == 0.0:
-        return False
-    return bool(sv[-1] / sv[0] > 1.0 / COND_LIMIT)

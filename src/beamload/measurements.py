@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .model import LoadField, MeasurementSeries, series_l2_norm
 from .objective import apply_io_operators
 
@@ -212,10 +212,11 @@ class MovingGaussian:
             raise ValueError("sigma must be positive")
 
     def bounds(self, grid):
-        """L-BFGS-B box of (A, v, sigma): sigma stays above a hundredth of
-        an element, so the field and its Jacobian stay finite."""
-        return [(None, None), (None, None), (SIGMA_MIN_ELEMENTS * grid.h,
-                                             None)]
+        """(lower, upper) box of (A, v, sigma): sigma stays above a
+        hundredth of an element, so the field and its Jacobian stay
+        finite."""
+        return (np.array([-np.inf, -np.inf, SIGMA_MIN_ELEMENTS * grid.h]),
+                np.inf)
 
     def field(self, grid):
         x = grid.nodes[:, None]
@@ -224,16 +225,15 @@ class MovingGaussian:
         return LoadField(self.amplitude * np.exp(-0.5 * z * z), grid)
 
     def jacobian(self, grid):
-        """Analytic partial derivatives of the field wrt (A, v, sigma)."""
-        x = grid.nodes[:, None]
+        """Analytic partial derivatives of the field wrt (A, v, sigma),
+        from z = (x - v t) / sigma as in `field`, so no power of sigma
+        is formed."""
         t = grid.times[None, :]
-        d = x - self.speed * t
-        g = np.exp(-0.5 * (d / self.sigma) ** 2)
-        dA = g
-        dv = self.amplitude * g * d * t / self.sigma ** 2
-        dsig = self.amplitude * g * d ** 2 / self.sigma ** 3
-        return [LoadField(dA, grid), LoadField(dv, grid),
-                LoadField(dsig, grid)]
+        z = (grid.nodes[:, None] - self.speed * t) / self.sigma
+        g = np.exp(-0.5 * z * z)
+        scaled = self.amplitude * g * z / self.sigma
+        return [LoadField(g, grid), LoadField(scaled * t, grid),
+                LoadField(scaled * z, grid)]
 
     @property
     def parameters(self):
@@ -252,8 +252,8 @@ class ModalLoad:
     coefficients: tuple
 
     def bounds(self, grid):
-        """No box: every coefficient vector is admissible."""
-        return None
+        """(lower, upper) box: every coefficient vector is admissible."""
+        return -np.inf, np.inf
 
     def field(self, grid):
         values = np.zeros((grid.n_nodes, grid.n_times))
@@ -289,18 +289,21 @@ def manufactured_case(grid, coeffs):
     as a solver oracle.  Coefficient fields must be constant; the nodal
     means are used.
     """
-    l, T = grid.length, grid.final_time
-    k = np.pi / l
+    l = grid.length
     x = grid.nodes[:, None]
     t = grid.times[None, :]
-    rho = float(np.mean(coeffs.rho_A))
-    mu = float(np.mean(coeffs.mu))
-    Tr = float(np.mean(coeffs.T_r))
-    r = float(np.mean(coeffs.r))
-    kap = float(np.mean(coeffs.kappa))
-    shape = np.sin(k * x)
-    forcing = (2.0 * rho + 2.0 * mu * t + 2.0 * kap * k ** 4 * t
-               + (Tr * k ** 2 + r * k ** 4) * t ** 2)
+    rho, mu, Tr, r, kap = (np.mean(c) for c in (
+        coeffs.rho_A, coeffs.mu, coeffs.T_r, coeffs.r, coeffs.kappa))
+    # numpy floats under errstate: a forcing out of floating range is
+    # inf or NaN and refused below, not an OverflowError
+    with np.errstate(all="ignore"):
+        k = np.pi / np.float64(l)
+        shape = np.sin(k * x)
+        forcing = (2.0 * rho + 2.0 * mu * t + 2.0 * kap * k ** 4 * t
+                   + (Tr * k ** 2 + r * k ** 4) * t ** 2)
+    if not np.all(np.isfinite(forcing)):
+        raise DivergenceError(f"manufactured load out of floating range "
+                              f"at grid.length = {l:g}")
     load = LoadField(forcing * shape, grid)
     exact_u = t ** 2 * shape
     tt = grid.times

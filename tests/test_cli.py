@@ -315,6 +315,43 @@ def test_grid_out_of_floating_range_is_numeric_failure(tmp_path, capsys, cmd,
     assert culprit in assert_one_line_numeric_failure(capsys)
 
 
+MANUFACTURED_TINY = "scenario.kind = manufactured\ngrid.length = 1e-300\n"
+MANUFACTURED_CULPRIT = "manufactured load out of floating range at " \
+    "grid.length = 1e-300"
+
+
+@pytest.mark.parametrize("cmd,lines,culprit", [
+    ("forward", MANUFACTURED_TINY, MANUFACTURED_CULPRIT),
+    ("invert", MANUFACTURED_TINY, MANUFACTURED_CULPRIT),
+    ("invert", "inversion.mode = parametric\ninversion.init_sigma = 1e300\n",
+     "numeric failure: "),
+], ids=["forward_manufactured_length_1e-300",
+        "invert_manufactured_length_1e-300", "invert_init_sigma_1e300"])
+def test_python_float_overflow_is_no_opaque_message(tmp_path, capsys, cmd,
+                                                    lines, culprit):
+    """Values whose Python-float powers overflowed, with a message naming
+    neither key nor quantity, compute in numpy floats."""
+    cfg = write_cfg(tmp_path, COARSE + lines)
+    assert run(cmd, cfg, tmp_path / "out") == 3
+    err = assert_one_line_numeric_failure(capsys)
+    assert "Numerical result out of range" not in err
+    assert culprit in err
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError(), "MemoryError"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate"),
+], ids=["bare", "numpy_message"])
+def test_memory_error_is_numeric_failure(tmp_path, capsys, monkeypatch,
+                                         error, message):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "forward", exhausted)
+    assert run("forward", write_cfg(tmp_path, COARSE), tmp_path / "out") == 3
+    assert message in assert_one_line_numeric_failure(capsys)
+
+
 def test_long_beam_verifies(tmp_path, capsys):
     """The Poincare row's closed forms divide by l once: no power of 1/l
     underflows to a zero rhs on a long beam."""

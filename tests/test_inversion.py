@@ -3,7 +3,8 @@ import pytest
 
 from beamload import forward, inversion, objective
 from beamload.errors import DivergenceError
-from beamload.forward import solve_forward
+from beamload.assembly import assemble
+from beamload.forward import impulse_kernel, solve_forward
 from beamload.inversion import (InversionConfig, default_step,
                                 reconstruct_parametric, run_inversion)
 from beamload.constants import compute_constants
@@ -142,27 +143,67 @@ def test_parametric_noiseless_twin_recovers_parameters():
     assert np.max(rel) < 0.01
 
 
+def test_parametric_modal_twin_recovers_coefficients(twin):
+    """Noiseless data of the fit's own model: the least-squares fit of a
+    load linear in its coefficients lands on them."""
+    grid, coeffs, _, _ = twin
+    truth = ModalLoad((1.0, 0.5, -0.25))
+    kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    series = MeasurementSeries(*kernel.outputs(truth.field(grid).values))
+    result = reconstruct_parametric(series, coeffs, grid,
+                                    ModalLoad((0.0, 0.0, 0.0)))
+    assert result.converged and result.identifiable
+    assert np.max(np.abs(result.family.parameters - truth.parameters)) \
+        <= 1e-9
+
+
+def test_zero_amplitude_is_not_identifiable(twin):
+    """A load of zero amplitude leaves speed and width unseen: two of the
+    fit's three sensitivity columns vanish."""
+    grid, coeffs, _, _ = twin
+    z = np.zeros(grid.n_times)
+    result = reconstruct_parametric(
+        MeasurementSeries(theta0=z, thetaL=z), coeffs, grid,
+        MovingGaussian(amplitude=0.0, speed=1.0, sigma=0.15))
+    assert result.J == 0.0
+    assert not result.identifiable
+
+
 @pytest.mark.parametrize("truth,start", [
     (MovingGaussian(amplitude=2.0, speed=1.0, sigma=0.15),
      MovingGaussian(amplitude=1.0, speed=0.8, sigma=0.2)),
     (ModalLoad((1.0, 0.5)), ModalLoad((0.2, 0.1))),
 ])
-def test_parametric_evaluations_are_gradient_calls(twin, monkeypatch, truth,
-                                                   start):
-    """`n_evaluations` is the optimizer's count, and each evaluation is
-    one adjoint gradient."""
+def test_parametric_fit_is_least_squares_on_the_outputs(twin, monkeypatch,
+                                                        truth, start):
+    """`n_evaluations` counts the residual calls, no adjoint gradient is
+    made, and the fit's cost is the misfit J at the fitted load."""
     grid, coeffs, _, _ = twin
-    series = solve_forward(coeffs, truth.field(grid), grid).outputs
-    calls = []
-    gradient = inversion.compute_gradient
+    # noisy, so that J stays far above the round-off of its sum
+    series = add_noise(solve_forward(coeffs, truth.field(grid), grid).outputs,
+                       NoiseSpec(delta_rel=0.01, seed=0), grid.dt)
+    calls = {"residual": 0, "gradient": 0, "adjoint": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return gradient(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(inversion, "compute_gradient", counted)
+    fit = inversion.minimize
+    monkeypatch.setattr(inversion, "minimize", lambda fun, *args, **kwargs:
+                        fit(counted("residual", fun), *args, **kwargs))
+    monkeypatch.setattr(inversion, "compute_gradient",
+                        counted("gradient", inversion.compute_gradient))
+    monkeypatch.setattr(forward.ImpulseKernel, "adjoint",
+                        counted("adjoint", forward.ImpulseKernel.adjoint))
     result = reconstruct_parametric(series, coeffs, grid, start)
-    assert result.n_evaluations == len(calls) > 1
+    assert result.n_evaluations == calls["residual"] > 1
+    assert calls["gradient"] == calls["adjoint"] == 0
+    kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    J = objective.evaluate_objective(result.family.field(grid), series,
+                                     kernel).J
+    assert result.J == pytest.approx(J, rel=1e-12, abs=0.0)
 
 
 def test_discrepancy_is_derived_from_the_misfit(twin):

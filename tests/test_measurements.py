@@ -263,13 +263,16 @@ def test_moving_gaussian_keeps_sigma_positive(small_grid):
         with pytest.raises(ValueError):
             MovingGaussian(amplitude=1.0, speed=1.0, sigma=sigma)
     fam = MovingGaussian(amplitude=1.0, speed=1.0, sigma=0.2)
-    assert fam.bounds(small_grid)[2][0] > 0
+    lower, upper = fam.bounds(small_grid)
+    assert lower[2] > 0 and np.all(np.isinf(lower[:2]))
+    assert np.all(np.broadcast_to(upper, 3) == np.inf)
 
 
 def test_modal_load_round_trip(small_grid):
     fam = ModalLoad((1.0, -0.5, 0.25))
     again = ModalLoad.from_parameters(fam.parameters)
     assert again == fam
+    assert fam.bounds(small_grid) == (-np.inf, np.inf)
     field = fam.field(small_grid)
     parts = fam.jacobian(small_grid)
     combo = sum(c * p.values for c, p in zip(fam.parameters, parts))

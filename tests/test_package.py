@@ -22,55 +22,46 @@ def test_every_exported_name_resolves(name):
     assert hasattr(beamload, name)
 
 
-def fresh_process(code):
-    """Standard output of `code` run by a new interpreter that imports
-    this checkout's beamload."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60,
-                          cwd=pathlib.Path(beamload.__file__).parent.parent
-                          ).stdout.split()
-
-
 UNUSED_AT_IMPORT = ("scipy.fft", "scipy.interpolate", "scipy.optimize",
                     "scipy.sparse")
 
-
-@pytest.mark.parametrize("module", ["beamload", "beamload.cli"])
-def test_import_leaves_unused_scipy_modules_unloaded(module):
-    # the kernel's transforms come from numpy.fft, and the smoothing spline
-    # and its Brent root-find are in-house; scipy.optimize loads when a fit
-    # first needs it and scipy.sparse when a quadratic form does.
-    # Importing any of them would cost every process startup time and
-    # memory for nothing
-    code = (f"import sys, {module}; "
-            f"print(*[m in sys.modules for m in {UNUSED_AT_IMPORT}])")
-    assert fresh_process(code) == ["False"] * len(UNUSED_AT_IMPORT)
-
-
-SMOOTH_LAZILY = """
+# One fresh interpreter runs the stages in order and prints one labelled
+# line per check. The kernel's transforms come from numpy.fft, and the
+# smoothing spline and its Brent root-find are in-house; scipy.optimize
+# loads when a parametric fit first needs it and scipy.sparse when a
+# quadratic form does. Importing any of them up front would cost every
+# process startup time and memory for nothing.
+LAZY_IMPORTS = f"""
 import sys
+def loaded(*names):
+    return " ".join(str(name in sys.modules) for name in names)
+import beamload
+print("import beamload:", loaded(*{UNUSED_AT_IMPORT}))
+import beamload.cli
+print("import beamload.cli:", loaded(*{UNUSED_AT_IMPORT}))
+
 import numpy as np
-from beamload.measurements import NoiseSpec, add_noise, smooth_to_h1
-from beamload.model import MeasurementSeries, series_l2_norm
+from beamload.assembly import assemble
+from beamload.forward import quadratic_forms, solve_forward
+from beamload.inversion import (InversionConfig, reconstruct_parametric,
+                                run_inversion)
+from beamload.measurements import (ModalLoad, NoiseSpec, add_noise,
+                                   smooth_to_h1)
+from beamload.model import (CoefficientSet, MeasurementSeries,
+                            SpaceTimeGrid, series_l2_norm)
+
 t = np.linspace(0.0, 1.0, 129)
 noisy = add_noise(MeasurementSeries(theta0=t ** 2, thetaL=t - t ** 3),
                   NoiseSpec(0.05, seed=0), t[1] - t[0])
 # no weight fits closer than this noise level: lambda clamps, no root-find
 smooth_to_h1(MeasurementSeries(noisy.theta0, noisy.thetaL, 1e-30), t)
-print("scipy.optimize" in sys.modules)
+print("clamped smoothing:", loaded("scipy.optimize"))
 smooth = smooth_to_h1(noisy, t)
 target = noisy.noise_delta / np.sqrt(2.0)
 res = series_l2_norm(smooth.theta0 - noisy.theta0, t[1] - t[0])
-print("scipy.optimize" in sys.modules, abs(res - target) <= 1e-6 * target)
-"""
+print("root-found smoothing:", loaded("scipy.optimize"),
+      abs(res - target) <= 1e-6 * target)
 
-FULL_FIELD = """
-import sys
-from beamload.forward import solve_forward
-from beamload.inversion import InversionConfig, run_inversion
-from beamload.measurements import (ModalLoad, NoiseSpec, add_noise,
-                                   smooth_to_h1)
-from beamload.model import CoefficientSet, SpaceTimeGrid
 grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
 coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8,
                                  kappa=0.02)
@@ -79,59 +70,62 @@ noisy = add_noise(clean.outputs, NoiseSpec(0.05, seed=0), grid.dt)
 state = run_inversion(smooth_to_h1(noisy, grid.times), coeffs, grid,
                       InversionConfig(step_rule="backtracking",
                                       noise_delta=noisy.noise_delta))
-print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules,
+print("full-field inversion:", loaded("scipy.optimize", "scipy.sparse"),
       state.stop_reason)
-"""
 
-FIT_LAZILY = """
-import sys
-from beamload.forward import solve_forward
-from beamload.inversion import reconstruct_parametric
-from beamload.measurements import ModalLoad
-from beamload.model import CoefficientSet, SpaceTimeGrid
-grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
-coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8,
-                                 kappa=0.02)
-data = solve_forward(coeffs, ModalLoad((1.0, 0.5)).field(grid), grid).outputs
-print("scipy.optimize" in sys.modules)
-result = reconstruct_parametric(data, coeffs, grid, ModalLoad((0.5, 0.0)))
-print("scipy.optimize" in sys.modules, result.n_evaluations > 1)
-"""
-
-QUADRATIC_LAZILY = """
-import sys
-import numpy as np
-from beamload.assembly import assemble
-from beamload.forward import quadratic_forms
-from beamload.model import CoefficientSet, SpaceTimeGrid
-grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=32)
-system = assemble(grid, CoefficientSet.constant(
-    grid, rho_A=1.0, mu=0.05, T_r=0.1, r=0.8, kappa=0.02))
-print("scipy.sparse" in sys.modules)
+system = assemble(grid, coeffs)
+print("assembly:", loaded("scipy.sparse"))
 energy = quadratic_forms(system.M, np.ones((system.n_dofs, 1)))
-print("scipy.sparse" in sys.modules, energy[0] > 0)
+print("quadratic form:", loaded("scipy.sparse"), energy[0] > 0)
+
+print("before the fit:", loaded("scipy.optimize"))
+result = reconstruct_parametric(clean.outputs, coeffs, grid,
+                                ModalLoad((0.5, 0.0)))
+print("parametric fit:", loaded("scipy.optimize"), result.n_evaluations > 1)
 """
 
 
-def test_smoothing_never_loads_scipy_optimize():
+@pytest.fixture(scope="module")
+def lazy_imports():
+    """The labelled lines of LAZY_IMPORTS, run once by a new interpreter
+    that imports this checkout's beamload, keyed by label."""
+    out = subprocess.run([sys.executable, "-c", LAZY_IMPORTS],
+                         capture_output=True, text=True, check=True,
+                         timeout=60,
+                         cwd=pathlib.Path(beamload.__file__).parent.parent)
+    return dict(line.split(": ", 1) for line in out.stdout.splitlines())
+
+
+@pytest.mark.parametrize("module", ["beamload", "beamload.cli"])
+def test_import_leaves_unused_scipy_modules_unloaded(module, lazy_imports):
+    unloaded = " ".join(["False"] * len(UNUSED_AT_IMPORT))
+    assert lazy_imports[f"import {module}"] == unloaded
+
+
+def test_smoothing_never_loads_scipy_optimize(lazy_imports):
     # the smoothing weight's Brent root-find is in-house, so neither a
     # clamped weight nor a root-find loads scipy.optimize
-    assert fresh_process(SMOOTH_LAZILY) == ["False", "False", "True"]
+    assert lazy_imports["clamped smoothing"] == "False"
+    assert lazy_imports["root-found smoothing"] == "False True"
 
 
-def test_full_field_inversion_leaves_optimize_and_sparse_unloaded():
+def test_full_field_inversion_leaves_optimize_and_sparse_unloaded(
+        lazy_imports):
     # a noisy twin smoothed into H1 and inverted by the adjoint Landweber
     # loop needs neither a fit nor a quadratic form
-    assert fresh_process(FULL_FIELD) == ["False", "False", "discrepancy"]
+    assert lazy_imports["full-field inversion"] == "False False discrepancy"
 
 
-@pytest.mark.parametrize("code", [FIT_LAZILY, QUADRATIC_LAZILY],
+@pytest.mark.parametrize("stages", [("before the fit", "parametric fit"),
+                                    ("assembly", "quadratic form")],
                          ids=["reconstruct_parametric", "quadratic_forms"])
-def test_scipy_module_loads_on_first_use(code):
-    # L-BFGS-B and the sparse banded product still run in a fresh
-    # process, and scipy.optimize or scipy.sparse loads only when one of
-    # them is called
-    assert fresh_process(code) == ["False", "True", "True"]
+def test_scipy_module_loads_on_first_use(stages, lazy_imports):
+    # the least-squares fit and the sparse banded product still run in a
+    # fresh process, and scipy.optimize or scipy.sparse loads only when
+    # one of them is called
+    before, after = stages
+    assert lazy_imports[before] == "False"
+    assert lazy_imports[after] == "True True"
 
 
 def test_source_lines_fit_79_columns():
