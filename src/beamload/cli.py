@@ -6,6 +6,7 @@ error, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -269,14 +270,29 @@ def cmd_verify(cfg, grid, coeffs, args, out):
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+def _fit_start(cfg):
+    """The load family a parametric fit starts from, from the
+    `inversion.init_*` keys that its family reads.  The fit's first trust
+    radius is the norm of the start, so a start whose squares overflow is
+    a numeric failure, named by the key of the largest."""
+    family = load_family(cfg["inversion.family"],
+                         _family(cfg, "inversion.init_"))
+    with np.errstate(over="ignore"):
+        squares = {field.name: np.sum(np.square(getattr(family, field.name)))
+                   for field in dataclasses.fields(family)}
+        if np.isfinite(sum(squares.values())):
+            return family
+    name = max(squares, key=squares.get)
+    raise DivergenceError(f"fit start out of floating range at "
+                          f"inversion.init_{name} = {getattr(family, name)}")
+
+
 def cmd_invert(cfg, grid, coeffs, args, out):
     series, truth = _obtain_measurements(cfg, grid, coeffs, args.seed)
     summary = {}
 
     if cfg["inversion.mode"] == "parametric":
-        family = load_family(cfg["inversion.family"],
-                             _family(cfg, "inversion.init_"))
-        result = reconstruct_parametric(series, coeffs, grid, family)
+        result = reconstruct_parametric(series, coeffs, grid, _fit_start(cfg))
         params = result.family.parameters
         save_table(os.path.join(out, "parameters.csv"), "index,value",
                    (np.arange(len(params)), params))

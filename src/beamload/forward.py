@@ -9,10 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.linalg import cholesky_banded
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrs
 
+from ._lapack import cholesky_banded, dpbtrs, dsbmv
 from .assembly import assemble
 from .constants import compute_constants
 from .errors import DimensionError, DivergenceError

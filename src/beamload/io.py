@@ -1,8 +1,10 @@
 """CSV serialization of fields, measurements and reports.
 
 Every CSV is a table: a header line, then comma-separated rows.
-`save_table` writes one and `_read_table` reads one.  All floating-point
-output uses 17 significant digits so round trips are bit-exact.
+`save_table` writes one, a nodal field's x-major table is written node
+by node with the same bytes, and `_read_table` reads one.  All
+floating-point output uses 17 significant digits so round trips are
+bit-exact.
 """
 
 import hashlib
@@ -97,10 +99,18 @@ def load_coefficient(path, nodes):
 
 
 def _save_rows(path, nodes, times, values, name):
-    """Nodal field as `x,t,<name>` rows, x-major."""
-    save_table(path, f"x,t,{name}", (np.repeat(nodes, len(times)),
-                                     np.tile(times, len(nodes)),
-                                     np.ravel(values)))
+    """Nodal field as `x,t,<name>` rows, x-major: the bytes `save_table`
+    writes for the repeated x and tiled t columns, with each node's and
+    each instant's `%.17g` formatted once, and one node's rows at a
+    time."""
+    stamps = ["%.17g," % t for t in np.asarray(times, dtype=float).tolist()]
+    values = np.asarray(values, dtype=float).reshape(len(nodes), len(stamps))
+    with open(path, "w") as fh:
+        fh.write(f"x,t,{name}\n")
+        for x, row in zip(np.asarray(nodes, dtype=float).tolist(), values):
+            head = "%.17g," % x
+            fh.writelines([head + stamp + "%.17g\n" % v
+                           for stamp, v in zip(stamps, row.tolist())])
 
 
 def save_load(path, load):

@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
+from ._lapack import solveh_banded
 from .errors import ConfigError, DivergenceError
 from .model import LoadField, MeasurementSeries, series_l2_norm
 from .objective import apply_io_operators

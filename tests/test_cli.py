@@ -338,6 +338,21 @@ def test_python_float_overflow_is_no_opaque_message(tmp_path, capsys, cmd,
     assert culprit in err
 
 
+@pytest.mark.parametrize("lines,culprit", [
+    ("inversion.init_sigma = 1e300\n", "inversion.init_sigma = 1e+300"),
+    ("inversion.init_speed = -1e300\n", "inversion.init_speed = -1e+300"),
+    ("inversion.family = modal\ninversion.init_coefficients = 1, 1e300\n",
+     "inversion.init_coefficients = (1.0, 1e+300)"),
+], ids=["sigma", "speed", "modal"])
+def test_fit_start_out_of_floating_range_names_its_key(tmp_path, capsys,
+                                                       lines, culprit):
+    # the fit's first trust radius is the norm of its start
+    cfg = write_cfg(tmp_path, COARSE + "inversion.mode = parametric\n"
+                    + lines)
+    assert run("invert", cfg, tmp_path / "out") == 3
+    assert culprit in assert_one_line_numeric_failure(capsys)
+
+
 @pytest.mark.parametrize("error,message", [
     (MemoryError(), "MemoryError"),
     (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate"),

@@ -10,7 +10,7 @@ from beamload.io import (config_hash, load_coefficient, load_load,
                          load_measurements, parse_config, save_check_report,
                          save_coefficient, save_field, save_iteration_log,
                          save_load, save_measurements, save_sidecar,
-                         load_sidecar)
+                         save_table, load_sidecar)
 from beamload.model import (CheckRow, LoadField, MeasurementSeries,
                             SpaceTimeGrid)
 
@@ -274,6 +274,28 @@ def test_table_blocks_join_into_one_table(tmp_path, monkeypatch, n_rows):
     save_measurements(new, times, series)
     reference_save_measurements(ref, times, series)
     assert same_bytes(new, ref)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 7), (17, 29)])
+def test_field_writers_match_save_table(tmp_path, shape):
+    """A field written node by node from its pre-formatted x and t
+    strings has the bytes of `save_table` on its repeated x, tiled t and
+    raveled value columns."""
+    rng = np.random.default_rng(sum(shape))
+    n_nodes, n_times = shape
+    nodes = np.sort(rng.uniform(0.0, 3.0, n_nodes))
+    times = np.sort(rng.uniform(0.0, 2.0, n_times))
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 20, shape)
+    values.flat[0] = -0.0
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_table(ref, "x,t,u", (np.repeat(nodes, n_times),
+                              np.tile(times, n_nodes), values.ravel()))
+    save_field(new, nodes, times, values)
+    assert same_bytes(new, ref)
+    grid = SimpleNamespace(nodes=nodes, times=times)
+    save_load(new, SimpleNamespace(grid=grid, values=values))
+    assert new.read_bytes() == ref.read_bytes().replace(b"x,t,u\n",
+                                                        b"x,t,value\n", 1)
 
 
 BASE = """

@@ -22,15 +22,19 @@ def test_every_exported_name_resolves(name):
     assert hasattr(beamload, name)
 
 
-UNUSED_AT_IMPORT = ("scipy.fft", "scipy.interpolate", "scipy.optimize",
-                    "scipy.sparse")
+UNUSED_AT_IMPORT = ("scipy", "scipy.fft", "scipy.interpolate", "scipy.linalg",
+                    "scipy.optimize", "scipy.sparse")
 
 # One fresh interpreter runs the stages in order and prints one labelled
-# line per check. The kernel's transforms come from numpy.fft, and the
-# smoothing spline and its Brent root-find are in-house; scipy.optimize
-# loads when a parametric fit first needs it and scipy.sparse when a
-# quadratic form does. Importing any of them up front would cost every
-# process startup time and memory for nothing.
+# line per check. The kernel's transforms come from numpy.fft, the
+# smoothing spline and its Brent root-find are in-house, and the four
+# LAPACK and BLAS routines come from scipy's compiled modules without the
+# scipy.linalg package, so neither an import nor a full-field inversion
+# loads scipy at all. scipy.optimize loads when a parametric fit first
+# needs it, and scipy.linalg with it, since `least_squares` imports it;
+# scipy.sparse loads when a quadratic form first needs it. Importing any
+# of them up front would cost every process startup time and memory for
+# nothing.
 LAZY_IMPORTS = f"""
 import sys
 def loaded(*names):
@@ -70,18 +74,19 @@ noisy = add_noise(clean.outputs, NoiseSpec(0.05, seed=0), grid.dt)
 state = run_inversion(smooth_to_h1(noisy, grid.times), coeffs, grid,
                       InversionConfig(step_rule="backtracking",
                                       noise_delta=noisy.noise_delta))
-print("full-field inversion:", loaded("scipy.optimize", "scipy.sparse"),
-      state.stop_reason)
+print("full-field inversion:",
+      loaded("scipy", "scipy.optimize", "scipy.sparse"), state.stop_reason)
 
 system = assemble(grid, coeffs)
 print("assembly:", loaded("scipy.sparse"))
 energy = quadratic_forms(system.M, np.ones((system.n_dofs, 1)))
 print("quadratic form:", loaded("scipy.sparse"), energy[0] > 0)
 
-print("before the fit:", loaded("scipy.optimize"))
+print("before the fit:", loaded("scipy.optimize", "scipy.linalg"))
 result = reconstruct_parametric(clean.outputs, coeffs, grid,
                                 ModalLoad((0.5, 0.0)))
-print("parametric fit:", loaded("scipy.optimize"), result.n_evaluations > 1)
+print("parametric fit:", loaded("scipy.optimize", "scipy.linalg"),
+      result.n_evaluations > 1)
 """
 
 
@@ -112,20 +117,23 @@ def test_smoothing_never_loads_scipy_optimize(lazy_imports):
 def test_full_field_inversion_leaves_optimize_and_sparse_unloaded(
         lazy_imports):
     # a noisy twin smoothed into H1 and inverted by the adjoint Landweber
-    # loop needs neither a fit nor a quadratic form
-    assert lazy_imports["full-field inversion"] == "False False discrepancy"
+    # loop needs neither a fit nor a quadratic form, and its banded solves
+    # load no scipy package module
+    assert (lazy_imports["full-field inversion"]
+            == "False False False discrepancy")
 
 
-@pytest.mark.parametrize("stages", [("before the fit", "parametric fit"),
-                                    ("assembly", "quadratic form")],
-                         ids=["reconstruct_parametric", "quadratic_forms"])
+@pytest.mark.parametrize(
+    "stages",
+    [{"before the fit": "False False", "parametric fit": "True True True"},
+     {"assembly": "False", "quadratic form": "True True"}],
+    ids=["reconstruct_parametric", "quadratic_forms"])
 def test_scipy_module_loads_on_first_use(stages, lazy_imports):
     # the least-squares fit and the sparse banded product still run in a
-    # fresh process, and scipy.optimize or scipy.sparse loads only when
-    # one of them is called
-    before, after = stages
-    assert lazy_imports[before] == "False"
-    assert lazy_imports[after] == "True True"
+    # fresh process, and scipy.optimize (with the scipy.linalg that
+    # `least_squares` imports) or scipy.sparse loads only when one of them
+    # is called
+    assert {stage: lazy_imports[stage] for stage in stages} == stages
 
 
 def test_source_lines_fit_79_columns():
