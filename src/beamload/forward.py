@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import as_strided
 
 from ._lapack import cholesky_banded, dpbtrs, dsbmv
 from .assembly import assemble
@@ -300,17 +301,27 @@ def energy_residual(traj, coeffs, load):
     return np.abs(lhs - work) / scale
 
 
-def banded_matrix(ab):
-    """The symmetric matrix held in upper band storage ab[k + i - j, j] =
-    A[i, j], as a sparse DIA array."""
-    # imported here, so that a run that forms no quadratic form never
-    # loads scipy.sparse
-    from scipy.sparse import dia_array
+def band_product(ab, X):
+    """A X along the first axis of X, for any trailing shape, with the
+    symmetric A in upper band storage ab[k + i - j, j] = A[i, j].
+
+    Row r sums W[r, j] x[r + k - j] over j = 0..2k, the offsets k..-k in
+    the order in which scipy.sparse's DIA product adds its diagonals, so
+    that the two agree bit for bit; an entry outside A adds zero times a
+    zero padding row.
+    """
     k, n = ab.shape[0] - 1, ab.shape[1]
-    # the band rows are the upper diagonals, offsets k..0, of a DIA
-    # array; each lower diagonal is its mirror moved left
-    data = np.vstack([ab] + [np.roll(ab[k - d], -d) for d in range(1, k + 1)])
-    return dia_array((data, np.arange(k, -k - 1, -1)), shape=(n, n))
+    # W[r, k - d] = A[r, r + d] and W[r, k + d] = A[r, r - d]
+    W = np.zeros((n, 2 * k + 1))
+    for d in range(k + 1):
+        W[:n - d, k - d] = W[d:, k + d] = ab[k - d, d:]
+    # V[r, j] = x[r + k - j], a view of X between k zero rows at each end
+    padded = np.zeros((n + 2 * k,) + X.shape[1:])
+    padded[k:n + k] = X
+    s = padded.strides
+    V = as_strided(padded[2 * k:], (n, 2 * k + 1) + X.shape[1:],
+                   (s[0], -s[0]) + s[1:], writeable=False)
+    return np.einsum("rj,rj...->r...", W, V)
 
 
 def quadratic_forms(ab, X):
@@ -321,7 +332,7 @@ def quadratic_forms(ab, X):
     within each row before the column sums; summing the band's terms
     over all rows at once loses up to 150 times more to round-off.
     """
-    return np.einsum("ij,ij->j", banded_matrix(ab) @ X, X)
+    return np.einsum("ij,ij->j", band_product(ab, X), X)
 
 
 def cumtrapz(y, dt):

@@ -26,7 +26,7 @@ from numpy.fft import rfft
 from .adjoint import adjoint_rows
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, apriori_rows, banded_matrix, convolve_t1,
+from .forward import (EPS_FLOOR, apriori_rows, band_product, convolve_t1,
                       cumtrapz, end_rotation_responses, impulse_kernel,
                       solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
@@ -77,11 +77,9 @@ def _modal_load(grid, c, factors=None):
     of the grid, made when not given."""
     shapes, histories = factors or (_mode_shapes(grid),
                                     _load_histories(grid))
-    values = np.zeros((grid.n_nodes, grid.n_times))
-    for shape, (a, b), (sin, cos) in zip(shapes, np.reshape(c, (4, 2)),
-                                         histories):
-        values += shape[:, None] * (a * sin + b * cos)
-    return LoadField(values, grid)
+    pairs = np.reshape(c, (4, 2))
+    h = pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]
+    return LoadField(np.einsum("kn,kt->nt", shapes, h), grid)
 
 
 def random_load(grid, rng):
@@ -126,10 +124,9 @@ def _gram_series(ab, X):
     states X (n_basis, n_dofs, n_times), with the symmetric A in upper
     band storage.  Each A x_i is formed first, as `quadratic_forms` does,
     and one at a time."""
-    A = banded_matrix(ab)
     gram = np.empty((X.shape[2], len(X), len(X)))
     for i, x in enumerate(X):
-        gram[:, i] = np.einsum("dt,jdt->tj", A @ x, X)
+        gram[:, i] = np.einsum("dt,jdt->tj", band_product(ab, x), X)
     return gram
 
 

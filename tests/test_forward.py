@@ -7,8 +7,8 @@ from scipy.linalg.lapack import dpbtrs
 from beamload.assembly import assemble, unit_norm_matrices
 from beamload.constants import compute_constants
 from beamload.errors import DivergenceError
-from beamload.forward import (check_apriori_estimates, cumtrapz,
-                              energy_residual, newmark_integrate,
+from beamload.forward import (band_product, check_apriori_estimates,
+                              cumtrapz, energy_residual, newmark_integrate,
                               solve_forward)
 from beamload.measurements import manufactured_case
 from beamload.model import (CoefficientSet, LoadField, SpaceTimeGrid,
@@ -256,3 +256,34 @@ def test_newmark_reads_bandwidth_from_storage():
     wide = [np.vstack([np.zeros((2, s.n_dofs)), ab]) for ab in bands]
     u6 = newmark_integrate(*wide, forces, g.dt)[0]
     assert np.max(np.abs(u6 - u4)) <= 1e-14 * np.max(np.abs(u4))
+
+
+def dia_product(ab, X):
+    """A X along the first axis of X by scipy.sparse's DIA product, the
+    reference of `band_product`.  The band rows are the upper diagonals,
+    offsets k..0, of the DIA array; each lower diagonal is its mirror
+    moved left."""
+    from scipy.sparse import dia_array
+    k, n = ab.shape[0] - 1, ab.shape[1]
+    data = np.vstack([ab] + [np.roll(ab[k - d], -d) for d in range(1, k + 1)])
+    A = dia_array((data, np.arange(k, -k - 1, -1)), shape=(n, n))
+    return (A @ X.reshape(n, -1)).reshape(X.shape)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_band_product_is_the_dia_product_bit_for_bit(k, seed):
+    # random diagonals over eleven decades, so that any change in the
+    # order of a row's additions shows; the unused corner entries are
+    # random too, and must not be read
+    rng = np.random.default_rng(100 * k + seed)
+    # the smallest and the largest n, then random ones between
+    n = (2 * k + 1, 300)[seed] if seed < 2 else int(rng.integers(2 * k + 1,
+                                                                 301))
+    ab = rng.normal(size=(k + 1, n)) * 10.0 ** rng.integers(
+        -3, 8, size=(k + 1, 1))
+    for X in (rng.normal(size=n), rng.normal(size=(n, 7)),
+              rng.normal(size=(n, 3, 5)), rng.normal(size=(9, n)).T):
+        product = band_product(ab, X)
+        assert product.shape == X.shape
+        assert np.array_equal(product, dia_product(ab, X))

@@ -27,14 +27,14 @@ UNUSED_AT_IMPORT = ("scipy", "scipy.fft", "scipy.interpolate", "scipy.linalg",
 
 # One fresh interpreter runs the stages in order and prints one labelled
 # line per check. The kernel's transforms come from numpy.fft, the
-# smoothing spline and its Brent root-find are in-house, and the four
-# LAPACK and BLAS routines come from scipy's compiled modules without the
-# scipy.linalg package, so neither an import nor a full-field inversion
-# loads scipy at all. scipy.optimize loads when a parametric fit first
-# needs it, and scipy.linalg with it, since `least_squares` imports it;
-# scipy.sparse loads when a quadratic form first needs it. Importing any
-# of them up front would cost every process startup time and memory for
-# nothing.
+# smoothing spline and its Brent root-find are in-house, the four LAPACK
+# and BLAS routines come from scipy's compiled modules without the
+# scipy.linalg package, and the banded products of the quadratic forms
+# are numpy's, so neither an import, a full-field inversion, an energy
+# form nor the verification suite loads scipy at all. scipy.optimize
+# loads when a parametric fit first needs it, and scipy.linalg with it,
+# since `least_squares` imports it. Importing either up front would cost
+# every process startup time and memory for nothing.
 LAZY_IMPORTS = f"""
 import sys
 def loaded(*names):
@@ -53,6 +53,7 @@ from beamload.measurements import (ModalLoad, NoiseSpec, add_noise,
                                    smooth_to_h1)
 from beamload.model import (CoefficientSet, MeasurementSeries,
                             SpaceTimeGrid, series_l2_norm)
+from beamload.verify import verify_inequality_suite
 
 t = np.linspace(0.0, 1.0, 129)
 noisy = add_noise(MeasurementSeries(theta0=t ** 2, thetaL=t - t ** 3),
@@ -78,9 +79,10 @@ print("full-field inversion:",
       loaded("scipy", "scipy.optimize", "scipy.sparse"), state.stop_reason)
 
 system = assemble(grid, coeffs)
-print("assembly:", loaded("scipy.sparse"))
 energy = quadratic_forms(system.M, np.ones((system.n_dofs, 1)))
-print("quadratic form:", loaded("scipy.sparse"), energy[0] > 0)
+print("quadratic form:", loaded("scipy", "scipy.sparse"), energy[0] > 0)
+report = verify_inequality_suite(grid, coeffs, n_scenarios=1)
+print("verify suite:", loaded("scipy", "scipy.sparse"), len(report.rows) > 0)
 
 print("before the fit:", loaded("scipy.optimize", "scipy.linalg"))
 result = reconstruct_parametric(clean.outputs, coeffs, grid,
@@ -123,17 +125,61 @@ def test_full_field_inversion_leaves_optimize_and_sparse_unloaded(
             == "False False False discrepancy")
 
 
+def test_quadratic_forms_and_verify_suite_leave_scipy_unloaded(
+        lazy_imports):
+    # the energy forms and the suite's Gram series take their banded
+    # products from numpy, so neither loads a scipy package module
+    assert lazy_imports["quadratic form"] == "False False True"
+    assert lazy_imports["verify suite"] == "False False True"
+
+
 @pytest.mark.parametrize(
     "stages",
-    [{"before the fit": "False False", "parametric fit": "True True True"},
-     {"assembly": "False", "quadratic form": "True True"}],
-    ids=["reconstruct_parametric", "quadratic_forms"])
+    [{"before the fit": "False False", "parametric fit": "True True True"}],
+    ids=["reconstruct_parametric"])
 def test_scipy_module_loads_on_first_use(stages, lazy_imports):
-    # the least-squares fit and the sparse banded product still run in a
-    # fresh process, and scipy.optimize (with the scipy.linalg that
-    # `least_squares` imports) or scipy.sparse loads only when one of them
-    # is called
+    # the least-squares fit still runs in a fresh process, and
+    # scipy.optimize (with the scipy.linalg that `least_squares` imports)
+    # loads only when it is called
     assert {stage: lazy_imports[stage] for stage in stages} == stages
+
+
+def scipy_imports(path):
+    """`file:scope` of each statement of the module at `path` that imports
+    scipy or a scipy module.  The scope is the top-level function or
+    class around it, `<except>` for a module-level exception handler and
+    `<module>` for other module-level code."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if scope == "<module>":
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = child.name
+                elif isinstance(child, ast.ExceptHandler):
+                    inner = "<except>"
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.add(f"{path.name}:{inner}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_scipy_imported_only_by_lapack_fallback_and_least_squares():
+    # every other scipy import would load a package module in some run:
+    # the compiled LAPACK and BLAS modules are imported from scipy.linalg
+    # only when they cannot be loaded from their files, and
+    # scipy.optimize on the first parametric fit
+    found = sorted(set().union(*map(scipy_imports, SOURCES)))
+    assert found == ["_lapack.py:<except>", "inversion.py:minimize"]
 
 
 def test_source_lines_fit_79_columns():

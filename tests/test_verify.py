@@ -105,6 +105,25 @@ def test_random_inputs_are_reasonable(small_grid):
         np.abs(dy)))
 
 
+def modal_load_by_mode(grid, c):
+    """The values of `_modal_load`, summed one space mode at a time: the
+    reference of its single contraction."""
+    values = np.zeros((grid.n_nodes, grid.n_times))
+    for shape, (a, b), (sin, cos) in zip(verify._mode_shapes(grid),
+                                         np.reshape(c, (4, 2)),
+                                         verify._load_histories(grid)):
+        values += shape[:, None] * (a * sin + b * cos)
+    return values
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_modal_load_is_its_sum_of_modes_bit_for_bit(seed, random_case):
+    grid = random_case(seed)[0]
+    c = np.random.default_rng(seed).normal(size=8) * 10.0 ** (seed - 5)
+    assert np.array_equal(verify._modal_load(grid, c).values,
+                          modal_load_by_mode(grid, c))
+
+
 def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                                                      small_coeffs,
                                                      monkeypatch):
