@@ -11,7 +11,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
-from ._lapack import cholesky_banded, dpbtrs, dsbmv
+from ._lapack import bound_matvec, bound_solve, cholesky_banded
 from .assembly import assemble
 from .constants import compute_constants
 from .errors import DimensionError, DivergenceError
@@ -19,14 +19,6 @@ from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
                     l2_norm_spacetime, trapezoid_weights)
 
 EPS_FLOOR = 1e-14
-
-
-def _banded_solve(cb, b):
-    """Solve with an upper banded Cholesky factor (LAPACK dpbtrs)."""
-    x, info = dpbtrs(cb, b)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} to dpbtrs")
-    return x
 
 
 def _block_diagonal(ab, n_cases):
@@ -52,11 +44,13 @@ def newmark_integrate(M, C, K, forces, dt):
     (k + 1, n_dofs) with ab[k + i - j, j] = A[i, j], as `assembly`
     stores them; the bandwidth k is read from the storage.  `forces` has
     shape (n_times, n_dofs) sampled at the time instants.  Returns the
-    displacement and velocity histories (u, v), each (n_dofs, n_times);
-    only the current acceleration is kept.  The effective matrix
-    K + a0 M + a1 C is summed band by band and factored once with a
-    banded symmetric Cholesky factorization; each step makes two banded
-    matvecs and one banded solve.
+    displacement and velocity histories (u, v), each (n_dofs, n_times):
+    transposed views of arrays stored one instant per row, so that each
+    step writes contiguous rows.  Only the current acceleration is kept.
+    The effective matrix K + a0 M + a1 C is summed band by band and
+    factored once with a banded symmetric Cholesky factorization; each
+    step makes two banded matvecs and one banded solve, bound once per
+    pass to fixed buffers.
 
     `forces` of shape (n_times, B, n_dofs) integrates B load cases at
     once, and u and v are then (B, n_dofs, n_times).  The cases form one
@@ -83,30 +77,54 @@ def newmark_integrate(M, C, K, forces, dt):
 
     cb_eff = cholesky_banded(eff)
     cb_M = cholesky_banded(M)
-    kd = M.shape[0] - 1
 
-    u = np.zeros((n_cases * n, n_times))
-    v = np.zeros((n_cases * n, n_times))
-    ak = _banded_solve(cb_M, forces[0])
+    u = np.zeros((n_times, n_cases * n))
+    v = np.zeros((n_times, n_cases * n))
+    ak, an, x, y, b, a2v, tmp = (np.empty(n_cases * n) for _ in range(7))
+    ak[:] = forces[0]
+    bound_solve(cb_M, ak)()
+    matvec_M, matvec_C = bound_matvec(M, x, y), bound_matvec(C, x, y)
+    solve = bound_solve(cb_eff, b)
 
     # the BLAS matvecs and LAPACK triangular solves are called directly on
     # the bands and the state is checked for finiteness once per pass, not
     # once per step; a pass that diverges runs on to the end without
-    # floating-point warnings
+    # floating-point warnings.  Each step computes, into its buffers (a
+    # ufunc's third argument is its output) and in this order of
+    # operations,
+    #   b = f_k+1 + M (a0 u_k + a2 v_k + a_k) + C (a1 u_k + v_k),
+    #   u_k+1 = eff^-1 b,  a_k+1 = a0 (u_k+1 - u_k) - a2 v_k - a_k,
+    #   v_k+1 = v_k + h a_k + h a_k+1
     with np.errstate(all="ignore"):
         for k in range(n_times - 1):
-            uk, vk = u[:, k], v[:, k]
-            rhs = (forces[k + 1]
-                   + dsbmv(kd, 1.0, M, a0 * uk + a2 * vk + ak)
-                   + dsbmv(kd, 1.0, C, a1 * uk + vk))
-            un = _banded_solve(cb_eff, rhs)
-            an = a0 * (un - uk) - a2 * vk - ak
-            u[:, k + 1], v[:, k + 1] = un, vk + h * ak + h * an
-            ak = an
-    bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
+            uk, vk, un, vn = u[k], v[k], u[k + 1], v[k + 1]
+            np.multiply(a0, uk, x)
+            np.multiply(a2, vk, a2v)
+            np.add(x, a2v, x)
+            np.add(x, ak, x)
+            matvec_M()
+            np.add(forces[k + 1], y, b)
+            np.multiply(a1, uk, x)
+            np.add(x, vk, x)
+            matvec_C()
+            np.add(b, y, b)
+            solve()
+            np.copyto(un, b)
+            np.subtract(b, uk, an)
+            np.multiply(a0, an, an)
+            np.subtract(an, a2v, an)
+            np.subtract(an, ak, an)
+            np.multiply(h, ak, tmp)
+            np.add(vk, tmp, vn)
+            np.multiply(h, an, tmp)
+            np.add(vn, tmp, vn)
+            ak, an = an, ak
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
     if bad.size:
         raise DivergenceError(f"non-finite state at step {bad[0]}")
-    return u.reshape(cases + (n, n_times)), v.reshape(cases + (n, n_times))
+    shape = (n_times,) + cases + (n,)
+    return (np.moveaxis(u.reshape(shape), 0, -1),
+            np.moveaxis(v.reshape(shape), 0, -1))
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,25 @@ UNUSED_AT_IMPORT = ("scipy", "scipy.fft", "scipy.interpolate", "scipy.linalg",
 # One fresh interpreter runs the stages in order and prints one labelled
 # line per check. The kernel's transforms come from numpy.fft, the
 # smoothing spline and its Brent root-find are in-house, the four LAPACK
-# and BLAS routines come from scipy's compiled modules without the
-# scipy.linalg package, and the banded products of the quadratic forms
-# are numpy's, so neither an import, a full-field inversion, an energy
-# form nor the verification suite loads scipy at all. scipy.optimize
-# loads when a parametric fit first needs it, and scipy.linalg with it,
-# since `least_squares` imports it. Importing either up front would cost
-# every process startup time and memory for nothing.
+# and BLAS routines come from the OpenBLAS numpy bundles, and the banded
+# products of the quadratic forms are numpy's, so neither an import, a
+# full-field inversion, an energy form nor the verification suite loads
+# scipy at all, nor maps scipy's own OpenBLAS (on Linux, where
+# /proc/self/maps lists the mapped libraries). scipy.optimize loads when
+# a parametric fit first needs it, and scipy.linalg with it, since
+# `least_squares` imports it, and they map scipy's OpenBLAS. Importing
+# either up front would cost every process startup time and memory for
+# nothing.
 LAZY_IMPORTS = f"""
 import sys
 def loaded(*names):
     return " ".join(str(name in sys.modules) for name in names)
+def scipy_blas():
+    names = loaded("beamload._flapack", "beamload._fblas")
+    if not sys.platform.startswith("linux"):
+        return names
+    with open("/proc/self/maps") as maps:
+        return names + " " + str("/libscipy_openblas-" in maps.read())
 import beamload
 print("import beamload:", loaded(*{UNUSED_AT_IMPORT}))
 import beamload.cli
@@ -83,12 +91,14 @@ energy = quadratic_forms(system.M, np.ones((system.n_dofs, 1)))
 print("quadratic form:", loaded("scipy", "scipy.sparse"), energy[0] > 0)
 report = verify_inequality_suite(grid, coeffs, n_scenarios=1)
 print("verify suite:", loaded("scipy", "scipy.sparse"), len(report.rows) > 0)
+print("scipy's BLAS:", scipy_blas())
 
 print("before the fit:", loaded("scipy.optimize", "scipy.linalg"))
 result = reconstruct_parametric(clean.outputs, coeffs, grid,
                                 ModalLoad((0.5, 0.0)))
 print("parametric fit:", loaded("scipy.optimize", "scipy.linalg"),
       result.n_evaluations > 1)
+print("scipy's BLAS after the fit:", scipy_blas())
 """
 
 
@@ -133,6 +143,20 @@ def test_quadratic_forms_and_verify_suite_leave_scipy_unloaded(
     assert lazy_imports["verify suite"] == "False False True"
 
 
+def test_forward_smoothing_inversion_and_verify_leave_scipy_blas_unmapped(
+        lazy_imports):
+    # after a forward pass, both smoothings, a full-field inversion and a
+    # verify suite: no module loaded from scipy's compiled LAPACK and
+    # BLAS files, and (on Linux) scipy's OpenBLAS not mapped; the
+    # parametric fit's scipy.linalg then maps it, which shows the check
+    # sees the library
+    linux = sys.platform.startswith("linux")
+    assert lazy_imports["scipy's BLAS"] == " ".join(
+        ["False"] * (3 if linux else 2))
+    if linux:
+        assert lazy_imports["scipy's BLAS after the fit"].endswith("True")
+
+
 @pytest.mark.parametrize(
     "stages",
     [{"before the fit": "False False", "parametric fit": "True True True"}],
@@ -144,11 +168,11 @@ def test_scipy_module_loads_on_first_use(stages, lazy_imports):
     assert {stage: lazy_imports[stage] for stage in stages} == stages
 
 
-def scipy_imports(path):
+def imports_of(package, path):
     """`file:scope` of each statement of the module at `path` that imports
-    scipy or a scipy module.  The scope is the top-level function or
-    class around it, `<except>` for a module-level exception handler and
-    `<module>` for other module-level code."""
+    `package` or one of its modules.  The scope is the top-level function
+    or class around it, `<except>` for a module-level exception handler
+    and `<module>` for other module-level code."""
     found = set()
 
     def visit(node, scope):
@@ -165,7 +189,7 @@ def scipy_imports(path):
                 modules = [child.module]
             else:
                 modules = []
-            if any(m.split(".")[0] == "scipy" for m in modules):
+            if any(m.split(".")[0] == package for m in modules):
                 found.add(f"{path.name}:{inner}")
             visit(child, inner)
 
@@ -173,13 +197,24 @@ def scipy_imports(path):
     return found
 
 
+def imported_by(package):
+    return sorted(set().union(*(imports_of(package, path)
+                                for path in SOURCES)))
+
+
 def test_scipy_imported_only_by_lapack_fallback_and_least_squares():
     # every other scipy import would load a package module in some run:
-    # the compiled LAPACK and BLAS modules are imported from scipy.linalg
-    # only when they cannot be loaded from their files, and
-    # scipy.optimize on the first parametric fit
-    found = sorted(set().union(*map(scipy_imports, SOURCES)))
-    assert found == ["_lapack.py:<except>", "inversion.py:minimize"]
+    # scipy.linalg is imported for its LAPACK and BLAS only when numpy
+    # bundles no OpenBLAS that has the four routines, and scipy.optimize
+    # on the first parametric fit
+    assert imported_by("scipy") == ["_lapack.py:<except>",
+                                    "inversion.py:minimize"]
+
+
+def test_ctypes_imported_only_by_lapack():
+    # raw pointers go to a foreign library in one module, which checks
+    # every array before it hands its address on
+    assert imported_by("ctypes") == ["_lapack.py:<module>"]
 
 
 def test_source_lines_fit_79_columns():
