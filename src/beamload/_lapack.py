@@ -1,5 +1,7 @@
-"""The four LAPACK and BLAS routines beamload calls, from the OpenBLAS
-that numpy's wheel bundles, through ctypes.
+"""The three LAPACK and BLAS routines beamload calls, from the OpenBLAS
+that numpy's wheel bundles, through ctypes: `cholesky_banded` (dpbtrf)
+and the calls `bound_solve` (dpbtrs) and `bound_matvec` (dsbmv), which
+Newmark and the smoothing spline share.
 
 numpy already holds that library in memory, so calling it loads no
 second BLAS (scipy's compiled modules would map their own) and imports
@@ -9,13 +11,12 @@ as int64 and, after the Fortran arguments, the length of its one
 character argument.  Every array handed to a routine is checked first:
 float64, the expected shape, contiguous, and a band in Fortran order.
 
-A numpy without that library or one of its routines (a conda or
-system-BLAS build) makes this module call scipy.linalg's public
-`cholesky_banded`, `solveh_banded`, `lapack.dpbtrs` and `blas.dsbmv`
-instead.  Either way every result is scipy's bit for bit, for a real
-upper band (of three or more rows for `solveh_banded`), and
-`cholesky_banded` and `solveh_banded` raise scipy's errors; the bound
-calls refuse the input they would have to copy.
+A numpy without that library, with one built for 32-bit integers, or
+without one of its routines (a conda or system-BLAS build) makes this
+module call scipy.linalg's public `cholesky_banded`, `lapack.dpbtrs`
+and `blas.dsbmv` instead.  Either way every result is scipy's bit for
+bit, for a real upper band, and `cholesky_banded` raises scipy's
+errors; the bound calls refuse the input they would have to copy.
 """
 
 import ctypes
@@ -25,7 +26,7 @@ import numpy as np
 
 # the number of Fortran arguments of each routine; all but the leading
 # character are passed by reference
-N_ARGS = {"dpbtrf": 6, "dpbtrs": 9, "dpbsv": 9, "dsbmv": 11}
+N_ARGS = {"dpbtrf": 6, "dpbtrs": 9, "dsbmv": 11}
 _UPPER = ctypes.c_char_p(b"U")
 # the Fortran length of that character, passed after the arguments
 _ONE = ctypes.c_size_t(1)
@@ -33,8 +34,10 @@ _ONE = ctypes.c_size_t(1)
 
 def _numpy_openblas():
     """The routines of N_ARGS from numpy's bundled OpenBLAS, by name,
-    with their argument types set.  Raises OSError when numpy bundles
-    no such library and AttributeError when it lacks a routine."""
+    with their argument types set, and the library's config string.
+    Raises OSError when numpy bundles no such library or one whose
+    config lacks USE64BITINT (its integers would be 32-bit), and
+    AttributeError when it lacks a routine."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
     found = sorted(name for name in os.listdir(libs)
@@ -42,6 +45,11 @@ def _numpy_openblas():
     if not found:
         raise OSError(f"no OpenBLAS in {libs}")
     lib = ctypes.CDLL(os.path.join(libs, found[0]))
+    get_config = lib.scipy_openblas_get_config64_
+    get_config.argtypes, get_config.restype = (), ctypes.c_char_p
+    config = get_config().decode()
+    if "USE64BITINT" not in config.split():
+        raise OSError(f"{found[0]} does not take 64-bit integers: {config}")
     routines = {}
     for name, n_args in N_ARGS.items():
         routine = getattr(lib, f"scipy_{name}_64_")
@@ -50,14 +58,15 @@ def _numpy_openblas():
                             + (ctypes.c_size_t,))
         routine.restype = None
         routines[name] = routine
-    return routines
+    return routines, config
 
 
 try:
-    _openblas = _numpy_openblas()
+    # CONFIG is the library's build string, None on the fallback
+    _openblas, CONFIG = _numpy_openblas()
 except (OSError, AttributeError):
     from scipy import linalg as _scipy
-    _openblas = None
+    _openblas = CONFIG = None
 
 
 def _ref(value):
@@ -114,29 +123,6 @@ def cholesky_banded(ab):
                         _ref(info), _ONE)
     _check(info.value, "pbtrf")
     return c
-
-
-def solveh_banded(ab, b):
-    """x with A x = b, for the symmetric positive definite A in upper band
-    storage ab[k + i - j, j] = A[i, j] of k >= 2 (LAPACK dpbsv); b is a
-    vector or a matrix of right-hand sides."""
-    if _openblas is None:
-        return _scipy.solveh_banded(ab, b)
-    a1, b1 = np.asarray_chkfinite(ab), np.asarray_chkfinite(b)
-    if a1.shape[-1] != b1.shape[0]:
-        raise ValueError("shapes of ab and b are not compatible.")
-    c = np.array(a1, dtype=np.float64, order="F")
-    x = np.array(b1, dtype=np.float64, order="F")
-    n, kd = _band(c)
-    if x.ndim not in (1, 2):
-        raise ValueError("b must be a vector or a matrix")
-    nrhs = x.shape[1] if x.ndim == 2 else 1
-    info = ctypes.c_int64()
-    _openblas["dpbsv"](_UPPER, _int(n), _int(kd), _int(nrhs), _ref(c),
-                       _int(kd + 1), _ref(x), _int(max(n, 1)),
-                       _ref(info), _ONE)
-    _check(info.value, "pbsv")
-    return x
 
 
 def bound_solve(cb, b):

@@ -10,12 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import solveh_banded
+from . import _lapack
 from .errors import ConfigError, DivergenceError
 from .model import LoadField, MeasurementSeries, series_l2_norm
 from .objective import apply_io_operators
 
 SIGMA_MIN_ELEMENTS = 0.01
+# how far, in units of max |t|, a spacing may differ from the first for
+# `_pick_lambda`: a SpaceTimeGrid's times differ by under 1 eps (n_steps
+# 4 to 3e6, final times 1e-200 to 1e200)
+SPACING_TOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ def smooth_to_h1(series, times):
     """Natural cubic smoothing-spline fit per channel.
 
     Each channel's curvature penalty weight is picked by `_pick_lambda`
-    from the recorded noise level; without one the spline interpolates.
+    from the recorded noise level, on evenly spaced times only; without
+    one the spline interpolates, at any spacing.
     """
     target = None
     if series.noise_delta is not None:
@@ -76,10 +81,15 @@ def smooth_to_h1(series, times):
 def _pick_lambda(times, values, target):
     """Weight whose smoothing residual equals the noise level (Morozov on
     the smoothing misfit): one Brent root-find on log-lambda inside
-    [1e-14, 1e6], clamped to whichever end the residual cannot reach."""
+    [1e-14, 1e6], clamped to whichever end the residual cannot reach.
+    The residual weighs the times evenly, so with a target they must be
+    evenly spaced: ValueError otherwise."""
     if target is None or target == 0.0:
         return 0.0
     dt = times[1] - times[0]
+    if np.abs(np.diff(times) - dt).max() > SPACING_TOL * np.abs(times).max():
+        raise ValueError("the smoothing weight is picked on evenly spaced "
+                         "times only")
     lo, hi = 1e-14, 1e6
 
     # cached, so that Brent's first two calls reuse the end checks' fits
@@ -188,7 +198,9 @@ def make_smoothing_spline(times, values, lam):
     band[2] = (h[:-1] + h[1:]) / 3.0 + lam * (a * a + b * b + c * c)
     band[1, 1:] = h[1:-1] / 6.0 + lam * (b[:-1] * a[1:] + c[:-1] * b[1:])
     band[0, 2:] = lam * c[:-2] * a[2:]
-    gamma = solveh_banded(band, a * y[:-2] + b * y[1:-1] + c * y[2:])
+    # dpbtrf then dpbtrs, which is all that LAPACK's dpbsv does
+    gamma = np.asarray_chkfinite(a * y[:-2] + b * y[1:-1] + c * y[2:])
+    _lapack.bound_solve(_lapack.cholesky_banded(band), gamma)()
     q_gamma = np.zeros_like(y)
     q_gamma[:-2] += a * gamma
     q_gamma[1:-1] += b * gamma

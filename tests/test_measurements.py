@@ -192,6 +192,29 @@ def test_picked_lambda_clamps_to_bracket_ends():
     assert _pick_lambda(g.times, noisy.theta0, 1e30) == 1e6
 
 
+def test_picked_lambda_needs_evenly_spaced_times():
+    # the Morozov residual weighs the times evenly, so a noise level on
+    # uneven times is refused, however small the unevenness
+    g, noisy = noisy_parabola(0.05, 0, n_steps=128)
+    t = g.times.copy()
+    t[1:-1] += 1e-6 * g.dt * np.sin(np.arange(1, g.n_steps))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        smooth_to_h1(noisy, t)
+    # without a noise level the spline interpolates at any spacing
+    raw = MeasurementSeries(noisy.theta0, noisy.thetaL)
+    assert np.array_equal(smooth_to_h1(raw, t).theta0, noisy.theta0)
+    # every grid's times are even to the tolerance, and get a weight
+    for n_steps in (4, 97, 513, 4099, 1_000_003):
+        for final_time in (1e-200, 0.3, 1.0, 7.77, 1e200):
+            times = SpaceTimeGrid(1.0, final_time, 4, n_steps).times
+            spread = np.abs(np.diff(times) - (times[1] - times[0])).max()
+            assert spread <= measurements.SPACING_TOL * times[-1]
+    g = SpaceTimeGrid(length=1.0, final_time=0.3, n_elements=4,
+                      n_steps=777)
+    noisy = add_noise(clean_series(g), NoiseSpec(0.05, 1), g.dt)
+    assert 1e-14 < _pick_lambda(g.times, noisy.theta0, 1e-3) < 1e6
+
+
 def noisy_knots(spacing, n=513, seed=7):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n)
@@ -217,6 +240,18 @@ def test_reinsch_fit_interpolates_at_zero_weight():
     t, y = noisy_knots("non_uniform")
     fit = make_smoothing_spline(t, y, 0.0)
     assert np.array_equal(fit, y) and fit is not y
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reinsch_fit_refuses_non_finite_values(bad):
+    t, y = noisy_knots("non_uniform")
+    y[40] = bad
+    for lam in (1e-14, 1.0, 1e6):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            make_smoothing_spline(t, y, lam)
+    # at zero weight the values come back unchecked, as a copy
+    fit = make_smoothing_spline(t, y, 0.0)
+    assert np.array_equal(fit, y, equal_nan=True) and fit is not y
 
 
 @pytest.mark.parametrize("lam, tol", [(1e6, 1e-6), (1e8, 1e-8)])

@@ -27,9 +27,10 @@ UNUSED_AT_IMPORT = ("scipy", "scipy.fft", "scipy.interpolate", "scipy.linalg",
 
 # One fresh interpreter runs the stages in order and prints one labelled
 # line per check. The kernel's transforms come from numpy.fft, the
-# smoothing spline and its Brent root-find are in-house, the four LAPACK
-# and BLAS routines come from the OpenBLAS numpy bundles, and the banded
-# products of the quadratic forms are numpy's, so neither an import, a
+# smoothing spline and its Brent root-find are in-house, the three LAPACK
+# and BLAS routines of Newmark and of the spline's banded solve come from
+# the OpenBLAS numpy bundles, and the banded products of the quadratic
+# forms are numpy's, so neither an import, a
 # full-field inversion, an energy form nor the verification suite loads
 # scipy at all, nor maps scipy's own OpenBLAS (on Linux, where
 # /proc/self/maps lists the mapped libraries). scipy.optimize loads when
@@ -205,8 +206,9 @@ def imported_by(package):
 def test_scipy_imported_only_by_lapack_fallback_and_least_squares():
     # every other scipy import would load a package module in some run:
     # scipy.linalg is imported for its LAPACK and BLAS only when numpy
-    # bundles no OpenBLAS that has the four routines, and scipy.optimize
-    # on the first parametric fit
+    # bundles no 64-bit-integer OpenBLAS that has the three routines
+    # (dpbtrf, dpbtrs, dsbmv), and scipy.optimize on the first
+    # parametric fit
     assert imported_by("scipy") == ["_lapack.py:<except>",
                                     "inversion.py:minimize"]
 
