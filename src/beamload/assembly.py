@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
-from .model import validate_coefficients
+from .errors import DimensionError, DivergenceError
 
 # 3-point Gauss rule on [0, 1]
 _GPTS = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -130,12 +129,13 @@ class SystemMatrices:
 def assemble(grid, coeffs):
     """Assemble the constrained system matrices in upper band storage.
 
-    Raises ValidationError when the coefficients violate their bounds.
+    Raises DimensionError when the coefficients are sampled on another
+    number of nodes than the grid has.
     """
-    report = validate_coefficients(coeffs)
-    if not report.ok:
-        raise ValidationError(str(report))
     n_nodes = grid.n_nodes
+    if len(coeffs.rho_A) != n_nodes:
+        raise DimensionError(f"coefficients have {len(coeffs.rho_A)} "
+                             f"samples, grid has {n_nodes} nodes")
     # element map from the two nodal load samples, linearly interpolated,
     # to the element load vector; the assembled map stays dense, because
     # one GEMM per solve reads it

@@ -24,8 +24,7 @@ from .io import (config_hash, load_coefficient, load_load, load_measurements,
 from .measurements import (NoiseSpec, generate_scenario, load_family,
                            manufactured_case)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
-                    SpaceTimeGrid, l2_norm_spacetime, series_l2_norm,
-                    validate_coefficients)
+                    SpaceTimeGrid, l2_norm_spacetime, series_l2_norm)
 from .verify import (SuiteReport, audit_operators, duality_checks,
                      gradient_fd_checks, verify_inequality_suite)
 
@@ -145,11 +144,7 @@ def build_coefficients(cfg, grid):
         name: extreme if value is None else value
         for (name, value), extreme in zip(_family(cfg, "bounds.").items(),
                                           extrema)})
-    coeffs = CoefficientSet(**fields, bounds=bounds)
-    report = validate_coefficients(coeffs)
-    if not report.ok:
-        raise ConfigError(f"inadmissible coefficients:\n{report}")
-    return coeffs
+    return CoefficientSet(**fields, bounds=bounds)
 
 
 def build_truth_load(cfg, grid, coeffs):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 
 def trapezoid_weights(n_points, spacing):
@@ -93,12 +93,26 @@ class CoefficientBounds:
     kappa1: float
 
 
+# each field with its declared bounds, and whether its lower bound must
+# be strictly positive (rho_A, r, kappa) or may vanish (mu, T_r)
+_ADMISSIBLE = (("rho_A", "rho0", "rho1", True), ("mu", "mu0", "mu1", False),
+               ("T_r", "Tr0", "Tr1", False), ("r", "r0", "r1", True),
+               ("kappa", "kappa0", "kappa1", True))
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Node-sampled coefficient fields with their admissibility bounds.
 
     Fields: mass per unit length rho_A, external (viscous) damping mu,
     axial tension T_r, flexural rigidity r and Kelvin-Voigt damping kappa.
+    Construction keeps a read-only float64 copy of each field and raises
+    ValidationError with one line per violation: a non-finite sample or
+    bound, a sample outside its bounds, or a lower bound that is not
+    positive (rho_A, r, kappa) or is negative (mu, T_r).  A line names
+    the first offending node (-1 for a bound) and how many nodes violate
+    the condition.  Fields whose lengths differ from rho_A's raise
+    DimensionError.
     """
 
     rho_A: np.ndarray
@@ -107,6 +121,41 @@ class CoefficientSet:
     r: np.ndarray
     kappa: np.ndarray
     bounds: CoefficientBounds
+
+    def __post_init__(self):
+        n = len(self.rho_A)
+        violations = []
+        for name, lo_name, hi_name, strict in _ADMISSIBLE:
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+            if len(values) != n:
+                raise DimensionError(
+                    f"{name} has {len(values)} samples, expected {n}")
+            lo = getattr(self.bounds, lo_name)
+            hi = getattr(self.bounds, hi_name)
+            for side, bound in (("lower", lo), ("upper", hi)):
+                if not np.isfinite(bound):
+                    violations.append(f"{name}[-1] = {bound:g} violates "
+                                      f"{side} bound must be finite")
+            if lo < 0 or (strict and lo == 0):
+                sign = "positive" if strict else "nonnegative"
+                violations.append(f"{name}[-1] = {lo:g} violates "
+                                  f"lower bound must be {sign}")
+                continue
+            for condition, bad in (("finiteness", ~np.isfinite(values)),
+                                   (f"lower bound {lo:g}", values < lo),
+                                   (f"upper bound {hi:g}", values > hi)):
+                nodes = np.flatnonzero(bad)
+                if nodes.size:
+                    violations.append(
+                        f"{name}[{nodes[0]}] = {values[nodes[0]]:g} "
+                        f"violates {condition}"
+                        + (f" ({nodes.size} nodes)" if nodes.size > 1
+                           else ""))
+        if violations:
+            raise ValidationError("inadmissible coefficients:\n"
+                                  + "\n".join(violations))
 
     @staticmethod
     def constant(grid, rho_A=1.0, mu=0.0, T_r=0.0, r=1.0, kappa=0.01,
@@ -120,71 +169,6 @@ class CoefficientSet:
             np.full(n, float(rho_A)), np.full(n, float(mu)),
             np.full(n, float(T_r)), np.full(n, float(r)),
             np.full(n, float(kappa)), bounds)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Result of an admissibility check; empty violations means valid.
-
-    Each violation is (field, first node, its value, condition, number
-    of nodes that violate the condition); node -1 marks a bound.
-    """
-
-    violations: tuple
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "all coefficient bounds satisfied"
-        return "\n".join(
-            f"{name}[{node}] = {value:g} violates {condition}"
-            + (f" ({count} nodes)" if count > 1 else "")
-            for name, node, value, condition, count in self.violations)
-
-
-def validate_coefficients(coeffs):
-    """Check the admissibility conditions node-wise.
-
-    Returns a ValidationReport with one entry per field and violated
-    condition (non-finite samples, samples outside a bound, each
-    non-finite bound), naming the first offending node.  Requires
-    strictly positive lower bounds for rho_A, r, kappa and nonnegative
-    ones for mu and T_r, so every sample inside its bounds is admissible.
-    """
-    b = coeffs.bounds
-    fields = {
-        "rho_A": (coeffs.rho_A, b.rho0, b.rho1, True),
-        "mu": (coeffs.mu, b.mu0, b.mu1, False),
-        "T_r": (coeffs.T_r, b.Tr0, b.Tr1, False),
-        "r": (coeffs.r, b.r0, b.r1, True),
-        "kappa": (coeffs.kappa, b.kappa0, b.kappa1, True),
-    }
-    n = len(coeffs.rho_A)
-    violations = []
-    for name, (values, lo, hi, strict) in fields.items():
-        if len(values) != n:
-            raise DimensionError(
-                f"{name} has {len(values)} samples, expected {n}")
-        for side, bound in (("lower", lo), ("upper", hi)):
-            if not np.isfinite(bound):
-                violations.append((name, -1, bound,
-                                   f"{side} bound must be finite", 1))
-        if lo < 0 or (strict and lo == 0):
-            sign = "positive" if strict else "nonnegative"
-            violations.append((name, -1, lo, f"lower bound must be {sign}",
-                               1))
-            continue
-        for condition, bad in (("finiteness", ~np.isfinite(values)),
-                               (f"lower bound {lo:g}", values < lo),
-                               (f"upper bound {hi:g}", values > hi)):
-            nodes = np.flatnonzero(bad)
-            if nodes.size:
-                violations.append((name, int(nodes[0]), values[nodes[0]],
-                                   condition, nodes.size))
-    return ValidationReport(tuple(violations))
 
 
 # relative slack granted to a discretely evaluated bound (quadrature error)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from beamload.assembly import _GPTS, _GWTS, assemble, hermite_shapes
-from beamload.errors import ValidationError
+from beamload.errors import DimensionError, ValidationError
 from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
 NAMES = ("M", "C_ext", "K_T", "K_r", "K_kappa")
@@ -190,11 +190,19 @@ def test_assembly_is_linear_in_each_coefficient(dense):
 
 
 def test_assemble_rejects_inadmissible_coefficients():
+    # an inadmissible set cannot be made, so it never reaches assemble
     g = grid_of(8)
     bounds = CoefficientBounds(1, 1, 0, 0, 0, 0, 2.0, 3.0, 0.01, 0.01)
-    coeffs = CoefficientSet.constant(g, r=1.0, bounds=bounds)
-    with pytest.raises(ValidationError):
-        assemble(g, coeffs)
+    with pytest.raises(ValidationError, match=r"\nr\[0\] = 1 violates "
+                       r"lower bound 2 \(9 nodes\)$"):
+        assemble(g, CoefficientSet.constant(g, r=1.0, bounds=bounds))
+
+
+def test_assemble_rejects_coefficients_of_another_grid():
+    coeffs = CoefficientSet.constant(grid_of(8))
+    with pytest.raises(DimensionError, match="coefficients have 9 samples, "
+                       "grid has 17 nodes"):
+        assemble(grid_of(16), coeffs)
 
 
 def test_output_dof_indexing():

@@ -73,10 +73,16 @@ def test_missing_coefficient_file_is_config_error(tmp_path, capsys):
     assert "/nonexistent/r.csv" in capsys.readouterr().err
 
 
-def test_inadmissible_coefficients_is_config_error(tmp_path):
-    cfg = write_cfg(tmp_path, BASE + "bounds.r0 = 2.0\nbounds.r1 = 3.0\n"
-                    + "scenario.kind = zero\n")
+def test_inadmissible_coefficients_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "grid.n_elements = 8\ngrid.n_steps = 16\n"
+                    "bounds.r0 = 2.0\nbounds.r1 = 3.0\ncoeff.kappa = -1\n"
+                    "scenario.kind = zero\n")
     assert run("forward", cfg, tmp_path / "out") == 2
+    # every violation on one line
+    assert capsys.readouterr().err == (
+        "config error: inadmissible coefficients:; r[0] = 1 violates lower"
+        " bound 2 (9 nodes); kappa[-1] = -1 violates lower bound must be"
+        " positive\n")
 
 
 def test_verify_passes_and_negative_control_fails(tmp_path):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from beamload.errors import DimensionError
+from beamload.errors import DimensionError, ValidationError
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
                             MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, project_admissible,
-                            series_l2_norm, trapezoid_weights,
-                            validate_coefficients)
+                            series_l2_norm, trapezoid_weights)
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
@@ -82,36 +81,47 @@ def test_projection_onto_admissible_ball():
             project_admissible(small, bad)
 
 
+TIGHT = CoefficientBounds(1, 1, 0, 0, 0, 0, 1, 1, 0.01, 0.01)
+
+
+def constant_fields(grid, **values):
+    """Arrays of the constant set's fields, to edit before construction."""
+    c = dict(rho_A=1.0, mu=0.0, T_r=0.0, r=1.0, kappa=0.01, **values)
+    return {name: np.full(grid.n_nodes, value) for name, value in c.items()}
+
+
+def violations(fields, bounds):
+    """The lines of the ValidationError that constructing a set raises,
+    after its header."""
+    with pytest.raises(ValidationError) as raised:
+        CoefficientSet(bounds=bounds, **fields)
+    header, *lines = str(raised.value).split("\n")
+    assert header == "inadmissible coefficients:"
+    return lines
+
+
 def test_validate_coefficients_accepts_valid_fields():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
     coeffs = CoefficientSet.constant(g, rho_A=2.0, mu=0.0, T_r=0.0,
                                      r=1.5, kappa=0.03)
-    report = validate_coefficients(coeffs)
-    assert report.ok
-    assert "satisfied" in str(report)
+    assert coeffs.rho_A.dtype == np.float64
+    assert np.all(coeffs.r == 1.5) and np.all(coeffs.kappa == 0.03)
 
 
 def test_validate_coefficients_flags_out_of_bound_node():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
-    r = np.full(g.n_nodes, 1.0)
-    r[3] = 0.1
+    fields = constant_fields(g)
+    fields["r"][3] = 0.1
     bounds = CoefficientBounds(1, 1, 0, 0, 0, 0, 0.5, 2.0, 0.01, 0.01)
-    coeffs = CoefficientSet(np.ones(g.n_nodes), np.zeros(g.n_nodes),
-                            np.zeros(g.n_nodes), r,
-                            np.full(g.n_nodes, 0.01), bounds)
-    report = validate_coefficients(coeffs)
-    assert not report.ok
-    names = {v[0] for v in report.violations}
-    assert names == {"r"}
-    assert report.violations[0][1] == 3
+    assert violations(fields, bounds) == [
+        "r[3] = 0.1 violates lower bound 0.5"]
 
 
 def test_validate_coefficients_requires_positive_lower_bounds():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
     bounds = CoefficientBounds(1, 1, 0, 0, 0, 0, 1, 1, 0.0, 1.0)
-    coeffs = CoefficientSet.constant(g, bounds=bounds)
-    report = validate_coefficients(coeffs)
-    assert not report.ok
+    assert violations(constant_fields(g), bounds) == [
+        "kappa[-1] = 0 violates lower bound must be positive"]
 
 
 @pytest.mark.parametrize("field,bounds", [
@@ -122,33 +132,52 @@ def test_validate_coefficients_requires_nonnegative_damping_and_tension(
         field, bounds):
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
     # vanishing damping and tension stay admissible
-    assert validate_coefficients(CoefficientSet.constant(g)).ok
+    CoefficientSet.constant(g)
     # a negative lower bound is flagged even when every sample is zero
-    report = validate_coefficients(CoefficientSet.constant(g,
-                                                           bounds=bounds))
-    assert [v[:2] for v in report.violations] == [(field, -1)]
-    assert "must be nonnegative" in str(report)
+    assert violations(constant_fields(g), bounds) == [
+        f"{field}[-1] = -1 violates lower bound must be nonnegative"]
     # a negative sample falls below the zero lower bound
-    coeffs = CoefficientSet.constant(g)
-    getattr(coeffs, field)[3] = -1.0
-    report = validate_coefficients(coeffs)
-    assert [v[:2] for v in report.violations] == [(field, 3)]
+    fields = constant_fields(g)
+    fields[field][3] = -1.0
+    assert violations(fields, TIGHT) == [
+        f"{field}[3] = -1 violates lower bound 0"]
 
 
 def test_validate_coefficients_flags_non_finite_values():
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
-    coeffs = CoefficientSet.constant(g)
-    coeffs.kappa[2] = np.nan
-    coeffs.rho_A[4] = np.inf
-    report = validate_coefficients(coeffs)
-    flagged = {(v[0], v[1]) for v in report.violations}
-    assert {("kappa", 2), ("rho_A", 4)} <= flagged
+    fields = constant_fields(g)
+    fields["kappa"][2] = np.nan
+    fields["rho_A"][4] = np.inf
+    lines = violations(fields, TIGHT)
+    # several fields in one message, each non-finite sample named
+    assert {"kappa[2] = nan violates finiteness",
+            "rho_A[4] = inf violates finiteness"} <= set(lines)
     # non-finite bounds
     bounds = CoefficientBounds(1, 1, 0, 0, 0, 0, float("nan"), 1,
                                0.01, float("inf"))
-    report = validate_coefficients(CoefficientSet.constant(g, bounds=bounds))
-    assert {(v[0], v[1]) for v in report.violations} == {("r", -1),
-                                                         ("kappa", -1)}
+    assert violations(constant_fields(g), bounds) == [
+        "r[-1] = nan violates lower bound must be finite",
+        "kappa[-1] = inf violates upper bound must be finite"]
+
+
+def test_coefficient_fields_are_read_only_copies():
+    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
+    fields = constant_fields(g)
+    coeffs = CoefficientSet(bounds=TIGHT, **fields)
+    for name, array in fields.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(coeffs, name)[3] = -1.0
+        # the caller's array stays writable and apart from the set's
+        array[3] = -1.0
+        assert getattr(coeffs, name)[3] != -1.0
+
+
+def test_coefficient_lengths_must_match():
+    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
+    fields = constant_fields(g)
+    fields["kappa"] = fields["kappa"][:-1]
+    with pytest.raises(DimensionError, match="kappa has 8 samples"):
+        CoefficientSet(bounds=TIGHT, **fields)
 
 
 def test_measurement_series_rejects_unequal_lengths():
