@@ -15,7 +15,8 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      ValidationError)
-from .forward import energy_residual, solve_forward
+from .assembly import assemble
+from .forward import energy_residual, impulse_kernel, solve_forward
 from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
@@ -239,21 +240,24 @@ def cmd_forward(cfg, grid, coeffs, args, out):
 def cmd_verify(cfg, grid, coeffs, args, out):
     n = _family(cfg, "verify.n_")
     report = SuiteReport(())
-    if any(n.values()):
-        # one kernel for every check of the grid and coefficients, from
-        # the end-rotation pass that the adjoint audit also reads; a
-        # family with a count of 0 returns no rows and builds nothing
+    # one kernel for every check of the grid and coefficients; a family
+    # with a count of 0 returns no rows and builds nothing
+    kernel = None
+    if n["scenarios"]:
+        # the suite's bases and the kernel, built phase by phase
         operators = audit_operators(grid, coeffs)
         kernel = operators[0]
         report += verify_inequality_suite(
             grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
             ct_variant=args.ct_variant, operators=operators)
-        report += duality_checks(
-            grid, coeffs, n_triples=n["triples"], seed=args.seed,
-            tol=cfg["verify.duality_tol"], kernel=kernel)
-        report += gradient_fd_checks(
-            grid, coeffs, n_directions=n["directions"], seed=args.seed,
-            tol=cfg["verify.fd_tol"], kernel=kernel)
+    elif any(n.values()):
+        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    report += duality_checks(
+        grid, coeffs, n_triples=n["triples"], seed=args.seed,
+        tol=cfg["verify.duality_tol"], kernel=kernel)
+    report += gradient_fd_checks(
+        grid, coeffs, n_directions=n["directions"], seed=args.seed,
+        tol=cfg["verify.fd_tol"], kernel=kernel)
 
     save_check_report(os.path.join(out, "report.csv"), report.rows)
     violations = report.violations

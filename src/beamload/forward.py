@@ -236,6 +236,13 @@ def next_fast_len(n):
     return best
 
 
+def kernel_fft_length(grid):
+    """The FFT length of the impulse responses on `grid`: the least
+    5-smooth length at which two series of n_steps samples from t_1
+    convolve without wrap-around."""
+    return next_fast_len(2 * grid.n_steps - 1)
+
+
 def end_rotation_responses(system, grid):
     """Histories (u, v) from t_1 on, each (2, n_dofs, n_times - 1), of
     unit impulses at t_1 on theta_0 and theta_l, from one Newmark pass;
@@ -251,22 +258,22 @@ def impulse_kernel(system, grid, u=None):
     """The ImpulseKernel of `system` on the time grid of `grid`, built
     from the displacement responses u of `end_rotation_responses`; the
     pass is made when the caller does not hand its u in."""
-    n_fft = next_fast_len(2 * grid.n_steps - 1)
+    n_fft = kernel_fft_length(grid)
     n_freq = n_fft // 2 + 1
     n_nodes = system.load_map.shape[1]
     if u is None:
         u = end_rotation_responses(system, grid)[0]
-    # filled in place, one response at a time, so that few transforms are
-    # alive at once
+    # transformed in place, one response at a time, so that no transform
+    # is alive beside the spectra
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
         adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
         system=system)
     for i, response in enumerate(u):
-        kernel.outputs_t1[i] = rfft(system.load_map.T @ response, n_fft)
-        kernel.adjoint_t1[:, i] = rfft(response[system.deflection_dofs],
-                                       n_fft)
+        rfft(system.load_map.T @ response, n_fft, out=kernel.outputs_t1[i])
+        rfft(response[system.deflection_dofs], n_fft,
+             out=kernel.adjoint_t1[:, i])
     return kernel
 
 

@@ -28,7 +28,7 @@ from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
 from .forward import (EPS_FLOOR, apriori_rows, band_product, convolve_t1,
                       cumtrapz, end_rotation_responses, impulse_kernel,
-                      solve_forward)
+                      kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner)
@@ -119,56 +119,71 @@ def random_smooth_series(grid, rng):
     return _moment(grid, rng.normal(size=3))
 
 
-def _gram_series(ab, X):
-    """G(t)[i, j] = x_i(t)' A x_j(t), (n_times, n_basis, n_basis), of
-    states X (n_basis, n_dofs, n_times), with the symmetric A in upper
-    band storage.  Each A x_i is formed first, as `quadratic_forms` does,
-    and one at a time."""
-    gram = np.empty((X.shape[2], len(X), len(X)))
-    for i, x in enumerate(X):
-        gram[:, i] = np.einsum("dt,jdt->tj", band_product(ab, x), X)
-    return gram
-
-
-# DOF rows of the basis states convolved at a time
+# DOF rows of the basis states formed at a time
 _ROWS = 32
 
 
-def _rate_states(velocities, series, n_fft):
-    """Velocity states (n_in * n_per, n_dofs, n_times) of input series
-    (n_in, n_per, n_times): series[i] convolves with velocities[i], the
-    velocity response (n_dofs, n_times - 1) to a unit impulse at t_1,
-    given from t_1 on.  The states are filled `_ROWS` DOFs at a time, so
-    that the transforms alive beside them stay small."""
+def _basis_states(velocities, series, n_fft, lo, hi):
+    """Velocity states (n_in * n_per, hi - lo, n_times) on DOFs lo..hi - 1
+    of input series (n_in, n_per, n_times): series[i] convolves with
+    velocities[i], the velocity response (n_dofs, n_times - 1) to a unit
+    impulse at t_1, given from t_1 on."""
     n_in, n_per, n_times = series.shape
-    n_dofs = velocities[0].shape[0]
-    states = np.empty((n_in, n_per, n_dofs, n_times))
+    states = np.empty((n_in, n_per, hi - lo, n_times))
     for response, inputs, out in zip(velocities, series, states):
-        for rows in range(0, n_dofs, _ROWS):
-            block = slice(rows, rows + _ROWS)
-            spectrum = rfft(response[block], n_fft)[:, None]
-            for x, state in zip(inputs, out):
-                state[block] = convolve_t1(spectrum, x[None], n_fft)
-    return states.reshape(n_in * n_per, n_dofs, n_times)
+        spectrum = rfft(response[lo:hi], n_fft)[:, None]
+        for x, state in zip(inputs, out):
+            state[:] = convolve_t1(spectrum, x[None], n_fft)
+    return states.reshape(n_in * n_per, hi - lo, n_times)
 
 
-def _norm_bases(X, unit, dt, traces=()):
-    """The Gram series of int w^2, int w_xx^2 and int w_xxt^2 dx over the
-    velocity states w of X (n_basis, n_dofs, n_times), and the bases
-    (n_basis, n_times) of the displacement and velocity at each of the
-    `traces` DOFs.  The displacement is the velocity's cumulative
-    trapezoid from rest, which average-acceleration Newmark satisfies
-    exactly; it overwrites X state by state once the velocity Grams are
-    formed."""
+def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
+    """The Gram series G(t)[i, j] = x_i(t)' A x_j(t) of int w^2, int
+    w_xx^2 and int w_xxt^2 dx over the velocity states w of
+    `_basis_states`, and the bases (n_basis, n_times) of the displacement
+    and velocity at each of the `traces` DOFs.
+
+    The states are formed `_ROWS` DOFs at a time, never whole, with k
+    halo rows on each side, k the half-width of the unit bands: a column
+    slice of upper band storage is its range's principal submatrix, so
+    `band_product` of it is exact on the block's own rows, whose shares
+    of the sums are added in.  Each A x_i is formed first, as
+    `quadratic_forms` does.  The displacement is the velocity's
+    cumulative trapezoid from rest, which average-acceleration Newmark
+    satisfies exactly; it overwrites each block state by state once the
+    velocity Grams are added."""
     M1, K1 = unit
-    rates = [X[:, dof].copy() for dof in traces]
-    wt_sq, wxxt_sq = _gram_series(M1, X), _gram_series(K1, X)
-    for x in X:
-        x[:] = cumtrapz(x, dt)
-    lines = []
-    for dof, rate in zip(traces, rates):
-        lines += [X[:, dof].copy(), rate]
-    return (wt_sq, _gram_series(K1, X), wxxt_sq), lines
+    k, n_dofs = K1.shape[0] - 1, velocities[0].shape[0]
+    n_basis, n_times = series.shape[0] * series.shape[1], series.shape[2]
+    # int w^2, int w_xx^2, int w_xxt^2, in the order of `apriori_series`
+    grams = np.zeros((3, n_times, n_basis, n_basis))
+    lines = np.empty((len(traces), 2, n_basis, n_times))
+
+    def add(gram, ab, X, rows):
+        for i, x in enumerate(X):
+            gram[:, i] += np.einsum("dt,jdt->tj", band_product(ab, x)[rows],
+                                    X[:, rows])
+
+    def add_block(start, stop):
+        lo, hi = max(start - k, 0), min(stop + k, n_dofs)
+        X = _basis_states(velocities, series, n_fft, lo, hi)
+        rows = slice(start - lo, stop - lo)
+        held = [(line, dof - lo) for dof, line in zip(traces, lines)
+                if start <= dof < stop]
+        for line, row in held:
+            line[1] = X[:, row]
+        add(grams[0], M1[:, lo:hi], X, rows)
+        add(grams[2], K1[:, lo:hi], X, rows)
+        for x in X:
+            x[:] = cumtrapz(x, dt)
+        for line, row in held:
+            line[0] = X[:, row]
+        add(grams[1], K1[:, lo:hi], X, rows)
+
+    # each block's states go when its call returns, before the next's
+    for start in range(0, n_dofs, _ROWS):
+        add_block(start, min(start + _ROWS, n_dofs))
+    return grams, list(lines.reshape(-1, n_basis, n_times))
 
 
 def _series(basis, c):
@@ -178,43 +193,33 @@ def _series(basis, c):
     return [gram @ c @ c for gram in grams] + [c @ line for line in lines]
 
 
-def _load_basis_rates(coeffs, grid, system, n_fft):
-    """Velocity states (8, n_dofs, n_times) of the basis loads, in the
-    order of `_modal_load`'s coefficients, from the velocity responses
-    to the four space modes as impulses at t_1, of one batched
-    `solve_forward` pass."""
+def _forward_bases(coeffs, grid, system, n_fft, unit):
+    """The bases of `apriori_series` over the 8 basis loads, in the order
+    of `_modal_load`'s coefficients, from the velocity responses to the
+    four space modes as impulses at t_1, of one batched `solve_forward`
+    pass."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = _mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
                           system=system)
     velocities = [traj.v[:, 1:] for traj in trajs]
-    # the u histories and the loads go before the states are allocated
+    # the u histories and the loads go before the states are formed
     del pulses, trajs
-    return _rate_states(velocities, _load_histories(grid), n_fft)
-
-
-def _moment_basis_rates(grid, velocities, n_fft):
-    """Rate states d phi / d tau (6, n_dofs, n_times), in tau = T - t, of
-    the basis moments, p then q: the adjoint problem is the forward
-    pencil driven at the end rotations by the reversed data, so these
-    convolve the reversed basis series with `velocities`, the end
-    rotations' velocity responses."""
-    reversed_modes = _moment_modes(grid)[:, ::-1]
-    return _rate_states(velocities, np.stack([reversed_modes] * 2), n_fft)
-
-
-def _forward_bases(coeffs, grid, system, n_fft, unit):
-    """The bases of `apriori_series` over the 8 basis loads."""
-    return _norm_bases(_load_basis_rates(coeffs, grid, system, n_fft), unit,
+    return _norm_bases(velocities, _load_histories(grid), n_fft, unit,
                        grid.dt, traces=(system.theta0_dof, system.thetaL_dof))
 
 
 def _adjoint_bases(grid, velocities, n_fft, unit):
     """The bases of `adjoint_series` over the 6 basis moments, p then q.
-    The field is the tau state read backwards in time, and phi_t is minus
-    its rate, so its Gram series are the tau states' read backwards."""
+    The adjoint problem is the forward pencil driven at the end rotations
+    by the reversed data, so its rate states d phi / d tau, in tau = T -
+    t, convolve the reversed basis moments with `velocities`, the end
+    rotations' velocity responses.  The field is the tau state read
+    backwards in time, and phi_t is minus its rate, so its Gram series
+    are the tau states' read backwards."""
+    reversed_modes = _moment_modes(grid)[:, ::-1]
     (pt_sq, pxx_sq, pxxt_sq), _ = _norm_bases(
-        _moment_basis_rates(grid, velocities, n_fft), unit, grid.dt)
+        velocities, np.stack([reversed_modes] * 2), n_fft, unit, grid.dt)
     return [gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)], []
 
 
@@ -230,13 +235,20 @@ def _output_bases(grid, kernel):
 
 
 def audit_operators(grid, coeffs):
-    """The ImpulseKernel of the grid and coefficients and the velocity
-    responses to unit end-rotation impulses that the adjoint audit
-    convolves with, from one assemble and one `end_rotation_responses`
-    pass."""
+    """The (kernel, forward bases, adjoint bases) triple of one assemble:
+    the ImpulseKernel of the grid and coefficients, and the bases of
+    the suite's a-priori and adjoint audits.  The phases run largest
+    first, and each drops its arrays before the next starts: the
+    four-mode pass and the forward bases, the `end_rotation_responses`
+    pass, the adjoint bases from its v, and the kernel from its u."""
     system = assemble(grid, coeffs)
+    unit = unit_norm_matrices(grid)
+    n_fft = kernel_fft_length(grid)
+    forward = _forward_bases(coeffs, grid, system, n_fft, unit)
     u, velocities = end_rotation_responses(system, grid)
-    return impulse_kernel(system, grid, u), velocities
+    adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
+    del velocities
+    return impulse_kernel(system, grid, u), forward, adjoint
 
 
 def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
@@ -318,24 +330,20 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     evaluates quadratic and linear forms in them.  The forward states are
     FFT convolutions with the velocity responses to the four space modes
     of `random_load`, from one pass, and the adjoint states with those
-    to the two end rotations.  Each phase frees its states before the
-    next starts.  `operators` is the (kernel, velocities) pair of
-    `audit_operators`, built when not given.  Returns a SuiteReport; an
-    empty scenario set yields an empty report, and builds nothing.
+    to the two end rotations.  `operators` is the (kernel, forward bases,
+    adjoint bases) triple of `audit_operators`, built when not given.
+    Returns a SuiteReport; an empty scenario set yields an empty report,
+    and builds nothing.
     """
     if not n_scenarios:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
     if operators is None:
         operators = audit_operators(grid, coeffs)
-    kernel, rotation_velocities = operators
-    unit = unit_norm_matrices(grid)
-    bases = (
-        (_mode_shapes(grid), _load_histories(grid)),
-        _moment_factors(grid),
-        _forward_bases(coeffs, grid, kernel.system, kernel.n_fft, unit),
-        _adjoint_bases(grid, rotation_velocities, kernel.n_fft, unit),
-        _output_bases(grid, kernel))
+    kernel, forward, adjoint = operators
+    bases = ((_mode_shapes(grid), _load_histories(grid)),
+             _moment_factors(grid), forward, adjoint,
+             _output_bases(grid, kernel))
     rows = []
     for s in range(n_scenarios):
         rows += _scenario(grid, coeffs, bases, rng, f"s{s:02d}", slack,

@@ -1,3 +1,5 @@
+import collections
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,3 +94,28 @@ def variable_coefficients():
 def random_case():
     """(grid, coeffs, system, rng) of a random case, from its seed."""
     return _random_case
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Install counters on beamload functions at every module that
+    imported them by name, and return the Counter of their calls by
+    function name."""
+    def install(*functions):
+        calls = collections.Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {id(fn): (fn, counted(fn)) for fn in functions}
+        for name, module in list(sys.modules.items()):
+            if name == "beamload" or name.startswith("beamload."):
+                for attr, value in list(vars(module).items()):
+                    hit = wrappers.get(id(value))
+                    if hit is not None and hit[0] is value:
+                        monkeypatch.setattr(module, attr, hit[1])
+        return calls
+    return install

@@ -4,18 +4,23 @@ Applies each one-line source mutant of `MUTANTS`, one at a time, to a
 fresh copy of the repository in a temporary directory, runs the whole
 tier-1 suite there and compares its failing tests with those of an
 unmutated copy (the baseline, where criterion 6 fails).  A mutant is
-killed when the two sets differ.  A mutant whose text no longer occurs
-exactly once in its file is reported as stale, so the list is kept in
-step with the source.  Not collected by tier-1 (the name does not match
-`test_*.py`).  Run from the repository root:
+killed when the two sets differ.  With `-x` each mutant's run stops at
+its first failure, with the baseline's failures deselected, and a
+mutant is killed when anything fails.  A mutant whose text no longer
+occurs exactly once in its file is reported as stale, so the list is
+kept in step with the source.  Not collected by tier-1 (the name does
+not match `test_*.py`).  Run from the repository root:
 
     python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py -x         # every mutant, stopping early
     python3 tests/mutants.py kappa_lower_not_strict read_only_dropped
 
-Each run takes one tier-1 run, about 15-20 s on 2 vCPUs.  The exit code
-is 1 when a mutant survives or is stale, else 0.
+Each run takes one tier-1 run, about 15-20 s on 2 vCPUs, and less for a
+killed mutant under `-x`.  The exit code is 1 when a mutant survives or
+is stale, else 0.
 """
 
+import argparse
 import os
 import pathlib
 import shutil
@@ -50,6 +55,21 @@ MUTANTS = [
     ("table_row_check_off_by_one", "src/beamload/io.py",
      "if data.shape[0] != n_rows:",
      "if data.shape[0] not in (n_rows, n_rows - 1):"),
+    ("gram_halo_short", "src/beamload/verify.py",
+     "lo, hi = max(start - k, 0), min(stop + k, n_dofs)",
+     "lo, hi = max(start - k + 1, 0), min(stop + k - 1, n_dofs)"),
+    ("gram_block_overwrites", "src/beamload/verify.py",
+     "gram[:, i] += np.einsum(", "gram[:, i] = np.einsum("),
+    ("trace_block_start_excluded", "src/beamload/verify.py",
+     "if start <= dof < stop]", "if start < dof < stop]"),
+    ("newmark_h_scaled", "src/beamload/forward.py",
+     "4.0 / dt, dt / 2.0", "4.0 / dt, dt / 2.0 * (1 + 1e-6)"),
+    ("trapezoid_end_weight_scaled", "src/beamload/model.py",
+     "w[0] = w[-1] = 0.5 * spacing",
+     "w[0], w[-1] = 0.5 * spacing, 0.5 * spacing * (1 + 1e-6)"),
+    ("ce_sq_scaled", "src/beamload/constants.py",
+     "Ce_sq = np.exp(final_time / bounds.rho0)",
+     "Ce_sq = np.exp(final_time / bounds.rho0) * (1 + 1e-6)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
@@ -58,17 +78,17 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".perfbench_runs", "*.egg-info", "build")
 
 
-def failing_tests(tree):
+def failing_tests(tree, options=()):
     """The failing and erroring test IDs of one tier-1 run in `tree`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True,
-                         text=True).stdout
+    out = subprocess.run(TIER1 + list(options), cwd=tree, env=env,
+                         capture_output=True, text=True).stdout
     return {line.split(" - ")[0].split(" ", 1)[1]
             for line in out.splitlines()
             if line.startswith(("FAILED ", "ERROR "))}
 
 
-def run_copy(mutant=None):
+def run_copy(mutant=None, options=()):
     """Failing tests of a fresh copy of the repository, with `mutant`
     applied; None when the mutant's text is not in its file once."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -80,26 +100,35 @@ def run_copy(mutant=None):
             if source.count(old) != 1:
                 return None
             (tree / path).write_text(source.replace(old, new))
-        return failing_tests(tree)
+        return failing_tests(tree, options)
 
 
-def main(names):
-    unknown = set(names) - {m[0] for m in MUTANTS}
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("-x", action="store_true",
+                        help="stop each mutant's run at its first failure")
+    parser.add_argument("names", nargs="*", help="mutants to run (all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m[0] for m in MUTANTS}
     if unknown:
         sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
     baseline = run_copy()
     print(f"baseline: {len(baseline)} failing: {', '.join(sorted(baseline))}")
+    options, expected = (), baseline
+    if args.x:
+        options = ["-x"] + [f"--deselect={test}" for test in baseline]
+        expected = set()
     clean = True
     for mutant in MUTANTS:
-        if names and mutant[0] not in names:
+        if args.names and mutant[0] not in args.names:
             continue
-        failing = run_copy(mutant)
+        failing = run_copy(mutant, options)
         if failing is None:
             verdict, detail = "STALE", "text not found once"
-        elif failing == baseline:
+        elif failing == expected:
             verdict, detail = "SURVIVED", ""
         else:
-            new = sorted(failing ^ baseline)
+            new = sorted(failing ^ expected)
             verdict = "killed"
             detail = f"{len(new)} tests, first {new[0]}"
         clean = clean and verdict == "killed"

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from beamload import adjoint, cli, forward, objective, verify
+from beamload import cli, forward, objective
 from beamload.cli import main
 from beamload.forward import solve_forward
 from beamload.io import save_coefficient, save_load, save_measurements
@@ -100,29 +100,29 @@ def test_verify_passes_and_negative_control_fails(tmp_path):
 
 
 def test_verify_builds_one_kernel_and_batches_its_passes(tmp_path,
-                                                        monkeypatch):
+                                                        count_calls):
     """The suite, the duality checks and the FD checks share the kernel
     `verify` builds, and the suite's three scenarios share one forward
     Newmark pass and the end-rotation pass that built the kernel."""
-    built, passes = [], []
-    build, integrate = forward.impulse_kernel, forward.newmark_integrate
-
-    def counted_build(*args):
-        built.append(1)
-        return build(*args)
-
-    def counted_pass(*args):
-        passes.append(1)
-        return integrate(*args)
-
-    monkeypatch.setattr(verify, "impulse_kernel", counted_build)
-    for module in (forward, adjoint):
-        monkeypatch.setattr(module, "newmark_integrate", counted_pass)
+    calls = count_calls(forward.impulse_kernel, forward.newmark_integrate)
     cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 3\n"
                     + "verify.duality_tol = 2e-2\n")
     assert run("verify", cfg, tmp_path / "out") == 0
-    assert len(built) == 1
-    assert len(passes) == 2
+    assert calls == {"impulse_kernel": 1, "newmark_integrate": 2}
+
+
+@pytest.mark.parametrize("triples,directions", [(2, 0), (0, 2), (2, 2)])
+def test_verify_without_scenarios_makes_one_pass(tmp_path, count_calls,
+                                                 triples, directions):
+    """With no suite scenarios, the duality and FD checks share one
+    kernel, built from the one end-rotation pass."""
+    calls = count_calls(forward.impulse_kernel, forward.newmark_integrate)
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 0\n"
+                    f"verify.n_triples = {triples}\n"
+                    f"verify.n_directions = {directions}\n"
+                    "verify.duality_tol = 2e-2\n")
+    assert run("verify", cfg, tmp_path / "out") == 0
+    assert calls == {"impulse_kernel": 1, "newmark_integrate": 1}
 
 
 def test_verify_empty_suite(tmp_path):

@@ -1,5 +1,5 @@
 import collections
-import sys
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,9 +8,10 @@ import pytest
 from beamload import adjoint, assembly, forward, verify
 from beamload.adjoint import check_adjoint_estimates, solve_adjoint
 from beamload.constants import compute_constants
-from beamload.forward import check_apriori_estimates, cumtrapz, solve_forward
+from beamload.forward import (band_product, check_apriori_estimates,
+                              cumtrapz, solve_forward)
 from beamload.model import (DEFAULT_SLACK, CheckRow, CoefficientSet,
-                            MeasurementSeries, SpaceTimeGrid,
+                            LoadField, MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm,
                             spacetime_inner)
 from beamload.objective import compute_gradient, evaluate_objective
@@ -126,35 +127,21 @@ def test_modal_load_is_its_sum_of_modes_bit_for_bit(seed, random_case):
 
 def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                                                      small_coeffs,
-                                                     monkeypatch):
+                                                     count_calls):
     """The system, the unit-norm matrices and the impulse kernel are built
     once per call, and the Newmark passes do not grow with the scenarios:
-    the kernel's, the space modes' and the end moments'."""
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # patch every module that imported the builders by name
-    builders = (assembly.assemble, assembly.unit_norm_matrices,
-                forward.impulse_kernel, forward.newmark_integrate)
-    for name, module in list(sys.modules.items()):
-        if name == "beamload" or name.startswith("beamload."):
-            for attr, value in list(vars(module).items()):
-                if any(value is b for b in builders):
-                    monkeypatch.setattr(module, attr, counted(value))
-
+    the space modes' and the end rotations', which also builds the
+    kernel."""
+    calls = count_calls(assembly.assemble, assembly.unit_norm_matrices,
+                        forward.impulse_kernel, forward.newmark_integrate)
     counts = []
     for n in (1, 3):
         calls.clear()
         verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
-        counts.append(sorted(calls))
+        counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0].count("impulse_kernel") == 1
-    assert counts[0].count("newmark_integrate") <= 3
+    assert counts[0] == {"assemble": 1, "unit_norm_matrices": 1,
+                         "impulse_kernel": 1, "newmark_integrate": 2}
 
 
 def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
@@ -263,6 +250,23 @@ def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
                for row, ref in bad if row.check.startswith("apriori_"))
 
 
+def mode_pulse_velocities(grid, coeffs, system):
+    """The velocity responses, from t_1 on, to the four space modes as
+    impulses at t_1, of one batched `solve_forward` pass: the suite's
+    forward inputs."""
+    pulses = np.zeros((4, grid.n_nodes, grid.n_times))
+    pulses[:, :, 1] = verify._mode_shapes(grid)
+    trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
+                          system=system)
+    return [traj.v[:, 1:] for traj in trajs]
+
+
+def moment_series(grid):
+    """The suite's adjoint inputs: the reversed basis moments, as p and
+    as q, (2, 3, n_times)."""
+    return np.stack([verify._moment_modes(grid)[:, ::-1]] * 2)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
     """The basis states the suite's Gram series are formed from agree with
@@ -271,7 +275,10 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
     coefficients."""
     grid, coeffs, system, _ = random_case(seed)
     n_fft = forward.impulse_kernel(system, grid).n_fft
-    rates = verify._load_basis_rates(coeffs, grid, system, n_fft)
+    n_dofs = system.n_dofs
+    rates = verify._basis_states(mode_pulse_velocities(grid, coeffs, system),
+                                 verify._load_histories(grid), n_fft, 0,
+                                 n_dofs)
     pairs = []
     for rate, c in zip(rates, np.eye(8)):
         ref = solve_forward(coeffs, verify._modal_load(grid, c), grid,
@@ -279,7 +286,8 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
         pairs += [(rate, ref.v), (cumtrapz(rate, grid.dt), ref.u)]
 
     velocities = forward.end_rotation_responses(system, grid)[1]
-    rates = verify._moment_basis_rates(grid, velocities, n_fft)
+    rates = verify._basis_states(velocities, moment_series(grid), n_fft, 0,
+                                 n_dofs)
     modes = verify._moment_modes(grid)
     zero = np.zeros(grid.n_times)
     for rate, (p, q) in zip(rates, [(m, zero) for m in modes]
@@ -293,28 +301,74 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
-def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
-                                                 monkeypatch):
-    """The suite builds its bases once: one kernel, at most 2 Newmark
-    passes, and the same kernel outputs, kernel adjoints, convolutions
-    and quadratic forms for 1 scenario as for 20."""
-    calls = []
+def whole_gram_series(ab, X):
+    """G(t)[i, j] = x_i(t)' A x_j(t), (n_times, n_basis, n_basis), of
+    whole states X (n_basis, n_dofs, n_times), each A x_i formed first:
+    the Gram series before the suite summed them block by block."""
+    gram = np.empty((X.shape[2], len(X), len(X)))
+    for i, x in enumerate(X):
+        gram[:, i] = np.einsum("dt,jdt->tj", band_product(ab, x), X)
+    return gram
 
-    def counted(name, fn):
+
+def whole_norm_bases(velocities, series, n_fft, unit, dt, traces):
+    """`verify._norm_bases` on the whole basis states."""
+    M1, K1 = unit
+    X = verify._basis_states(velocities, series, n_fft, 0,
+                             velocities[0].shape[0])
+    U = cumtrapz(X, dt)
+    grams = (whole_gram_series(M1, X), whole_gram_series(K1, U),
+             whole_gram_series(K1, X))
+    return grams, [line for dof in traces for line in (U[:, dof], X[:, dof])]
+
+
+@pytest.mark.parametrize("seed,rows", [(4, 32), (10, 32), (18, 32),
+                                       (0, 19), (2, 5), (3, 1)])
+def test_blocked_gram_series_match_the_whole_states(seed, rows, random_case,
+                                                    monkeypatch):
+    """The Gram series summed block by block, and the trace lines copied
+    from the blocks, equal those of the whole states to 1e-12 relative:
+    on DOF counts that are no multiple of the block, with each end
+    rotation at a block edge, theta_l alone in the last block (19 rows of
+    20 DOFs), and halos that span several blocks (1 row)."""
+    grid, coeffs, system, _ = random_case(seed)
+    assert system.n_dofs > rows and (system.n_dofs % rows or rows == 1)
+    monkeypatch.setattr(verify, "_ROWS", rows)
+    unit = assembly.unit_norm_matrices(grid)
+    n_fft = forward.impulse_kernel(system, grid).n_fft
+    for velocities, series, traces in (
+            (mode_pulse_velocities(grid, coeffs, system),
+             verify._load_histories(grid),
+             (system.theta0_dof, system.thetaL_dof)),
+            (forward.end_rotation_responses(system, grid)[1],
+             moment_series(grid), ())):
+        blocked = verify._norm_bases(velocities, series, n_fft, unit,
+                                     grid.dt, traces)
+        whole = whole_norm_bases(velocities, series, n_fft, unit, grid.dt,
+                                 traces)
+        assert len(blocked[1]) == len(whole[1]) == 2 * len(traces)
+        for a, b in zip(itertools.chain(*blocked), itertools.chain(*whole)):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
+                                                 count_calls, monkeypatch):
+    """The suite builds its bases once: one kernel, 2 Newmark passes, and
+    the same kernel outputs, kernel adjoints, convolutions and quadratic
+    forms for 1 scenario as for 20, counted at every import site."""
+    calls = count_calls(forward.impulse_kernel, forward.newmark_integrate,
+                        forward.convolve_t1, forward.quadratic_forms)
+
+    def counted(method):
         def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+            calls[method.__name__] += 1
+            return method(*args, **kwargs)
         return wrapper
 
-    for module, name in ((verify, "impulse_kernel"),
-                         (forward, "newmark_integrate"),
-                         (forward, "convolve_t1"), (verify, "convolve_t1"),
-                         (forward, "quadratic_forms"),
-                         (adjoint, "quadratic_forms"),
-                         (forward.ImpulseKernel, "outputs"),
-                         (forward.ImpulseKernel, "adjoint")):
-        monkeypatch.setattr(module, name,
-                            counted(name, getattr(module, name)))
+    for name in ("outputs", "adjoint"):
+        monkeypatch.setattr(forward.ImpulseKernel, name,
+                            counted(getattr(forward.ImpulseKernel, name)))
     counts = []
     for n in (1, 20):
         calls.clear()
@@ -322,29 +376,31 @@ def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
         counts.append(collections.Counter(calls))
     assert counts[0] == counts[1]
     assert counts[0]["impulse_kernel"] == 1
-    assert counts[0]["newmark_integrate"] <= 2
+    assert counts[0]["newmark_integrate"] == 2
 
 
-def test_suite_memory_is_one_pass_and_the_velocity_basis():
-    """At 32x256 the suite's traced peak stays within the arrays it must
-    hold: the four-mode pulse pass (the pulse loads, their forces and the
-    u and v of four cases) plus the velocity states of the 8 basis
-    loads."""
+def test_suite_memory_is_one_pass_and_the_kernel():
+    """At 32x256 the traced peak of `audit_operators` and the suite stays
+    within the four-mode pulse pass (the pulse loads, their forces and
+    the u and v of four cases) plus the kernel's spectra: no basis state
+    is held whole, and the phases do not overlap."""
     grid = SpaceTimeGrid(1.0, 1.0, 32, 256)
     coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
                                      r=0.8, kappa=0.02)
-    operators = verify.audit_operators(grid, coeffs)
-    n_dofs, n_times = operators[0].system.n_dofs, grid.n_times
-    pulse_pass = 8 * 4 * n_times * (grid.n_nodes + n_dofs + 2 * n_dofs)
-    velocity_basis = 8 * 8 * n_dofs * n_times
+    n_nodes, n_times = grid.n_nodes, grid.n_times
+    n_dofs = assembly.assemble(grid, coeffs).n_dofs
+    pulse_pass = 8 * 4 * n_times * (n_nodes + n_dofs + 2 * n_dofs)
+    n_freq = forward.kernel_fft_length(grid) // 2 + 1
+    kernel = 16 * 2 * n_freq * (n_nodes + n_nodes - 2)
     tracemalloc.start()
     try:
         verify_inequality_suite(grid, coeffs, n_scenarios=2,
-                                operators=operators)
+                                operators=verify.audit_operators(grid,
+                                                                 coeffs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= pulse_pass + velocity_basis
+    assert peak <= pulse_pass + kernel
 
 
 def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
