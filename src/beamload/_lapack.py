@@ -14,9 +14,13 @@ float64, the expected shape, contiguous, and a band in Fortran order.
 A numpy without that library, with one built for 32-bit integers, or
 without one of its routines (a conda or system-BLAS build) makes this
 module call scipy.linalg's public `cholesky_banded`, `lapack.dpbtrs`
-and `blas.dsbmv` instead.  Either way every result is scipy's bit for
-bit, for a real upper band, and `cholesky_banded` raises scipy's
-errors; the bound calls refuse the input they would have to copy.
+and `blas.dsbmv` instead.  So does a library that takes the calls but
+not as they are made here: when it binds, the three routines factor,
+solve and multiply a fixed band whose results are exact in binary, and
+any other result or an error means a changed calling convention.
+Either way every result is scipy's bit for bit, for a real upper band,
+and `cholesky_banded` raises scipy's errors; the bound calls refuse the
+input they would have to copy.
 """
 
 import ctypes
@@ -59,14 +63,6 @@ def _numpy_openblas():
         routine.restype = None
         routines[name] = routine
     return routines, config
-
-
-try:
-    # CONFIG is the library's build string, None on the fallback
-    _openblas, CONFIG = _numpy_openblas()
-except (OSError, AttributeError):
-    from scipy import linalg as _scipy
-    _openblas = CONFIG = None
 
 
 def _ref(value):
@@ -171,3 +167,33 @@ def bound_matvec(ab, x, y):
     def matvec():
         routine(*args)
     return matvec
+
+
+def _exact_on_probe():
+    """Whether the three routines, called as above, give the exact
+    factor, solution and product of the band A = [[4, 2, 0], [2, 5, 2],
+    [0, 2, 5]] = U'U, U = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]: every
+    intermediate is a small integer, so any correct library gets these
+    bits, and a wrong `uplo`, integer or argument order does not."""
+    ab = np.array([[0.0, 2.0, 2.0], [4.0, 5.0, 5.0]], order="F")
+    x, y = np.array([1.0, 2.0, 3.0]), np.empty(3)
+    b = np.array([8.0, 18.0, 19.0])
+    try:
+        cb = cholesky_banded(ab)
+        bound_solve(cb, b)()
+        bound_matvec(ab, x, y)()
+    except (ValueError, np.linalg.LinAlgError):
+        return False
+    return (np.array_equal(cb, [[0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+            and np.array_equal(b, x)
+            and np.array_equal(y, [8.0, 18.0, 19.0]))
+
+
+try:
+    # CONFIG is the library's build string, None on the fallback
+    _openblas, CONFIG = _numpy_openblas()
+    if not _exact_on_probe():
+        raise OSError("numpy's OpenBLAS does not take the calls as made")
+except (OSError, AttributeError):
+    from scipy import linalg as _scipy
+    _openblas = CONFIG = None

@@ -261,8 +261,10 @@ def cmd_verify(cfg, grid, coeffs, args, out):
 
     save_check_report(os.path.join(out, "report.csv"), report.rows)
     violations = report.violations
-    save_sidecar(os.path.join(out, "summary.txt"),
-                 {"checks": len(report.rows), "violations": len(violations)})
+    summary = {"checks": len(report.rows), "violations": len(violations)}
+    if kernel is not None:
+        summary["kernel_rank"] = "%d/%d" % kernel.rank
+    save_sidecar(os.path.join(out, "summary.txt"), summary)
     for r in violations:
         print(f"VIOLATION {r.check} {r.scenario}: "
               f"lhs={r.lhs:.6g} rhs={r.rhs:.6g}", file=sys.stderr)
@@ -297,7 +299,8 @@ def cmd_invert(cfg, grid, coeffs, args, out):
                    (np.arange(len(params)), params))
         summary.update({"J": result.J, "converged": result.converged,
                         "identifiable": result.identifiable,
-                        "n_evaluations": result.n_evaluations})
+                        "n_evaluations": result.n_evaluations,
+                        "kernel_rank": "%d/%d" % result.kernel_rank})
         recon = result.family.field(grid)
     else:
         noise_delta = cfg["inversion.noise_delta"]
@@ -315,7 +318,8 @@ def cmd_invert(cfg, grid, coeffs, args, out):
                         "stop_reason": state.stop_reason,
                         "omega": state.omega,
                         "J_final": state.J_history[-1],
-                        "discrepancy": state.discrepancy_history[-1]})
+                        "discrepancy": state.discrepancy_history[-1],
+                        "kernel_rank": "%d/%d" % state.kernel_rank})
         recon = state.load
 
     save_load(os.path.join(out, "reconstructed_load.csv"), recon)

@@ -19,6 +19,7 @@ from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
                     l2_norm_spacetime, trapezoid_weights)
 
 EPS_FLOOR = 1e-14
+EPS = np.finfo(float).eps
 
 
 def _block_diagonal(ab, n_cases):
@@ -150,7 +151,7 @@ def consistent_forces(system, load):
 @dataclass(frozen=True)
 class ImpulseKernel:
     """Discrete impulse responses of one assembled system on one time grid
-    of `n_times` instants.
+    of `n_times` instants, factored at their numerical rank.
 
     Newmark is linear and shift-invariant, so the end-slope outputs and
     the adjoint field are causal convolutions of their inputs with the
@@ -160,12 +161,22 @@ class ImpulseKernel:
     the force train f_0, -f_0, f_0, ... from t_1 on.  Arrays are
     (n_out, n_in, frequency):
 
-    - `outputs_t1`: out = (theta_0, theta_l), in = nodes.  The responses
-      to an impulse at each end rotation, folded through `load_map`, give
-      the outputs of a nodal load because the Newmark pencil is symmetric
-      (reciprocity).
-    - `adjoint_t1`: out = interior nodes, in = (theta_0, theta_l); the
-      simply supported end nodes' rows are zero and are not stored.
+    - `outputs_t1`: out = (theta_0, theta_l), in = r_out series.  The
+      responses to an impulse at each end rotation, folded through
+      `load_map`, give the outputs of a nodal load because the Newmark
+      pencil is symmetric (reciprocity).  Over the nodes they are
+      `load_basis` (n_nodes, r_out) times the series whose spectra are
+      kept, so a load is projected onto r_out series first.
+    - `adjoint_t1`: out = r_adj series, in = (theta_0, theta_l); the
+      interior nodes' responses are `field_basis` (n_nodes - 2, r_adj)
+      times them, and the simply supported end nodes' rows are zero.
+
+    Kelvin-Voigt damping (kappa > 0) damps the high modes within a few
+    steps, so the responses of neighbouring nodes are nearly dependent:
+    at 64x512 with kappa = 0.02 the rank is 28-30 of 65 and 28-31 of 63
+    (`impulse_kernel` states the rule).  A basis of None is the identity:
+    at full rank the responses are kept node by node and applied as
+    they are.  `rank` is (r_out, r_adj).
 
     `system` is the assembled system the responses belong to.
     """
@@ -175,6 +186,13 @@ class ImpulseKernel:
     outputs_t1: np.ndarray
     adjoint_t1: np.ndarray
     system: object
+    load_basis: np.ndarray = None
+    field_basis: np.ndarray = None
+
+    @property
+    def rank(self):
+        """(r_out, r_adj): the number of series each call convolves."""
+        return self.outputs_t1.shape[1], self.adjoint_t1.shape[0]
 
     def _convolve(self, t1, series):
         """Responses applied to input series (n_in, n_times), summed over
@@ -190,6 +208,8 @@ class ImpulseKernel:
         (n_nodes, n_times), as `solve_forward` gives them."""
         if not np.all(np.isfinite(values)):
             raise DivergenceError("non-finite force input")
+        if self.load_basis is not None:
+            values = self.load_basis.T @ values
         theta = self._convolve(self.outputs_t1, values)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError("non-finite output")
@@ -202,6 +222,8 @@ class ImpulseKernel:
         if not np.all(np.isfinite(pq)):
             raise DimensionError("adjoint inputs must be finite")
         phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
+        if self.field_basis is not None:
+            phi_tau = self.field_basis @ phi_tau
         return self.system.nodal(phi_tau[:, ::-1])
 
 
@@ -254,27 +276,93 @@ def end_rotation_responses(system, grid):
     return u[:, :, 1:], v[:, :, 1:]
 
 
+def _pivots(gram, floor):
+    """Rows picked, in order, by a diagonally pivoted Cholesky
+    factorization of the Gram matrix of some rows, while the pivot
+    exceeds `floor` and 16 eps times the first pivot: below that the
+    Gram no longer resolves a row."""
+    d = np.diag(gram).copy()
+    floor = max(floor, 16.0 * EPS * d.max())
+    L = np.zeros_like(gram)
+    picked = []
+    for k in range(len(d)):
+        j = int(np.argmax(d))
+        if not d[j] > floor:
+            break
+        L[:, k] = (gram[:, j] - L[:, :k] @ L[j, :k]) / np.sqrt(d[j])
+        d -= L[:, k] ** 2
+        d[j] = -np.inf
+        picked.append(j)
+    return picked
+
+
+def _factor_rows(rows):
+    """(C, W) with rows ~ C W, C = rows W' of shape (m, r) and W of
+    orthonormal rows (r, n), at the numerical rank r of the (m, n) rows:
+    numpy's `matrix_rank` rule, with no row of the residual
+    rows - C W above max(m, n) eps times the largest row.  (None, rows)
+    when r = m.
+
+    Each round picks rows of the residual by pivoted Cholesky on its
+    Gram and orthonormalizes them against W and among themselves by
+    Gram-Schmidt twice.  The rounds repeat until the rule holds, because
+    one round's Gram resolves rows only down to about sqrt(eps) of its
+    largest."""
+    m, n = rows.shape
+    tol_sq = (max(m, n) * EPS) ** 2 * np.einsum("ij,ij->i", rows, rows).max()
+    W = np.empty((m, n))
+    r = 0
+    while r < m:
+        C = rows @ W[:r].T
+        residual = C @ W[:r]
+        np.subtract(rows, residual, out=residual)
+        if np.einsum("ij,ij->i", residual, residual).max() <= tol_sq:
+            break
+        for j in _pivots(residual @ residual.T, tol_sq):
+            w = residual[j].copy()
+            for _ in range(2):
+                w -= (W[:r] @ w) @ W[:r]
+            W[r] = w / np.sqrt(w @ w)
+            r += 1
+        del residual
+    if r == m:
+        return None, rows
+    return C, W[:r].copy()
+
+
+def _factored_spectra(rows, n_fft):
+    """The basis C of `_factor_rows` and the `n_fft`-point spectra
+    (2, r, frequency) of the series W, whose rows hold the two end
+    rotations' histories side by side."""
+    basis, rows = _factor_rows(rows)
+    spectra = np.empty((2, len(rows), n_fft // 2 + 1), dtype=complex)
+    for i, half in enumerate(np.hsplit(rows, 2)):
+        rfft(half, n_fft, out=spectra[i])
+    return basis, spectra
+
+
 def impulse_kernel(system, grid, u=None):
     """The ImpulseKernel of `system` on the time grid of `grid`, built
     from the displacement responses u of `end_rotation_responses`; the
-    pass is made when the caller does not hand its u in."""
+    pass is made when the caller does not hand its u in.
+
+    Each operator's responses are stacked as rows over the nodes, the
+    two end rotations' histories side by side, and factored by
+    `_factor_rows`: for the outputs the rows load_map' u_i, for the
+    adjoint the interior deflection rows of u_i.  Only the factors'
+    series are transformed, one operator at a time."""
     n_fft = kernel_fft_length(grid)
-    n_freq = n_fft // 2 + 1
-    n_nodes = system.load_map.shape[1]
     if u is None:
         u = end_rotation_responses(system, grid)[0]
-    # transformed in place, one response at a time, so that no transform
-    # is alive beside the spectra
-    kernel = ImpulseKernel(
-        n_fft=n_fft, n_times=grid.n_times,
-        outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
-        adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
-        system=system)
-    for i, response in enumerate(u):
-        rfft(system.load_map.T @ response, n_fft, out=kernel.outputs_t1[i])
-        rfft(response[system.deflection_dofs], n_fft,
-             out=kernel.adjoint_t1[:, i])
-    return kernel
+    load_basis, outputs_t1 = _factored_spectra(
+        np.concatenate([system.load_map.T @ r for r in u], axis=1), n_fft)
+    field_basis, adjoint_t1 = _factored_spectra(
+        np.concatenate([r[system.deflection_dofs] for r in u], axis=1),
+        n_fft)
+    return ImpulseKernel(
+        n_fft=n_fft, n_times=grid.n_times, outputs_t1=outputs_t1,
+        adjoint_t1=np.ascontiguousarray(adjoint_t1.transpose(1, 0, 2)),
+        system=system, load_basis=load_basis, field_basis=field_basis)
 
 
 def solve_forward(coeffs, load, grid, system=None):

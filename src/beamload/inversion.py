@@ -55,13 +55,15 @@ class InversionConfig:
 
 @dataclass
 class InversionState:
-    """Iterate and convergence history of one inversion run."""
+    """Iterate and convergence history of one inversion run, and the
+    (r_out, r_adj) rank of the kernel it convolved with."""
 
     load: LoadField
     J_history: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
     stop_reason: str = ""
     omega: float = 0.0
+    kernel_rank: tuple = ()
 
     @property
     def iterations(self):
@@ -98,7 +100,7 @@ def run_inversion(measurements, coeffs, grid, config=None):
     morozov = config.tau_d * config.noise_delta
     morozov_sq = morozov * morozov
 
-    state = InversionState(load=load, omega=omega)
+    state = InversionState(load=load, omega=omega, kernel_rank=kernel.rank)
     increases = 0
     evaluation = evaluate_objective(load, measurements, kernel)
     for n in range(config.max_iterations + 1):
@@ -188,6 +190,7 @@ class ParametricResult:
     converged: bool
     identifiable: bool
     n_evaluations: int
+    kernel_rank: tuple
 
 
 def reconstruct_parametric(measurements, coeffs, grid, family):
@@ -225,4 +228,5 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
                             J=float(result.cost),
                             converged=bool(result.success),
                             identifiable=bool(sv[-1] > sv[0] / COND_LIMIT),
-                            n_evaluations=int(result.nfev))
+                            n_evaluations=int(result.nfev),
+                            kernel_rank=kernel.rank)

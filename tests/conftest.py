@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.fft import rfft
 
 from beamload.assembly import assemble
-from beamload.forward import impulse_kernel
+from beamload.forward import (ImpulseKernel, end_rotation_responses,
+                              impulse_kernel, kernel_fft_length)
 from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
 
@@ -43,6 +45,33 @@ def flipped_kernel(small_grid, small_coeffs):
     kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
     return SimpleNamespace(outputs=kernel.outputs,
                            adjoint=lambda p, q: -kernel.adjoint(p, q))
+
+
+def _full_kernel(system, grid, u=None):
+    """The ImpulseKernel with every node's responses kept as spectra and
+    no basis: `impulse_kernel` as it was before it factored the responses
+    at their numerical rank.  The reference of the factored kernel."""
+    n_fft = kernel_fft_length(grid)
+    n_freq = n_fft // 2 + 1
+    n_nodes = system.load_map.shape[1]
+    if u is None:
+        u = end_rotation_responses(system, grid)[0]
+    kernel = ImpulseKernel(
+        n_fft=n_fft, n_times=grid.n_times,
+        outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
+        adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
+        system=system)
+    for i, response in enumerate(u):
+        rfft(system.load_map.T @ response, n_fft, out=kernel.outputs_t1[i])
+        rfft(response[system.deflection_dofs], n_fft,
+             out=kernel.adjoint_t1[:, i])
+    return kernel
+
+
+@pytest.fixture(scope="session")
+def full_kernel():
+    """The unfactored impulse kernel of a system on a grid."""
+    return _full_kernel
 
 
 def _dense(ab):

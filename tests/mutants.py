@@ -70,6 +70,27 @@ MUTANTS = [
     ("ce_sq_scaled", "src/beamload/constants.py",
      "Ce_sq = np.exp(final_time / bounds.rho0)",
      "Ce_sq = np.exp(final_time / bounds.rho0) * (1 + 1e-6)"),
+    ("rank_tolerance_scaled", "src/beamload/forward.py",
+     "tol_sq = (max(m, n) * EPS) ** 2",
+     "tol_sq = (max(m, n) * EPS * 1e3) ** 2"),
+    ("one_orthonormalization_pass", "src/beamload/forward.py",
+     "for _ in range(2):", "for _ in range(1):"),
+    ("pivot_floor_raised", "src/beamload/forward.py",
+     "floor = max(floor, 16.0 * EPS * d.max())",
+     "floor = max(floor, 1e-8 * d.max())"),
+    ("full_rank_check_inverted", "src/beamload/forward.py",
+     "if r == m:", "if r < m:"),
+    ("lapack_probe_dropped", "src/beamload/_lapack.py",
+     "if not _exact_on_probe():", "if False:"),
+    ("newmark_a2_scaled", "src/beamload/forward.py",
+     "2.0 / dt, 4.0 / dt,", "2.0 / dt, 4.0 / dt * (1 + 1e-6),"),
+    ("spline_band_term_dropped", "src/beamload/measurements.py",
+     "lam * (b[:-1] * a[1:] + c[:-1] * b[1:])", "lam * (b[:-1] * a[1:])"),
+    ("mesh_count_floor_lowered", "src/beamload/cli.py",
+     "lambda v: v >= 4, \"below 4\"", "lambda v: v >= 3, \"below 4\""),
+    ("table_row_check_long_accepted", "src/beamload/io.py",
+     "if data.shape[0] != n_rows:",
+     "if data.shape[0] not in (n_rows, n_rows + 1):"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",

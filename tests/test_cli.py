@@ -598,6 +598,8 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
     ("invert", "coeff.T_r = -1\n", ()),
     ("invert", "bounds.mu0 = -1\n", ()),
     ("invert", "bounds.Tr0 = -1\n", ()),
+    ("invert", "grid.n_elements = 3\n", ()),
+    ("invert", "grid.n_steps = 3\n", ()),
 ])
 def test_bad_value_is_config_error(tmp_path, capsys, cmd, extra, argv):
     cfg = write_cfg(tmp_path, BASE + "scenario.kind = moving_gaussian\n"

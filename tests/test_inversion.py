@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,64 @@ def test_backtracking_evaluates_each_trial_once(twin, monkeypatch):
     assert state.iterations == 10
     assert calls["trials"] > state.iterations
     assert calls["evaluations"] == 1 + calls["trials"]
+
+
+@pytest.fixture(scope="module")
+def fullfield():
+    """The full-field Morozov benchmark's case: 64x512, rho_A 1, mu 0.05,
+    T_r 0, r 0.5, kappa 0.02, a moving Gaussian's slopes at 5 % noise,
+    smoothed, and its absolute noise level."""
+    grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=64,
+                         n_steps=512)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.0,
+                                     r=0.5, kappa=0.02)
+    truth = MovingGaussian(amplitude=2.0, speed=1.0, sigma=0.15)
+    noisy = add_noise(solve_forward(coeffs, truth.field(grid), grid).outputs,
+                      NoiseSpec(delta_rel=0.05, seed=1), grid.dt)
+    return grid, coeffs, smooth_to_h1(noisy, grid.times), noisy.noise_delta
+
+
+def test_fullfield_kernel_convolves_few_series(fullfield):
+    """Kelvin-Voigt damping makes the responses over the nodes low-rank:
+    each convolution transforms at most 32 series, not 65 or 63."""
+    grid, coeffs, _, _ = fullfield
+    r_out, r_adj = impulse_kernel(assemble(grid, coeffs), grid).rank
+    assert r_out <= 32 and r_adj <= 32
+
+
+def test_factored_kernel_runs_the_full_kernels_inversion(
+        fullfield, full_kernel, monkeypatch):
+    """Backtracking Landweber to the Morozov stop takes the same steps on
+    the factored kernel as on the unfactored one."""
+    grid, coeffs, smooth, delta = fullfield
+    config = InversionConfig(step_rule="backtracking", max_iterations=800,
+                             noise_delta=delta)
+    ours = run_inversion(smooth, coeffs, grid, config=config)
+    monkeypatch.setattr(inversion, "impulse_kernel", full_kernel)
+    full = run_inversion(smooth, coeffs, grid, config=config)
+    assert ours.kernel_rank < full.kernel_rank == (65, 63)
+    assert ours.stop_reason == full.stop_reason == "discrepancy"
+    assert ours.iterations == full.iterations > 50
+    J, J_full = np.array(ours.J_history), np.array(full.J_history)
+    assert np.max(np.abs(J - J_full) / J_full) <= 1e-10
+
+
+def test_inversion_memory_is_the_kernels_pass(fullfield):
+    """At 64x512 the traced peak of an inversion is the kernel's Newmark
+    pass (the forces, u and v of the two end-rotation impulses) and two
+    nodal fields: the kernel's factors and their spectra stay below that
+    pass, where every node's spectra (2.1 MB) held beside the responses
+    did not."""
+    grid, coeffs, smooth, delta = fullfield
+    n_dofs = assemble(grid, coeffs).n_dofs
+    impulse_pass = 3 * 8 * grid.n_times * 2 * n_dofs
+    fields = 2 * 8 * grid.n_nodes * grid.n_times
+    config = InversionConfig(step_rule="backtracking", max_iterations=10,
+                             noise_delta=delta)
+    tracemalloc.start()
+    try:
+        run_inversion(smooth, coeffs, grid, config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= impulse_pass + fields

@@ -317,7 +317,7 @@ def test_cli_tables_match_the_row_loops(tmp_path, monkeypatch):
         SimpleNamespace(family=SimpleNamespace(parameters=params,
                                                field=LoadField.zero),
                         J=0.0, converged=True, identifiable=True,
-                        n_evaluations=0)))
+                        n_evaluations=0, kernel_rank=(5, 3))))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE)
     assert main(["forward", "--config", str(cfg),

@@ -10,7 +10,8 @@ from beamload import adjoint, forward, inversion, verify
 from beamload.adjoint import solve_adjoint
 from beamload.assembly import assemble
 from beamload.errors import DimensionError, DivergenceError
-from beamload.forward import impulse_kernel, newmark_integrate, solve_forward
+from beamload.forward import (end_rotation_responses, impulse_kernel,
+                              newmark_integrate, solve_forward)
 from beamload.measurements import ModalLoad
 from beamload.model import (CoefficientSet, LoadField, MeasurementSeries,
                             SpaceTimeGrid)
@@ -22,6 +23,20 @@ TOL = 1e-9
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def assert_factored_shapes(kernel, grid):
+    """Spectra of r_out and r_adj series and bases over the nodes, or no
+    basis at full rank."""
+    r_out, r_adj = kernel.rank
+    assert kernel.outputs_t1.shape[:2] == (2, r_out)
+    assert kernel.adjoint_t1.shape[:2] == (r_adj, 2)
+    for basis, n, r in ((kernel.load_basis, grid.n_nodes, r_out),
+                        (kernel.field_basis, grid.n_nodes - 2, r_adj)):
+        if basis is None:
+            assert r == n
+        else:
+            assert basis.shape == (n, r) and r < n
 
 
 @pytest.mark.parametrize("kind", ["constant", "variable"])
@@ -50,10 +65,95 @@ def test_kernel_matches_newmark(n_elements, n_steps, kind,
     p, q = rng.normal(size=(2, grid.n_times))
     adj = solve_adjoint(coeffs, p, q, grid, system=system)
     phi = kernel.adjoint(p, q)
-    assert kernel.adjoint_t1.shape[:2] == (grid.n_nodes - 2, 2)
+    assert_factored_shapes(kernel, grid)
     assert phi.shape == (grid.n_nodes, grid.n_times)
     assert np.all(phi[[0, -1]] == 0.0)
     assert rel_l2(phi[1:-1], adj.phi[system.deflection_dofs]) < TOL
+
+
+def compressing_case(n_elements, n_steps):
+    """The grid and system of a constant-coefficient case with kappa =
+    0.02, whose responses have low numerical rank at these grids."""
+    grid = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=n_elements,
+                         n_steps=n_steps)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                     r=0.8, kappa=0.02)
+    return grid, assemble(grid, coeffs)
+
+
+COMPRESSING = [(32, 256), (64, 512)]
+
+
+def response_rows(system, u):
+    """The rows that `impulse_kernel` factors: load_map' u_i and the
+    interior deflection rows of u_i, the two impulses side by side."""
+    return (np.concatenate([system.load_map.T @ r for r in u], axis=1),
+            np.concatenate([r[system.deflection_dofs] for r in u], axis=1))
+
+
+@pytest.mark.parametrize("n_elements,n_steps", COMPRESSING)
+def test_factored_kernel_matches_full_kernel(n_elements, n_steps,
+                                             full_kernel):
+    """Where the responses compress, the factored operators agree with
+    the unfactored kernel's to 1e-12 relative."""
+    grid, system = compressing_case(n_elements, n_steps)
+    u = end_rotation_responses(system, grid)[0]
+    kernel = impulse_kernel(system, grid, u)
+    full = full_kernel(system, grid, u)
+    r_out, r_adj = kernel.rank
+    assert r_out < grid.n_nodes and r_adj < grid.n_nodes - 2
+    assert_factored_shapes(kernel, grid)
+    rng = np.random.default_rng(n_elements)
+    for _ in range(3):
+        values = rng.normal(size=(grid.n_nodes, grid.n_times))
+        for ours, theirs in zip(kernel.outputs(values), full.outputs(values)):
+            assert rel_l2(ours, theirs) <= 1e-12
+        p, q = rng.normal(size=(2, grid.n_times))
+        phi = kernel.adjoint(p, q)
+        assert np.all(phi[[0, -1]] == 0.0)
+        assert rel_l2(phi, full.adjoint(p, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_elements,n_steps", COMPRESSING)
+def test_factors_are_orthonormal_and_meet_the_rank_rule(n_elements,
+                                                        n_steps):
+    """rows = C W + residual with W W' = I, C = rows W', and no residual
+    row above max(m, n) eps times the largest row: numpy's `matrix_rank`
+    tolerance, at fewer series than rows."""
+    grid, system = compressing_case(n_elements, n_steps)
+    u = end_rotation_responses(system, grid)[0]
+    for rows in response_rows(system, u):
+        C, W = forward._factor_rows(rows)
+        m, n = rows.shape
+        assert W.shape[0] < m and C.shape == (m, W.shape[0])
+        assert W.shape[1] == n
+        assert np.max(np.abs(W @ W.T - np.eye(len(W)))) <= 1e-14
+        assert np.array_equal(C, rows @ W.T)
+        largest = np.linalg.norm(rows, axis=1).max()
+        tol = max(m, n) * np.finfo(float).eps * largest
+        assert np.linalg.norm(rows - C @ W, axis=1).max() <= tol
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(12)))
+def test_full_rank_kernel_is_the_full_kernel(seed, small_grid, small_coeffs,
+                                             random_case, full_kernel):
+    """At full numerical rank, on 16x96 and on the small random grids,
+    the kernel keeps every node's spectra and applies no basis: it is
+    the unfactored kernel bit for bit."""
+    if seed is None:
+        grid, system = small_grid, assemble(small_grid, small_coeffs)
+        rng = np.random.default_rng(0)
+    else:
+        grid, _, system, rng = random_case(seed)
+    kernel, full = impulse_kernel(system, grid), full_kernel(system, grid)
+    assert kernel.rank == (grid.n_nodes, grid.n_nodes - 2)
+    assert kernel.load_basis is None and kernel.field_basis is None
+    assert np.array_equal(kernel.outputs_t1, full.outputs_t1)
+    assert np.array_equal(kernel.adjoint_t1, full.adjoint_t1)
+    values = rng.normal(size=(grid.n_nodes, grid.n_times))
+    p, q = rng.normal(size=(2, grid.n_times))
+    assert np.array_equal(kernel.outputs(values), full.outputs(values))
+    assert np.array_equal(kernel.adjoint(p, q), full.adjoint(p, q))
 
 
 def test_kernel_rejects_series_of_another_time_grid(small_grid,
@@ -238,22 +338,17 @@ def test_next_fast_len_is_scipys_real_length():
     assert wrong == []
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_kernel_transforms_equal_scipy_fft_bit_for_bit(seed, random_case,
-                                                       monkeypatch):
+def assert_transforms_equal_scipy_fft(grid, system, rng, monkeypatch):
     """The kernel's spectra and its convolutions from numpy.fft equal
     those of the same code run on scipy.fft, bit for bit."""
     import scipy.fft
-    grid, _, system, rng = random_case(seed)
     loads = rng.normal(size=(grid.n_nodes, grid.n_times))
     moments = rng.normal(size=(2, grid.n_times))
 
     def transforms():
         kernel = impulse_kernel(system, grid)
         return (kernel.n_fft, kernel.outputs_t1, kernel.adjoint_t1,
-                forward.convolve_t1(kernel.outputs_t1, loads, kernel.n_fft),
-                forward.convolve_t1(kernel.adjoint_t1, moments,
-                                    kernel.n_fft))
+                np.array(kernel.outputs(loads)), kernel.adjoint(*moments))
 
     def scipy_rfft(x, n, out=None):
         # scipy.fft.rfft has no `out`; the kernel fills its spectra in place
@@ -263,11 +358,28 @@ def test_kernel_transforms_equal_scipy_fft_bit_for_bit(seed, random_case,
         return out
 
     ours = transforms()
-    monkeypatch.setattr(forward, "rfft", scipy_rfft)
-    monkeypatch.setattr(forward, "irfft", scipy.fft.irfft)
-    monkeypatch.setattr(forward, "next_fast_len",
-                        lambda n: scipy.fft.next_fast_len(n, real=True))
-    reference = transforms()
+    with monkeypatch.context() as patch:
+        patch.setattr(forward, "rfft", scipy_rfft)
+        patch.setattr(forward, "irfft", scipy.fft.irfft)
+        patch.setattr(forward, "next_fast_len",
+                      lambda n: scipy.fft.next_fast_len(n, real=True))
+        reference = transforms()
     assert ours[0] == reference[0]
     for a, b in zip(ours[1:], reference[1:]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_transforms_equal_scipy_fft_bit_for_bit(seed, random_case,
+                                                       monkeypatch):
+    grid, _, system, rng = random_case(seed)
+    assert_transforms_equal_scipy_fft(grid, system, rng, monkeypatch)
+
+
+def test_factored_kernel_transforms_equal_scipy_fft_bit_for_bit(
+        monkeypatch):
+    """As above, on a grid whose kernel keeps factored spectra."""
+    grid, system = compressing_case(32, 256)
+    assert impulse_kernel(system, grid).load_basis is not None
+    assert_transforms_equal_scipy_fft(grid, system,
+                                      np.random.default_rng(4), monkeypatch)

@@ -376,3 +376,60 @@ def test_late_scipy_linalg_import_agrees_with_wrappers():
     assert out.stdout.splitlines() == [
         "solved: False True",
         "after import scipy.linalg: True True True"]
+
+
+# A fresh interpreter runs `_lapack`'s source with one text replaced, and
+# prints whether it took the scipy.linalg fallback and whether its three
+# routines then agree with scipy's on a band.
+CONVENTION = """
+import pathlib
+import sys
+import types
+
+import numpy as np
+from scipy import linalg
+
+import beamload
+
+old, new = sys.argv[1:]
+path = pathlib.Path(beamload.__file__).with_name("_lapack.py")
+source = path.read_text()
+assert source.count(old) == 1
+module = types.ModuleType("beamload._lapack")
+exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+ab = np.asfortranarray([[0.0, 1.0, -2.0, 1.5], [9.0, 8.0, 7.0, 9.5]])
+x = np.array([1.0, -2.0, 0.5, 3.0])
+c = module.cholesky_banded(ab)
+b, y = x.copy(), np.empty(4)
+module.bound_solve(c, b)()
+module.bound_matvec(ab, x, y)()
+print(module._openblas is None, module.CONFIG is None,
+      np.array_equal(c, linalg.cholesky_banded(ab))
+      and np.array_equal(b, linalg.lapack.dpbtrs(c, x)[0])
+      and np.array_equal(y, linalg.blas.dsbmv(1, 1.0, ab, x)))
+"""
+
+# (the text, the same text with one argument list broken)
+BROKEN = {
+    "uplo_lower": ('_UPPER = ctypes.c_char_p(b"U")',
+                   '_UPPER = ctypes.c_char_p(b"L")'),
+    "dsbmv_x_y_swapped": ("_ref(x), _int(1), _ref(beta), _ref(y)",
+                          "_ref(y), _int(1), _ref(beta), _ref(x)"),
+}
+
+
+@pytest.mark.parametrize("broken", [None, *BROKEN])
+def test_changed_calling_convention_takes_the_fallback(broken):
+    """A library whose routines do not compute the probe band's exact
+    factor, solution and product as `_lapack` calls them is treated as
+    missing; the unchanged source binds numpy's library."""
+    if broken is None:
+        old = new = BROKEN["uplo_lower"][0]
+    else:
+        old, new = BROKEN[broken]
+    out = subprocess.run([sys.executable, "-c", CONVENTION, old, new],
+                         capture_output=True, text=True, check=True,
+                         timeout=60,
+                         cwd=pathlib.Path(beamload.__file__).parent.parent)
+    fell_back = broken is not None
+    assert out.stdout.split() == [str(fell_back), str(fell_back), "True"]
