@@ -5,6 +5,7 @@ unconditionally stable, second order, and free of numerical dissipation,
 so the discrete energy balance reflects only the physical damping terms.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,26 +206,38 @@ class ImpulseKernel:
 
     def outputs(self, values):
         """End slopes (theta_0, theta_l) of nodal load values
-        (n_nodes, n_times), as `solve_forward` gives them."""
+        (n_nodes, n_times), as `solve_forward` gives them: the
+        `output_series` of their `load_basis` coordinates."""
         if not np.all(np.isfinite(values)):
             raise DivergenceError("non-finite force input")
         if self.load_basis is not None:
             values = self.load_basis.T @ values
-        theta = self._convolve(self.outputs_t1, values)
+        theta = self.output_series(values)
+        return theta[0], theta[1]
+
+    def output_series(self, series):
+        """End slopes (2, n_times) of the r_out load coordinate series
+        (r_out, n_times)."""
+        theta = self._convolve(self.outputs_t1, series)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError("non-finite output")
-        return theta[0], theta[1]
+        return theta
 
     def adjoint(self, p, q):
         """Nodal adjoint field (n_nodes, n_times) of moment data p, q: the
-        deflection rows of `solve_adjoint`, zero at the end nodes."""
-        pq = np.array([p, q], dtype=float)
-        if not np.all(np.isfinite(pq)):
-            raise DimensionError("adjoint inputs must be finite")
-        phi_tau = self._convolve(self.adjoint_t1, pq[:, ::-1])
+        deflection rows of `solve_adjoint`, zero at the end nodes.  It is
+        `field_basis` times the `adjoint_series`, reversed in time."""
+        phi_tau = self.adjoint_series(np.array([p, q], dtype=float))
         if self.field_basis is not None:
             phi_tau = self.field_basis @ phi_tau
         return self.system.nodal(phi_tau[:, ::-1])
+
+    def adjoint_series(self, pq):
+        """The r_adj coordinate series (r_adj, n_times) of the adjoint
+        field of moment data pq = (p, q), in reversed time tau = T - t."""
+        if not np.all(np.isfinite(pq)):
+            raise DimensionError("adjoint inputs must be finite")
+        return self._convolve(self.adjoint_t1, pq[:, ::-1])
 
 
 def convolve_t1(t1, series, n_fft):
@@ -234,12 +247,20 @@ def convolve_t1(t1, series, n_fft):
     acts as the force train f_0, -f_0, f_0, ... from t_1 on; the result
     (n_out, n_times) vanishes at t_0."""
     n_times = series.shape[1]
-    train = (-1.0) ** np.arange(n_times - 1)
-    spectrum = rfft(series[:, 1:] + np.outer(series[:, 0], train), n_fft)
+    spectrum = rfft(series[:, 1:] + series[:, :1] * _force_train(n_times - 1),
+                    n_fft)
     out = np.zeros((t1.shape[0], n_times))
     out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
                        n_fft)[:, :n_times - 1]
     return out
+
+
+@functools.cache
+def _force_train(n):
+    """The read-only force train 1, -1, 1, ... of n samples."""
+    train = (-1.0) ** np.arange(n)
+    train.flags.writeable = False
+    return train
 
 
 def next_fast_len(n):

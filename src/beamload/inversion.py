@@ -9,9 +9,7 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import impulse_kernel
-from .model import (LoadField, project_admissible, spacetime_inner,
-                    trapezoid_weights)
-from .objective import compute_gradient, evaluate_objective
+from .model import LoadField, radial_scale, trapezoid_weights
 
 GRAD_TOL = 1e-12
 BACKTRACK_START = 2.0 ** 10     # first trial step, in multiples of omega
@@ -85,6 +83,12 @@ def run_inversion(measurements, coeffs, grid, config=None):
     """Iterate F <- project(F - omega * J'(F)) from F = 0 until a stop rule
     fires.
 
+    From F = 0 every iterate is a combination of adjoint fields
+    J'(F) = phi, scaled by the radial projection, so the loop keeps it
+    as coordinates Z over the kernel's `field_basis` (`_FieldCoordinates`)
+    and forms F once, when it stops.  An iteration makes one adjoint
+    convolution, and each trial one output convolution.
+
     Stop rules: Morozov discrepancy 2J <= (tau_d * delta)^2, vanishing
     gradient, stagnation of J, or the iteration cap.  With the fixed rule
     three consecutive misfit increases raise DivergenceError, since the
@@ -92,7 +96,7 @@ def run_inversion(measurements, coeffs, grid, config=None):
     """
     config = config or InversionConfig()
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
-    load = LoadField.zero(grid)
+    coords = _FieldCoordinates(kernel, measurements, grid)
     C_F = config.C_F
     omega = config.omega or default_step(grid, coeffs, config)
     # a product, not a power: out of range it is inf, which the zero
@@ -100,16 +104,17 @@ def run_inversion(measurements, coeffs, grid, config=None):
     morozov = config.tau_d * config.noise_delta
     morozov_sq = morozov * morozov
 
-    state = InversionState(load=load, omega=omega, kernel_rank=kernel.rank)
+    state = InversionState(load=None, omega=omega, kernel_rank=kernel.rank)
     increases = 0
-    evaluation = evaluate_objective(load, measurements, kernel)
+    Z = np.zeros((kernel.rank[1], grid.n_times))
+    J, residual = coords.evaluate(Z)
     for n in range(config.max_iterations + 1):
-        grad = compute_gradient(evaluation)
-        J = evaluation.J
-        gnorm = np.sqrt(spacetime_inner(grad, grad, grid))
+        # the gradient's coordinates, reversed back in time and copied so
+        # that the matrix products with them run in BLAS
+        Y = kernel.adjoint_series(residual)[:, ::-1].copy()
+        gnorm = np.sqrt(coords.sq_norm(Y))
         state.J_history.append(J)
         state.grad_history.append(gnorm)
-        state.load = load
 
         if 2.0 * J <= morozov_sq:
             state.stop_reason = "discrepancy"
@@ -125,7 +130,6 @@ def run_inversion(measurements, coeffs, grid, config=None):
             break
 
         if config.step_rule == "fixed":
-            step = omega
             if len(state.J_history) >= 2 and J > state.J_history[-2]:
                 increases += 1
                 if increases >= 3:
@@ -135,37 +139,78 @@ def run_inversion(measurements, coeffs, grid, config=None):
                         "inconsistent")
             else:
                 increases = 0
-            load = _step(load, grad, step, C_F)
-            evaluation = evaluate_objective(load, measurements, kernel)
+            Z = coords.step(Z, Y, omega, C_F)
+            J, residual = coords.evaluate(Z)
         else:
-            load, _, evaluation = _backtrack(load, grad, J, omega, C_F,
-                                             measurements, evaluation)
+            Z, J, residual = _backtrack(Z, Y, J, omega, C_F, coords,
+                                        residual)
+    state.load = LoadField(kernel.system.nodal(coords.field_basis @ Z), grid)
     return state
 
 
-def _step(load, grad, step, C_F):
-    new = LoadField(load.values - step * grad, load.grid)
-    if C_F is not None:
-        new = project_admissible(new, C_F)
-    return new
+class _FieldCoordinates:
+    """The Landweber loop's operators on coordinates Z (r_adj, n_times)
+    of the load F = nodal(field_basis Z), for one kernel and one data
+    set; a basis of None is the identity.
+
+    The outputs of F are the output convolution of P Z, with the
+    (r_out, r_adj) matrix P = load_basis[1:-1]' field_basis, and the
+    squared norm ||F||^2 is sum_t w_t z_t' G z_t, with the Gram matrix
+    G = field_basis' diag(w_x) field_basis of the interior nodes'
+    trapezoid weights and the trapezoid time weights w_t.
+    """
+
+    def __init__(self, kernel, measurements, grid):
+        if measurements.n_times != grid.n_times:
+            raise ValueError("measurements do not match the time grid")
+        n = grid.n_nodes
+        load_basis = (np.eye(n) if kernel.load_basis is None
+                      else kernel.load_basis)
+        field_basis = (np.eye(n - 2) if kernel.field_basis is None
+                       else kernel.field_basis)
+        w_x = trapezoid_weights(n, grid.h)[1:-1]
+        self.kernel, self.field_basis = kernel, field_basis
+        self.P = load_basis[1:-1].T @ field_basis
+        self.G = field_basis.T @ (w_x[:, None] * field_basis)
+        self.w_t = trapezoid_weights(grid.n_times, grid.dt)
+        self.theta = np.array([measurements.theta0, measurements.thetaL])
+
+    def evaluate(self, Z):
+        """The misfit J at Z and the output residual (2, n_times)."""
+        if not np.all(np.isfinite(Z)):
+            raise DivergenceError("non-finite force input")
+        residual = self.kernel.output_series(self.P @ Z) - self.theta
+        sq = (residual * residual) @ self.w_t
+        return float(0.5 * sq[0] + 0.5 * sq[1]), residual
+
+    def sq_norm(self, Z):
+        """The squared space-time norm ||F||^2 of the load at Z."""
+        return float(np.einsum("it,it->t", self.G @ Z, Z) @ self.w_t)
+
+    def step(self, Z, Y, step, C_F):
+        """Z - step Y, projected radially onto ||F||^2 <= C_F if given."""
+        Z = Z - step * Y
+        if C_F is not None:
+            Z *= radial_scale(self.sq_norm(Z), C_F)
+        return Z
 
 
-def _backtrack(load, grad, J, omega, C_F, measurements, current):
+def _backtrack(Z, Y, J, omega, C_F, coords, current):
     """Halve the trial step until the misfit decreases.
 
     Every call starts afresh at BACKTRACK_START * omega, far above the
-    loose theoretical step.  `current` is the evaluation at `load`.
-    Returns the accepted trial with its misfit and evaluation, or after
-    BACKTRACK_HALVINGS trials (load, J, current).
+    loose theoretical step.  `current` is the output residual at the
+    coordinates Z.  Returns the accepted trial with its misfit and
+    residual, or after BACKTRACK_HALVINGS trials (Z, J, current).
     """
     step = omega * BACKTRACK_START
     for _ in range(BACKTRACK_HALVINGS):
-        trial = _step(load, grad, step, C_F)
-        evaluation = evaluate_objective(trial, measurements, current.kernel)
-        if evaluation.J < J:
-            return trial, evaluation.J, evaluation
+        trial = coords.step(Z, Y, step, C_F)
+        J_trial, residual = coords.evaluate(trial)
+        if J_trial < J:
+            return trial, J_trial, residual
         step *= 0.5
-    return load, J, current
+    return Z, J, current
 
 
 def _stagnated(J_history):

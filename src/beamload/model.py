@@ -219,14 +219,25 @@ def l2_norm_spacetime(load):
                                          load.grid)))
 
 
+def radial_scale(sq_norm, C_F):
+    """The factor of the radial projection onto the ball ||F||^2 <= C_F
+    of a load of squared norm `sq_norm`: 1 inside the ball and at 0,
+    else sqrt(C_F) / ||F||."""
+    norm = float(np.sqrt(sq_norm))
+    if norm ** 2 <= C_F or norm == 0.0:
+        return 1.0
+    return np.sqrt(C_F) / norm
+
+
 def project_admissible(load, C_F):
     """Radial projection onto the ball ||F||^2 <= C_F."""
     if not C_F > 0:
         raise ValueError("C_F must be positive")
-    norm = l2_norm_spacetime(load)
-    if norm ** 2 <= C_F or norm == 0.0:
+    scale = radial_scale(spacetime_inner(load.values, load.values,
+                                         load.grid), C_F)
+    if scale == 1.0:
         return load
-    return LoadField(load.values * (np.sqrt(C_F) / norm), load.grid)
+    return LoadField(load.values * scale, load.grid)
 
 
 @dataclass(frozen=True)

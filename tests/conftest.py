@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from numpy.fft import rfft
 
+from beamload import inversion
 from beamload.assembly import assemble
+from beamload.errors import DivergenceError
 from beamload.forward import (ImpulseKernel, end_rotation_responses,
                               impulse_kernel, kernel_fft_length)
-from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
+from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
+                            SpaceTimeGrid, l2_norm_spacetime,
+                            spacetime_inner)
+from beamload.objective import compute_gradient, evaluate_objective
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +153,76 @@ def count_calls(monkeypatch):
                         monkeypatch.setattr(module, attr, hit[1])
         return calls
     return install
+
+
+def _nodal_landweber(measurements, coeffs, grid, config):
+    """`inversion.run_inversion` as it was when it iterated on nodal
+    load fields: each iterate a LoadField, each trial evaluated by
+    `evaluate_objective`, each gradient the nodal field of
+    `compute_gradient`, each norm a space-time inner product and the
+    radial projection written out.  The oracle of the coordinate loop."""
+    kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    C_F = config.C_F
+    omega = config.omega or inversion.default_step(grid, coeffs, config)
+    morozov = config.tau_d * config.noise_delta
+    morozov_sq = morozov * morozov
+
+    def step(load, grad, size):
+        new = LoadField(load.values - size * grad, load.grid)
+        if C_F is not None:
+            norm = l2_norm_spacetime(new)
+            if not (norm ** 2 <= C_F or norm == 0.0):
+                new = LoadField(new.values * (np.sqrt(C_F) / norm), grid)
+        return new
+
+    load = LoadField.zero(grid)
+    state = inversion.InversionState(load=load, omega=omega,
+                                     kernel_rank=kernel.rank)
+    increases = 0
+    evaluation = evaluate_objective(load, measurements, kernel)
+    for n in range(config.max_iterations + 1):
+        grad = compute_gradient(evaluation)
+        J = evaluation.J
+        gnorm = np.sqrt(spacetime_inner(grad, grad, grid))
+        state.J_history.append(J)
+        state.grad_history.append(gnorm)
+        state.load = load
+        if 2.0 * J <= morozov_sq:
+            state.stop_reason = "discrepancy"
+            break
+        if gnorm < inversion.GRAD_TOL:
+            state.stop_reason = "gradient"
+            break
+        if inversion._stagnated(state.J_history):
+            state.stop_reason = "stagnation"
+            break
+        if n == config.max_iterations:
+            state.stop_reason = "max-iter"
+            break
+        if config.step_rule == "fixed":
+            if len(state.J_history) >= 2 and J > state.J_history[-2]:
+                increases += 1
+                if increases >= 3:
+                    raise DivergenceError("misfit increased for 3 "
+                                          "consecutive fixed steps")
+            else:
+                increases = 0
+            load = step(load, grad, omega)
+            evaluation = evaluate_objective(load, measurements, kernel)
+            continue
+        size = omega * inversion.BACKTRACK_START
+        for _ in range(inversion.BACKTRACK_HALVINGS):
+            trial = step(load, grad, size)
+            trial_evaluation = evaluate_objective(trial, measurements,
+                                                  kernel)
+            if trial_evaluation.J < J:
+                load, evaluation = trial, trial_evaluation
+                break
+            size *= 0.5
+    return state
+
+
+@pytest.fixture(scope="session")
+def nodal_landweber():
+    """The nodal Landweber loop, the reference of `run_inversion`."""
+    return _nodal_landweber

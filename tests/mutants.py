@@ -45,8 +45,7 @@ MUTANTS = [
     ("grid_length_check_dropped", "src/beamload/assembly.py",
      "if len(coeffs.rho_A) != n_nodes:", "if False:"),
     ("force_train_sign_flipped", "src/beamload/forward.py",
-     "train = (-1.0) ** np.arange(n_times - 1)",
-     "train = -(-1.0) ** np.arange(n_times - 1)"),
+     "train = (-1.0) ** np.arange(n)", "train = -(-1.0) ** np.arange(n)"),
     ("newmark_a0_scaled", "src/beamload/forward.py",
      "a0, a1, a2, h = 4.0 / dt ** 2,",
      "a0, a1, a2, h = 4.0 / dt ** 2 * (1 + 1e-8),"),
@@ -91,6 +90,12 @@ MUTANTS = [
     ("table_row_check_long_accepted", "src/beamload/io.py",
      "if data.shape[0] != n_rows:",
      "if data.shape[0] not in (n_rows, n_rows + 1):"),
+    ("gradient_not_reversed_back", "src/beamload/inversion.py",
+     "adjoint_series(residual)[:, ::-1]", "adjoint_series(residual)"),
+    ("output_map_rows_shifted", "src/beamload/inversion.py",
+     "self.P = load_basis[1:-1].T", "self.P = load_basis[:-2].T"),
+    ("radial_factor_unsquared", "src/beamload/model.py",
+     "np.sqrt(C_F) / norm", "C_F / norm"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",

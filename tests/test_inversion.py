@@ -184,7 +184,7 @@ def test_parametric_fit_is_least_squares_on_the_outputs(twin, monkeypatch,
     # noisy, so that J stays far above the round-off of its sum
     series = add_noise(solve_forward(coeffs, truth.field(grid), grid).outputs,
                        NoiseSpec(delta_rel=0.01, seed=0), grid.dt)
-    calls = {"residual": 0, "gradient": 0, "adjoint": 0}
+    calls = {"residual": 0, "adjoint_series": 0, "adjoint": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -195,13 +195,12 @@ def test_parametric_fit_is_least_squares_on_the_outputs(twin, monkeypatch,
     fit = inversion.minimize
     monkeypatch.setattr(inversion, "minimize", lambda fun, *args, **kwargs:
                         fit(counted("residual", fun), *args, **kwargs))
-    monkeypatch.setattr(inversion, "compute_gradient",
-                        counted("gradient", inversion.compute_gradient))
-    monkeypatch.setattr(forward.ImpulseKernel, "adjoint",
-                        counted("adjoint", forward.ImpulseKernel.adjoint))
+    for name in ("adjoint_series", "adjoint"):
+        monkeypatch.setattr(forward.ImpulseKernel, name, counted(
+            name, getattr(forward.ImpulseKernel, name)))
     result = reconstruct_parametric(series, coeffs, grid, start)
     assert result.n_evaluations == calls["residual"] > 1
-    assert calls["gradient"] == calls["adjoint"] == 0
+    assert calls["adjoint_series"] == calls["adjoint"] == 0
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
     J = objective.evaluate_objective(result.family.field(grid), series,
                                      kernel).J
@@ -242,19 +241,17 @@ def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
 # omega = 1 makes every line search reject several trials first
 @pytest.mark.parametrize("omega", [None, 1.0])
 def test_reused_evaluation_matches_a_fresh_one(twin, monkeypatch, omega):
-    """Handing the line search's evaluation on to the gradient changes no
-    bit of the run."""
+    """Handing the line search's output residual on to the gradient
+    changes no bit of the run."""
     grid, coeffs, _, series = twin
     cfg = InversionConfig(step_rule="backtracking", omega=omega,
                           max_iterations=15)
     reused = run_inversion(series, coeffs, grid, config=cfg)
     backtrack = inversion._backtrack
 
-    def fresh(load, grad, J, omega, C_F, measurements, current):
-        new, J_new, _ = backtrack(load, grad, J, omega, C_F, measurements,
-                                  current)
-        return new, J_new, objective.evaluate_objective(
-            new, measurements, current.kernel)
+    def fresh(Z, Y, J, omega, C_F, coords, current):
+        new, J_new, _ = backtrack(Z, Y, J, omega, C_F, coords, current)
+        return new, J_new, coords.evaluate(new)[1]
 
     monkeypatch.setattr(inversion, "_backtrack", fresh)
     plain = run_inversion(series, coeffs, grid, config=cfg)
@@ -263,30 +260,67 @@ def test_reused_evaluation_matches_a_fresh_one(twin, monkeypatch, omega):
     assert np.array_equal(reused.grad_history, plain.grad_history)
 
 
-def test_backtracking_evaluates_each_trial_once(twin, monkeypatch):
-    """One misfit evaluation for the start point, then one per trial: the
-    gradient at an accepted trial reuses the trial's evaluation."""
-    grid, coeffs, _, series = twin
-    calls = {"evaluations": 0, "trials": 0}
-    evaluate, step = inversion.evaluate_objective, inversion._step
+def _kernel_calls(count_calls, monkeypatch):
+    """Counters of the convolutions, of the kernel's coordinate and nodal
+    operators, of the paper's objective and gradient, and of the trial
+    loads the loop makes (`_FieldCoordinates.step`)."""
+    calls = count_calls(forward.convolve_t1, objective.evaluate_objective,
+                        objective.compute_gradient)
 
-    def counted(name, fn):
+    def counted(name, method):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return method(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(inversion, "evaluate_objective",
-                        counted("evaluations", evaluate))
-    monkeypatch.setattr(objective, "evaluate_objective",
-                        counted("evaluations", evaluate))
-    # with the backtracking rule every step is a line-search trial
-    monkeypatch.setattr(inversion, "_step", counted("trials", step))
+    for cls, name in ((forward.ImpulseKernel, "output_series"),
+                      (forward.ImpulseKernel, "adjoint_series"),
+                      (forward.ImpulseKernel, "outputs"),
+                      (forward.ImpulseKernel, "adjoint"),
+                      (inversion._FieldCoordinates, "step")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    return calls
+
+
+def _assert_coordinate_convolutions(calls, state, trials):
+    """One output convolution at F = 0 and one per trial, one adjoint
+    convolution per iterate, no other convolution and no nodal operator:
+    neither the kernel's `outputs` and `adjoint` nor the paper's
+    `evaluate_objective` and `compute_gradient`."""
+    assert calls["output_series"] == 1 + trials
+    assert calls["adjoint_series"] == state.iterations + 1
+    assert calls["convolve_t1"] == (calls["output_series"]
+                                    + calls["adjoint_series"])
+    for nodal in ("outputs", "adjoint", "evaluate_objective",
+                  "compute_gradient"):
+        assert calls[nodal] == 0, nodal
+
+
+def test_backtracking_evaluates_each_trial_once(twin, count_calls,
+                                                monkeypatch):
+    """Counted at the kernel: one output convolution for the start point,
+    then one per trial, and one adjoint convolution per iterate, since
+    the gradient at an accepted trial reuses the trial's residual.
+    omega = 1 forces rejected trials."""
+    grid, coeffs, _, series = twin
+    calls = _kernel_calls(count_calls, monkeypatch)
     state = run_inversion(series, coeffs, grid, config=InversionConfig(
         step_rule="backtracking", omega=1.0, max_iterations=10))
     assert state.iterations == 10
-    assert calls["trials"] > state.iterations
-    assert calls["evaluations"] == 1 + calls["trials"]
+    # with the backtracking rule every step is a line-search trial
+    assert calls["step"] > state.iterations
+    _assert_coordinate_convolutions(calls, state, calls["step"])
+
+
+def test_fixed_step_convolves_twice_per_iteration(twin, count_calls,
+                                                  monkeypatch):
+    """The fixed rule makes one trial per iteration: two convolutions."""
+    grid, coeffs, _, series = twin
+    calls = _kernel_calls(count_calls, monkeypatch)
+    state = run_inversion(series, coeffs, grid, config=InversionConfig(
+        step_rule="fixed", max_iterations=10))
+    assert state.iterations == calls["step"] == 10
+    _assert_coordinate_convolutions(calls, state, state.iterations)
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +382,73 @@ def test_inversion_memory_is_the_kernels_pass(fullfield):
     finally:
         tracemalloc.stop()
     assert peak <= impulse_pass + fields
+
+
+def _oracle_case(source, fullfield, random_case):
+    """(grid, coeffs, measurements, noise level) of the fullfield case,
+    or of a random full-rank case with noiseless data of a random load."""
+    if source == "fullfield":
+        return fullfield
+    grid, coeffs, system, rng = random_case(source)
+    kernel = impulse_kernel(system, grid)
+    assert kernel.rank == (grid.n_nodes, grid.n_nodes - 2)
+    truth = rng.normal(size=(grid.n_nodes, grid.n_times))
+    return grid, coeffs, MeasurementSeries(*kernel.outputs(truth)), 0.0
+
+
+def _outcome(loop, *args):
+    """The run's state, or the DivergenceError it raised."""
+    try:
+        return loop(*args)
+    except DivergenceError as error:
+        return error
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["free", "C_F"])
+@pytest.mark.parametrize("step_rule", ["fixed", "backtracking"])
+@pytest.mark.parametrize("source", ["fullfield", 0, 1, 2, 3, 4])
+def test_coordinate_loop_matches_the_nodal_loop(
+        source, step_rule, bounded, fullfield, random_case,
+        nodal_landweber):
+    """The loop on the kernel's field coordinates takes the nodal loop's
+    steps: the same iteration count and stop reason, and its misfit and
+    gradient histories and load agree to 1e-12 relative, on the factored
+    fullfield kernel (to the Morozov stop) and on full-rank random grids,
+    with the C_F ball off and binding.  The runs stop before the misfit
+    stagnates at round-off, where a trial's acceptance is decided by
+    round-off and the two loops may part.  With the fixed rule and the
+    ball binding, random grids 0 and 1 raise DivergenceError in both
+    loops: on the sphere the projected step of the continuous adjoint's
+    gradient raises the discrete misfit."""
+    grid, coeffs, series, delta = _oracle_case(source, fullfield,
+                                               random_case)
+    long_run = source == "fullfield" and step_rule == "backtracking"
+    config = InversionConfig(step_rule=step_rule, noise_delta=delta,
+                             max_iterations=800 if long_run else 20)
+    if bounded:
+        free = nodal_landweber(series, coeffs, grid, config)
+        C_F = 0.25 * l2_norm_spacetime(free.load) ** 2
+        config = InversionConfig(step_rule=step_rule, noise_delta=delta,
+                                 max_iterations=15, C_F=C_F)
+    ours = _outcome(run_inversion, series, coeffs, grid, config)
+    oracle = _outcome(nodal_landweber, series, coeffs, grid, config)
+    if isinstance(oracle, DivergenceError):
+        assert isinstance(ours, DivergenceError)
+        assert str(ours).startswith("misfit increased for 3")
+        return
+    if bounded:
+        assert l2_norm_spacetime(ours.load) ** 2 == pytest.approx(
+            config.C_F, rel=1e-12)
+    assert ours.kernel_rank == oracle.kernel_rank
+    if source == "fullfield":
+        assert ours.kernel_rank[1] < grid.n_nodes - 2
+    if long_run and not bounded:
+        assert oracle.stop_reason == "discrepancy"
+    assert ours.stop_reason == oracle.stop_reason
+    assert ours.iterations == oracle.iterations
+    for a, b in ((ours.J_history, oracle.J_history),
+                 (ours.grad_history, oracle.grad_history)):
+        a, b = np.array(a), np.array(b)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+    F, F_oracle = ours.load.values, oracle.load.values
+    assert np.max(np.abs(F - F_oracle)) <= 1e-12 * np.max(np.abs(F_oracle))
