@@ -22,7 +22,7 @@ from .measurements import (ModalLoad, MovingGaussian, NoiseSpec, add_noise,
                            smooth_to_h1)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     MeasurementSeries, SpaceTimeGrid, l2_norm_spacetime,
-                    project_admissible, series_l2_norm)
+                    series_l2_norm)
 from .objective import (ObjectiveEvaluation, apply_io_operators,
                         compute_gradient, evaluate_objective)
 from .verify import (duality_checks, gradient_fd_checks,
@@ -38,7 +38,7 @@ __all__ = [
     "compute_gradient", "duality_checks", "energy_residual",
     "evaluate_objective", "generate_scenario", "gradient_fd_checks",
     "l2_norm_spacetime", "manufactured_case",
-    "newmark_integrate", "project_admissible", "reconstruct_parametric",
+    "newmark_integrate", "reconstruct_parametric",
     "run_inversion", "series_l2_norm", "smooth_to_h1", "solve_adjoint",
     "solve_forward", "transfer_constant", "verify_inequality_suite",
     "__version__",

@@ -372,15 +372,15 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = read_config(args.config)
-        grid = SpaceTimeGrid(**_family(cfg, "grid."))
-        coeffs = build_coefficients(cfg, grid)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create --out: {exc}") from None
-        # a float that leaves range is an error wherever it happens;
-        # underflow to 0 stays allowed
+        # a float that leaves range is an error wherever it happens, from
+        # the grid's nodes on; underflow to 0 stays allowed
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            grid = SpaceTimeGrid(**_family(cfg, "grid."))
+            coeffs = build_coefficients(cfg, grid)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create --out: {exc}") from None
             code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
         _write_manifest(args)
         return code

@@ -39,6 +39,16 @@ def _block_diagonal(ab, n_cases):
     return np.asfortranarray(np.tile(ab, n_cases))
 
 
+def _cholesky(ab, name):
+    """`cholesky_banded` of the band storage ab of the `name` matrix; a
+    failed factorization is a DivergenceError that names it."""
+    try:
+        return cholesky_banded(ab)
+    except np.linalg.LinAlgError:
+        raise DivergenceError(
+            f"{name} matrix not positive definite") from None
+
+
 def newmark_integrate(M, C, K, forces, dt):
     """Integrate M a + C v + K u = f(t) from rest.
 
@@ -50,7 +60,8 @@ def newmark_integrate(M, C, K, forces, dt):
     transposed views of arrays stored one instant per row, so that each
     step writes contiguous rows.  Only the current acceleration is kept.
     The effective matrix K + a0 M + a1 C is summed band by band and
-    factored once with a banded symmetric Cholesky factorization; each
+    factored once with a banded symmetric Cholesky factorization (a
+    DivergenceError naming the matrix when it or M fails); each
     step makes two banded matvecs and one banded solve, bound once per
     pass to fixed buffers.
 
@@ -77,8 +88,7 @@ def newmark_integrate(M, C, K, forces, dt):
     if not (a0 > 0 and np.isfinite(eff).all()):
         raise DivergenceError(f"time step {dt:g} out of floating range")
 
-    cb_eff = cholesky_banded(eff)
-    cb_M = cholesky_banded(M)
+    cb_eff, cb_M = _cholesky(eff, "effective"), _cholesky(M, "mass")
 
     u = np.zeros((n_times, n_cases * n))
     v = np.zeros((n_times, n_cases * n))

@@ -92,7 +92,8 @@ def run_inversion(measurements, coeffs, grid, config=None):
     Stop rules: Morozov discrepancy 2J <= (tau_d * delta)^2, vanishing
     gradient, stagnation of J, or the iteration cap.  With the fixed rule
     three consecutive misfit increases raise DivergenceError, since the
-    theory guarantees monotone decrease for omega <= 1 / L_G.
+    theory guarantees monotone decrease for omega <= 1 / L_G with an
+    exact gradient; the continuous adjoint's is exact only to O(h^2).
     """
     config = config or InversionConfig()
     kernel = impulse_kernel(assemble(grid, coeffs), grid)
@@ -135,8 +136,10 @@ def run_inversion(measurements, coeffs, grid, config=None):
                 if increases >= 3:
                     raise DivergenceError(
                         "misfit increased for 3 consecutive fixed steps; "
-                        "L_G may be underestimated or the discretization "
-                        "inconsistent")
+                        "L_G may be underestimated, the discretization "
+                        "inconsistent, or the continuous adjoint's "
+                        "gradient, which is inexact, no descent direction "
+                        "on the C_F sphere")
             else:
                 increases = 0
             Z = coords.step(Z, Y, omega, C_F)

@@ -229,17 +229,6 @@ def radial_scale(sq_norm, C_F):
     return np.sqrt(C_F) / norm
 
 
-def project_admissible(load, C_F):
-    """Radial projection onto the ball ||F||^2 <= C_F."""
-    if not C_F > 0:
-        raise ValueError("C_F must be positive")
-    scale = radial_scale(spacetime_inner(load.values, load.values,
-                                         load.grid), C_F)
-    if scale == 1.0:
-        return load
-    return LoadField(load.values * scale, load.grid)
-
-
 @dataclass(frozen=True)
 class MeasurementSeries:
     """End-slope series theta_0(t), theta_l(t) in rad.

@@ -26,9 +26,9 @@ from numpy.fft import rfft
 from .adjoint import adjoint_rows
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, apriori_rows, band_product, convolve_t1,
-                      cumtrapz, end_rotation_responses, impulse_kernel,
-                      kernel_fft_length, solve_forward)
+from .forward import (EPS_FLOOR, _factor_rows, apriori_rows, band_product,
+                      convolve_t1, cumtrapz, end_rotation_responses,
+                      impulse_kernel, kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner)
@@ -119,70 +119,66 @@ def random_smooth_series(grid, rng):
     return _moment(grid, rng.normal(size=3))
 
 
-# DOF rows of the basis states formed at a time
-_ROWS = 32
-
-
-def _basis_states(velocities, series, n_fft, lo, hi):
-    """Velocity states (n_in * n_per, hi - lo, n_times) on DOFs lo..hi - 1
-    of input series (n_in, n_per, n_times): series[i] convolves with
-    velocities[i], the velocity response (n_dofs, n_times - 1) to a unit
-    impulse at t_1, given from t_1 on."""
-    n_in, n_per, n_times = series.shape
-    states = np.empty((n_in, n_per, hi - lo, n_times))
-    for response, inputs, out in zip(velocities, series, states):
-        spectrum = rfft(response[lo:hi], n_fft)[:, None]
-        for x, state in zip(inputs, out):
-            state[:] = convolve_t1(spectrum, x[None], n_fft)
-    return states.reshape(n_in * n_per, hi - lo, n_times)
+def _coordinates(velocity, inputs, n_fft):
+    """(C, Y) with the velocity states of the input series (n_per,
+    n_times) equal to C Y[p]: `velocity` is the response (n_dofs,
+    n_times - 1) to a unit impulse at t_1, given from t_1 on, factored
+    as C W by `_factor_rows` (C the identity at full rank), and Y (n_per,
+    r, n_times) convolves each input with the r rows of W."""
+    C, W = _factor_rows(velocity)
+    Y = np.empty((len(inputs),) + W.shape[:1] + inputs.shape[1:])
+    spectrum = rfft(W, n_fft)[:, None]
+    del W
+    for x, y in zip(inputs, Y):
+        y[:] = convolve_t1(spectrum, x[None], n_fft)
+    return np.eye(Y.shape[1]) if C is None else C, Y
 
 
 def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
     """The Gram series G(t)[i, j] = x_i(t)' A x_j(t) of int w^2, int
-    w_xx^2 and int w_xxt^2 dx over the velocity states w of
-    `_basis_states`, and the bases (n_basis, n_times) of the displacement
-    and velocity at each of the `traces` DOFs.
+    w_xx^2 and int w_xxt^2 dx over the velocity states w, and the bases
+    (n_basis, n_times) of the displacement and velocity at each of the
+    `traces` DOFs.  The states of series[k] (n_per, n_times) convolve
+    with velocities[k], in basis order k, p.
 
-    The states are formed `_ROWS` DOFs at a time, never whole, with k
-    halo rows on each side, k the half-width of the unit bands: a column
-    slice of upper band storage is its range's principal submatrix, so
-    `band_product` of it is exact on the block's own rows, whose shares
-    of the sums are added in.  Each A x_i is formed first, as
-    `quadratic_forms` does.  The displacement is the velocity's
-    cumulative trapezoid from rest, which average-acceleration Newmark
-    satisfies exactly; it overwrites each block state by state once the
-    velocity Grams are added."""
-    M1, K1 = unit
-    k, n_dofs = K1.shape[0] - 1, velocities[0].shape[0]
-    n_basis, n_times = series.shape[0] * series.shape[1], series.shape[2]
+    The responses are of low rank, since the damping kills the high
+    modes, so each state is held as coordinates, C_k Y_k[p] of
+    `_coordinates`, and each Gram block as Y_k' (C_k' A C_l) Y_l, with A
+    C_l formed first as `quadratic_forms` does.  `velocities` is a list,
+    emptied as each response is factored.  The displacement is the
+    velocity's cumulative trapezoid from rest, which average-acceleration
+    Newmark satisfies exactly, so its coordinates are the cumtrapz of
+    Y_k; a trace line is the DOF's row of C_k times them."""
+    factors = [_coordinates(velocities.pop(0), inputs, n_fft)
+               for inputs in series]
+    n_per, n_times = series.shape[1:]
+    n_basis = len(factors) * n_per
+    rows = [slice(k * n_per, (k + 1) * n_per) for k in range(len(factors))]
     # int w^2, int w_xx^2, int w_xxt^2, in the order of `apriori_series`
-    grams = np.zeros((3, n_times, n_basis, n_basis))
+    grams = np.empty((3, n_times, n_basis, n_basis))
     lines = np.empty((len(traces), 2, n_basis, n_times))
 
-    def add(gram, ab, X, rows):
-        for i, x in enumerate(X):
-            gram[:, i] += np.einsum("dt,jdt->tj", band_product(ab, x)[rows],
-                                    X[:, rows])
+    def fill(gram, ab):
+        AC = [band_product(ab, C) for C, _ in factors]
+        for k, (Ck, Yk) in enumerate(factors):
+            for l in range(k, len(factors)):
+                AY = np.matmul(Ck.T @ AC[l], factors[l][1])
+                block = np.einsum("iat,jat->tij", Yk, AY)
+                gram[:, rows[k], rows[l]] = block
+                gram[:, rows[l], rows[k]] = block.transpose(0, 2, 1)
 
-    def add_block(start, stop):
-        lo, hi = max(start - k, 0), min(stop + k, n_dofs)
-        X = _basis_states(velocities, series, n_fft, lo, hi)
-        rows = slice(start - lo, stop - lo)
-        held = [(line, dof - lo) for dof, line in zip(traces, lines)
-                if start <= dof < stop]
-        for line, row in held:
-            line[1] = X[:, row]
-        add(grams[0], M1[:, lo:hi], X, rows)
-        add(grams[2], K1[:, lo:hi], X, rows)
-        for x in X:
-            x[:] = cumtrapz(x, dt)
-        for line, row in held:
-            line[0] = X[:, row]
-        add(grams[1], K1[:, lo:hi], X, rows)
+    def trace(which):
+        for dof, line in zip(traces, lines):
+            line[which] = np.concatenate([C[dof] @ Y for C, Y in factors])
 
-    # each block's states go when its call returns, before the next's
-    for start in range(0, n_dofs, _ROWS):
-        add_block(start, min(start + _ROWS, n_dofs))
+    fill(grams[0], unit[0])
+    fill(grams[2], unit[1])
+    trace(1)
+    for _, Y in factors:
+        for y in Y:
+            y[:] = cumtrapz(y, dt)
+    fill(grams[1], unit[1])
+    trace(0)
     return grams, list(lines.reshape(-1, n_basis, n_times))
 
 
@@ -246,8 +242,8 @@ def audit_operators(grid, coeffs):
     n_fft = kernel_fft_length(grid)
     forward = _forward_bases(coeffs, grid, system, n_fft, unit)
     u, velocities = end_rotation_responses(system, grid)
+    velocities = list(velocities)
     adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
-    del velocities
     return impulse_kernel(system, grid, u), forward, adjoint
 
 

@@ -811,7 +811,10 @@ def takes_a_number(key):
     return key.startswith("coeff.") or not isinstance(value, str)
 
 
-EXTREMES = ("1e-300", "1e300", "-1e300")
+# besides +-1e300 and 1e-300: the largest float, its negative and the
+# least subnormal
+EXTREMES = ("1e-300", "1e300", "-1e300", "1.7976931348623157e308",
+            "-1.7976931348623157e308", "5e-324")
 # a duality tolerance of 1, so that the coarse grid's duality gap, which
 # is no exit-code fault, flags nothing
 SWEEP_BASE = BASE + """
@@ -846,7 +849,7 @@ SWEEP_READERS = {
 
 
 def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
-    """Every numeric key at 1e-300, 1e300 and -1e300, under each command
+    """Every numeric key at each of `EXTREMES`, under each command
     that reads it: `main` returns a documented exit code, raises and
     warns nothing, and writes at most one stderr line besides VIOLATION
     lines."""
@@ -870,6 +873,24 @@ def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
                     broken.append((cmd, key, value, code, len(caught),
                                    lines[:1]))
     assert broken == []
+
+
+@pytest.mark.parametrize("cmd", ["forward", "verify", "invert", "scenario"])
+def test_largest_length_with_a_coefficient_csv_is_one_line(tmp_path, capsys,
+                                                           cmd):
+    """At the largest float as grid.length the 6-element grid's nodes
+    overflow (l / 6 times 6 rounds past it) when a coefficient CSV is
+    sampled at them: one numeric-failure line, and no warning."""
+    coeff = tmp_path / "r.csv"
+    save_coefficient(coeff, np.linspace(0.0, 1.0, 7), np.full(7, 0.8))
+    cfg = write_cfg(tmp_path, BASE + f"coeff.r = {coeff}\n"
+                    "grid.n_elements = 6\ngrid.n_steps = 16\n"
+                    "grid.length = 1.7976931348623157e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cmd, cfg, tmp_path / "out") == 3
+    assert caught == []
+    assert "overflow" in assert_one_line_numeric_failure(capsys)
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

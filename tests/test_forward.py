@@ -97,6 +97,17 @@ def test_newmark_names_first_non_finite_step():
                           1e-300 * np.eye(1), forces, 1.0)
 
 
+@pytest.mark.parametrize("M,K,name", [(np.zeros((1, 1)), np.eye(1), "mass"),
+                                       (np.eye(1), -np.eye(1) * 1e3,
+                                        "effective")],
+                         ids=["mass", "effective"])
+def test_newmark_names_a_failed_factorization(M, K, name):
+    """A band matrix that is not positive definite is a DivergenceError
+    naming it, not LAPACK's error."""
+    with pytest.raises(DivergenceError, match=f"^{name} matrix"):
+        newmark_integrate(M, np.zeros((1, 1)), K, np.zeros((4, 1)), 0.1)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_newmark_displacement_is_trapezoid_of_velocity(seed, random_case):
     """Average acceleration makes u_{k+1} = u_k + dt/2 (v_k + v_{k+1}), so

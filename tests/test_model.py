@@ -4,7 +4,7 @@ import pytest
 from beamload.errors import DimensionError, ValidationError
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
                             MeasurementSeries, SpaceTimeGrid,
-                            l2_norm_spacetime, project_admissible,
+                            l2_norm_spacetime, radial_scale,
                             series_l2_norm, trapezoid_weights)
 
 
@@ -69,16 +69,16 @@ def test_load_field_shape_guard_and_algebra():
 
 
 def test_projection_onto_admissible_ball():
+    """Outside the ball ||F||^2 <= C_F the factor scales a load onto its
+    sphere; inside it and at 0 it is 1."""
     g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
     big = LoadField(np.full((g.n_nodes, g.n_times), 5.0), g)
     C_F = 4.0
-    proj = project_admissible(big, C_F)
-    assert l2_norm_spacetime(proj) ** 2 == pytest.approx(C_F)
+    proj = big.values * radial_scale(l2_norm_spacetime(big) ** 2, C_F)
+    assert l2_norm_spacetime(LoadField(proj, g)) ** 2 == pytest.approx(C_F)
     small = LoadField(np.full((g.n_nodes, g.n_times), 0.1), g)
-    assert project_admissible(small, C_F) is small
-    for bad in (0.0, float("nan")):
-        with pytest.raises(ValueError):
-            project_admissible(small, bad)
+    assert radial_scale(l2_norm_spacetime(small) ** 2, C_F) == 1.0
+    assert radial_scale(0.0, C_F) == 1.0
 
 
 TIGHT = CoefficientBounds(1, 1, 0, 0, 0, 0, 1, 1, 0.01, 0.01)

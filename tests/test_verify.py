@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.fft import rfft
 
 from beamload import adjoint, assembly, forward, verify
 from beamload.adjoint import check_adjoint_estimates, solve_adjoint
@@ -267,18 +268,42 @@ def moment_series(grid):
     return np.stack([verify._moment_modes(grid)[:, ::-1]] * 2)
 
 
+def whole_basis_states(velocities, series, n_fft):
+    """Velocity states (n_in * n_per, n_dofs, n_times) of input series
+    (n_in, n_per, n_times): series[i] convolves with velocities[i], the
+    velocity response (n_dofs, n_times - 1) to a unit impulse at t_1,
+    given from t_1 on, on every DOF at once: the states before the suite
+    held them as factored coordinates."""
+    n_in, n_per, n_times = series.shape
+    states = np.empty((n_in, n_per, velocities[0].shape[0], n_times))
+    for response, inputs, out in zip(velocities, series, states):
+        spectrum = rfft(response, n_fft)[:, None]
+        for x, state in zip(inputs, out):
+            state[:] = forward.convolve_t1(spectrum, x[None], n_fft)
+    return states.reshape(n_in * n_per, -1, n_times)
+
+
+def factored_states(velocities, series, n_fft):
+    """The velocity states C_k Y_k[p] of the suite's coordinates, in the
+    order of `whole_basis_states`."""
+    states = []
+    for velocity, inputs in zip(velocities, series):
+        C, Y = verify._coordinates(velocity, inputs, n_fft)
+        states += [C @ y for y in Y]
+    return np.array(states)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
-    """The basis states the suite's Gram series are formed from agree with
-    `solve_forward` of each basis load and `solve_adjoint` of each basis
-    moment to 1e-9 relative on every reduced DOF and instant, on variable
+    """The basis states that the suite's Gram series are formed from, C_k
+    times the coordinates of each response, agree with `solve_forward` of
+    each basis load and `solve_adjoint` of each basis moment to 1e-9
+    relative on every reduced DOF and instant, on variable
     coefficients."""
     grid, coeffs, system, _ = random_case(seed)
     n_fft = forward.impulse_kernel(system, grid).n_fft
-    n_dofs = system.n_dofs
-    rates = verify._basis_states(mode_pulse_velocities(grid, coeffs, system),
-                                 verify._load_histories(grid), n_fft, 0,
-                                 n_dofs)
+    rates = factored_states(mode_pulse_velocities(grid, coeffs, system),
+                            verify._load_histories(grid), n_fft)
     pairs = []
     for rate, c in zip(rates, np.eye(8)):
         ref = solve_forward(coeffs, verify._modal_load(grid, c), grid,
@@ -286,8 +311,7 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
         pairs += [(rate, ref.v), (cumtrapz(rate, grid.dt), ref.u)]
 
     velocities = forward.end_rotation_responses(system, grid)[1]
-    rates = verify._basis_states(velocities, moment_series(grid), n_fft, 0,
-                                 n_dofs)
+    rates = factored_states(velocities, moment_series(grid), n_fft)
     modes = verify._moment_modes(grid)
     zero = np.zeros(grid.n_times)
     for rate, (p, q) in zip(rates, [(m, zero) for m in modes]
@@ -303,8 +327,7 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
 
 def whole_gram_series(ab, X):
     """G(t)[i, j] = x_i(t)' A x_j(t), (n_times, n_basis, n_basis), of
-    whole states X (n_basis, n_dofs, n_times), each A x_i formed first:
-    the Gram series before the suite summed them block by block."""
+    whole states X (n_basis, n_dofs, n_times), each A x_i formed first."""
     gram = np.empty((X.shape[2], len(X), len(X)))
     for i, x in enumerate(X):
         gram[:, i] = np.einsum("dt,jdt->tj", band_product(ab, x), X)
@@ -314,40 +337,35 @@ def whole_gram_series(ab, X):
 def whole_norm_bases(velocities, series, n_fft, unit, dt, traces):
     """`verify._norm_bases` on the whole basis states."""
     M1, K1 = unit
-    X = verify._basis_states(velocities, series, n_fft, 0,
-                             velocities[0].shape[0])
+    X = whole_basis_states(velocities, series, n_fft)
     U = cumtrapz(X, dt)
     grams = (whole_gram_series(M1, X), whole_gram_series(K1, U),
              whole_gram_series(K1, X))
     return grams, [line for dof in traces for line in (U[:, dof], X[:, dof])]
 
 
-@pytest.mark.parametrize("seed,rows", [(4, 32), (10, 32), (18, 32),
-                                       (0, 19), (2, 5), (3, 1)])
-def test_blocked_gram_series_match_the_whole_states(seed, rows, random_case,
-                                                    monkeypatch):
-    """The Gram series summed block by block, and the trace lines copied
-    from the blocks, equal those of the whole states to 1e-12 relative:
-    on DOF counts that are no multiple of the block, with each end
-    rotation at a block edge, theta_l alone in the last block (19 rows of
-    20 DOFs), and halos that span several blocks (1 row)."""
+@pytest.mark.parametrize("seed", [4, 10, 18, 0, 2, 3])
+def test_factored_gram_series_match_the_whole_states(seed, random_case):
+    """The Gram series and the trace lines formed from factored
+    coordinates equal those of the whole states to 1e-12 relative, for
+    the forward and the adjoint bases."""
     grid, coeffs, system, _ = random_case(seed)
-    assert system.n_dofs > rows and (system.n_dofs % rows or rows == 1)
-    monkeypatch.setattr(verify, "_ROWS", rows)
     unit = assembly.unit_norm_matrices(grid)
     n_fft = forward.impulse_kernel(system, grid).n_fft
     for velocities, series, traces in (
             (mode_pulse_velocities(grid, coeffs, system),
              verify._load_histories(grid),
              (system.theta0_dof, system.thetaL_dof)),
-            (forward.end_rotation_responses(system, grid)[1],
+            (list(forward.end_rotation_responses(system, grid)[1]),
              moment_series(grid), ())):
-        blocked = verify._norm_bases(velocities, series, n_fft, unit,
-                                     grid.dt, traces)
         whole = whole_norm_bases(velocities, series, n_fft, unit, grid.dt,
                                  traces)
-        assert len(blocked[1]) == len(whole[1]) == 2 * len(traces)
-        for a, b in zip(itertools.chain(*blocked), itertools.chain(*whole)):
+        factored = verify._norm_bases(velocities, series, n_fft, unit,
+                                      grid.dt, traces)
+        assert velocities == []
+        assert len(factored[1]) == len(whole[1]) == 2 * len(traces)
+        for a, b in zip(itertools.chain(*factored),
+                        itertools.chain(*whole)):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
