@@ -68,11 +68,11 @@ def adjoint_series(field, unit):
             quadratic_forms(K1, field.phi_t))
 
 
-def adjoint_rows(series, grid, coeffs, dp, dq, slack=DEFAULT_SLACK,
-                 scenario="", ct_variant="literal"):
-    """CheckRows of the six adjoint-solution bounds on the norm series of
-    `adjoint_series`.
-
+def check_adjoint_estimates(series, grid, coeffs, dp, dq,
+                            slack=DEFAULT_SLACK, scenario="",
+                            ct_variant="literal"):
+    """CheckRows of the six adjoint-solution bounds on norm series as
+    `adjoint_series` gives them, an adjoint field's or the suite's.
     dp and dq are the derivative series of the moment inputs.  Bounds
     use C_0^2 of `compute_constants` and the combined input-derivative
     norm ||p'||^2 + ||q'||^2.
@@ -100,12 +100,3 @@ def adjoint_rows(series, grid, coeffs, dp, dq, slack=DEFAULT_SLACK,
     ]
     return estimate_rows("adjoint_", scenario, bounds, slack)
 
-
-def check_adjoint_estimates(field, coeffs, dp, dq, unit, slack=DEFAULT_SLACK,
-                            scenario="", ct_variant="literal"):
-    """Discrete check of the six adjoint-solution bounds of a field:
-    `adjoint_rows` of its `adjoint_series`.  `unit` is the (M, K_r) pair
-    of `unit_norm_matrices`.
-    """
-    return adjoint_rows(adjoint_series(field, unit), field.grid, coeffs, dp,
-                        dq, slack, scenario, ct_variant)

@@ -17,7 +17,7 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DimensionError, DivergenceError
 from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
-                    l2_norm_spacetime, trapezoid_weights)
+                    trapezoid_weights)
 
 EPS_FLOOR = 1e-14
 EPS = np.finfo(float).eps
@@ -185,9 +185,12 @@ class ImpulseKernel:
     Kelvin-Voigt damping (kappa > 0) damps the high modes within a few
     steps, so the responses of neighbouring nodes are nearly dependent:
     at 64x512 with kappa = 0.02 the rank is 28-30 of 65 and 28-31 of 63
-    (`impulse_kernel` states the rule).  A basis of None is the identity:
-    at full rank the responses are kept node by node and applied as
-    they are.  `rank` is (r_out, r_adj).
+    (`impulse_kernel` states the rule).  At full rank the bases are
+    square.  `rank` is (r_out, r_adj).  A load F = nodal(field_basis z)
+    has the load coordinates P z and the squared space norm z' G z, with
+    the `coupling` P = load_basis[1:-1]' field_basis and the `field_gram`
+    G = field_basis' diag(w_x) field_basis, w_x the interior nodes'
+    trapezoid weights.
 
     `system` is the assembled system the responses belong to.
     """
@@ -197,8 +200,10 @@ class ImpulseKernel:
     outputs_t1: np.ndarray
     adjoint_t1: np.ndarray
     system: object
-    load_basis: np.ndarray = None
-    field_basis: np.ndarray = None
+    load_basis: np.ndarray
+    field_basis: np.ndarray
+    coupling: np.ndarray
+    field_gram: np.ndarray
 
     @property
     def rank(self):
@@ -220,9 +225,7 @@ class ImpulseKernel:
         `output_series` of their `load_basis` coordinates."""
         if not np.all(np.isfinite(values)):
             raise DivergenceError("non-finite force input")
-        if self.load_basis is not None:
-            values = self.load_basis.T @ values
-        theta = self.output_series(values)
+        theta = self.output_series(self.load_basis.T @ values)
         return theta[0], theta[1]
 
     def output_series(self, series):
@@ -237,9 +240,8 @@ class ImpulseKernel:
         """Nodal adjoint field (n_nodes, n_times) of moment data p, q: the
         deflection rows of `solve_adjoint`, zero at the end nodes.  It is
         `field_basis` times the `adjoint_series`, reversed in time."""
-        phi_tau = self.adjoint_series(np.array([p, q], dtype=float))
-        if self.field_basis is not None:
-            phi_tau = self.field_basis @ phi_tau
+        phi_tau = self.field_basis @ self.adjoint_series(
+            np.array([p, q], dtype=float))
         return self.system.nodal(phi_tau[:, ::-1])
 
     def adjoint_series(self, pq):
@@ -331,8 +333,8 @@ def _factor_rows(rows):
     """(C, W) with rows ~ C W, C = rows W' of shape (m, r) and W of
     orthonormal rows (r, n), at the numerical rank r of the (m, n) rows:
     numpy's `matrix_rank` rule, with no row of the residual
-    rows - C W above max(m, n) eps times the largest row.  (None, rows)
-    when r = m.
+    rows - C W above max(m, n) eps times the largest row.  At full rank
+    r = m, W is an orthonormal basis of all m rows.
 
     Each round picks rows of the residual by pivoted Cholesky on its
     Gram and orthonormalizes them against W and among themselves by
@@ -357,7 +359,7 @@ def _factor_rows(rows):
             r += 1
         del residual
     if r == m:
-        return None, rows
+        C = rows @ W.T
     return C, W[:r].copy()
 
 
@@ -390,10 +392,13 @@ def impulse_kernel(system, grid, u=None):
     field_basis, adjoint_t1 = _factored_spectra(
         np.concatenate([r[system.deflection_dofs] for r in u], axis=1),
         n_fft)
+    w_x = trapezoid_weights(grid.n_nodes, grid.h)[1:-1]
     return ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times, outputs_t1=outputs_t1,
         adjoint_t1=np.ascontiguousarray(adjoint_t1.transpose(1, 0, 2)),
-        system=system, load_basis=load_basis, field_basis=field_basis)
+        system=system, load_basis=load_basis, field_basis=field_basis,
+        coupling=load_basis[1:-1].T @ field_basis,
+        field_gram=field_basis.T @ (w_x[:, None] * field_basis))
 
 
 def solve_forward(coeffs, load, grid, system=None):
@@ -503,12 +508,12 @@ def apriori_series(traj, unit):
             u[s.thetaL_dof], v[s.thetaL_dof])
 
 
-def apriori_rows(series, grid, coeffs, F_sq, slack=DEFAULT_SLACK,
-                 scenario=""):
+def check_apriori_estimates(series, grid, coeffs, F_sq,
+                            slack=DEFAULT_SLACK, scenario=""):
     """CheckRows of the six volume-norm and four boundary-trace a-priori
-    bounds on the norm series of `apriori_series`, for a load of squared
-    norm F_sq, with the constants C_e^2 and C_1^2 of
-    `compute_constants`."""
+    bounds on norm series as `apriori_series` gives them, a trajectory's
+    or the suite's, for a load of squared norm F_sq, with the constants
+    C_e^2 and C_1^2 of `compute_constants`."""
     b = coeffs.bounds
     ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series
     wt = trapezoid_weights(grid.n_times, grid.dt)
@@ -529,17 +534,6 @@ def apriori_rows(series, grid, coeffs, F_sq, slack=DEFAULT_SLACK,
         ("trace_uxtL", float(wt @ thL_t ** 2), C1_sq / b.kappa0 * F_sq),
     ]
     return estimate_rows("apriori_", scenario, bounds, slack)
-
-
-def check_apriori_estimates(traj, coeffs, load, unit, slack=DEFAULT_SLACK,
-                            scenario=""):
-    """Discrete check of the solution and trace a-priori estimates of a
-    trajectory and its load: `apriori_rows` of its `apriori_series`.
-    `unit` is the (M, K_r) pair of `unit_norm_matrices`.  Returns a list
-    of CheckRow records.
-    """
-    return apriori_rows(apriori_series(traj, unit), traj.grid, coeffs,
-                        l2_norm_spacetime(load) ** 2, slack, scenario)
 
 
 def estimate_rows(prefix, scenario, bounds, slack):

@@ -147,34 +147,26 @@ def run_inversion(measurements, coeffs, grid, config=None):
         else:
             Z, J, residual = _backtrack(Z, Y, J, omega, C_F, coords,
                                         residual)
-    state.load = LoadField(kernel.system.nodal(coords.field_basis @ Z), grid)
+    state.load = LoadField(kernel.system.nodal(kernel.field_basis @ Z), grid)
     return state
 
 
 class _FieldCoordinates:
     """The Landweber loop's operators on coordinates Z (r_adj, n_times)
     of the load F = nodal(field_basis Z), for one kernel and one data
-    set; a basis of None is the identity.
+    set.
 
     The outputs of F are the output convolution of P Z, with the
-    (r_out, r_adj) matrix P = load_basis[1:-1]' field_basis, and the
-    squared norm ||F||^2 is sum_t w_t z_t' G z_t, with the Gram matrix
-    G = field_basis' diag(w_x) field_basis of the interior nodes'
-    trapezoid weights and the trapezoid time weights w_t.
+    kernel's `coupling` P, and the squared norm ||F||^2 is
+    sum_t w_t z_t' G z_t, with its `field_gram` G and the trapezoid time
+    weights w_t.
     """
 
     def __init__(self, kernel, measurements, grid):
         if measurements.n_times != grid.n_times:
             raise ValueError("measurements do not match the time grid")
-        n = grid.n_nodes
-        load_basis = (np.eye(n) if kernel.load_basis is None
-                      else kernel.load_basis)
-        field_basis = (np.eye(n - 2) if kernel.field_basis is None
-                       else kernel.field_basis)
-        w_x = trapezoid_weights(n, grid.h)[1:-1]
-        self.kernel, self.field_basis = kernel, field_basis
-        self.P = load_basis[1:-1].T @ field_basis
-        self.G = field_basis.T @ (w_x[:, None] * field_basis)
+        self.kernel = kernel
+        self.P, self.G = kernel.coupling, kernel.field_gram
         self.w_t = trapezoid_weights(grid.n_times, grid.dt)
         self.theta = np.array([measurements.theta0, measurements.thetaL])
 

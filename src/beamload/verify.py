@@ -23,15 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft
 
-from .adjoint import adjoint_rows
+from .adjoint import check_adjoint_estimates
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, _factor_rows, apriori_rows, band_product,
-                      convolve_t1, cumtrapz, end_rotation_responses,
-                      impulse_kernel, kernel_fft_length, solve_forward)
+from .forward import (EPS_FLOOR, _factor_rows, band_product,
+                      check_apriori_estimates, convolve_t1, cumtrapz,
+                      end_rotation_responses, impulse_kernel,
+                      kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
-                    time_inner)
+                    time_inner, trapezoid_weights)
 from .objective import compute_gradient, evaluate_objective, misfit
 
 
@@ -123,15 +124,15 @@ def _coordinates(velocity, inputs, n_fft):
     """(C, Y) with the velocity states of the input series (n_per,
     n_times) equal to C Y[p]: `velocity` is the response (n_dofs,
     n_times - 1) to a unit impulse at t_1, given from t_1 on, factored
-    as C W by `_factor_rows` (C the identity at full rank), and Y (n_per,
-    r, n_times) convolves each input with the r rows of W."""
+    as C W by `_factor_rows`, and Y (n_per, r, n_times) convolves each
+    input with the r rows of W."""
     C, W = _factor_rows(velocity)
     Y = np.empty((len(inputs),) + W.shape[:1] + inputs.shape[1:])
     spectrum = rfft(W, n_fft)[:, None]
     del W
     for x, y in zip(inputs, Y):
         y[:] = convolve_t1(spectrum, x[None], n_fft)
-    return np.eye(Y.shape[1]) if C is None else C, Y
+    return C, Y
 
 
 def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
@@ -221,13 +222,16 @@ def _adjoint_bases(grid, velocities, n_fft, unit):
 
 def _output_bases(grid, kernel):
     """The outputs (theta_0, theta_l) of the 8 basis loads, (8, 2,
-    n_times), and the space-time Gram of their gradients, the kernel's
-    adjoint fields of those outputs, (8, 8)."""
+    n_times), and the (8, 8) space-time Gram of their gradients, the
+    adjoint fields of those outputs: sum_t w_t y_i' G y_j over their
+    `adjoint_series` coordinates y and the kernel's `field_gram` G; the
+    time weights w_t are symmetric, so y stays in reversed time."""
     outputs = np.array([kernel.outputs(_modal_load(grid, c).values)
                         for c in np.eye(8)])
-    fields = [kernel.adjoint(*theta) for theta in outputs]
-    return outputs, np.array([[spacetime_inner(a, b, grid) for b in fields]
-                              for a in fields])
+    Y = [kernel.adjoint_series(theta) for theta in outputs]
+    w_t = trapezoid_weights(grid.n_times, grid.dt)
+    return outputs, np.array([[np.vdot(gy, y) for y in Y] for gy in
+                              (kernel.field_gram @ y * w_t for y in Y)])
 
 
 def audit_operators(grid, coeffs):
@@ -257,8 +261,8 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
     F_norm_sq = l2_norm_spacetime(load) ** 2
 
     # a-priori bounds: six volume norms and four boundary traces
-    rows = apriori_rows(_series(forward, c1), grid, coeffs,
-                        F_norm_sq, slack, tag)
+    rows = check_apriori_estimates(_series(forward, c1), grid, coeffs,
+                                   F_norm_sq, slack, tag)
 
     # Rolle-type inequality, closed forms on a random sine sum w: the
     # int w_x^2 and (l^2 / 2) int w_xx^2 of each mode, with l divided
@@ -302,8 +306,9 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
     a_p, a_q = rng.normal(size=3), rng.normal(size=3)
     (_, dp), (_, dq) = (_moment(grid, a_p, moment_factors),
                         _moment(grid, a_q, moment_factors))
-    rows += adjoint_rows(_series(adjoint, np.concatenate([a_p, a_q])), grid,
-                         coeffs, dp, dq, slack, tag, ct_variant)
+    rows += check_adjoint_estimates(
+        _series(adjoint, np.concatenate([a_p, a_q])), grid, coeffs, dp, dq,
+        slack, tag, ct_variant)
 
     # Lipschitz continuity of the gradient: the gradient difference is
     # the adjoint field of the output difference

@@ -13,7 +13,7 @@ from beamload.forward import (ImpulseKernel, end_rotation_responses,
                               impulse_kernel, kernel_fft_length)
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
                             SpaceTimeGrid, l2_norm_spacetime,
-                            spacetime_inner)
+                            spacetime_inner, trapezoid_weights)
 from beamload.objective import compute_gradient, evaluate_objective
 
 
@@ -54,18 +54,23 @@ def flipped_kernel(small_grid, small_coeffs):
 
 def _full_kernel(system, grid, u=None):
     """The ImpulseKernel with every node's responses kept as spectra and
-    no basis: `impulse_kernel` as it was before it factored the responses
-    at their numerical rank.  The reference of the factored kernel."""
+    identity bases: `impulse_kernel` as it was before it factored the
+    responses at their numerical rank.  Products with an identity are
+    exact, so it applies the unfactored responses bit for bit.  The
+    reference of the factored kernel."""
     n_fft = kernel_fft_length(grid)
     n_freq = n_fft // 2 + 1
     n_nodes = system.load_map.shape[1]
     if u is None:
         u = end_rotation_responses(system, grid)[0]
+    load_basis, field_basis = np.eye(n_nodes), np.eye(n_nodes - 2)
     kernel = ImpulseKernel(
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
         adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
-        system=system)
+        system=system, load_basis=load_basis, field_basis=field_basis,
+        coupling=load_basis[1:-1].T @ field_basis,
+        field_gram=np.diag(trapezoid_weights(n_nodes, grid.h)[1:-1]))
     for i, response in enumerate(u):
         rfft(system.load_map.T @ response, n_fft, out=kernel.outputs_t1[i])
         rfft(response[system.deflection_dofs], n_fft,

@@ -77,8 +77,8 @@ MUTANTS = [
     ("pivot_floor_raised", "src/beamload/forward.py",
      "floor = max(floor, 16.0 * EPS * d.max())",
      "floor = max(floor, 1e-8 * d.max())"),
-    ("full_rank_check_inverted", "src/beamload/forward.py",
-     "if r == m:", "if r < m:"),
+    ("full_rank_basis_is_identity", "src/beamload/forward.py",
+     "C = rows @ W.T", "C = W @ W.T"),
     ("lapack_probe_dropped", "src/beamload/_lapack.py",
      "if not _exact_on_probe():", "if False:"),
     ("newmark_a2_scaled", "src/beamload/forward.py",
@@ -92,8 +92,13 @@ MUTANTS = [
      "if data.shape[0] not in (n_rows, n_rows + 1):"),
     ("gradient_not_reversed_back", "src/beamload/inversion.py",
      "adjoint_series(residual)[:, ::-1]", "adjoint_series(residual)"),
-    ("output_map_rows_shifted", "src/beamload/inversion.py",
-     "self.P = load_basis[1:-1].T", "self.P = load_basis[:-2].T"),
+    ("output_map_rows_shifted", "src/beamload/forward.py",
+     "coupling=load_basis[1:-1].T", "coupling=load_basis[:-2].T"),
+    ("field_gram_unweighted", "src/beamload/forward.py",
+     "field_basis.T @ (w_x[:, None] * field_basis)",
+     "field_basis.T @ field_basis"),
+    ("adjoint_phit_bound_doubled", "src/beamload/adjoint.py",
+     "eT * b.r0 / (2.0 * b.rho0)", "eT * b.r0 / b.rho0"),
     ("radial_factor_unsquared", "src/beamload/model.py",
      "np.sqrt(C_F) / norm", "C_F / norm"),
 ]

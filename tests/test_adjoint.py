@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from beamload.adjoint import check_adjoint_estimates, solve_adjoint
+from beamload.adjoint import (adjoint_series, check_adjoint_estimates,
+                              solve_adjoint)
 from beamload.assembly import unit_norm_matrices
 from beamload.constants import compute_constants, transfer_constant
 from beamload.errors import DimensionError
@@ -89,8 +90,9 @@ def test_adjoint_estimates_hold(small_grid, small_coeffs):
     p, dp = smooth_series(small_grid, seed=5)
     q, dq = smooth_series(small_grid, seed=6)
     adj = solve_adjoint(small_coeffs, p, q, small_grid)
-    checks = check_adjoint_estimates(adj, small_coeffs, dp, dq,
-                                     unit_norm_matrices(small_grid))
+    checks = check_adjoint_estimates(
+        adjoint_series(adj, unit_norm_matrices(small_grid)), small_grid,
+        small_coeffs, dp, dq)
     assert len(checks) == 6
     assert [c.check for c in checks if not c.ok] == []
 
@@ -106,9 +108,9 @@ def test_adjoint_bounds_read_compute_constants(ct_variant):
     p, dp = smooth_series(grid, seed=5)
     q, dq = smooth_series(grid, seed=6)
     adj = solve_adjoint(coeffs, p, q, grid)
-    checks = check_adjoint_estimates(adj, coeffs, dp, dq,
-                                     unit_norm_matrices(grid),
-                                     ct_variant=ct_variant)
+    checks = check_adjoint_estimates(
+        adjoint_series(adj, unit_norm_matrices(grid)), grid, coeffs, dp, dq,
+        ct_variant=ct_variant)
     assert [c.check for c in checks if not c.ok] == []
 
     b = coeffs.bounds

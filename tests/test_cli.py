@@ -848,11 +848,27 @@ SWEEP_READERS = {
 }
 
 
+def run_under_contract(cmd, cfg, out, capsys):
+    """(exit code or exception name, fault) of one run: the fault is None
+    when `main` returns a documented exit code, raises and warns nothing,
+    and writes at most one stderr line besides VIOLATION lines, else the
+    number of warnings and the first stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run(cmd, cfg, out)
+        except Exception as exc:
+            code = type(exc).__name__
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("VIOLATION ")]
+    if code not in (0, 1, 2, 3) or caught or len(lines) > 1:
+        return code, (len(caught), lines[:1])
+    return code, None
+
+
 def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
     """Every numeric key at each of `EXTREMES`, under each command
-    that reads it: `main` returns a documented exit code, raises and
-    warns nothing, and writes at most one stderr line besides VIOLATION
-    lines."""
+    that reads it, keeps the exit-code contract of `run_under_contract`."""
     assert set(SWEEP_READERS) <= set(cli._KEYS)
     broken = []
     for key in filter(takes_a_number, cli._KEYS):
@@ -861,18 +877,94 @@ def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
                 cfg = write_cfg(tmp_path, SWEEP_BASE
                                 + SWEEP_READERS.get(key, "")
                                 + f"{key} = {value}\n")
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        code = run(cmd, cfg, tmp_path / "out")
-                    except Exception as exc:
-                        code = type(exc).__name__
-                lines = [line for line in capsys.readouterr().err.splitlines()
-                         if not line.startswith("VIOLATION ")]
-                if code not in (0, 1, 2, 3) or caught or len(lines) > 1:
-                    broken.append((cmd, key, value, code, len(caught),
-                                   lines[:1]))
+                code, fault = run_under_contract(cmd, cfg, tmp_path / "out",
+                                                 capsys)
+                if fault:
+                    broken.append((cmd, key, value, code, *fault))
     assert broken == []
+
+
+# the seeded combination test: SWEEP_BASE on a 6x16 grid, with 1-6 keys
+# of the table set at once, each to a value typed for it
+COMBINATION_GRID = SpaceTimeGrid(1.0, 1.0, 6, 16)
+COMBINATION_BASE = {
+    **dict(line.split(" = ") for line in SWEEP_BASE.split("\n") if line),
+    "grid.n_elements": "6", "grid.n_steps": "16"}
+COMBINATIONS = 250
+ORDINARY = {int: ("0", "1", "2", "4", "6", "16"),
+            float: ("0", "0.5", "1", "2", "-1", "1e-3", "0.15")}
+# per table, a writer of a table that fits COMBINATION_GRID
+COMBINATION_WRITERS = {
+    "coeff.": lambda path: save_coefficient(
+        path, COMBINATION_GRID.nodes, np.full(COMBINATION_GRID.n_nodes, 0.8)),
+    "scenario.path": lambda path: save_load(path, LoadField(
+        np.ones((COMBINATION_GRID.n_nodes, COMBINATION_GRID.n_times)),
+        COMBINATION_GRID)),
+    "measurements.path": lambda path: save_measurements(
+        path, COMBINATION_GRID.times,
+        MeasurementSeries(*[np.sin(np.pi * COMBINATION_GRID.times)] * 2)),
+}
+
+
+def combination_tables(directory):
+    """{table: paths}: per table of `COMBINATION_WRITERS`, a fitting
+    file, a ragged one, a short one, a missing path and a directory."""
+    tables = {}
+    for i, (table, write) in enumerate(COMBINATION_WRITERS.items()):
+        good = directory / f"table{i}.csv"
+        write(str(good))
+        paths = [good, directory / f"absent{i}.csv", directory]
+        lines = good.read_text().splitlines()
+        for defect in ("ragged_row", "too_few_rows"):
+            paths.append(directory / f"table{i}_{defect}.csv")
+            paths[-1].write_text("".join(
+                f"{line}\n" for line in CSV_DEFECTS[defect](lines)))
+        tables[table] = [str(path) for path in paths]
+    return tables
+
+
+def combination_values(key, tables):
+    """The values drawn for `key`: the paths of its table, the names a
+    choice key allows, and for a numeric key `EXTREMES` and ordinary
+    numbers, whole where its parser takes no fraction (a coefficient is
+    a number or a table)."""
+    values = list(tables.get("coeff." if key.startswith("coeff.") else key,
+                             ()))
+    if takes_a_number(key):
+        try:
+            cli._KEYS[key][0]("0.5")
+            ordinary = ORDINARY[float]
+        except ValueError:
+            ordinary = ORDINARY[int]
+        values += [*EXTREMES, *ordinary]
+    elif not values:
+        values = choices(key)
+    return values
+
+
+def test_key_combinations_keep_exit_code_contract(tmp_path, capsys):
+    """Seeded random sets of 1-6 keys under a random command keep the
+    contract of `run_under_contract`, and a quarter of the examples get
+    past config parsing (exit 0, 1 or 3): most draws hold a value that
+    the key table refuses."""
+    tables = combination_tables(tmp_path)
+    rng = np.random.default_rng(23)
+    keys = list(cli._KEYS)
+    broken, parsed = [], 0
+    for _ in range(COMBINATIONS):
+        cmd = str(rng.choice(["forward", "verify", "invert", "scenario"]))
+        entries = dict(COMBINATION_BASE)
+        for key in rng.choice(keys, size=rng.integers(1, 7), replace=False):
+            values = combination_values(key, tables)
+            entries[key] = values[rng.integers(len(values))]
+        cfg = write_cfg(tmp_path, "".join(f"{key} = {value}\n"
+                                          for key, value in entries.items()))
+        code, fault = run_under_contract(cmd, cfg, tmp_path / "out", capsys)
+        if fault:
+            broken.append((cmd, entries, code, *fault))
+        parsed += code in (0, 1, 3)
+    assert broken == []
+    assert parsed >= COMBINATIONS / 4
 
 
 @pytest.mark.parametrize("cmd", ["forward", "verify", "invert", "scenario"])

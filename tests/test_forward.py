@@ -7,8 +7,9 @@ from scipy.linalg.lapack import dpbtrs
 from beamload.assembly import assemble, unit_norm_matrices
 from beamload.constants import compute_constants
 from beamload.errors import DivergenceError
-from beamload.forward import (band_product, check_apriori_estimates,
-                              cumtrapz, energy_residual, newmark_integrate,
+from beamload.forward import (apriori_series, band_product,
+                              check_apriori_estimates, cumtrapz,
+                              energy_residual, newmark_integrate,
                               solve_forward)
 from beamload.measurements import manufactured_case
 from beamload.model import (CoefficientSet, LoadField, SpaceTimeGrid,
@@ -189,8 +190,9 @@ def test_apriori_estimates_hold(small_grid, small_coeffs):
     load = LoadField(np.sin(np.pi * x) * np.sin(np.pi * t)
                      + 0.3 * np.sin(2 * np.pi * x) * t, small_grid)
     traj = solve_forward(small_coeffs, load, small_grid)
-    checks = check_apriori_estimates(traj, small_coeffs, load,
-                                     unit_norm_matrices(small_grid))
+    checks = check_apriori_estimates(
+        apriori_series(traj, unit_norm_matrices(small_grid)), small_grid,
+        small_coeffs, l2_norm_spacetime(load) ** 2)
     assert len(checks) == 10
     failed = [c.check for c in checks if not c.ok]
     assert failed == []

@@ -26,17 +26,17 @@ def rel_l2(a, b):
 
 
 def assert_factored_shapes(kernel, grid):
-    """Spectra of r_out and r_adj series and bases over the nodes, or no
-    basis at full rank."""
+    """Spectra of r_out and r_adj series, bases (n, r) over the nodes
+    with r <= n, square at full rank, and the coupling and field Gram of
+    the coordinates."""
     r_out, r_adj = kernel.rank
     assert kernel.outputs_t1.shape[:2] == (2, r_out)
     assert kernel.adjoint_t1.shape[:2] == (r_adj, 2)
     for basis, n, r in ((kernel.load_basis, grid.n_nodes, r_out),
                         (kernel.field_basis, grid.n_nodes - 2, r_adj)):
-        if basis is None:
-            assert r == n
-        else:
-            assert basis.shape == (n, r) and r < n
+        assert basis.shape == (n, r) and r <= n
+    assert kernel.coupling.shape == (r_out, r_adj)
+    assert kernel.field_gram.shape == (r_adj, r_adj)
 
 
 @pytest.mark.parametrize("kind", ["constant", "variable"])
@@ -114,19 +114,23 @@ def test_factored_kernel_matches_full_kernel(n_elements, n_steps,
         assert rel_l2(phi, full.adjoint(p, q)) <= 1e-12
 
 
-@pytest.mark.parametrize("n_elements,n_steps", COMPRESSING)
+@pytest.mark.parametrize("n_elements,n_steps", COMPRESSING + [(16, 96)])
 def test_factors_are_orthonormal_and_meet_the_rank_rule(n_elements,
                                                         n_steps):
     """rows = C W + residual with W W' = I, C = rows W', and no residual
     row above max(m, n) eps times the largest row: numpy's `matrix_rank`
-    tolerance, at fewer series than rows."""
+    tolerance, at fewer series than rows where the responses compress,
+    and with W an orthonormal basis of all m rows at full rank (16x96)."""
     grid, system = compressing_case(n_elements, n_steps)
     u = end_rotation_responses(system, grid)[0]
     for rows in response_rows(system, u):
         C, W = forward._factor_rows(rows)
         m, n = rows.shape
-        assert W.shape[0] < m and C.shape == (m, W.shape[0])
-        assert W.shape[1] == n
+        if (n_elements, n_steps) == (16, 96):
+            assert W.shape[0] == m
+        else:
+            assert W.shape[0] < m
+        assert C.shape == (m, W.shape[0]) and W.shape[1] == n
         assert np.max(np.abs(W @ W.T - np.eye(len(W)))) <= 1e-14
         assert np.array_equal(C, rows @ W.T)
         largest = np.linalg.norm(rows, axis=1).max()
@@ -138,8 +142,9 @@ def test_factors_are_orthonormal_and_meet_the_rank_rule(n_elements,
 def test_full_rank_kernel_is_the_full_kernel(seed, small_grid, small_coeffs,
                                              random_case, full_kernel):
     """At full numerical rank, on 16x96 and on the small random grids,
-    the kernel keeps every node's spectra and applies no basis: it is
-    the unfactored kernel bit for bit."""
+    the bases are square, and the kernel's operators agree with the
+    unfactored kernel's to 1e-12 relative, the bound where the responses
+    compress."""
     if seed is None:
         grid, system = small_grid, assemble(small_grid, small_coeffs)
         rng = np.random.default_rng(0)
@@ -147,13 +152,14 @@ def test_full_rank_kernel_is_the_full_kernel(seed, small_grid, small_coeffs,
         grid, _, system, rng = random_case(seed)
     kernel, full = impulse_kernel(system, grid), full_kernel(system, grid)
     assert kernel.rank == (grid.n_nodes, grid.n_nodes - 2)
-    assert kernel.load_basis is None and kernel.field_basis is None
-    assert np.array_equal(kernel.outputs_t1, full.outputs_t1)
-    assert np.array_equal(kernel.adjoint_t1, full.adjoint_t1)
+    assert_factored_shapes(kernel, grid)
     values = rng.normal(size=(grid.n_nodes, grid.n_times))
     p, q = rng.normal(size=(2, grid.n_times))
-    assert np.array_equal(kernel.outputs(values), full.outputs(values))
-    assert np.array_equal(kernel.adjoint(p, q), full.adjoint(p, q))
+    for ours, theirs in zip(kernel.outputs(values), full.outputs(values)):
+        assert rel_l2(ours, theirs) <= 1e-12
+    phi = kernel.adjoint(p, q)
+    assert np.all(phi[[0, -1]] == 0.0)
+    assert rel_l2(phi, full.adjoint(p, q)) <= 1e-12
 
 
 def test_kernel_rejects_series_of_another_time_grid(small_grid,
@@ -380,6 +386,6 @@ def test_factored_kernel_transforms_equal_scipy_fft_bit_for_bit(
         monkeypatch):
     """As above, on a grid whose kernel keeps factored spectra."""
     grid, system = compressing_case(32, 256)
-    assert impulse_kernel(system, grid).load_basis is not None
+    assert impulse_kernel(system, grid).rank[0] < grid.n_nodes
     assert_transforms_equal_scipy_fft(grid, system,
                                       np.random.default_rng(4), monkeypatch)
