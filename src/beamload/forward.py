@@ -12,6 +12,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
+from . import _lapack
 from ._lapack import bound_matvec, bound_solve, cholesky_banded
 from .assembly import assemble
 from .constants import compute_constants
@@ -192,7 +193,8 @@ class ImpulseKernel:
     G = field_basis' diag(w_x) field_basis, w_x the interior nodes'
     trapezoid weights.
 
-    `system` is the assembled system the responses belong to.
+    `system` is the assembled system the responses belong to.  The six
+    arrays are read-only.
     """
 
     n_fft: int
@@ -393,12 +395,42 @@ def impulse_kernel(system, grid, u=None):
         np.concatenate([r[system.deflection_dofs] for r in u], axis=1),
         n_fft)
     w_x = trapezoid_weights(grid.n_nodes, grid.h)[1:-1]
-    return ImpulseKernel(
-        n_fft=n_fft, n_times=grid.n_times, outputs_t1=outputs_t1,
+    arrays = dict(
+        outputs_t1=outputs_t1,
         adjoint_t1=np.ascontiguousarray(adjoint_t1.transpose(1, 0, 2)),
-        system=system, load_basis=load_basis, field_basis=field_basis,
+        load_basis=load_basis, field_basis=field_basis,
         coupling=load_basis[1:-1].T @ field_basis,
         field_gram=field_basis.T @ (w_x[:, None] * field_basis))
+    # read-only, as the coefficient fields are: `beam_kernel` hands one
+    # kernel to every caller on its beam
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ImpulseKernel(n_fft=n_fft, n_times=grid.n_times, system=system,
+                         **arrays)
+
+
+# the last kernel `beam_kernel` built, under its key
+_beam_kernels = {}
+
+
+def beam_kernel(grid, coeffs):
+    """The ImpulseKernel of the beam `coeffs` on `grid`, that is
+    `impulse_kernel(assemble(grid, coeffs), grid)`, kept for the next
+    call on the same beam.
+
+    The key is the grid, the bounds, the bytes of the five read-only
+    coefficient fields and the LAPACK backend, so that a kernel built on
+    numpy's OpenBLAS is not reused on the scipy.linalg fallback.  One
+    kernel is kept: a new key drops the last one before it builds."""
+    key = (grid, coeffs.bounds, _lapack.CONFIG,
+           *(getattr(coeffs, name).tobytes()
+             for name in ("rho_A", "mu", "T_r", "r", "kappa")))
+    kernel = _beam_kernels.get(key)
+    if kernel is None:
+        _beam_kernels.clear()
+        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+        _beam_kernels[key] = kernel
+    return kernel
 
 
 def solve_forward(coeffs, load, grid, system=None):

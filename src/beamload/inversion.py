@@ -5,10 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
-from .forward import impulse_kernel
+from .forward import beam_kernel
 from .model import LoadField, radial_scale, trapezoid_weights
 
 GRAD_TOL = 1e-12
@@ -96,7 +95,7 @@ def run_inversion(measurements, coeffs, grid, config=None):
     exact gradient; the continuous adjoint's is exact only to O(h^2).
     """
     config = config or InversionConfig()
-    kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    kernel = beam_kernel(grid, coeffs)
     coords = _FieldCoordinates(kernel, measurements, grid)
     C_F = config.C_F
     omega = config.omega or default_step(grid, coeffs, config)
@@ -244,7 +243,7 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     derivative; the fit is identifiable when S at the optimum has a
     condition number below COND_LIMIT.
     """
-    kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    kernel = beam_kernel(grid, coeffs)
     kind = type(family)
     w = np.sqrt(np.tile(trapezoid_weights(grid.n_times, grid.dt), 2))
     theta = w * np.concatenate([measurements.theta0, measurements.thetaL])

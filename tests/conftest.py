@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.fft import rfft
 
-from beamload import inversion
+from beamload import forward, inversion
 from beamload.assembly import assemble
 from beamload.errors import DivergenceError
 from beamload.forward import (ImpulseKernel, end_rotation_responses,
@@ -15,6 +15,13 @@ from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
                             SpaceTimeGrid, l2_norm_spacetime,
                             spacetime_inner, trapezoid_weights)
 from beamload.objective import compute_gradient, evaluate_objective
+
+
+@pytest.fixture(autouse=True)
+def cold_beam_kernel():
+    """Each test starts with no kept beam kernel, so that no test's
+    kernel builds depend on the tests run before it."""
+    forward._beam_kernels.clear()
 
 
 @pytest.fixture(scope="session")

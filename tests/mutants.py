@@ -101,6 +101,13 @@ MUTANTS = [
      "eT * b.r0 / (2.0 * b.rho0)", "eT * b.r0 / b.rho0"),
     ("radial_factor_unsquared", "src/beamload/model.py",
      "np.sqrt(C_F) / norm", "C_F / norm"),
+    ("beam_kernel_key_ignores_backend", "src/beamload/forward.py",
+     "key = (grid, coeffs.bounds, _lapack.CONFIG,",
+     "key = (grid, coeffs.bounds,"),
+    ("beam_kernel_key_drops_kappa", "src/beamload/forward.py",
+     '("rho_A", "mu", "T_r", "r", "kappa")', '("rho_A", "mu", "T_r", "r")'),
+    ("misfit_q_weight_doubled", "src/beamload/objective.py",
+     "0.5 * time_inner(q, q, dt)", "time_inner(q, q, dt)"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

@@ -218,7 +218,8 @@ def test_discrepancy_is_derived_from_the_misfit(twin):
 
 def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
     """Only the one pass that builds the impulse kernel integrates in
-    time; every iteration and line-search trial convolves."""
+    time; every iteration and line-search trial convolves, and a second
+    run on the same beam reuses the kernel and makes no pass."""
     grid, coeffs, _, series = twin
     calls = []
     integrate = forward.newmark_integrate
@@ -235,7 +236,7 @@ def test_newmark_passes_do_not_grow_with_iterations(twin, monkeypatch):
             step_rule="backtracking", max_iterations=n))
         assert state.iterations == n
         counts.append(len(calls))
-    assert counts == [1, 1]
+    assert counts == [1, 0]
 
 
 # omega = 1 makes every line search reject several trials first
@@ -354,13 +355,62 @@ def test_factored_kernel_runs_the_full_kernels_inversion(
     config = InversionConfig(step_rule="backtracking", max_iterations=800,
                              noise_delta=delta)
     ours = run_inversion(smooth, coeffs, grid, config=config)
-    monkeypatch.setattr(inversion, "impulse_kernel", full_kernel)
+    monkeypatch.setattr(forward, "impulse_kernel", full_kernel)
+    forward._beam_kernels.clear()
     full = run_inversion(smooth, coeffs, grid, config=config)
     assert ours.kernel_rank < full.kernel_rank == (65, 63)
     assert ours.stop_reason == full.stop_reason == "discrepancy"
     assert ours.iterations == full.iterations > 50
     J, J_full = np.array(ours.J_history), np.array(full.J_history)
     assert np.max(np.abs(J - J_full) / J_full) <= 1e-10
+
+
+def _counted_builds(count_calls):
+    """Counters of the three steps of a kernel build."""
+    return count_calls(forward.impulse_kernel, assemble,
+                       forward.newmark_integrate)
+
+
+def test_second_inversion_on_one_beam_builds_no_kernel(fullfield,
+                                                       count_calls):
+    """A repeated inversion on the same beam and grid reuses the kept
+    kernel: no assemble, no Newmark pass, no factorization, and the same
+    bits as the run that built it."""
+    grid, coeffs, smooth, delta = fullfield
+    config = InversionConfig(step_rule="backtracking", max_iterations=800,
+                             noise_delta=delta)
+    calls = _counted_builds(count_calls)
+    cold = run_inversion(smooth, coeffs, grid, config=config)
+    assert calls == {"impulse_kernel": 1, "assemble": 1,
+                     "newmark_integrate": 1}
+    calls.clear()
+    warm = run_inversion(smooth, coeffs, grid, config=config)
+    assert sum(calls.values()) == 0
+    assert cold.stop_reason == warm.stop_reason == "discrepancy"
+    assert np.array_equal(warm.J_history, cold.J_history)
+    assert np.array_equal(warm.load.values, cold.load.values)
+    assert warm.kernel_rank == cold.kernel_rank
+
+
+def test_second_parametric_fit_on_one_beam_builds_no_kernel(fullfield,
+                                                            count_calls):
+    """The criterion-7 twin (1 % noise, seed 0) fitted twice on one beam:
+    the second fit builds nothing and lands on the same bits."""
+    grid, coeffs, _, _ = fullfield
+    truth = MovingGaussian(amplitude=2.0, speed=1.0, sigma=0.15)
+    noisy = add_noise(solve_forward(coeffs, truth.field(grid), grid).outputs,
+                      NoiseSpec(delta_rel=0.01, seed=0), grid.dt)
+    smooth = smooth_to_h1(noisy, grid.times)
+    start = MovingGaussian(amplitude=1.0, speed=0.8, sigma=0.2)
+    calls = _counted_builds(count_calls)
+    cold = reconstruct_parametric(smooth, coeffs, grid, start)
+    assert calls["impulse_kernel"] == 1
+    calls.clear()
+    warm = reconstruct_parametric(smooth, coeffs, grid, start)
+    assert sum(calls.values()) == 0
+    assert np.array_equal(warm.family.parameters, cold.family.parameters)
+    assert warm.J == cold.J and warm.n_evaluations == cold.n_evaluations
+    assert warm.kernel_rank == cold.kernel_rank
 
 
 def test_inversion_memory_is_the_kernels_pass(fullfield):

@@ -3,6 +3,9 @@ and the discrete identities it rests on: time-shift invariance and
 reciprocity of the Newmark map, and batched passes that equal single
 ones."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from beamload.errors import DimensionError, DivergenceError
 from beamload.forward import (end_rotation_responses, impulse_kernel,
                               newmark_integrate, solve_forward)
 from beamload.measurements import ModalLoad
-from beamload.model import (CoefficientSet, LoadField, MeasurementSeries,
-                            SpaceTimeGrid)
+from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
+                            MeasurementSeries, SpaceTimeGrid)
+from test_lapack import _no_library, fallback
 
 # Newmark's own round-off (solve(3F)/3 against solve(F)) reaches 4.5e-10
 # at 64x512 and 5e-9 at 128x1024, so finer grids are not gated at 1e-9
@@ -185,9 +189,9 @@ def test_kernel_rejects_non_finite_load(small_grid, small_coeffs):
 def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
                                          monkeypatch):
     """The inversion loops and the verification checks build the kernel
-    once per call, however many iterations, scenarios or triples they
-    run; the duality checks make no Newmark pass beyond the kernel's
-    one."""
+    once per call from no kept kernel, however many iterations,
+    scenarios or triples they run; the duality checks make no Newmark
+    pass beyond the kernel's one."""
     built = []
     passes = []
 
@@ -199,7 +203,7 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
         passes.append(1)
         return newmark_integrate(*args)
 
-    for module in (inversion, verify):
+    for module in (forward, verify):
         monkeypatch.setattr(module, "impulse_kernel", counted)
     for module in (forward, adjoint):
         monkeypatch.setattr(module, "newmark_integrate", counted_pass)
@@ -207,6 +211,7 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
 
     def builds(run, *args, **kwargs):
         built.clear()
+        forward._beam_kernels.clear()
         run(*args, **kwargs)
         return len(built)
 
@@ -226,6 +231,103 @@ def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
         assert builds(verify.duality_checks, small_grid, small_coeffs,
                       n_triples=n) == 1
         assert len(passes) == 1
+
+
+@pytest.mark.parametrize("name", ["outputs_t1", "adjoint_t1", "load_basis",
+                                  "field_basis", "coupling", "field_gram"])
+def test_kernel_arrays_are_read_only(name, small_grid, small_coeffs):
+    """A kept kernel is shared by every caller on its beam, so no caller
+    can write into it."""
+    array = getattr(forward.beam_kernel(small_grid, small_coeffs), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        array *= 2.0
+
+
+def _wide_coeffs(grid, **changes):
+    """Constant small-case coefficients within bounds twice as wide, so
+    that a sample may change within them; `changes` maps a field to the
+    node and the factor that scale its sample there."""
+    values = dict(rho_A=1.0, mu=0.05, T_r=0.1, r=0.8, kappa=0.02)
+    bounds = CoefficientBounds(*(b for v in values.values()
+                                 for b in (0.5 * v, 2.0 * v)))
+    fields = {name: np.full(grid.n_nodes, v) for name, v in values.items()}
+    for name, (node, factor) in changes.items():
+        fields[name][node] *= factor
+    return CoefficientSet(bounds=bounds, **fields)
+
+
+def assert_rebuilds(count_calls, kept_beam, new_beam):
+    """After `beam_kernel` kept the kernel of the (grid, coeffs) pair
+    `kept_beam`, it returns that kernel again with no build, then builds
+    the kernel of `new_beam` once and keeps it."""
+    kept = forward.beam_kernel(*kept_beam)
+    calls = count_calls(forward.impulse_kernel, assemble,
+                        forward.newmark_integrate)
+    assert forward.beam_kernel(*kept_beam) is kept
+    assert sum(calls.values()) == 0
+    kernel = forward.beam_kernel(*new_beam)
+    assert kernel is not kept
+    assert forward.beam_kernel(*new_beam) is kernel
+    assert calls == {"impulse_kernel": 1, "assemble": 1,
+                     "newmark_integrate": 1}
+
+
+@pytest.mark.parametrize("field", ["rho_A", "mu", "T_r", "r", "kappa"])
+def test_one_coefficient_sample_rebuilds_the_kernel(field, small_grid,
+                                                    count_calls):
+    assert_rebuilds(count_calls, (small_grid, _wide_coeffs(small_grid)),
+                    (small_grid, _wide_coeffs(small_grid,
+                                              **{field: (3, 1.01)})))
+
+
+@pytest.mark.parametrize("bound", ["rho0", "mu1", "Tr1", "r0", "kappa1"])
+def test_one_bound_rebuilds_the_kernel(bound, small_grid, count_calls):
+    coeffs = _wide_coeffs(small_grid)
+    bounds = dataclasses.replace(
+        coeffs.bounds, **{bound: getattr(coeffs.bounds, bound) * 1.01})
+    assert_rebuilds(count_calls, (small_grid, coeffs),
+                    (small_grid, dataclasses.replace(coeffs, bounds=bounds)))
+
+
+@pytest.mark.parametrize("refine", ["refined", "time"])
+def test_another_grid_rebuilds_the_kernel(refine, small_grid, count_calls):
+    """`grid.refined()` halves the mesh and the step; a grid that halves
+    the step alone keeps every coefficient sample and bound."""
+    coeffs = _wide_coeffs(small_grid)
+    if refine == "refined":
+        new_beam = small_grid.refined(), _wide_coeffs(small_grid.refined())
+    else:
+        new_beam = (dataclasses.replace(small_grid,
+                                        n_steps=2 * small_grid.n_steps),
+                    coeffs)
+    assert_rebuilds(count_calls, (small_grid, coeffs), new_beam)
+
+
+def test_another_lapack_backend_rebuilds_the_kernel(small_grid,
+                                                    small_coeffs,
+                                                    count_calls):
+    """A kernel factored on numpy's OpenBLAS is not reused on the
+    scipy.linalg fallback, nor the fallback's on OpenBLAS."""
+    kept = forward.beam_kernel(small_grid, small_coeffs)
+    calls = count_calls(forward.impulse_kernel)
+    with fallback(_no_library):
+        on_fallback = forward.beam_kernel(small_grid, small_coeffs)
+        assert forward.beam_kernel(small_grid, small_coeffs) is on_fallback
+    assert calls["impulse_kernel"] == 1 and on_fallback is not kept
+    assert forward.beam_kernel(small_grid, small_coeffs) is not on_fallback
+    assert calls["impulse_kernel"] == 2
+
+
+def test_one_kernel_is_kept(small_grid, small_coeffs):
+    """After a second beam the first beam's kernel is no longer
+    referenced."""
+    first = weakref.ref(forward.beam_kernel(small_grid, small_coeffs))
+    assert first() is not None
+    forward.beam_kernel(small_grid, _wide_coeffs(small_grid))
+    assert first() is None
+    assert len(forward._beam_kernels) == 1
 
 
 def newmark_outputs(coeffs, grid, system):

@@ -3,12 +3,14 @@
 elsewhere by their statistics, at tolerances measured on other OpenBLAS
 kernels."""
 
+import contextlib
 import json
 
 import pytest
 
 import readme_record
-from beamload import _lapack
+from beamload import _lapack, forward
+from beamload.cli import main
 from test_lapack import _no_library, fallback
 
 # Tolerances of `relative_change` off the record's platform.  With
@@ -72,3 +74,20 @@ def test_relative_change_scales_each_statistic():
         assert readme_record.relative_change(changed, theirs) == float("inf")
     assert readme_record.relative_change({"x": theirs["x"]}, theirs) == (
         float("inf"))
+
+
+def test_fallback_invert_builds_its_own_kernel(tmp_path, count_calls):
+    """The record's parametric `invert` keeps its kernel for a second run
+    on numpy's OpenBLAS, and its fallback run builds its own."""
+    config = tmp_path / "invert.cfg"
+    config.write_text(readme_record.readme_config())
+    command = readme_record.RUNS["invert_parametric"][0]
+    calls = count_calls(forward.impulse_kernel)
+    builds = []
+    for run, backend in enumerate(("numpy", "numpy", "fallback")):
+        with (fallback(_no_library) if backend == "fallback"
+              else contextlib.nullcontext()):
+            assert main([command[0], "--config", str(config), "--out",
+                         str(tmp_path / f"run{run}"), *command[1:]]) == 0
+        builds.append(calls["impulse_kernel"])
+    assert builds == [1, 1, 2]
