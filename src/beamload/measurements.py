@@ -4,8 +4,6 @@ The adjoint problem needs differentiable moment data, so raw (noisy)
 series are fitted with a natural cubic smoothing spline before inversion.
 """
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +78,7 @@ def smooth_to_h1(series, times):
 
 def _pick_lambda(times, values, target):
     """Weight whose smoothing residual equals the noise level (Morozov on
-    the smoothing misfit): one Brent root-find on log-lambda inside
+    the smoothing misfit): one root-find on log-lambda inside
     [1e-14, 1e6], clamped to whichever end the residual cannot reach.
     The residual weighs the times evenly, so with a target they must be
     evenly spaced: ValueError otherwise."""
@@ -90,91 +88,63 @@ def _pick_lambda(times, values, target):
     if np.abs(np.diff(times) - dt).max() > SPACING_TOL * np.abs(times).max():
         raise ValueError("the smoothing weight is picked on evenly spaced "
                          "times only")
-    lo, hi = 1e-14, 1e6
+    lo, hi = np.log(1e-14), np.log(1e6)
 
-    # cached, so that Brent's first two calls reuse the end checks' fits
-    @functools.cache
     def excess(log_lam):
         fit = make_smoothing_spline(times, values, np.exp(log_lam))
         return series_l2_norm(fit - values, dt) - target
 
-    if excess(np.log(lo)) > 0:
-        return lo
-    if excess(np.log(hi)) < 0:
-        return hi
-    return float(np.exp(_brent(excess, np.log(lo), np.log(hi))))
+    at_lo = excess(lo)
+    if at_lo > 0:
+        return 1e-14
+    at_hi = excess(hi)
+    if at_hi < 0:
+        return 1e6
+    return float(np.exp(_root(excess, lo, hi, at_lo, at_hi)))
 
 
-# the defaults of scipy.optimize.brentq
-BRENT_XTOL = 2e-12
-BRENT_RTOL = 4 * np.finfo(float).eps
-BRENT_MAXITER = 100
+# the stop of scipy.optimize.brentq at its defaults
+ROOT_XTOL = 2e-12
+ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_MAXITER = 100
 
 
-def _brent(f, a, b):
-    """A root of f in [a, b], whose end values differ in sign, by Brent's
-    method (Brent 1973, ch. 4) taken step for step as
-    `scipy.optimize.brentq` takes it at its default tolerances: the same
-    bracket, steps, acceptance and stop, so the same float and the same
-    number of calls of f.  Raises ValueError on ends of one sign or a
-    NaN value, RuntimeError after BRENT_MAXITER steps."""
-    def value(x):
+def _root(f, a, b, fa, fb):
+    """A root of f in [a, b], given its end values fa and fb, by
+    Chandrupatla's method (Chandrupatla 1997): inverse quadratic
+    interpolation through the last three points where it passes the
+    method's test, else bisection, until the bracket is narrower than
+    ROOT_XTOL + ROOT_RTOL |x|; then its end of smaller |f|.  ValueError on
+    ends of one sign or a NaN value, RuntimeError after ROOT_MAXITER steps."""
+    # signs multiplied, not values, whose product can underflow to zero
+    if not np.sign(fa) * np.sign(fb) <= 0:
+        raise ValueError("f(a) and f(b) must be numbers of opposite signs")
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    t = 0.5
+    for _ in range(ROOT_MAXITER):
+        x = a + t * (b - a)
         fx = float(f(x))
-        if math.isnan(fx):
+        if np.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    # signs compared, not a product that can underflow to zero
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        # (xblk, fblk) is the end of the bracket opposite xcur
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf     # refused below: bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate: the secant step
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate: inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # brentq's C division gives an infinite or NaN step here,
-                # which the acceptance test refuses, as it refuses inf
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            # a good short step
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {BRENT_MAXITER} "
-                       f"iterations, value is {xcur}")
+        # a is the newest point, (a, b) the bracket, c the point dropped
+        if (fx < 0) != (fa < 0):
+            a, fa, b, fb = b, fb, a, fa
+        a, fa, c, fc = x, fx, a, fa
+        x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tol = ROOT_XTOL + ROOT_RTOL * abs(x)
+        if fx == 0 or abs(b - a) < tol:
+            return x
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        t = 0.5
+        if phi * phi < xi and (1 - phi) ** 2 < 1 - xi:
+            # inverse quadratic interpolation through a, b and c
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        # no step closer than tol / 2 to either end
+        tl = tol / (2 * abs(b - a))
+        t = min(max(t, tl), 1 - tl)
+    raise RuntimeError(f"no convergence in {ROOT_MAXITER} steps, at {x}")
 
 
 def make_smoothing_spline(times, values, lam):

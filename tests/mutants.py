@@ -108,6 +108,22 @@ MUTANTS = [
      '("rho_A", "mu", "T_r", "r", "kappa")', '("rho_A", "mu", "T_r", "r")'),
     ("misfit_q_weight_doubled", "src/beamload/objective.py",
      "0.5 * time_inner(q, q, dt)", "time_inner(q, q, dt)"),
+    ("root_always_bisects", "src/beamload/measurements.py",
+     "if phi * phi < xi and (1 - phi) ** 2 < 1 - xi:", "if False:"),
+    ("root_tolerance_coarse", "src/beamload/measurements.py",
+     "ROOT_XTOL = 2e-12", "ROOT_XTOL = 2e-6"),
+    ("numeric_failure_exits_config", "src/beamload/cli.py",
+     "return EXIT_NUMERIC", "return EXIT_CONFIG"),
+    ("floating_point_error_unmapped", "src/beamload/cli.py",
+     "except (DivergenceError, FloatingPointError, OverflowError,",
+     "except (DivergenceError, OverflowError,"),
+    ("kernel_adjoint_sign_flipped", "src/beamload/forward.py",
+     "phi_tau = self.field_basis @", "phi_tau = -self.field_basis @"),
+    ("band_product_offsets_reversed", "src/beamload/forward.py",
+     'np.einsum("rj,rj...->r...", W, V)',
+     'np.einsum("rj,rj...->r...", W[:, ::-1], V[:, ::-1])'),
+    ("bound_matvec_x_check_dropped", "src/beamload/_lapack.py",
+     "_vector(x, n)\n    _vector(y, n)", "_vector(y, n)"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

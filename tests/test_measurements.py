@@ -114,75 +114,71 @@ def test_picked_lambda_meets_morozov(monkeypatch, delta_rel):
             assert abs(res - target) <= 2e-9 * target
 
 
-def recorded(f, calls):
-    """f, appending each argument it is called with to `calls`."""
-    def wrapper(x):
-        calls.append(x)
-        return f(x)
-    return wrapper
-
-
-def outcome(solver, f, a, b):
-    """The root `solver` finds of f over [a, b], or the type of the error
-    it raises, and the points where it called f."""
-    calls = []
-    try:
-        result = solver(recorded(f, calls), a, b)
-    except (ValueError, RuntimeError) as exc:
-        result = type(exc)
-    return result, calls
-
-
-def test_brent_is_brentq_on_the_morozov_channels(monkeypatch):
-    # each noisy parabola channel's weight is brentq's, bit for bit, after
-    # the same calls
+def test_smoothing_matches_the_spline_at_brentqs_weight():
+    # the replaced root-find moves no smoothed channel by more than 1e-9
+    # relative L2 from the spline at the weight scipy's brentq finds on
+    # the same residual
     from scipy.optimize import brentq
-    brent, runs = measurements._brent, []
-
-    def both(f, a, b):
-        runs.append((outcome(brent, f, a, b), outcome(brentq, f, a, b)))
-        return runs[-1][0][0]
-
-    monkeypatch.setattr(measurements, "_brent", both)
     for delta_rel in (0.01, 0.05, 0.30):
         for seed in range(3):
             g, noisy = noisy_parabola(delta_rel, seed)
-            smooth_to_h1(noisy, g.times)
-    assert len(runs) == 18
-    for ours, theirs in runs:
-        assert isinstance(ours[0], float) and ours == theirs
+            smooth = smooth_to_h1(noisy, g.times)
+            target = noisy.noise_delta / np.sqrt(2.0)
+            for fit, raw in ((smooth.theta0, noisy.theta0),
+                             (smooth.thetaL, noisy.thetaL)):
+                def excess(log_lam):
+                    spline = make_smoothing_spline(g.times, raw,
+                                                   np.exp(log_lam))
+                    return series_l2_norm(spline - raw, g.dt) - target
+
+                lam = np.exp(brentq(excess, np.log(1e-14), np.log(1e6)))
+                reference = make_smoothing_spline(g.times, raw, lam)
+                assert (np.linalg.norm(fit - reference)
+                        <= 1e-9 * np.linalg.norm(reference))
 
 
 def step(x):
     return -1.0 if x < 0.5 else 1.0
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x * x - 2.0, 0.0, 2.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: np.exp(x) - 10.0, -5.0, 10.0),
-    (lambda x: np.tanh(20.0 * (x - 0.3)), -10.0, 10.0),
-    (step, 0.0, 1.0),
+WALLIS = 2.0945514815423265
+
+
+@pytest.mark.parametrize("f,a,b,root", [
+    (lambda x: x * x - 2.0, 0.0, 2.0, np.sqrt(2.0)),
+    (lambda x: np.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, WALLIS),
+    (lambda x: np.exp(x) - 10.0, -5.0, 10.0, np.log(10.0)),
+    (lambda x: np.tanh(20.0 * (x - 0.3)), -10.0, 10.0, 0.3),
+    (step, 0.0, 1.0, 0.5),
     # end values whose product underflows: the sign test reads signs
-    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
-    (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0),
+    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 0.3),
+    (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0, WALLIS),
     # a root at a bracket end
-    (lambda x: x - 1.0, 1.0, 3.0),
-    (lambda x: x - 1.0, -1.0, 1.0),
+    (lambda x: x - 1.0, 1.0, 3.0, 1.0),
+    (lambda x: x - 1.0, -1.0, 1.0, 1.0),
     # ends of one sign, or a NaN value: ValueError
-    (lambda x: x * x + 1.0, -1.0, 1.0),
-    (lambda x: 1e-200, 0.0, 1.0),
-    (lambda x: x - 0.3 if x < 0.7 else float("nan"), 0.0, 1.0),
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+    (lambda x: 1e-200, 0.0, 1.0, ValueError),
+    (lambda x: x - 0.3 if x < 0.7 else float("nan"), 0.0, 1.0, ValueError),
+    (lambda x: float("nan") if 0.4 < x < 0.9 else x - 0.3, 0.0, 1.0,
+     ValueError),
+    # brentq raises RuntimeError here; the clamped steps reach the root
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0, 1.0),
     # no convergence in 100 steps: RuntimeError
-    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    (step, -1e300, 1e300),
+    (step, -1e300, 1e300, RuntimeError),
 ], ids=["sqrt2", "dottie", "wallis", "exp", "tanh", "step", "tiny_line",
         "tiny_wallis", "root_at_a", "root_at_b", "one_sign",
-        "tiny_one_sign", "nan_end", "triple_root", "wide_step"])
-def test_brent_is_brentq_on_closed_forms(f, a, b):
-    from scipy.optimize import brentq
-    assert outcome(measurements._brent, f, a, b) == outcome(brentq, f, a, b)
+        "tiny_one_sign", "nan_end", "nan_inside", "triple_root",
+        "wide_step"])
+def test_root_lands_within_its_stop_of_closed_form_roots(f, a, b, root):
+    if isinstance(root, type):
+        with pytest.raises(root):
+            measurements._root(f, a, b, f(a), f(b))
+        return
+    x = measurements._root(f, a, b, f(a), f(b))
+    tol = measurements.ROOT_XTOL + 4 * measurements.ROOT_RTOL * abs(x)
+    assert abs(x - root) <= tol
 
 
 def test_picked_lambda_clamps_to_bracket_ends():

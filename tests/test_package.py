@@ -121,8 +121,8 @@ def test_import_leaves_unused_scipy_modules_unloaded(module, lazy_imports):
 
 
 def test_smoothing_never_loads_scipy_optimize(lazy_imports):
-    # the smoothing weight's Brent root-find is in-house, so neither a
-    # clamped weight nor a root-find loads scipy.optimize
+    # the smoothing weight's root-find is in-house, so neither a clamped
+    # weight nor a root-find loads scipy.optimize
     assert lazy_imports["clamped smoothing"] == "False"
     assert lazy_imports["root-found smoothing"] == "False True"
 
