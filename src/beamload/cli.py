@@ -15,8 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      ValidationError)
-from .assembly import assemble
-from .forward import energy_residual, impulse_kernel, solve_forward
+from .forward import beam_kernel, energy_residual, solve_forward
 from .inversion import InversionConfig, reconstruct_parametric, run_inversion
 from .io import (config_hash, load_coefficient, load_load, load_measurements,
                  parse_config, save_check_report, save_field,
@@ -251,7 +250,7 @@ def cmd_verify(cfg, grid, coeffs, args, out):
             grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
             ct_variant=args.ct_variant, operators=operators)
     elif any(n.values()):
-        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+        kernel = beam_kernel(grid, coeffs)
     report += duality_checks(
         grid, coeffs, n_triples=n["triples"], seed=args.seed,
         tol=cfg["verify.duality_tol"], kernel=kernel)

@@ -348,8 +348,7 @@ def _factor_rows(rows):
     W = np.empty((m, n))
     r = 0
     while r < m:
-        C = rows @ W[:r].T
-        residual = C @ W[:r]
+        residual = (rows @ W[:r].T) @ W[:r]
         np.subtract(rows, residual, out=residual)
         if np.einsum("ij,ij->i", residual, residual).max() <= tol_sq:
             break
@@ -360,9 +359,8 @@ def _factor_rows(rows):
             W[r] = w / np.sqrt(w @ w)
             r += 1
         del residual
-    if r == m:
-        C = rows @ W.T
-    return C, W[:r].copy()
+    W = W[:r].copy()
+    return rows @ W.T, W
 
 
 def _factored_spectra(rows, n_fft):

@@ -105,7 +105,6 @@ def run_inversion(measurements, coeffs, grid, config=None):
     morozov_sq = morozov * morozov
 
     state = InversionState(load=None, omega=omega, kernel_rank=kernel.rank)
-    increases = 0
     Z = np.zeros((kernel.rank[1], grid.n_times))
     J, residual = coords.evaluate(Z)
     for n in range(config.max_iterations + 1):
@@ -130,17 +129,14 @@ def run_inversion(measurements, coeffs, grid, config=None):
             break
 
         if config.step_rule == "fixed":
-            if len(state.J_history) >= 2 and J > state.J_history[-2]:
-                increases += 1
-                if increases >= 3:
-                    raise DivergenceError(
-                        "misfit increased for 3 consecutive fixed steps; "
-                        "L_G may be underestimated, the discretization "
-                        "inconsistent, or the continuous adjoint's "
-                        "gradient, which is inexact, no descent direction "
-                        "on the C_F sphere")
-            else:
-                increases = 0
+            last = state.J_history[-4:]
+            if n >= 3 and last[0] < last[1] < last[2] < last[3]:
+                raise DivergenceError(
+                    "misfit increased for 3 consecutive fixed steps; "
+                    "L_G may be underestimated, the discretization "
+                    "inconsistent, or the continuous adjoint's "
+                    "gradient, which is inexact, no descent direction "
+                    "on the C_F sphere")
             Z = coords.step(Z, Y, omega, C_F)
             J, residual = coords.evaluate(Z)
         else:

@@ -26,7 +26,7 @@ from numpy.fft import rfft
 from .adjoint import check_adjoint_estimates
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, _factor_rows, band_product,
+from .forward import (EPS_FLOOR, _factor_rows, band_product, beam_kernel,
                       check_apriori_estimates, convolve_t1, cumtrapz,
                       end_rotation_responses, impulse_kernel,
                       kernel_fft_length, solve_forward)
@@ -88,30 +88,21 @@ def random_load(grid, rng):
     return _modal_load(grid, rng.normal(size=8))
 
 
-def _moment_modes(grid):
-    """The moment basis sin(j pi t / T), j = 1..3, (3, n_times)."""
-    w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
-    return np.sin(w * grid.times)
-
-
 def _moment_factors(grid):
-    """The pair of `_moment_modes` and the cosines cos(j pi t / T) of
-    their derivatives, each (3, n_times)."""
+    """The moment basis sin(j pi t / T), j = 1..3, and the cosines
+    cos(j pi t / T) of its derivatives, each (3, n_times)."""
     w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
-    return _moment_modes(grid), np.cos(w * grid.times)
+    return np.sin(w * grid.times), np.cos(w * grid.times)
 
 
 def _moment(grid, a, factors=None):
-    """The series sum_j a_j sin(j pi t / T) and its analytic derivative.
-    `factors` is the `_moment_factors` pair of the grid, made when not
-    given."""
+    """The series sum_j a_j sin(j pi t / T) and its analytic derivative,
+    each summed over j in order.  `factors` is the `_moment_factors`
+    pair of the grid, made when not given."""
     modes, cosines = factors or _moment_factors(grid)
-    y = np.zeros_like(grid.times)
-    dy = np.zeros_like(grid.times)
-    for j, (aj, mode, cos) in enumerate(zip(a, modes, cosines), start=1):
-        y += aj * mode
-        dy += aj * (j * np.pi / grid.final_time) * cos
-    return y, dy
+    a = a[:, None]
+    w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
+    return sum(a * modes), sum(a * w * cosines)
 
 
 def random_smooth_series(grid, rng):
@@ -214,7 +205,7 @@ def _adjoint_bases(grid, velocities, n_fft, unit):
     rotations' velocity responses.  The field is the tau state read
     backwards in time, and phi_t is minus its rate, so its Gram series
     are the tau states' read backwards."""
-    reversed_modes = _moment_modes(grid)[:, ::-1]
+    reversed_modes = _moment_factors(grid)[0][:, ::-1]
     (pt_sq, pxx_sq, pxxt_sq), _ = _norm_bases(
         velocities, np.stack([reversed_modes] * 2), n_fft, unit, grid.dt)
     return [gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)], []
@@ -356,14 +347,13 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
     """Duality-identity residuals for random (dF, p, q) triples, on the
     impulse-kernel operators that the misfit and its gradient use.
 
-    `kernel` is the ImpulseKernel of the grid and coefficients, built when
-    not given.  No triples build nothing.
+    `kernel` is the ImpulseKernel of the grid and coefficients, the kept
+    `beam_kernel` when not given.  No triples build nothing.
     """
     if not n_triples:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
-    if kernel is None:
-        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    kernel = kernel or beam_kernel(grid, coeffs)
     rows = []
     for s in range(n_triples):
         dF = random_load(grid, rng)
@@ -381,13 +371,12 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
 def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3,
                        kernel=None):
     """Adjoint gradient against central finite differences of the misfit,
-    on `kernel`, the ImpulseKernel of the grid and coefficients, built
-    when not given.  No directions build nothing."""
+    on `kernel`, the ImpulseKernel of the grid and coefficients, the kept
+    `beam_kernel` when not given.  No directions build nothing."""
     if not n_directions:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
-    if kernel is None:
-        kernel = impulse_kernel(assemble(grid, coeffs), grid)
+    kernel = kernel or beam_kernel(grid, coeffs)
     truth = random_load(grid, rng)
     meas = MeasurementSeries(*kernel.outputs(truth.values))
     F = random_load(grid, rng)

@@ -78,7 +78,7 @@ MUTANTS = [
      "floor = max(floor, 16.0 * EPS * d.max())",
      "floor = max(floor, 1e-8 * d.max())"),
     ("full_rank_basis_is_identity", "src/beamload/forward.py",
-     "C = rows @ W.T", "C = W @ W.T"),
+     "return rows @ W.T, W", "return W @ W.T, W"),
     ("lapack_probe_dropped", "src/beamload/_lapack.py",
      "if not _exact_on_probe():", "if False:"),
     ("newmark_a2_scaled", "src/beamload/forward.py",
@@ -124,6 +124,24 @@ MUTANTS = [
      'np.einsum("rj,rj...->r...", W[:, ::-1], V[:, ::-1])'),
     ("bound_matvec_x_check_dropped", "src/beamload/_lapack.py",
      "_vector(x, n)\n    _vector(y, n)", "_vector(y, n)"),
+    ("backtrack_never_halves", "src/beamload/inversion.py",
+     "step *= 0.5", "step *= 1.0"),
+    ("modal_space_mode_scaled", "src/beamload/measurements.py",
+     "k * np.pi * x", "k / np.pi * x"),
+    ("fixed_guard_after_two_rises", "src/beamload/inversion.py",
+     "n >= 3 and last[0] < last[1] < last[2] < last[3]",
+     "n >= 2 and last[-3] < last[-2] < last[-1]"),
+    ("adjoint_moment_sign_flipped", "src/beamload/adjoint.py",
+     "forces[:, system.theta0_dof] = p[::-1]",
+     "forces[:, system.theta0_dof] = -p[::-1]"),
+    ("block_diagonal_keeps_corners", "src/beamload/forward.py",
+     "ab[kd - d, :d] = 0.0", "pass"),
+    ("table_writer_16_digits", "src/beamload/io.py",
+     '["%.17g"] * len(columns)', '["%.16g"] * len(columns)'),
+    ("fft_length_2_5_7_smooth", "src/beamload/forward.py",
+     "p35 *= 3", "p35 *= 7"),
+    ("scipy_optimize_imported_at_load", "src/beamload/inversion.py",
+     "import numpy as np\n", "import numpy as np\nimport scipy.optimize\n"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

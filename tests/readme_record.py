@@ -8,8 +8,10 @@ output file but `manifest.txt`, the file's sha256 and statistics of each
 column in %.17g: the count, sum, sum of squares and largest magnitude of
 a numeric column, the sha256 of any other.  A `key=value` summary is one
 row whose columns are its keys.  The record also names the platform it
-was made on: the numpy version and the config string of the OpenBLAS
-that `beamload._lapack` calls.
+was made on: the numpy version, the config string of the OpenBLAS that
+`beamload._lapack` calls and that library's thread count, since numpy's
+matrix products on it differ in their last bits between one and two
+threads.
 
 A change that alters output bits on purpose regenerates the record from
 the repository root with
@@ -20,6 +22,7 @@ which prints, for each file whose bits changed, the largest relative
 change of its statistics; the change's notes quote those numbers.
 """
 
+import ctypes
 import hashlib
 import json
 import pathlib
@@ -51,9 +54,20 @@ def readme_config():
     return text.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
+def blas_threads():
+    """The thread count of numpy's OpenBLAS, which `beamload._lapack`
+    calls, or "fallback" when it calls scipy.linalg instead."""
+    if _lapack.CONFIG is None:
+        return "fallback"
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    lib = ctypes.CDLL(str(min(libs.glob("libscipy_openblas64_*"))))
+    return lib.scipy_openblas_get_num_threads64_()
+
+
 def platform():
     return (f"numpy {np.__version__}; "
-            f"{_lapack.CONFIG or 'scipy.linalg fallback'}")
+            f"{_lapack.CONFIG or 'scipy.linalg fallback'}; "
+            f"threads {blas_threads()}")
 
 
 def sha256(data):

@@ -261,6 +261,61 @@ def test_reused_evaluation_matches_a_fresh_one(twin, monkeypatch, omega):
     assert np.array_equal(reused.grad_history, plain.grad_history)
 
 
+def test_backtracking_halves_a_first_trial_that_is_too_long(twin):
+    """Along the gradient line J(s) = J - s c + s^2 b / 2 is least at
+    s* = c / b.  A first trial at 6 s* raises J, as does 3 s*, and
+    1.5 s* lowers it, so the line search halves twice and accepts
+    BACKTRACK_START omega / 4."""
+    grid, coeffs, _, series = twin
+    kernel = forward.beam_kernel(grid, coeffs)
+    coords = inversion._FieldCoordinates(kernel, series, grid)
+    Z = np.zeros((kernel.rank[1], grid.n_times))
+    J, residual = coords.evaluate(Z)
+    Y = kernel.adjoint_series(residual)[:, ::-1].copy()
+    AY = kernel.output_series(coords.P @ Y)
+    c, b = ((AY * residual).sum(axis=0) @ coords.w_t,
+            (AY * AY).sum(axis=0) @ coords.w_t)
+    assert c > 0
+    omega = 6.0 * c / b / inversion.BACKTRACK_START
+    trial, J_trial, _ = inversion._backtrack(Z, Y, J, omega, None, coords,
+                                             residual)
+    steps = [k for k in range(inversion.BACKTRACK_HALVINGS)
+             if np.array_equal(trial, Z - omega * inversion.BACKTRACK_START
+                               * 0.5 ** k * Y)]
+    assert steps == [2]
+    assert J_trial < J
+    assert J_trial == coords.evaluate(trial)[0]
+
+
+# scripted misfits J_0, J_1, ...: three rises in a row raise at the
+# third; two rises, then a fall or a tie, do not
+@pytest.mark.parametrize("script,evaluations", [
+    ([9.0, 5.0, 6.0, 7.0, 8.0, 1.0], 5),
+    ([9.0, 5.0, 6.0, 7.0, 4.0, 5.0, 6.0, 3.0], None),
+    ([9.0, 5.0, 6.0, 6.0, 7.0, 8.0, 2.0], None),
+], ids=["three_rises", "two_rises_then_a_fall", "a_tie"])
+def test_fixed_rule_raises_on_the_third_consecutive_rise(
+        twin, monkeypatch, script, evaluations):
+    grid, coeffs, _, series = twin
+    calls = []
+
+    def scripted(self, Z):
+        calls.append(Z)
+        return script[len(calls) - 1], np.ones((2, grid.n_times))
+
+    monkeypatch.setattr(inversion._FieldCoordinates, "evaluate", scripted)
+    config = InversionConfig(step_rule="fixed",
+                             max_iterations=len(script) - 1)
+    if evaluations is None:
+        state = run_inversion(series, coeffs, grid, config=config)
+        assert state.stop_reason == "max-iter"
+        assert state.J_history == script
+        return
+    with pytest.raises(DivergenceError, match="3 consecutive"):
+        run_inversion(series, coeffs, grid, config=config)
+    assert len(calls) == evaluations
+
+
 def _kernel_calls(count_calls, monkeypatch):
     """Counters of the convolutions, of the kernel's coordinate and nodal
     operators, of the paper's objective and gradient, and of the trial

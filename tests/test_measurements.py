@@ -310,6 +310,17 @@ def test_modal_load_round_trip(small_grid):
     assert np.allclose(field.values, combo)
 
 
+def test_modal_load_field_is_a_product_of_sines():
+    """Mode k of `ModalLoad` is sin(k pi x / l) sin(k pi t / T), on a beam
+    and a time span of other than unit length."""
+    grid = SpaceTimeGrid(length=2.5, final_time=0.7, n_elements=8,
+                         n_steps=20)
+    x, t = grid.nodes[:, None], grid.times[None, :]
+    expected = np.sin(2 * np.pi * x / 2.5) * np.sin(2 * np.pi * t / 0.7)
+    field = ModalLoad((0.0, 1.0, 0.0)).field(grid)
+    np.testing.assert_allclose(field.values, expected, rtol=0, atol=1e-15)
+
+
 def test_generate_scenario_kinds(small_grid, small_coeffs):
     for kind, params in [
             ("moving_gaussian", {"amplitude": 1.0, "speed": 1.0,

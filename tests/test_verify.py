@@ -267,7 +267,7 @@ def mode_pulse_velocities(grid, coeffs, system):
 def moment_series(grid):
     """The suite's adjoint inputs: the reversed basis moments, as p and
     as q, (2, 3, n_times)."""
-    return np.stack([verify._moment_modes(grid)[:, ::-1]] * 2)
+    return np.stack([verify._moment_factors(grid)[0][:, ::-1]] * 2)
 
 
 def whole_basis_states(velocities, series, n_fft):
@@ -314,7 +314,7 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
 
     velocities = forward.end_rotation_responses(system, grid)[1]
     rates = factored_states(velocities, moment_series(grid), n_fft)
-    modes = verify._moment_modes(grid)
+    modes = verify._moment_factors(grid)[0]
     zero = np.zeros(grid.n_times)
     for rate, (p, q) in zip(rates, [(m, zero) for m in modes]
                             + [(zero, m) for m in modes]):
