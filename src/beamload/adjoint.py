@@ -26,12 +26,6 @@ class AdjointField:
     phi_t: np.ndarray
     grid: object
 
-    @classmethod
-    def from_tau(cls, phi, rate, grid):
-        """The field of a state (phi, d phi / d tau) integrated in
-        tau = T - t, mapped back to t: phi_t = -d phi / d tau."""
-        return cls(phi=phi[:, ::-1], phi_t=(-rate)[:, ::-1], grid=grid)
-
 
 def solve_adjoint(coeffs, p, q, grid, system=None):
     """Solve the backward problem with moment data (p, q).
@@ -56,7 +50,8 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     forces[:, system.thetaL_dof] = q[::-1]
     phi, rate = newmark_integrate(system.M, system.C, system.K, forces,
                                   grid.dt)
-    return AdjointField.from_tau(phi, rate, grid)
+    # back to t, where phi_t = -d phi / d tau
+    return AdjointField(phi=phi[:, ::-1], phi_t=(-rate)[:, ::-1], grid=grid)
 
 
 def adjoint_series(field, unit):

@@ -5,7 +5,6 @@ unconditionally stable, second order, and free of numerical dissipation,
 so the discrete energy balance reflects only the physical damping terms.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,20 +260,13 @@ def convolve_t1(t1, series, n_fft):
     acts as the force train f_0, -f_0, f_0, ... from t_1 on; the result
     (n_out, n_times) vanishes at t_0."""
     n_times = series.shape[1]
-    spectrum = rfft(series[:, 1:] + series[:, :1] * _force_train(n_times - 1),
-                    n_fft)
+    x = series[:, 1:].copy()
+    x[:, 0::2] += series[:, :1]
+    x[:, 1::2] -= series[:, :1]
     out = np.zeros((t1.shape[0], n_times))
-    out[:, 1:] = irfft(np.einsum("oif,if->of", t1, spectrum),
+    out[:, 1:] = irfft(np.einsum("oif,if->of", t1, rfft(x, n_fft)),
                        n_fft)[:, :n_times - 1]
     return out
-
-
-@functools.cache
-def _force_train(n):
-    """The read-only force train 1, -1, 1, ... of n samples."""
-    train = (-1.0) ** np.arange(n)
-    train.flags.writeable = False
-    return train
 
 
 def next_fast_len(n):

@@ -46,7 +46,9 @@ MUTANTS = [
     ("grid_length_check_dropped", "src/beamload/assembly.py",
      "if len(coeffs.rho_A) != n_nodes:", "if False:"),
     ("force_train_sign_flipped", "src/beamload/forward.py",
-     "train = (-1.0) ** np.arange(n)", "train = -(-1.0) ** np.arange(n)"),
+     "x[:, 1::2] -= series[:, :1]", "x[:, 1::2] += series[:, :1]"),
+    ("force_train_first_sample_dropped", "src/beamload/forward.py",
+     "x[:, 0::2] += series[:, :1]", "x[:, 2::2] += series[:, :1]"),
     ("newmark_a0_scaled", "src/beamload/forward.py",
      "a0, a1, a2, h = 4.0 / dt ** 2,",
      "a0, a1, a2, h = 4.0 / dt ** 2 * (1 + 1e-8),"),
@@ -134,6 +136,8 @@ MUTANTS = [
     ("adjoint_moment_sign_flipped", "src/beamload/adjoint.py",
      "forces[:, system.theta0_dof] = p[::-1]",
      "forces[:, system.theta0_dof] = -p[::-1]"),
+    ("adjoint_rate_sign_kept", "src/beamload/adjoint.py",
+     "phi_t=(-rate)[:, ::-1]", "phi_t=rate[:, ::-1]"),
     ("block_diagonal_keeps_corners", "src/beamload/forward.py",
      "ab[kd - d, :d] = 0.0", "pass"),
     ("table_writer_16_digits", "src/beamload/io.py",

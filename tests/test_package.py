@@ -27,11 +27,11 @@ UNUSED_AT_IMPORT = ("scipy", "scipy.fft", "scipy.interpolate", "scipy.linalg",
 
 # One fresh interpreter runs the stages in order and prints one labelled
 # line per check. The kernel's transforms come from numpy.fft, the
-# smoothing spline and its Brent root-find are in-house, the three LAPACK
-# and BLAS routines of Newmark and of the spline's banded solve come from
-# the OpenBLAS numpy bundles, and the banded products of the quadratic
-# forms are numpy's, so neither an import, a
-# full-field inversion, an energy form nor the verification suite loads
+# smoothing spline and its Chandrupatla root-find are in-house, the three
+# LAPACK and BLAS routines of Newmark and of the spline's banded solve
+# come from the OpenBLAS numpy bundles, and the banded products of the
+# quadratic forms are numpy's, so neither an import, a full-field
+# inversion, an energy form nor the verification suite loads
 # scipy at all, nor maps scipy's own OpenBLAS (on Linux, where
 # /proc/self/maps lists the mapped libraries). scipy.optimize loads when
 # a parametric fit first needs it, and scipy.linalg with it, since
