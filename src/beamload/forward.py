@@ -58,12 +58,11 @@ def newmark_integrate(M, C, K, forces, dt):
     shape (n_times, n_dofs) sampled at the time instants.  Returns the
     displacement and velocity histories (u, v), each (n_dofs, n_times):
     transposed views of arrays stored one instant per row, so that each
-    step writes contiguous rows.  Only the current acceleration is kept.
-    The effective matrix K + a0 M + a1 C is summed band by band and
-    factored once with a banded symmetric Cholesky factorization (a
-    DivergenceError naming the matrix when it or M fails); each
-    step makes two banded matvecs and one banded solve, bound once per
-    pass to fixed buffers.
+    step writes contiguous rows.  No acceleration is kept.  The effective
+    matrix K + a0 M + a1 C is summed band by band and factored once with
+    a banded symmetric Cholesky factorization (a DivergenceError naming
+    the matrix when it or M fails); each step makes two banded matvecs
+    and one banded solve, bound once per pass to fixed buffers.
 
     `forces` of shape (n_times, B, n_dofs) integrates B load cases at
     once, and u and v are then (B, n_dofs, n_times).  The cases form one
@@ -78,59 +77,48 @@ def newmark_integrate(M, C, K, forces, dt):
         raise DivergenceError("non-finite force input")
     forces = forces.reshape(n_times, n_cases * n)
     M, C, K = (_block_diagonal(ab, n_cases) for ab in (M, C, K))
-    # Newmark-beta at gamma = 1/2, beta = 1/4: of the textbook step's
-    # constants, a3 = a4 = 1, a5 = 0 and a6 = a7 = h; in numpy floats, so
-    # a step out of floating range gives an a0 of inf or 0, not an error
+    # in numpy floats, so that a step out of floating range gives an a0
+    # of inf or 0, not an error
     dt = np.float64(dt)
     with np.errstate(all="ignore"):
-        a0, a1, a2, h = 4.0 / dt ** 2, 2.0 / dt, 4.0 / dt, dt / 2.0
+        a0, a1, a2 = 4.0 / dt ** 2, 2.0 / dt, 4.0 / dt
         eff = K + a0 * M + a1 * C
+        D_u, D_v = a0 * M + a1 * C - K, a2 * M
     if not (a0 > 0 and np.isfinite(eff).all()):
         raise DivergenceError(f"time step {dt:g} out of floating range")
-
-    cb_eff, cb_M = _cholesky(eff, "effective"), _cholesky(M, "mass")
+    cb_eff = _cholesky(eff, "effective")
+    _cholesky(M, "mass")  # the check alone: no step solves with M
 
     u = np.zeros((n_times, n_cases * n))
     v = np.zeros((n_times, n_cases * n))
-    ak, an, x, y, b, a2v, tmp = (np.empty(n_cases * n) for _ in range(7))
-    ak[:] = forces[0]
-    bound_solve(cb_M, ak)()
-    matvec_M, matvec_C = bound_matvec(M, x, y), bound_matvec(C, x, y)
+    xu, yu, xv, yv, b = (np.empty(n_cases * n) for _ in range(5))
+    matvec_u, matvec_v = bound_matvec(D_u, xu, yu), bound_matvec(D_v, xv, yv)
     solve = bound_solve(cb_eff, b)
 
     # the BLAS matvecs and LAPACK triangular solves are called directly on
     # the bands and the state is checked for finiteness once per pass, not
     # once per step; a pass that diverges runs on to the end without
-    # floating-point warnings.  Each step computes, into its buffers (a
-    # ufunc's third argument is its output) and in this order of
-    # operations,
-    #   b = f_k+1 + M (a0 u_k + a2 v_k + a_k) + C (a1 u_k + v_k),
-    #   u_k+1 = eff^-1 b,  a_k+1 = a0 (u_k+1 - u_k) - a2 v_k - a_k,
-    #   v_k+1 = v_k + h a_k + h a_k+1
+    # floating-point warnings.  The scheme keeps M a_k + C v_k + K u_k = f_k
+    # at every instant, so a_k drops out (Hughes, 1987, ch. 9); each step
+    # computes, into its buffers (a ufunc's third argument is its output)
+    # and in this order of operations,
+    #   b = f_k+1 + f_k + (a0 M + a1 C - K) u_k + a2 M v_k,
+    #   u_k+1 = eff^-1 b,  v_k+1 = a1 (u_k+1 - u_k) - v_k
     with np.errstate(all="ignore"):
         for k in range(n_times - 1):
             uk, vk, un, vn = u[k], v[k], u[k + 1], v[k + 1]
-            np.multiply(a0, uk, x)
-            np.multiply(a2, vk, a2v)
-            np.add(x, a2v, x)
-            np.add(x, ak, x)
-            matvec_M()
-            np.add(forces[k + 1], y, b)
-            np.multiply(a1, uk, x)
-            np.add(x, vk, x)
-            matvec_C()
-            np.add(b, y, b)
+            np.copyto(xu, uk)
+            np.copyto(xv, vk)
+            matvec_u()
+            matvec_v()
+            np.add(forces[k + 1], forces[k], b)
+            np.add(b, yu, b)
+            np.add(b, yv, b)
             solve()
             np.copyto(un, b)
-            np.subtract(b, uk, an)
-            np.multiply(a0, an, an)
-            np.subtract(an, a2v, an)
-            np.subtract(an, ak, an)
-            np.multiply(h, ak, tmp)
-            np.add(vk, tmp, vn)
-            np.multiply(h, an, tmp)
-            np.add(vn, tmp, vn)
-            ak, an = an, ak
+            np.subtract(b, uk, vn)
+            np.multiply(a1, vn, vn)
+            np.subtract(vn, vk, vn)
     bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
     if bad.size:
         raise DivergenceError(f"non-finite state at step {bad[0]}")
@@ -168,8 +156,8 @@ class ImpulseKernel:
     the adjoint field are causal convolutions of their inputs with the
     responses to a unit impulse at an end-rotation DOF at t_1, kept as
     `n_fft`-point spectra.  A force f_0 at t_0 needs no response of its
-    own: the scheme starts from a_0 = M^-1 f_0, which acts exactly like
-    the force train f_0, -f_0, f_0, ... from t_1 on.  Arrays are
+    own: it enters the first step as f_1 does, so it acts like the force
+    train f_0, -f_0, f_0, ... from t_1 on, bit for bit.  Arrays are
     (n_out, n_in, frequency):
 
     - `outputs_t1`: out = (theta_0, theta_l), in = r_out series.  The

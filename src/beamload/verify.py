@@ -138,9 +138,9 @@ def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
     `_coordinates`, and each Gram block as Y_k' (C_k' A C_l) Y_l, with A
     C_l formed first as `quadratic_forms` does.  `velocities` is a list,
     emptied as each response is factored.  The displacement is the
-    velocity's cumulative trapezoid from rest, which average-acceleration
-    Newmark satisfies exactly, so its coordinates are the cumtrapz of
-    Y_k; a trace line is the DOF's row of C_k times them."""
+    velocity's cumulative trapezoid from rest, which the Newmark step
+    keeps to a few eps, so its coordinates are the cumtrapz of Y_k; a
+    trace line is the DOF's row of C_k times them."""
     factors = [_coordinates(velocities.pop(0), inputs, n_fft)
                for inputs in series]
     n_per, n_times = series.shape[1:]

@@ -50,8 +50,8 @@ MUTANTS = [
     ("force_train_first_sample_dropped", "src/beamload/forward.py",
      "x[:, 0::2] += series[:, :1]", "x[:, 2::2] += series[:, :1]"),
     ("newmark_a0_scaled", "src/beamload/forward.py",
-     "a0, a1, a2, h = 4.0 / dt ** 2,",
-     "a0, a1, a2, h = 4.0 / dt ** 2 * (1 + 1e-8),"),
+     "a0, a1, a2 = 4.0 / dt ** 2,",
+     "a0, a1, a2 = 4.0 / dt ** 2 * (1 + 1e-8),"),
     ("morozov_strict", "src/beamload/inversion.py",
      "if 2.0 * J <= morozov_sq:", "if 2.0 * J < morozov_sq:"),
     ("table_row_check_off_by_one", "src/beamload/io.py",
@@ -63,8 +63,14 @@ MUTANTS = [
      "y[:] = cumtrapz(y, dt)", "y[:] = y"),
     ("trace_row_shifted", "src/beamload/verify.py",
      "C[dof] @ Y", "C[dof - 1] @ Y"),
-    ("newmark_h_scaled", "src/beamload/forward.py",
-     "4.0 / dt, dt / 2.0", "4.0 / dt, dt / 2.0 * (1 + 1e-6)"),
+    ("newmark_velocity_rate_scaled", "src/beamload/forward.py",
+     "np.multiply(a1, vn, vn)", "np.multiply(a1 * (1 + 1e-6), vn, vn)"),
+    ("newmark_f_k_dropped", "src/beamload/forward.py",
+     "np.add(forces[k + 1], forces[k], b)", "np.copyto(b, forces[k + 1])"),
+    ("newmark_v_k_sign_flipped", "src/beamload/forward.py",
+     "np.subtract(vn, vk, vn)", "np.add(vn, vk, vn)"),
+    ("newmark_mass_check_dropped", "src/beamload/forward.py",
+     '_cholesky(M, "mass")', "None"),
     ("trapezoid_end_weight_scaled", "src/beamload/model.py",
      "w[0] = w[-1] = 0.5 * spacing",
      "w[0], w[-1] = 0.5 * spacing, 0.5 * spacing * (1 + 1e-6)"),
@@ -84,7 +90,7 @@ MUTANTS = [
     ("lapack_probe_dropped", "src/beamload/_lapack.py",
      "if not _exact_on_probe():", "if False:"),
     ("newmark_a2_scaled", "src/beamload/forward.py",
-     "2.0 / dt, 4.0 / dt,", "2.0 / dt, 4.0 / dt * (1 + 1e-6),"),
+     "- K, a2 * M", "- K, a2 * M * (1 + 1e-6)"),
     ("spline_band_term_dropped", "src/beamload/measurements.py",
      "lam * (b[:-1] * a[1:] + c[:-1] * b[1:])", "lam * (b[:-1] * a[1:])"),
     ("mesh_count_floor_lowered", "src/beamload/cli.py",
