@@ -25,8 +25,8 @@ from .measurements import (NoiseSpec, generate_scenario, load_family,
                            manufactured_case)
 from .model import (CoefficientBounds, CoefficientSet, LoadField,
                     SpaceTimeGrid, l2_norm_spacetime, series_l2_norm)
-from .verify import (SuiteReport, audit_operators, duality_checks,
-                     gradient_fd_checks, verify_inequality_suite)
+from .verify import (duality_checks, gradient_fd_checks,
+                     verify_inequality_suite)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -238,31 +238,24 @@ def cmd_forward(cfg, grid, coeffs, args, out):
 
 def cmd_verify(cfg, grid, coeffs, args, out):
     n = _family(cfg, "verify.n_")
-    report = SuiteReport(())
-    # one kernel for every check of the grid and coefficients; a family
-    # with a count of 0 returns no rows and builds nothing
-    kernel = None
-    if n["scenarios"]:
-        # the suite's bases and the kernel, built phase by phase
-        operators = audit_operators(grid, coeffs)
-        kernel = operators[0]
-        report += verify_inequality_suite(
-            grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
-            ct_variant=args.ct_variant, operators=operators)
-    elif any(n.values()):
-        kernel = beam_kernel(grid, coeffs)
+    # every check runs on the beam's kept kernel, which the suite's audit
+    # keeps when it builds; a family with a count of 0 returns no rows
+    # and builds nothing
+    report = verify_inequality_suite(
+        grid, coeffs, n_scenarios=n["scenarios"], seed=args.seed,
+        ct_variant=args.ct_variant)
     report += duality_checks(
         grid, coeffs, n_triples=n["triples"], seed=args.seed,
-        tol=cfg["verify.duality_tol"], kernel=kernel)
+        tol=cfg["verify.duality_tol"])
     report += gradient_fd_checks(
         grid, coeffs, n_directions=n["directions"], seed=args.seed,
-        tol=cfg["verify.fd_tol"], kernel=kernel)
+        tol=cfg["verify.fd_tol"])
 
     save_check_report(os.path.join(out, "report.csv"), report.rows)
     violations = report.violations
     summary = {"checks": len(report.rows), "violations": len(violations)}
-    if kernel is not None:
-        summary["kernel_rank"] = "%d/%d" % kernel.rank
+    if any(n.values()):
+        summary["kernel_rank"] = "%d/%d" % beam_kernel(grid, coeffs).rank
     save_sidecar(os.path.join(out, "summary.txt"), summary)
     for r in violations:
         print(f"VIOLATION {r.check} {r.scenario}: "

@@ -387,28 +387,36 @@ def impulse_kernel(system, grid, u=None):
                          **arrays)
 
 
-# the last kernel `beam_kernel` built, under its key
+# the store of the last beam asked for, under its key
 _beam_kernels = {}
+
+
+def beam_store(grid, coeffs):
+    """The dict kept for the beam `coeffs` on `grid`, which `beam_kernel`
+    and `verify.audit_operators` fill.  The key is the grid, the bounds,
+    the bytes of the five read-only coefficient fields and the LAPACK
+    backend, so that nothing built on numpy's OpenBLAS is reused on the
+    scipy.linalg fallback.  One beam is kept: a new key drops the last
+    one's store."""
+    key = (grid, coeffs.bounds, _lapack.CONFIG,
+           *(getattr(coeffs, name).tobytes()
+             for name in ("rho_A", "mu", "T_r", "r", "kappa")))
+    store = _beam_kernels.get(key)
+    if store is None:
+        _beam_kernels.clear()
+        store = _beam_kernels[key] = {}
+    return store
 
 
 def beam_kernel(grid, coeffs):
     """The ImpulseKernel of the beam `coeffs` on `grid`, that is
-    `impulse_kernel(assemble(grid, coeffs), grid)`, kept for the next
-    call on the same beam.
-
-    The key is the grid, the bounds, the bytes of the five read-only
-    coefficient fields and the LAPACK backend, so that a kernel built on
-    numpy's OpenBLAS is not reused on the scipy.linalg fallback.  One
-    kernel is kept: a new key drops the last one before it builds."""
-    key = (grid, coeffs.bounds, _lapack.CONFIG,
-           *(getattr(coeffs, name).tobytes()
-             for name in ("rho_A", "mu", "T_r", "r", "kappa")))
-    kernel = _beam_kernels.get(key)
-    if kernel is None:
-        _beam_kernels.clear()
-        kernel = impulse_kernel(assemble(grid, coeffs), grid)
-        _beam_kernels[key] = kernel
-    return kernel
+    `impulse_kernel(assemble(grid, coeffs), grid)`, kept in its
+    `beam_store`, where `verify.audit_operators` keeps the kernel it
+    builds too."""
+    store = beam_store(grid, coeffs)
+    if "kernel" not in store:
+        store["kernel"] = impulse_kernel(assemble(grid, coeffs), grid)
+    return store["kernel"]
 
 
 def solve_forward(coeffs, load, grid, system=None):

@@ -15,7 +15,7 @@ of 8 space-time modes and every moment series of 3 sine modes.  The
 discrete solvers are linear, so each audited norm series of a scenario
 is a quadratic form c' G(t) c in the coefficients c it draws, and each
 output a linear one.  The suite builds the Gram series G of the bases
-once per call and evaluates every scenario from them.
+once per beam and evaluates every scenario from them.
 """
 
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ from .adjoint import check_adjoint_estimates
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
 from .forward import (EPS_FLOOR, _factor_rows, band_product, beam_kernel,
-                      check_apriori_estimates, convolve_t1, cumtrapz,
-                      end_rotation_responses, impulse_kernel,
+                      beam_store, check_apriori_estimates, convolve_t1,
+                      cumtrapz, end_rotation_responses, impulse_kernel,
                       kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
@@ -140,7 +140,8 @@ def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
     emptied as each response is factored.  The displacement is the
     velocity's cumulative trapezoid from rest, which the Newmark step
     keeps to a few eps, so its coordinates are the cumtrapz of Y_k; a
-    trace line is the DOF's row of C_k times them."""
+    trace line is the DOF's row of C_k times them.  The Gram series and
+    lines are read-only: the beam's store keeps them."""
     factors = [_coordinates(velocities.pop(0), inputs, n_fft)
                for inputs in series]
     n_per, n_times = series.shape[1:]
@@ -171,7 +172,8 @@ def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
             y[:] = cumtrapz(y, dt)
     fill(grams[1], unit[1])
     trace(0)
-    return grams, list(lines.reshape(-1, n_basis, n_times))
+    grams.flags.writeable = lines.flags.writeable = False
+    return grams, tuple(lines.reshape(-1, n_basis, n_times))
 
 
 def _series(basis, c):
@@ -208,7 +210,7 @@ def _adjoint_bases(grid, velocities, n_fft, unit):
     reversed_modes = _moment_factors(grid)[0][:, ::-1]
     (pt_sq, pxx_sq, pxxt_sq), _ = _norm_bases(
         velocities, np.stack([reversed_modes] * 2), n_fft, unit, grid.dt)
-    return [gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)], []
+    return tuple(gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)), ()
 
 
 def _output_bases(grid, kernel):
@@ -226,20 +228,29 @@ def _output_bases(grid, kernel):
 
 
 def audit_operators(grid, coeffs):
-    """The (kernel, forward bases, adjoint bases) triple of one assemble:
-    the ImpulseKernel of the grid and coefficients, and the bases of
-    the suite's a-priori and adjoint audits.  The phases run largest
+    """The (kernel, forward bases, adjoint bases) triple of the beam
+    `coeffs` on `grid`: its ImpulseKernel and the bases of the suite's
+    a-priori and adjoint audits, kept in the beam's `beam_store`, so that
+    the next call on the beam builds nothing.
+
+    A missing triple is built from one assemble.  The phases run largest
     first, and each drops its arrays before the next starts: the
     four-mode pass and the forward bases, the `end_rotation_responses`
-    pass, the adjoint bases from its v, and the kernel from its u."""
-    system = assemble(grid, coeffs)
-    unit = unit_norm_matrices(grid)
-    n_fft = kernel_fft_length(grid)
-    forward = _forward_bases(coeffs, grid, system, n_fft, unit)
-    u, velocities = end_rotation_responses(system, grid)
-    velocities = list(velocities)
-    adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
-    return impulse_kernel(system, grid, u), forward, adjoint
+    pass, the adjoint bases from its v, and the kernel from its u, kept
+    as the beam's for `beam_kernel` unless the beam has one already."""
+    store = beam_store(grid, coeffs)
+    if "audit" not in store:
+        system = assemble(grid, coeffs)
+        unit = unit_norm_matrices(grid)
+        n_fft = kernel_fft_length(grid)
+        forward = _forward_bases(coeffs, grid, system, n_fft, unit)
+        u, velocities = end_rotation_responses(system, grid)
+        velocities = list(velocities)
+        adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
+        if "kernel" not in store:
+            store["kernel"] = impulse_kernel(system, grid, u)
+        store["audit"] = store["kernel"], forward, adjoint
+    return store["audit"]
 
 
 def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
@@ -311,28 +322,25 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
 
 
 def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
-                            slack=DEFAULT_SLACK, ct_variant="literal",
-                            operators=None):
+                            slack=DEFAULT_SLACK, ct_variant="literal"):
     """Run every inequality check over randomized admissible inputs.
 
     The loads span 8 basis loads and the moment data 6 basis series, so
-    the suite first builds, once per call, the Gram series of the
-    audited norms over each basis, the basis loads' outputs and the Gram
-    of their gradients; each scenario then draws its coefficients and
+    the suite first takes the Gram series of the audited norms over each
+    basis, and builds the basis loads' outputs and the Gram of their
+    gradients; each scenario then draws its coefficients and
     evaluates quadratic and linear forms in them.  The forward states are
     FFT convolutions with the velocity responses to the four space modes
     of `random_load`, from one pass, and the adjoint states with those
-    to the two end rotations.  `operators` is the (kernel, forward bases,
-    adjoint bases) triple of `audit_operators`, built when not given.
-    Returns a SuiteReport; an empty scenario set yields an empty report,
-    and builds nothing.
+    to the two end rotations.  The kernel and the bases are the beam's
+    kept `audit_operators`, so a second call on the same beam makes no
+    Newmark pass.  Returns a SuiteReport; an empty scenario set yields
+    an empty report, and builds nothing.
     """
     if not n_scenarios:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
-    if operators is None:
-        operators = audit_operators(grid, coeffs)
-    kernel, forward, adjoint = operators
+    kernel, forward, adjoint = audit_operators(grid, coeffs)
     bases = ((_mode_shapes(grid), _load_histories(grid)),
              _moment_factors(grid), forward, adjoint,
              _output_bases(grid, kernel))

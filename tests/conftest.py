@@ -19,8 +19,9 @@ from beamload.objective import compute_gradient, evaluate_objective
 
 @pytest.fixture(autouse=True)
 def cold_beam_kernel():
-    """Each test starts with no kept beam kernel, so that no test's
-    kernel builds depend on the tests run before it."""
+    """Each test starts with an empty beam store, no kernel and no audit
+    operators, so that no test's builds depend on the tests run before
+    it."""
     forward._beam_kernels.clear()
 
 

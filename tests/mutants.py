@@ -114,6 +114,10 @@ MUTANTS = [
      "key = (grid, coeffs.bounds,"),
     ("beam_kernel_key_drops_kappa", "src/beamload/forward.py",
      '("rho_A", "mu", "T_r", "r", "kappa")', '("rho_A", "mu", "T_r", "r")'),
+    ("audit_rebuilt_every_call", "src/beamload/verify.py",
+     'if "audit" not in store:', "if True:"),
+    ("audit_kept_across_beams", "src/beamload/forward.py",
+     "_beam_kernels.clear()", "pass"),
     ("misfit_q_weight_doubled", "src/beamload/objective.py",
      "0.5 * time_inner(q, q, dt)", "time_inner(q, q, dt)"),
     ("root_always_bisects", "src/beamload/measurements.py",

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from beamload import cli, forward, objective
+from beamload import assembly, cli, forward, objective
 from beamload.cli import main
 from beamload.forward import solve_forward
 from beamload.io import save_coefficient, save_load, save_measurements
@@ -109,6 +109,38 @@ def test_verify_builds_one_kernel_and_batches_its_passes(tmp_path,
                     + "verify.duality_tol = 2e-2\n")
     assert run("verify", cfg, tmp_path / "out") == 0
     assert calls == {"impulse_kernel": 1, "newmark_integrate": 2}
+
+
+def test_repeated_verify_builds_nothing(tmp_path, count_calls):
+    """A second `verify` on the same beam, with another seed, makes no
+    assemble, no Newmark pass and no kernel, and writes the report of a
+    run with that seed from no kept beam, byte for byte."""
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 3\n"
+                    + "verify.duality_tol = 2e-2\n")
+    calls = count_calls(forward.impulse_kernel, forward.newmark_integrate,
+                        assembly.assemble)
+    assert run("verify", cfg, tmp_path / "first", ("--seed", "0")) == 0
+    calls.clear()
+    assert run("verify", cfg, tmp_path / "warm", ("--seed", "1")) == 0
+    assert sum(calls.values()) == 0
+    forward._beam_kernels.clear()
+    assert run("verify", cfg, tmp_path / "cold", ("--seed", "1")) == 0
+    for name in ("report.csv", "summary.txt"):
+        assert digest(tmp_path / "warm" / name) == digest(
+            tmp_path / "cold" / name)
+
+
+def test_invert_after_verify_builds_no_kernel(tmp_path, count_calls):
+    """`invert` on the beam that `verify` audited runs on the kernel that
+    the audit kept: its one Newmark pass is the twin data's forward
+    solve."""
+    cfg = write_cfg(tmp_path, BASE + "verify.n_scenarios = 1\n"
+                    "verify.duality_tol = 2e-2\nscenario.kind = modal\n")
+    calls = count_calls(forward.impulse_kernel, forward.newmark_integrate)
+    assert run("verify", cfg, tmp_path / "verify") == 0
+    calls.clear()
+    assert run("invert", cfg, tmp_path / "invert") == 0
+    assert calls == {"newmark_integrate": 1}
 
 
 @pytest.mark.parametrize("triples,directions", [(2, 0), (0, 2), (2, 2)])

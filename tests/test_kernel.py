@@ -258,20 +258,33 @@ def _wide_coeffs(grid, **changes):
     return CoefficientSet(bounds=bounds, **fields)
 
 
+# the two consumers of a beam's store, and what each builds from none:
+# `beam_kernel` the kernel, `audit_operators` the audit triple, whose
+# second Newmark pass gives the kernel
+CONSUMERS = (
+    (forward.beam_kernel,
+     {"impulse_kernel": 1, "assemble": 1, "newmark_integrate": 1}),
+    (verify.audit_operators,
+     {"impulse_kernel": 1, "assemble": 1, "newmark_integrate": 2}))
+
+
 def assert_rebuilds(count_calls, kept_beam, new_beam):
-    """After `beam_kernel` kept the kernel of the (grid, coeffs) pair
-    `kept_beam`, it returns that kernel again with no build, then builds
-    the kernel of `new_beam` once and keeps it."""
-    kept = forward.beam_kernel(*kept_beam)
+    """For each consumer of the store, from no kept beam: after it kept
+    what it builds for the (grid, coeffs) pair `kept_beam`, it returns
+    that again with no build, then builds that of `new_beam` once and
+    keeps it."""
     calls = count_calls(forward.impulse_kernel, assemble,
                         forward.newmark_integrate)
-    assert forward.beam_kernel(*kept_beam) is kept
-    assert sum(calls.values()) == 0
-    kernel = forward.beam_kernel(*new_beam)
-    assert kernel is not kept
-    assert forward.beam_kernel(*new_beam) is kernel
-    assert calls == {"impulse_kernel": 1, "assemble": 1,
-                     "newmark_integrate": 1}
+    for build, counts in CONSUMERS:
+        forward._beam_kernels.clear()
+        kept = build(*kept_beam)
+        calls.clear()
+        assert build(*kept_beam) is kept
+        assert sum(calls.values()) == 0
+        made = build(*new_beam)
+        assert made is not kept
+        assert build(*new_beam) is made
+        assert calls == counts
 
 
 @pytest.mark.parametrize("field", ["rho_A", "mu", "T_r", "r", "kappa"])
@@ -308,16 +321,19 @@ def test_another_grid_rebuilds_the_kernel(refine, small_grid, count_calls):
 def test_another_lapack_backend_rebuilds_the_kernel(small_grid,
                                                     small_coeffs,
                                                     count_calls):
-    """A kernel factored on numpy's OpenBLAS is not reused on the
-    scipy.linalg fallback, nor the fallback's on OpenBLAS."""
-    kept = forward.beam_kernel(small_grid, small_coeffs)
+    """A kernel or an audit factored on numpy's OpenBLAS is not reused
+    on the scipy.linalg fallback, nor the fallback's on OpenBLAS."""
     calls = count_calls(forward.impulse_kernel)
-    with fallback(_no_library):
-        on_fallback = forward.beam_kernel(small_grid, small_coeffs)
-        assert forward.beam_kernel(small_grid, small_coeffs) is on_fallback
-    assert calls["impulse_kernel"] == 1 and on_fallback is not kept
-    assert forward.beam_kernel(small_grid, small_coeffs) is not on_fallback
-    assert calls["impulse_kernel"] == 2
+    for build, _ in CONSUMERS:
+        forward._beam_kernels.clear()
+        kept = build(small_grid, small_coeffs)
+        calls.clear()
+        with fallback(_no_library):
+            on_fallback = build(small_grid, small_coeffs)
+            assert build(small_grid, small_coeffs) is on_fallback
+        assert calls["impulse_kernel"] == 1 and on_fallback is not kept
+        assert build(small_grid, small_coeffs) is not on_fallback
+        assert calls["impulse_kernel"] == 2
 
 
 def test_one_kernel_is_kept(small_grid, small_coeffs):
@@ -327,6 +343,20 @@ def test_one_kernel_is_kept(small_grid, small_coeffs):
     assert first() is not None
     forward.beam_kernel(small_grid, _wide_coeffs(small_grid))
     assert first() is None
+    assert len(forward._beam_kernels) == 1
+
+
+def test_one_audit_is_kept(small_grid, small_coeffs):
+    """After a second beam the first beam's kernel and audit bases are no
+    longer referenced: one beam's store is kept, whichever consumer
+    asks next."""
+    kernel, (grams, _), (adjoint_grams, _) = verify.audit_operators(
+        small_grid, small_coeffs)
+    refs = [weakref.ref(a) for a in (kernel, grams, adjoint_grams[0].base)]
+    del kernel, grams, adjoint_grams
+    assert all(ref() is not None for ref in refs)
+    forward.beam_kernel(small_grid, _wide_coeffs(small_grid))
+    assert all(ref() is None for ref in refs)
     assert len(forward._beam_kernels) == 1
 
 

@@ -130,17 +130,22 @@ def test_modal_load_is_its_sum_of_modes_bit_for_bit(seed, random_case):
 def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                                                      small_coeffs,
                                                      count_calls):
-    """The system, the unit-norm matrices and the impulse kernel are built
-    once per call, and the Newmark passes do not grow with the scenarios:
-    the space modes' and the end rotations', which also builds the
-    kernel."""
+    """From no kept beam, the system, the unit-norm matrices and the
+    impulse kernel are built once per call, and the Newmark passes do not
+    grow with the scenarios: the space modes' and the end rotations',
+    which also builds the kernel.  A second call on the beam builds
+    none of them."""
     calls = count_calls(assembly.assemble, assembly.unit_norm_matrices,
                         forward.impulse_kernel, forward.newmark_integrate)
     counts = []
     for n in (1, 3):
+        forward._beam_kernels.clear()
         calls.clear()
         verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
         counts.append(dict(calls))
+        calls.clear()
+        verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
+        assert sum(calls.values()) == 0
     assert counts[0] == counts[1]
     assert counts[0] == {"assemble": 1, "unit_norm_matrices": 1,
                          "impulse_kernel": 1, "newmark_integrate": 2}
@@ -379,9 +384,11 @@ def test_factored_gram_series_match_the_whole_states(seed, random_case,
 
 def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
                                                  count_calls, monkeypatch):
-    """The suite builds its bases once: one kernel, 2 Newmark passes, and
-    the same kernel outputs, kernel adjoints, convolutions and quadratic
-    forms for 1 scenario as for 20, counted at every import site."""
+    """From no kept beam, the suite builds its bases once: one kernel, 2
+    Newmark passes, and the same kernel outputs, kernel adjoints,
+    convolutions and quadratic forms for 1 scenario as for 20, counted at
+    every import site.  A second call on the beam makes no kernel and no
+    Newmark pass."""
     calls = count_calls(forward.impulse_kernel, forward.newmark_integrate,
                         forward.convolve_t1, forward.quadratic_forms)
 
@@ -396,22 +403,31 @@ def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
                             counted(getattr(forward.ImpulseKernel, name)))
     counts = []
     for n in (1, 20):
+        forward._beam_kernels.clear()
         calls.clear()
         verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
         counts.append(collections.Counter(calls))
+        calls.clear()
+        verify_inequality_suite(small_grid, small_coeffs, n_scenarios=n)
+        assert calls["impulse_kernel"] == calls["newmark_integrate"] == 0
     assert counts[0] == counts[1]
     assert counts[0]["impulse_kernel"] == 1
     assert counts[0]["newmark_integrate"] == 2
 
 
+def _audit_case():
+    """The 32x256 grid and the coefficients of the suite's memory tests."""
+    grid = SpaceTimeGrid(1.0, 1.0, 32, 256)
+    return grid, CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                         r=0.8, kappa=0.02)
+
+
 def test_suite_memory_is_one_pass_and_the_kernel():
-    """At 32x256 the traced peak of `audit_operators` and the suite stays
+    """At 32x256 the traced peak of a suite call from no kept beam stays
     within the four-mode pulse pass (the pulse loads, their forces and
     the u and v of four cases) plus the kernel's spectra: no basis state
     is held whole, and the phases do not overlap."""
-    grid = SpaceTimeGrid(1.0, 1.0, 32, 256)
-    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
-                                     r=0.8, kappa=0.02)
+    grid, coeffs = _audit_case()
     n_nodes, n_times = grid.n_nodes, grid.n_times
     n_dofs = assembly.assemble(grid, coeffs).n_dofs
     pulse_pass = 8 * 4 * n_times * (n_nodes + n_dofs + 2 * n_dofs)
@@ -419,13 +435,51 @@ def test_suite_memory_is_one_pass_and_the_kernel():
     kernel = 16 * 2 * n_freq * (n_nodes + n_nodes - 2)
     tracemalloc.start()
     try:
-        verify_inequality_suite(grid, coeffs, n_scenarios=2,
-                                operators=verify.audit_operators(grid,
-                                                                 coeffs))
+        verify_inequality_suite(grid, coeffs, n_scenarios=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= pulse_pass + kernel
+
+
+def test_suite_keeps_only_the_kernel_and_the_bases():
+    """After a suite call at 32x256 the traced memory still held is the
+    beam's store: the kernel, with its system, and the Gram series and
+    trace lines of the 8 basis loads and the 6 basis moments, within
+    64 KiB.  No velocity, displacement or force history (128 KiB and
+    more each) stays alive."""
+    grid, coeffs = _audit_case()
+    # the first call's imports and caches are not the store's
+    verify_inequality_suite(grid, coeffs, n_scenarios=1)
+    forward._beam_kernels.clear()
+    tracemalloc.start()
+    try:
+        verify_inequality_suite(grid, coeffs, n_scenarios=2)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (store,) = forward._beam_kernels.values()
+    assert set(store) == {"kernel", "audit"}
+    n_nodes, n_times = grid.n_nodes, grid.n_times
+    n_freq = forward.kernel_fft_length(grid) // 2 + 1
+    r_out, r_adj = store["kernel"].rank
+    kernel = 8 * (4 * n_freq * (r_out + r_adj) + n_nodes * r_out
+                  + (n_nodes - 2) * r_adj + (r_out + r_adj) * r_adj)
+    system = sum(a.nbytes for a in vars(store["kernel"].system).values()
+                 if isinstance(a, np.ndarray))
+    grams = 8 * 3 * n_times * (8 * 8 + 6 * 6)
+    lines = 8 * 2 * 2 * 8 * n_times
+    assert current <= kernel + system + grams + lines + 64 * 1024
+
+
+def test_audit_bases_are_read_only(small_grid, small_coeffs):
+    """The kept Gram series and trace lines are shared by every suite call
+    on their beam, so no caller can write into them."""
+    _, forward_bases, adjoint_bases = verify.audit_operators(small_grid,
+                                                             small_coeffs)
+    for series in itertools.chain(*forward_bases, *adjoint_bases):
+        with pytest.raises(ValueError, match="read-only"):
+            series[...] = 0.0
 
 
 def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
