@@ -12,7 +12,7 @@ import numpy as np
 
 from .assembly import assemble
 from .constants import compute_constants
-from .errors import DimensionError
+from .errors import DivergenceError
 from .forward import estimate_rows, newmark_integrate, quadratic_forms
 from .model import DEFAULT_SLACK, trapezoid_weights
 
@@ -38,7 +38,7 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise DimensionError("adjoint inputs must be finite")
+        raise DivergenceError("adjoint inputs must be finite")
     if p.shape != (grid.n_times,) or q.shape != (grid.n_times,):
         raise ValueError("boundary series must match the time grid")
     if system is None:

@@ -237,7 +237,7 @@ class ImpulseKernel:
         """The r_adj coordinate series (r_adj, n_times) of the adjoint
         field of moment data pq = (p, q), in reversed time tau = T - t."""
         if not np.all(np.isfinite(pq)):
-            raise DimensionError("adjoint inputs must be finite")
+            raise DivergenceError("adjoint inputs must be finite")
         return self._convolve(self.adjoint_t1, pq[:, ::-1])
 
 

@@ -14,8 +14,11 @@ The suite's random inputs span fixed bases: every load is a combination
 of 8 space-time modes and every moment series of 3 sine modes.  The
 discrete solvers are linear, so each audited norm series of a scenario
 is a quadratic form c' G(t) c in the coefficients c it draws, and each
-output a linear one.  The suite builds the Gram series G of the bases
-once per beam and evaluates every scenario from them.
+output a linear one; so are the space-time norm of a load, c' M c with
+the load Gram M, and that of a gradient.  The beam's store keeps the
+Gram series, the basis loads' outputs, their gradient Gram and M, built
+once per beam, and every scenario is evaluated from them: it forms no
+load and makes no convolution.
 """
 
 from dataclasses import dataclass
@@ -71,16 +74,14 @@ def _load_histories(grid):
                      np.cos((k - 1) * np.pi * t / T)], axis=1)
 
 
-def _modal_load(grid, c, factors=None):
+def _modal_load(grid, c):
     """The load sum_k sin(k pi x / l) (a_k sin(k pi t / T)
     + b_k cos((k - 1) pi t / T)) of coefficients c = (a_1, b_1, ..., a_4,
-    b_4).  `factors` is the pair of `_mode_shapes` and `_load_histories`
-    of the grid, made when not given."""
-    shapes, histories = factors or (_mode_shapes(grid),
-                                    _load_histories(grid))
+    b_4)."""
+    histories = _load_histories(grid)
     pairs = np.reshape(c, (4, 2))
     h = pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]
-    return LoadField(np.einsum("kn,kt->nt", shapes, h), grid)
+    return LoadField(np.einsum("kn,kt->nt", _mode_shapes(grid), h), grid)
 
 
 def random_load(grid, rng):
@@ -213,31 +214,53 @@ def _adjoint_bases(grid, velocities, n_fft, unit):
     return tuple(gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)), ()
 
 
+def _load_gram(grid):
+    """The (8, 8) space-time Gram sum w_x w_t F_i F_j of the 8 basis
+    loads F_i of `_modal_load`, from its separable factors: the weighted
+    space Gram of the modes, repeated over each (sin, cos) pair, times
+    the weighted time Gram of the histories.  No load is formed."""
+    shapes = _mode_shapes(grid)
+    histories = _load_histories(grid).reshape(8, -1)
+    w_x = trapezoid_weights(grid.n_nodes, grid.h)
+    w_t = trapezoid_weights(grid.n_times, grid.dt)
+    space = np.repeat(np.repeat(shapes * w_x @ shapes.T, 2, 0), 2, 1)
+    return space * (histories * w_t @ histories.T)
+
+
 def _output_bases(grid, kernel):
     """The outputs (theta_0, theta_l) of the 8 basis loads, (8, 2,
-    n_times), and the (8, 8) space-time Gram of their gradients, the
-    adjoint fields of those outputs: sum_t w_t y_i' G y_j over their
-    `adjoint_series` coordinates y and the kernel's `field_gram` G; the
-    time weights w_t are symmetric, so y stays in reversed time."""
+    n_times), the (8, 8) space-time Gram of their gradients, and the
+    `_load_gram` of the loads themselves.  The gradients are the adjoint
+    fields of the outputs, so their Gram is sum_t w_t y_i' G y_j over
+    their `adjoint_series` coordinates y and the kernel's `field_gram` G;
+    the time weights w_t are symmetric, so y stays in reversed time.  The
+    three arrays are read-only: the beam's store keeps them."""
     outputs = np.array([kernel.outputs(_modal_load(grid, c).values)
                         for c in np.eye(8)])
     Y = [kernel.adjoint_series(theta) for theta in outputs]
     w_t = trapezoid_weights(grid.n_times, grid.dt)
-    return outputs, np.array([[np.vdot(gy, y) for y in Y] for gy in
-                              (kernel.field_gram @ y * w_t for y in Y)])
+    bases = (outputs,
+             np.array([[np.vdot(gy, y) for y in Y] for gy in
+                       (kernel.field_gram @ y * w_t for y in Y)]),
+             _load_gram(grid))
+    for basis in bases:
+        basis.flags.writeable = False
+    return bases
 
 
 def audit_operators(grid, coeffs):
-    """The (kernel, forward bases, adjoint bases) triple of the beam
-    `coeffs` on `grid`: its ImpulseKernel and the bases of the suite's
-    a-priori and adjoint audits, kept in the beam's `beam_store`, so that
-    the next call on the beam builds nothing.
+    """The (kernel, forward bases, adjoint bases, output bases) of the
+    beam `coeffs` on `grid`: its ImpulseKernel, the bases of the suite's
+    a-priori and adjoint audits, and the `_output_bases` of its basis
+    loads, kept in the beam's `beam_store`, so that the next call on the
+    beam builds nothing.
 
-    A missing triple is built from one assemble.  The phases run largest
-    first, and each drops its arrays before the next starts: the
+    Missing operators are built from one assemble.  The phases run
+    largest first, and each drops its arrays before the next starts: the
     four-mode pass and the forward bases, the `end_rotation_responses`
-    pass, the adjoint bases from its v, and the kernel from its u, kept
-    as the beam's for `beam_kernel` unless the beam has one already."""
+    pass, the adjoint bases from its v, the kernel from its u, kept as
+    the beam's for `beam_kernel` unless the beam has one already, and
+    the output bases on that kernel."""
     store = beam_store(grid, coeffs)
     if "audit" not in store:
         system = assemble(grid, coeffs)
@@ -249,18 +272,19 @@ def audit_operators(grid, coeffs):
         adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
         if "kernel" not in store:
             store["kernel"] = impulse_kernel(system, grid, u)
-        store["audit"] = store["kernel"], forward, adjoint
+        kernel = store["kernel"]
+        store["audit"] = (kernel, forward, adjoint,
+                          _output_bases(grid, kernel))
     return store["audit"]
 
 
 def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
     """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
     truth, p, q) and evaluate its rows from the bases."""
-    factors, moment_factors, forward, adjoint, output_bases = bases
-    outputs, gradient_gram = output_bases
+    moment_factors, forward, adjoint, output_bases = bases
+    outputs, gradient_gram, load_gram = output_bases
     c1 = rng.normal(size=8)
-    load = _modal_load(grid, c1, factors)
-    F_norm_sq = l2_norm_spacetime(load) ** 2
+    F_norm_sq = float(c1 @ load_gram @ c1)
 
     # a-priori bounds: six volume norms and four boundary traces
     rows = check_apriori_estimates(_series(forward, c1), grid, coeffs,
@@ -279,7 +303,6 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
 
     # a second load, and twin data from a third for C_J
     c2 = rng.normal(size=8)
-    load2 = _modal_load(grid, c2, factors)
     meas = np.tensordot(rng.normal(size=8), outputs, 1)
     consts = compute_constants(
         grid.length, grid.final_time, coeffs.bounds,
@@ -287,7 +310,8 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
         theta0_norm=series_l2_norm(meas[0], grid.dt),
         thetaL_norm=series_l2_norm(meas[1], grid.dt),
         ct_variant=ct_variant)
-    dF = l2_norm_spacetime(load - load2)
+    d = c1 - c2
+    dF = float(np.sqrt(d @ load_gram @ d))
     r1 = np.tensordot(c1, outputs, 1) - meas
     r2 = np.tensordot(c2, outputs, 1) - meas
 
@@ -314,7 +338,6 @@ def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
 
     # Lipschitz continuity of the gradient: the gradient difference is
     # the adjoint field of the output difference
-    d = c1 - c2
     rows.append(CheckRow.bound("gradient_lipschitz", tag,
                                np.sqrt(d @ gradient_gram @ d),
                                consts.L_G * dF, slack))
@@ -327,23 +350,20 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
 
     The loads span 8 basis loads and the moment data 6 basis series, so
     the suite first takes the Gram series of the audited norms over each
-    basis, and builds the basis loads' outputs and the Gram of their
-    gradients; each scenario then draws its coefficients and
+    basis, and the basis loads' outputs, the Gram of their gradients and
+    their space-time Gram; each scenario then draws its coefficients and
     evaluates quadratic and linear forms in them.  The forward states are
     FFT convolutions with the velocity responses to the four space modes
     of `random_load`, from one pass, and the adjoint states with those
-    to the two end rotations.  The kernel and the bases are the beam's
-    kept `audit_operators`, so a second call on the same beam makes no
-    Newmark pass.  Returns a SuiteReport; an empty scenario set yields
-    an empty report, and builds nothing.
+    to the two end rotations.  The bases are the beam's kept
+    `audit_operators`, so a second call on the same beam makes no Newmark
+    pass, no convolution and no nodal load.  Returns a SuiteReport; an
+    empty scenario set yields an empty report, and builds nothing.
     """
     if not n_scenarios:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
-    kernel, forward, adjoint = audit_operators(grid, coeffs)
-    bases = ((_mode_shapes(grid), _load_histories(grid)),
-             _moment_factors(grid), forward, adjoint,
-             _output_bases(grid, kernel))
+    bases = (_moment_factors(grid),) + audit_operators(grid, coeffs)[1:]
     rows = []
     for s in range(n_scenarios):
         rows += _scenario(grid, coeffs, bases, rng, f"s{s:02d}", slack,

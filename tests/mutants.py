@@ -116,6 +116,11 @@ MUTANTS = [
      '("rho_A", "mu", "T_r", "r", "kappa")', '("rho_A", "mu", "T_r", "r")'),
     ("audit_rebuilt_every_call", "src/beamload/verify.py",
      'if "audit" not in store:', "if True:"),
+    ("audit_output_bases_rebuilt", "src/beamload/verify.py",
+     'return store["audit"]',
+     'return store["audit"][:3] + (_output_bases(grid, store["kernel"]),)'),
+    ("load_gram_space_weights_dropped", "src/beamload/verify.py",
+     "shapes * w_x @ shapes.T", "shapes @ shapes.T"),
     ("audit_kept_across_beams", "src/beamload/forward.py",
      "_beam_kernels.clear()", "pass"),
     ("misfit_q_weight_doubled", "src/beamload/objective.py",

@@ -5,7 +5,7 @@ from beamload.adjoint import (adjoint_series, check_adjoint_estimates,
                               solve_adjoint)
 from beamload.assembly import unit_norm_matrices
 from beamload.constants import compute_constants, transfer_constant
-from beamload.errors import DimensionError
+from beamload.errors import DivergenceError
 from beamload.model import CoefficientSet, SpaceTimeGrid, trapezoid_weights
 
 
@@ -46,7 +46,7 @@ def test_adjoint_rejects_non_finite_data(small_grid, small_coeffs):
     p = np.zeros(small_grid.n_times)
     bad = p.copy()
     bad[3] = np.inf
-    with pytest.raises(DimensionError):
+    with pytest.raises(DivergenceError, match="adjoint inputs"):
         solve_adjoint(small_coeffs, bad, p, small_grid)
 
 

@@ -186,6 +186,19 @@ def test_kernel_rejects_non_finite_load(small_grid, small_coeffs):
         kernel.outputs(values)
 
 
+def test_kernel_rejects_non_finite_moment_data(small_grid, small_coeffs):
+    """Non-finite moment data are a numeric failure, as in
+    `solve_adjoint`, not a size mismatch."""
+    kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
+    p = np.zeros(small_grid.n_times)
+    bad = p.copy()
+    bad[3] = np.inf
+    with pytest.raises(DivergenceError, match="adjoint inputs"):
+        kernel.adjoint(p, bad)
+    with pytest.raises(DivergenceError, match="adjoint inputs"):
+        kernel.adjoint_series(np.array([bad, p]))
+
+
 def test_each_consumer_builds_one_kernel(small_grid, small_coeffs,
                                          monkeypatch):
     """The inversion loops and the verification checks build the kernel
@@ -259,7 +272,7 @@ def _wide_coeffs(grid, **changes):
 
 
 # the two consumers of a beam's store, and what each builds from none:
-# `beam_kernel` the kernel, `audit_operators` the audit triple, whose
+# `beam_kernel` the kernel, `audit_operators` the audit operators, whose
 # second Newmark pass gives the kernel
 CONSUMERS = (
     (forward.beam_kernel,
@@ -350,10 +363,11 @@ def test_one_audit_is_kept(small_grid, small_coeffs):
     """After a second beam the first beam's kernel and audit bases are no
     longer referenced: one beam's store is kept, whichever consumer
     asks next."""
-    kernel, (grams, _), (adjoint_grams, _) = verify.audit_operators(
-        small_grid, small_coeffs)
-    refs = [weakref.ref(a) for a in (kernel, grams, adjoint_grams[0].base)]
-    del kernel, grams, adjoint_grams
+    kernel, (grams, _), (adjoint_grams, _), (outputs, _, _) = (
+        verify.audit_operators(small_grid, small_coeffs))
+    refs = [weakref.ref(a)
+            for a in (kernel, grams, adjoint_grams[0].base, outputs)]
+    del kernel, grams, adjoint_grams, outputs
     assert all(ref() is not None for ref in refs)
     forward.beam_kernel(small_grid, _wide_coeffs(small_grid))
     assert all(ref() is None for ref in refs)
