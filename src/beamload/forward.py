@@ -209,13 +209,12 @@ class ImpulseKernel:
         return convolve_t1(t1, series, self.n_fft)
 
     def outputs(self, values):
-        """End slopes (theta_0, theta_l) of nodal load values
-        (n_nodes, n_times), as `solve_forward` gives them: the
+        """End slopes (2, n_times), theta_0 then theta_l, of nodal load
+        values (n_nodes, n_times), as `solve_forward` gives them: the
         `output_series` of their `load_basis` coordinates."""
         if not np.all(np.isfinite(values)):
             raise DivergenceError("non-finite force input")
-        theta = self.output_series(self.load_basis.T @ values)
-        return theta[0], theta[1]
+        return self.output_series(self.load_basis.T @ values)
 
     def output_series(self, series):
         """End slopes (2, n_times) of the r_out load coordinate series
@@ -343,14 +342,14 @@ def _factor_rows(rows):
     return rows @ W.T, W
 
 
-def _factored_spectra(rows, n_fft):
+def _factored_spectra(rows, n_fft, n_in):
     """The basis C of `_factor_rows` and the `n_fft`-point spectra
-    (2, r, frequency) of the series W, whose rows hold the two end
-    rotations' histories side by side."""
+    (n_in, r, frequency) of the series W, whose rows hold the histories
+    of `n_in` inputs side by side; W goes when the call returns."""
     basis, rows = _factor_rows(rows)
-    spectra = np.empty((2, len(rows), n_fft // 2 + 1), dtype=complex)
-    for i, half in enumerate(np.hsplit(rows, 2)):
-        rfft(half, n_fft, out=spectra[i])
+    spectra = np.empty((n_in, len(rows), n_fft // 2 + 1), dtype=complex)
+    for i, part in enumerate(np.hsplit(rows, n_in)):
+        rfft(part, n_fft, out=spectra[i])
     return basis, spectra
 
 
@@ -361,17 +360,16 @@ def impulse_kernel(system, grid, u=None):
 
     Each operator's responses are stacked as rows over the nodes, the
     two end rotations' histories side by side, and factored by
-    `_factor_rows`: for the outputs the rows load_map' u_i, for the
-    adjoint the interior deflection rows of u_i.  Only the factors'
-    series are transformed, one operator at a time."""
+    `_factored_spectra` as 2 inputs: for the outputs the rows
+    load_map' u_i, for the adjoint the interior deflection rows of u_i,
+    one operator at a time."""
     n_fft = kernel_fft_length(grid)
     if u is None:
         u = end_rotation_responses(system, grid)[0]
     load_basis, outputs_t1 = _factored_spectra(
-        np.concatenate([system.load_map.T @ r for r in u], axis=1), n_fft)
+        np.hstack([system.load_map.T @ r for r in u]), n_fft, 2)
     field_basis, adjoint_t1 = _factored_spectra(
-        np.concatenate([r[system.deflection_dofs] for r in u], axis=1),
-        n_fft)
+        np.hstack([r[system.deflection_dofs] for r in u]), n_fft, 2)
     w_x = trapezoid_weights(grid.n_nodes, grid.h)[1:-1]
     arrays = dict(
         outputs_t1=outputs_t1,

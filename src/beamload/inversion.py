@@ -158,17 +158,15 @@ class _FieldCoordinates:
     """
 
     def __init__(self, kernel, measurements, grid):
-        if measurements.n_times != grid.n_times:
-            raise ValueError("measurements do not match the time grid")
         self.kernel = kernel
         self.P, self.G = kernel.coupling, kernel.field_gram
         self.w_t = trapezoid_weights(grid.n_times, grid.dt)
-        self.theta = np.array([measurements.theta0, measurements.thetaL])
+        self.theta = measurements.stacked(grid)
 
     def evaluate(self, Z):
-        """The misfit J at Z and the output residual (2, n_times)."""
-        if not np.all(np.isfinite(Z)):
-            raise DivergenceError("non-finite force input")
+        """The misfit J at Z and the output residual (2, n_times); a
+        non-finite Z has non-finite outputs, which `output_series`
+        refuses."""
         residual = self.kernel.output_series(self.P @ Z) - self.theta
         sq = (residual * residual) @ self.w_t
         return float(0.5 * sq[0] + 0.5 * sq[1]), residual
@@ -242,10 +240,10 @@ def reconstruct_parametric(measurements, coeffs, grid, family):
     kernel = beam_kernel(grid, coeffs)
     kind = type(family)
     w = np.sqrt(np.tile(trapezoid_weights(grid.n_times, grid.dt), 2))
-    theta = w * np.concatenate([measurements.theta0, measurements.thetaL])
+    theta = w * measurements.stacked(grid).ravel()
 
     def outputs(values):
-        return w * np.concatenate(kernel.outputs(values))
+        return w * kernel.outputs(values).ravel()
 
     def residual(params):
         return outputs(kind.from_parameters(params).field(grid).values) \

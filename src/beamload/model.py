@@ -249,6 +249,13 @@ class MeasurementSeries:
     def n_times(self):
         return len(self.theta0)
 
+    def stacked(self, grid):
+        """(theta_0, theta_l) as one (2, n_times) array, as the kernel's
+        outputs on `grid`; a DimensionError off the grid's instants."""
+        if self.n_times != grid.n_times:
+            raise DimensionError("measurements do not match the time grid")
+        return np.array([self.theta0, self.thetaL])
+
 
 def series_l2_norm(values, dt):
     """Trapezoidal L2(0, T) norm of a time series."""

@@ -38,11 +38,7 @@ def evaluate_objective(load, measurements, kernel):
     `apply_io_operators` to Newmark round-off.
     """
     grid = load.grid
-    if measurements.n_times != grid.n_times:
-        raise ValueError("measurements do not match the time grid")
-    theta0, thetaL = kernel.outputs(load.values)
-    p = theta0 - measurements.theta0
-    q = thetaL - measurements.thetaL
+    p, q = kernel.outputs(load.values) - measurements.stacked(grid)
     return ObjectiveEvaluation(J=misfit(p, q, grid.dt), p=p, q=q,
                                kernel=kernel)
 

@@ -15,24 +15,23 @@ of 8 space-time modes and every moment series of 3 sine modes.  The
 discrete solvers are linear, so each audited norm series of a scenario
 is a quadratic form c' G(t) c in the coefficients c it draws, and each
 output a linear one; so are the space-time norm of a load, c' M c with
-the load Gram M, and that of a gradient.  The beam's store keeps the
-Gram series, the basis loads' outputs, their gradient Gram and M, built
-once per beam, and every scenario is evaluated from them: it forms no
-load and makes no convolution.
+the load Gram M, and that of a gradient.  The beam's store keeps one
+read-only audit record of these Grams, the basis loads' outputs and
+the moment factors, built once per beam; every scenario is evaluated
+from it, and forms no load and makes no convolution.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import rfft
 
 from .adjoint import check_adjoint_estimates
 from .assembly import assemble, unit_norm_matrices
 from .constants import compute_constants
-from .forward import (EPS_FLOOR, _factor_rows, band_product, beam_kernel,
-                      beam_store, check_apriori_estimates, convolve_t1,
-                      cumtrapz, end_rotation_responses, impulse_kernel,
-                      kernel_fft_length, solve_forward)
+from .forward import (EPS_FLOOR, _factored_spectra, band_product,
+                      beam_kernel, beam_store, check_apriori_estimates,
+                      convolve_t1, cumtrapz, end_rotation_responses,
+                      impulse_kernel, kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
                     l2_norm_spacetime, series_l2_norm, spacetime_inner,
                     time_inner, trapezoid_weights)
@@ -116,14 +115,12 @@ def _coordinates(velocity, inputs, n_fft):
     """(C, Y) with the velocity states of the input series (n_per,
     n_times) equal to C Y[p]: `velocity` is the response (n_dofs,
     n_times - 1) to a unit impulse at t_1, given from t_1 on, factored
-    as C W by `_factor_rows`, and Y (n_per, r, n_times) convolves each
-    input with the r rows of W."""
-    C, W = _factor_rows(velocity)
-    Y = np.empty((len(inputs),) + W.shape[:1] + inputs.shape[1:])
-    spectrum = rfft(W, n_fft)[:, None]
-    del W
+    as C W by `_factored_spectra` as 1 input, and Y (n_per, r, n_times)
+    convolves each input with the r rows of W."""
+    C, (spectrum,) = _factored_spectra(velocity, n_fft, 1)
+    Y = np.empty((len(inputs),) + spectrum.shape[:1] + inputs.shape[1:])
     for x, y in zip(inputs, Y):
-        y[:] = convolve_t1(spectrum, x[None], n_fft)
+        y[:] = convolve_t1(spectrum[:, None], x[None], n_fft)
     return C, Y
 
 
@@ -233,27 +230,24 @@ def _output_bases(grid, kernel):
     `_load_gram` of the loads themselves.  The gradients are the adjoint
     fields of the outputs, so their Gram is sum_t w_t y_i' G y_j over
     their `adjoint_series` coordinates y and the kernel's `field_gram` G;
-    the time weights w_t are symmetric, so y stays in reversed time.  The
-    three arrays are read-only: the beam's store keeps them."""
+    the time weights w_t are symmetric, so y stays in reversed time."""
     outputs = np.array([kernel.outputs(_modal_load(grid, c).values)
                         for c in np.eye(8)])
     Y = [kernel.adjoint_series(theta) for theta in outputs]
     w_t = trapezoid_weights(grid.n_times, grid.dt)
-    bases = (outputs,
-             np.array([[np.vdot(gy, y) for y in Y] for gy in
-                       (kernel.field_gram @ y * w_t for y in Y)]),
-             _load_gram(grid))
-    for basis in bases:
-        basis.flags.writeable = False
-    return bases
+    return (outputs,
+            np.array([[np.vdot(gy, y) for y in Y] for gy in
+                      (kernel.field_gram @ y * w_t for y in Y)]),
+            _load_gram(grid))
 
 
 def audit_operators(grid, coeffs):
-    """The (kernel, forward bases, adjoint bases, output bases) of the
-    beam `coeffs` on `grid`: its ImpulseKernel, the bases of the suite's
-    a-priori and adjoint audits, and the `_output_bases` of its basis
-    loads, kept in the beam's `beam_store`, so that the next call on the
-    beam builds nothing.
+    """The flat audit record (moment factors, forward bases, adjoint
+    bases, outputs, gradient Gram, load Gram) of the beam `coeffs` on
+    `grid`: the `_moment_factors`, the bases of the suite's a-priori and
+    adjoint audits and the `_output_bases` of its basis loads, read-only
+    and kept in its `beam_store` beside the kernel, so that the next
+    call on the beam builds nothing.
 
     Missing operators are built from one assemble.  The phases run
     largest first, and each drops its arrays before the next starts: the
@@ -272,17 +266,19 @@ def audit_operators(grid, coeffs):
         adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
         if "kernel" not in store:
             store["kernel"] = impulse_kernel(system, grid, u)
-        kernel = store["kernel"]
-        store["audit"] = (kernel, forward, adjoint,
-                          _output_bases(grid, kernel))
+        moments = _moment_factors(grid)
+        outputs = _output_bases(grid, store["kernel"])
+        for array in (*moments, *outputs):
+            array.flags.writeable = False
+        store["audit"] = (moments, forward, adjoint) + outputs
     return store["audit"]
 
 
-def _scenario(grid, coeffs, bases, rng, tag, slack, ct_variant):
+def _scenario(grid, coeffs, audit, rng, tag, slack, ct_variant):
     """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
-    truth, p, q) and evaluate its rows from the bases."""
-    moment_factors, forward, adjoint, output_bases = bases
-    outputs, gradient_gram, load_gram = output_bases
+    truth, p, q) and evaluate its rows from the `audit_operators`."""
+    (moment_factors, forward, adjoint, outputs, gradient_gram,
+     load_gram) = audit
     c1 = rng.normal(size=8)
     F_norm_sq = float(c1 @ load_gram @ c1)
 
@@ -363,10 +359,10 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     if not n_scenarios:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
-    bases = (_moment_factors(grid),) + audit_operators(grid, coeffs)[1:]
+    audit = audit_operators(grid, coeffs)
     rows = []
     for s in range(n_scenarios):
-        rows += _scenario(grid, coeffs, bases, rng, f"s{s:02d}", slack,
+        rows += _scenario(grid, coeffs, audit, rng, f"s{s:02d}", slack,
                           ct_variant)
     return SuiteReport(tuple(rows))
 

@@ -105,6 +105,36 @@ def dense():
     return _dense
 
 
+def _modal_slopes(grid, coeffs, n, omega):
+    """The continuum end slopes (theta_0, theta_l) of the simply
+    supported beam with constant coefficients under the load
+    sin(n pi x / l) sin(omega t), from rest.  The load excites mode n
+    alone, u = q(t) sin(k x) with k = n pi / l, and q solves
+    rho q'' + (mu + kappa k^4) q' + (T_r k^2 + r k^4) q = sin(omega t)
+    with q(0) = q'(0) = 0: the steady sine response A sin + B cos plus
+    the free response a_1 e^(l_1 t) + a_2 e^(l_2 t) that cancels its
+    start.  The slopes are theta_0 = k q and theta_l = k cos(k l) q."""
+    rho, mu, T_r, r, kappa = (getattr(coeffs, name)[0] for name in
+                              ("rho_A", "mu", "T_r", "r", "kappa"))
+    k = n * np.pi / grid.length
+    m, c, s = rho, mu + kappa * k ** 4, T_r * k ** 2 + r * k ** 4
+    det = (s - m * omega ** 2) ** 2 + (c * omega) ** 2
+    A, B = (s - m * omega ** 2) / det, -c * omega / det
+    roots = np.roots([m, c, s]).astype(complex)
+    a = np.linalg.solve(np.array([np.ones(2), roots]), [-B, -A * omega])
+    t = grid.times
+    q = (A * np.sin(omega * t) + B * np.cos(omega * t)
+         + (a[:, None] * np.exp(roots[:, None] * t)).sum(axis=0).real)
+    return k * q, k * np.cos(k * grid.length) * q
+
+
+@pytest.fixture(scope="session")
+def modal_slopes():
+    """The continuum end slopes of one mode's sine load, on constant
+    coefficients: the forward solver's modal oracle."""
+    return _modal_slopes
+
+
 def _variable_coefficients(grid, rng):
     """Smooth random coefficient fields with bounds at their extrema."""
     x = grid.nodes / grid.length

@@ -118,7 +118,7 @@ MUTANTS = [
      'if "audit" not in store:', "if True:"),
     ("audit_output_bases_rebuilt", "src/beamload/verify.py",
      'return store["audit"]',
-     'return store["audit"][:3] + (_output_bases(grid, store["kernel"]),)'),
+     'return store["audit"][:3] + _output_bases(grid, store["kernel"])'),
     ("load_gram_space_weights_dropped", "src/beamload/verify.py",
      "shapes * w_x @ shapes.T", "shapes @ shapes.T"),
     ("audit_kept_across_beams", "src/beamload/forward.py",
@@ -161,6 +161,10 @@ MUTANTS = [
      "p35 *= 3", "p35 *= 7"),
     ("scipy_optimize_imported_at_load", "src/beamload/inversion.py",
      "import numpy as np\n", "import numpy as np\nimport scipy.optimize\n"),
+    ("measurement_grid_check_dropped", "src/beamload/model.py",
+     "if self.n_times != grid.n_times:", "if False:"),
+    ("factored_split_fixed_at_two", "src/beamload/forward.py",
+     "np.hsplit(rows, n_in)", "np.hsplit(rows, 2)"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

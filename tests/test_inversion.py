@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamload import forward, inversion, objective
-from beamload.errors import DivergenceError
+from beamload.errors import DimensionError, DivergenceError
 from beamload.assembly import assemble
 from beamload.forward import impulse_kernel, solve_forward
 from beamload.inversion import (InversionConfig, default_step,
@@ -74,6 +74,50 @@ def test_oversized_fixed_step_raises(twin):
     cfg = InversionConfig(step_rule="fixed", omega=1e6, max_iterations=50)
     with pytest.raises(DivergenceError):
         run_inversion(series, coeffs, grid, config=cfg)
+
+
+@pytest.mark.parametrize("omega", [1e300, np.inf])
+def test_step_out_of_range_raises_at_the_outputs(twin, omega):
+    """A fixed step out of floating range makes the coordinates
+    non-finite, and `ImpulseKernel.output_series` refuses their outputs:
+    the loop makes no check of its own on them."""
+    grid, coeffs, _, series = twin
+    cfg = InversionConfig(step_rule="fixed", omega=omega, max_iterations=5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError,
+                           match="^non-finite output$") as raised:
+            run_inversion(series, coeffs, grid, config=cfg)
+    assert raised.traceback[-1].name == "output_series"
+
+
+# the three consumers of measured slopes, each with the kernel of its
+# beam and a start where it needs one
+MEASUREMENT_CONSUMERS = {
+    "run_inversion": lambda series, coeffs, grid: run_inversion(
+        series, coeffs, grid),
+    "evaluate_objective": lambda series, coeffs, grid: (
+        objective.evaluate_objective(LoadField.zero(grid), series,
+                                     forward.beam_kernel(grid, coeffs))),
+    "reconstruct_parametric": lambda series, coeffs, grid: (
+        reconstruct_parametric(series, coeffs, grid,
+                               MovingGaussian(amplitude=1.0, speed=1.0,
+                                              sigma=0.2))),
+}
+
+
+@pytest.mark.parametrize("consumer", MEASUREMENT_CONSUMERS)
+def test_measurements_off_the_time_grid_raise(consumer):
+    """Slopes of 32 instants on an 8x32 grid (33 instants) raise one
+    DimensionError in every consumer, where the two channels are
+    stacked to be compared with the kernel's outputs."""
+    grid = SpaceTimeGrid(1.0, 1.0, 8, 32)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=0.05, T_r=0.1,
+                                     r=0.8, kappa=0.02)
+    rng = np.random.default_rng(0)
+    series = MeasurementSeries(*rng.normal(size=(2, grid.n_times - 1)))
+    with pytest.raises(DimensionError,
+                       match="^measurements do not match the time grid$"):
+        MEASUREMENT_CONSUMERS[consumer](series, coeffs, grid)
 
 
 def test_backtracking_outpaces_fixed_step(twin):

@@ -363,8 +363,9 @@ def test_one_audit_is_kept(small_grid, small_coeffs):
     """After a second beam the first beam's kernel and audit bases are no
     longer referenced: one beam's store is kept, whichever consumer
     asks next."""
-    kernel, (grams, _), (adjoint_grams, _), (outputs, _, _) = (
+    _, (grams, _), (adjoint_grams, _), outputs, _, _ = (
         verify.audit_operators(small_grid, small_coeffs))
+    kernel = forward.beam_kernel(small_grid, small_coeffs)
     refs = [weakref.ref(a)
             for a in (kernel, grams, adjoint_grams[0].base, outputs)]
     del kernel, grams, adjoint_grams, outputs

@@ -445,11 +445,12 @@ def test_suite_memory_is_one_pass_and_the_kernel():
 
 def test_suite_keeps_only_the_kernel_and_the_bases():
     """After a suite call at 32x256 the traced memory still held is the
-    beam's store: the kernel, with its system, the Gram series and trace
-    lines of the 8 basis loads and the 6 basis moments, and the basis
-    loads' outputs, gradient Gram and load Gram, within 64 KiB.  No
-    velocity, displacement or force history (128 KiB and more each)
-    stays alive."""
+    beam's store: the kernel, with its system, the moment factors, the
+    Gram series and trace lines of the 8 basis loads and the 6 basis
+    moments, and the basis loads' outputs, gradient Gram and load Gram,
+    within 64 KiB.  No velocity, displacement or force history (128 KiB
+    and more each) stays alive, and the audit does not hold the kernel a
+    second time."""
     grid, coeffs = _audit_case()
     # the first call's imports and caches are not the store's
     verify_inequality_suite(grid, coeffs, n_scenarios=1)
@@ -462,6 +463,7 @@ def test_suite_keeps_only_the_kernel_and_the_bases():
         tracemalloc.stop()
     (store,) = forward._beam_kernels.values()
     assert set(store) == {"kernel", "audit"}
+    assert all(entry is not store["kernel"] for entry in store["audit"])
     n_nodes, n_times = grid.n_nodes, grid.n_times
     n_freq = forward.kernel_fft_length(grid) // 2 + 1
     r_out, r_adj = store["kernel"].rank
@@ -472,17 +474,20 @@ def test_suite_keeps_only_the_kernel_and_the_bases():
     grams = 8 * 3 * n_times * (8 * 8 + 6 * 6)
     lines = 8 * 2 * 2 * 8 * n_times
     outputs = 8 * (8 * 2 * n_times + 2 * 8 * 8)
-    assert current <= kernel + system + grams + lines + outputs + 64 * 1024
+    moments = 8 * 2 * 3 * n_times
+    assert current <= (kernel + system + moments + grams + lines + outputs
+                       + 64 * 1024)
 
 
 def test_audit_bases_are_read_only(small_grid, small_coeffs):
-    """The kept Gram series, trace lines, outputs, gradient Gram and load
-    Gram are shared by every suite call on their beam, so no caller can
-    write into them."""
-    _, forward_bases, adjoint_bases, output_bases = verify.audit_operators(
-        small_grid, small_coeffs)
-    assert len(output_bases) == 3
-    for series in itertools.chain(*forward_bases, *adjoint_bases,
+    """The kept moment factors, Gram series, trace lines, outputs,
+    gradient Gram and load Gram are shared by every suite call on their
+    beam, so no caller can write into them."""
+    audit = verify.audit_operators(small_grid, small_coeffs)
+    assert len(audit) == 6
+    moments, forward_bases, adjoint_bases, *output_bases = audit
+    assert len(moments) == 2 and len(output_bases) == 3
+    for series in itertools.chain(moments, *forward_bases, *adjoint_bases,
                                   output_bases):
         with pytest.raises(ValueError, match="read-only"):
             series[...] = 0.0
@@ -508,7 +513,7 @@ def test_load_gram_gives_the_formed_loads_norms(seed, random_case):
     relative.  Negative control: the M of the unweighted space Gram
     fails."""
     grid, coeffs, _, _ = random_case(seed)
-    kept = verify.audit_operators(grid, coeffs)[3][2]
+    *_, kept = verify.audit_operators(grid, coeffs)
     rng = np.random.default_rng(seed)
     assert load_gram_error(grid, kept, rng) <= 1e-13
     shapes = verify._mode_shapes(grid)
