@@ -70,7 +70,8 @@ def check_adjoint_estimates(series, grid, coeffs, dp, dq,
     `adjoint_series` gives them, an adjoint field's or the suite's.
     dp and dq are the derivative series of the moment inputs.  Bounds
     use C_0^2 of `compute_constants` and the combined input-derivative
-    norm ||p'||^2 + ||q'||^2.
+    norm ||p'||^2 + ||q'||^2.  A leading scenario axis on the series, dp
+    and dq, with a tag per scenario, gives a list of rows per tag.
     """
     b = coeffs.bounds
     pxx_sq, pt_sq, pxxt_sq = series
@@ -78,20 +79,19 @@ def check_adjoint_estimates(series, grid, coeffs, dp, dq,
 
     T = grid.final_time
     C0_sq = compute_constants(grid.length, T, b, ct_variant=ct_variant).C0_sq
-    Qp_sq = float(wt @ np.asarray(dp) ** 2 + wt @ np.asarray(dq) ** 2)
+    Qp_sq = np.asarray(dp) ** 2 @ wt + np.asarray(dq) ** 2 @ wt
     eT = np.exp(T)
 
     bounds = [
-        ("phixx_LinfL2", float(np.max(pxx_sq)), eT * C0_sq * Qp_sq),
-        ("phixx_L2L2", float(wt @ pxx_sq), (eT - 1.0) * C0_sq * Qp_sq),
-        ("phit_LinfL2", float(np.max(pt_sq)),
+        ("phixx_LinfL2", np.max(pxx_sq, -1), eT * C0_sq * Qp_sq),
+        ("phixx_L2L2", pxx_sq @ wt, (eT - 1.0) * C0_sq * Qp_sq),
+        ("phit_LinfL2", np.max(pt_sq, -1),
          eT * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
-        ("phit_L2L2", float(wt @ pt_sq),
+        ("phit_L2L2", pt_sq @ wt,
          (eT - 1.0) * b.r0 / (2.0 * b.rho0) * C0_sq * Qp_sq),
-        ("phixxt_LinfL2", float(np.max(pxxt_sq)),
+        ("phixxt_LinfL2", np.max(pxxt_sq, -1),
          eT * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
-        ("phixxt_L2L2", float(wt @ pxxt_sq),
+        ("phixxt_L2L2", pxxt_sq @ wt,
          (eT - 1.0) * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
     ]
     return estimate_rows("adjoint_", scenario, bounds, slack)
-

@@ -529,7 +529,8 @@ def check_apriori_estimates(series, grid, coeffs, F_sq,
     """CheckRows of the six volume-norm and four boundary-trace a-priori
     bounds on norm series as `apriori_series` gives them, a trajectory's
     or the suite's, for a load of squared norm F_sq, with the constants
-    C_e^2 and C_1^2 of `compute_constants`."""
+    C_e^2 and C_1^2 of `compute_constants`.  A leading scenario axis on
+    the series and F_sq, with a tag per scenario, gives a list per tag."""
     b = coeffs.bounds
     ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series
     wt = trapezoid_weights(grid.n_times, grid.dt)
@@ -537,23 +538,27 @@ def check_apriori_estimates(series, grid, coeffs, F_sq,
     Ce2, C1_sq = consts.Ce_sq, consts.C1_sq
 
     bounds = [
-        ("ut_LinfL2", float(np.max(ut_sq)), Ce2 / b.rho0 * F_sq),
-        ("ut_L2L2", float(wt @ ut_sq), (Ce2 - 1.0) * F_sq),
-        ("uxx_LinfL2", float(np.max(uxx_sq)), Ce2 / b.r0 * F_sq),
-        ("uxx_L2L2", float(wt @ uxx_sq), b.rho0 / b.r0 * (Ce2 - 1.0) * F_sq),
-        ("uxxt_LinfL2", float(np.max(uxxt_sq)), Ce2 / b.kappa0 * F_sq),
-        ("uxxt_L2L2", float(wt @ uxxt_sq),
-         b.rho0 / b.kappa0 * (Ce2 - 1.0) * F_sq),
-        ("trace_ux0", float(wt @ th0 ** 2), C1_sq / b.r0 * F_sq),
-        ("trace_uxt0", float(wt @ th0_t ** 2), C1_sq / b.kappa0 * F_sq),
-        ("trace_uxL", float(wt @ thL ** 2), C1_sq / b.r0 * F_sq),
-        ("trace_uxtL", float(wt @ thL_t ** 2), C1_sq / b.kappa0 * F_sq),
+        ("ut_LinfL2", np.max(ut_sq, -1), Ce2 / b.rho0 * F_sq),
+        ("ut_L2L2", ut_sq @ wt, (Ce2 - 1.0) * F_sq),
+        ("uxx_LinfL2", np.max(uxx_sq, -1), Ce2 / b.r0 * F_sq),
+        ("uxx_L2L2", uxx_sq @ wt, b.rho0 / b.r0 * (Ce2 - 1.0) * F_sq),
+        ("uxxt_LinfL2", np.max(uxxt_sq, -1), Ce2 / b.kappa0 * F_sq),
+        ("uxxt_L2L2", uxxt_sq @ wt, b.rho0 / b.kappa0 * (Ce2 - 1.0) * F_sq),
+        ("trace_ux0", th0 ** 2 @ wt, C1_sq / b.r0 * F_sq),
+        ("trace_uxt0", th0_t ** 2 @ wt, C1_sq / b.kappa0 * F_sq),
+        ("trace_uxL", thL ** 2 @ wt, C1_sq / b.r0 * F_sq),
+        ("trace_uxtL", thL_t ** 2 @ wt, C1_sq / b.kappa0 * F_sq),
     ]
     return estimate_rows("apriori_", scenario, bounds, slack)
 
 
 def estimate_rows(prefix, scenario, bounds, slack):
-    """CheckRows of (name, lhs, rhs) estimates, floored at EPS_FLOOR."""
-    return [CheckRow.bound(prefix + name, scenario, lhs, rhs, slack,
-                           EPS_FLOOR)
-            for name, lhs, rhs in bounds]
+    """CheckRows of (name, lhs, rhs) estimates, floored at EPS_FLOOR: a
+    list for a `scenario` tag, or one per tag if lhs and rhs hold many."""
+    names, lhs, rhs = zip(*bounds)
+    lhs, rhs = np.transpose(lhs).tolist(), np.transpose(rhs).tolist()
+    if isinstance(scenario, str):
+        return [CheckRow.bound(prefix + n, scenario, l, r, slack, EPS_FLOOR)
+                for n, l, r in zip(names, lhs, rhs)]
+    return [estimate_rows(prefix, tag, zip(names, l, r), slack)
+            for tag, l, r in zip(scenario, lhs, rhs)]

@@ -17,8 +17,9 @@ is a quadratic form c' G(t) c in the coefficients c it draws, and each
 output a linear one; so are the space-time norm of a load, c' M c with
 the load Gram M, and that of a gradient.  The beam's store keeps one
 read-only audit record of these Grams, the basis loads' outputs and
-the moment factors, built once per beam; every scenario is evaluated
-from it, and forms no load and makes no convolution.
+the moment factors, built once per beam.  The suite draws all its
+scenarios at once and evaluates them from it as one batch of these
+forms, forming no load and making no convolution.
 """
 
 from dataclasses import dataclass
@@ -33,9 +34,8 @@ from .forward import (EPS_FLOOR, _factored_spectra, band_product,
                       convolve_t1, cumtrapz, end_rotation_responses,
                       impulse_kernel, kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
-                    l2_norm_spacetime, series_l2_norm, spacetime_inner,
-                    time_inner, trapezoid_weights)
-from .objective import compute_gradient, evaluate_objective, misfit
+                    trapezoid_weights)
+from .objective import compute_gradient, evaluate_objective
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,15 @@ def _load_histories(grid):
                      np.cos((k - 1) * np.pi * t / T)], axis=1)
 
 
-def _modal_load(grid, c):
+def _modal_load(grid, c, factors=None):
     """The load sum_k sin(k pi x / l) (a_k sin(k pi t / T)
     + b_k cos((k - 1) pi t / T)) of coefficients c = (a_1, b_1, ..., a_4,
-    b_4)."""
-    histories = _load_histories(grid)
+    b_4).  `factors` is the (`_mode_shapes`, `_load_histories`) pair of
+    the grid, made when not given."""
+    shapes, histories = factors or (_mode_shapes(grid), _load_histories(grid))
     pairs = np.reshape(c, (4, 2))
     h = pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]
-    return LoadField(np.einsum("kn,kt->nt", _mode_shapes(grid), h), grid)
+    return LoadField(np.einsum("kn,kt->nt", shapes, h), grid)
 
 
 def random_load(grid, rng):
@@ -89,20 +90,19 @@ def random_load(grid, rng):
 
 
 def _moment_factors(grid):
-    """The moment basis sin(j pi t / T), j = 1..3, and the cosines
-    cos(j pi t / T) of its derivatives, each (3, n_times)."""
+    """The moment basis sin(w_j t), w_j = j pi / T, j = 1..3, and its
+    derivatives w_j cos(w_j t), each (3, n_times)."""
     w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
-    return np.sin(w * grid.times), np.cos(w * grid.times)
+    return np.sin(w * grid.times), w * np.cos(w * grid.times)
 
 
 def _moment(grid, a, factors=None):
     """The series sum_j a_j sin(j pi t / T) and its analytic derivative,
     each summed over j in order.  `factors` is the `_moment_factors`
     pair of the grid, made when not given."""
-    modes, cosines = factors or _moment_factors(grid)
+    modes, rates = factors or _moment_factors(grid)
     a = a[:, None]
-    w = np.arange(1, 4)[:, None] * np.pi / grid.final_time
-    return sum(a * modes), sum(a * w * cosines)
+    return sum(a * modes), sum(a * rates)
 
 
 def random_smooth_series(grid, rng):
@@ -174,11 +174,15 @@ def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
     return grams, tuple(lines.reshape(-1, n_basis, n_times))
 
 
-def _series(basis, c):
-    """The norm series of the input with basis coefficients c, from the
-    (Gram series, line bases) pair of its basis."""
+def _series(basis, C):
+    """The norm series (n, n_times) of the n inputs with basis
+    coefficients C (n, n_basis), from the (Gram series, line bases) pair
+    of their basis: c' G(t) c of every row c as one product of the outer
+    products c c' with each G as (n_times, n_basis^2)."""
     grams, lines = basis
-    return [gram @ c @ c for gram in grams] + [c @ line for line in lines]
+    outer = (C[:, :, None] * C[:, None]).reshape(len(C), -1)
+    return ([outer @ gram.reshape(len(gram), -1).T for gram in grams]
+            + [C @ line for line in lines])
 
 
 def _forward_bases(coeffs, grid, system, n_fft, unit):
@@ -204,11 +208,13 @@ def _adjoint_bases(grid, velocities, n_fft, unit):
     t, convolve the reversed basis moments with `velocities`, the end
     rotations' velocity responses.  The field is the tau state read
     backwards in time, and phi_t is minus its rate, so its Gram series
-    are the tau states' read backwards."""
+    are the tau states' read backwards, copied contiguous for the suite's
+    products, in the order of `adjoint_series`; `audit_operators` makes
+    them read-only."""
     reversed_modes = _moment_factors(grid)[0][:, ::-1]
-    (pt_sq, pxx_sq, pxxt_sq), _ = _norm_bases(
-        velocities, np.stack([reversed_modes] * 2), n_fft, unit, grid.dt)
-    return tuple(gram[::-1] for gram in (pxx_sq, pt_sq, pxxt_sq)), ()
+    grams, _ = _norm_bases(velocities, np.stack([reversed_modes] * 2), n_fft,
+                           unit, grid.dt)
+    return tuple(grams[[1, 0, 2], ::-1]), ()
 
 
 def _load_gram(grid):
@@ -268,76 +274,10 @@ def audit_operators(grid, coeffs):
             store["kernel"] = impulse_kernel(system, grid, u)
         moments = _moment_factors(grid)
         outputs = _output_bases(grid, store["kernel"])
-        for array in (*moments, *outputs):
+        for array in (*moments, *adjoint[0], *outputs):
             array.flags.writeable = False
         store["audit"] = (moments, forward, adjoint) + outputs
     return store["audit"]
-
-
-def _scenario(grid, coeffs, audit, rng, tag, slack, ct_variant):
-    """Draw one suite scenario's inputs (load, Poincare amplitudes, load2,
-    truth, p, q) and evaluate its rows from the `audit_operators`."""
-    (moment_factors, forward, adjoint, outputs, gradient_gram,
-     load_gram) = audit
-    c1 = rng.normal(size=8)
-    F_norm_sq = float(c1 @ load_gram @ c1)
-
-    # a-priori bounds: six volume norms and four boundary traces
-    rows = check_apriori_estimates(_series(forward, c1), grid, coeffs,
-                                   F_norm_sq, slack, tag)
-
-    # Rolle-type inequality, closed forms on a random sine sum w: the
-    # int w_x^2 and (l^2 / 2) int w_xx^2 of each mode, with l divided
-    # once, so that no power of 1/l underflows on a long beam
-    amps = rng.normal(size=3)
-    l = grid.length
-    lhs_p = sum(a ** 2 * (k * np.pi) ** 2 / (2 * l)
-                for k, a in enumerate(amps, start=1))
-    rhs_p = sum(a ** 2 * (k * np.pi) ** 4 / (4 * l)
-                for k, a in enumerate(amps, start=1))
-    rows.append(CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack))
-
-    # a second load, and twin data from a third for C_J
-    c2 = rng.normal(size=8)
-    meas = np.tensordot(rng.normal(size=8), outputs, 1)
-    consts = compute_constants(
-        grid.length, grid.final_time, coeffs.bounds,
-        C_F=max(1.0, 10.0 * F_norm_sq),
-        theta0_norm=series_l2_norm(meas[0], grid.dt),
-        thetaL_norm=series_l2_norm(meas[1], grid.dt),
-        ct_variant=ct_variant)
-    d = c1 - c2
-    dF = float(np.sqrt(d @ load_gram @ d))
-    r1 = np.tensordot(c1, outputs, 1) - meas
-    r2 = np.tensordot(c2, outputs, 1) - meas
-
-    # Lipschitz continuity of the input-output maps: the data cancel
-    # in the difference of the residuals
-    for name, channel in (("io_lipschitz_theta0", 0),
-                          ("io_lipschitz_thetaL", 1)):
-        lhs = series_l2_norm(r1[channel] - r2[channel], grid.dt)
-        rows.append(CheckRow.bound(name, tag, lhs, consts.C_L * dF, slack))
-
-    # Lipschitz continuity of the misfit functional
-    rows.append(CheckRow.bound(
-        "misfit_lipschitz", tag,
-        abs(misfit(*r1, grid.dt) - misfit(*r2, grid.dt)), consts.C_J * dF,
-        slack))
-
-    # the adjoint estimates of random moment data
-    a_p, a_q = rng.normal(size=3), rng.normal(size=3)
-    (_, dp), (_, dq) = (_moment(grid, a_p, moment_factors),
-                        _moment(grid, a_q, moment_factors))
-    rows += check_adjoint_estimates(
-        _series(adjoint, np.concatenate([a_p, a_q])), grid, coeffs, dp, dq,
-        slack, tag, ct_variant)
-
-    # Lipschitz continuity of the gradient: the gradient difference is
-    # the adjoint field of the output difference
-    rows.append(CheckRow.bound("gradient_lipschitz", tag,
-                               np.sqrt(d @ gradient_gram @ d),
-                               consts.L_G * dF, slack))
-    return rows
 
 
 def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
@@ -345,25 +285,71 @@ def verify_inequality_suite(grid, coeffs, n_scenarios=20, seed=0,
     """Run every inequality check over randomized admissible inputs.
 
     The loads span 8 basis loads and the moment data 6 basis series, so
-    the suite first takes the Gram series of the audited norms over each
-    basis, and the basis loads' outputs, the Gram of their gradients and
-    their space-time Gram; each scenario then draws its coefficients and
-    evaluates quadratic and linear forms in them.  The forward states are
-    FFT convolutions with the velocity responses to the four space modes
-    of `random_load`, from one pass, and the adjoint states with those
-    to the two end rotations.  The bases are the beam's kept
-    `audit_operators`, so a second call on the same beam makes no Newmark
-    pass, no convolution and no nodal load.  Returns a SuiteReport; an
-    empty scenario set yields an empty report, and builds nothing.
+    each audited norm series, output and norm is a quadratic or linear
+    form in a scenario's coefficients over the beam's kept
+    `audit_operators`.  The suite draws every scenario's coefficients at
+    once and evaluates the forms of all scenarios as one batch; a second
+    call on the same beam makes no Newmark pass, no convolution and no
+    nodal load.  Returns a SuiteReport; an empty scenario set yields an
+    empty report, and builds nothing.
     """
     if not n_scenarios:
         return SuiteReport(())
-    rng = np.random.default_rng(seed)
-    audit = audit_operators(grid, coeffs)
+    ((_, rates), forward, adjoint, outputs, gradient_gram,
+     load_gram) = audit_operators(grid, coeffs)
+    # per scenario, in the order that one scenario draws them: the load,
+    # the Poincare amplitudes, a second load, the truth, and p and q
+    draws = np.random.default_rng(seed).normal(size=(n_scenarios, 33))
+    c1, amps, c2 = draws[:, :8], draws[:, 8:11], draws[:, 11:19]
+    truth, moments = draws[:, 19:27], draws[:, 27:]
+    tags = [f"s{s:02d}" for s in range(n_scenarios)]
+    F_sq = np.sum(c1 @ load_gram * c1, 1)
+    apriori_rows = check_apriori_estimates(_series(forward, c1), grid,
+                                           coeffs, F_sq, slack, tags)
+    dp, dq = np.swapaxes(moments.reshape(-1, 2, 3) @ rates, 0, 1)
+    adjoint_rows = check_adjoint_estimates(_series(adjoint, moments), grid,
+                                           coeffs, dp, dq, slack, tags,
+                                           ct_variant)
+    # the residuals against twin data from the truth; the data cancel in
+    # their difference
+    wt = trapezoid_weights(grid.n_times, grid.dt)
+    basis = outputs.reshape(8, -1)
+    meas = (truth @ basis).reshape(n_scenarios, 2, -1)
+    r1, r2 = ((c @ basis).reshape(meas.shape) - meas for c in (c1, c2))
+    J1, J2 = (np.sum(0.5 * (r ** 2 @ wt), 1) for r in (r1, r2))
+    d = c1 - c2
+    io, dJ, dF, dG = (x.tolist() for x in (
+        np.sqrt((r1 - r2) ** 2 @ wt), abs(J1 - J2),
+        np.sqrt(np.sum(d @ load_gram * d, 1)),
+        np.sqrt(np.sum(d @ gradient_gram * d, 1))))
+    # the constants of the bounds alone, and C_J of each scenario's C_F
+    # and data norms
+    l, T, b = grid.length, grid.final_time, coeffs.bounds
+    consts = compute_constants(l, T, b, ct_variant=ct_variant)
+    C_J = [compute_constants(l, T, b, C_F=max(1.0, 10.0 * F),
+                             theta0_norm=n0, thetaL_norm=nL).C_J
+           for F, (n0, nL) in zip(F_sq.tolist(),
+                                  np.sqrt(meas ** 2 @ wt).tolist())]
     rows = []
-    for s in range(n_scenarios):
-        rows += _scenario(grid, coeffs, audit, rng, f"s{s:02d}", slack,
-                          ct_variant)
+    for s, tag in enumerate(tags):
+        rows += apriori_rows[s]
+        # Rolle-type inequality, closed forms on a random sine sum w: the
+        # int w_x^2 and (l^2 / 2) int w_xx^2 of each mode, with l divided
+        # once, so that no power of 1/l underflows on a long beam
+        lhs_p = sum(a ** 2 * (k * np.pi) ** 2 / (2 * l)
+                    for k, a in enumerate(amps[s], start=1))
+        rhs_p = sum(a ** 2 * (k * np.pi) ** 4 / (4 * l)
+                    for k, a in enumerate(amps[s], start=1))
+        rows.append(CheckRow.bound("poincare", tag, lhs_p, rhs_p, slack))
+        # Lipschitz continuity of the input-output maps, of the misfit,
+        # and of its gradient, the adjoint field of the output difference
+        for name, lhs, C in (("io_lipschitz_theta0", io[s][0], consts.C_L),
+                             ("io_lipschitz_thetaL", io[s][1], consts.C_L),
+                             ("misfit_lipschitz", dJ[s], C_J[s])):
+            rows.append(CheckRow.bound(name, tag, lhs, C * dF[s], slack))
+        rows += adjoint_rows[s]
+        rows.append(CheckRow.bound("gradient_lipschitz", tag, dG[s],
+                                   consts.L_G * dF[s], slack))
     return SuiteReport(tuple(rows))
 
 
@@ -372,21 +358,27 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
     impulse-kernel operators that the misfit and its gradient use.
 
     `kernel` is the ImpulseKernel of the grid and coefficients, the kept
-    `beam_kernel` when not given.  No triples build nothing.
+    `beam_kernel` when not given.  The draws are those of `random_load`
+    and `random_smooth_series`, from factors made once per call.  No
+    triples build nothing.
     """
     if not n_triples:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
     kernel = kernel or beam_kernel(grid, coeffs)
+    loads = _mode_shapes(grid), _load_histories(grid)
+    moments = _moment_factors(grid)
+    w_x = trapezoid_weights(grid.n_nodes, grid.h)
+    w_t = trapezoid_weights(grid.n_times, grid.dt)
     rows = []
     for s in range(n_triples):
-        dF = random_load(grid, rng)
-        p, _ = random_smooth_series(grid, rng)
-        q, _ = random_smooth_series(grid, rng)
-        theta0, thetaL = kernel.outputs(dF.values)
+        dF = _modal_load(grid, rng.normal(size=8), loads).values
+        p, _ = _moment(grid, rng.normal(size=3), moments)
+        q, _ = _moment(grid, rng.normal(size=3), moments)
+        theta0, thetaL = kernel.outputs(dF)
         phi = kernel.adjoint(p, q)
-        lhs = time_inner(p, theta0, grid.dt) + time_inner(q, thetaL, grid.dt)
-        rhs = spacetime_inner(dF.values, phi, grid)
+        lhs = float(w_t @ (p * theta0)) + float(w_t @ (q * thetaL))
+        rhs = float(w_x @ (dF * phi) @ w_t)
         residual = abs(lhs - rhs) / (abs(rhs) + EPS_FLOOR)
         rows.append(CheckRow.bound("duality", f"s{s:02d}", residual, tol))
     return SuiteReport(tuple(rows))
@@ -396,27 +388,30 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3,
                        kernel=None):
     """Adjoint gradient against central finite differences of the misfit,
     on `kernel`, the ImpulseKernel of the grid and coefficients, the kept
-    `beam_kernel` when not given.  No directions build nothing."""
+    `beam_kernel` when not given.  The loads are those of `random_load`,
+    from factors made once per call.  No directions build nothing."""
     if not n_directions:
         return SuiteReport(())
     rng = np.random.default_rng(seed)
     kernel = kernel or beam_kernel(grid, coeffs)
-    truth = random_load(grid, rng)
+    loads = _mode_shapes(grid), _load_histories(grid)
+    w_x = trapezoid_weights(grid.n_nodes, grid.h)
+    w_t = trapezoid_weights(grid.n_times, grid.dt)
+    truth = _modal_load(grid, rng.normal(size=8), loads)
     meas = MeasurementSeries(*kernel.outputs(truth.values))
-    F = random_load(grid, rng)
-    grad = compute_gradient(evaluate_objective(F, meas, kernel))
-    F_norm = l2_norm_spacetime(F)
+    F = _modal_load(grid, rng.normal(size=8), loads).values
+    grad = compute_gradient(evaluate_objective(LoadField(F, grid), meas,
+                                               kernel))
+    F_norm = float(np.sqrt(float(w_x @ (F * F) @ w_t)))
     rows = []
     for s in range(n_directions):
-        D = random_load(grid, rng)
-        D_norm = l2_norm_spacetime(D)
+        D = _modal_load(grid, rng.normal(size=8), loads).values
+        D_norm = float(np.sqrt(float(w_x @ (D * D) @ w_t)))
         eps = 1e-4 * (F_norm / D_norm if F_norm > 0 else 1.0)
-        Jp = evaluate_objective(LoadField(F.values + eps * D.values, grid),
-                                meas, kernel).J
-        Jm = evaluate_objective(LoadField(F.values - eps * D.values, grid),
-                                meas, kernel).J
+        Jp = evaluate_objective(LoadField(F + eps * D, grid), meas, kernel).J
+        Jm = evaluate_objective(LoadField(F - eps * D, grid), meas, kernel).J
         fd = (Jp - Jm) / (2 * eps)
-        an = spacetime_inner(grad, D.values, grid)
+        an = float(w_x @ (grad * D) @ w_t)
         rel = abs(fd - an) / max(abs(fd), EPS_FLOOR)
         rows.append(CheckRow.bound("gradient_fd", f"s{s:02d}", rel, tol))
     return SuiteReport(tuple(rows))

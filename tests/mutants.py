@@ -165,6 +165,12 @@ MUTANTS = [
      "if self.n_times != grid.n_times:", "if False:"),
     ("factored_split_fixed_at_two", "src/beamload/forward.py",
      "np.hsplit(rows, n_in)", "np.hsplit(rows, 2)"),
+    ("suite_c2_overlaps_c1", "src/beamload/verify.py",
+     "draws[:, 11:19]", "draws[:, 7:15]"),
+    ("apriori_linf_max_is_min", "src/beamload/forward.py",
+     "np.max(ut_sq, -1)", "np.min(ut_sq, -1)"),
+    ("suite_qp_from_dp_alone", "src/beamload/verify.py",
+     "coeffs, dp, dq, slack", "coeffs, dp, dp, slack"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

@@ -38,7 +38,8 @@ def test_config_validation():
         InversionConfig(step_rule="steepest")
     for bad in (dict(omega=float("nan")), dict(tau_d=float("nan")),
                 dict(max_iterations=-1), dict(C_F=-1.0), dict(C_F=0.0),
-                dict(C_F=float("nan"))):
+                dict(C_F=float("nan")), dict(noise_delta=-1.0),
+                dict(noise_delta=float("nan"))):
         with pytest.raises(ValueError):
             InversionConfig(**bad)
 

@@ -66,6 +66,17 @@ def test_measurements_round_trip(tmp_path, grid):
         load_measurements(path, longer)
 
 
+def test_table_of_numbers_numpy_refuses_is_refused(tmp_path, grid):
+    """`1_0` is a number to `float` but not to `np.loadtxt`, so the
+    refusal's line scan skips the comment and the blank line, finds no
+    bad line and names the file as not a table."""
+    path = tmp_path / "c.csv"
+    path.write_text("x,v\n# c\n\n1_0,2\n")
+    with pytest.raises(DimensionError,
+                       match=r"c\.csv: not a table of 2 numbers per line"):
+        load_coefficient(path, grid.nodes)
+
+
 def test_sidecar_round_trip(tmp_path):
     path = tmp_path / "meta.txt"
     save_sidecar(path, {"seed": 7, "mode": "twin"})

@@ -15,7 +15,7 @@ from beamload.forward import (apriori_series, check_apriori_estimates,
 from beamload.model import (DEFAULT_SLACK, CheckRow, CoefficientSet,
                             LoadField, MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm,
-                            spacetime_inner, trapezoid_weights)
+                            spacetime_inner, time_inner, trapezoid_weights)
 from beamload.objective import compute_gradient, evaluate_objective
 from beamload.verify import (duality_checks, random_load,
                              random_smooth_series, verify_inequality_suite)
@@ -258,6 +258,64 @@ def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
     assert bad
     assert any(abs(row.lhs - ref.lhs) > 1e-9 * abs(ref.lhs)
                for row, ref in bad if row.check.startswith("apriori_"))
+
+
+def _duality_replay(grid, kernel, n, seed, tol):
+    """`duality_checks`' rows from its draws replayed one triple at a
+    time through `random_load`, `random_smooth_series` and the kernel."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in range(n):
+        dF = random_load(grid, rng)
+        p, _ = random_smooth_series(grid, rng)
+        q, _ = random_smooth_series(grid, rng)
+        theta0, thetaL = kernel.outputs(dF.values)
+        lhs = time_inner(p, theta0, grid.dt) + time_inner(q, thetaL, grid.dt)
+        rhs = spacetime_inner(dF.values, kernel.adjoint(p, q), grid)
+        rows.append(CheckRow.bound(
+            "duality", f"s{s:02d}",
+            abs(lhs - rhs) / (abs(rhs) + forward.EPS_FLOOR), tol))
+    return tuple(rows)
+
+
+def _fd_replay(grid, kernel, n, seed, tol):
+    """`gradient_fd_checks`' rows from its draws replayed one load at a
+    time through `random_load`, `evaluate_objective` and
+    `compute_gradient`."""
+    rng = np.random.default_rng(seed)
+    meas = MeasurementSeries(*kernel.outputs(random_load(grid, rng).values))
+    F = random_load(grid, rng)
+    grad = compute_gradient(evaluate_objective(F, meas, kernel))
+    rows = []
+    for s in range(n):
+        D = random_load(grid, rng)
+        eps = 1e-4 * (l2_norm_spacetime(F) / l2_norm_spacetime(D))
+        Jp = evaluate_objective(LoadField(F.values + eps * D.values, grid),
+                                meas, kernel).J
+        Jm = evaluate_objective(LoadField(F.values - eps * D.values, grid),
+                                meas, kernel).J
+        fd = (Jp - Jm) / (2 * eps)
+        an = spacetime_inner(grad, D.values, grid)
+        rows.append(CheckRow.bound(
+            "gradient_fd", f"s{s:02d}",
+            abs(fd - an) / max(abs(fd), forward.EPS_FLOOR), tol))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_duality_and_fd_rows_are_their_draws_replayed(seed, random_case):
+    """The duality and finite-difference rows equal, with ==, their draws
+    replayed one at a time: making the factors of the loads and moments
+    and the quadrature weights once per call moves no bit.  These rows
+    decide which `beamload verify` seeds fail on a coarse grid."""
+    grid, coeffs, system, _ = random_case(seed)
+    kernel = forward.impulse_kernel(system, grid)
+    assert (duality_checks(grid, coeffs, n_triples=4, seed=seed,
+                           kernel=kernel).rows
+            == _duality_replay(grid, kernel, 4, seed, 1e-3))
+    assert (verify.gradient_fd_checks(grid, coeffs, n_directions=4,
+                                      seed=seed, kernel=kernel).rows
+            == _fd_replay(grid, kernel, 4, seed, 5e-3))
 
 
 def mode_pulse_velocities(grid, coeffs, system):
@@ -522,6 +580,45 @@ def test_load_gram_gives_the_formed_loads_norms(seed, random_case):
     unweighted = (np.kron(shapes @ shapes.T, np.ones((2, 2)))
                   * (histories * w_t @ histories.T))
     assert load_gram_error(grid, unweighted, rng) > 1e-13
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_estimates_read_each_scenarios_series(seed, random_case):
+    """The estimate checks on series with a leading scenario axis give,
+    per scenario tag, the rows of a call on that scenario's own series,
+    to 1e-14: the LinfL2 rows read its largest value, the others its
+    trapezoid integral, and each bound scales with that scenario's F^2
+    or ||p'||^2 + ||q'||^2."""
+    grid, coeffs, _, rng = random_case(seed)
+    n, wt = 3, trapezoid_weights(grid.n_times, grid.dt)
+    tags = [f"s{s:02d}" for s in range(n)]
+    apriori = rng.uniform(size=(7, n, grid.n_times))
+    adjoint = rng.uniform(size=(3, n, grid.n_times))
+    dp, dq = rng.normal(size=(2, n, grid.n_times))
+    F_sq = rng.uniform(1.0, 2.0, size=n)
+    batched = zip(
+        check_apriori_estimates(apriori, grid, coeffs, F_sq, scenario=tags),
+        check_adjoint_estimates(adjoint, grid, coeffs, dp, dq,
+                                scenario=tags))
+    for s, (apriori_rows, adjoint_rows) in enumerate(batched):
+        ones = (check_apriori_estimates(apriori[:, s], grid, coeffs,
+                                        F_sq[s], scenario=tags[s])
+                + check_adjoint_estimates(adjoint[:, s], grid, coeffs,
+                                          dp[s], dq[s], scenario=tags[s]))
+        # the series each row reads, in row order: an LinfL2 and an L2L2
+        # row of each norm, and the squares of the four traces
+        read = ([x for x in apriori[:3, s] for _ in (0, 1)]
+                + list(apriori[3:, s] ** 2)
+                + [x for x in adjoint[:, s] for _ in (0, 1)])
+        rows = apriori_rows + adjoint_rows
+        assert len(rows) == len(ones) == len(read) == 16
+        for row, one, x in zip(rows, ones, read):
+            assert (row.check, row.scenario, row.ok) == (one.check, tags[s],
+                                                         one.ok)
+            ref = np.max(x) if row.check.endswith("LinfL2") else wt @ x
+            assert row.lhs == pytest.approx(ref, rel=1e-14)
+            assert one.lhs == pytest.approx(ref, rel=1e-14)
+            assert row.rhs == pytest.approx(one.rhs, rel=1e-14)
 
 
 def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
