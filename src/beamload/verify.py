@@ -111,65 +111,53 @@ def random_smooth_series(grid, rng):
     return _moment(grid, rng.normal(size=3))
 
 
-def _coordinates(velocity, inputs, n_fft):
-    """(C, Y) with the velocity states of the input series (n_per,
-    n_times) equal to C Y[p]: `velocity` is the response (n_dofs,
-    n_times - 1) to a unit impulse at t_1, given from t_1 on, factored
-    as C W by `_factored_spectra` as 1 input, and Y (n_per, r, n_times)
-    convolves each input with the r rows of W."""
-    C, (spectrum,) = _factored_spectra(velocity, n_fft, 1)
-    Y = np.empty((len(inputs),) + spectrum.shape[:1] + inputs.shape[1:])
-    for x, y in zip(inputs, Y):
-        y[:] = convolve_t1(spectrum[:, None], x[None], n_fft)
-    return C, Y
+def _coordinates(velocity, series, n_fft):
+    """(C, Y) with the velocity states of the input series (n_in, n_per,
+    n_times) equal to C Y[i], in basis order i = k n_per + p.  `velocity`
+    holds the responses (n_dofs, n_times - 1) to unit impulses at t_1,
+    from t_1 on, of the n_in inputs side by side.  They are of low rank,
+    since the damping kills the high modes, so they are factored once as
+    C W by `_factored_spectra`, as the impulse kernel's are, and Y[i]
+    convolves series[k, p] with the r rows of W of response k."""
+    n_in, n_per, n_times = series.shape
+    C, spectra = _factored_spectra(velocity, n_fft, n_in)
+    Y = np.empty((n_in, n_per, C.shape[1], n_times))
+    for spectrum, inputs, out in zip(spectra, series, Y):
+        for x, y in zip(inputs, out):
+            y[:] = convolve_t1(spectrum[:, None], x[None], n_fft)
+    return C, Y.reshape(n_in * n_per, -1, n_times)
 
 
-def _norm_bases(velocities, series, n_fft, unit, dt, traces=()):
+def _norm_bases(velocity, series, n_fft, unit, dt, traces=()):
     """The Gram series G(t)[i, j] = x_i(t)' A x_j(t) of int w^2, int
-    w_xx^2 and int w_xxt^2 dx over the velocity states w, and the bases
-    (n_basis, n_times) of the displacement and velocity at each of the
-    `traces` DOFs.  The states of series[k] (n_per, n_times) convolve
-    with velocities[k], in basis order k, p.
-
-    The responses are of low rank, since the damping kills the high
-    modes, so each state is held as coordinates, C_k Y_k[p] of
-    `_coordinates`, and each Gram block as Y_k' (C_k' A C_l) Y_l, with A
-    C_l formed first as `quadratic_forms` does.  `velocities` is a list,
-    emptied as each response is factored.  The displacement is the
-    velocity's cumulative trapezoid from rest, which the Newmark step
-    keeps to a few eps, so its coordinates are the cumtrapz of Y_k; a
-    trace line is the DOF's row of C_k times them.  The Gram series and
-    lines are read-only: the beam's store keeps them."""
-    factors = [_coordinates(velocities.pop(0), inputs, n_fft)
-               for inputs in series]
-    n_per, n_times = series.shape[1:]
-    n_basis = len(factors) * n_per
-    rows = [slice(k * n_per, (k + 1) * n_per) for k in range(len(factors))]
+    w_xx^2 and int w_xxt^2 dx over the velocity states w = C Y[i] of
+    `_coordinates`, and the bases (n_basis, n_times) of the displacement
+    and velocity at each of the `traces` DOFs.  Each Gram series is
+    Y[i]' (C' A C) Y[j], with A C formed first as `quadratic_forms`
+    does, one basis row i at a time.  The displacement is the velocity's
+    cumulative trapezoid from rest, which the Newmark step keeps to a
+    few eps, so its coordinates are the cumtrapz of Y; a trace line is
+    the DOF's row of C times them.  The Gram series and lines are
+    read-only: the beam's store keeps them."""
+    C, Y = _coordinates(velocity, series, n_fft)
+    n_basis, _, n_times = Y.shape
     # int w^2, int w_xx^2, int w_xxt^2, in the order of `apriori_series`
     grams = np.empty((3, n_times, n_basis, n_basis))
     lines = np.empty((len(traces), 2, n_basis, n_times))
+    trace_rows = C[list(traces)]
 
     def fill(gram, ab):
-        AC = [band_product(ab, C) for C, _ in factors]
-        for k, (Ck, Yk) in enumerate(factors):
-            for l in range(k, len(factors)):
-                AY = np.matmul(Ck.T @ AC[l], factors[l][1])
-                block = np.einsum("iat,jat->tij", Yk, AY)
-                gram[:, rows[k], rows[l]] = block
-                gram[:, rows[l], rows[k]] = block.transpose(0, 2, 1)
-
-    def trace(which):
-        for dof, line in zip(traces, lines):
-            line[which] = np.concatenate([C[dof] @ Y for C, Y in factors])
+        CAC = C.T @ band_product(ab, C)
+        for i, y in enumerate(Y):
+            gram[:, i] = np.einsum("at,jat->tj", CAC @ y, Y)
 
     fill(grams[0], unit[0])
     fill(grams[2], unit[1])
-    trace(1)
-    for _, Y in factors:
-        for y in Y:
-            y[:] = cumtrapz(y, dt)
+    lines[:, 1] = np.einsum("da,iat->dit", trace_rows, Y)
+    for y in Y:
+        y[:] = cumtrapz(y, dt)
     fill(grams[1], unit[1])
-    trace(0)
+    lines[:, 0] = np.einsum("da,iat->dit", trace_rows, Y)
     grams.flags.writeable = lines.flags.writeable = False
     return grams, tuple(lines.reshape(-1, n_basis, n_times))
 
@@ -189,32 +177,35 @@ def _forward_bases(coeffs, grid, system, n_fft, unit):
     """The bases of `apriori_series` over the 8 basis loads, in the order
     of `_modal_load`'s coefficients, from the velocity responses to the
     four space modes as impulses at t_1, of one batched `solve_forward`
-    pass."""
+    pass, held side by side."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = _mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
                           system=system)
-    velocities = [traj.v[:, 1:] for traj in trajs]
-    # the u histories and the loads go before the states are formed
+    velocity = np.hstack([traj.v[:, 1:] for traj in trajs])
+    # the u histories and the loads go before the responses are factored
     del pulses, trajs
-    return _norm_bases(velocities, _load_histories(grid), n_fft, unit,
+    return _norm_bases(velocity, _load_histories(grid), n_fft, unit,
                        grid.dt, traces=(system.theta0_dof, system.thetaL_dof))
 
 
-def _adjoint_bases(grid, velocities, n_fft, unit):
-    """The bases of `adjoint_series` over the 6 basis moments, p then q.
-    The adjoint problem is the forward pencil driven at the end rotations
-    by the reversed data, so its rate states d phi / d tau, in tau = T -
-    t, convolve the reversed basis moments with `velocities`, the end
-    rotations' velocity responses.  The field is the tau state read
-    backwards in time, and phi_t is minus its rate, so its Gram series
-    are the tau states' read backwards, copied contiguous for the suite's
-    products, in the order of `adjoint_series`; `audit_operators` makes
-    them read-only."""
+def _adjoint_bases(grid, system, n_fft, unit):
+    """The bases of `adjoint_series` over the 6 basis moments, p then q,
+    and the u of their `end_rotation_responses` pass.  The adjoint
+    problem is the forward pencil driven at the end rotations by the
+    reversed data, so its rate states d phi / d tau, in tau = T - t,
+    convolve the reversed basis moments with the pass's two velocity
+    responses.  The field is the tau state read backwards in time, and
+    phi_t is minus its rate, so its Gram series are the tau states' read
+    backwards, copied contiguous for the suite's products, in the order
+    of `adjoint_series`; `audit_operators` makes them read-only."""
+    u, v = end_rotation_responses(system, grid)
+    # side by side, and the pass's v goes before they are factored
+    v = np.hstack(v)
     reversed_modes = _moment_factors(grid)[0][:, ::-1]
-    grams, _ = _norm_bases(velocities, np.stack([reversed_modes] * 2), n_fft,
-                           unit, grid.dt)
-    return tuple(grams[[1, 0, 2], ::-1]), ()
+    grams, _ = _norm_bases(v, np.stack([reversed_modes] * 2), n_fft, unit,
+                           grid.dt)
+    return (tuple(grams[[1, 0, 2], ::-1]), ()), u
 
 
 def _load_gram(grid):
@@ -267,9 +258,7 @@ def audit_operators(grid, coeffs):
         unit = unit_norm_matrices(grid)
         n_fft = kernel_fft_length(grid)
         forward = _forward_bases(coeffs, grid, system, n_fft, unit)
-        u, velocities = end_rotation_responses(system, grid)
-        velocities = list(velocities)
-        adjoint = _adjoint_bases(grid, velocities, n_fft, unit)
+        adjoint, u = _adjoint_bases(grid, system, n_fft, unit)
         if "kernel" not in store:
             store["kernel"] = impulse_kernel(system, grid, u)
         moments = _moment_factors(grid)

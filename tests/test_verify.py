@@ -320,13 +320,19 @@ def test_duality_and_fd_rows_are_their_draws_replayed(seed, random_case):
 
 def mode_pulse_velocities(grid, coeffs, system):
     """The velocity responses, from t_1 on, to the four space modes as
-    impulses at t_1, of one batched `solve_forward` pass: the suite's
-    forward inputs."""
+    impulses at t_1, of one batched `solve_forward` pass, side by side
+    (n_dofs, 4 (n_times - 1)): the suite's forward inputs."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = verify._mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
                           system=system)
-    return [traj.v[:, 1:] for traj in trajs]
+    return np.hstack([traj.v[:, 1:] for traj in trajs])
+
+
+def end_rotation_velocities(grid, system):
+    """The velocity responses of `forward.end_rotation_responses`, side
+    by side (n_dofs, 2 (n_times - 1)): the suite's adjoint inputs."""
+    return np.hstack(forward.end_rotation_responses(system, grid)[1])
 
 
 def moment_series(grid):
@@ -335,35 +341,34 @@ def moment_series(grid):
     return np.stack([verify._moment_factors(grid)[0][:, ::-1]] * 2)
 
 
-def whole_basis_states(velocities, series, n_fft):
+def whole_basis_states(velocity, series, n_fft):
     """Velocity states (n_in * n_per, n_dofs, n_times) of input series
-    (n_in, n_per, n_times): series[i] convolves with velocities[i], the
-    velocity response (n_dofs, n_times - 1) to a unit impulse at t_1,
-    given from t_1 on, on every DOF at once: the states before the suite
-    held them as factored coordinates."""
+    (n_in, n_per, n_times): series[i] convolves with the i-th of the
+    velocity responses (n_dofs, n_times - 1) to unit impulses at t_1,
+    given from t_1 on and held side by side in `velocity`, on every DOF
+    at once: the states before the suite held them as factored
+    coordinates."""
     n_in, n_per, n_times = series.shape
-    states = np.empty((n_in, n_per, velocities[0].shape[0], n_times))
-    for response, inputs, out in zip(velocities, series, states):
+    states = np.empty((n_in, n_per, len(velocity), n_times))
+    for response, inputs, out in zip(np.hsplit(velocity, n_in), series,
+                                     states):
         spectrum = rfft(response, n_fft)[:, None]
         for x, state in zip(inputs, out):
             state[:] = forward.convolve_t1(spectrum, x[None], n_fft)
     return states.reshape(n_in * n_per, -1, n_times)
 
 
-def factored_states(velocities, series, n_fft):
-    """The velocity states C_k Y_k[p] of the suite's coordinates, in the
+def factored_states(velocity, series, n_fft):
+    """The velocity states C Y[i] of the suite's coordinates, in the
     order of `whole_basis_states`."""
-    states = []
-    for velocity, inputs in zip(velocities, series):
-        C, Y = verify._coordinates(velocity, inputs, n_fft)
-        states += [C @ y for y in Y]
-    return np.array(states)
+    C, Y = verify._coordinates(velocity, series, n_fft)
+    return np.array([C @ y for y in Y])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
-    """The basis states that the suite's Gram series are formed from, C_k
-    times the coordinates of each response, agree with `solve_forward` of
+    """The basis states that the suite's Gram series are formed from, C
+    times the coordinates of each input, agree with `solve_forward` of
     each basis load and `solve_adjoint` of each basis moment to 1e-9
     relative on every reduced DOF and instant, on variable
     coefficients."""
@@ -377,8 +382,8 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
                             system=system)
         pairs += [(rate, ref.v), (cumtrapz(rate, grid.dt), ref.u)]
 
-    velocities = forward.end_rotation_responses(system, grid)[1]
-    rates = factored_states(velocities, moment_series(grid), n_fft)
+    rates = factored_states(end_rotation_velocities(grid, system),
+                            moment_series(grid), n_fft)
     modes = verify._moment_factors(grid)[0]
     zero = np.zeros(grid.n_times)
     for rate, (p, q) in zip(rates, [(m, zero) for m in modes]
@@ -402,13 +407,13 @@ def whole_gram_series(A, X):
     return gram
 
 
-def whole_norm_bases(velocities, series, n_fft, unit, dt, traces, dense):
+def whole_norm_bases(velocity, series, n_fft, unit, dt, traces, dense):
     """`verify._norm_bases` on the whole basis states, in long double:
     in float64 the oracle's own round-off reaches 8.6e-13 of the largest
     entry (the u_xx Gram on `random_case` seed 4), most of the test's
     1e-12 bound."""
     M1, K1 = (dense(ab).astype(np.longdouble) for ab in unit)
-    X = whole_basis_states(velocities, series, n_fft).astype(np.longdouble)
+    X = whole_basis_states(velocity, series, n_fft).astype(np.longdouble)
     U = cumtrapz(X, dt)
     grams = (whole_gram_series(M1, X), whole_gram_series(K1, U),
              whole_gram_series(K1, X))
@@ -424,17 +429,16 @@ def test_factored_gram_series_match_the_whole_states(seed, random_case,
     grid, coeffs, system, _ = random_case(seed)
     unit = assembly.unit_norm_matrices(grid)
     n_fft = forward.impulse_kernel(system, grid).n_fft
-    for velocities, series, traces in (
+    for velocity, series, traces in (
             (mode_pulse_velocities(grid, coeffs, system),
              verify._load_histories(grid),
              (system.theta0_dof, system.thetaL_dof)),
-            (list(forward.end_rotation_responses(system, grid)[1]),
-             moment_series(grid), ())):
-        whole = whole_norm_bases(velocities, series, n_fft, unit, grid.dt,
+            (end_rotation_velocities(grid, system), moment_series(grid),
+             ())):
+        whole = whole_norm_bases(velocity, series, n_fft, unit, grid.dt,
                                  traces, dense)
-        factored = verify._norm_bases(velocities, series, n_fft, unit,
+        factored = verify._norm_bases(velocity, series, n_fft, unit,
                                       grid.dt, traces)
-        assert velocities == []
         assert len(factored[1]) == len(whole[1]) == 2 * len(traces)
         for a, b in zip(itertools.chain(*factored),
                         itertools.chain(*whole)):
@@ -445,11 +449,13 @@ def test_factored_gram_series_match_the_whole_states(seed, random_case,
 def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
                                                  count_calls, monkeypatch):
     """From no kept beam, the suite builds its bases once: one kernel, 2
-    Newmark passes, and the same kernel outputs, kernel adjoints,
-    convolutions and quadratic forms for 1 scenario as for 20, counted at
-    every import site.  A second call on the beam makes none of them."""
+    Newmark passes, 4 factorizations, one per audit pass and per kernel
+    operator, and the same kernel outputs, kernel adjoints, convolutions
+    and quadratic forms for 1 scenario as for 20, counted at every import
+    site.  A second call on the beam makes none of them."""
     calls = count_calls(forward.impulse_kernel, forward.newmark_integrate,
-                        forward.convolve_t1, forward.quadratic_forms)
+                        forward.convolve_t1, forward.quadratic_forms,
+                        forward._factor_rows)
 
     def counted(method):
         def wrapper(*args, **kwargs):
@@ -472,6 +478,7 @@ def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
     assert counts[0] == counts[1]
     assert counts[0]["impulse_kernel"] == 1
     assert counts[0]["newmark_integrate"] == 2
+    assert counts[0]["_factor_rows"] == 4
 
 
 def _audit_case():
