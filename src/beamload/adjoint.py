@@ -14,13 +14,14 @@ from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import estimate_rows, newmark_integrate, quadratic_forms
-from .model import DEFAULT_SLACK, trapezoid_weights
+from .model import trapezoid_weights
 
 
 @dataclass(frozen=True)
 class AdjointField:
     """Adjoint solution phi in original time, on the reduced DOFs of the
-    assembled system (its `nodal` gives the nodal field)."""
+    assembled system (`assembly.nodal` of the rows at its
+    `deflection_dofs` gives the nodal field)."""
 
     phi: np.ndarray
     phi_t: np.ndarray
@@ -63,15 +64,14 @@ def adjoint_series(field, unit):
             quadratic_forms(K1, field.phi_t))
 
 
-def check_adjoint_estimates(series, grid, coeffs, dp, dq,
-                            slack=DEFAULT_SLACK, scenario="",
+def check_adjoint_estimates(series, grid, coeffs, dp, dq, slack, tags,
                             ct_variant="literal"):
-    """CheckRows of the six adjoint-solution bounds on norm series as
-    `adjoint_series` gives them, an adjoint field's or the suite's.
-    dp and dq are the derivative series of the moment inputs.  Bounds
-    use C_0^2 of `compute_constants` and the combined input-derivative
-    norm ||p'||^2 + ||q'||^2.  A leading scenario axis on the series, dp
-    and dq, with a tag per scenario, gives a list of rows per tag.
+    """CheckRows of the six adjoint-solution bounds for a batch of
+    scenarios, one list per tag: the norm series (3, n_scenarios,
+    n_times), in the order of `adjoint_series`, of moment inputs whose
+    derivative series are dp and dq (n_scenarios, n_times).  Bounds use
+    C_0^2 of `compute_constants` and the combined input-derivative norm
+    ||p'||^2 + ||q'||^2.
     """
     b = coeffs.bounds
     pxx_sq, pt_sq, pxxt_sq = series
@@ -79,7 +79,7 @@ def check_adjoint_estimates(series, grid, coeffs, dp, dq,
 
     T = grid.final_time
     C0_sq = compute_constants(grid.length, T, b, ct_variant=ct_variant).C0_sq
-    Qp_sq = np.asarray(dp) ** 2 @ wt + np.asarray(dq) ** 2 @ wt
+    Qp_sq = dp ** 2 @ wt + dq ** 2 @ wt
     eT = np.exp(T)
 
     bounds = [
@@ -94,4 +94,4 @@ def check_adjoint_estimates(series, grid, coeffs, dp, dq,
         ("phixxt_L2L2", pxxt_sq @ wt,
          (eT - 1.0) * b.r0 / (2.0 * b.kappa0) * C0_sq * Qp_sq),
     ]
-    return estimate_rows("adjoint_", scenario, bounds, slack)
+    return estimate_rows("adjoint_", tags, bounds, slack)

@@ -118,12 +118,13 @@ class SystemMatrices:
         """Stiffness band of the pencil: tension plus bending."""
         return self.K_T + self.K_r
 
-    def nodal(self, deflections):
-        """Nodal field (n_nodes, n_times) of the rows at `deflection_dofs`;
-        the simply supported end rows are zero."""
-        w = np.zeros((len(deflections) + 2, deflections.shape[1]))
-        w[1:-1] = deflections
-        return w
+
+def nodal(deflections):
+    """Nodal field (n_nodes, n_times) of the rows at a system's
+    `deflection_dofs`; the simply supported end rows are zero."""
+    w = np.zeros((len(deflections) + 2, deflections.shape[1]))
+    w[1:-1] = deflections
+    return w
 
 
 def assemble(grid, coeffs):

@@ -13,11 +13,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import _lapack
 from ._lapack import bound_matvec, bound_solve, cholesky_banded
-from .assembly import assemble
+from .assembly import assemble, nodal
 from .constants import compute_constants
 from .errors import DimensionError, DivergenceError
-from .model import (DEFAULT_SLACK, CheckRow, MeasurementSeries,
-                    trapezoid_weights)
+from .model import CheckRow, MeasurementSeries, trapezoid_weights
 
 EPS_FLOOR = 1e-14
 EPS = np.finfo(float).eps
@@ -139,7 +138,7 @@ class BeamTrajectory:
 
     def full_deflection(self):
         """Deflection sampled at all nodes (end nodes are zero)."""
-        return self.system.nodal(self.u[self.system.deflection_dofs])
+        return nodal(self.u[self.system.deflection_dofs])
 
 
 def consistent_forces(system, load):
@@ -178,17 +177,13 @@ class ImpulseKernel:
     has the load coordinates P z and the squared space norm z' G z, with
     the `coupling` P = load_basis[1:-1]' field_basis and the `field_gram`
     G = field_basis' diag(w_x) field_basis, w_x the interior nodes'
-    trapezoid weights.
-
-    `system` is the assembled system the responses belong to.  The six
-    arrays are read-only.
+    trapezoid weights.  The six arrays are read-only.
     """
 
     n_fft: int
     n_times: int
     outputs_t1: np.ndarray
     adjoint_t1: np.ndarray
-    system: object
     load_basis: np.ndarray
     field_basis: np.ndarray
     coupling: np.ndarray
@@ -230,7 +225,7 @@ class ImpulseKernel:
         `field_basis` times the `adjoint_series`, reversed in time."""
         phi_tau = self.field_basis @ self.adjoint_series(
             np.array([p, q], dtype=float))
-        return self.system.nodal(phi_tau[:, ::-1])
+        return nodal(phi_tau[:, ::-1])
 
     def adjoint_series(self, pq):
         """The r_adj coordinate series (r_adj, n_times) of the adjoint
@@ -325,19 +320,21 @@ def _factor_rows(rows):
     m, n = rows.shape
     tol_sq = (max(m, n) * EPS) ** 2 * np.einsum("ij,ij->i", rows, rows).max()
     W = np.empty((m, n))
-    r = 0
-    while r < m:
-        residual = (rows @ W[:r].T) @ W[:r]
-        np.subtract(rows, residual, out=residual)
-        if np.einsum("ij,ij->i", residual, residual).max() <= tol_sq:
-            break
+    # the first round's residual is the rows themselves, and each later
+    # round's replaces the last one's
+    residual, r = rows, 0
+    while np.einsum("ij,ij->i", residual, residual).max() > tol_sq:
         for j in _pivots(residual @ residual.T, tol_sq):
             w = residual[j].copy()
             for _ in range(2):
                 w -= (W[:r] @ w) @ W[:r]
             W[r] = w / np.sqrt(w @ w)
             r += 1
+        if r == m:
+            break
         del residual
+        residual = (rows @ W[:r].T) @ W[:r]
+        np.subtract(rows, residual, out=residual)
     W = W[:r].copy()
     return rows @ W.T, W
 
@@ -381,8 +378,7 @@ def impulse_kernel(system, grid, u=None):
     # kernel to every caller on its beam
     for array in arrays.values():
         array.flags.writeable = False
-    return ImpulseKernel(n_fft=n_fft, n_times=grid.n_times, system=system,
-                         **arrays)
+    return ImpulseKernel(n_fft=n_fft, n_times=grid.n_times, **arrays)
 
 
 # the store of the last beam asked for, under its key
@@ -524,13 +520,12 @@ def apriori_series(traj, unit):
             u[s.thetaL_dof], v[s.thetaL_dof])
 
 
-def check_apriori_estimates(series, grid, coeffs, F_sq,
-                            slack=DEFAULT_SLACK, scenario=""):
+def check_apriori_estimates(series, grid, coeffs, F_sq, slack, tags):
     """CheckRows of the six volume-norm and four boundary-trace a-priori
-    bounds on norm series as `apriori_series` gives them, a trajectory's
-    or the suite's, for a load of squared norm F_sq, with the constants
-    C_e^2 and C_1^2 of `compute_constants`.  A leading scenario axis on
-    the series and F_sq, with a tag per scenario, gives a list per tag."""
+    bounds for a batch of scenarios, one list per tag: the norm series
+    (7, n_scenarios, n_times), in the order of `apriori_series`, of loads
+    of squared norms F_sq (n_scenarios,), with the constants C_e^2 and
+    C_1^2 of `compute_constants`."""
     b = coeffs.bounds
     ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series
     wt = trapezoid_weights(grid.n_times, grid.dt)
@@ -549,16 +544,14 @@ def check_apriori_estimates(series, grid, coeffs, F_sq,
         ("trace_uxL", thL ** 2 @ wt, C1_sq / b.r0 * F_sq),
         ("trace_uxtL", thL_t ** 2 @ wt, C1_sq / b.kappa0 * F_sq),
     ]
-    return estimate_rows("apriori_", scenario, bounds, slack)
+    return estimate_rows("apriori_", tags, bounds, slack)
 
 
-def estimate_rows(prefix, scenario, bounds, slack):
-    """CheckRows of (name, lhs, rhs) estimates, floored at EPS_FLOOR: a
-    list for a `scenario` tag, or one per tag if lhs and rhs hold many."""
+def estimate_rows(prefix, tags, bounds, slack):
+    """CheckRows of (name, lhs, rhs) estimates whose lhs and rhs hold a
+    value per tag, floored at EPS_FLOOR: one list of rows per tag."""
     names, lhs, rhs = zip(*bounds)
-    lhs, rhs = np.transpose(lhs).tolist(), np.transpose(rhs).tolist()
-    if isinstance(scenario, str):
-        return [CheckRow.bound(prefix + n, scenario, l, r, slack, EPS_FLOOR)
-                for n, l, r in zip(names, lhs, rhs)]
-    return [estimate_rows(prefix, tag, zip(names, l, r), slack)
-            for tag, l, r in zip(scenario, lhs, rhs)]
+    return [[CheckRow.bound(prefix + n, tag, l, r, slack, EPS_FLOOR)
+             for n, l, r in zip(names, ls, rs)]
+            for tag, ls, rs in zip(tags, np.transpose(lhs).tolist(),
+                                   np.transpose(rhs).tolist())]

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import nodal
 from .constants import compute_constants
 from .errors import DivergenceError
 from .forward import beam_kernel
@@ -142,7 +143,7 @@ def run_inversion(measurements, coeffs, grid, config=None):
         else:
             Z, J, residual = _backtrack(Z, Y, J, omega, C_F, coords,
                                         residual)
-    state.load = LoadField(kernel.system.nodal(kernel.field_basis @ Z), grid)
+    state.load = LoadField(nodal(kernel.field_basis @ Z), grid)
     return state
 
 

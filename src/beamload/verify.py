@@ -19,7 +19,9 @@ the load Gram M, and that of a gradient.  The beam's store keeps one
 read-only audit record of these Grams, the basis loads' outputs and
 the moment factors, built once per beam.  The suite draws all its
 scenarios at once and evaluates them from it as one batch of these
-forms, forming no load and making no convolution.
+forms, forming no load and making no convolution.  The duality and
+finite-difference checks form their loads and moments in the same
+bases, by `_modal_load` and `_moment` from factors made once per call.
 """
 
 from dataclasses import dataclass
@@ -73,20 +75,15 @@ def _load_histories(grid):
                      np.cos((k - 1) * np.pi * t / T)], axis=1)
 
 
-def _modal_load(grid, c, factors=None):
+def _modal_load(grid, c, factors):
     """The load sum_k sin(k pi x / l) (a_k sin(k pi t / T)
     + b_k cos((k - 1) pi t / T)) of coefficients c = (a_1, b_1, ..., a_4,
     b_4).  `factors` is the (`_mode_shapes`, `_load_histories`) pair of
-    the grid, made when not given."""
-    shapes, histories = factors or (_mode_shapes(grid), _load_histories(grid))
+    the grid."""
+    shapes, histories = factors
     pairs = np.reshape(c, (4, 2))
     h = pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]
     return LoadField(np.einsum("kn,kt->nt", shapes, h), grid)
-
-
-def random_load(grid, rng):
-    """Smooth random admissible load from the four lowest space-time modes."""
-    return _modal_load(grid, rng.normal(size=8))
 
 
 def _moment_factors(grid):
@@ -96,19 +93,13 @@ def _moment_factors(grid):
     return np.sin(w * grid.times), w * np.cos(w * grid.times)
 
 
-def _moment(grid, a, factors=None):
+def _moment(a, factors):
     """The series sum_j a_j sin(j pi t / T) and its analytic derivative,
     each summed over j in order.  `factors` is the `_moment_factors`
-    pair of the grid, made when not given."""
-    modes, rates = factors or _moment_factors(grid)
+    pair of the grid."""
+    modes, rates = factors
     a = a[:, None]
     return sum(a * modes), sum(a * rates)
-
-
-def random_smooth_series(grid, rng):
-    """Random smooth time series of three sine modes with its analytic
-    derivative, vanishing at t=0 as the adjoint trace argument requires."""
-    return _moment(grid, rng.normal(size=3))
 
 
 def _coordinates(velocity, series, n_fft):
@@ -228,7 +219,8 @@ def _output_bases(grid, kernel):
     fields of the outputs, so their Gram is sum_t w_t y_i' G y_j over
     their `adjoint_series` coordinates y and the kernel's `field_gram` G;
     the time weights w_t are symmetric, so y stays in reversed time."""
-    outputs = np.array([kernel.outputs(_modal_load(grid, c).values)
+    loads = _mode_shapes(grid), _load_histories(grid)
+    outputs = np.array([kernel.outputs(_modal_load(grid, c, loads).values)
                         for c in np.eye(8)])
     Y = [kernel.adjoint_series(theta) for theta in outputs]
     w_t = trapezoid_weights(grid.n_times, grid.dt)
@@ -250,8 +242,8 @@ def audit_operators(grid, coeffs):
     largest first, and each drops its arrays before the next starts: the
     four-mode pass and the forward bases, the `end_rotation_responses`
     pass, the adjoint bases from its v, the kernel from its u, kept as
-    the beam's for `beam_kernel` unless the beam has one already, and
-    the output bases on that kernel."""
+    the beam's for `beam_kernel` unless the beam has one already, and,
+    with that u dropped, the output bases on that kernel."""
     store = beam_store(grid, coeffs)
     if "audit" not in store:
         system = assemble(grid, coeffs)
@@ -261,6 +253,7 @@ def audit_operators(grid, coeffs):
         adjoint, u = _adjoint_bases(grid, system, n_fft, unit)
         if "kernel" not in store:
             store["kernel"] = impulse_kernel(system, grid, u)
+        del u
         moments = _moment_factors(grid)
         outputs = _output_bases(grid, store["kernel"])
         for array in (*moments, *adjoint[0], *outputs):
@@ -347,9 +340,9 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
     impulse-kernel operators that the misfit and its gradient use.
 
     `kernel` is the ImpulseKernel of the grid and coefficients, the kept
-    `beam_kernel` when not given.  The draws are those of `random_load`
-    and `random_smooth_series`, from factors made once per call.  No
-    triples build nothing.
+    `beam_kernel` when not given.  Each triple draws a `_modal_load` and
+    two `_moment`s, from factors made once per call.  No triples build
+    nothing.
     """
     if not n_triples:
         return SuiteReport(())
@@ -362,8 +355,8 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
     rows = []
     for s in range(n_triples):
         dF = _modal_load(grid, rng.normal(size=8), loads).values
-        p, _ = _moment(grid, rng.normal(size=3), moments)
-        q, _ = _moment(grid, rng.normal(size=3), moments)
+        p, _ = _moment(rng.normal(size=3), moments)
+        q, _ = _moment(rng.normal(size=3), moments)
         theta0, thetaL = kernel.outputs(dF)
         phi = kernel.adjoint(p, q)
         lhs = float(w_t @ (p * theta0)) + float(w_t @ (q * thetaL))
@@ -377,8 +370,9 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3,
                        kernel=None):
     """Adjoint gradient against central finite differences of the misfit,
     on `kernel`, the ImpulseKernel of the grid and coefficients, the kept
-    `beam_kernel` when not given.  The loads are those of `random_load`,
-    from factors made once per call.  No directions build nothing."""
+    `beam_kernel` when not given.  The truth, the load and each direction
+    are `_modal_load`s, from factors made once per call.  No directions
+    build nothing."""
     if not n_directions:
         return SuiteReport(())
     rng = np.random.default_rng(seed)

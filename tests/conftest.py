@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from numpy.fft import rfft
 
-from beamload import forward, inversion
+from beamload import forward, inversion, verify
 from beamload.assembly import assemble
 from beamload.errors import DivergenceError
 from beamload.forward import (ImpulseKernel, end_rotation_responses,
                               impulse_kernel, kernel_fft_length)
-from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
-                            SpaceTimeGrid, l2_norm_spacetime,
-                            spacetime_inner, trapezoid_weights)
+from beamload.model import (DEFAULT_SLACK, CoefficientBounds,
+                            CoefficientSet, LoadField, SpaceTimeGrid,
+                            l2_norm_spacetime, spacetime_inner,
+                            trapezoid_weights)
 from beamload.objective import compute_gradient, evaluate_objective
 
 
@@ -76,7 +77,7 @@ def _full_kernel(system, grid, u=None):
         n_fft=n_fft, n_times=grid.n_times,
         outputs_t1=np.empty((2, n_nodes, n_freq), dtype=complex),
         adjoint_t1=np.empty((n_nodes - 2, 2, n_freq), dtype=complex),
-        system=system, load_basis=load_basis, field_basis=field_basis,
+        load_basis=load_basis, field_basis=field_basis,
         coupling=load_basis[1:-1].T @ field_basis,
         field_gram=np.diag(trapezoid_weights(n_nodes, grid.h)[1:-1]))
     for i, response in enumerate(u):
@@ -90,6 +91,64 @@ def _full_kernel(system, grid, u=None):
 def full_kernel():
     """The unfactored impulse kernel of a system on a grid."""
     return _full_kernel
+
+
+def _modal_load_by_mode(grid, c):
+    """The values of `verify._modal_load`, summed one space mode at a
+    time: the reference of its single contraction."""
+    values = np.zeros((grid.n_nodes, grid.n_times))
+    for shape, (a, b), (sin, cos) in zip(verify._mode_shapes(grid),
+                                         np.reshape(c, (4, 2)),
+                                         verify._load_histories(grid)):
+        values += shape[:, None] * (a * sin + b * cos)
+    return values
+
+
+@pytest.fixture(scope="session")
+def modal_load_by_mode():
+    """The nodal values of a modal load of 8 coefficients, mode by mode."""
+    return _modal_load_by_mode
+
+
+def _draw_load(grid, rng):
+    """A smooth random load of the four lowest space-time modes, of 8
+    normal coefficients, formed mode by mode: the verification checks'
+    load draw, made without their factors."""
+    return LoadField(_modal_load_by_mode(grid, rng.normal(size=8)), grid)
+
+
+def _draw_moment(grid, rng):
+    """A smooth random series of three sine modes, of 3 normal
+    coefficients, and its analytic derivative, from `_moment_factors`:
+    the verification checks' moment draw.  It vanishes at t = 0, as the
+    adjoint trace argument requires."""
+    a = rng.normal(size=3)[:, None]
+    modes, rates = verify._moment_factors(grid)
+    return sum(a * modes), sum(a * rates)
+
+
+@pytest.fixture(scope="session")
+def draws():
+    """The random load (`draws.load`) and moment series with its
+    derivative (`draws.moment`) of a grid, drawn from a generator."""
+    return SimpleNamespace(load=_draw_load, moment=_draw_moment)
+
+
+def _rows_of_one(check, series, grid, coeffs, *data, tag="", **options):
+    """The rows of the estimate check `check` on one scenario, at the
+    default slack: its series (a tuple of (n_times,) arrays) and data
+    (F^2, or p' and q') given a leading scenario axis of one, under the
+    tag `tag`."""
+    (rows,) = check(np.asarray(series)[:, None], grid, coeffs,
+                    *(np.asarray(x)[None] for x in data), DEFAULT_SLACK,
+                    [tag], **options)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def rows_of_one():
+    """An estimate check's rows on one trajectory's or field's series."""
+    return _rows_of_one
 
 
 def _dense(ab):

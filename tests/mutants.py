@@ -177,6 +177,11 @@ MUTANTS = [
      "coeffs, dp, dq, slack", "coeffs, dp, dp, slack"),
     ("coordinates_response_swapped", "src/beamload/verify.py",
      "zip(spectra, series, Y)", "zip(spectra[::-1], series, Y)"),
+    ("estimate_rows_tags_reversed", "src/beamload/forward.py",
+     "zip(tags, np.transpose(lhs)", "zip(tags[::-1], np.transpose(lhs)"),
+    ("modal_load_histories_swapped", "src/beamload/verify.py",
+     "pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]",
+     "pairs[:, :1] * histories[:, 1] + pairs[:, 1:] * histories[:, 0]"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

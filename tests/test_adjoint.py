@@ -86,11 +86,12 @@ def test_transfer_constant_values():
         transfer_constant(1.0, "other")
 
 
-def test_adjoint_estimates_hold(small_grid, small_coeffs):
+def test_adjoint_estimates_hold(small_grid, small_coeffs, rows_of_one):
     p, dp = smooth_series(small_grid, seed=5)
     q, dq = smooth_series(small_grid, seed=6)
     adj = solve_adjoint(small_coeffs, p, q, small_grid)
-    checks = check_adjoint_estimates(
+    checks = rows_of_one(
+        check_adjoint_estimates,
         adjoint_series(adj, unit_norm_matrices(small_grid)), small_grid,
         small_coeffs, dp, dq)
     assert len(checks) == 6
@@ -98,7 +99,7 @@ def test_adjoint_estimates_hold(small_grid, small_coeffs):
 
 
 @pytest.mark.parametrize("ct_variant", ["literal", "corrected"])
-def test_adjoint_bounds_read_compute_constants(ct_variant):
+def test_adjoint_bounds_read_compute_constants(ct_variant, rows_of_one):
     """Every bound is C_0^2 ||(p', q')||^2 times a closed form, with C_0^2
     of `compute_constants`; at T = 2 the two C_T variants differ."""
     grid = SpaceTimeGrid(length=1.0, final_time=2.0, n_elements=16,
@@ -108,7 +109,8 @@ def test_adjoint_bounds_read_compute_constants(ct_variant):
     p, dp = smooth_series(grid, seed=5)
     q, dq = smooth_series(grid, seed=6)
     adj = solve_adjoint(coeffs, p, q, grid)
-    checks = check_adjoint_estimates(
+    checks = rows_of_one(
+        check_adjoint_estimates,
         adjoint_series(adj, unit_norm_matrices(grid)), grid, coeffs, dp, dq,
         ct_variant=ct_variant)
     assert [c.check for c in checks if not c.ok] == []

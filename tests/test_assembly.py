@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from beamload.assembly import _GPTS, _GWTS, assemble, hermite_shapes
+from beamload.assembly import (_GPTS, _GWTS, assemble, hermite_shapes,
+                              nodal)
 from beamload.errors import DimensionError, ValidationError
 from beamload.model import CoefficientBounds, CoefficientSet, SpaceTimeGrid
 
@@ -221,7 +222,7 @@ def test_nodal_field_and_pencil_layout():
     sys_ = assemble(g, CoefficientSet.constant(g, mu=0.05, T_r=0.1))
     # deflection DOFs are those of the interior nodes, in node order
     u = np.random.default_rng(0).normal(size=(sys_.n_dofs, 3))
-    w = sys_.nodal(u[sys_.deflection_dofs])
+    w = nodal(u[sys_.deflection_dofs])
     assert w.shape == (g.n_nodes, 3)
     assert np.all(w[[0, -1]] == 0.0)
     assert np.array_equal(w[1:-1], u[1:-1:2])

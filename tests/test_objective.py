@@ -7,7 +7,7 @@ from beamload.model import (LoadField, series_l2_norm, spacetime_inner,
                             time_inner)
 from beamload.objective import (apply_io_operators, compute_gradient,
                                 evaluate_objective)
-from beamload.verify import duality_checks, gradient_fd_checks, random_load
+from beamload.verify import duality_checks, gradient_fd_checks
 
 
 def test_inner_products_against_closed_forms(small_grid):
@@ -20,18 +20,20 @@ def test_inner_products_against_closed_forms(small_grid):
         pytest.approx(g.final_time / 2, rel=1e-3))
 
 
-def test_io_operators_match_forward_outputs(small_grid, small_coeffs):
+def test_io_operators_match_forward_outputs(small_grid, small_coeffs,
+                                            draws):
     rng = np.random.default_rng(0)
-    load = random_load(small_grid, rng)
+    load = draws.load(small_grid, rng)
     th0, thL = apply_io_operators(load, small_coeffs, small_grid)
     traj = solve_forward(small_coeffs, load, small_grid)
     assert np.array_equal(th0, traj.outputs.theta0)
     assert np.array_equal(thL, traj.outputs.thetaL)
 
 
-def test_objective_at_truth_and_at_zero(small_grid, small_coeffs):
+def test_objective_at_truth_and_at_zero(small_grid, small_coeffs,
+                                        draws):
     rng = np.random.default_rng(1)
-    truth = random_load(small_grid, rng)
+    truth = draws.load(small_grid, rng)
     meas = solve_forward(small_coeffs, truth, small_grid).outputs
     kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
     at_truth = evaluate_objective(truth, meas, kernel)
@@ -63,9 +65,10 @@ def test_gradient_matches_finite_differences(small_grid, small_coeffs):
     assert report.ok, report.summary()
 
 
-def test_gradient_vanishes_at_consistent_data(small_grid, small_coeffs):
+def test_gradient_vanishes_at_consistent_data(small_grid, small_coeffs,
+                                              draws):
     rng = np.random.default_rng(3)
-    truth = random_load(small_grid, rng)
+    truth = draws.load(small_grid, rng)
     meas = solve_forward(small_coeffs, truth, small_grid).outputs
     kernel = impulse_kernel(assemble(small_grid, small_coeffs), small_grid)
     evaluation = evaluate_objective(truth, meas, kernel)

@@ -17,8 +17,7 @@ from beamload.model import (DEFAULT_SLACK, CheckRow, CoefficientSet,
                             l2_norm_spacetime, series_l2_norm,
                             spacetime_inner, time_inner, trapezoid_weights)
 from beamload.objective import compute_gradient, evaluate_objective
-from beamload.verify import (duality_checks, random_load,
-                             random_smooth_series, verify_inequality_suite)
+from beamload.verify import duality_checks, verify_inequality_suite
 
 EXPECTED_PER_SCENARIO = 10 + 1 + 2 + 1 + 6 + 1   # all inequality families
 
@@ -97,9 +96,12 @@ def test_duality_negative_control_flags_all_triples(small_grid,
 
 def test_random_inputs_are_reasonable(small_grid):
     rng = np.random.default_rng(0)
-    load = random_load(small_grid, rng)
+    load = verify._modal_load(small_grid, rng.normal(size=8),
+                              (verify._mode_shapes(small_grid),
+                               verify._load_histories(small_grid)))
     assert l2_norm_spacetime(load) > 0
-    y, dy = random_smooth_series(small_grid, rng)
+    y, dy = verify._moment(rng.normal(size=3),
+                           verify._moment_factors(small_grid))
     assert y[0] == 0.0              # vanishes at t = 0 by construction
     dt = small_grid.dt
     fd = np.gradient(y, dt)
@@ -108,22 +110,13 @@ def test_random_inputs_are_reasonable(small_grid):
         np.abs(dy)))
 
 
-def modal_load_by_mode(grid, c):
-    """The values of `_modal_load`, summed one space mode at a time: the
-    reference of its single contraction."""
-    values = np.zeros((grid.n_nodes, grid.n_times))
-    for shape, (a, b), (sin, cos) in zip(verify._mode_shapes(grid),
-                                         np.reshape(c, (4, 2)),
-                                         verify._load_histories(grid)):
-        values += shape[:, None] * (a * sin + b * cos)
-    return values
-
-
 @pytest.mark.parametrize("seed", range(10))
-def test_modal_load_is_its_sum_of_modes_bit_for_bit(seed, random_case):
+def test_modal_load_is_its_sum_of_modes_bit_for_bit(seed, random_case,
+                                                    modal_load_by_mode):
     grid = random_case(seed)[0]
     c = np.random.default_rng(seed).normal(size=8) * 10.0 ** (seed - 5)
-    assert np.array_equal(verify._modal_load(grid, c).values,
+    factors = verify._mode_shapes(grid), verify._load_histories(grid)
+    assert np.array_equal(verify._modal_load(grid, c, factors).values,
                           modal_load_by_mode(grid, c))
 
 
@@ -151,10 +144,12 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
                          "impulse_kernel": 1, "newmark_integrate": 2}
 
 
-def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
+def _newmark_replay(grid, coeffs, system, n_scenarios, seed, draws,
+                    rows_of_one):
     """The suite's rows from its replayed draws (load, Poincare amplitudes,
-    load2, truth, p, q per scenario): the estimates on `solve_forward` and
-    `solve_adjoint` states, the Lipschitz rows on `evaluate_objective` and
+    load2, truth, p, q per scenario), made by the `draws` fixture: the
+    estimates on `solve_forward` and `solve_adjoint` states, each a batch
+    of one, and the Lipschitz rows on `evaluate_objective` and
     `compute_gradient` of the impulse kernel."""
     rng = np.random.default_rng(seed)
     kernel = forward.impulse_kernel(system, grid)
@@ -163,11 +158,12 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
     rows = []
     for s in range(n_scenarios):
         tag = f"s{s:02d}"
-        load = random_load(grid, rng)
-        rows += check_apriori_estimates(
+        load = draws.load(grid, rng)
+        rows += rows_of_one(
+            check_apriori_estimates,
             apriori_series(solve_forward(coeffs, load, grid, system=system),
                            unit), grid, coeffs,
-            l2_norm_spacetime(load) ** 2, scenario=tag)
+            l2_norm_spacetime(load) ** 2, tag=tag)
         amps = rng.normal(size=3)
         rows.append(CheckRow.bound(
             "poincare", tag,
@@ -176,9 +172,9 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
             sum(a ** 2 * (k * np.pi) ** 4 / (4 * l)
                 for k, a in enumerate(amps, start=1)),
             DEFAULT_SLACK))
-        load2 = random_load(grid, rng)
+        load2 = draws.load(grid, rng)
         meas = MeasurementSeries(*kernel.outputs(
-            random_load(grid, rng).values))
+            draws.load(grid, rng).values))
         c = compute_constants(
             l, grid.final_time, coeffs.bounds,
             C_F=max(1.0, 10.0 * l2_norm_spacetime(load) ** 2),
@@ -194,11 +190,12 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed):
                  c.C_L * dF),
                 ("misfit_lipschitz", abs(e1.J - e2.J), c.C_J * dF)):
             rows.append(CheckRow.bound(name, tag, lhs, rhs, DEFAULT_SLACK))
-        p, dp = random_smooth_series(grid, rng)
-        q, dq = random_smooth_series(grid, rng)
-        rows += check_adjoint_estimates(
+        p, dp = draws.moment(grid, rng)
+        q, dq = draws.moment(grid, rng)
+        rows += rows_of_one(
+            check_adjoint_estimates,
             adjoint_series(solve_adjoint(coeffs, p, q, grid, system=system),
-                           unit), grid, coeffs, dp, dq, scenario=tag)
+                           unit), grid, coeffs, dp, dq, tag=tag)
         diff = compute_gradient(e1) - compute_gradient(e2)
         rows.append(CheckRow.bound(
             "gradient_lipschitz", tag,
@@ -231,24 +228,26 @@ def _replay_mismatches(report, oracle):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_suite_states_match_the_newmark_path(seed, random_case):
+def test_suite_states_match_the_newmark_path(seed, random_case, draws,
+                                             rows_of_one):
     """Every row of the Gram-series suite agrees with the replay of its
     draws through the Newmark solvers and the kernel's misfit and
     gradient, on a random grid with variable coefficients."""
     grid, coeffs, system, _ = random_case(seed)
     n = 3
     report = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
-    oracle = _newmark_replay(grid, coeffs, system, n, seed)
+    oracle = _newmark_replay(grid, coeffs, system, n, seed, draws,
+                             rows_of_one)
     assert len(oracle) == n * EXPECTED_PER_SCENARIO
     assert _replay_mismatches(report, oracle) == []
 
 
-def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
-                                                   monkeypatch):
+def test_newmark_replay_rejects_a_wrong_load_basis(random_case, draws,
+                                                   rows_of_one, monkeypatch):
     """Negative control: a suite whose load basis has cos(k pi t / T) in
     place of cos((k - 1) pi t / T) fails the replay, in lhs as well."""
     grid, coeffs, system, _ = random_case(0)
-    oracle = _newmark_replay(grid, coeffs, system, 2, 0)
+    oracle = _newmark_replay(grid, coeffs, system, 2, 0, draws, rows_of_one)
     k = np.arange(1, 5)[:, None]
     t, T = grid.times, grid.final_time
     monkeypatch.setattr(verify, "_load_histories", lambda grid: np.stack(
@@ -260,15 +259,15 @@ def test_newmark_replay_rejects_a_wrong_load_basis(random_case,
                for row, ref in bad if row.check.startswith("apriori_"))
 
 
-def _duality_replay(grid, kernel, n, seed, tol):
+def _duality_replay(grid, kernel, n, seed, tol, draws):
     """`duality_checks`' rows from its draws replayed one triple at a
-    time through `random_load`, `random_smooth_series` and the kernel."""
+    time through the `draws` fixture and the kernel."""
     rng = np.random.default_rng(seed)
     rows = []
     for s in range(n):
-        dF = random_load(grid, rng)
-        p, _ = random_smooth_series(grid, rng)
-        q, _ = random_smooth_series(grid, rng)
+        dF = draws.load(grid, rng)
+        p, _ = draws.moment(grid, rng)
+        q, _ = draws.moment(grid, rng)
         theta0, thetaL = kernel.outputs(dF.values)
         lhs = time_inner(p, theta0, grid.dt) + time_inner(q, thetaL, grid.dt)
         rhs = spacetime_inner(dF.values, kernel.adjoint(p, q), grid)
@@ -278,17 +277,17 @@ def _duality_replay(grid, kernel, n, seed, tol):
     return tuple(rows)
 
 
-def _fd_replay(grid, kernel, n, seed, tol):
+def _fd_replay(grid, kernel, n, seed, tol, draws):
     """`gradient_fd_checks`' rows from its draws replayed one load at a
-    time through `random_load`, `evaluate_objective` and
+    time through the `draws` fixture, `evaluate_objective` and
     `compute_gradient`."""
     rng = np.random.default_rng(seed)
-    meas = MeasurementSeries(*kernel.outputs(random_load(grid, rng).values))
-    F = random_load(grid, rng)
+    meas = MeasurementSeries(*kernel.outputs(draws.load(grid, rng).values))
+    F = draws.load(grid, rng)
     grad = compute_gradient(evaluate_objective(F, meas, kernel))
     rows = []
     for s in range(n):
-        D = random_load(grid, rng)
+        D = draws.load(grid, rng)
         eps = 1e-4 * (l2_norm_spacetime(F) / l2_norm_spacetime(D))
         Jp = evaluate_objective(LoadField(F.values + eps * D.values, grid),
                                 meas, kernel).J
@@ -303,7 +302,8 @@ def _fd_replay(grid, kernel, n, seed, tol):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_duality_and_fd_rows_are_their_draws_replayed(seed, random_case):
+def test_duality_and_fd_rows_are_their_draws_replayed(seed, random_case,
+                                                      draws):
     """The duality and finite-difference rows equal, with ==, their draws
     replayed one at a time: making the factors of the loads and moments
     and the quadrature weights once per call moves no bit.  These rows
@@ -312,10 +312,10 @@ def test_duality_and_fd_rows_are_their_draws_replayed(seed, random_case):
     kernel = forward.impulse_kernel(system, grid)
     assert (duality_checks(grid, coeffs, n_triples=4, seed=seed,
                            kernel=kernel).rows
-            == _duality_replay(grid, kernel, 4, seed, 1e-3))
+            == _duality_replay(grid, kernel, 4, seed, 1e-3, draws))
     assert (verify.gradient_fd_checks(grid, coeffs, n_directions=4,
                                       seed=seed, kernel=kernel).rows
-            == _fd_replay(grid, kernel, 4, seed, 5e-3))
+            == _fd_replay(grid, kernel, 4, seed, 5e-3, draws))
 
 
 def mode_pulse_velocities(grid, coeffs, system):
@@ -366,7 +366,8 @@ def factored_states(velocity, series, n_fft):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
+def test_suite_states_match_the_solvers_on_every_dof(seed, random_case,
+                                                     modal_load_by_mode):
     """The basis states that the suite's Gram series are formed from, C
     times the coordinates of each input, agree with `solve_forward` of
     each basis load and `solve_adjoint` of each basis moment to 1e-9
@@ -378,8 +379,8 @@ def test_suite_states_match_the_solvers_on_every_dof(seed, random_case):
                             verify._load_histories(grid), n_fft)
     pairs = []
     for rate, c in zip(rates, np.eye(8)):
-        ref = solve_forward(coeffs, verify._modal_load(grid, c), grid,
-                            system=system)
+        ref = solve_forward(coeffs, LoadField(modal_load_by_mode(grid, c),
+                                              grid), grid, system=system)
         pairs += [(rate, ref.v), (cumtrapz(rate, grid.dt), ref.u)]
 
     rates = factored_states(end_rotation_velocities(grid, system),
@@ -481,6 +482,21 @@ def test_suite_cost_does_not_grow_with_scenarios(small_grid, small_coeffs,
     assert counts[0]["_factor_rows"] == 4
 
 
+def test_cold_suite_makes_the_load_factors_three_times(small_grid,
+                                                        small_coeffs,
+                                                        count_calls):
+    """From no kept beam, the space modes and the load histories are made
+    once by each of the three phases that read them: the forward bases,
+    the output bases for all 8 basis loads, and the load Gram.  A second
+    call on the beam makes none."""
+    calls = count_calls(verify._mode_shapes, verify._load_histories)
+    verify_inequality_suite(small_grid, small_coeffs, n_scenarios=2)
+    assert calls == {"_mode_shapes": 3, "_load_histories": 3}
+    calls.clear()
+    verify_inequality_suite(small_grid, small_coeffs, n_scenarios=2)
+    assert sum(calls.values()) == 0
+
+
 def _audit_case():
     """The 32x256 grid and the coefficients of the suite's memory tests."""
     grid = SpaceTimeGrid(1.0, 1.0, 32, 256)
@@ -510,12 +526,12 @@ def test_suite_memory_is_one_pass_and_the_kernel():
 
 def test_suite_keeps_only_the_kernel_and_the_bases():
     """After a suite call at 32x256 the traced memory still held is the
-    beam's store: the kernel, with its system, the moment factors, the
-    Gram series and trace lines of the 8 basis loads and the 6 basis
-    moments, and the basis loads' outputs, gradient Gram and load Gram,
-    within 64 KiB.  No velocity, displacement or force history (128 KiB
-    and more each) stays alive, and the audit does not hold the kernel a
-    second time."""
+    beam's store: the kernel, the moment factors, the Gram series and
+    trace lines of the 8 basis loads and the 6 basis moments, and the
+    basis loads' outputs, gradient Gram and load Gram, within 64 KiB.
+    No velocity, displacement or force history (128 KiB and more each)
+    and no assembled system stays alive, and the audit does not hold the
+    kernel a second time."""
     grid, coeffs = _audit_case()
     # the first call's imports and caches are not the store's
     verify_inequality_suite(grid, coeffs, n_scenarios=1)
@@ -534,13 +550,11 @@ def test_suite_keeps_only_the_kernel_and_the_bases():
     r_out, r_adj = store["kernel"].rank
     kernel = 8 * (4 * n_freq * (r_out + r_adj) + n_nodes * r_out
                   + (n_nodes - 2) * r_adj + (r_out + r_adj) * r_adj)
-    system = sum(a.nbytes for a in vars(store["kernel"].system).values()
-                 if isinstance(a, np.ndarray))
     grams = 8 * 3 * n_times * (8 * 8 + 6 * 6)
     lines = 8 * 2 * 2 * 8 * n_times
     outputs = 8 * (8 * 2 * n_times + 2 * 8 * 8)
     moments = 8 * 2 * 3 * n_times
-    assert current <= (kernel + system + moments + grams + lines + outputs
+    assert current <= (kernel + moments + grams + lines + outputs
                        + 64 * 1024)
 
 
@@ -563,7 +577,8 @@ def load_gram_error(grid, gram, rng):
     basis loads, over the squared norms of 4 formed `_modal_load`s and
     the norms of their 3 successive differences."""
     cs = rng.normal(size=(4, 8))
-    loads = [verify._modal_load(grid, c) for c in cs]
+    factors = verify._mode_shapes(grid), verify._load_histories(grid)
+    loads = [verify._modal_load(grid, c, factors) for c in cs]
     pairs = [(c @ gram @ c, l2_norm_spacetime(load) ** 2)
              for c, load in zip(cs, loads)]
     pairs += [(np.sqrt(d @ gram @ d), l2_norm_spacetime(a - b))
@@ -590,7 +605,8 @@ def test_load_gram_gives_the_formed_loads_norms(seed, random_case):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_batched_estimates_read_each_scenarios_series(seed, random_case):
+def test_batched_estimates_read_each_scenarios_series(seed, random_case,
+                                                      rows_of_one):
     """The estimate checks on series with a leading scenario axis give,
     per scenario tag, the rows of a call on that scenario's own series,
     to 1e-14: the LinfL2 rows read its largest value, the others its
@@ -604,14 +620,15 @@ def test_batched_estimates_read_each_scenarios_series(seed, random_case):
     dp, dq = rng.normal(size=(2, n, grid.n_times))
     F_sq = rng.uniform(1.0, 2.0, size=n)
     batched = zip(
-        check_apriori_estimates(apriori, grid, coeffs, F_sq, scenario=tags),
-        check_adjoint_estimates(adjoint, grid, coeffs, dp, dq,
-                                scenario=tags))
+        check_apriori_estimates(apriori, grid, coeffs, F_sq, DEFAULT_SLACK,
+                                tags),
+        check_adjoint_estimates(adjoint, grid, coeffs, dp, dq, DEFAULT_SLACK,
+                                tags))
     for s, (apriori_rows, adjoint_rows) in enumerate(batched):
-        ones = (check_apriori_estimates(apriori[:, s], grid, coeffs,
-                                        F_sq[s], scenario=tags[s])
-                + check_adjoint_estimates(adjoint[:, s], grid, coeffs,
-                                          dp[s], dq[s], scenario=tags[s]))
+        ones = (rows_of_one(check_apriori_estimates, apriori[:, s], grid,
+                            coeffs, F_sq[s], tag=tags[s])
+                + rows_of_one(check_adjoint_estimates, adjoint[:, s], grid,
+                              coeffs, dp[s], dq[s], tag=tags[s]))
         # the series each row reads, in row order: an LinfL2 and an L2L2
         # row of each norm, and the squares of the four traces
         read = ([x for x in apriori[:3, s] for _ in (0, 1)]
@@ -629,16 +646,16 @@ def test_batched_estimates_read_each_scenarios_series(seed, random_case):
 
 
 def test_lipschitz_bounds_use_the_scenario_constants(small_grid,
-                                                     small_coeffs):
+                                                     small_coeffs, draws):
     """Replays the draws of scenario 0: C_L, C_J with the data norms and
     L_G of `compute_constants`, times ||F1 - F2||."""
     report = verify_inequality_suite(small_grid, small_coeffs,
                                      n_scenarios=1, seed=3)
     rng = np.random.default_rng(3)
-    load = random_load(small_grid, rng)
+    load = draws.load(small_grid, rng)
     rng.normal(size=3)
-    load2 = random_load(small_grid, rng)
-    truth = random_load(small_grid, rng)
+    load2 = draws.load(small_grid, rng)
+    truth = draws.load(small_grid, rng)
     system = assembly.assemble(small_grid, small_coeffs)
     theta0, thetaL = forward.impulse_kernel(system, small_grid).outputs(
         truth.values)
