@@ -23,7 +23,7 @@ def run_level(n_elements, n_steps):
     w = traj.full_deflection()
     err = np.max(np.abs(w - exact_u)) / np.max(np.abs(exact_u))
     slope_err = np.max(np.abs(traj.outputs.theta0 - exact_out.theta0))
-    energy = np.max(energy_residual(traj, coeffs, load))
+    energy = np.max(energy_residual(traj, load))
     return err, slope_err, energy
 
 

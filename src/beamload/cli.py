@@ -65,10 +65,10 @@ def _floats(raw):
 # Every config key any command reads: (parser, default).  The parser
 # accepts only the key's allowed names or range, so a command checks no
 # config value itself.  A default of None is filled in by the run: each
-# bound by its field's sampled extremum, `noise.seed` by --seed,
-# `inversion.omega` by 1/L_G and `inversion.noise_delta` by the measured
-# noise level; the scenario and measurement keys have no default.  A
-# `coeff.*` value is a number or the path of an x,value CSV.
+# bound by its field's sampled extremum, `inversion.omega` by 1/L_G and
+# `inversion.noise_delta` by the measured noise level; the scenario and
+# measurement keys have no default.  A `coeff.*` value is a number or the
+# path of an x,value CSV.
 _KEYS = {
     "grid.length": (_positive, 1.0), "grid.final_time": (_positive, 1.0),
     "grid.n_elements": (_mesh_count, 64), "grid.n_steps": (_mesh_count, 512),
@@ -78,12 +78,12 @@ _KEYS = {
     **{f"bounds.{name}{end}": (_finite, None)
        for name in ("rho", "mu", "Tr", "r", "kappa") for end in "01"},
     "scenario.kind": (_one_of("zero", "manufactured", "load_csv",
-                              "moving_gaussian", "modal", "mode_pulse"), None),
+                              "moving_gaussian", "modal"), None),
     "scenario.path": (str, None),
     "scenario.amplitude": (_finite, 1.0), "scenario.speed": (_finite, 1.0),
     "scenario.sigma": (_positive, 0.1),
     "scenario.coefficients": (_floats, (1.0,)),
-    "noise.delta_rel": (_nonnegative, 0.0), "noise.seed": (_count, None),
+    "noise.delta_rel": (_nonnegative, 0.0),
     "measurements.path": (str, None),
     "inversion.mode": (_one_of("full_field", "parametric"), "full_field"),
     "inversion.step_rule": (_one_of("fixed", "backtracking"), "backtracking"),
@@ -164,13 +164,7 @@ def build_truth_load(cfg, grid, coeffs):
         if path is None:
             raise ConfigError("missing config key: scenario.path")
         return load_load(path, grid), None, None
-    if kind == "mode_pulse":
-        # the first space-time mode alone, the twin-data default
-        family = load_family("modal",
-                             {"coefficients": (cfg["scenario.amplitude"],)})
-    else:
-        family = load_family(kind, _family(cfg, "scenario."))
-    return family.field(grid), None, None
+    return load_family(kind, _family(cfg, "scenario.")).field(grid), None, None
 
 
 def _twin_data(cfg, grid, coeffs, seed, missing):
@@ -181,8 +175,6 @@ def _twin_data(cfg, grid, coeffs, seed, missing):
     truth, _, _ = build_truth_load(cfg, grid, coeffs)
     if truth is None:
         raise ConfigError(missing)
-    if cfg["noise.seed"] is not None:
-        seed = cfg["noise.seed"]
     noise = NoiseSpec(delta_rel=cfg["noise.delta_rel"], seed=seed)
     return (truth,) + generate_scenario(truth, coeffs, grid, noise)
 
@@ -198,22 +190,12 @@ def _obtain_measurements(cfg, grid, coeffs, seed):
     return (clean if smooth is None else smooth), truth
 
 
-def _write_manifest(args):
-    save_sidecar(os.path.join(args.out, "manifest.txt"),
-                 {"version": __version__,
-                  "command": args.command,
-                  "config": args.config,
-                  "config_sha256": config_hash(args.config),
-                  "seed": args.seed,
-                  "ct_variant": args.ct_variant})
-
-
 def cmd_forward(cfg, grid, coeffs, args, out):
     load, exact_u, exact = build_truth_load(cfg, grid, coeffs)
     if load is None:
         raise ConfigError("forward needs a scenario")
     traj = solve_forward(coeffs, load, grid)
-    res = energy_residual(traj, coeffs, load)
+    res = energy_residual(traj, load)
     w = traj.full_deflection()
 
     save_measurements(os.path.join(out, "outputs.csv"), grid.times,
@@ -232,8 +214,7 @@ def cmd_forward(cfg, grid, coeffs, args, out):
             np.max(np.abs(w - exact_u)) / scale)
         summary["theta0_max_error"] = float(
             np.max(np.abs(traj.outputs.theta0 - exact.theta0)))
-    save_sidecar(os.path.join(out, "summary.txt"), summary)
-    return EXIT_OK
+    return EXIT_OK, summary
 
 
 def cmd_verify(cfg, grid, coeffs, args, out):
@@ -256,11 +237,10 @@ def cmd_verify(cfg, grid, coeffs, args, out):
     summary = {"checks": len(report.rows), "violations": len(violations)}
     if any(n.values()):
         summary["kernel_rank"] = "%d/%d" % beam_kernel(grid, coeffs).rank
-    save_sidecar(os.path.join(out, "summary.txt"), summary)
     for r in violations:
         print(f"VIOLATION {r.check} {r.scenario}: "
               f"lhs={r.lhs:.6g} rhs={r.rhs:.6g}", file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    return (EXIT_OK if report.ok else EXIT_VERIFY), summary
 
 
 def _fit_start(cfg):
@@ -319,8 +299,7 @@ def cmd_invert(cfg, grid, coeffs, args, out):
         diff = l2_norm_spacetime(recon - truth)
         denom = max(l2_norm_spacetime(truth), 1e-300)
         summary["rel_load_error"] = diff / denom
-    save_sidecar(os.path.join(out, "summary.txt"), summary)
-    return EXIT_OK
+    return EXIT_OK, summary
 
 
 def cmd_scenario(cfg, grid, coeffs, args, out):
@@ -337,10 +316,11 @@ def cmd_scenario(cfg, grid, coeffs, args, out):
         save_measurements(os.path.join(out, "measurements_smoothed.csv"),
                           grid.times, smooth)
         summary["noise_delta"] = noisy.noise_delta
-    save_sidecar(os.path.join(out, "summary.txt"), summary)
-    return EXIT_OK
+    return EXIT_OK, summary
 
 
+# each command writes its outputs to `out` and returns its exit code and
+# the entries of `summary.txt`, which `main` writes before the manifest
 _COMMANDS = {"forward": cmd_forward, "verify": cmd_verify,
              "invert": cmd_invert, "scenario": cmd_scenario}
 
@@ -373,8 +353,14 @@ def main(argv=None):
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create --out: {exc}") from None
-            code = _COMMANDS[args.command](cfg, grid, coeffs, args, args.out)
-        _write_manifest(args)
+            code, summary = _COMMANDS[args.command](cfg, grid, coeffs, args,
+                                                    args.out)
+            save_sidecar(os.path.join(args.out, "summary.txt"), summary)
+            save_sidecar(os.path.join(args.out, "manifest.txt"),
+                         {"version": __version__, "command": args.command,
+                          "config": args.config,
+                          "config_sha256": config_hash(args.config),
+                          "seed": args.seed, "ct_variant": args.ct_variant})
         return code
     except (ConfigError, DimensionError, ValidationError) as exc:
         message = str(exc).replace("\n", "; ")

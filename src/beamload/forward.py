@@ -321,7 +321,7 @@ def _factor_rows(rows):
     tol_sq = (max(m, n) * EPS) ** 2 * np.einsum("ij,ij->i", rows, rows).max()
     W = np.empty((m, n))
     # the first round's residual is the rows themselves, and each later
-    # round's replaces the last one's
+    # round's is formed in one buffer over the last one's
     residual, r = rows, 0
     while np.einsum("ij,ij->i", residual, residual).max() > tol_sq:
         for j in _pivots(residual @ residual.T, tol_sq):
@@ -332,8 +332,9 @@ def _factor_rows(rows):
             r += 1
         if r == m:
             break
-        del residual
-        residual = (rows @ W[:r].T) @ W[:r]
+        if residual is rows:
+            residual = np.empty((m, n))
+        np.matmul(rows @ W[:r].T, W[:r], out=residual)
         np.subtract(rows, residual, out=residual)
     W = W[:r].copy()
     return rows @ W.T, W
@@ -437,7 +438,7 @@ def solve_forward(coeffs, load, grid, system=None):
     return trajs if isinstance(load, list) else trajs[0]
 
 
-def energy_residual(traj, coeffs, load):
+def energy_residual(traj, load):
     """Relative residual of the energy identity over time.
 
     At each instant compares the stored-plus-dissipated energy with twice

@@ -268,14 +268,21 @@ def manufactured_case(grid, coeffs):
 
     Substituting u into the beam equation gives the exact load in closed
     form, so the triple (load, exact deflection, exact end slopes) serves
-    as a solver oracle.  Coefficient fields must be constant; the nodal
-    means are used.
+    as a solver oracle.  Coefficient fields must be constant, and their
+    nodal means are used; a field that varies is a ConfigError that names
+    it, since the load would not be exact for that beam.
     """
+    names = ("rho_A", "mu", "T_r", "r", "kappa")
+    for name in names:
+        field = getattr(coeffs, name)
+        if np.any(field != field[0]):
+            raise ConfigError(f"the manufactured case needs constant "
+                              f"coefficients; {name} varies from "
+                              f"{field.min():g} to {field.max():g}")
     l = grid.length
     x = grid.nodes[:, None]
     t = grid.times[None, :]
-    rho, mu, Tr, r, kap = (np.mean(c) for c in (
-        coeffs.rho_A, coeffs.mu, coeffs.T_r, coeffs.r, coeffs.kappa))
+    rho, mu, Tr, r, kap = (np.mean(getattr(coeffs, name)) for name in names)
     # numpy floats under errstate: a forcing out of floating range is
     # inf or NaN and refused below, not an OverflowError
     with np.errstate(all="ignore"):

@@ -89,6 +89,9 @@ MUTANTS = [
     ("pivot_floor_raised", "src/beamload/forward.py",
      "floor = max(floor, 16.0 * EPS * d.max())",
      "floor = max(floor, 1e-8 * d.max())"),
+    ("factor_rows_projection_added", "src/beamload/forward.py",
+     "np.subtract(rows, residual, out=residual)",
+     "np.add(rows, residual, out=residual)"),
     ("full_rank_basis_is_identity", "src/beamload/forward.py",
      "return rows @ W.T, W", "return W @ W.T, W"),
     ("lapack_probe_dropped", "src/beamload/_lapack.py",

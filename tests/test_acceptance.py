@@ -55,7 +55,7 @@ def test_criterion_2_energy_identity():
     results = []
     for grid in (BASELINE, BASELINE.refined()):
         coeffs, load, traj, _ = mfd(grid)
-        results.append(float(np.max(energy_residual(traj, coeffs, load))))
+        results.append(float(np.max(energy_residual(traj, load))))
     ok = results[0] <= 1e-3 and results[1] < results[0]
     assert report(2, ok, f"residual={results[0]:.2e} "
                   f"refined={results[1]:.2e}")

@@ -10,7 +10,9 @@ import pytest
 from beamload import assembly, cli, forward, objective
 from beamload.cli import main
 from beamload.forward import solve_forward
-from beamload.io import save_coefficient, save_load, save_measurements
+from beamload.io import (load_sidecar, save_coefficient, save_load,
+                         save_measurements)
+from beamload.measurements import ModalLoad, NoiseSpec, generate_scenario
 from beamload.model import LoadField, MeasurementSeries, SpaceTimeGrid
 
 BASE = """
@@ -213,7 +215,7 @@ def test_invert_zero_measurements_writes_zero_field(tmp_path):
 
 
 def test_invert_numeric_failure_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path, BASE + "scenario.kind = mode_pulse\n"
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = modal\n"
                     + "inversion.mode = full_field\n"
                     + "inversion.step_rule = fixed\n"
                     + "inversion.omega = 1e6\n"
@@ -273,17 +275,30 @@ def test_missing_input_is_config_error(tmp_path, capsys, cmd, lines,
     assert message in assert_one_line_config_error(capsys)
 
 
-def test_noise_seed_overrides_the_seed_flag(tmp_path):
-    twin = BASE + "scenario.kind = mode_pulse\nnoise.delta_rel = 0.05\n"
-    cfg = write_cfg(tmp_path, twin + "noise.seed = 3\n")
-    for out, seed in (("a", "0"), ("b", "5")):
-        assert run("scenario", cfg, tmp_path / out, ("--seed", seed)) == 0
-    plain = write_cfg(tmp_path, twin, name="plain.cfg")
-    assert run("scenario", plain, tmp_path / "c", ("--seed", "3")) == 0
-    assert run("scenario", plain, tmp_path / "d", ("--seed", "5")) == 0
-    noisy = [digest(tmp_path / out / "measurements_noisy.csv")
-             for out in "abcd"]
-    assert noisy[0] == noisy[1] == noisy[2] != noisy[3]
+def test_seed_flag_is_the_noise_seed(tmp_path):
+    """The twin data's noise is drawn with the seed that the manifest
+    records, which is --seed."""
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = modal\n"
+                    "noise.delta_rel = 0.05\n")
+    out = tmp_path / "out"
+    assert run("scenario", cfg, out, ("--seed", "3")) == 0
+    seed = int(load_sidecar(out / "manifest.txt")["seed"])
+    assert seed == 3
+    coeffs = cli.build_coefficients(cli.read_config(cfg), GRID)
+    _, noisy, _ = generate_scenario(ModalLoad((1.0,)).field(GRID), coeffs,
+                                    GRID, NoiseSpec(0.05, seed=seed))
+    save_measurements(tmp_path / "ref.csv", GRID.times, noisy)
+    assert digest(out / "measurements_noisy.csv") == digest(
+        tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("cmd", ["forward", "verify", "invert", "scenario"])
+def test_noise_seed_is_an_undeclared_key(tmp_path, capsys, cmd):
+    # --seed is the one noise seed
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = modal\n"
+                    "noise.delta_rel = 0.05\nnoise.seed = 3\n")
+    assert run(cmd, cfg, tmp_path / "out") == 2
+    assert "noise.seed" in assert_one_line_config_error(capsys)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2])
@@ -330,7 +345,7 @@ def assert_one_line_numeric_failure(capsys):
 COARSE = BASE + """
 grid.n_elements = 8
 grid.n_steps = 32
-scenario.kind = mode_pulse
+scenario.kind = modal
 inversion.max_iterations = 3
 verify.n_scenarios = 1
 verify.n_triples = 1
@@ -460,6 +475,18 @@ def test_non_finite_coefficient_sample_is_config_error(tmp_path, capsys):
                     + "scenario.kind = zero\n")
     assert run("forward", cfg, tmp_path / "out") == 2
     assert "r[5] = nan" in assert_one_line_config_error(capsys)
+
+
+def test_varying_coefficient_of_the_manufactured_case_is_config_error(
+        tmp_path, capsys):
+    # the closed-form load is exact only on a beam of constant coefficients
+    coeff = tmp_path / "r.csv"
+    save_coefficient(coeff, GRID.nodes,
+                     1.0 + 0.5 * np.sin(np.pi * GRID.nodes))
+    cfg = write_cfg(tmp_path, BASE + f"coeff.r = {coeff}\n"
+                    + "scenario.kind = manufactured\n")
+    assert run("forward", cfg, tmp_path / "out") == 2
+    assert "r varies from 1 to 1.5" in assert_one_line_config_error(capsys)
 
 
 GRID = SpaceTimeGrid(1.0, 1.0, 16, 96)   # the grid of BASE
@@ -609,7 +636,7 @@ def test_non_positive_sigma_is_config_error(tmp_path, capsys, key, extra):
     ("invert", "inversion.tau_d = nan\n", ()),
     ("invert", "inversion.mode = bogus\n", ()),
     ("invert", "noise.delta_rel = -0.1\n", ()),
-    ("invert", "noise.delta_rel = 0.05\nnoise.seed = -1\n", ()),
+    ("invert", "scenario.kind = mode_pulse\n", ()),
     ("verify", "", ("--seed", "-1")),
     ("invert", "grid.length = nan\n", ()),
     ("invert", "grid.final_time = inf\n", ()),
@@ -663,7 +690,6 @@ def forward_calls(monkeypatch):
     "inversion.step_rule = bogus\n",
     "inversion.mode = parametric\ninversion.init_sigma = nan\n",
     "inversion.mode = parametric\ninversion.family = bogus\n",
-    "noise.seed = -1\n",
 ])
 def test_invert_keys_are_read_before_the_twin_solve(tmp_path, capsys,
                                                        forward_calls, extra):
@@ -677,7 +703,7 @@ def test_invert_keys_are_read_before_the_twin_solve(tmp_path, capsys,
 @pytest.mark.parametrize("cmd", ["forward", "verify", "invert", "scenario"])
 def test_undeclared_key_is_config_error(tmp_path, capsys, forward_calls, cmd):
     # a misspelt key is refused, not ignored, under every command
-    cfg = write_cfg(tmp_path, BASE + "scenario.kind = mode_pulse\n"
+    cfg = write_cfg(tmp_path, BASE + "scenario.kind = modal\n"
                     + "inversion.max_iteratons = 3\n")
     assert run(cmd, cfg, tmp_path / "out") == 2
     assert "inversion.max_iteratons" in assert_one_line_config_error(capsys)
@@ -692,8 +718,8 @@ EMPTY_VERIFY = ("verify.n_scenarios = 0\nverify.n_triples = 0\n"
 @pytest.mark.parametrize("cmd,lines", [
     pytest.param("invert", "scenario.kind = modal\nscenario.sigma = 0\n",
                  id="scenario.sigma-modal"),
-    pytest.param("invert", "scenario.kind = mode_pulse\nverify.fd_tol = 0\n",
-                 id="verify.fd_tol-mode_pulse"),
+    pytest.param("invert", "scenario.kind = modal\nverify.fd_tol = 0\n",
+                 id="verify.fd_tol-modal"),
     pytest.param("verify", EMPTY_VERIFY + "scenario.kind = bogus\n",
                  id="scenario.kind-verify"),
     pytest.param("forward", "scenario.kind = manufactured\n"
@@ -704,7 +730,7 @@ EMPTY_VERIFY = ("verify.n_scenarios = 0\nverify.n_triples = 0\n"
                  id="inversion.tau_d-parametric"),
     pytest.param("invert", PARAMETRIC + "inversion.max_iterations = -1\n",
                  id="inversion.max_iterations-parametric"),
-    pytest.param("invert", "scenario.kind = mode_pulse\n"
+    pytest.param("invert", "scenario.kind = modal\n"
                  "inversion.family = bogus\n",
                  id="inversion.family-full_field"),
     pytest.param("verify", EMPTY_VERIFY + "inversion.omega = -1\n",
@@ -731,7 +757,7 @@ def choices(key):
     raise AssertionError(f"{key} accepts any name")
 
 
-TWIN = "scenario.kind = mode_pulse\n"
+TWIN = "scenario.kind = modal\n"
 CHOICE_CASES = [
     *(pytest.param("scenario", f"scenario.kind = {kind}\n", id=kind)
       for kind in choices("scenario.kind")),
@@ -768,7 +794,7 @@ def test_non_finite_coefficient_is_one_entry_per_condition(tmp_path, capsys):
 
 MALFORMED = ("abc", "nan", "inf", "-inf", "-1", "0", "")
 FULL_FIELD = BASE + """
-scenario.kind = mode_pulse
+scenario.kind = modal
 noise.delta_rel = 0.05
 inversion.mode = full_field
 inversion.max_iterations = 3

@@ -233,7 +233,7 @@ def test_energy_identity_residual_shrinks_under_refinement():
         g, c = mfd_setup(n_el, n_st)
         load, _, _ = manufactured_case(g, c)
         traj = solve_forward(c, load, g)
-        residuals.append(float(np.max(energy_residual(traj, c, load))))
+        residuals.append(float(np.max(energy_residual(traj, load))))
     assert residuals[0] < 1e-3
     assert residuals[1] < residuals[0] / 2
 

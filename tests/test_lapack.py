@@ -299,6 +299,43 @@ def test_malformed_input_raises_scipys_error(malformed):
         "cholesky_banded", "bound_solve", "bound_matvec")} == {"ok ok"}
 
 
+# In process, where the line tracer sees them: each refusal of an array
+# that a routine is not handed, the raise of a negative LAPACK `info`,
+# and the probe's answer when a routine raises.
+@pytest.mark.parametrize("case", ["c_order_band", "integer_vector",
+                                  "short_vector"])
+def test_bound_call_refuses_what_it_would_copy(case):
+    ab, x = band_case(2, 33, 1)
+    ab = np.asfortranarray(ab)
+    if case == "c_order_band":
+        ab, message = np.ascontiguousarray(ab), "Fortran order"
+    elif case == "integer_vector":
+        x, message = x.astype(np.int64), "float64 array of length 33"
+    else:
+        x, message = x[:-1], "float64 array of length 33"
+    with pytest.raises(ValueError, match=message):
+        _lapack.bound_solve(ab, x)
+    with pytest.raises(ValueError, match=message):
+        _lapack.bound_matvec(ab, x, np.empty(33))
+
+
+def test_negative_info_is_scipys_illegal_value_error():
+    with pytest.raises(ValueError,
+                       match="illegal value in 2-th argument of internal "
+                             "pbtrf"):
+        _lapack._check(-2, "pbtrf")
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_probe_fails_when_a_routine_raises(monkeypatch, error):
+    assert _lapack._exact_on_probe()
+
+    def refuse(ab):
+        raise error("refused")
+    monkeypatch.setattr(_lapack, "cholesky_banded", refuse)
+    assert not _lapack._exact_on_probe()
+
+
 def _no_library(monkeypatch):
     monkeypatch.setattr(os, "listdir", lambda path: [])
 

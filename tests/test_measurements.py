@@ -8,7 +8,8 @@ from beamload.measurements import (ModalLoad, MovingGaussian, NoiseSpec,
                                    _pick_lambda, add_noise, generate_scenario,
                                    load_family, make_smoothing_spline,
                                    manufactured_case, smooth_to_h1)
-from beamload.model import (MeasurementSeries, SpaceTimeGrid,
+from beamload.model import (CoefficientBounds, CoefficientSet,
+                            MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm)
 
 
@@ -273,6 +274,19 @@ def test_manufactured_case_closed_form(small_grid, small_coeffs):
     # forcing at t = 0 reduces to the inertia term 2 rho sin(kx)
     assert np.allclose(load.values[:, 0], 2.0 * np.sin(k * g.nodes),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["rho_A", "mu", "T_r", "r", "kappa"])
+def test_manufactured_case_refuses_a_varying_field(small_grid, small_coeffs,
+                                                   name):
+    # the closed-form load is exact only for constant coefficients
+    names = ("rho_A", "mu", "T_r", "r", "kappa")
+    fields = {n: getattr(small_coeffs, n) for n in names}
+    fields[name] = fields[name] * (1.0 + 0.5 * small_grid.nodes)
+    bounds = CoefficientBounds(*[f(fields[n]) for n in names
+                                 for f in (np.min, np.max)])
+    with pytest.raises(ConfigError, match=f"; {name} varies from"):
+        manufactured_case(small_grid, CoefficientSet(**fields, bounds=bounds))
 
 
 def test_moving_gaussian_jacobian_matches_finite_differences(small_grid):
