@@ -291,7 +291,8 @@ def cmd_invert(cfg, grid, coeffs, args, out):
                         "omega": state.omega,
                         "J_final": state.J_history[-1],
                         "discrepancy": state.discrepancy_history[-1],
-                        "kernel_rank": "%d/%d" % state.kernel_rank})
+                        "kernel_rank": "%d/%d" % state.kernel_rank,
+                        "loop_rank": state.loop_rank})
         recon = state.load
 
     save_load(os.path.join(out, "reconstructed_load.csv"), recon)

@@ -1,7 +1,7 @@
 """Projected Landweber minimization of the misfit, plus a parametric
 reconstruction mode for identifiable load families."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,8 +53,9 @@ class InversionConfig:
 
 @dataclass
 class InversionState:
-    """Iterate and convergence history of one inversion run, and the
-    (r_out, r_adj) rank of the kernel it convolved with."""
+    """Iterate and convergence history of one inversion run, the
+    (r_out, r_adj) rank of the kernel it convolved with and the rank q of
+    the coordinates its loop ran on (`_FieldCoordinates`)."""
 
     load: LoadField
     J_history: list = field(default_factory=list)
@@ -62,6 +63,7 @@ class InversionState:
     stop_reason: str = ""
     omega: float = 0.0
     kernel_rank: tuple = ()
+    loop_rank: int = 0
 
     @property
     def iterations(self):
@@ -85,9 +87,12 @@ def run_inversion(measurements, coeffs, grid, config=None):
 
     From F = 0 every iterate is a combination of adjoint fields
     J'(F) = phi, scaled by the radial projection, so the loop keeps it
-    as coordinates Z over the kernel's `field_basis` (`_FieldCoordinates`)
-    and forms F once, when it stops.  An iteration makes one adjoint
-    convolution, and each trial one output convolution.
+    as coordinates over the kernel's `field_basis`, reduced to the q
+    directions its coupling and field Gram resolve, beside the data
+    series rho whose adjoint series they are (`_FieldCoordinates`), and
+    forms F from rho once, at the kernel's full rank, when it stops.  An
+    iteration makes one adjoint convolution and each trial one output
+    convolution, each of q + 2 series.
 
     Stop rules: Morozov discrepancy 2J <= (tau_d * delta)^2, vanishing
     gradient, stagnation of J, or the iteration cap.  With the fixed rule
@@ -105,13 +110,12 @@ def run_inversion(measurements, coeffs, grid, config=None):
     morozov = config.tau_d * config.noise_delta
     morozov_sq = morozov * morozov
 
-    state = InversionState(load=None, omega=omega, kernel_rank=kernel.rank)
-    Z = np.zeros((kernel.rank[1], grid.n_times))
+    state = InversionState(load=None, omega=omega, kernel_rank=kernel.rank,
+                           loop_rank=coords.q)
+    Z = np.zeros((coords.q + 2, grid.n_times))
     J, residual = coords.evaluate(Z)
     for n in range(config.max_iterations + 1):
-        # the gradient's coordinates, reversed back in time and copied so
-        # that the matrix products with them run in BLAS
-        Y = kernel.adjoint_series(residual)[:, ::-1].copy()
+        Y = coords.gradient(residual)
         gnorm = np.sqrt(coords.sq_norm(Y))
         state.J_history.append(J)
         state.grad_history.append(gnorm)
@@ -143,24 +147,42 @@ def run_inversion(measurements, coeffs, grid, config=None):
         else:
             Z, J, residual = _backtrack(Z, Y, J, omega, C_F, coords,
                                         residual)
+    # the load's coordinates at the kernel's full rank are the adjoint
+    # series of rho, the iterate's last two rows
+    Z = kernel.adjoint_series(Z[coords.q:])[:, ::-1]
     state.load = LoadField(nodal(kernel.field_basis @ Z), grid)
     return state
 
 
 class _FieldCoordinates:
-    """The Landweber loop's operators on coordinates Z (r_adj, n_times)
-    of the load F = nodal(field_basis Z), for one kernel and one data
-    set.
+    """The Landweber loop's operators, for one kernel and one data set,
+    on an iterate Z (q + 2, n_times): q coordinates over the data series
+    rho in the rows Z[q:].
 
-    The outputs of F are the output convolution of P Z, with the
-    kernel's `coupling` P, and the squared norm ||F||^2 is
-    sum_t w_t z_t' G z_t, with its `field_gram` G and the trapezoid time
-    weights w_t.
+    The load's r_adj coordinates y over the kernel's `field_basis` are
+    read only through its `coupling` P (the outputs are the output
+    convolution of P y) and `field_gram` G (||F||^2 is sum_t w_t y_t' G
+    y_t, with the trapezoid time weights w_t).  So z = V' y, on the q
+    right singular vectors V of [P / ||P||_2; G / ||G||_2] that numpy's
+    `matrix_rank` rule keeps; a zero map is stacked unscaled, and rank 0
+    gives q = 0.  `kernel` convolves z, with the spectra of P V and of
+    V' times the adjoint's, and `G` is V' G V.  Each step and radial
+    scale from Z = 0 is linear in the output residuals, so y, the load
+    at full rank, is the adjoint series of rho, reversed in time.
     """
 
     def __init__(self, kernel, measurements, grid):
-        self.kernel = kernel
-        self.P, self.G = kernel.coupling, kernel.field_gram
+        P, G = kernel.coupling, kernel.field_gram
+        stacked = np.vstack([A / (np.linalg.norm(A, 2) or 1.0)
+                             for A in (P, G)])
+        _, s, V = np.linalg.svd(stacked, full_matrices=False)
+        tol = s[:1] * max(stacked.shape) * np.finfo(float).eps
+        self.V = V = V[:np.count_nonzero(s > tol)].T
+        self.q = V.shape[1]
+        self.kernel = replace(
+            kernel, outputs_t1=(P @ V).T @ kernel.outputs_t1,
+            adjoint_t1=np.tensordot(V, kernel.adjoint_t1, (0, 0)))
+        self.G = V.T @ G @ V
         self.w_t = trapezoid_weights(grid.n_times, grid.dt)
         self.theta = measurements.stacked(grid)
 
@@ -168,13 +190,20 @@ class _FieldCoordinates:
         """The misfit J at Z and the output residual (2, n_times); a
         non-finite Z has non-finite outputs, which `output_series`
         refuses."""
-        residual = self.kernel.output_series(self.P @ Z) - self.theta
+        residual = self.kernel.output_series(Z[:self.q]) - self.theta
         sq = (residual * residual) @ self.w_t
         return float(0.5 * sq[0] + 0.5 * sq[1]), residual
 
+    def gradient(self, residual):
+        """The coordinates of the gradient J' = phi of an output residual:
+        its q adjoint series, reversed back in time, over the residual."""
+        return np.vstack([self.kernel.adjoint_series(residual)[:, ::-1],
+                          residual])
+
     def sq_norm(self, Z):
         """The squared space-time norm ||F||^2 of the load at Z."""
-        return float(np.einsum("it,it->t", self.G @ Z, Z) @ self.w_t)
+        z = Z[:self.q]
+        return float(np.einsum("it,it->t", self.G @ z, z) @ self.w_t)
 
     def step(self, Z, Y, step, C_F):
         """Z - step Y, projected radially onto ||F||^2 <= C_F if given."""

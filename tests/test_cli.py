@@ -212,6 +212,9 @@ def test_invert_zero_measurements_writes_zero_field(tmp_path):
                    for line in (out / "summary.txt").read_text().split())
     assert summary["stop_reason"] == "discrepancy"
     assert summary["iterations"] == "0"
+    # the loop's rank, beside the kernel's r_out/r_adj, is at most r_adj
+    r_adj = int(summary["kernel_rank"].split("/")[1])
+    assert 0 < int(summary["loop_rank"]) <= r_adj
 
 
 def test_invert_numeric_failure_exit_code(tmp_path):

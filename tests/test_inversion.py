@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -81,7 +82,8 @@ def test_oversized_fixed_step_raises(twin):
 def test_step_out_of_range_raises_at_the_outputs(twin, omega):
     """A fixed step out of floating range makes the coordinates
     non-finite, and `ImpulseKernel.output_series` refuses their outputs:
-    the loop makes no check of its own on them."""
+    the loop makes no check of its own on them.  The kernel that refuses
+    is the loop's, which convolves its q coordinates."""
     grid, coeffs, _, series = twin
     cfg = InversionConfig(step_rule="fixed", omega=omega, max_iterations=5)
     with np.errstate(all="ignore"):
@@ -89,6 +91,9 @@ def test_step_out_of_range_raises_at_the_outputs(twin, omega):
                            match="^non-finite output$") as raised:
             run_inversion(series, coeffs, grid, config=cfg)
     assert raised.traceback[-1].name == "output_series"
+    q = inversion._FieldCoordinates(forward.beam_kernel(grid, coeffs),
+                                    series, grid).q
+    assert raised.traceback[-1].locals["self"].rank == (q, q)
 
 
 # the three consumers of measured slopes, each with the kernel of its
@@ -312,12 +317,12 @@ def test_backtracking_halves_a_first_trial_that_is_too_long(twin):
     1.5 s* lowers it, so the line search halves twice and accepts
     BACKTRACK_START omega / 4."""
     grid, coeffs, _, series = twin
-    kernel = forward.beam_kernel(grid, coeffs)
-    coords = inversion._FieldCoordinates(kernel, series, grid)
-    Z = np.zeros((kernel.rank[1], grid.n_times))
+    coords = inversion._FieldCoordinates(forward.beam_kernel(grid, coeffs),
+                                         series, grid)
+    Z = np.zeros((coords.q + 2, grid.n_times))
     J, residual = coords.evaluate(Z)
-    Y = kernel.adjoint_series(residual)[:, ::-1].copy()
-    AY = kernel.output_series(coords.P @ Y)
+    Y = coords.gradient(residual)
+    AY = coords.kernel.output_series(Y[:coords.q])
     c, b = ((AY * residual).sum(axis=0) @ coords.w_t,
             (AY * AY).sum(axis=0) @ coords.w_t)
     assert c > 0
@@ -385,11 +390,12 @@ def _kernel_calls(count_calls, monkeypatch):
 
 def _assert_coordinate_convolutions(calls, state, trials):
     """One output convolution at F = 0 and one per trial, one adjoint
-    convolution per iterate, no other convolution and no nodal operator:
-    neither the kernel's `outputs` and `adjoint` nor the paper's
-    `evaluate_objective` and `compute_gradient`."""
+    convolution per iterate and one more for the load when the loop
+    stops, no other convolution and no nodal operator: neither the
+    kernel's `outputs` and `adjoint` nor the paper's `evaluate_objective`
+    and `compute_gradient`."""
     assert calls["output_series"] == 1 + trials
-    assert calls["adjoint_series"] == state.iterations + 1
+    assert calls["adjoint_series"] == state.iterations + 1 + 1
     assert calls["convolve_t1"] == (calls["output_series"]
                                     + calls["adjoint_series"])
     for nodal in ("outputs", "adjoint", "evaluate_objective",
@@ -445,6 +451,67 @@ def test_fullfield_kernel_convolves_few_series(fullfield):
     grid, coeffs, _, _ = fullfield
     r_out, r_adj = impulse_kernel(assemble(grid, coeffs), grid).rank
     assert r_out <= 32 and r_adj <= 32
+
+
+def test_loop_runs_at_the_rank_of_what_it_reads(fullfield):
+    """The loop's coordinates are the q right singular vectors V of the
+    coupling P and field Gram G stacked, each scaled to norm 1, cut at
+    numpy's `matrix_rank` rule: fewer than half the kernel's r_adj, and
+    the directions dropped are within the rule's tolerance of P and G."""
+    grid, coeffs, smooth, _ = fullfield
+    kernel = forward.beam_kernel(grid, coeffs)
+    coords = inversion._FieldCoordinates(kernel, smooth, grid)
+    P, G, V = kernel.coupling, kernel.field_gram, coords.V
+    q = coords.q
+    assert V.shape == (kernel.rank[1], q) and q <= 16 < kernel.rank[1]
+    assert np.allclose(V.T @ V, np.eye(q), rtol=0.0, atol=1e-14)
+    p, g = np.linalg.norm(P, 2), np.linalg.norm(G, 2)
+    s = np.linalg.svd(np.vstack([P / p, G / g]), compute_uv=False)
+    tol = s[0] * (P.shape[0] + G.shape[0]) * np.finfo(float).eps
+    assert s[q - 1] > tol >= s[q]
+    VV = V @ V.T
+    assert np.linalg.norm(P - P @ VV, 2) <= tol * p
+    assert np.linalg.norm(G - VV @ G @ VV, 2) <= tol * g
+    assert np.array_equal(coords.G, V.T @ G @ V)
+    assert coords.kernel.rank == (q, q)
+
+
+def _degenerate_case(rho_A):
+    """An 8x32 beam of mass density rho_A and random slopes."""
+    grid = SpaceTimeGrid(1.0, 1.0, 8, 32)
+    coeffs = CoefficientSet.constant(grid, rho_A=rho_A, mu=0.05, T_r=0.1,
+                                     r=0.8, kappa=0.02)
+    series = MeasurementSeries(*np.random.default_rng(0).normal(
+        size=(2, grid.n_times)))
+    return grid, coeffs, series
+
+
+def test_rank_zero_kernel_stops_cleanly():
+    """A beam too heavy to move has a kernel of rank 0: the loop runs on
+    q = 0 coordinates and stops on its vanishing gradient at the zero
+    load, with no floating-point exception."""
+    grid, coeffs, series = _degenerate_case(1e300)
+    assert forward.beam_kernel(grid, coeffs).rank == (0, 0)
+    with np.errstate(all="raise"):
+        state = run_inversion(series, coeffs, grid, InversionConfig(
+            step_rule="backtracking", omega=1.0, C_F=1.0))
+    assert (state.loop_rank, state.stop_reason) == (0, "gradient")
+    assert state.iterations == 0 and state.grad_history == [0.0]
+    assert np.all(state.load.values == 0.0)
+
+
+def test_zero_coupling_is_stacked_unscaled():
+    """A zero coupling P is stacked as it is, not divided by its zero
+    norm: q is the field Gram's rank, and every output is zero."""
+    grid, coeffs, series = _degenerate_case(1.0)
+    kernel = forward.beam_kernel(grid, coeffs)
+    kernel = dataclasses.replace(kernel,
+                                 coupling=np.zeros_like(kernel.coupling))
+    with np.errstate(all="raise"):
+        coords = inversion._FieldCoordinates(kernel, series, grid)
+    assert coords.q == np.linalg.matrix_rank(kernel.field_gram) > 0
+    _, residual = coords.evaluate(np.ones((coords.q + 2, grid.n_times)))
+    assert np.array_equal(residual, -series.stacked(grid))
 
 
 def test_factored_kernel_runs_the_full_kernels_inversion(
