@@ -318,12 +318,14 @@ def _factor_rows(rows):
     one round's Gram resolves rows only down to about sqrt(eps) of its
     largest."""
     m, n = rows.shape
-    tol_sq = (max(m, n) * EPS) ** 2 * np.einsum("ij,ij->i", rows, rows).max()
+    tol_sq = (max(m, n) * EPS) ** 2 * np.einsum(
+        "ij,ij->i", rows, rows).max(initial=0.0)
     W = np.empty((m, n))
     # the first round's residual is the rows themselves, and each later
     # round's is formed in one buffer over the last one's
     residual, r = rows, 0
-    while np.einsum("ij,ij->i", residual, residual).max() > tol_sq:
+    while np.einsum("ij,ij->i", residual, residual).max(
+            initial=0.0) > tol_sq:
         for j in _pivots(residual @ residual.T, tol_sq):
             w = residual[j].copy()
             for _ in range(2):

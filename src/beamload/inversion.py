@@ -6,9 +6,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import nodal
-from .constants import compute_constants
+from .constants import compute_constants, transfer_constant
 from .errors import DivergenceError
-from .forward import beam_kernel
+from .forward import _factor_rows, beam_kernel
 from .model import LoadField, radial_scale, trapezoid_weights
 
 GRAD_TOL = 1e-12
@@ -49,6 +49,7 @@ class InversionConfig:
             raise ValueError("C_F must be positive")
         if self.step_rule not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step rule: {self.step_rule}")
+        transfer_constant(1.0, self.ct_variant)  # raises on an unknown one
 
 
 @dataclass
@@ -87,11 +88,11 @@ def run_inversion(measurements, coeffs, grid, config=None):
 
     From F = 0 every iterate is a combination of adjoint fields
     J'(F) = phi, scaled by the radial projection, so the loop keeps it
-    as coordinates over the kernel's `field_basis`, reduced to the q
-    directions its coupling and field Gram resolve, beside the data
-    series rho whose adjoint series they are (`_FieldCoordinates`), and
-    forms F from rho once, at the kernel's full rank, when it stops.  An
-    iteration makes one adjoint convolution and each trial one output
+    as coordinates over the kernel's `field_basis`, cut by its rank rule
+    to the q directions its coupling and field Gram resolve, beside the
+    data series rho whose adjoint series they are (`_FieldCoordinates`),
+    and forms F from rho once, at the kernel's full rank, when it stops.
+    An iteration makes one adjoint convolution and each trial one output
     convolution, each of q + 2 series.
 
     Stop rules: Morozov discrepancy 2J <= (tau_d * delta)^2, vanishing
@@ -163,22 +164,20 @@ class _FieldCoordinates:
     read only through its `coupling` P (the outputs are the output
     convolution of P y) and `field_gram` G (||F||^2 is sum_t w_t y_t' G
     y_t, with the trapezoid time weights w_t).  So z = V' y, on the q
-    right singular vectors V of [P / ||P||_2; G / ||G||_2] that numpy's
-    `matrix_rank` rule keeps; a zero map is stacked unscaled, and rank 0
-    gives q = 0.  `kernel` convolves z, with the spectra of P V and of
-    V' times the adjoint's, and `G` is V' G V.  Each step and radial
-    scale from Z = 0 is linear in the output residuals, so y, the load
-    at full rank, is the adjoint series of rho, reversed in time.
+    orthonormal rows V' that `_factor_rows`, the kernel's rank rule,
+    keeps of [P / ||P||_F; G / ||G||_F]; a zero map is stacked unscaled,
+    and rank 0 gives q = 0.  `kernel` convolves z, with the spectra of
+    P V and of V' times the adjoint's, and `G` is V' G V.  Each step and
+    radial scale from Z = 0 is linear in the output residuals, so y, the
+    load at full rank, is the adjoint series of rho, reversed in time.
     """
 
     def __init__(self, kernel, measurements, grid):
         P, G = kernel.coupling, kernel.field_gram
-        stacked = np.vstack([A / (np.linalg.norm(A, 2) or 1.0)
-                             for A in (P, G)])
-        _, s, V = np.linalg.svd(stacked, full_matrices=False)
-        tol = s[:1] * max(stacked.shape) * np.finfo(float).eps
-        self.V = V = V[:np.count_nonzero(s > tol)].T
-        self.q = V.shape[1]
+        _, W = _factor_rows(np.vstack([A / (np.linalg.norm(A) or 1.0)
+                                       for A in (P, G)]))
+        self.V = V = W.T
+        self.q = len(W)
         self.kernel = replace(
             kernel, outputs_t1=(P @ V).T @ kernel.outputs_t1,
             adjoint_t1=np.tensordot(V, kernel.adjoint_t1, (0, 0)))

@@ -36,7 +36,7 @@ from .forward import (EPS_FLOOR, _factored_spectra, band_product,
                       convolve_t1, cumtrapz, end_rotation_responses,
                       impulse_kernel, kernel_fft_length, solve_forward)
 from .model import (DEFAULT_SLACK, CheckRow, LoadField, MeasurementSeries,
-                    trapezoid_weights)
+                    spacetime_inner, time_inner, trapezoid_weights)
 from .objective import compute_gradient, evaluate_objective
 
 
@@ -350,8 +350,6 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
     kernel = kernel or beam_kernel(grid, coeffs)
     loads = _mode_shapes(grid), _load_histories(grid)
     moments = _moment_factors(grid)
-    w_x = trapezoid_weights(grid.n_nodes, grid.h)
-    w_t = trapezoid_weights(grid.n_times, grid.dt)
     rows = []
     for s in range(n_triples):
         dF = _modal_load(grid, rng.normal(size=8), loads).values
@@ -359,8 +357,8 @@ def duality_checks(grid, coeffs, n_triples=5, seed=0, tol=1e-3, kernel=None):
         q, _ = _moment(rng.normal(size=3), moments)
         theta0, thetaL = kernel.outputs(dF)
         phi = kernel.adjoint(p, q)
-        lhs = float(w_t @ (p * theta0)) + float(w_t @ (q * thetaL))
-        rhs = float(w_x @ (dF * phi) @ w_t)
+        lhs = time_inner(p, theta0, grid.dt) + time_inner(q, thetaL, grid.dt)
+        rhs = spacetime_inner(dF, phi, grid)
         residual = abs(lhs - rhs) / (abs(rhs) + EPS_FLOOR)
         rows.append(CheckRow.bound("duality", f"s{s:02d}", residual, tol))
     return SuiteReport(tuple(rows))
@@ -378,23 +376,21 @@ def gradient_fd_checks(grid, coeffs, n_directions=5, seed=0, tol=5e-3,
     rng = np.random.default_rng(seed)
     kernel = kernel or beam_kernel(grid, coeffs)
     loads = _mode_shapes(grid), _load_histories(grid)
-    w_x = trapezoid_weights(grid.n_nodes, grid.h)
-    w_t = trapezoid_weights(grid.n_times, grid.dt)
     truth = _modal_load(grid, rng.normal(size=8), loads)
     meas = MeasurementSeries(*kernel.outputs(truth.values))
     F = _modal_load(grid, rng.normal(size=8), loads).values
     grad = compute_gradient(evaluate_objective(LoadField(F, grid), meas,
                                                kernel))
-    F_norm = float(np.sqrt(float(w_x @ (F * F) @ w_t)))
+    F_norm = float(np.sqrt(spacetime_inner(F, F, grid)))
     rows = []
     for s in range(n_directions):
         D = _modal_load(grid, rng.normal(size=8), loads).values
-        D_norm = float(np.sqrt(float(w_x @ (D * D) @ w_t)))
+        D_norm = float(np.sqrt(spacetime_inner(D, D, grid)))
         eps = 1e-4 * (F_norm / D_norm if F_norm > 0 else 1.0)
         Jp = evaluate_objective(LoadField(F + eps * D, grid), meas, kernel).J
         Jm = evaluate_objective(LoadField(F - eps * D, grid), meas, kernel).J
         fd = (Jp - Jm) / (2 * eps)
-        an = float(w_x @ (grad * D) @ w_t)
+        an = spacetime_inner(grad, D, grid)
         rel = abs(fd - an) / max(abs(fd), EPS_FLOOR)
         rows.append(CheckRow.bound("gradient_fd", f"s{s:02d}", rel, tol))
     return SuiteReport(tuple(rows))

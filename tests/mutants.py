@@ -111,7 +111,9 @@ MUTANTS = [
      "self.kernel.adjoint_series(residual)[:, ::-1]",
      "self.kernel.adjoint_series(residual)"),
     ("loop_rank_one_short", "src/beamload/inversion.py",
-     "V[:np.count_nonzero(s > tol)]", "V[:np.count_nonzero(s > tol) - 1]"),
+     "self.V = V = W.T", "W = W[:-1]; self.V = V = W.T"),
+    ("loop_stack_unscaled", "src/beamload/inversion.py",
+     "A / (np.linalg.norm(A) or 1.0)", "A"),
     ("load_from_loop_coordinates", "src/beamload/inversion.py",
      "Z = kernel.adjoint_series(Z[coords.q:])[:, ::-1]",
      "Z = coords.V @ Z[:coords.q]"),

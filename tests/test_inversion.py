@@ -37,6 +37,10 @@ def test_config_validation():
         InversionConfig(tau_d=1.0)
     with pytest.raises(ValueError):
         InversionConfig(step_rule="steepest")
+    # with omega given no constant is computed, so the variant is checked
+    # when the config is made
+    with pytest.raises(ValueError, match="unknown C_T variant"):
+        InversionConfig(ct_variant="bogus", omega=1.0)
     for bad in (dict(omega=float("nan")), dict(tau_d=float("nan")),
                 dict(max_iterations=-1), dict(C_F=-1.0), dict(C_F=0.0),
                 dict(C_F=float("nan")), dict(noise_delta=-1.0),
@@ -453,32 +457,49 @@ def test_fullfield_kernel_convolves_few_series(fullfield):
     assert r_out <= 32 and r_adj <= 32
 
 
-def test_loop_runs_at_the_rank_of_what_it_reads(fullfield):
-    """The loop's coordinates are the q right singular vectors V of the
-    coupling P and field Gram G stacked, each scaled to norm 1, cut at
-    numpy's `matrix_rank` rule: fewer than half the kernel's r_adj, and
-    the directions dropped are within the rule's tolerance of P and G."""
-    grid, coeffs, smooth, _ = fullfield
-    kernel = forward.beam_kernel(grid, coeffs)
-    coords = inversion._FieldCoordinates(kernel, smooth, grid)
-    P, G, V = kernel.coupling, kernel.field_gram, coords.V
-    q = coords.q
-    assert V.shape == (kernel.rank[1], q) and q <= 16 < kernel.rank[1]
-    assert np.allclose(V.T @ V, np.eye(q), rtol=0.0, atol=1e-14)
-    p, g = np.linalg.norm(P, 2), np.linalg.norm(G, 2)
-    s = np.linalg.svd(np.vstack([P / p, G / g]), compute_uv=False)
-    tol = s[0] * (P.shape[0] + G.shape[0]) * np.finfo(float).eps
-    assert s[q - 1] > tol >= s[q]
-    VV = V @ V.T
-    assert np.linalg.norm(P - P @ VV, 2) <= tol * p
-    assert np.linalg.norm(G - VV @ G @ VV, 2) <= tol * g
-    assert np.array_equal(coords.G, V.T @ G @ V)
-    assert coords.kernel.rank == (q, q)
+def test_loop_runs_at_the_rank_of_what_it_reads(fullfield, random_case):
+    """The loop's coordinates V are the orthonormal basis that
+    `_factor_rows` keeps of the coupling P and field Gram G stacked, each
+    scaled to Frobenius norm 1: no row of P - P V V' or of G - V V' G V V'
+    is above the rule's tolerance, max(m, n) eps times the largest
+    stacked row, and V is the same in any units of P and G.  On the
+    fullfield kernel q is fewer than half its r_adj; on random grids
+    0-7, full-rank kernels, q is at most r_adj."""
+    grid, coeffs, series, _ = fullfield
+    cases = [(grid, coeffs, series)]
+    for seed in range(8):
+        grid, coeffs, _, _ = random_case(seed)
+        z = np.zeros(grid.n_times)
+        cases.append((grid, coeffs, MeasurementSeries(z, z)))
+    for case, (grid, coeffs, series) in enumerate(cases):
+        kernel = forward.beam_kernel(grid, coeffs)
+        coords = inversion._FieldCoordinates(kernel, series, grid)
+        P, G, V = kernel.coupling, kernel.field_gram, coords.V
+        q = coords.q
+        assert V.shape == (kernel.rank[1], q) and q > 0, case
+        if case == 0:
+            assert q <= 16 < kernel.rank[1]
+        assert np.allclose(V.T @ V, np.eye(q), rtol=0.0, atol=1e-14), case
+        p, g = np.linalg.norm(P), np.linalg.norm(G)
+        stacked = np.vstack([P / p, G / g])
+        tol = max(stacked.shape) * np.finfo(float).eps * np.linalg.norm(
+            stacked, axis=1).max()
+        VV = V @ V.T
+        for dropped in (P / p - P / p @ VV, (G - VV @ G @ VV) / g):
+            assert np.linalg.norm(dropped, axis=1).max() <= tol, case
+        assert np.array_equal(coords.G, V.T @ G @ V), case
+        assert coords.kernel.rank == (q, q), case
+        # powers of 2 scale exactly, so the scaled stack is the same bits
+        rescaled = dataclasses.replace(kernel, coupling=P * 2.0 ** 30,
+                                       field_gram=G * 2.0 ** -30)
+        assert np.array_equal(inversion._FieldCoordinates(
+            rescaled, series, grid).V, V), case
 
 
-def _degenerate_case(rho_A):
-    """An 8x32 beam of mass density rho_A and random slopes."""
-    grid = SpaceTimeGrid(1.0, 1.0, 8, 32)
+def _degenerate_case(rho_A, n_elements=8, n_steps=32):
+    """A beam of mass density rho_A, 8x32 by default, and random
+    slopes."""
+    grid = SpaceTimeGrid(1.0, 1.0, n_elements, n_steps)
     coeffs = CoefficientSet.constant(grid, rho_A=rho_A, mu=0.05, T_r=0.1,
                                      r=0.8, kappa=0.02)
     series = MeasurementSeries(*np.random.default_rng(0).normal(
@@ -502,16 +523,21 @@ def test_rank_zero_kernel_stops_cleanly():
 
 def test_zero_coupling_is_stacked_unscaled():
     """A zero coupling P is stacked as it is, not divided by its zero
-    norm: q is the field Gram's rank, and every output is zero."""
-    grid, coeffs, series = _degenerate_case(1.0)
-    kernel = forward.beam_kernel(grid, coeffs)
-    kernel = dataclasses.replace(kernel,
-                                 coupling=np.zeros_like(kernel.coupling))
-    with np.errstate(all="raise"):
-        coords = inversion._FieldCoordinates(kernel, series, grid)
-    assert coords.q == np.linalg.matrix_rank(kernel.field_gram) > 0
-    _, residual = coords.evaluate(np.ones((coords.q + 2, grid.n_times)))
-    assert np.array_equal(residual, -series.stacked(grid))
+    norm: q is the rank `_factor_rows` finds in the field Gram under P's
+    zero rows, which count in its tolerance (11 on 16x96, where numpy's
+    `matrix_rank` of the Gram alone is 12), and every output is zero."""
+    for shape in ((8, 32), (16, 96)):
+        grid, coeffs, series = _degenerate_case(1.0, *shape)
+        kernel = forward.beam_kernel(grid, coeffs)
+        P = np.zeros_like(kernel.coupling)
+        kernel = dataclasses.replace(kernel, coupling=P)
+        with np.errstate(all="raise"):
+            coords = inversion._FieldCoordinates(kernel, series, grid)
+        _, W = forward._factor_rows(np.vstack([P, kernel.field_gram]))
+        assert coords.q == len(W) > 0
+        Z = np.ones((coords.q + 2, grid.n_times))
+        _, residual = coords.evaluate(Z)
+        assert np.array_equal(residual, -series.stacked(grid))
 
 
 def test_factored_kernel_runs_the_full_kernels_inversion(

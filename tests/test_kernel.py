@@ -142,6 +142,16 @@ def test_factors_are_orthonormal_and_meet_the_rank_rule(n_elements,
         assert np.linalg.norm(rows - C @ W, axis=1).max() <= tol
 
 
+@pytest.mark.parametrize("n", [0, 5])
+def test_factor_rows_of_no_rows_is_empty(n):
+    """No rows, as a rank-0 kernel stacks for the Landweber loop, factor
+    into an empty C (0, 0) and W (0, n), with no floating-point
+    exception."""
+    with np.errstate(all="raise"):
+        C, W = forward._factor_rows(np.empty((0, n)))
+    assert C.shape == (0, 0) and W.shape == (0, n)
+
+
 @pytest.mark.parametrize("seed", [None] + list(range(12)))
 def test_full_rank_kernel_is_the_full_kernel(seed, small_grid, small_coeffs,
                                              random_case, full_kernel):

@@ -170,11 +170,11 @@ def test_scipy_module_loads_on_first_use(stages, lazy_imports):
     assert {stage: lazy_imports[stage] for stage in stages} == stages
 
 
-def imports_of(package, path):
-    """`file:scope` of each statement of the module at `path` that imports
-    `package` or one of its modules.  The scope is the top-level function
-    or class around it, `<except>` for a module-level exception handler
-    and `<module>` for other module-level code."""
+def scopes_of(path, hit):
+    """`file:scope` of each node of the module at `path` for which
+    `hit(node)` holds.  The scope is the top-level function or class
+    around it, `<except>` for a module-level exception handler and
+    `<module>` for other module-level code."""
     found = set()
 
     def visit(node, scope):
@@ -185,18 +185,26 @@ def imports_of(package, path):
                     inner = child.name
                 elif isinstance(child, ast.ExceptHandler):
                     inner = "<except>"
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                modules = [child.module]
-            else:
-                modules = []
-            if any(m.split(".")[0] == package for m in modules):
+            if hit(child):
                 found.add(f"{path.name}:{inner}")
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), "<module>")
     return found
+
+
+def imports_of(package, path):
+    """`scopes_of` each statement that imports `package` or one of its
+    modules."""
+    def hit(node):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            modules = []
+        return any(m.split(".")[0] == package for m in modules)
+    return scopes_of(path, hit)
 
 
 def imported_by(package):
@@ -218,6 +226,41 @@ def test_ctypes_imported_only_by_lapack():
     # raw pointers go to a foreign library in one module, which checks
     # every array before it hands its address on
     assert imported_by("ctypes") == ["_lapack.py:<module>"]
+
+
+def names_svd(node):
+    """Whether an AST node names an `svd`: an attribute, a name or an
+    imported alias."""
+    return (getattr(node, "attr", None) == "svd"
+            or getattr(node, "id", None) == "svd"
+            or (isinstance(node, ast.alias)
+                and node.name.split(".")[-1] == "svd"))
+
+
+def test_svd_only_in_the_identifiability_test():
+    # `forward._factor_rows` is the one rank rule, of the kernel, of
+    # verify's audit and of the Landweber loop's coordinates, none of
+    # which calls an SVD; the parametric fit's condition number is the
+    # one SVD left
+    found = set().union(*(scopes_of(path, names_svd) for path in SOURCES))
+    assert sorted(found) == ["inversion.py:reconstruct_parametric"]
+
+
+def norms_with_ord(path):
+    """`file:line` of each call of a `norm` in the module at `path` that
+    passes an order, positionally or as `ord`."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "norm"
+            and (len(node.args) > 1
+                 or any(k.arg == "ord" for k in node.keywords))]
+
+
+def test_no_norm_takes_an_order():
+    # a spectral or nuclear norm is an SVD, and the Frobenius norm is the
+    # default: every norm in the source is a Frobenius or vector 2-norm
+    assert [hit for path in SOURCES for hit in norms_with_ord(path)] == []
 
 
 def test_source_lines_fit_79_columns():
