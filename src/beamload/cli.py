@@ -190,7 +190,7 @@ def _obtain_measurements(cfg, grid, coeffs, seed):
     return (clean if smooth is None else smooth), truth
 
 
-def cmd_forward(cfg, grid, coeffs, args, out):
+def cmd_forward(cfg, grid, coeffs, args):
     load, exact_u, exact = build_truth_load(cfg, grid, coeffs)
     if load is None:
         raise ConfigError("forward needs a scenario")
@@ -198,10 +198,11 @@ def cmd_forward(cfg, grid, coeffs, args, out):
     res = energy_residual(traj, load)
     w = traj.full_deflection()
 
-    save_measurements(os.path.join(out, "outputs.csv"), grid.times,
+    save_measurements(os.path.join(args.out, "outputs.csv"), grid.times,
                       traj.outputs)
-    save_field(os.path.join(out, "deflection.csv"), grid.nodes, grid.times, w)
-    save_table(os.path.join(out, "energy_residual.csv"), "t,residual",
+    save_field(os.path.join(args.out, "deflection.csv"), grid.nodes,
+               grid.times, w)
+    save_table(os.path.join(args.out, "energy_residual.csv"), "t,residual",
                (grid.times, res))
 
     summary = {"max_energy_residual": float(np.max(res)),
@@ -217,7 +218,7 @@ def cmd_forward(cfg, grid, coeffs, args, out):
     return EXIT_OK, summary
 
 
-def cmd_verify(cfg, grid, coeffs, args, out):
+def cmd_verify(cfg, grid, coeffs, args):
     n = _family(cfg, "verify.n_")
     # every check runs on the beam's kept kernel, which the suite's audit
     # keeps when it builds; a family with a count of 0 returns no rows
@@ -232,7 +233,7 @@ def cmd_verify(cfg, grid, coeffs, args, out):
         grid, coeffs, n_directions=n["directions"], seed=args.seed,
         tol=cfg["verify.fd_tol"])
 
-    save_check_report(os.path.join(out, "report.csv"), report.rows)
+    save_check_report(os.path.join(args.out, "report.csv"), report.rows)
     violations = report.violations
     summary = {"checks": len(report.rows), "violations": len(violations)}
     if any(n.values()):
@@ -260,14 +261,14 @@ def _fit_start(cfg):
                           f"inversion.init_{name} = {getattr(family, name)}")
 
 
-def cmd_invert(cfg, grid, coeffs, args, out):
+def cmd_invert(cfg, grid, coeffs, args):
     series, truth = _obtain_measurements(cfg, grid, coeffs, args.seed)
     summary = {}
 
     if cfg["inversion.mode"] == "parametric":
         result = reconstruct_parametric(series, coeffs, grid, _fit_start(cfg))
         params = result.family.parameters
-        save_table(os.path.join(out, "parameters.csv"), "index,value",
+        save_table(os.path.join(args.out, "parameters.csv"), "index,value",
                    (np.arange(len(params)), params))
         summary.update({"J": result.J, "converged": result.converged,
                         "identifiable": result.identifiable,
@@ -285,7 +286,7 @@ def cmd_invert(cfg, grid, coeffs, args, out):
             noise_delta=noise_delta, tau_d=cfg["inversion.tau_d"],
             ct_variant=args.ct_variant)
         state = run_inversion(series, coeffs, grid, config=config)
-        save_iteration_log(os.path.join(out, "iterations.csv"), state)
+        save_iteration_log(os.path.join(args.out, "iterations.csv"), state)
         summary.update({"iterations": state.iterations,
                         "stop_reason": state.stop_reason,
                         "omega": state.omega,
@@ -295,7 +296,7 @@ def cmd_invert(cfg, grid, coeffs, args, out):
                         "loop_rank": state.loop_rank})
         recon = state.load
 
-    save_load(os.path.join(out, "reconstructed_load.csv"), recon)
+    save_load(os.path.join(args.out, "reconstructed_load.csv"), recon)
     if truth is not None:
         diff = l2_norm_spacetime(recon - truth)
         denom = max(l2_norm_spacetime(truth), 1e-300)
@@ -303,25 +304,25 @@ def cmd_invert(cfg, grid, coeffs, args, out):
     return EXIT_OK, summary
 
 
-def cmd_scenario(cfg, grid, coeffs, args, out):
+def cmd_scenario(cfg, grid, coeffs, args):
     truth, clean, noisy, smooth = _twin_data(cfg, grid, coeffs, args.seed,
                                              "scenario needs a scenario.kind")
-    save_load(os.path.join(out, "true_load.csv"), truth)
-    save_measurements(os.path.join(out, "measurements_clean.csv"),
+    save_load(os.path.join(args.out, "true_load.csv"), truth)
+    save_measurements(os.path.join(args.out, "measurements_clean.csv"),
                       grid.times, clean)
     summary = {"load_norm": l2_norm_spacetime(truth),
                "delta_rel": cfg["noise.delta_rel"]}
     if noisy is not None:
-        save_measurements(os.path.join(out, "measurements_noisy.csv"),
+        save_measurements(os.path.join(args.out, "measurements_noisy.csv"),
                           grid.times, noisy)
-        save_measurements(os.path.join(out, "measurements_smoothed.csv"),
+        save_measurements(os.path.join(args.out, "measurements_smoothed.csv"),
                           grid.times, smooth)
         summary["noise_delta"] = noisy.noise_delta
     return EXIT_OK, summary
 
 
-# each command writes its outputs to `out` and returns its exit code and
-# the entries of `summary.txt`, which `main` writes before the manifest
+# each command writes under `args.out` and returns its exit code and the
+# entries of `summary.txt`, which `main` writes before the manifest
 _COMMANDS = {"forward": cmd_forward, "verify": cmd_verify,
              "invert": cmd_invert, "scenario": cmd_scenario}
 
@@ -354,8 +355,7 @@ def main(argv=None):
                 os.makedirs(args.out, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create --out: {exc}") from None
-            code, summary = _COMMANDS[args.command](cfg, grid, coeffs, args,
-                                                    args.out)
+            code, summary = _COMMANDS[args.command](cfg, grid, coeffs, args)
             save_sidecar(os.path.join(args.out, "summary.txt"), summary)
             save_sidecar(os.path.join(args.out, "manifest.txt"),
                          {"version": __version__, "command": args.command,

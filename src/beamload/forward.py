@@ -222,17 +222,17 @@ class ImpulseKernel:
     def adjoint(self, p, q):
         """Nodal adjoint field (n_nodes, n_times) of moment data p, q: the
         deflection rows of `solve_adjoint`, zero at the end nodes.  It is
-        `field_basis` times the `adjoint_series`, reversed in time."""
-        phi_tau = self.field_basis @ self.adjoint_series(
-            np.array([p, q], dtype=float))
-        return nodal(phi_tau[:, ::-1])
+        `field_basis` times the `adjoint_series`."""
+        return nodal(self.field_basis @ self.adjoint_series(
+            np.array([p, q], dtype=float)))
 
     def adjoint_series(self, pq):
-        """The r_adj coordinate series (r_adj, n_times) of the adjoint
-        field of moment data pq = (p, q), in reversed time tau = T - t."""
+        """The r_adj coordinate series (r_adj, n_times), in t, of the
+        adjoint field of moment data pq = (p, q) in t: the convolution in
+        tau = T - t of pq reversed in time, reversed back."""
         if not np.all(np.isfinite(pq)):
             raise DivergenceError("adjoint inputs must be finite")
-        return self._convolve(self.adjoint_t1, pq[:, ::-1])
+        return self._convolve(self.adjoint_t1, pq[:, ::-1])[:, ::-1]
 
 
 def convolve_t1(t1, series, n_fft):

@@ -150,8 +150,8 @@ def run_inversion(measurements, coeffs, grid, config=None):
                                         residual)
     # the load's coordinates at the kernel's full rank are the adjoint
     # series of rho, the iterate's last two rows
-    Z = kernel.adjoint_series(Z[coords.q:])[:, ::-1]
-    state.load = LoadField(nodal(kernel.field_basis @ Z), grid)
+    state.load = LoadField(nodal(
+        kernel.field_basis @ kernel.adjoint_series(Z[coords.q:])), grid)
     return state
 
 
@@ -169,7 +169,7 @@ class _FieldCoordinates:
     and rank 0 gives q = 0.  `kernel` convolves z, with the spectra of
     P V and of V' times the adjoint's, and `G` is V' G V.  Each step and
     radial scale from Z = 0 is linear in the output residuals, so y, the
-    load at full rank, is the adjoint series of rho, reversed in time.
+    load at full rank, is the adjoint series of rho.
     """
 
     def __init__(self, kernel, measurements, grid):
@@ -195,9 +195,8 @@ class _FieldCoordinates:
 
     def gradient(self, residual):
         """The coordinates of the gradient J' = phi of an output residual:
-        its q adjoint series, reversed back in time, over the residual."""
-        return np.vstack([self.kernel.adjoint_series(residual)[:, ::-1],
-                          residual])
+        its q adjoint series over the residual."""
+        return np.vstack([self.kernel.adjoint_series(residual), residual])
 
     def sq_norm(self, Z):
         """The squared space-time norm ||F||^2 of the load at Z."""

@@ -216,9 +216,8 @@ def _output_bases(grid, kernel):
     """The outputs (theta_0, theta_l) of the 8 basis loads, (8, 2,
     n_times), the (8, 8) space-time Gram of their gradients, and the
     `_load_gram` of the loads themselves.  The gradients are the adjoint
-    fields of the outputs, so their Gram is sum_t w_t y_i' G y_j over
-    their `adjoint_series` coordinates y and the kernel's `field_gram` G;
-    the time weights w_t are symmetric, so y stays in reversed time."""
+    fields of the outputs, so their Gram is sum_t w_t y_i' G y_j over their
+    `adjoint_series` coordinates y and the kernel's `field_gram` G."""
     loads = _mode_shapes(grid), _load_histories(grid)
     outputs = np.array([kernel.outputs(_modal_load(grid, c, loads).values)
                         for c in np.eye(8)])

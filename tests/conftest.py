@@ -164,26 +164,31 @@ def dense():
     return _dense
 
 
-def _modal_slopes(grid, coeffs, n, omega):
-    """The continuum end slopes (theta_0, theta_l) of the simply
-    supported beam with constant coefficients under the load
-    sin(n pi x / l) sin(omega t), from rest.  The load excites mode n
-    alone, u = q(t) sin(k x) with k = n pi / l, and q solves
-    rho q'' + (mu + kappa k^4) q' + (T_r k^2 + r k^4) q = sin(omega t)
-    with q(0) = q'(0) = 0: the steady sine response A sin + B cos plus
-    the free response a_1 e^(l_1 t) + a_2 e^(l_2 t) that cancels its
-    start.  The slopes are theta_0 = k q and theta_l = k cos(k l) q."""
+def _modal_response(coeffs, k, omega, t):
+    """q(t) of rho q'' + (mu + kappa k^4) q' + (T_r k^2 + r k^4) q =
+    sin(omega t) with q(0) = q'(0) = 0, on constant coefficients: the
+    steady sine response A sin + B cos plus the free response a_1 e^(l_1
+    t) + a_2 e^(l_2 t) that cancels its start."""
     rho, mu, T_r, r, kappa = (getattr(coeffs, name)[0] for name in
                               ("rho_A", "mu", "T_r", "r", "kappa"))
-    k = n * np.pi / grid.length
     m, c, s = rho, mu + kappa * k ** 4, T_r * k ** 2 + r * k ** 4
     det = (s - m * omega ** 2) ** 2 + (c * omega) ** 2
     A, B = (s - m * omega ** 2) / det, -c * omega / det
     roots = np.roots([m, c, s]).astype(complex)
     a = np.linalg.solve(np.array([np.ones(2), roots]), [-B, -A * omega])
-    t = grid.times
-    q = (A * np.sin(omega * t) + B * np.cos(omega * t)
-         + (a[:, None] * np.exp(roots[:, None] * t)).sum(axis=0).real)
+    return (A * np.sin(omega * t) + B * np.cos(omega * t)
+            + (a[:, None] * np.exp(roots[:, None] * t)).sum(axis=0).real)
+
+
+def _modal_slopes(grid, coeffs, n, omega):
+    """The continuum end slopes (theta_0, theta_l) of the simply
+    supported beam with constant coefficients under the load
+    sin(n pi x / l) sin(omega t), from rest.  The load excites mode n
+    alone, u = q(t) sin(k x) with k = n pi / l and q the
+    `_modal_response`.  The slopes are theta_0 = k q and theta_l = k
+    cos(k l) q."""
+    k = n * np.pi / grid.length
+    q = _modal_response(coeffs, k, omega, grid.times)
     return k * q, k * np.cos(k * grid.length) * q
 
 
@@ -192,6 +197,30 @@ def modal_slopes():
     """The continuum end slopes of one mode's sine load, on constant
     coefficients: the forward solver's modal oracle."""
     return _modal_slopes
+
+
+def _modal_adjoint(grid, coeffs, n, omega):
+    """Moment data p = sin(omega (T - t)), q = -p / 2 and the mode-n
+    coefficient a(t) = (2 / l) int phi sin(k x) dx, in t, of the
+    continuum adjoint field phi of the simply supported beam with
+    constant coefficients, k = n pi / l.  In tau = T - t, as in
+    `solve_adjoint`, the data force the end rotations from rest, so the
+    test function sin(k x) meets them through its slopes k and k cos(k
+    l): (l / 2) (rho a'' + (mu + kappa k^4) a' + (T_r k^2 + r k^4) a) =
+    k (p + cos(k l) q), a sine in tau.  a is that many times the
+    `_modal_response`, read backwards in time."""
+    k = n * np.pi / grid.length
+    p = np.sin(omega * (grid.final_time - grid.times))
+    q = -0.5 * p
+    drive = 2.0 / grid.length * k * (1.0 - 0.5 * np.cos(k * grid.length))
+    return p, q, drive * _modal_response(coeffs, k, omega, grid.times)[::-1]
+
+
+@pytest.fixture(scope="session")
+def modal_adjoint():
+    """Moment data and the continuum adjoint field's coefficient of one
+    mode: the adjoint solver's modal oracle."""
+    return _modal_adjoint
 
 
 def _variable_coefficients(grid, rng):

@@ -31,6 +31,7 @@ import argparse
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -107,16 +108,16 @@ MUTANTS = [
     ("table_row_check_long_accepted", "src/beamload/io.py",
      "if data.shape[0] != n_rows:",
      "if data.shape[0] not in (n_rows, n_rows + 1):"),
-    ("gradient_not_reversed_back", "src/beamload/inversion.py",
-     "self.kernel.adjoint_series(residual)[:, ::-1]",
-     "self.kernel.adjoint_series(residual)"),
+    ("gradient_not_reversed_back", "src/beamload/forward.py",
+     "self._convolve(self.adjoint_t1, pq[:, ::-1])[:, ::-1]",
+     "self._convolve(self.adjoint_t1, pq[:, ::-1])"),
     ("loop_rank_one_short", "src/beamload/inversion.py",
      "self.V = V = W.T", "W = W[:-1]; self.V = V = W.T"),
     ("loop_stack_unscaled", "src/beamload/inversion.py",
      "A / (np.linalg.norm(A) or 1.0)", "A"),
     ("load_from_loop_coordinates", "src/beamload/inversion.py",
-     "Z = kernel.adjoint_series(Z[coords.q:])[:, ::-1]",
-     "Z = coords.V @ Z[:coords.q]"),
+     "kernel.field_basis @ kernel.adjoint_series(Z[coords.q:])",
+     "kernel.field_basis @ coords.V @ Z[:coords.q]"),
     ("output_map_rows_shifted", "src/beamload/forward.py",
      "coupling=load_basis[1:-1].T", "coupling=load_basis[:-2].T"),
     ("field_gram_unweighted", "src/beamload/forward.py",
@@ -152,7 +153,7 @@ MUTANTS = [
      "except (DivergenceError, FloatingPointError, OverflowError,",
      "except (DivergenceError, OverflowError,"),
     ("kernel_adjoint_sign_flipped", "src/beamload/forward.py",
-     "phi_tau = self.field_basis @", "phi_tau = -self.field_basis @"),
+     "return nodal(self.field_basis @", "return nodal(-self.field_basis @"),
     ("band_product_offsets_reversed", "src/beamload/forward.py",
      'np.einsum("rj,rj...->r...", W, V)',
      'np.einsum("rj,rj...->r...", W[:, ::-1], V[:, ::-1])'),
@@ -233,6 +234,10 @@ def run_copy(mutant=None, options=()):
 
 
 def main(argv):
+    # SIGTERM unwinds as an exit, so that `subprocess.run` kills its
+    # pytest and `run_copy` removes its copy of the repository
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-x", action="store_true",
                         help="stop each mutant's run at its first failure")

@@ -3,7 +3,7 @@ import pytest
 
 from beamload.adjoint import (adjoint_series, check_adjoint_estimates,
                               solve_adjoint)
-from beamload.assembly import unit_norm_matrices
+from beamload.assembly import assemble, nodal, unit_norm_matrices
 from beamload.constants import compute_constants, transfer_constant
 from beamload.errors import DivergenceError
 from beamload.model import CoefficientSet, SpaceTimeGrid, trapezoid_weights
@@ -128,3 +128,39 @@ def test_adjoint_bounds_read_compute_constants(ct_variant, rows_of_one):
         expected[f"adjoint_{name}_L2L2"] = (eT - 1.0) * f * scale
     assert {c.check: c.rhs for c in checks} == pytest.approx(expected,
                                                              rel=1e-14)
+
+
+def modal_adjoint_error(modal_adjoint, n_elements, n_steps, n, omega, mu):
+    """The largest error of the mode-n coefficient of `solve_adjoint`'s
+    field, (2 / l) times its trapezoid inner product with sin(k x) over
+    the nodes, against the continuum coefficient of `modal_adjoint`, over
+    the largest continuum one, on the `verify` coefficients with damping
+    mu."""
+    grid = SpaceTimeGrid(1.0, 1.0, n_elements, n_steps)
+    coeffs = CoefficientSet.constant(grid, rho_A=1.0, mu=mu, T_r=0.1, r=0.8,
+                                     kappa=0.02)
+    p, q, exact = modal_adjoint(grid, coeffs, n, omega)
+    system = assemble(grid, coeffs)
+    phi = solve_adjoint(coeffs, p, q, grid, system=system).phi
+    shape = np.sin(n * np.pi * grid.nodes / grid.length)
+    weights = 2.0 / grid.length * trapezoid_weights(grid.n_nodes, grid.h)
+    ours = (weights * shape) @ nodal(phi[system.deflection_dofs])
+    return np.max(np.abs(ours - exact)) / np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n,omega,mu", [
+    (1, 3.0, 0.05), (1, 9.0, 0.05), (2, 3.0, 0.05), (2, 9.0, 0.05),
+    (1, 9.0, 0.0), (2, 9.0, 0.0)])
+def test_adjoint_converges_to_the_modal_solution(n, omega, mu,
+                                                 modal_adjoint):
+    """The adjoint field's mode-n coefficient converges to the continuum
+    one at second order: each joint halving of h and dt, from 8x64 to
+    32x256, divides the largest error by at least 3.5, and at 32x256 it
+    is below 5e-3 of the largest coefficient.  The moment data drive
+    every mode, odd and even ones with different weights of p and q, so
+    a sign of either forcing or a time direction that is wrong fails."""
+    errors = [modal_adjoint_error(modal_adjoint, 8 * 2 ** j, 64 * 2 ** j,
+                                  n, omega, mu) for j in range(3)]
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
+    assert errors[2] <= 5e-3

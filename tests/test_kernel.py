@@ -73,6 +73,9 @@ def test_kernel_matches_newmark(n_elements, n_steps, kind,
     assert phi.shape == (grid.n_nodes, grid.n_times)
     assert np.all(phi[[0, -1]] == 0.0)
     assert rel_l2(phi[1:-1], adj.phi[system.deflection_dofs]) < TOL
+    # the coordinate series are in t, as the nodal field is
+    phi = kernel.field_basis @ kernel.adjoint_series(np.array([p, q]))
+    assert rel_l2(phi, adj.phi[system.deflection_dofs]) < TOL
 
 
 def compressing_case(n_elements, n_steps):

@@ -324,8 +324,6 @@ def unread_parameters(path):
 # `file:function` patterns whose signature is a protocol, so that a
 # parameter may go unread, and why
 UNREAD_ALLOWED = {
-    "cli.py:cmd_*": "each command takes the one signature that `main` "
-                    "dispatches to",
     "measurements.py:bounds": "the `bounds(grid)` box that a parametric "
                               "fit asks of every load family",
 }
