@@ -147,14 +147,13 @@ def build_coefficients(cfg, grid):
     return CoefficientSet(**fields, bounds=bounds)
 
 
-def build_truth_load(cfg, grid, coeffs):
-    """Truth load of the configured scenario, or None for measured data.
-
-    Returns (load, exact_deflection_or_None, exact_outputs_or_None).
-    """
+def build_truth_load(cfg, grid, coeffs, missing):
+    """Truth load of the configured scenario: (load,
+    exact_deflection_or_None, exact_outputs_or_None).  Raises
+    ConfigError(missing) when no scenario is configured."""
     kind = cfg["scenario.kind"]
     if kind is None:
-        return None, None, None
+        raise ConfigError(missing)
     if kind == "zero":
         return LoadField.zero(grid), None, None
     if kind == "manufactured":
@@ -169,31 +168,27 @@ def build_truth_load(cfg, grid, coeffs):
 
 def _twin_data(cfg, grid, coeffs, seed, missing):
     """(truth load, clean slopes, noisy slopes, H1-smoothed slopes) of
-    the configured scenario, from `generate_scenario`; the last two are
-    None without noise.  Raises ConfigError(missing) when no scenario is
-    configured."""
-    truth, _, _ = build_truth_load(cfg, grid, coeffs)
-    if truth is None:
-        raise ConfigError(missing)
+    the configured scenario, from `generate_scenario`.  Raises
+    ConfigError(missing) when no scenario is configured."""
+    truth, _, _ = build_truth_load(cfg, grid, coeffs, missing)
     noise = NoiseSpec(delta_rel=cfg["noise.delta_rel"], seed=seed)
     return (truth,) + generate_scenario(truth, coeffs, grid, noise)
 
 
 def _obtain_measurements(cfg, grid, coeffs, seed):
-    """Measurement series from a CSV, else the twin data (smoothed when
-    noisy), with the truth load or None."""
+    """Measurement series from a CSV, else the smoothed twin data, with
+    the truth load or None."""
     path = cfg["measurements.path"]
     if path is not None:
         return load_measurements(path, grid), None
-    truth, clean, _, smooth = _twin_data(
+    truth, _, _, smooth = _twin_data(
         cfg, grid, coeffs, seed, "need measurements.path or a scenario")
-    return (clean if smooth is None else smooth), truth
+    return smooth, truth
 
 
 def cmd_forward(cfg, grid, coeffs, args):
-    load, exact_u, exact = build_truth_load(cfg, grid, coeffs)
-    if load is None:
-        raise ConfigError("forward needs a scenario")
+    load, exact_u, exact = build_truth_load(cfg, grid, coeffs,
+                                            "forward needs a scenario")
     traj = solve_forward(coeffs, load, grid)
     res = energy_residual(traj, load)
     w = traj.full_deflection()
@@ -278,7 +273,7 @@ def cmd_invert(cfg, grid, coeffs, args):
     else:
         noise_delta = cfg["inversion.noise_delta"]
         if noise_delta is None:
-            noise_delta = series.noise_delta or 0.0
+            noise_delta = series.noise_delta
         config = InversionConfig(
             step_rule=cfg["inversion.step_rule"],
             omega=cfg["inversion.omega"],
@@ -312,7 +307,7 @@ def cmd_scenario(cfg, grid, coeffs, args):
                       grid.times, clean)
     summary = {"load_norm": l2_norm_spacetime(truth),
                "delta_rel": cfg["noise.delta_rel"]}
-    if noisy is not None:
+    if cfg["noise.delta_rel"] > 0:
         save_measurements(os.path.join(args.out, "measurements_noisy.csv"),
                           grid.times, noisy)
         save_measurements(os.path.join(args.out, "measurements_smoothed.csv"),

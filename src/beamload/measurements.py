@@ -61,13 +61,11 @@ def smooth_to_h1(series, times):
     """Natural cubic smoothing-spline fit per channel.
 
     Each channel's curvature penalty weight is picked by `_pick_lambda`
-    from the recorded noise level, on evenly spaced times only; without
-    one the spline interpolates, at any spacing.
+    from the recorded noise level, on evenly spaced times only; at a
+    level of 0 the spline interpolates, at any spacing.
     """
-    target = None
-    if series.noise_delta is not None:
-        # per-channel share of the recorded absolute noise
-        target = series.noise_delta / np.sqrt(2.0)
+    # per-channel share of the recorded absolute noise
+    target = series.noise_delta / np.sqrt(2.0)
     smoothed = []
     for values in (series.theta0, series.thetaL):
         lam = _pick_lambda(times, values, target)
@@ -80,9 +78,9 @@ def _pick_lambda(times, values, target):
     """Weight whose smoothing residual equals the noise level (Morozov on
     the smoothing misfit): one root-find on log-lambda inside
     [1e-14, 1e6], clamped to whichever end the residual cannot reach.
-    The residual weighs the times evenly, so with a target they must be
-    evenly spaced: ValueError otherwise."""
-    if target is None or target == 0.0:
+    The residual weighs the times evenly, so at a nonzero target they
+    must be evenly spaced: ValueError otherwise."""
+    if target == 0.0:
         return 0.0
     dt = times[1] - times[0]
     if np.abs(np.diff(times) - dt).max() > SPACING_TOL * np.abs(times).max():
@@ -317,15 +315,13 @@ def load_family(kind, params):
     raise ConfigError(f"unknown load family: {kind}")
 
 
-def generate_scenario(truth, coeffs, grid, noise=None):
+def generate_scenario(truth, coeffs, grid, noise=NoiseSpec(0.0)):
     """Twin data of the load field `truth`: (clean, noisy, smoothed).
 
-    The clean end slopes come from `apply_io_operators`; with a nonzero
-    `noise` level they are perturbed by `add_noise` and then smoothed by
-    `smooth_to_h1`, otherwise noisy and smoothed are None.
+    The clean end slopes come from `apply_io_operators`, are perturbed by
+    `add_noise` and then smoothed by `smooth_to_h1`.  At a `noise` level
+    of 0 the noisy series is the clean one and the smoothed its copy.
     """
     clean = MeasurementSeries(*apply_io_operators(truth, coeffs, grid))
-    if noise is None or noise.delta_rel == 0:
-        return clean, None, None
     noisy = add_noise(clean, noise, grid.dt)
     return clean, noisy, smooth_to_h1(noisy, grid.times)

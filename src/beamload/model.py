@@ -233,13 +233,13 @@ def radial_scale(sq_norm, C_F):
 class MeasurementSeries:
     """End-slope series theta_0(t), theta_l(t) in rad.
 
-    `noise_delta` records the realized absolute perturbation norm when
-    noise was injected (for Morozov stopping).
+    `noise_delta` records the realized absolute perturbation norm (for
+    Morozov stopping): 0.0, the default, for data without noise.
     """
 
     theta0: np.ndarray
     thetaL: np.ndarray
-    noise_delta: float = None
+    noise_delta: float = 0.0
 
     def __post_init__(self):
         if len(self.theta0) != len(self.thetaL):

@@ -22,9 +22,12 @@ root:
     python3 tests/mutants.py -x         # every mutant, stopping early
     python3 tests/mutants.py kappa_lower_not_strict read_only_dropped
 
-Each run takes one tier-1 run, about 15-20 s on 2 vCPUs, and less for a
-killed mutant under `-x`.  The exit code is 1 when a mutant survives or
-is stale, else 0.
+Each run takes one tier-1 run, and less for a killed mutant under `-x`.
+On 2 vCPUs and ext4 that was 21-30 s a run (85 s for the baseline and
+3 mutants, 60 s for the baseline and 1): 11-12 s of tests, and the
+rest pytest's removal, on exit, of the temporary files it kept from an
+earlier run, once they are on disk.  The exit code is 1 when a mutant
+survives or is stale, else 0.
 """
 
 import argparse
@@ -196,6 +199,13 @@ MUTANTS = [
     ("modal_load_histories_swapped", "src/beamload/verify.py",
      "pairs[:, :1] * histories[:, 0] + pairs[:, 1:] * histories[:, 1]",
      "pairs[:, :1] * histories[:, 1] + pairs[:, 1:] * histories[:, 0]"),
+    ("cli_inverts_noisy_series", "src/beamload/cli.py",
+     "truth, _, _, smooth = _twin_data(", "truth, _, smooth, _ = _twin_data("),
+    ("zero_noise_writes_noisy_files", "src/beamload/cli.py",
+     'if cfg["noise.delta_rel"] > 0:', 'if cfg["noise.delta_rel"] >= 0:'),
+    ("smoothing_target_unsplit", "src/beamload/measurements.py",
+     "target = series.noise_delta / np.sqrt(2.0)",
+     "target = series.noise_delta"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its

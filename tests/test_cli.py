@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import pathlib
 import re
+import shutil
 import warnings
 import zlib
 
@@ -242,6 +244,48 @@ def test_scenario_and_determinism(tmp_path):
     assert run("scenario", cfg, out3, extra=("--seed", "6")) == 0
     assert digest(out1 / "measurements_noisy.csv") != digest(
         out3 / "measurements_noisy.csv")
+
+
+# a moving-Gaussian twin, inverted for at most 20 full-field steps
+GAUSSIAN_TWIN = BASE + """
+scenario.kind = moving_gaussian
+scenario.sigma = 0.15
+inversion.max_iterations = 20
+"""
+
+
+def test_zero_noise_scenario_writes_the_clean_data_only(tmp_path):
+    cfg = write_cfg(tmp_path, GAUSSIAN_TWIN + "noise.delta_rel = 0\n")
+    out = tmp_path / "out"
+    assert run("scenario", cfg, out) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "manifest.txt", "measurements_clean.csv", "summary.txt",
+        "true_load.csv"]
+    assert "noise_delta" not in load_sidecar(out / "summary.txt")
+
+
+@pytest.mark.parametrize("delta_rel,series", [
+    ("0", "measurements_clean.csv"), ("0.01", "measurements_smoothed.csv")])
+def test_invert_on_twin_data_inverts_the_scenarios_series(tmp_path,
+                                                          delta_rel, series):
+    """`invert` on twin data writes the bytes of `invert` on the series
+    that `scenario` writes for it, the clean one without noise and else
+    the smoothed one, at the noise level that its summary records."""
+    twin = write_cfg(tmp_path,
+                     GAUSSIAN_TWIN + f"noise.delta_rel = {delta_rel}\n")
+    scenario = tmp_path / "scenario"
+    assert run("scenario", twin, scenario, ("--seed", "3")) == 0
+    assert run("invert", twin, tmp_path / "twin", ("--seed", "3")) == 0
+    noise_delta = load_sidecar(scenario / "summary.txt").get("noise_delta",
+                                                             "0")
+    measured = write_cfg(tmp_path, BASE + "inversion.max_iterations = 20\n"
+                         f"measurements.path = {scenario / series}\n"
+                         f"inversion.noise_delta = {noise_delta}\n",
+                         "measured.cfg")
+    assert run("invert", measured, tmp_path / "measured") == 0
+    for name in ("reconstructed_load.csv", "iterations.csv"):
+        assert digest(tmp_path / "twin" / name) == digest(
+            tmp_path / "measured" / name), name
 
 
 def test_manifest_contents(tmp_path):
@@ -927,18 +971,33 @@ def run_under_contract(cmd, cfg, out, capsys):
     return code, None
 
 
+def fresh_dirs(tmp_path):
+    """Numbered new directories under `tmp_path`, one per run for its
+    config and --out, each removed when the next is drawn.  On ext4,
+    truncating a file that holds data to write it again can stall for
+    tens of ms, and removing a file once it is on disk takes ms, so a
+    sweep neither rewrites its runs' files nor leaves them behind."""
+    for index in itertools.count():
+        path = tmp_path / f"run{index}"
+        path.mkdir()
+        yield path
+        shutil.rmtree(path)
+
+
 def test_extreme_values_keep_exit_code_contract(tmp_path, capsys):
     """Every numeric key at each of `EXTREMES`, under each command
     that reads it, keeps the exit-code contract of `run_under_contract`."""
     assert set(SWEEP_READERS) <= set(cli._KEYS)
     broken = []
+    runs = fresh_dirs(tmp_path)
     for key in filter(takes_a_number, cli._KEYS):
         for cmd in SWEEP_COMMANDS[key.split(".")[0]]:
             for value in EXTREMES:
-                cfg = write_cfg(tmp_path, SWEEP_BASE
+                run_dir = next(runs)
+                cfg = write_cfg(run_dir, SWEEP_BASE
                                 + SWEEP_READERS.get(key, "")
                                 + f"{key} = {value}\n")
-                code, fault = run_under_contract(cmd, cfg, tmp_path / "out",
+                code, fault = run_under_contract(cmd, cfg, run_dir / "out",
                                                  capsys)
                 if fault:
                     broken.append((cmd, key, value, code, *fault))
@@ -1012,15 +1071,15 @@ def test_key_combinations_keep_exit_code_contract(tmp_path, capsys):
     rng = np.random.default_rng(23)
     keys = list(cli._KEYS)
     broken, parsed = [], 0
-    for _ in range(COMBINATIONS):
+    for _, run_dir in zip(range(COMBINATIONS), fresh_dirs(tmp_path)):
         cmd = str(rng.choice(["forward", "verify", "invert", "scenario"]))
         entries = dict(COMBINATION_BASE)
         for key in rng.choice(keys, size=rng.integers(1, 7), replace=False):
             values = combination_values(key, tables)
             entries[key] = values[rng.integers(len(values))]
-        cfg = write_cfg(tmp_path, "".join(f"{key} = {value}\n"
-                                          for key, value in entries.items()))
-        code, fault = run_under_contract(cmd, cfg, tmp_path / "out", capsys)
+        cfg = write_cfg(run_dir, "".join(f"{key} = {value}\n"
+                                         for key, value in entries.items()))
+        code, fault = run_under_contract(cmd, cfg, run_dir / "out", capsys)
         if fault:
             broken.append((cmd, entries, code, *fault))
         parsed += code in (0, 1, 3)

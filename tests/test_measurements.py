@@ -366,15 +366,18 @@ def test_generate_scenario_is_the_twin_pipeline(small_grid, small_coeffs):
     assert noisy.noise_delta > 0
 
 
-@pytest.mark.parametrize("noise", [None, NoiseSpec(delta_rel=0.0, seed=3)],
-                         ids=["none", "zero_level"])
+@pytest.mark.parametrize("noise", [(), (NoiseSpec(delta_rel=0.0, seed=3),)],
+                         ids=["default", "zero_level"])
 def test_generate_scenario_without_noise_is_clean_only(small_grid,
                                                        small_coeffs, noise):
+    """A noise level of 0, the default, is the one "no noise": the noisy
+    and smoothed series are the clean slopes, bit for bit, and every
+    series records a level of 0.0."""
     truth = ModalLoad((1.0,)).field(small_grid)
-    clean, noisy, smooth = generate_scenario(truth, small_coeffs, small_grid,
-                                             noise)
+    clean, noisy, smooth = generate_scenario(truth, small_coeffs,
+                                             small_grid, *noise)
     outputs = solve_forward(small_coeffs, truth, small_grid).outputs
-    assert clean.theta0.tobytes() == outputs.theta0.tobytes()
-    assert clean.thetaL.tobytes() == outputs.thetaL.tobytes()
-    assert clean.noise_delta is None
-    assert noisy is None and smooth is None
+    for got in (clean, noisy, smooth):
+        assert got.theta0.tobytes() == outputs.theta0.tobytes()
+        assert got.thetaL.tobytes() == outputs.thetaL.tobytes()
+        assert got.noise_delta == 0.0
