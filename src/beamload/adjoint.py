@@ -13,7 +13,7 @@ import numpy as np
 from .assembly import assemble
 from .constants import compute_constants
 from .errors import DivergenceError
-from .forward import estimate_rows, newmark_integrate, quadratic_forms
+from .forward import estimate_rows, newmark_integrate
 from .model import trapezoid_weights
 
 
@@ -55,23 +55,14 @@ def solve_adjoint(coeffs, p, q, grid, system=None):
     return AdjointField(phi=phi[:, ::-1], phi_t=(-rate)[:, ::-1], grid=grid)
 
 
-def adjoint_series(field, unit):
-    """The norm series that the adjoint estimates bound, at every
-    instant: int phi_xx^2, int phi_t^2 and int phi_xxt^2 dx.  `unit` is
-    the (M, K_r) pair of `unit_norm_matrices`."""
-    M1, K1 = unit
-    return (quadratic_forms(K1, field.phi), quadratic_forms(M1, field.phi_t),
-            quadratic_forms(K1, field.phi_t))
-
-
 def check_adjoint_estimates(series, grid, coeffs, dp, dq, slack, tags,
                             ct_variant="literal"):
     """CheckRows of the six adjoint-solution bounds for a batch of
     scenarios, one list per tag: the norm series (3, n_scenarios,
-    n_times), in the order of `adjoint_series`, of moment inputs whose
-    derivative series are dp and dq (n_scenarios, n_times).  Bounds use
-    C_0^2 of `compute_constants` and the combined input-derivative norm
-    ||p'||^2 + ||q'||^2.
+    n_times) int phi_xx^2, int phi_t^2 and int phi_xxt^2 dx of moment
+    inputs whose derivative series are dp and dq (n_scenarios, n_times).
+    Bounds use C_0^2 of `compute_constants` and the combined
+    input-derivative norm ||p'||^2 + ||q'||^2.
     """
     b = coeffs.bounds
     pxx_sq, pt_sq, pxxt_sq = series

@@ -511,24 +511,13 @@ def cumtrapz(y, dt):
     return out
 
 
-def apriori_series(traj, unit):
-    """The norm series that the a-priori estimates bound, at every
-    instant: int u_t^2, int u_xx^2 and int u_xxt^2 dx, then the end
-    rotations theta_0, theta_0', theta_l and theta_l'.  `unit` is the
-    (M, K_r) pair of `unit_norm_matrices`."""
-    M1, K1 = unit
-    u, v, s = traj.u, traj.v, traj.system
-    return (quadratic_forms(M1, v), quadratic_forms(K1, u),
-            quadratic_forms(K1, v), u[s.theta0_dof], v[s.theta0_dof],
-            u[s.thetaL_dof], v[s.thetaL_dof])
-
-
 def check_apriori_estimates(series, grid, coeffs, F_sq, slack, tags):
     """CheckRows of the six volume-norm and four boundary-trace a-priori
     bounds for a batch of scenarios, one list per tag: the norm series
-    (7, n_scenarios, n_times), in the order of `apriori_series`, of loads
-    of squared norms F_sq (n_scenarios,), with the constants C_e^2 and
-    C_1^2 of `compute_constants`."""
+    (7, n_scenarios, n_times) int u_t^2, int u_xx^2 and int u_xxt^2 dx,
+    then the end rotations theta_0, theta_0', theta_l and theta_l', of
+    loads of squared norms F_sq (n_scenarios,), with the constants C_e^2
+    and C_1^2 of `compute_constants`."""
     b = coeffs.bounds
     ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series
     wt = trapezoid_weights(grid.n_times, grid.dt)

@@ -24,23 +24,18 @@ def apply_io_operators(load, coeffs, grid):
     return traj.outputs.theta0, traj.outputs.thetaL
 
 
-def misfit(p, q, dt):
-    """The misfit 0.5 (||p||^2 + ||q||^2) of output residual series p and
-    q, with trapezoidal time quadrature."""
-    return 0.5 * time_inner(p, p, dt) + 0.5 * time_inner(q, q, dt)
-
-
 def evaluate_objective(load, measurements, kernel):
-    """Tikhonov misfit J(F) with trapezoidal time quadrature on the grid
-    of `load`.
+    """Tikhonov misfit J(F) = 0.5 (||p||^2 + ||q||^2) of the output
+    residuals p and q, with trapezoidal time quadrature on the grid of
+    `load`.
 
     The outputs come from the impulse kernel, which equals
     `apply_io_operators` to Newmark round-off.
     """
     grid = load.grid
     p, q = kernel.outputs(load.values) - measurements.stacked(grid)
-    return ObjectiveEvaluation(J=misfit(p, q, grid.dt), p=p, q=q,
-                               kernel=kernel)
+    J = 0.5 * time_inner(p, p, grid.dt) + 0.5 * time_inner(q, q, grid.dt)
+    return ObjectiveEvaluation(J=J, p=p, q=q, kernel=kernel)
 
 
 def compute_gradient(evaluation):

@@ -132,7 +132,7 @@ def _norm_bases(velocity, series, n_fft, unit, dt, traces=()):
     read-only: the beam's store keeps them."""
     C, Y = _coordinates(velocity, series, n_fft)
     n_basis, _, n_times = Y.shape
-    # int w^2, int w_xx^2, int w_xxt^2, in the order of `apriori_series`
+    # int w^2, int w_xx^2, int w_xxt^2, in `check_apriori_estimates`' order
     grams = np.empty((3, n_times, n_basis, n_basis))
     lines = np.empty((len(traces), 2, n_basis, n_times))
     trace_rows = C[list(traces)]
@@ -165,10 +165,10 @@ def _series(basis, C):
 
 
 def _forward_bases(coeffs, grid, system, n_fft, unit):
-    """The bases of `apriori_series` over the 8 basis loads, in the order
-    of `_modal_load`'s coefficients, from the velocity responses to the
-    four space modes as impulses at t_1, of one batched `solve_forward`
-    pass, held side by side."""
+    """The bases of the norm series of `check_apriori_estimates` over the
+    8 basis loads, in the order of `_modal_load`'s coefficients, from the
+    velocity responses to the four space modes as impulses at t_1, of one
+    batched `solve_forward` pass, held side by side."""
     pulses = np.zeros((4, grid.n_nodes, grid.n_times))
     pulses[:, :, 1] = _mode_shapes(grid)
     trajs = solve_forward(coeffs, [LoadField(f, grid) for f in pulses], grid,
@@ -181,15 +181,15 @@ def _forward_bases(coeffs, grid, system, n_fft, unit):
 
 
 def _adjoint_bases(grid, system, n_fft, unit):
-    """The bases of `adjoint_series` over the 6 basis moments, p then q,
-    and the u of their `end_rotation_responses` pass.  The adjoint
-    problem is the forward pencil driven at the end rotations by the
-    reversed data, so its rate states d phi / d tau, in tau = T - t,
-    convolve the reversed basis moments with the pass's two velocity
-    responses.  The field is the tau state read backwards in time, and
-    phi_t is minus its rate, so its Gram series are the tau states' read
-    backwards, copied contiguous for the suite's products, in the order
-    of `adjoint_series`; `audit_operators` makes them read-only."""
+    """The bases of the norm series of `check_adjoint_estimates` over the
+    6 basis moments, p then q, and the u of their `end_rotation_responses`
+    pass.  The adjoint problem is the forward pencil driven at the end
+    rotations by the reversed data, so its rate states d phi / d tau, in
+    tau = T - t, convolve the reversed basis moments with the pass's two
+    velocity responses.  The field is the tau state read backwards in
+    time, and phi_t is minus its rate, so its Gram series are the tau
+    states' read backwards, copied contiguous for the suite's products,
+    in that check's order; `audit_operators` makes them read-only."""
     u, v = end_rotation_responses(system, grid)
     # side by side, and the pass's v goes before they are factored
     v = np.hstack(v)

@@ -10,7 +10,8 @@ from beamload import forward, inversion, verify
 from beamload.assembly import assemble
 from beamload.errors import DivergenceError
 from beamload.forward import (ImpulseKernel, end_rotation_responses,
-                              impulse_kernel, kernel_fft_length)
+                              impulse_kernel, kernel_fft_length,
+                              quadratic_forms)
 from beamload.model import (DEFAULT_SLACK, CoefficientBounds,
                             CoefficientSet, LoadField, SpaceTimeGrid,
                             l2_norm_spacetime, spacetime_inner,
@@ -149,6 +150,37 @@ def _rows_of_one(check, series, grid, coeffs, *data, tag="", **options):
 def rows_of_one():
     """An estimate check's rows on one trajectory's or field's series."""
     return _rows_of_one
+
+
+def _apriori_series(traj, unit):
+    """The norm series of `check_apriori_estimates` of a trajectory, at
+    every instant: int u_t^2, int u_xx^2 and int u_xxt^2 dx, then the end
+    rotations theta_0, theta_0', theta_l and theta_l'.  `unit` is the
+    (M, K_r) pair of `unit_norm_matrices`."""
+    M1, K1 = unit
+    u, v, s = traj.u, traj.v, traj.system
+    return (quadratic_forms(M1, v), quadratic_forms(K1, u),
+            quadratic_forms(K1, v), u[s.theta0_dof], v[s.theta0_dof],
+            u[s.thetaL_dof], v[s.thetaL_dof])
+
+
+def _adjoint_field_series(field, unit):
+    """The norm series of `check_adjoint_estimates` of an adjoint field,
+    at every instant: int phi_xx^2, int phi_t^2 and int phi_xxt^2 dx.
+    `unit` is the (M, K_r) pair of `unit_norm_matrices`."""
+    M1, K1 = unit
+    return (quadratic_forms(K1, field.phi), quadratic_forms(M1, field.phi_t),
+            quadratic_forms(K1, field.phi_t))
+
+
+@pytest.fixture(scope="session")
+def norm_series():
+    """The estimates' norm series of a `solve_forward` trajectory
+    (`norm_series.apriori`) and of a `solve_adjoint` field
+    (`norm_series.adjoint`), from their nodal states: the reference of
+    verify's Gram series."""
+    return SimpleNamespace(apriori=_apriori_series,
+                           adjoint=_adjoint_field_series)
 
 
 def _dense(ab):

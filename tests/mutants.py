@@ -22,11 +22,15 @@ root:
     python3 tests/mutants.py -x         # every mutant, stopping early
     python3 tests/mutants.py kappa_lower_not_strict read_only_dropped
 
-Each run takes one tier-1 run, and less for a killed mutant under `-x`.
-On 2 vCPUs and ext4 that was 21-30 s a run (85 s for the baseline and
-3 mutants, 60 s for the baseline and 1): 11-12 s of tests, and the
-rest pytest's removal, on exit, of the temporary files it kept from an
-earlier run, once they are on disk.  The exit code is 1 when a mutant
+The copies, and the temporary files of the pytest run in each, go
+under an explicit TMPDIR, else under /dev/shm when that is a writable
+directory, else under the system's temporary directory; the harness
+prints which.  Each copy is removed, with its run's files, before the
+next is made.  Each run takes one tier-1 run, and less for a killed
+mutant under `-x`.  On 2 vCPUs, `-x` over 73 mutants took 4.4 min
+with the copies on tmpfs, against 21.8 min for 71 mutants on an ext4
+root mounted with `discard`, where the runs' files waited on the disk;
+the CPU time was 5.8 min both ways.  The exit code is 1 when a mutant
 survives or is stale, else 0.
 """
 
@@ -145,7 +149,7 @@ MUTANTS = [
     ("audit_kept_across_beams", "src/beamload/forward.py",
      "_beam_kernels.clear()", "pass"),
     ("misfit_q_weight_doubled", "src/beamload/objective.py",
-     "0.5 * time_inner(q, q, dt)", "time_inner(q, q, dt)"),
+     "0.5 * time_inner(q, q, grid.dt)", "time_inner(q, q, grid.dt)"),
     ("root_always_bisects", "src/beamload/measurements.py",
      "if phi * phi < xi and (1 - phi) ** 2 < 1 - xi:", "if False:"),
     ("root_tolerance_coarse", "src/beamload/measurements.py",
@@ -206,6 +210,11 @@ MUTANTS = [
     ("smoothing_target_unsplit", "src/beamload/measurements.py",
      "target = series.noise_delta / np.sqrt(2.0)",
      "target = series.noise_delta"),
+    ("apriori_unpacking_ut_uxx_swapped", "src/beamload/forward.py",
+     "ut_sq, uxx_sq, uxxt_sq, th0, th0_t, thL, thL_t = series",
+     "uxx_sq, ut_sq, uxxt_sq, th0, th0_t, thL, thL_t = series"),
+    ("adjoint_unpacking_pxx_pt_swapped", "src/beamload/adjoint.py",
+     "pxx_sq, pt_sq, pxxt_sq = series", "pt_sq, pxx_sq, pxxt_sq = series"),
 ]
 
 # tier-1 but `test_mutants.py`, which fails on every mutated copy: its
@@ -218,9 +227,23 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".perfbench_runs", "*.egg-info", "build")
 
 
+def copies_dir():
+    """Where the copies go: an explicit TMPDIR, else /dev/shm when it is
+    a writable directory (tmpfs, so that no file waits on a disk), else
+    the system's temporary directory."""
+    shm = "/dev/shm"
+    if ("TMPDIR" not in os.environ and os.path.isdir(shm)
+            and os.access(shm, os.W_OK | os.X_OK)):
+        return shm
+    return tempfile.gettempdir()
+
+
 def failing_tests(tree, options=()):
-    """The failing and erroring test IDs of one tier-1 run in `tree`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    """The failing and erroring test IDs of one tier-1 run in `tree`,
+    whose temporary files go beside `tree`, so that they are removed
+    with it."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               TMPDIR=str(tree.parent))
     out = subprocess.run(TIER1 + list(options), cwd=tree, env=env,
                          capture_output=True, text=True).stdout
     return {line.split(" - ")[0].split(" ", 1)[1]
@@ -230,8 +253,10 @@ def failing_tests(tree, options=()):
 
 def run_copy(mutant=None, options=()):
     """Failing tests of a fresh copy of the repository, with `mutant`
-    applied; None when the mutant's text is not in its file once."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+    applied; None when the mutant's text is not in its file once.  The
+    copy is removed before the next one is made."""
+    with tempfile.TemporaryDirectory(prefix="mutant-",
+                                     dir=copies_dir()) as tmp:
         tree = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         if mutant is not None:
@@ -256,6 +281,7 @@ def main(argv):
     unknown = set(args.names) - {m[0] for m in MUTANTS}
     if unknown:
         sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    print(f"copies under {copies_dir()}", flush=True)
     baseline = run_copy()
     print(f"baseline: {len(baseline)} failing: {', '.join(sorted(baseline))}")
     options, expected = (), baseline

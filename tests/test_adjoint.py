@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from beamload.adjoint import (adjoint_series, check_adjoint_estimates,
-                              solve_adjoint)
+from beamload.adjoint import check_adjoint_estimates, solve_adjoint
 from beamload.assembly import assemble, nodal, unit_norm_matrices
 from beamload.constants import compute_constants, transfer_constant
 from beamload.errors import DivergenceError
@@ -86,20 +85,22 @@ def test_transfer_constant_values():
         transfer_constant(1.0, "other")
 
 
-def test_adjoint_estimates_hold(small_grid, small_coeffs, rows_of_one):
+def test_adjoint_estimates_hold(small_grid, small_coeffs, rows_of_one,
+                                norm_series):
     p, dp = smooth_series(small_grid, seed=5)
     q, dq = smooth_series(small_grid, seed=6)
     adj = solve_adjoint(small_coeffs, p, q, small_grid)
     checks = rows_of_one(
         check_adjoint_estimates,
-        adjoint_series(adj, unit_norm_matrices(small_grid)), small_grid,
-        small_coeffs, dp, dq)
+        norm_series.adjoint(adj, unit_norm_matrices(small_grid)),
+        small_grid, small_coeffs, dp, dq)
     assert len(checks) == 6
     assert [c.check for c in checks if not c.ok] == []
 
 
 @pytest.mark.parametrize("ct_variant", ["literal", "corrected"])
-def test_adjoint_bounds_read_compute_constants(ct_variant, rows_of_one):
+def test_adjoint_bounds_read_compute_constants(ct_variant, rows_of_one,
+                                               norm_series):
     """Every bound is C_0^2 ||(p', q')||^2 times a closed form, with C_0^2
     of `compute_constants`; at T = 2 the two C_T variants differ."""
     grid = SpaceTimeGrid(length=1.0, final_time=2.0, n_elements=16,
@@ -111,8 +112,8 @@ def test_adjoint_bounds_read_compute_constants(ct_variant, rows_of_one):
     adj = solve_adjoint(coeffs, p, q, grid)
     checks = rows_of_one(
         check_adjoint_estimates,
-        adjoint_series(adj, unit_norm_matrices(grid)), grid, coeffs, dp, dq,
-        ct_variant=ct_variant)
+        norm_series.adjoint(adj, unit_norm_matrices(grid)), grid, coeffs,
+        dp, dq, ct_variant=ct_variant)
     assert [c.check for c in checks if not c.ok] == []
 
     b = coeffs.bounds

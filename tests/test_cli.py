@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import pathlib
 import re
+import runpy
 import shutil
+import sys
 import warnings
 import zlib
 
@@ -320,6 +322,22 @@ def test_missing_input_is_config_error(tmp_path, capsys, cmd, lines,
     cfg = write_cfg(tmp_path, BASE + lines)
     assert run(cmd, cfg, tmp_path / "out") == 2
     assert message in assert_one_line_config_error(capsys)
+
+
+def test_module_run_exits_with_the_code_of_main(tmp_path, capsys,
+                                                monkeypatch):
+    # `python -m beamload.cli` exits with `main`'s code; runpy warns that
+    # the module, already imported, runs again as __main__
+    monkeypatch.setattr(sys, "argv", [
+        "beamload.cli", "forward", "--config", str(tmp_path / "nope.cfg"),
+        "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "'beamload.cli' found in",
+                                RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("beamload.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert "nope.cfg" in assert_one_line_config_error(capsys)
 
 
 def test_seed_flag_is_the_noise_seed(tmp_path):

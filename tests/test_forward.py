@@ -7,9 +7,8 @@ from scipy.linalg.lapack import dpbtrs
 from beamload.assembly import assemble, unit_norm_matrices
 from beamload.constants import compute_constants
 from beamload.errors import DivergenceError
-from beamload.forward import (apriori_series, band_product,
-                              check_apriori_estimates, cumtrapz,
-                              energy_residual, newmark_integrate,
+from beamload.forward import (band_product, check_apriori_estimates,
+                              cumtrapz, energy_residual, newmark_integrate,
                               solve_forward)
 from beamload.measurements import manufactured_case
 from beamload.model import (CoefficientSet, LoadField, SpaceTimeGrid,
@@ -238,7 +237,8 @@ def test_energy_identity_residual_shrinks_under_refinement():
     assert residuals[1] < residuals[0] / 2
 
 
-def test_apriori_estimates_hold(small_grid, small_coeffs, rows_of_one):
+def test_apriori_estimates_hold(small_grid, small_coeffs, rows_of_one,
+                                norm_series):
     x = small_grid.nodes[:, None]
     t = small_grid.times[None, :]
     load = LoadField(np.sin(np.pi * x) * np.sin(np.pi * t)
@@ -246,8 +246,8 @@ def test_apriori_estimates_hold(small_grid, small_coeffs, rows_of_one):
     traj = solve_forward(small_coeffs, load, small_grid)
     checks = rows_of_one(
         check_apriori_estimates,
-        apriori_series(traj, unit_norm_matrices(small_grid)), small_grid,
-        small_coeffs, l2_norm_spacetime(load) ** 2)
+        norm_series.apriori(traj, unit_norm_matrices(small_grid)),
+        small_grid, small_coeffs, l2_norm_spacetime(load) ** 2)
     assert len(checks) == 10
     failed = [c.check for c in checks if not c.ok]
     assert failed == []

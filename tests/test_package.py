@@ -1,6 +1,7 @@
 """Guards for deletions and style: the public names and the demos stay
-importable, and the source, the tests and the demos keep to 79 columns
-and import no name they do not use."""
+importable, the source, the tests and the demos keep to 79 columns and
+import no name they do not use, and the source defines no function or
+class that the program does not read."""
 
 import ast
 import fnmatch
@@ -16,6 +17,8 @@ import beamload
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 SOURCES = sorted(pathlib.Path(beamload.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((pathlib.Path(__file__).parent.parent
+                    / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", beamload.__all__)
@@ -337,6 +340,44 @@ def test_every_parameter_is_read():
     assert [entry for entry in unread if entry not in allowed] == []
     # each allowance still covers a parameter
     assert set(allowed.values()) == set(UNREAD_ALLOWED)
+
+
+def definitions(path):
+    """`file:name` of each module-level function and class of the module
+    at `path`."""
+    return [f"{path.name}:{node.name}"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
+def names_read(path):
+    """The names and attributes that the module at `path` reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+
+
+# `file:name` definitions that nothing in the program reads by name, and
+# why each stays
+UNUSED_ALLOWED = {
+    "io.py:save_coefficient": "`perfbench/tracer.py` binds it by string, "
+                              "as one of its traced spans",
+}
+
+
+def test_every_definition_is_used():
+    # no linter is installed, so this is the dead-code guard: each
+    # module-level function and class is read by name in the source, the
+    # demos or the benchmark, or is exported
+    read = set(beamload.__all__).union(
+        *(names_read(path) for path in SOURCES + DEMOS + PERFBENCH))
+    unused = [entry for path in SOURCES for entry in definitions(path)
+              if entry.split(":")[1] not in read]
+    assert [entry for entry in unused if entry not in UNUSED_ALLOWED] == []
+    # each allowance still covers a definition
+    assert sorted(unused) == sorted(UNUSED_ALLOWED)
 
 
 def test_demos_are_found():

@@ -7,11 +7,9 @@ import pytest
 from numpy.fft import rfft
 
 from beamload import adjoint, assembly, forward, verify
-from beamload.adjoint import (adjoint_series, check_adjoint_estimates,
-                              solve_adjoint)
+from beamload.adjoint import check_adjoint_estimates, solve_adjoint
 from beamload.constants import compute_constants
-from beamload.forward import (apriori_series, check_apriori_estimates,
-                              cumtrapz, solve_forward)
+from beamload.forward import check_apriori_estimates, cumtrapz, solve_forward
 from beamload.model import (DEFAULT_SLACK, CheckRow, CoefficientSet,
                             LoadField, MeasurementSeries, SpaceTimeGrid,
                             l2_norm_spacetime, series_l2_norm,
@@ -145,12 +143,12 @@ def test_suite_assembly_does_not_grow_with_scenarios(small_grid,
 
 
 def _newmark_replay(grid, coeffs, system, n_scenarios, seed, draws,
-                    rows_of_one):
+                    rows_of_one, norm_series):
     """The suite's rows from its replayed draws (load, Poincare amplitudes,
     load2, truth, p, q per scenario), made by the `draws` fixture: the
-    estimates on `solve_forward` and `solve_adjoint` states, each a batch
-    of one, and the Lipschitz rows on `evaluate_objective` and
-    `compute_gradient` of the impulse kernel."""
+    estimates on the `norm_series` of `solve_forward` and `solve_adjoint`
+    states, each a batch of one, and the Lipschitz rows on
+    `evaluate_objective` and `compute_gradient` of the impulse kernel."""
     rng = np.random.default_rng(seed)
     kernel = forward.impulse_kernel(system, grid)
     unit = assembly.unit_norm_matrices(grid)
@@ -161,9 +159,9 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed, draws,
         load = draws.load(grid, rng)
         rows += rows_of_one(
             check_apriori_estimates,
-            apriori_series(solve_forward(coeffs, load, grid, system=system),
-                           unit), grid, coeffs,
-            l2_norm_spacetime(load) ** 2, tag=tag)
+            norm_series.apriori(
+                solve_forward(coeffs, load, grid, system=system), unit),
+            grid, coeffs, l2_norm_spacetime(load) ** 2, tag=tag)
         amps = rng.normal(size=3)
         rows.append(CheckRow.bound(
             "poincare", tag,
@@ -194,8 +192,9 @@ def _newmark_replay(grid, coeffs, system, n_scenarios, seed, draws,
         q, dq = draws.moment(grid, rng)
         rows += rows_of_one(
             check_adjoint_estimates,
-            adjoint_series(solve_adjoint(coeffs, p, q, grid, system=system),
-                           unit), grid, coeffs, dp, dq, tag=tag)
+            norm_series.adjoint(
+                solve_adjoint(coeffs, p, q, grid, system=system), unit),
+            grid, coeffs, dp, dq, tag=tag)
         diff = compute_gradient(e1) - compute_gradient(e2)
         rows.append(CheckRow.bound(
             "gradient_lipschitz", tag,
@@ -229,7 +228,7 @@ def _replay_mismatches(report, oracle):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_suite_states_match_the_newmark_path(seed, random_case, draws,
-                                             rows_of_one):
+                                             rows_of_one, norm_series):
     """Every row of the Gram-series suite agrees with the replay of its
     draws through the Newmark solvers and the kernel's misfit and
     gradient, on a random grid with variable coefficients."""
@@ -237,17 +236,19 @@ def test_suite_states_match_the_newmark_path(seed, random_case, draws,
     n = 3
     report = verify_inequality_suite(grid, coeffs, n_scenarios=n, seed=seed)
     oracle = _newmark_replay(grid, coeffs, system, n, seed, draws,
-                             rows_of_one)
+                             rows_of_one, norm_series)
     assert len(oracle) == n * EXPECTED_PER_SCENARIO
     assert _replay_mismatches(report, oracle) == []
 
 
 def test_newmark_replay_rejects_a_wrong_load_basis(random_case, draws,
-                                                   rows_of_one, monkeypatch):
+                                                   rows_of_one, norm_series,
+                                                   monkeypatch):
     """Negative control: a suite whose load basis has cos(k pi t / T) in
     place of cos((k - 1) pi t / T) fails the replay, in lhs as well."""
     grid, coeffs, system, _ = random_case(0)
-    oracle = _newmark_replay(grid, coeffs, system, 2, 0, draws, rows_of_one)
+    oracle = _newmark_replay(grid, coeffs, system, 2, 0, draws, rows_of_one,
+                             norm_series)
     k = np.arange(1, 5)[:, None]
     t, T = grid.times, grid.final_time
     monkeypatch.setattr(verify, "_load_histories", lambda grid: np.stack(
