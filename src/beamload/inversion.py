@@ -9,7 +9,7 @@ from .assembly import nodal
 from .constants import compute_constants, transfer_constant
 from .errors import DivergenceError
 from .forward import _factor_rows, beam_kernel
-from .model import LoadField, radial_scale, trapezoid_weights
+from .model import LoadField, trapezoid_weights
 
 GRAD_TOL = 1e-12
 BACKTRACK_START = 2.0 ** 10     # first trial step, in multiples of omega
@@ -87,10 +87,11 @@ def run_inversion(measurements, coeffs, grid, config=None):
     fires.
 
     From F = 0 every iterate is a combination of adjoint fields
-    J'(F) = phi, scaled by the radial projection, so the loop keeps it
-    as coordinates over the kernel's `field_basis`, cut by its rank rule
-    to the q directions its coupling and field Gram resolve, beside the
-    data series rho whose adjoint series they are (`_FieldCoordinates`),
+    J'(F) = phi, scaled by the radial projection onto the C_F ball, so
+    the loop keeps it as coordinates over the kernel's `field_basis`,
+    cut by its rank rule to the q directions its coupling and field Gram
+    resolve, beside the data series rho whose adjoint series they are
+    (`_FieldCoordinates`, which holds the ball and projects each step),
     and forms F from rho once, at the kernel's full rank, when it stops.
     An iteration makes one adjoint convolution and each trial one output
     convolution, each of q + 2 series.
@@ -103,8 +104,7 @@ def run_inversion(measurements, coeffs, grid, config=None):
     """
     config = config or InversionConfig()
     kernel = beam_kernel(grid, coeffs)
-    coords = _FieldCoordinates(kernel, measurements, grid)
-    C_F = config.C_F
+    coords = _FieldCoordinates(kernel, measurements, grid, config.C_F)
     omega = config.omega or default_step(grid, coeffs, config)
     # a product, not a power: out of range it is inf, which the zero
     # start meets at once, where ** 2 would raise OverflowError
@@ -143,11 +143,10 @@ def run_inversion(measurements, coeffs, grid, config=None):
                     "inconsistent, or the continuous adjoint's "
                     "gradient, which is inexact, no descent direction "
                     "on the C_F sphere")
-            Z = coords.step(Z, Y, omega, C_F)
+            Z = coords.step(Z, Y, omega)
             J, residual = coords.evaluate(Z)
         else:
-            Z, J, residual = _backtrack(Z, Y, J, omega, C_F, coords,
-                                        residual)
+            Z, J, residual = _backtrack(Z, Y, J, omega, coords, residual)
     # the load's coordinates at the kernel's full rank are the adjoint
     # series of rho, the iterate's last two rows
     state.load = LoadField(nodal(
@@ -156,9 +155,9 @@ def run_inversion(measurements, coeffs, grid, config=None):
 
 
 class _FieldCoordinates:
-    """The Landweber loop's operators, for one kernel and one data set,
-    on an iterate Z (q + 2, n_times): q coordinates over the data series
-    rho in the rows Z[q:].
+    """The Landweber loop's operators and its ball ||F||^2 <= C_F (None:
+    no ball), which `step` projects onto, for one kernel and data set, on
+    Z (q + 2, n_times): q coordinates over the data series rho in Z[q:].
 
     The load's r_adj coordinates y over the kernel's `field_basis` are
     read only through its `coupling` P (the outputs are the output
@@ -172,7 +171,7 @@ class _FieldCoordinates:
     load at full rank, is the adjoint series of rho.
     """
 
-    def __init__(self, kernel, measurements, grid):
+    def __init__(self, kernel, measurements, grid, C_F=None):
         P, G = kernel.coupling, kernel.field_gram
         _, W = _factor_rows(np.vstack([A / (np.linalg.norm(A) or 1.0)
                                        for A in (P, G)]))
@@ -184,6 +183,7 @@ class _FieldCoordinates:
         self.G = V.T @ G @ V
         self.w_t = trapezoid_weights(grid.n_times, grid.dt)
         self.theta = measurements.stacked(grid)
+        self.C_F = C_F
 
     def evaluate(self, Z):
         """The misfit J at Z and the output residual (2, n_times); a
@@ -203,15 +203,17 @@ class _FieldCoordinates:
         z = Z[:self.q]
         return float(np.einsum("it,it->t", self.G @ z, z) @ self.w_t)
 
-    def step(self, Z, Y, step, C_F):
-        """Z - step Y, projected radially onto ||F||^2 <= C_F if given."""
+    def step(self, Z, Y, step):
+        """Z - step Y, scaled radially onto the ball from outside it."""
         Z = Z - step * Y
-        if C_F is not None:
-            Z *= radial_scale(self.sq_norm(Z), C_F)
+        if self.C_F is not None:
+            norm = float(np.sqrt(self.sq_norm(Z)))
+            if not (norm ** 2 <= self.C_F or norm == 0.0):
+                Z *= np.sqrt(self.C_F) / norm
         return Z
 
 
-def _backtrack(Z, Y, J, omega, C_F, coords, current):
+def _backtrack(Z, Y, J, omega, coords, current):
     """Halve the trial step until the misfit decreases.
 
     Every call starts afresh at BACKTRACK_START * omega, far above the
@@ -221,7 +223,7 @@ def _backtrack(Z, Y, J, omega, C_F, coords, current):
     """
     step = omega * BACKTRACK_START
     for _ in range(BACKTRACK_HALVINGS):
-        trial = coords.step(Z, Y, step, C_F)
+        trial = coords.step(Z, Y, step)
         J_trial, residual = coords.evaluate(trial)
         if J_trial < J:
             return trial, J_trial, residual

@@ -219,16 +219,6 @@ def l2_norm_spacetime(load):
                                          load.grid)))
 
 
-def radial_scale(sq_norm, C_F):
-    """The factor of the radial projection onto the ball ||F||^2 <= C_F
-    of a load of squared norm `sq_norm`: 1 inside the ball and at 0,
-    else sqrt(C_F) / ||F||."""
-    norm = float(np.sqrt(sq_norm))
-    if norm ** 2 <= C_F or norm == 0.0:
-        return 1.0
-    return np.sqrt(C_F) / norm
-
-
 @dataclass(frozen=True)
 class MeasurementSeries:
     """End-slope series theta_0(t), theta_l(t) in rad.

@@ -19,12 +19,23 @@ after the script's name:
 
 Only frames of `src/beamload` are traced line by line, so a run takes
 little longer than tier-1 itself.  The exit code is pytest's.
+
+With `--traffic` the tool runs the program's traffic instead of the
+tests: the five README runs of `readme_record.RUNS` through
+`beamload.cli.main`, then operations 0 and 1 of each benchmark workload
+of `perfbench/workloads.py` at workload seed TRAFFIC_SEED (its setup,
+`make_input`, `run` and `check`), all in this process, with every output
+in a temporary directory.  It lists the lines that none of them reaches
+the same way, and exits 0:
+
+    python3 tests/line_coverage.py --traffic
 """
 
 import ast
 import os
 import pathlib
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -32,6 +43,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "beamload"
 TIER1 = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TRAFFIC_SEED = 1
 
 
 def _statements(body):
@@ -95,6 +107,25 @@ def _recorder(ran):
     return lines
 
 
+def traffic(directory):
+    """Run the README's five CLI runs and operations 0 and 1 of each
+    benchmark workload, with their outputs under `directory`."""
+    sys.path[:0] = [str(SOURCE.parent), str(ROOT / "perfbench")]
+    import readme_record
+    from workloads import WORKLOADS
+    readme = directory / "readme"
+    readme.mkdir()
+    readme_record.record(readme)
+    for name, kind in WORKLOADS.items():
+        workdir = directory / name
+        workdir.mkdir()
+        workload = kind()
+        workload.setup(TRAFFIC_SEED, str(workdir))
+        for i in (0, 1):
+            op = workload.make_input(i)
+            workload.check(op, workload.run(op))
+
+
 def main(argv):
     files = {str(path): set() for path in sorted(SOURCE.glob("*.py"))}
     recorders = {}
@@ -111,7 +142,12 @@ def main(argv):
     threading.settrace(calls)
     sys.settrace(calls)
     try:
-        code = pytest.main(TIER1 + argv)
+        if argv == ["--traffic"]:
+            with tempfile.TemporaryDirectory() as tmp:
+                traffic(pathlib.Path(tmp))
+            code = 0
+        else:
+            code = pytest.main(TIER1 + argv)
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -132,8 +132,10 @@ MUTANTS = [
      "field_basis.T @ field_basis"),
     ("adjoint_phit_bound_doubled", "src/beamload/adjoint.py",
      "eT * b.r0 / (2.0 * b.rho0)", "eT * b.r0 / b.rho0"),
-    ("radial_factor_unsquared", "src/beamload/model.py",
-     "np.sqrt(C_F) / norm", "C_F / norm"),
+    ("radial_factor_unsquared", "src/beamload/inversion.py",
+     "np.sqrt(self.C_F) / norm", "self.C_F / norm"),
+    ("ball_never_binds", "src/beamload/inversion.py",
+     "if not (norm ** 2 <= self.C_F or norm == 0.0):", "if False:"),
     ("beam_kernel_key_ignores_backend", "src/beamload/forward.py",
      "key = (grid, coeffs.bounds, _lapack.CONFIG,",
      "key = (grid, coeffs.bounds,"),

@@ -304,8 +304,8 @@ def test_reused_evaluation_matches_a_fresh_one(twin, monkeypatch, omega):
     reused = run_inversion(series, coeffs, grid, config=cfg)
     backtrack = inversion._backtrack
 
-    def fresh(Z, Y, J, omega, C_F, coords, current):
-        new, J_new, _ = backtrack(Z, Y, J, omega, C_F, coords, current)
+    def fresh(Z, Y, J, omega, coords, current):
+        new, J_new, _ = backtrack(Z, Y, J, omega, coords, current)
         return new, J_new, coords.evaluate(new)[1]
 
     monkeypatch.setattr(inversion, "_backtrack", fresh)
@@ -331,14 +331,37 @@ def test_backtracking_halves_a_first_trial_that_is_too_long(twin):
             (AY * AY).sum(axis=0) @ coords.w_t)
     assert c > 0
     omega = 6.0 * c / b / inversion.BACKTRACK_START
-    trial, J_trial, _ = inversion._backtrack(Z, Y, J, omega, None, coords,
-                                             residual)
+    trial, J_trial, _ = inversion._backtrack(Z, Y, J, omega, coords, residual)
     steps = [k for k in range(inversion.BACKTRACK_HALVINGS)
              if np.array_equal(trial, Z - omega * inversion.BACKTRACK_START
                                * 0.5 ** k * Y)]
     assert steps == [2]
     assert J_trial < J
     assert J_trial == coords.evaluate(trial)[0]
+
+
+def test_step_projects_onto_the_ball(twin):
+    """A step that leaves the ball ||F||^2 <= C_F is scaled onto its
+    sphere; one that stays inside, or lands on Z = 0, is Z - s Y bit for
+    bit, and without a ball nothing is scaled."""
+    grid, coeffs, _, series = twin
+    kernel = forward.beam_kernel(grid, coeffs)
+    free = inversion._FieldCoordinates(kernel, series, grid)
+    Z = np.zeros((free.q + 2, grid.n_times))
+    Y = free.gradient(free.evaluate(Z)[1])
+    Z = free.step(Z, Y, 1.0)
+    s = 0.5
+    stepped = Z - s * Y
+    sq = free.sq_norm(stepped)
+    assert sq > 0
+    assert np.array_equal(free.step(Z, Y, s), stepped)
+    outside = inversion._FieldCoordinates(kernel, series, grid, 0.25 * sq)
+    assert outside.sq_norm(outside.step(Z, Y, s)) == pytest.approx(
+        0.25 * sq, rel=1e-12)
+    inside = inversion._FieldCoordinates(kernel, series, grid, 4.0 * sq)
+    assert np.array_equal(inside.step(Z, Y, s), stepped)
+    # Z = s Y steps to 0 exactly, which no ball scales
+    assert np.array_equal(outside.step(s * Y, Y, s), np.zeros_like(Z))
 
 
 # scripted misfits J_0, J_1, ...: three rises in a row raise at the

@@ -4,8 +4,8 @@ import pytest
 from beamload.errors import DimensionError, ValidationError
 from beamload.model import (CoefficientBounds, CoefficientSet, LoadField,
                             MeasurementSeries, SpaceTimeGrid,
-                            l2_norm_spacetime, radial_scale,
-                            series_l2_norm, trapezoid_weights)
+                            l2_norm_spacetime, series_l2_norm,
+                            trapezoid_weights)
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
@@ -66,19 +66,6 @@ def test_load_field_shape_guard_and_algebra():
     a = LoadField(np.ones((g.n_nodes, g.n_times)), g)
     b = LoadField(np.full((g.n_nodes, g.n_times), 3.0), g)
     assert np.all((b - a).values == 2.0)
-
-
-def test_projection_onto_admissible_ball():
-    """Outside the ball ||F||^2 <= C_F the factor scales a load onto its
-    sphere; inside it and at 0 it is 1."""
-    g = SpaceTimeGrid(length=1.0, final_time=1.0, n_elements=8, n_steps=8)
-    big = LoadField(np.full((g.n_nodes, g.n_times), 5.0), g)
-    C_F = 4.0
-    proj = big.values * radial_scale(l2_norm_spacetime(big) ** 2, C_F)
-    assert l2_norm_spacetime(LoadField(proj, g)) ** 2 == pytest.approx(C_F)
-    small = LoadField(np.full((g.n_nodes, g.n_times), 0.1), g)
-    assert radial_scale(l2_norm_spacetime(small) ** 2, C_F) == 1.0
-    assert radial_scale(0.0, C_F) == 1.0
 
 
 TIGHT = CoefficientBounds(1, 1, 0, 0, 0, 0, 1, 1, 0.01, 0.01)

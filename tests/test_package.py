@@ -1,7 +1,7 @@
 """Guards for deletions and style: the public names and the demos stay
 importable, the source, the tests and the demos keep to 79 columns and
-import no name they do not use, and the source defines no function or
-class that the program does not read."""
+import no name they do not use, and the source defines no function,
+class, method or property that the program does not read."""
 
 import ast
 import fnmatch
@@ -378,6 +378,35 @@ def test_every_definition_is_used():
     assert [entry for entry in unused if entry not in UNUSED_ALLOWED] == []
     # each allowance still covers a definition
     assert sorted(unused) == sorted(UNUSED_ALLOWED)
+
+
+def members(path):
+    """`file:Class.name` of each method and property of the top-level
+    classes of the module at `path`, dunders aside."""
+    return [f"{path.name}:{node.name}.{item.name}"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+# `file:Class.name` members that nothing in the program reads by
+# attribute name, and why each stays
+MEMBERS_UNUSED_ALLOWED = {}
+
+
+def test_every_member_is_used():
+    # the dead-code guard of methods and properties: each is read by
+    # attribute name in the source, the demos or the benchmark
+    read = set().union(*(names_read(path)
+                         for path in SOURCES + DEMOS + PERFBENCH))
+    unused = [entry for path in SOURCES for entry in members(path)
+              if entry.rsplit(".", 1)[1] not in read]
+    assert [entry for entry in unused
+            if entry not in MEMBERS_UNUSED_ALLOWED] == []
+    # each allowance still covers a member
+    assert sorted(unused) == sorted(MEMBERS_UNUSED_ALLOWED)
 
 
 def test_demos_are_found():
